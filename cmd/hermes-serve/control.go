@@ -48,11 +48,11 @@ func newTraceRing(capacity int, start time.Time) *traceRing {
 	return &traceRing{start: start, buf: make([]traceEntry, capacity)}
 }
 
-// record captures one accepted submission.
+// record captures one accepted submission. The clock is read under
+// the lock, so ring order is time order whatever the connections do.
 func (tr *traceRing) record(spec workload.Spec) {
-	at := time.Since(tr.start)
 	tr.mu.Lock()
-	tr.buf[tr.next] = traceEntry{at: at, spec: spec}
+	tr.buf[tr.next] = traceEntry{at: time.Since(tr.start), spec: spec}
 	tr.next++
 	if tr.next == len(tr.buf) {
 		tr.next = 0

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,5 +185,45 @@ func TestCapacityReplayDeterministic(t *testing.T) {
 		if _, code := fetch(q); code != http.StatusBadRequest {
 			t.Fatalf("/capacity%s: HTTP %d, want 400", q, code)
 		}
+	}
+}
+
+// TestTraceRingConcurrentRecordAscending: submissions recorded from
+// several connections at once must land in the ring in time order —
+// /capacity replays the ring as an arrival trace and rejects one that
+// is not ascending.
+func TestTraceRingConcurrentRecordAscending(t *testing.T) {
+	ts, srv := newTestServer(t, 8, 1<<12)
+	const writers, each = 8, 100
+	spec := workload.Spec{Kind: "ticks", N: 8}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				srv.trace.record(spec)
+			}
+		}()
+	}
+	wg.Wait()
+
+	entries, total := srv.trace.snapshot()
+	if total != writers*each || len(entries) != writers*each {
+		t.Fatalf("ring holds %d of %d recorded, want %d", len(entries), total, writers*each)
+	}
+	for i := 1; i < len(entries); i++ {
+		if entries[i].at < entries[i-1].at {
+			t.Fatalf("entry %d at %v precedes entry %d at %v", i, entries[i].at, i-1, entries[i-1].at)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/capacity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/capacity after concurrent submissions: HTTP %d: %s", resp.StatusCode, body)
 	}
 }

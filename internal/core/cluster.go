@@ -313,6 +313,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	go func() {
 		defer c.wg.Done()
 		defer c.failRemaining() // closes c.dead
+		// First message before the first event; see NewPool.
+		c.apply(<-c.msgs)
 		c.eng.Run()
 	}()
 	return c, nil
@@ -410,9 +412,9 @@ func (h *idleIndex) min() (int, bool) {
 // --- submission side --------------------------------------------------
 
 // Submit enqueues a batch of jobs atomically, exactly like
-// Pool.Submit: a batch handed to a quiescent cluster is delivered at
-// its virtual arrival times, placement decided at each arrival's
-// virtual instant.
+// Pool.Submit: a cluster's first batch, and any batch handed to a
+// quiescent cluster, is delivered at its virtual arrival times,
+// placement decided at each arrival's virtual instant.
 func (c *Cluster) Submit(reqs ...JobRequest) error {
 	if len(reqs) == 0 {
 		return nil

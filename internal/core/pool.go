@@ -64,9 +64,11 @@ type JobRequest struct {
 // time and id — never on wall-clock submission timing — because
 // external stimuli enter the event order through front-priority
 // injection at their virtual timestamps. Submitting a whole trace in
-// one Submit call to a quiescent pool therefore reproduces
-// byte-identical per-job reports and observer event sequences run
-// after run. Jobs submitted "at now" from live callers (a serving
+// one Submit call therefore reproduces byte-identical per-job reports
+// and observer event sequences run after run: the first batch a pool
+// receives is applied before the engine's first event, arrivals at
+// virtual time zero included, and a later batch is exact when the pool
+// is quiescent. Jobs submitted "at now" from live callers (a serving
 // process) get arrival times assigned by wall-clock race and are
 // individually valid but not reproducible.
 type Pool struct {
@@ -214,6 +216,11 @@ func NewPool(cfg Config) (*Pool, error) {
 	go func() {
 		defer p.wg.Done()
 		defer p.failRemaining() // closes p.dead
+		// The first message — a submission or the close — is applied
+		// before the engine's first event, so whether it overtakes the
+		// start-up events (idle workers filing their spin-down) is fixed
+		// by construction and not by how fast the caller was.
+		p.apply(<-p.msgs)
 		s.eng.Run()
 	}()
 	return p, nil
@@ -279,9 +286,9 @@ func (p *Pool) apply(msg poolMsg) {
 }
 
 // Submit enqueues a batch of jobs atomically and returns once they
-// are handed to the engine. A batch submitted to a quiescent pool is
-// delivered exactly at its virtual arrival times; see the Pool
-// determinism contract.
+// are handed to the engine. A pool's first batch, and any batch
+// submitted to a quiescent pool, is delivered exactly at its virtual
+// arrival times; see the Pool determinism contract.
 func (p *Pool) Submit(reqs ...JobRequest) error {
 	if len(reqs) == 0 {
 		return nil

@@ -1,13 +1,57 @@
 // Package sim is a deterministic discrete-event engine. Simulated
-// activities (workers, the DAQ sampler) run as coroutine-style
-// processes: ordinary goroutines that the engine resumes one at a
-// time, so execution is single-threaded in effect and fully
-// reproducible — the event order depends only on (virtual time,
-// schedule order).
+// activities (workers, daemons, the intake) run as processes, and a
+// process is a runtime coroutine: Engine.Run, the one dispatch loop,
+// pops the next event and resumes its owner with the next half of
+// iter.Pull; the process runs until it parks, which yields back. The
+// event order depends only on (virtual time, priority, schedule order),
+// so a run is fully reproducible.
 //
 // A process parks either until a scheduled virtual time (Sleep /
 // WaitUntil) or indefinitely (ParkUntilWake), and any running process
 // may wake a parked one (Wake), cancelling its pending timer. This
 // early-wake primitive is what lets the scheduler re-rate in-flight
 // task work when a DVFS transition commits mid-task.
+//
+// # One goroutine at a time
+//
+// Each coroutine is a goroutine of its own, but exactly one of Run's
+// goroutine and the coroutines executes at any moment, and control
+// passes only at next and yield. Engine and process state therefore
+// needs no locks, and the handoffs give the race detector its
+// happens-before edges. Why iter.Pull and not a channel per process: a
+// channel handoff is two trips through the Go scheduler per event (make
+// the other side runnable, park, get picked up, possibly on another
+// thread that was woken for it); a coroutine switch hands the thread
+// straight to the other side, with no run queue in between. Processes
+// never resume each other: only Run calls next, only park calls yield.
+//
+// # Who runs what
+//
+// The step before every dispatch — the tick hook, the pop, the idle
+// hook on an empty queue — runs with no process current. Run performs
+// it, and so does a parking process on its way out: if the event it
+// pops is its own, it moves the clock and returns from park without
+// switching at all (the common case for a lone busy process); any other
+// event it leaves for Run to dispatch, so nothing is popped twice. Hooks
+// therefore run on whichever goroutine got there, always serialised
+// with everything else, and may block (the pool's idle hook waits for
+// the next submission).
+//
+// # Where failures surface
+//
+// All of them from Run, on its caller's goroutine. The first panic
+// inside a process is captured as a *TaskPanic with the faulting stack;
+// Run stops dispatching, unwinds every other process through its own
+// defers (park panics with a value IsUnwind recognises — recover blocks
+// in process bodies must re-raise it) and re-raises the TaskPanic. The
+// deadlock panic (empty queue, idle declined, processes alive), "time
+// went backwards" and a panic out of a hook — even one a parking
+// process was running — are raised by Run as themselves. A
+// runtime.Goexit inside a process (t.FailNow, t.Skip) ends Run's
+// goroutine the same way. On every one of these paths, and after a
+// clean run, Run first stops whatever coroutine is still suspended, so
+// it never leaves a goroutine behind.
+//
+// Events are pooled and the queue is a typed 4-ary heap: a steady-state
+// event allocates nothing.
 package sim

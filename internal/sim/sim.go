@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"strings"
 
@@ -10,7 +10,10 @@ import (
 )
 
 // Event is a scheduled wake-up for a process. Cancelled events stay in
-// the heap and are skipped lazily.
+// the heap and are skipped lazily. Events are pooled: popping one, live
+// or cancelled, returns it to the engine's free list — safe because its
+// owner's Proc.pending, the only reference outside the heap, is cleared
+// when it fires and replaced before it is cancelled.
 type Event struct {
 	t        units.Time
 	prio     int8
@@ -23,27 +26,16 @@ type Event struct {
 // already-cancelled event.
 func (e *Event) Cancel() { e.canceled = true }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before is the dispatch order: virtual time, then priority, then
+// schedule order.
+func (e *Event) before(o *Event) bool {
+	if e.t != o.t {
+		return e.t < o.t
 	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
+	if e.prio != o.prio {
+		return e.prio < o.prio
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 type procState uint8
@@ -55,47 +47,58 @@ const (
 	stateDone
 )
 
-// Proc is a simulated process.
+// Proc is a simulated process: a coroutine the engine resumes and that
+// gives control back by parking.
 type Proc struct {
 	eng     *Engine
 	ID      int
 	Name    string
-	wake    chan struct{}
 	pending *Event
 	state   procState
 	fn      func(*Proc)
-}
 
-type ctrl struct {
-	p        *Proc
-	finished bool
+	// The two halves of iter.Pull over run, created at first dispatch,
+	// and the yield it hands to run. Only Run calls next; only park
+	// calls yield.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Engine owns the virtual clock and the event queue.
 type Engine struct {
 	now     units.Time
-	events  eventHeap
+	events  []*Event // 4-ary min-heap in Event.before order
+	free    []*Event
 	seq     uint64
 	procs   []*Proc
 	alive   int
-	control chan ctrl
 	current *Proc
 
-	// trap records the first panic raised inside a process. Once set,
-	// the engine stops event processing, unwinds every remaining
-	// process (park resumes panic with abortSignal, so user defers
-	// run), and re-raises the original panic from Run on the caller's
-	// goroutine — where it can be recovered like any function panic
-	// instead of crashing the process from an engine goroutine.
-	trap    any
-	trapped bool
+	// A parking process that popped an event it does not own leaves it
+	// here for Run to dispatch (nil with handed set: it found the queue
+	// empty and idle refused), so no event is popped twice. A panic out
+	// of a hook it ran travels the same way, in hookPanic.
+	handoff   *Event
+	handed    bool
+	hookPanic any
 
-	// tick, if set, runs at the top of every Run iteration, and idle
-	// runs when the event queue is empty with processes still alive
-	// (idle returning true retries instead of declaring deadlock).
-	// Both execute on the engine goroutine with no process current, so
-	// they may call Inject to hand external stimuli (job arrivals,
-	// shutdown) into the deterministic event order.
+	// trapped puts the engine in unwind mode: no more events are
+	// dispatched and a process that parks, or is resumed from a park,
+	// panics with abortSignal so its defers run. The first panic inside
+	// a process sets it, and so does unwind. trap is that first panic,
+	// re-raised from Run on the caller's goroutine — where it can be
+	// recovered like any function panic — once everyone has unwound.
+	trapped bool
+	trap    any
+
+	// tick, if set, runs before every dispatch, and idle runs when the
+	// event queue is empty with processes still alive (idle returning
+	// true retries instead of declaring deadlock). Both run with no
+	// process current — on Run's goroutine, or on the coroutine of a
+	// process that is in the middle of parking — so they may call
+	// Inject to hand external stimuli (job arrivals, shutdown) into the
+	// deterministic event order.
 	tick func()
 	idle func() bool
 }
@@ -105,8 +108,7 @@ type abortSignal struct{}
 
 // TaskPanic is the value Engine.Run re-raises when a process
 // panicked: the original panic value plus the stack of the faulting
-// process goroutine, which would otherwise be lost in the trap/
-// re-raise handoff.
+// process, which would otherwise be lost in the trap/re-raise handoff.
 type TaskPanic struct {
 	Value any
 	Stack []byte
@@ -117,13 +119,10 @@ func (t *TaskPanic) Error() string {
 }
 
 // NewEngine returns an engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{control: make(chan ctrl)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
-// SetTick installs fn to run at the top of every Run iteration, before
-// the next event is dispatched. Use it to poll external (non-virtual)
-// inputs without blocking event processing.
+// SetTick installs fn to run before every dispatch. Use it to poll
+// external (non-virtual) inputs without blocking event processing.
 func (e *Engine) SetTick(fn func()) { e.tick = fn }
 
 // SetIdle installs fn to run when the event queue is empty while
@@ -178,38 +177,32 @@ func (e *Engine) Current() *Proc { return e.current }
 
 // Go registers a new process whose body starts at the current virtual
 // time, after already-scheduled events at that time. It may be called
-// before Run or from a running process.
+// before Run or from a running process. The coroutine behind it is
+// created when Run first dispatches it.
 func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, ID: len(e.procs), Name: name, wake: make(chan struct{}), fn: fn}
+	p := &Proc{eng: e, ID: len(e.procs), Name: name, fn: fn}
 	e.procs = append(e.procs, p)
 	e.alive++
-	p.pending = e.schedule(e.now, p)
-	go func() {
-		<-p.wake // first resume
-		p.pending = nil
-		p.state = stateRunning
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, unwinding := r.(abortSignal); !unwinding && !e.trapped {
-						e.trapped = true
-						e.trap = &TaskPanic{Value: r, Stack: debug.Stack()}
-					}
-				}
-			}()
-			if e.trapped {
-				return // woken only to unwind before ever starting
-			}
-			p.fn(p)
-		}()
-		p.state = stateDone
-		e.control <- ctrl{p: p, finished: true}
-	}()
+	p.pending = e.scheduleAt(e.now, 0, p)
 	return p
 }
 
-func (e *Engine) schedule(t units.Time, p *Proc) *Event {
-	return e.scheduleAt(t, 0, p)
+// run is the coroutine body. Whatever way fn leaves — return, panic,
+// abortSignal, runtime.Goexit — the process ends up done; the first
+// real panic is trapped for Run to re-raise.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		e := p.eng
+		p.state = stateDone
+		r := recover()
+		if r == nil || IsUnwind(r) || e.trapped {
+			return
+		}
+		e.trapped = true
+		e.trap = &TaskPanic{Value: r, Stack: debug.Stack()}
+	}()
+	p.fn(p)
 }
 
 // scheduleAt enqueues a wake with an explicit tie-break priority; the
@@ -219,80 +212,168 @@ func (e *Engine) scheduleAt(t units.Time, prio int8, p *Proc) *Event {
 		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
 	}
 	e.seq++
-	ev := &Event{t: t, prio: prio, seq: e.seq, p: p}
-	heap.Push(&e.events, ev)
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		ev = new(Event)
+	}
+	*ev = Event{t: t, prio: prio, seq: e.seq, p: p}
+
+	// Sift up from a new last leaf.
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.events = h
 	return ev
+}
+
+// pop removes and returns the earliest live event, or nil when none is
+// left. Cancelled events it meets on the way are recycled.
+func (e *Engine) pop() *Event {
+	for len(e.events) > 0 {
+		h := e.events
+		top := h[0]
+		n := len(h) - 1
+		last := h[n]
+		h[n] = nil
+		h = h[:n]
+		e.events = h
+		// Sift the old last leaf down from the root.
+		i := 0
+		for c := 1; c < n; c = 4*i + 1 {
+			m := c
+			for k, end := c+1, min(c+4, n); k < end; k++ {
+				if h[k].before(h[m]) {
+					m = k
+				}
+			}
+			if !h[m].before(last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		if n > 0 {
+			h[i] = last
+		}
+		if !top.canceled {
+			return top
+		}
+		e.free = append(e.free, top)
+	}
+	return nil
+}
+
+// pick is the step before every dispatch: run tick, pop the next live
+// event, and on an empty queue let idle feed the engine and start over.
+// It returns nil when the queue is empty and idle declines — deadlock.
+// The caller must have cleared current.
+func (e *Engine) pick() *Event {
+	for {
+		if e.tick != nil {
+			e.tick()
+		}
+		if ev := e.pop(); ev != nil {
+			return ev
+		}
+		if e.idle == nil || !e.idle() {
+			return nil
+		}
+	}
+}
+
+// pickParking is pick on behalf of a process that is parking. A panic
+// out of a hook must not unwind that process's stack, where a recover
+// meant for the process's own faults would swallow it; it is held for
+// Run to raise, as if Run had run the hook.
+func (e *Engine) pickParking() *Event {
+	defer func() {
+		if r := recover(); r != nil {
+			e.hookPanic = r
+		}
+	}()
+	return e.pick()
+}
+
+// fire moves the clock to ev, recycles it, and makes its owner the
+// current, running process.
+func (e *Engine) fire(ev *Event) *Proc {
+	p := ev.p
+	e.now = ev.t
+	e.free = append(e.free, ev)
+	p.pending = nil
+	p.state = stateRunning
+	e.current = p
+	return p
 }
 
 // Run executes events until every process has finished. It panics on
 // deadlock: no runnable events while processes are still alive. A
 // panic inside a process is re-raised here, on the caller's
-// goroutine, after every other process has been unwound.
+// goroutine, after every other process has been unwound. However Run
+// ends, it leaves no coroutine behind.
 func (e *Engine) Run() {
-	for e.alive > 0 {
-		var p *Proc
-		if e.trapped {
-			p = e.nextUnfinished()
-			if p == nil {
-				break
-			}
-			if p.pending != nil {
-				p.pending.Cancel()
-				p.pending = nil
-			}
+	defer e.unwind() // the deadlock panic, a hook's panic, a Goexit
+	for e.alive > 0 && !e.trapped {
+		ev := e.handoff
+		if e.handed {
+			e.handoff, e.handed = nil, false
 		} else {
-			if e.tick != nil {
-				e.tick()
-			}
-			ev := e.next()
-			if ev == nil {
-				if e.idle != nil && e.idle() {
-					continue
-				}
-				panic("sim: deadlock — " + e.describeStall())
-			}
-			if ev.t < e.now {
-				panic("sim: time went backwards")
-			}
-			e.now = ev.t
-			p = ev.p
-			p.pending = nil
+			ev = e.pick()
 		}
-		p.state = stateRunning
-		e.current = p
-		p.wake <- struct{}{}
-		c := <-e.control
+		if r := e.hookPanic; r != nil {
+			e.hookPanic = nil
+			panic(r)
+		}
+		if ev == nil {
+			panic("sim: deadlock — " + e.describeStall())
+		}
+		if ev.t < e.now {
+			panic("sim: time went backwards")
+		}
+		p := e.fire(ev)
+		if p.next == nil {
+			p.next, p.stop = iter.Pull(p.run)
+		}
+		p.next() // a runtime.Goexit inside the process carries on here
 		e.current = nil
-		if c.finished {
+		if p.state == stateDone {
 			e.alive--
 		}
 	}
-	if e.trapped {
+	e.unwind()
+	if e.trap != nil {
 		panic(e.trap)
 	}
 }
 
-// nextUnfinished returns any process that has not completed, for trap
-// unwinding. At the top of Run's loop no process is mid-handshake, so
-// every non-done process is parked (or never started) and safe to
-// resume.
-func (e *Engine) nextUnfinished() *Proc {
+// unwind finishes every process that is not done (none is running, so
+// each is suspended or was never started): stopping a suspended one
+// resumes it inside park, in unwind mode, to panic with abortSignal and
+// run its defers; one that never started has none to run.
+func (e *Engine) unwind() {
 	for _, p := range e.procs {
-		if p.state != stateDone {
-			return p
+		if p.state == stateDone {
+			continue
 		}
-	}
-	return nil
-}
-
-func (e *Engine) next() *Event {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if !ev.canceled {
-			return ev
+		e.trapped = true
+		if p.stop != nil {
+			e.current = p
+			p.stop()
+			e.current = nil
 		}
+		p.state = stateDone
+		e.alive--
 	}
-	return nil
 }
 
 func (e *Engine) describeStall() string {
@@ -306,16 +387,25 @@ func (e *Engine) describeStall() string {
 	return b.String()
 }
 
-// park hands control back to the engine and blocks until woken. If
-// another process panicked while we were parked, resume by unwinding
-// (user defers on this process's stack still run).
+// park gives up the processor until the process's next wake. The
+// parking process runs the pick step itself: if the next live event is
+// its own it moves the clock and carries on with no switch at all; any
+// other pick it leaves for Run, which it yields to. If a process
+// panicked meanwhile it resumes by unwinding (its defers still run).
 func (p *Proc) park() {
+	e := p.eng
 	p.state = stateParked
-	p.eng.control <- ctrl{p: p}
-	<-p.wake
-	p.pending = nil
-	p.state = stateRunning
-	if p.eng.trapped {
+	e.current = nil
+	if !e.trapped {
+		ev := e.pickParking()
+		if ev != nil && ev.p == p && ev.t >= e.now {
+			e.fire(ev)
+			return
+		}
+		e.handoff, e.handed = ev, true
+	}
+	p.yield(struct{}{})
+	if e.trapped {
 		panic(abortSignal{})
 	}
 }
@@ -327,7 +417,7 @@ func (p *Proc) WaitUntil(t units.Time) units.Time {
 	if t < p.eng.now {
 		panic("sim: WaitUntil into the past")
 	}
-	p.pending = p.eng.schedule(t, p)
+	p.pending = p.eng.scheduleAt(t, 0, p)
 	p.park()
 	return p.eng.now
 }
@@ -358,21 +448,16 @@ func (p *Proc) Wake() {
 	if p.eng.current == p {
 		panic("sim: process woke itself")
 	}
-	switch p.state {
-	case stateDone:
+	if p.state == stateDone {
 		return
-	case stateParked, stateNew:
-		if p.pending != nil {
-			if p.pending.t == p.eng.now {
-				return // already scheduled to run now
-			}
-			p.pending.Cancel()
-		}
-		p.pending = p.eng.schedule(p.eng.now, p)
-	case stateRunning:
-		// Running but not current can only mean it is mid-handshake;
-		// it will park or finish momentarily and has its own event.
 	}
+	if p.pending != nil {
+		if p.pending.t == p.eng.now {
+			return // already scheduled to run now
+		}
+		p.pending.Cancel()
+	}
+	p.pending = p.eng.scheduleAt(p.eng.now, 0, p)
 }
 
 func (p *Proc) mustBeCurrent(op string) {

@@ -2,8 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"hermes/internal/units"
 )
@@ -305,4 +309,560 @@ func TestIsUnwind(t *testing.T) {
 	if IsUnwind("boom") || IsUnwind(nil) {
 		t.Fatal("user values misclassified as unwind")
 	}
+}
+
+// --- the coroutine engine against a reference --------------------------
+
+// scriptOp is one step of a scripted process; the same scripts drive
+// the engine and the reference below.
+type scriptOp struct {
+	kind   byte // 's' Sleep, 'u' WaitUntil, 'p' ParkUntilWake, 'w' Wake, 'g' Go
+	d      units.Time
+	target int        // 'w': index into the processes that exist at that moment
+	child  []scriptOp // 'g'
+}
+
+func genScript(rng *rand.Rand, depth int) []scriptOp {
+	n := 3 + rng.Intn(8)
+	ops := make([]scriptOp, 0, n)
+	for i := 0; i < n; i++ {
+		d := units.Time(rng.Intn(5)) * units.Microsecond // 0 included: same-instant ties
+		switch r := rng.Intn(10); {
+		case r < 4:
+			ops = append(ops, scriptOp{kind: 's', d: d})
+		case r < 6:
+			ops = append(ops, scriptOp{kind: 'u', d: d})
+		case r < 7:
+			ops = append(ops, scriptOp{kind: 'p'})
+		case r < 9:
+			ops = append(ops, scriptOp{kind: 'w', target: rng.Intn(64)})
+		default:
+			if depth < 2 {
+				ops = append(ops, scriptOp{kind: 'g', child: genScript(rng, depth+1)})
+			}
+		}
+	}
+	return ops
+}
+
+// The hooks both sides install: every fifth tick injects a wake for
+// some process a little ahead of now, and idle rescues the lowest
+// unfinished process (all of them are parked without a timer by then).
+func hookTarget(tickN, procs int) (target int, d units.Time, fire bool) {
+	return (tickN / 5) % procs, units.Time(tickN%4) * units.Microsecond, tickN%5 == 0
+}
+
+const idleRescue = 3 * units.Microsecond
+
+// runScripted runs the scripts on the real engine and returns one log
+// line per dispatch.
+func runScripted(roots [][]scriptOp) []string {
+	e := NewEngine()
+	var log []string
+	var body func(script []scriptOp) func(*Proc)
+	body = func(script []scriptOp) func(*Proc) {
+		return func(p *Proc) {
+			log = append(log, fmt.Sprintf("%d@%d", p.ID, e.Now()))
+			for _, op := range script {
+				switch op.kind {
+				case 's':
+					p.Sleep(op.d)
+				case 'u':
+					p.WaitUntil(e.Now() + op.d)
+				case 'p':
+					p.ParkUntilWake()
+				case 'w':
+					if t := e.procs[op.target%len(e.procs)]; t != p {
+						t.Wake()
+					}
+					continue
+				case 'g':
+					e.Go("child", body(op.child))
+					continue
+				}
+				log = append(log, fmt.Sprintf("%d@%d", p.ID, e.Now()))
+			}
+		}
+	}
+	for _, script := range roots {
+		e.Go("root", body(script))
+	}
+	tickN := 0
+	e.SetTick(func() {
+		tickN++
+		if target, d, fire := hookTarget(tickN, len(e.procs)); fire {
+			e.Inject(e.procs[target], e.Now()+d)
+		}
+	})
+	e.SetIdle(func() bool {
+		for _, p := range e.procs {
+			if p.state != stateDone {
+				e.Inject(p, e.Now()+idleRescue)
+				break
+			}
+		}
+		return true
+	})
+	e.Run()
+	return log
+}
+
+// refEngine is the trivial reference: the pending wakes in a slice that
+// is sorted before every pick, processes as interpreted scripts. It
+// restates the documented semantics of Wake and Inject and nothing of
+// how the engine is built.
+type refEvent struct {
+	t        units.Time
+	prio     int
+	seq      int
+	pid      int
+	canceled bool
+}
+
+type refProc struct {
+	script  []scriptOp
+	pc      int
+	pending *refEvent
+	done    bool
+}
+
+type refEngine struct {
+	now    units.Time
+	seq    int
+	events []*refEvent
+	procs  []*refProc
+}
+
+func (r *refEngine) schedule(t units.Time, prio, pid int) *refEvent {
+	r.seq++
+	ev := &refEvent{t: t, prio: prio, seq: r.seq, pid: pid}
+	r.events = append(r.events, ev)
+	return ev
+}
+
+func (r *refEngine) spawn(script []scriptOp) {
+	p := &refProc{script: script}
+	r.procs = append(r.procs, p)
+	p.pending = r.schedule(r.now, 0, len(r.procs)-1)
+}
+
+func (r *refEngine) inject(pid int, t units.Time) {
+	p := r.procs[pid]
+	if p.done {
+		return
+	}
+	if p.pending != nil {
+		if p.pending.t <= t {
+			return
+		}
+		p.pending.canceled = true
+	}
+	p.pending = r.schedule(t, -1, pid)
+}
+
+func (r *refEngine) run(roots [][]scriptOp) []string {
+	for _, script := range roots {
+		r.spawn(script)
+	}
+	var log []string
+	alive := func() int {
+		n := 0
+		for _, p := range r.procs {
+			if !p.done {
+				n++
+			}
+		}
+		return n
+	}
+	tickN := 0
+	for alive() > 0 {
+		tickN++
+		if target, d, fire := hookTarget(tickN, len(r.procs)); fire {
+			r.inject(target, r.now+d)
+		}
+		live := r.events[:0]
+		for _, ev := range r.events {
+			if !ev.canceled {
+				live = append(live, ev)
+			}
+		}
+		r.events = live
+		if len(r.events) == 0 {
+			for pid, p := range r.procs {
+				if !p.done {
+					r.inject(pid, r.now+idleRescue)
+					break
+				}
+			}
+			continue
+		}
+		sort.Slice(r.events, func(i, j int) bool {
+			a, b := r.events[i], r.events[j]
+			if a.t != b.t {
+				return a.t < b.t
+			}
+			if a.prio != b.prio {
+				return a.prio < b.prio
+			}
+			return a.seq < b.seq
+		})
+		ev := r.events[0]
+		r.events = r.events[1:]
+		r.now = ev.t
+		pid := ev.pid
+		p := r.procs[pid]
+		p.pending = nil
+		log = append(log, fmt.Sprintf("%d@%d", pid, r.now))
+		parked := false
+		for !parked && p.pc < len(p.script) {
+			op := p.script[p.pc]
+			p.pc++
+			switch op.kind {
+			case 's', 'u':
+				p.pending = r.schedule(r.now+op.d, 0, pid)
+				parked = true
+			case 'p':
+				parked = true
+			case 'w':
+				tid := op.target % len(r.procs)
+				t := r.procs[tid]
+				if t == p || t.done {
+					break
+				}
+				if t.pending != nil {
+					if t.pending.t == r.now {
+						break
+					}
+					t.pending.canceled = true
+				}
+				t.pending = r.schedule(r.now, 0, tid)
+			case 'g':
+				r.spawn(op.child)
+			}
+		}
+		if !parked {
+			p.done = true
+		}
+	}
+	return log
+}
+
+// TestRandomSchedulesMatchReference: seeded random mixes of Sleep,
+// WaitUntil, ParkUntilWake, Wake, Go from a process, Inject from the
+// tick hook and rescue from the idle hook dispatch in exactly the order
+// the reference gives, time for time.
+func TestRandomSchedulesMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		roots := make([][]scriptOp, 1+rng.Intn(6))
+		for i := range roots {
+			roots[i] = genScript(rng, 0)
+		}
+		got := runScripted(roots)
+		want := (&refEngine{}).run(roots)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d dispatches, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d is %s, reference %s\n got  %v\n want %v",
+					seed, i, got[i], want[i], got, want)
+			}
+		}
+	}
+}
+
+// TestRecycledEventDoesNotFireForOldOwner: a timer cancelled by an
+// early Wake is recycled when it is popped and handed to the next
+// schedule; its old owner, parked with no timer by then, stays parked.
+func TestRecycledEventDoesNotFireForOldOwner(t *testing.T) {
+	e := NewEngine()
+	us := units.Microsecond
+	var aResumes, dResumes []units.Time
+	var stale *Event
+	var a, d *Proc
+	a = e.Go("a", func(p *Proc) {
+		stale = p.pending
+		aResumes = append(aResumes, p.Sleep(100*us)) // cancelled at 10µs
+		aResumes = append(aResumes, p.ParkUntilWake())
+	})
+	e.Go("b", func(p *Proc) {
+		p.Sleep(10 * us)
+		stale = a.pending
+		a.Wake()
+		p.Sleep(290 * us)
+		a.Wake()
+	})
+	d = e.Go("d", func(p *Proc) {
+		dResumes = append(dResumes, p.ParkUntilWake())
+	})
+	e.Go("c", func(p *Proc) {
+		p.Sleep(100 * us) // pops the stale timer on the way here
+		reused := false
+		for _, ev := range e.free {
+			reused = reused || ev == stale
+		}
+		if !reused || !stale.canceled {
+			t.Errorf("the cancelled timer was not recycled on pop")
+		}
+		// Drain the free list into live events until one of them is the
+		// recycled struct, owned by d.
+		for d.pending != stale && len(e.free) > 0 {
+			if d.pending != nil {
+				d.pending.Cancel()
+			}
+			d.pending = e.scheduleAt(e.now+50*us, 0, d)
+		}
+		if d.pending != stale {
+			t.Errorf("the recycled struct was never reused")
+		}
+	})
+	e.Run()
+	if fmt.Sprint(aResumes) != fmt.Sprint([]units.Time{10 * us, 300 * us}) {
+		t.Fatalf("old owner resumed at %v, want [10µs 300µs]", aResumes)
+	}
+	if fmt.Sprint(dResumes) != fmt.Sprint([]units.Time{150 * us}) {
+		t.Fatalf("new owner resumed at %v, want [150µs]", dResumes)
+	}
+}
+
+// TestSelfWakeTicksOncePerEvent: a process that owns every next event
+// never switches, and tick still runs exactly once per dispatch.
+func TestSelfWakeTicksOncePerEvent(t *testing.T) {
+	e := NewEngine()
+	const sleeps = 1000
+	ticks := 0
+	e.SetTick(func() { ticks++ })
+	e.Go("only", func(p *Proc) {
+		for i := 0; i < sleeps; i++ {
+			p.Sleep(units.Microsecond)
+		}
+	})
+	e.Run()
+	if ticks != sleeps+1 {
+		t.Fatalf("%d ticks for %d events", ticks, sleeps+1)
+	}
+}
+
+// TestSelfWakeHonoursEarlierInject: the tick a parking process runs
+// injects a wake that lands before the parker's own timer. The injected
+// process must run first, and the parker's timer must still fire, once.
+func TestSelfWakeHonoursEarlierInject(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	var other *Proc
+	armed := false
+	e.Go("parker", func(p *Proc) {
+		armed = true
+		p.Sleep(100 * units.Microsecond) // tick runs inside this park
+		order = append(order, fmt.Sprintf("parker@%v", e.Now()))
+	})
+	other = e.Go("other", func(p *Proc) {
+		p.ParkUntilWake()
+		order = append(order, fmt.Sprintf("other@%v", e.Now()))
+	})
+	e.SetTick(func() {
+		if armed && other.state == stateParked && other.pending == nil && len(order) == 0 {
+			e.Inject(other, 50*units.Microsecond)
+		}
+	})
+	e.Run()
+	if got := strings.Join(order, " "); got != "other@50.000µs parker@100.000µs" {
+		t.Fatalf("order = %s", got)
+	}
+}
+
+// TestSteadyStateEventAllocatesNothing: once the heap and the event
+// pool have grown, an event costs no allocation — neither on the
+// self-wake path (one process) nor through Run (sixteen).
+func TestSteadyStateEventAllocatesNothing(t *testing.T) {
+	for _, procs := range []int{1, 16} {
+		e := NewEngine()
+		var allocs float64
+		stop := false
+		e.Go("measured", func(p *Proc) {
+			for i := 0; i < 100; i++ {
+				p.Sleep(units.Microsecond)
+			}
+			allocs = testing.AllocsPerRun(1000, func() { p.Sleep(units.Microsecond) })
+			stop = true
+		})
+		for i := 1; i < procs; i++ {
+			e.Go("filler", func(p *Proc) {
+				for !stop {
+					p.Sleep(units.Microsecond)
+				}
+			})
+		}
+		e.Run()
+		if allocs != 0 {
+			t.Errorf("%d processes: %.2f allocations per event, want 0", procs, allocs)
+		}
+	}
+}
+
+// settledGoroutines reads the goroutine count, giving goroutines that
+// have done their work but not quite exited — a subtest's runner after
+// it reported — up to two seconds to be gone. Exit can only be polled.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestRunLeavesNoGoroutines: however Run ends — cleanly, by re-raising
+// a trapped process panic, by the deadlock panic — every coroutine it
+// started is gone when it returns, and the ones it unwound ran their
+// defers.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	sleepers := func(e *Engine, unwound *int) {
+		for i := 0; i < 8; i++ {
+			e.Go("sleeper", func(p *Proc) {
+				defer func() { *unwound++ }()
+				for k := 0; k < 20; k++ {
+					p.Sleep(units.Microsecond)
+				}
+			})
+		}
+	}
+	before := runtime.NumGoroutine()
+
+	t.Run("clean", func(t *testing.T) {
+		var unwound int
+		e := NewEngine()
+		sleepers(e, &unwound)
+		e.Run()
+		if unwound != 8 {
+			t.Fatalf("%d of 8 processes finished", unwound)
+		}
+	})
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("clean run: %d goroutines, started with %d", n, before)
+	}
+
+	t.Run("trapped", func(t *testing.T) {
+		var unwound int
+		e := NewEngine()
+		sleepers(e, &unwound)
+		e.Go("faulty", func(p *Proc) {
+			p.Sleep(5 * units.Microsecond)
+			e.Go("late", func(p *Proc) { t.Error("a process started after the trap") })
+			panic("boom")
+		})
+		defer func() {
+			tp, ok := recover().(*TaskPanic)
+			if !ok || tp.Value != "boom" || !strings.Contains(string(tp.Stack), "TestRunLeavesNoGoroutines") {
+				t.Fatalf("Run re-raised %v, want the TaskPanic of boom with its stack", tp)
+			}
+			if unwound != 8 {
+				t.Fatalf("%d of 8 parked processes ran their defers", unwound)
+			}
+		}()
+		e.Run()
+	})
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("trapped run: %d goroutines, started with %d", n, before)
+	}
+
+	t.Run("deadlock", func(t *testing.T) {
+		var unwound int
+		e := NewEngine()
+		sleepers(e, &unwound)
+		e.Go("stuck", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.ParkUntilWake()
+		})
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sim: deadlock — 1 processes alive") {
+				t.Fatalf("Run raised %v, want the deadlock diagnosis", r)
+			}
+			if unwound != 9 {
+				t.Fatalf("%d of 9 processes ran their defers", unwound)
+			}
+		}()
+		e.Run()
+	})
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("deadlocked run: %d goroutines, started with %d", n, before)
+	}
+}
+
+// TestGoexitInProcessEndsRun: runtime.Goexit inside a process body —
+// what t.FailNow and t.Skip do — ends Run's goroutine too, deferred
+// calls and all, in place of leaving Run waiting for a process that
+// will never report back.
+func TestGoexitInProcessEndsRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var unwound int
+	ended := make(chan bool)
+	go func() {
+		returned := false
+		defer func() { ended <- returned }()
+		e := NewEngine()
+		for i := 0; i < 4; i++ {
+			e.Go("bystander", func(p *Proc) {
+				defer func() { unwound++ }()
+				p.Sleep(units.Millisecond)
+			})
+		}
+		e.Go("quitter", func(p *Proc) {
+			p.Sleep(units.Microsecond)
+			runtime.Goexit()
+		})
+		e.Run()
+		returned = true
+	}()
+	select {
+	case returned := <-ended:
+		if returned {
+			t.Fatal("Run returned normally past a Goexit")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hangs after a Goexit in a process")
+	}
+	if unwound != 4 {
+		t.Fatalf("%d of 4 bystanders ran their defers", unwound)
+	}
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("%d goroutines, started with %d", n, before)
+	}
+}
+
+// TestHookPanicSurfacesFromRun: a tick that panics while a parking
+// process is running it must not be taken for that process's fault —
+// the body's own recover never sees it — and comes out of Run as
+// itself, not as a TaskPanic.
+func TestHookPanicSurfacesFromRun(t *testing.T) {
+	e := NewEngine()
+	ticks := 0
+	e.SetTick(func() {
+		if ticks++; ticks == 3 {
+			panic("hook boom")
+		}
+	})
+	swallowed := false
+	e.Go("guarded", func(p *Proc) {
+		defer func() {
+			if r := recover(); r != nil && !IsUnwind(r) {
+				swallowed = true
+			} else if r != nil {
+				panic(r)
+			}
+		}()
+		for {
+			p.Sleep(units.Microsecond)
+		}
+	})
+	defer func() {
+		if r := recover(); r != "hook boom" {
+			t.Fatalf("Run raised %v, want the hook's own panic", r)
+		}
+		if swallowed {
+			t.Fatal("the process body recovered the hook's panic")
+		}
+	}()
+	e.Run()
 }

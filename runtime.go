@@ -292,13 +292,13 @@ type Arrival struct {
 // SubmitTrace schedules a whole batch of jobs at explicit virtual
 // arrival times on the Sim backend, atomically, and returns their
 // handles in trace order. This is the reproducible open-system entry
-// point: submitted to a quiescent Runtime, a fixed config, seed and
-// trace make every per-job Report and the observer event sequence
-// byte-identical run after run, while the jobs genuinely overlap —
-// contending for workers, steals and DVFS state — inside the
-// simulated machine. ctx cancels every job in the trace. The Native
-// backend has no virtual clock to schedule against and returns an
-// error.
+// point: as a Runtime's first submission, or submitted to a quiescent
+// one, a fixed config, seed and trace make every per-job Report and
+// the observer event sequence byte-identical run after run, while the
+// jobs genuinely overlap — contending for workers, steals and DVFS
+// state — inside the simulated machine. ctx cancels every job in the
+// trace. The Native backend has no virtual clock to schedule against
+// and returns an error.
 func (r *Runtime) SubmitTrace(ctx context.Context, arrivals []Arrival) ([]*Job, error) {
 	se, ok := r.exec.(*simExec)
 	if !ok {
