@@ -37,10 +37,8 @@ func mixedTrace(batch, lc int) []hermes.Arrival {
 	return arrivals
 }
 
-// dispatchRun replays the mixed trace on a 2-worker Sim machine under
-// one dispatch policy and returns the per-job reports in trace order.
-func dispatchRun(t *testing.T, d hermes.Dispatch, quantum hermes.Time) []hermes.Report {
-	t.Helper()
+// dispatchOpts is the 2-worker Sim machine every dispatch test runs.
+func dispatchOpts(d hermes.Dispatch, quantum hermes.Time) []hermes.Option {
 	opts := []hermes.Option{
 		hermes.WithSpec(hermes.SystemB()),
 		hermes.WithWorkers(2),
@@ -51,11 +49,20 @@ func dispatchRun(t *testing.T, d hermes.Dispatch, quantum hermes.Time) []hermes.
 	if quantum > 0 {
 		opts = append(opts, hermes.WithPreemptQuantum(quantum))
 	}
-	rt, err := hermes.New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	handles, err := rt.SubmitTrace(context.Background(), mixedTrace(6, 4))
+	return opts
+}
+
+// traceServer is what a Runtime and a Cluster share for these tests.
+type traceServer interface {
+	SubmitTrace(context.Context, []hermes.Arrival) ([]*hermes.Job, error)
+	Close() error
+}
+
+// replayMixed replays the mixed trace on srv, closes it and returns the
+// per-job reports in trace order.
+func replayMixed(t *testing.T, srv traceServer) []hermes.Report {
+	t.Helper()
+	handles, err := srv.SubmitTrace(context.Background(), mixedTrace(6, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +74,33 @@ func dispatchRun(t *testing.T, d hermes.Dispatch, quantum hermes.Time) []hermes.
 		}
 		reports[i] = r
 	}
-	if err := rt.Close(); err != nil {
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return reports
+}
+
+// dispatchRun replays the mixed trace on a 2-worker Sim machine under
+// one dispatch policy and returns the per-job reports in trace order.
+func dispatchRun(t *testing.T, d hermes.Dispatch, quantum hermes.Time) []hermes.Report {
+	t.Helper()
+	rt, err := hermes.New(dispatchOpts(d, quantum)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return replayMixed(t, rt)
+}
+
+// clusterDispatchRun is dispatchRun on a one-machine Cluster: every job
+// lands on the same 2-worker machine, so dispatch has the same queue to
+// reorder.
+func clusterDispatchRun(t *testing.T, d hermes.Dispatch, quantum hermes.Time) []hermes.Report {
+	t.Helper()
+	c, err := hermes.NewCluster(append(dispatchOpts(d, quantum), hermes.WithMachines(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return replayMixed(t, c)
 }
 
 // TestDispatchDeterministicReports is the acceptance pin for the
@@ -136,22 +166,78 @@ func TestDispatchClassEchoedInReport(t *testing.T) {
 	}
 }
 
+// lcMaxSojourn is the worst sojourn among the latency-critical jobs.
+func lcMaxSojourn(reports []hermes.Report) hermes.Time {
+	var max hermes.Time
+	for _, r := range reports {
+		if r.Class.Tenant == "lc" && r.Sojourn > max {
+			max = r.Sojourn
+		}
+	}
+	return max
+}
+
 // TestRankedDispatchReordersLatencyCritical: with batch work queued
 // ahead of it, a priority-1 job must finish sooner under ranked
 // dispatch than under FIFO — the policies genuinely separate.
 func TestRankedDispatchReordersLatencyCritical(t *testing.T) {
-	lcMax := func(reports []hermes.Report) hermes.Time {
-		var max hermes.Time
-		for _, r := range reports {
-			if r.Class.Tenant == "lc" && r.Sojourn > max {
-				max = r.Sojourn
-			}
-		}
-		return max
+	fifo := lcMaxSojourn(dispatchRun(t, hermes.DispatchFIFO, 0))
+	prio := lcMaxSojourn(dispatchRun(t, hermes.DispatchPriority, 0))
+	edf := lcMaxSojourn(dispatchRun(t, hermes.DispatchEDF, 0))
+	if prio >= fifo {
+		t.Fatalf("priority dispatch did not cut the lc tail: fifo %v vs priority %v", fifo, prio)
 	}
-	fifo := lcMax(dispatchRun(t, hermes.DispatchFIFO, 0))
-	prio := lcMax(dispatchRun(t, hermes.DispatchPriority, 0))
-	edf := lcMax(dispatchRun(t, hermes.DispatchEDF, 0))
+	if edf >= fifo {
+		t.Fatalf("EDF dispatch did not cut the lc tail: fifo %v vs edf %v", fifo, edf)
+	}
+}
+
+// TestClusterClassEchoedInReport: a Cluster carries the submitted
+// class to the machine and back, on both entry points, and rejects a
+// class no layer can honor. (core.Cluster.Submit once dropped it: every
+// cluster job ran unclassed.)
+func TestClusterClassEchoedInReport(t *testing.T) {
+	for i, r := range clusterDispatchRun(t, hermes.DispatchFIFO, 0) {
+		want := "batch"
+		if i >= 6 {
+			want = "lc"
+		}
+		if r.Class.Tenant != want {
+			t.Fatalf("job %d class = %+v, want tenant %q", i+1, r.Class, want)
+		}
+	}
+
+	c, err := hermes.NewCluster(hermes.WithMachines(2), hermes.WithSpec(hermes.SystemB()), hermes.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	root, _ := leafWorkload(8)
+	class := hermes.Class{Tenant: "t9", Priority: 3}
+	j, err := c.Submit(context.Background(), root, hermes.WithClass(class))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := j.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Class != class {
+		t.Fatalf("Submit class = %+v, want %+v", r.Class, class)
+	}
+	bad := []hermes.Arrival{{At: 0, Task: root, Class: hermes.Class{Deadline: -1}}}
+	if _, err := c.SubmitTrace(context.Background(), bad); err == nil {
+		t.Fatal("SubmitTrace accepted a negative deadline")
+	}
+}
+
+// TestClusterRankedDispatchReorders: ranked dispatch on a cluster's
+// machines cuts the latency-critical tail below FIFO, as it does on a
+// Runtime.
+func TestClusterRankedDispatchReorders(t *testing.T) {
+	fifo := lcMaxSojourn(clusterDispatchRun(t, hermes.DispatchFIFO, 0))
+	prio := lcMaxSojourn(clusterDispatchRun(t, hermes.DispatchPriority, 0))
+	edf := lcMaxSojourn(clusterDispatchRun(t, hermes.DispatchEDF, 20*hermes.Microsecond))
 	if prio >= fifo {
 		t.Fatalf("priority dispatch did not cut the lc tail: fifo %v vs priority %v", fifo, prio)
 	}

@@ -430,10 +430,14 @@ func (c *Cluster) Submit(reqs ...JobRequest) error {
 		if rq.Done == nil {
 			return fmt.Errorf("core: job %d has no completion callback", rq.ID)
 		}
+		if err := rq.Class.Validate(); err != nil {
+			return err
+		}
 		jobs[i] = &jobRun{
 			id:        rq.ID,
 			at:        rq.At,
 			root:      rq.Root,
+			class:     rq.Class,
 			cancelled: rq.Cancelled,
 			done:      rq.Done,
 		}
