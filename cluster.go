@@ -2,13 +2,10 @@ package hermes
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"hermes/internal/cluster"
 	"hermes/internal/core"
-	"hermes/internal/job"
 	"hermes/internal/obs"
 )
 
@@ -81,9 +78,7 @@ type Cluster struct {
 	machines int
 	policy   Placement
 	sink     *obs.Async
-
-	mu     sync.Mutex
-	nextID int64
+	drv      simDriver
 }
 
 // NewCluster builds a multi-machine cluster from functional options.
@@ -92,14 +87,9 @@ type Cluster struct {
 // WithPlacement the routing policy (default power-of-two-choices).
 // The Native backend has no fleet — WithBackend(Native) is an error.
 func NewCluster(opts ...Option) (*Cluster, error) {
-	var s settings
-	for _, o := range opts {
-		if o == nil {
-			continue
-		}
-		if err := o(&s); err != nil {
-			return nil, err
-		}
+	s, err := gather(opts)
+	if err != nil {
+		return nil, err
 	}
 	if s.backend != Sim {
 		return nil, fmt.Errorf("hermes: NewCluster needs the Sim backend (got %v)", s.backend)
@@ -112,22 +102,12 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	if s.placement != nil {
 		policy = *s.placement
 	}
-	policy, err := policy.Validate()
+	policy, err = policy.Validate()
 	if err != nil {
 		return nil, err
 	}
-	var sink *obs.Async
-	if s.asyncObs != nil {
-		if s.cfg.Observer != nil {
-			return nil, errors.New("hermes: WithObserver and WithAsyncObserver are mutually exclusive")
-		}
-		sink = obs.NewAsync(s.asyncObs, s.asyncBuf)
-		s.cfg.Observer = sink
-	}
-	fail := func(err error) (*Cluster, error) {
-		if sink != nil {
-			sink.Close()
-		}
+	sink, err := s.startSink()
+	if err != nil {
 		return nil, err
 	}
 	interval, staleness, batch := policy.GossipParams()
@@ -144,7 +124,10 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	}
 	inner, err := core.NewCluster(ccfg)
 	if err != nil {
-		return fail(err)
+		if sink != nil {
+			sink.Close()
+		}
+		return nil, err
 	}
 	return &Cluster{
 		inner:    inner,
@@ -152,6 +135,7 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 		machines: machines,
 		policy:   policy,
 		sink:     sink,
+		drv:      simDriver{eng: inner},
 	}, nil
 }
 
@@ -172,20 +156,11 @@ func (c *Cluster) Placement() Placement { return c.policy }
 // intake applies the cluster's dispatch policy (WithDispatch) to the
 // classes it sees.
 func (c *Cluster) Submit(ctx context.Context, root Task, opts ...SubmitOption) (*Job, error) {
-	var so submitSettings
-	for _, o := range opts {
-		if o != nil {
-			o(&so)
-		}
-	}
-	if err := so.class.Validate(); err != nil {
-		return nil, err
-	}
-	jobs, err := c.submit(ctx, []Arrival{{At: -1, Task: root, Class: so.class}})
+	class, err := submitClass(opts)
 	if err != nil {
 		return nil, err
 	}
-	return jobs[0], nil
+	return c.drv.Submit(ctx, root, class)
 }
 
 // SubmitTrace schedules a whole batch of jobs at explicit virtual
@@ -194,55 +169,7 @@ func (c *Cluster) Submit(ctx context.Context, root Task, opts ...SubmitOption) (
 // but across the fleet: each arrival is routed by the placement policy
 // at its virtual instant. ctx cancels every job in the trace.
 func (c *Cluster) SubmitTrace(ctx context.Context, arrivals []Arrival) ([]*Job, error) {
-	return c.submit(ctx, arrivals)
-}
-
-func (c *Cluster) submit(ctx context.Context, arrivals []Arrival) ([]*Job, error) {
-	for _, a := range arrivals {
-		if a.Task == nil {
-			return nil, ErrNilTask
-		}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	jobs := make([]*Job, len(arrivals))
-	reqs := make([]core.JobRequest, len(arrivals))
-	// Same id discipline as the single-machine simulator backend: ids
-	// and the handoff share c.mu so a failed submission rolls back and
-	// ids stay gapless.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, a := range arrivals {
-		c.nextID++
-		j := job.New(c.nextID)
-		jobs[i] = j
-		reqs[i] = core.JobRequest{
-			ID:        j.ID(),
-			At:        a.At,
-			Root:      a.Task,
-			Class:     a.Class,
-			Cancelled: func() bool { return ctx.Err() != nil },
-			Done: func(rep core.Report, err error) {
-				if errors.Is(err, core.ErrInterrupted) {
-					err = ctx.Err()
-				}
-				j.Finish(rep, err)
-			},
-		}
-	}
-	err := c.inner.Submit(reqs...)
-	switch {
-	case errors.Is(err, core.ErrPoolClosed):
-		err = ErrClosed
-	case errors.Is(err, core.ErrNilRoot):
-		err = ErrNilTask
-	}
-	if err != nil {
-		c.nextID -= int64(len(arrivals))
-		return nil, err
-	}
-	return jobs, nil
+	return c.drv.submit(ctx, arrivals)
 }
 
 // Run submits root and waits for its report.
@@ -265,7 +192,7 @@ func (c *Cluster) ClusterStats() ClusterStats { return c.inner.Stats() }
 // and stops the engine; with WithAsyncObserver it then drains the sink.
 // Safe to call more than once.
 func (c *Cluster) Close() error {
-	err := c.inner.Close()
+	err := c.drv.Close()
 	if c.sink != nil {
 		c.sink.Close()
 	}

@@ -3,9 +3,13 @@ package hermes_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"hermes"
+	"hermes/internal/sweep"
+	"hermes/internal/workload"
 )
 
 // TestClusterServesTrace drives the public multi-machine API end to
@@ -158,5 +162,91 @@ func TestClusterOptionFencing(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneMachineClusterEqualsRuntime pins what the single simulated-
+// machine driver rests on: a Sim Runtime IS a one-machine Cluster. The
+// same options, seed and classed trace give byte-identical reports,
+// errors and observer streams on both, in every tempo mode and under
+// every dispatch policy. The first arrival lands at t = 0, before the
+// workers' first events: whether it overtakes their start-up spin-down
+// is decided by process creation order, the one thing the two
+// constructors could silently disagree on.
+func TestOneMachineClusterEqualsRuntime(t *testing.T) {
+	arrivals, err := sweep.TraceArrivals(workload.Spec{Kind: "ticks", N: 64}, "mix", 2000, 20*time.Millisecond, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arrivals) < 20 {
+		t.Fatalf("trace too short to mean anything: %d arrivals", len(arrivals))
+	}
+	arrivals[0].At = 0
+
+	dump := func(mk func(...hermes.Option) (traceServer, error), opts []hermes.Option) string {
+		var b strings.Builder
+		var events []hermes.Event
+		opts = append(opts, hermes.WithObserver(hermes.ObserverFunc(func(ev hermes.Event) { events = append(events, ev) })))
+		srv, err := mk(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := srv.SubmitTrace(context.Background(), arrivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, j := range jobs {
+			rep, err := j.Wait()
+			fmt.Fprintf(&b, "report %d err=%v\n%#v\n", i, err, rep)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i, ev := range events {
+			fmt.Fprintf(&b, "event %d %#v\n", i, ev)
+		}
+		return b.String()
+	}
+	newRuntime := func(opts ...hermes.Option) (traceServer, error) {
+		return hermes.New(append(opts, hermes.WithBackend(hermes.Sim))...)
+	}
+	newCluster := func(opts ...hermes.Option) (traceServer, error) {
+		return hermes.NewCluster(append(opts, hermes.WithMachines(1))...)
+	}
+	dispatches := []struct {
+		name    string
+		d       hermes.Dispatch
+		quantum hermes.Time
+	}{
+		{"fifo", hermes.DispatchFIFO, 0},
+		{"priority", hermes.DispatchPriority, 0},
+		{"edf-preempt", hermes.DispatchEDF, 50 * hermes.Microsecond},
+	}
+	for _, mode := range []hermes.Mode{hermes.Baseline, hermes.WorkpathOnly, hermes.WorkloadOnly, hermes.Unified} {
+		for _, dc := range dispatches {
+			t.Run(fmt.Sprintf("%v/%s", mode, dc.name), func(t *testing.T) {
+				opts := func() []hermes.Option {
+					o := []hermes.Option{hermes.WithWorkers(4), hermes.WithMode(mode), hermes.WithSeed(9), hermes.WithDispatch(dc.d)}
+					if dc.quantum > 0 {
+						o = append(o, hermes.WithPreemptQuantum(dc.quantum))
+					}
+					return o
+				}
+				rt, cl := dump(newRuntime, opts()), dump(newCluster, opts())
+				if rt == cl {
+					return
+				}
+				// Reports are long lines: show where the first differing
+				// one starts, not all of it.
+				a, b := strings.Split(rt, "\n"), strings.Split(cl, "\n")
+				for i := range min(len(a), len(b)) {
+					if a[i] != b[i] {
+						t.Fatalf("runtime and one-machine cluster diverge at line %d of %d/%d:\nruntime: %.400s\ncluster: %.400s",
+							i, len(a), len(b), a[i], b[i])
+					}
+				}
+				t.Fatalf("dumps agree for %d lines, then runtime has %d and cluster %d", min(len(a), len(b)), len(a), len(b))
+			})
+		}
 	}
 }

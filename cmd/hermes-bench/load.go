@@ -454,7 +454,7 @@ func classSummaries(classes map[hermes.Class]*wallClassAcc) []classSummary {
 }
 
 // percentileMS returns the p-quantile (0..1) of sorted durations in
-// milliseconds, by the nearest-rank method. It converts from
+// milliseconds, by the sweep's nearest-rank rule. It converts from
 // nanoseconds so sub-millisecond sojourns (routine for simulated
 // requests) keep their precision instead of truncating through whole
 // microseconds.
@@ -462,14 +462,7 @@ func percentileMS(sorted []time.Duration, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return float64(sorted[idx].Nanoseconds()) / 1e6
+	return float64(sorted[sweep.NearestRank(len(sorted), p)].Nanoseconds()) / 1e6
 }
 
 // --- in-process target ------------------------------------------------

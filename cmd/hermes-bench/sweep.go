@@ -182,26 +182,36 @@ func runSweep(opts sweepOpts) error {
 	if err != nil {
 		return err
 	}
+	return writeSweep(res, "sweep", res.Workload.Kind, opts)
+}
+
+// writeSweep prints a sweep artifact's table and writes its JSON and,
+// with -csv, its flat files: <stem>_<kind>.csv, plus the per-class
+// breakdown <stem>_classes_<kind>.csv when the trace was mixed (single
+// class traces write exactly the pre-tenancy file set).
+func writeSweep(res interface {
+	String() string
+	CSV() string
+	ClassCSV() string
+}, stem, kind string, opts sweepOpts) error {
 	fmt.Print(res.String())
 	if err := writeJSON(res, opts.JSONPath); err != nil {
 		return err
 	}
-	if opts.CSVDir != "" {
-		if err := os.MkdirAll(opts.CSVDir, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(opts.CSVDir, fmt.Sprintf("sweep_%s.csv", res.Workload.Kind))
-		if err := os.WriteFile(path, []byte(res.CSV()), 0o644); err != nil {
-			return err
-		}
-		// Mixed traces additionally get the per-class breakdown; single
-		// class traces write exactly the pre-tenancy file set.
-		if cc := res.ClassCSV(); cc != "" {
-			path := filepath.Join(opts.CSVDir, fmt.Sprintf("sweep_classes_%s.csv", res.Workload.Kind))
-			if err := os.WriteFile(path, []byte(cc), 0o644); err != nil {
-				return err
-			}
-		}
+	if opts.CSVDir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(opts.CSVDir, 0o755); err != nil {
+		return err
+	}
+	write := func(name, body string) error {
+		return os.WriteFile(filepath.Join(opts.CSVDir, name), []byte(body), 0o644)
+	}
+	if err := write(fmt.Sprintf("%s_%s.csv", stem, kind), res.CSV()); err != nil {
+		return err
+	}
+	if cc := res.ClassCSV(); cc != "" {
+		return write(fmt.Sprintf("%s_classes_%s.csv", stem, kind), cc)
 	}
 	return nil
 }
@@ -248,24 +258,5 @@ func runClusterSweep(opts sweepOpts, rates []float64, modes []hermes.Mode) error
 	if err != nil {
 		return err
 	}
-	fmt.Print(res.String())
-	if err := writeJSON(res, opts.JSONPath); err != nil {
-		return err
-	}
-	if opts.CSVDir != "" {
-		if err := os.MkdirAll(opts.CSVDir, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(opts.CSVDir, fmt.Sprintf("sweep_cluster_%s.csv", res.Workload.Kind))
-		if err := os.WriteFile(path, []byte(res.CSV()), 0o644); err != nil {
-			return err
-		}
-		if cc := res.ClassCSV(); cc != "" {
-			path := filepath.Join(opts.CSVDir, fmt.Sprintf("sweep_cluster_classes_%s.csv", res.Workload.Kind))
-			if err := os.WriteFile(path, []byte(cc), 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return writeSweep(res, "sweep_cluster", res.Workload.Kind, opts)
 }

@@ -177,17 +177,19 @@ type ClusterStats struct {
 
 // Cluster multiplexes N independent simulated machines — each its own
 // cores, deques, tempo controller, DVFS state and power meter — inside
-// one discrete-event engine, fed by a placement tier. Jobs arrive as
-// virtual-time events at the cluster intake, which asks the placement
-// policy for a machine and delivers the job there; an optional gossip
-// daemon then lets idle machines pull queued (unstarted) jobs from
-// loaded peers on a realistically stale view of queue sizes.
+// one discrete-event engine, fed by a placement tier. It is the one
+// driver of the simulated machine's job stream: a Pool is a Cluster
+// with Machines 1. Jobs arrive as virtual-time events at the cluster
+// intake, which asks the placement policy for a machine and delivers
+// the job there; an optional gossip daemon then lets idle machines pull
+// queued (unstarted) jobs from loaded peers on a realistically stale
+// view of queue sizes.
 //
-// Determinism matches Pool's contract: for a fixed ClusterConfig
-// (seeds included) and arrival trace, per-job reports, per-machine
-// MachineStats, observer event streams and the fleet aggregates are
-// byte-identical run after run — the single shared engine orders all
-// machines' events on one virtual timeline.
+// Determinism (the Pool contract, fleet-wide): for a fixed
+// ClusterConfig (seeds included) and arrival trace, per-job reports,
+// per-machine MachineStats, observer event streams and the fleet
+// aggregates are byte-identical run after run — the single shared
+// engine orders all machines' events on one virtual timeline.
 type Cluster struct {
 	cfg ClusterConfig
 	eng *sim.Engine
@@ -224,31 +226,63 @@ type Cluster struct {
 	// delivered, so a placement-policy panic mid-place cannot strand
 	// it outside every queue failRemaining sweeps.
 	placing *jobRun
-	// pendingClose mirrors Pool.pendingClose: a close received
-	// mid-timeline waits for engine quiescence so the post-drain
-	// event tail stays deterministic.
+	// pendingClose holds a close message received mid-timeline until
+	// the engine is quiescent: applying it between scheduled events
+	// would race the wall clock against the virtual one, making the
+	// post-drain event tail (idle parks, tempo spin-downs)
+	// nondeterministic.
 	pendingClose bool
 
-	// Fleet snapshot frozen at every job completion (see onJobDone in
-	// pool.go): the last one is the deterministic end-of-trace ledger
-	// ClusterStats reports.
-	completed   int64
-	fleetAt     units.Time
-	fleetSnap   []poolSnap
-	fleetTasks  []int64
-	fleetSpawns []int64
-	fleetSteals []int64
+	// Fleet snapshot frozen at every job completion (machineJobDone):
+	// the last one is the deterministic end-of-trace ledger Stats
+	// reports.
+	completed int64
+	fleetAt   units.Time
+	fleetSnap []poolSnap
 
-	// Submission-side machinery, mirroring Pool's.
+	// Submission side: the bridge from caller goroutines to the engine
+	// goroutine.
 	msgs chan poolMsg
-	dead chan struct{}
+	dead chan struct{} // closed when the engine goroutine exits
 
 	mu     sync.Mutex
 	closed bool
+	// broken is set (under mu, after dead closes) by the engine
+	// goroutine's teardown before it drains msgs: a Submit that saw
+	// broken false while holding mu completed its send before the
+	// drain ran, so no message can be stranded unconsumed.
 	broken bool
-	runErr error
+	runErr error // engine crash (scheduler bug), poisons Submit
 
 	wg sync.WaitGroup
+}
+
+// poolMsg is one message from a caller goroutine to the engine: a batch
+// of arrivals or the close request.
+type poolMsg struct {
+	arrivals []*jobRun
+	close    bool
+}
+
+// arrivalHeap orders pending arrivals by (virtual time, job id).
+type arrivalHeap []*jobRun
+
+func (h arrivalHeap) Len() int { return len(h) }
+func (h arrivalHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].id < h[j].id
+}
+func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(*jobRun)) }
+func (h *arrivalHeap) Pop() any {
+	old := *h
+	n := len(old)
+	j := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return j
 }
 
 // queueView is one machine's published queue size as the gossip tier
@@ -258,62 +292,64 @@ type queueView struct {
 	at   units.Time
 }
 
-// NewCluster validates cfg and starts the engine goroutine. Like a
-// Pool, an idle cluster parks every process and costs nothing until
-// the next arrival.
+// NewCluster validates cfg and starts the engine goroutine. An idle
+// cluster parks every process (halted cores, no events, no wall-clock
+// work) and costs nothing until the next arrival.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:         cfg,
-		eng:         sim.NewEngine(),
-		rng:         rand.New(rand.NewSource(cfg.Seed*1_000_003 + clusterSeedSalt)),
-		views:       make([]queueView, cfg.Machines),
-		placed:      make([]int64, cfg.Machines),
-		migrated:    make([]int64, cfg.Machines),
-		fleetSnap:   make([]poolSnap, cfg.Machines),
-		fleetTasks:  make([]int64, cfg.Machines),
-		fleetSpawns: make([]int64, cfg.Machines),
-		fleetSteals: make([]int64, cfg.Machines),
-		msgs:        make(chan poolMsg, 64),
-		dead:        make(chan struct{}),
+		cfg:       cfg,
+		eng:       sim.NewEngine(),
+		rng:       rand.New(rand.NewSource(cfg.Seed*1_000_003 + clusterSeedSalt)),
+		views:     make([]queueView, cfg.Machines),
+		placed:    make([]int64, cfg.Machines),
+		migrated:  make([]int64, cfg.Machines),
+		fleetSnap: make([]poolSnap, cfg.Machines),
+		msgs:      make(chan poolMsg, 64),
+		dead:      make(chan struct{}),
 	}
 	c.idle.init(c, cfg.Machines)
+	c.eng.SetTick(c.pump)
+	c.eng.SetIdle(c.pumpBlocking)
+	// The intake is created before any machine's processes. Engine.Inject
+	// is a no-op on a process whose start event is still pending, so an
+	// arrival at t = 0 is delivered when the intake's start event runs:
+	// creation order is what puts that ahead of the workers' first
+	// events (idle workers filing their spin-down) instead of behind.
+	c.intake = c.eng.Go("intake", c.intakeLoop)
 	for m := 0; m < cfg.Machines; m++ {
 		mcfg := cfg.Machine
 		mcfg.Seed = cfg.Machine.Seed + int64(m)
-		s := newSchedOn(c.eng, mcfg)
+		s := newSched(c.eng, mcfg)
 		s.mid = m
 		s.tag = fmt.Sprintf("m%d/", m)
 		s.pool = &poolRun{}
-		m := m
-		s.onJobDone = func() { c.machineJobDone(m) }
+		s.onJobDone = func(end poolSnap) { c.machineJobDone(m, end) }
 		if len(cfg.Faults) > 0 {
 			s.onEvicted = c.requeue
 		}
 		c.ms = append(c.ms, s)
-	}
-	c.eng.SetTick(c.pump)
-	c.eng.SetIdle(c.pumpBlocking)
-	for _, s := range c.ms {
 		s.start()
 	}
-	c.intake = c.eng.Go("cluster-intake", c.intakeLoop)
 	if cfg.GossipInterval > 0 {
-		c.gossipd = c.eng.Go("cluster-gossipd", c.gossipLoop)
+		c.gossipd = c.eng.Go("gossipd", c.gossipLoop)
 	}
 	if len(cfg.Faults) > 0 {
 		c.frng = rand.New(rand.NewSource(cfg.Seed*1_000_003 + faultSeedSalt))
 		c.fleetDown = make([]units.Time, cfg.Machines)
-		c.faultd = c.eng.Go("cluster-faultd", c.faultLoop)
+		c.faultd = c.eng.Go("faultd", c.faultLoop)
 	}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		defer c.failRemaining() // closes c.dead
-		// First message before the first event; see NewPool.
+		// The first message — a submission or the close — is applied
+		// before the engine's first event, so whether it overtakes the
+		// start-up events is fixed by construction and not by how fast
+		// the caller was.
 		c.apply(<-c.msgs)
 		c.eng.Run()
 	}()
@@ -411,10 +447,10 @@ func (h *idleIndex) min() (int, bool) {
 
 // --- submission side --------------------------------------------------
 
-// Submit enqueues a batch of jobs atomically, exactly like
-// Pool.Submit: a cluster's first batch, and any batch handed to a
-// quiescent cluster, is delivered at its virtual arrival times,
-// placement decided at each arrival's virtual instant.
+// Submit enqueues a batch of jobs atomically and returns once they are
+// handed to the engine. A cluster's first batch, and any batch handed
+// to a quiescent cluster, is delivered exactly at its virtual arrival
+// times, placement decided at each arrival's virtual instant.
 func (c *Cluster) Submit(reqs ...JobRequest) error {
 	if len(reqs) == 0 {
 		return nil
@@ -448,23 +484,24 @@ func (c *Cluster) Submit(reqs ...JobRequest) error {
 		return ErrPoolClosed
 	}
 	if c.broken {
-		return fmt.Errorf("core: cluster engine stopped: %v", c.runErr)
+		return fmt.Errorf("core: engine stopped: %v", c.runErr)
 	}
-	// Same ordering argument as Pool.Submit: the send happens under
-	// c.mu so batches and close reach the engine in a well-defined
-	// order, and a send racing teardown completes before
-	// failRemaining's drain.
+	// The send happens under c.mu so submission batches and the close
+	// message reach the engine in a well-defined order, and so a send
+	// racing engine teardown always completes before failRemaining's
+	// drain (which takes c.mu after setting broken). The dead case
+	// covers a full channel with no consumer left.
 	select {
 	case c.msgs <- poolMsg{arrivals: jobs}:
 		return nil
 	case <-c.dead:
-		return fmt.Errorf("core: cluster engine stopped: %v", c.runErr)
+		return fmt.Errorf("core: engine stopped: %v", c.runErr)
 	}
 }
 
 // Close rejects further submissions, delivers and completes every
-// already-submitted job, then stops the engine. Safe to call more
-// than once.
+// already-submitted job (pending virtual arrivals included), then
+// stops the engine. Safe to call more than once.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	if !c.closed {
@@ -506,44 +543,20 @@ func (c *Cluster) Stats() ClusterStats {
 	if c.fleetDown != nil {
 		st.Downtime = append([]units.Time(nil), c.fleetDown...)
 	}
-	for m := range c.ms {
-		snap := c.fleetSnap[m]
-		ms := MachineStats{
-			Elapsed:       c.fleetAt,
-			EnergyJ:       snap.joules,
-			Busy:          snap.busy,
-			Spin:          snap.spin,
-			Idle:          snap.idle,
-			SlowBusy:      snap.slow,
-			FreqBusy:      make(map[units.Freq]units.Time, len(snap.freqBusy)),
-			Tasks:         c.fleetTasks[m],
-			Spawns:        c.fleetSpawns[m],
-			Steals:        c.fleetSteals[m],
-			FailedSteals:  snap.failedSteals,
-			TempoSwitches: snap.tempoSwitches,
-			DVFSCommits:   snap.dvfsCommits,
-			Parks:         snap.parks,
-		}
-		for f, t := range snap.freqBusy {
-			ms.FreqBusy[f] = t
-		}
-		st.Machines[m] = ms
+	for m, snap := range c.fleetSnap {
+		st.Machines[m] = snap.machineStats(c.fleetAt)
 		st.EnergyJ += snap.joules
 	}
 	return st
 }
 
-// pump drains pending submissions without blocking (engine tick hook).
+// pump drains pending submissions without blocking; it is the engine's
+// tick hook and runs on the engine goroutine between events.
 func (c *Cluster) pump() {
 	for {
 		select {
 		case msg := <-c.msgs:
 			if msg.close {
-				// Hold the close until the engine is quiescent (see
-				// Pool.pendingClose): applying it between scheduled
-				// events would race the wall clock against the virtual
-				// one and make the post-drain event tail
-				// nondeterministic.
 				c.pendingClose = true
 				continue
 			}
@@ -554,18 +567,15 @@ func (c *Cluster) pump() {
 	}
 }
 
-// pumpBlocking waits for the next submission while the whole cluster
-// is quiescent (engine idle hook). An idle engine with jobs still in
-// flight anywhere is a genuine scheduling deadlock — refuse, so the
-// engine's diagnostics fire.
+// pumpBlocking waits for the next submission (or close) while the
+// whole cluster is quiescent; it is the engine's idle hook, so a
+// cluster with no jobs costs nothing until the next arrival. An idle
+// engine with jobs still in flight anywhere is a genuine scheduling
+// deadlock — refuse, so the engine's loud deadlock diagnostics fire
+// instead of hanging silently.
 func (c *Cluster) pumpBlocking() bool {
-	if c.arrivals.Len() > 0 {
+	if c.arrivals.Len() > 0 || c.totalActive() > 0 {
 		return false
-	}
-	for _, s := range c.ms {
-		if len(s.pool.active) > 0 {
-			return false
-		}
 	}
 	if c.pendingClose {
 		c.pendingClose = false
@@ -576,8 +586,9 @@ func (c *Cluster) pumpBlocking() bool {
 	return true
 }
 
-// apply folds one external message into engine-side state; runs with
-// no process current, so Inject is legal.
+// apply folds one external message into the engine-side state and
+// injects the intake wake that will act on it. Runs with no process
+// current, so Inject is legal.
 func (c *Cluster) apply(msg poolMsg) {
 	if msg.close {
 		c.stop = true
@@ -595,72 +606,72 @@ func (c *Cluster) apply(msg poolMsg) {
 	}
 }
 
-// failRemaining mirrors Pool.failRemaining: on engine exit (clean or
-// panicked), complete every job still queued anywhere with the cause.
+// failRemaining runs when the engine goroutine exits: on a clean
+// shutdown there is nothing left, but if the engine died to a
+// scheduler panic every in-flight and queued job still needs its
+// completion callback. It runs after sim.Engine.Run has returned or
+// panicked, so the engine-side state is quiescent. Ordering matters:
+// c.dead closes first (unblocking any sender stuck on a full
+// channel), then broken is set and the channel drained under c.mu —
+// a Submit that saw broken false completed its send under the same
+// mutex, so the drain sees every message no late sender can strand.
 func (c *Cluster) failRemaining() {
-	var cause error
+	cause := ErrPoolClosed
 	if r := recover(); r != nil {
-		cause = fmt.Errorf("core: cluster engine panicked: %v", r)
-	} else {
-		cause = ErrPoolClosed
+		cause = fmt.Errorf("core: engine panicked: %v", r)
 	}
 	close(c.dead)
-	fail := func(j *jobRun) {
-		if j.done != nil {
-			done := j.done
-			j.done = nil
-			done(Report{}, cause)
-		}
-	}
 	c.mu.Lock()
 	c.broken = true
 	if c.runErr == nil && cause != ErrPoolClosed {
 		c.runErr = cause
 	}
-	for {
+	// Batches sent but never pumped.
+	for drained := false; !drained; {
 		select {
 		case msg := <-c.msgs:
 			for _, j := range msg.arrivals {
-				fail(j)
+				j.finish(Report{}, cause)
 			}
-			continue
 		default:
+			drained = true
 		}
-		break
 	}
 	c.mu.Unlock()
 	if c.placing != nil {
-		fail(c.placing)
+		c.placing.finish(Report{}, cause)
 	}
 	for _, j := range c.arrivals {
-		fail(j)
+		j.finish(Report{}, cause)
 	}
 	for _, s := range c.ms {
 		for _, j := range s.pool.active {
-			fail(j)
-		}
-		for _, j := range s.pool.arrivals {
-			fail(j)
+			j.finish(Report{}, cause)
 		}
 	}
 }
 
 // --- engine-side processes --------------------------------------------
 
-// intakeLoop is the cluster's arrival process: it pops due arrivals in
-// (time, id) order, asks the placement policy for a machine at each
-// arrival's virtual instant, and delivers the job there. On shutdown
-// it drains its own heap AND waits for every in-flight job before
-// propagating stop to the machines (whose intakes run only the drain
-// handshake in cluster mode) and the daemons: a crash can push an
-// in-flight job back into the arrival heap, so the intake must outlive
-// the last active job, not just the last pristine arrival.
+// intakeLoop is the virtual-time arrival process: it sleeps until the
+// earliest pending arrival, pops every arrival that is due in
+// (time, id) order, asks the placement policy for a machine at the
+// arrival's virtual instant and delivers the job there, and parks when
+// none are pending. External submissions reach it through
+// front-priority injected wakes, job completions through Wake, so it
+// also drives the shutdown handshake: once stopping, it drains its own
+// heap AND waits for every in-flight job before shutting the machines
+// and daemons down — a crash can push an in-flight job back into the
+// arrival heap, so the intake must outlive the last active job, not
+// just the last pristine arrival. Delivery can complete a job on this
+// very process (one already cancelled at arrival), which is why every
+// iteration re-evaluates the shutdown condition instead of parking
+// past it.
 func (c *Cluster) intakeLoop(p *sim.Proc) {
 	for {
 		if c.stop && c.arrivals.Len() == 0 && c.totalActive() == 0 {
 			for _, s := range c.ms {
-				s.pool.stop = true
-				s.pool.intake.Wake()
+				s.poolShutdown()
 			}
 			if c.gossipd != nil {
 				c.gossipd.Wake()
@@ -721,18 +732,23 @@ func (c *Cluster) place(j *jobRun) {
 // machineJobDone is every machine's completion hook: maintain the
 // idle index, and freeze the fleet-wide snapshot at this completion's
 // virtual instant — across ALL machines, idle ones included, so the
-// final snapshot (the one ClusterStats reports) charges every
-// machine's draw through the same deterministic window.
-func (c *Cluster) machineJobDone(m int) {
+// final snapshot (the one Stats reports) charges every machine's draw
+// through the same deterministic window, not through the
+// wall-clock-racy shutdown time. end is the snapshot machine m's
+// jobDone just took; the other machines are snapshotted here.
+func (c *Cluster) machineJobDone(m int, end poolSnap) {
 	c.completed++
 	if len(c.ms[m].pool.active) == 0 && !c.ms[m].dead {
 		c.idle.push(m)
 	}
 	c.fleetAt = c.eng.Now()
 	for i, s := range c.ms {
-		s.touch()
-		c.fleetSnap[i] = s.poolSnapNow()
-		c.fleetTasks[i], c.fleetSpawns[i], c.fleetSteals[i] = s.tasks, s.spawns, s.steals
+		if i == m {
+			c.fleetSnap[i] = end
+		} else {
+			s.touch()
+			c.fleetSnap[i] = s.poolSnapNow()
+		}
 		if c.fleetDown != nil {
 			d := s.downTotal
 			if s.dead {
@@ -840,15 +856,9 @@ func (c *Cluster) migrate(victim, thief, n int) {
 	for i := 0; i < n && len(v.pool.injectq) > 0; i++ {
 		t := v.pool.injectq[0]
 		v.pool.injectq = v.pool.injectq[1:]
-		j := t.job
-		for k, a := range v.pool.active {
-			if a == j {
-				v.pool.active = append(v.pool.active[:k], v.pool.active[k+1:]...)
-				break
-			}
-		}
+		v.pool.dropActive(t.job)
 		c.migrated[thief]++
-		c.ms[thief].deliver(j)
+		c.ms[thief].deliver(t.job)
 	}
 	if len(v.pool.active) == 0 {
 		c.idle.push(victim)

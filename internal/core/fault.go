@@ -165,14 +165,8 @@ func (c *Cluster) applyFault(ev FaultEvent) {
 		for len(s.pool.injectq) > 0 {
 			t := s.pool.injectq[0]
 			s.pool.injectq = s.pool.injectq[1:]
-			j := t.job
-			for i, a := range s.pool.active {
-				if a == j {
-					s.pool.active = append(s.pool.active[:i], s.pool.active[i+1:]...)
-					break
-				}
-			}
-			c.requeue(j)
+			s.pool.dropActive(t.job)
+			c.requeue(t.job)
 		}
 		// Running jobs drain: bodies are skipped from here on, the
 		// fork-join structure unwinds at zero work cost, and root
@@ -274,9 +268,7 @@ func (c *Cluster) lose(j *jobRun) {
 	if j.delivered {
 		rep.Sojourn = c.eng.Now() - j.arriveAt
 	}
-	done := j.done
-	j.done = nil
-	done(rep, ErrJobLost)
+	j.finish(rep, ErrJobLost)
 	if c.stop && c.arrivals.Len() == 0 && c.totalActive() == 0 {
 		c.wakeIntake()
 	}

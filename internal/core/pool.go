@@ -1,14 +1,11 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
-	"fmt"
-	"sync"
+	"math/rand"
 
 	"hermes/internal/meter"
 	"hermes/internal/obs"
-	"hermes/internal/sim"
 	"hermes/internal/units"
 	"hermes/internal/wl"
 )
@@ -26,7 +23,7 @@ var ErrNilRoot = errors.New("core: nil root task")
 // context's error.
 var ErrInterrupted = errors.New("core: job interrupted by cancellation")
 
-// JobRequest describes one job handed to a Pool.
+// JobRequest describes one job handed to a Pool or Cluster.
 type JobRequest struct {
 	// ID is the caller-assigned job id: unique, positive, and
 	// ascending in submission order (it breaks virtual-time ties
@@ -53,11 +50,16 @@ type JobRequest struct {
 // Pool is the persistent multi-job discrete-event executor: one
 // simulated machine — workers, deques, tempo controller, DVFS state,
 // power meter — shared by every job submitted to it, exactly as the
-// Native pool shares its goroutine workers. Jobs are injected as
-// virtual-time arrivals by an in-engine intake process, so concurrent
-// jobs genuinely contend for workers and steals inside the simulation,
-// and open-system quantities (sojourn time, queueing delay, energy per
-// request under load) become measurable deterministically.
+// Native pool shares its goroutine workers. It is a Cluster of one
+// machine behind a placement that has nothing to choose: the engine
+// goroutine, the submission bridge, the arrival heap and the shutdown
+// handshake are the Cluster's, so what a one-machine evaluation and a
+// fleet evaluation measure is the same machine run by the same code.
+// Jobs are injected as virtual-time arrivals by the in-engine intake
+// process, so concurrent jobs genuinely contend for workers and steals
+// inside the simulation, and open-system quantities (sojourn time,
+// queueing delay, energy per request under load) become measurable
+// deterministically.
 //
 // Determinism: the simulation's event order depends only on the
 // configuration (including Seed) and on each job's virtual arrival
@@ -71,313 +73,65 @@ type JobRequest struct {
 // is quiescent. Jobs submitted "at now" from live callers (a serving
 // process) get arrival times assigned by wall-clock race and are
 // individually valid but not reproducible.
-type Pool struct {
-	cfg Config
-	s   *sched
+type Pool struct{ c *Cluster }
 
-	msgs chan poolMsg
-	dead chan struct{} // closed when the engine goroutine exits
+// onlyMachine is a Pool's placement: machine 0, without consulting the
+// view or advancing the placement RNG.
+type onlyMachine struct{}
 
-	// pendingClose holds a close message received mid-timeline until
-	// the engine is quiescent: applying it between scheduled events
-	// would race the wall clock against the virtual one, making the
-	// post-drain event tail (idle parks, tempo spin-downs)
-	// nondeterministic.
-	pendingClose bool
-
-	mu     sync.Mutex
-	closed bool
-	// broken is set (under mu, after dead closes) by the engine
-	// goroutine's teardown before it drains msgs: a Submit that saw
-	// broken false while holding mu completed its send before the
-	// drain ran, so no message can be stranded unconsumed.
-	broken bool
-	runErr error // engine crash (scheduler bug), poisons Submit
-
-	wg sync.WaitGroup
-}
-
-type poolMsg struct {
-	arrivals []*jobRun
-	close    bool
-}
-
-// jobRun is the engine-side record of one submitted job.
-type jobRun struct {
-	id        int64
-	at        units.Time // requested arrival; <0 = on receipt
-	root      wl.Task
-	class     Class
-	cancelled func() bool
-	done      func(Report, error)
-
-	arriveAt    units.Time
-	started     bool
-	startAt     units.Time
-	interrupted bool
-	failErr     error
-	// delivered marks that the job has entered some machine: arrival
-	// framing (arriveAt, JobStart) happens exactly once, while gossip
-	// migration may re-deliver an unstarted job to another machine,
-	// re-baselining its snapshot there without restarting its sojourn
-	// clock.
-	delivered bool
-	// Fault-recovery state (cluster mode): evicted marks a job whose
-	// machine crashed under it — remaining bodies are skipped and the
-	// drained job routes through the cluster's requeue instead of a
-	// report. retries counts re-placements; placements the machines
-	// that accepted the job, in order (recorded only with faults
-	// configured).
-	evicted    bool
-	retries    int64
-	placements []int
-
-	tasks, spawns, steals int64
-	energyJ               float64 // exact interval-partitioned share of machine joules
-	snap                  poolSnap
-}
-
-// fail records the job's first task panic; the rest of the job drains
-// like a cancellation.
-func (j *jobRun) fail(err error) {
-	if j.failErr == nil {
-		j.failErr = err
-	}
-}
-
-// poolSnap is a consistent copy of the machine-wide accumulators,
-// taken at job arrival and completion; a job's report is the delta.
-type poolSnap struct {
-	joules                 float64
-	busy, spin, idle, slow units.Time
-	freqBusy               map[units.Freq]units.Time
-	perWorker              []WorkerStats
-	failedSteals           int64
-	tempoSwitches          int64
-	dvfsCommits            int64
-	parks                  int64
-}
-
-// poolRun is the engine-side pool state; only the engine goroutine
-// (its processes plus the tick/idle hooks) touches it.
-type poolRun struct {
-	intake   *sim.Proc
-	arrivals arrivalHeap
-	active   []*jobRun
-	// injectq holds delivered root tasks awaiting pickup by a worker's
-	// schedule loop — the virtual-time analogue of the native
-	// executor's intake channel. Roots are taken, not stolen: a
-	// worker's own deque only ever holds its own pushes, preserving
-	// the immediacy-list invariants.
-	injectq []*task
-	stop    bool
-}
-
-type arrivalHeap []*jobRun
-
-func (h arrivalHeap) Len() int { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].id < h[j].id
-}
-func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(*jobRun)) }
-func (h *arrivalHeap) Pop() any {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return j
-}
+func (onlyMachine) Place(PlacementView, *rand.Rand) int { return 0 }
 
 // NewPool validates cfg and starts the engine goroutine. The pool
 // idles (halted cores, no events, no wall-clock work) until jobs
 // arrive.
 func NewPool(cfg Config) (*Pool, error) {
-	cfg, err := cfg.Validate()
+	c, err := NewCluster(ClusterConfig{Machines: 1, Machine: cfg, Placement: onlyMachine{}})
 	if err != nil {
 		return nil, err
 	}
-	p := &Pool{
-		cfg:  cfg,
-		msgs: make(chan poolMsg, 64),
-		dead: make(chan struct{}),
-	}
-	s := newSched(cfg)
-	s.pool = &poolRun{}
-	p.s = s
-	s.eng.SetTick(p.pump)
-	s.eng.SetIdle(p.pumpBlocking)
-	s.start()
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer p.failRemaining() // closes p.dead
-		// The first message — a submission or the close — is applied
-		// before the engine's first event, so whether it overtakes the
-		// start-up events (idle workers filing their spin-down) is fixed
-		// by construction and not by how fast the caller was.
-		p.apply(<-p.msgs)
-		s.eng.Run()
-	}()
-	return p, nil
+	return &Pool{c}, nil
 }
 
 // Config returns the validated configuration the pool runs with.
-func (p *Pool) Config() Config { return p.cfg }
-
-// pump drains pending submissions without blocking; it runs on the
-// engine goroutine between events.
-func (p *Pool) pump() {
-	for {
-		select {
-		case msg := <-p.msgs:
-			if msg.close {
-				p.pendingClose = true
-				continue
-			}
-			p.apply(msg)
-		default:
-			return
-		}
-	}
-}
-
-// pumpBlocking waits for the next submission (or close) while the
-// engine is quiescent; it is the engine's idle hook, so a pool with no
-// jobs costs nothing until the next arrival. An idle engine with jobs
-// still in flight is a genuine scheduling deadlock — refuse so the
-// engine's loud deadlock diagnostics fire instead of hanging silently.
-func (p *Pool) pumpBlocking() bool {
-	if len(p.s.pool.active) > 0 {
-		return false
-	}
-	if p.pendingClose {
-		p.pendingClose = false
-		p.apply(poolMsg{close: true})
-		return true
-	}
-	p.apply(<-p.msgs)
-	return true
-}
-
-// apply folds one external message into the engine-side state and
-// injects the intake wake that will act on it. Runs with no process
-// current, so Inject is legal.
-func (p *Pool) apply(msg poolMsg) {
-	s := p.s
-	if msg.close {
-		s.pool.stop = true
-		s.eng.Inject(s.pool.intake, s.eng.Now())
-		return
-	}
-	for _, j := range msg.arrivals {
-		if j.at < s.eng.Now() {
-			j.at = s.eng.Now()
-		}
-		heap.Push(&s.pool.arrivals, j)
-	}
-	if s.pool.arrivals.Len() > 0 {
-		s.eng.Inject(s.pool.intake, s.pool.arrivals[0].at)
-	}
-}
+func (p *Pool) Config() Config { return p.c.cfg.Machine }
 
 // Submit enqueues a batch of jobs atomically and returns once they
 // are handed to the engine. A pool's first batch, and any batch
 // submitted to a quiescent pool, is delivered exactly at its virtual
 // arrival times; see the Pool determinism contract.
-func (p *Pool) Submit(reqs ...JobRequest) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	jobs := make([]*jobRun, len(reqs))
-	for i, rq := range reqs {
-		if rq.Root == nil {
-			return ErrNilRoot
-		}
-		if rq.ID <= 0 {
-			return fmt.Errorf("core: job id must be positive, got %d", rq.ID)
-		}
-		if rq.Done == nil {
-			return fmt.Errorf("core: job %d has no completion callback", rq.ID)
-		}
-		if err := rq.Class.Validate(); err != nil {
-			return err
-		}
-		jobs[i] = &jobRun{
-			id:        rq.ID,
-			at:        rq.At,
-			root:      rq.Root,
-			class:     rq.Class,
-			cancelled: rq.Cancelled,
-			done:      rq.Done,
-		}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrPoolClosed
-	}
-	if p.broken {
-		return fmt.Errorf("core: pool engine stopped: %v", p.runErr)
-	}
-	// The send happens under p.mu so submission batches and the close
-	// message reach the engine in a well-defined order, and so a send
-	// racing engine teardown always completes before failRemaining's
-	// drain (which takes p.mu after setting broken). The dead case
-	// covers a full channel with no consumer left.
-	select {
-	case p.msgs <- poolMsg{arrivals: jobs}:
-		return nil
-	case <-p.dead:
-		return fmt.Errorf("core: pool engine stopped: %v", p.runErr)
-	}
-}
+func (p *Pool) Submit(reqs ...JobRequest) error { return p.c.Submit(reqs...) }
 
 // Close rejects further submissions, delivers and completes every
 // already-submitted job (pending virtual arrivals included), then
 // stops the engine. Safe to call more than once.
-func (p *Pool) Close() error {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		select {
-		case p.msgs <- poolMsg{close: true}:
-		case <-p.dead:
-		}
-	}
-	p.mu.Unlock()
-	p.wg.Wait()
-	return p.engineErr()
-}
-
-func (p *Pool) engineErr() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.runErr
-}
+func (p *Pool) Close() error { return p.c.Close() }
 
 // MachineEnergyJ returns the machine's total integrated energy over
 // the pool's lifetime. Valid after Close; it is the quantity per-job
 // attributed energies partition.
 func (p *Pool) MachineEnergyJ() float64 {
-	<-p.dead
-	return p.s.met.Energy()
+	<-p.c.dead
+	return p.c.ms[0].met.Energy()
 }
 
-// MachineStats is the machine-wide aggregate through the pool's most
-// recent job completion — the quantities per-job Reports carry only as
-// deltas over their own sojourn windows, which overlap under load and
-// so cannot be summed. Open-system evaluations (energy, power and
-// DVFS-tier residency vs offered load) read the machine totals from
-// here. The snapshot is taken at the last JobDone rather than at
-// engine shutdown: the time at which Close lands relative to the idle
-// engine's parked daemons is a wall-clock race, whereas the trace's
-// last completion is a deterministic virtual instant — so for a fixed
-// config, seed and arrival trace this aggregate is byte-reproducible.
+// MachineStats returns the machine-wide totals through the last job
+// completion. It blocks until the engine goroutine has exited, so call
+// it after Close (like MachineEnergyJ); the returned snapshot is final
+// and immutable. A pool that never completed a job returns the zero
+// aggregate.
+func (p *Pool) MachineStats() MachineStats { return p.c.Stats().Machines[0] }
+
+// MachineStats is one machine's aggregate through the most recent job
+// completion of the Pool or Cluster it belongs to — the quantities
+// per-job Reports carry only as deltas over their own sojourn windows,
+// which overlap under load and so cannot be summed. Open-system
+// evaluations (energy, power and DVFS-tier residency vs offered load)
+// read the machine totals from here. The snapshot is taken at the last
+// JobDone rather than at engine shutdown: the time at which Close lands
+// relative to the idle engine's parked daemons is a wall-clock race,
+// whereas the trace's last completion is a deterministic virtual
+// instant — so for a fixed config, seed and arrival trace this
+// aggregate is byte-reproducible.
 type MachineStats struct {
 	// Elapsed is the virtual time of the last job completion: the
 	// trace's makespan when the pool started quiescent at time zero.
@@ -400,26 +154,84 @@ type MachineStats struct {
 	TempoSwitches, DVFSCommits, Parks   int64
 }
 
-// MachineStats returns the machine-wide totals through the last job
-// completion. It blocks until the engine goroutine has exited, so call
-// it after Close (like MachineEnergyJ); the returned snapshot is final
-// and immutable. A pool that never completed a job returns the zero
-// aggregate.
-func (p *Pool) MachineStats() MachineStats {
-	<-p.dead
-	s := p.s
-	snap := s.lastDone
+// jobRun is the engine-side record of one submitted job.
+type jobRun struct {
+	id        int64
+	at        units.Time // requested arrival; <0 = on receipt
+	root      wl.Task
+	class     Class
+	cancelled func() bool
+	done      func(Report, error)
+
+	arriveAt    units.Time
+	started     bool
+	startAt     units.Time
+	interrupted bool
+	failErr     error
+	// delivered marks that the job has entered some machine: arrival
+	// framing (arriveAt, JobStart) happens exactly once, while gossip
+	// migration may re-deliver an unstarted job to another machine,
+	// re-baselining its snapshot there without restarting its sojourn
+	// clock.
+	delivered bool
+	// Fault-recovery state: evicted marks a job whose machine crashed
+	// under it — remaining bodies are skipped and the drained job routes
+	// through the cluster's requeue instead of a report. retries counts
+	// re-placements; placements the machines that accepted the job, in
+	// order (recorded only with faults configured).
+	evicted    bool
+	retries    int64
+	placements []int
+
+	tasks, spawns, steals int64
+	energyJ               float64 // exact interval-partitioned share of machine joules
+	snap                  poolSnap
+}
+
+// fail records the job's first task panic; the rest of the job drains
+// like a cancellation.
+func (j *jobRun) fail(err error) {
+	if j.failErr == nil {
+		j.failErr = err
+	}
+}
+
+// finish hands the job its report, exactly once.
+func (j *jobRun) finish(rep Report, err error) {
+	if done := j.done; done != nil {
+		j.done = nil
+		done(rep, err)
+	}
+}
+
+// poolSnap is a consistent copy of one machine's accumulators, taken
+// at job arrival and completion; a job's report is the delta.
+type poolSnap struct {
+	joules                 float64
+	busy, spin, idle, slow units.Time
+	freqBusy               map[units.Freq]units.Time
+	perWorker              []WorkerStats
+	tasks, spawns, steals  int64
+	failedSteals           int64
+	tempoSwitches          int64
+	dvfsCommits            int64
+	parks                  int64
+}
+
+// machineStats renders the snapshot, taken at virtual time at, as the
+// exported aggregate.
+func (snap poolSnap) machineStats(at units.Time) MachineStats {
 	ms := MachineStats{
-		Elapsed:       s.lastDoneAt,
+		Elapsed:       at,
 		EnergyJ:       snap.joules,
 		Busy:          snap.busy,
 		Spin:          snap.spin,
 		Idle:          snap.idle,
 		SlowBusy:      snap.slow,
 		FreqBusy:      make(map[units.Freq]units.Time, len(snap.freqBusy)),
-		Tasks:         s.lastDoneTasks,
-		Spawns:        s.lastDoneSpawns,
-		Steals:        s.lastDoneSteals,
+		Tasks:         snap.tasks,
+		Spawns:        snap.spawns,
+		Steals:        snap.steals,
 		FailedSteals:  snap.failedSteals,
 		TempoSwitches: snap.tempoSwitches,
 		DVFSCommits:   snap.dvfsCommits,
@@ -431,84 +243,31 @@ func (p *Pool) MachineStats() MachineStats {
 	return ms
 }
 
-// failRemaining runs when the engine goroutine exits: on a clean
-// shutdown there is nothing left, but if the engine died to a
-// scheduler panic every in-flight and queued job still needs its
-// completion callback. It runs after sim.Engine.Run has returned or
-// panicked, so the engine-side state is quiescent. Ordering matters:
-// p.dead closes first (unblocking any sender stuck on a full
-// channel), then broken is set and the channel drained under p.mu —
-// a Submit that saw broken false completed its send under the same
-// mutex, so the drain sees every message no late sender can strand.
-func (p *Pool) failRemaining() {
-	var cause error
-	if r := recover(); r != nil {
-		cause = fmt.Errorf("core: pool engine panicked: %v", r)
-	} else {
-		cause = ErrPoolClosed
-	}
-	close(p.dead)
-	fail := func(j *jobRun) {
-		if j.done != nil {
-			done := j.done
-			j.done = nil
-			done(Report{}, cause)
+// poolRun is one machine's job-stream state; only the engine goroutine
+// (its processes plus the tick/idle hooks) touches it.
+type poolRun struct {
+	// active holds every job in the machine's system, queued or
+	// executing.
+	active []*jobRun
+	// injectq holds delivered root tasks awaiting pickup by a worker's
+	// schedule loop — the virtual-time analogue of the native
+	// executor's intake channel. Roots are taken, not stolen: a
+	// worker's own deque only ever holds its own pushes, preserving
+	// the immediacy-list invariants.
+	injectq []*task
+}
+
+// dropActive removes j from the machine's system.
+func (p *poolRun) dropActive(j *jobRun) {
+	for i, a := range p.active {
+		if a == j {
+			p.active = append(p.active[:i], p.active[i+1:]...)
+			return
 		}
-	}
-	p.mu.Lock()
-	p.broken = true
-	if p.runErr == nil && cause != ErrPoolClosed {
-		p.runErr = cause
-	}
-	// Batches sent but never pumped.
-	for {
-		select {
-		case msg := <-p.msgs:
-			for _, j := range msg.arrivals {
-				fail(j)
-			}
-			continue
-		default:
-		}
-		break
-	}
-	p.mu.Unlock()
-	for _, j := range p.s.pool.active {
-		fail(j)
-	}
-	for _, j := range p.s.pool.arrivals {
-		fail(j)
 	}
 }
 
 // --- engine-side scheduling -----------------------------------------
-
-// intakeLoop is the virtual-time arrival process: it sleeps until the
-// earliest pending arrival, delivers every arrival that is due (in
-// (time, id) order), and parks when none are pending. External
-// submissions reach it through front-priority injected wakes, job
-// completions through Wake, so it also drives the shutdown handshake.
-func (s *sched) intakeLoop(p *sim.Proc) {
-	for {
-		if s.pool.stop && s.pool.arrivals.Len() == 0 && len(s.pool.active) == 0 {
-			s.poolShutdown()
-			return
-		}
-		if s.pool.arrivals.Len() > 0 && s.pool.arrivals[0].at <= s.eng.Now() {
-			j := heap.Pop(&s.pool.arrivals).(*jobRun)
-			s.deliver(j)
-			// Delivery can complete the job on this very process (a
-			// job already cancelled at arrival): re-evaluate the
-			// shutdown condition instead of parking past it.
-			continue
-		}
-		if s.pool.arrivals.Len() > 0 {
-			p.WaitUntil(s.pool.arrivals[0].at)
-			continue
-		}
-		p.ParkUntilWake()
-	}
-}
 
 // deliver admits one job at the current virtual time: baseline
 // snapshots for the delta report, JobStart framing, root task onto a
@@ -532,7 +291,7 @@ func (s *sched) deliver(j *jobRun) {
 	}
 	s.pool.active = append(s.pool.active, j)
 	if s.taskCancelled(j) {
-		s.jobDone(j, true)
+		s.jobDone(j)
 		return
 	}
 	s.pool.injectq = append(s.pool.injectq, &task{fn: j.root, job: j, root: true})
@@ -565,46 +324,26 @@ func (s *sched) poolTake() *task {
 }
 
 // jobDone completes a job: snapshot deltas into its report, JobDone
-// framing with the virtual sojourn, the completion callback, and — if
-// the pool is both stopping and drained — the intake wake that lets
-// shutdown proceed. fromIntake marks completion on the intake process
-// itself (a job cancelled at arrival): it must not wake itself, and
-// its own loop re-checks the shutdown condition instead.
-func (s *sched) jobDone(j *jobRun, fromIntake bool) {
-	if j != nil && j.evicted && s.onEvicted != nil {
-		// The machine crashed under this job and its fork-join drain
-		// just finished: no report, no JobDone framing, no aggregate
-		// freeze — the job re-enters placement through the cluster.
-		// Sojourn keeps running across the retry; tasks, steals and
-		// attributed energy accumulate across attempts.
-		s.touch()
-		for i, a := range s.pool.active {
-			if a == j {
-				s.pool.active = append(s.pool.active[:i], s.pool.active[i+1:]...)
-				break
-			}
-		}
+// framing with the virtual sojourn, the completion callback, and the
+// cluster's completion hook, which receives the same end-of-job
+// snapshot. A job whose machine crashed under it has just finished
+// draining instead: no report, no JobDone framing, no aggregate freeze
+// — it re-enters placement through the cluster. Sojourn keeps running
+// across the retry; tasks, steals and attributed energy accumulate
+// across attempts.
+func (s *sched) jobDone(j *jobRun) {
+	s.touch()
+	if j.evicted && s.onEvicted != nil {
+		s.pool.dropActive(j)
 		s.onEvicted(j)
 		return
 	}
-	s.touch()
 	now := s.eng.Now()
 	end := s.poolSnapNow()
 	rep := s.buildJobReport(j, now, end)
-	for i, a := range s.pool.active {
-		if a == j {
-			s.pool.active = append(s.pool.active[:i], s.pool.active[i+1:]...)
-			break
-		}
-	}
+	s.pool.dropActive(j)
 	s.emit(obs.Event{Kind: obs.JobDone, Job: j.id, Time: now, Worker: -1, Victim: -1,
 		Energy: rep.EnergyJ, Sojourn: now - j.arriveAt})
-	// Freeze the machine aggregate at this completion: MachineStats
-	// reports through the LAST job done, a deterministic virtual
-	// instant, not through the wall-clock-racy shutdown time.
-	s.lastDone = end
-	s.lastDoneAt = now
-	s.lastDoneTasks, s.lastDoneSpawns, s.lastDoneSteals = s.tasks, s.spawns, s.steals
 	var err error
 	switch {
 	case j.failErr != nil:
@@ -612,16 +351,9 @@ func (s *sched) jobDone(j *jobRun, fromIntake bool) {
 	case j.interrupted:
 		err = ErrInterrupted
 	}
-	done := j.done
-	j.done = nil
-	done(rep, err)
+	j.finish(rep, err)
 	s.trimSamples()
-	if s.onJobDone != nil {
-		s.onJobDone()
-	}
-	if !fromIntake && len(s.pool.active) == 0 && s.pool.stop && s.pool.arrivals.Len() == 0 {
-		s.pool.intake.Wake()
-	}
+	s.onJobDone(end)
 }
 
 // poolShutdown ends the simulation: every process observes done and
@@ -647,6 +379,9 @@ func (s *sched) poolSnapNow() poolSnap {
 		slow:          s.slowBusy,
 		freqBusy:      make(map[units.Freq]units.Time, len(s.freqBusy)),
 		perWorker:     make([]WorkerStats, len(s.perWorker)),
+		tasks:         s.tasks,
+		spawns:        s.spawns,
+		steals:        s.steals,
 		failedSteals:  s.failedSteals,
 		tempoSwitches: s.tempoSwitches,
 		dvfsCommits:   s.dvfsCommitCount,

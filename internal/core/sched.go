@@ -27,21 +27,21 @@ type sched struct {
 	done     bool
 	finishAt units.Time
 
-	// pool is non-nil when the sched serves a stream of jobs injected
-	// at virtual arrival times instead of one root task (see pool.go).
-	// done then means "pool shut down" rather than "root completed".
+	// pool is non-nil when the sched is one machine of a Cluster (a Pool
+	// is a Cluster of one), serving a stream of jobs injected at virtual
+	// arrival times instead of one root task (see pool.go). done then
+	// means "cluster shut down" rather than "root completed".
 	pool *poolRun
-	// mid and tag identify this machine inside a multi-machine cluster
-	// (cluster.go): mid stamps every observer event's Machine field and
-	// tag prefixes process names ("m3/worker0"). Zero values for the
-	// ordinary single-machine pool.
+	// mid and tag identify this machine inside its cluster (cluster.go):
+	// mid stamps every observer event's Machine field and tag prefixes
+	// process names ("m3/worker0").
 	mid int
 	tag string
-	// onJobDone, if non-nil, runs at the end of every jobDone — the
-	// cluster's hook for idle-machine tracking and the fleet-wide stats
-	// snapshot, taken at the deterministic virtual instant of each
-	// completion.
-	onJobDone func()
+	// onJobDone runs at the end of every jobDone with the machine
+	// snapshot that completion took — the cluster's hook for
+	// idle-machine tracking and the fleet-wide stats snapshot, frozen at
+	// the deterministic virtual instant of each completion.
+	onJobDone func(end poolSnap)
 	// onEvicted, if non-nil, receives each job whose drain finished
 	// after a crash evicted it — the cluster's re-placement hook. Set
 	// only when fault injection is configured.
@@ -57,12 +57,6 @@ type sched struct {
 	downTotal  units.Time
 	slowFactor float64
 	slowPinned bool
-	// lastDone freezes the machine-wide aggregate at the most recent
-	// job completion (pool mode): the deterministic end-of-trace
-	// snapshot Pool.MachineStats reports.
-	lastDone                                      poolSnap
-	lastDoneAt                                    units.Time
-	lastDoneTasks, lastDoneSpawns, lastDoneSteals int64
 
 	// DVFS commit daemon state: per-domain pending commit time
 	// (0 = none), and the daemon process to wake on new requests.
@@ -89,7 +83,7 @@ type sched struct {
 // (including Seed) produce identical reports.
 func Run(cfg Config, root wl.Task) Report {
 	cfg = cfg.withDefaults()
-	s := newSched(cfg)
+	s := newSched(sim.NewEngine(), cfg)
 	s.root = root
 	s.start()
 	s.eng.Run()
@@ -97,16 +91,11 @@ func Run(cfg Config, root wl.Task) Report {
 }
 
 // newSched builds the simulated machine, meter and workers for a
-// validated config, without starting any engine process.
-func newSched(cfg Config) *sched {
-	return newSchedOn(sim.NewEngine(), cfg)
-}
-
-// newSchedOn builds a sched over an existing engine, so several
-// simulated machines can share one virtual timeline (cluster mode):
-// each keeps its own cores, meter, workers and daemons, but every
-// event lands in the same deterministic order.
-func newSchedOn(eng *sim.Engine, cfg Config) *sched {
+// validated config on eng, without starting any engine process. Several
+// machines can share one engine and so one virtual timeline (a
+// Cluster): each keeps its own cores, meter, workers and daemons, but
+// every event lands in the same deterministic order.
+func newSched(eng *sim.Engine, cfg Config) *sched {
 	s := &sched{
 		cfg:         cfg,
 		eng:         eng,
@@ -137,9 +126,6 @@ func newSchedOn(eng *sim.Engine, cfg Config) *sched {
 func (s *sched) start() {
 	s.dvfsProc = s.eng.Go(s.tag+"dvfsd", s.dvfsLoop)
 	s.profProc = s.eng.Go(s.tag+"profiler", s.profLoop)
-	if s.pool != nil {
-		s.pool.intake = s.eng.Go(s.tag+"intake", s.intakeLoop)
-	}
 	for _, w := range s.workers {
 		w := w
 		w.proc = s.eng.Go(w.name(), w.run)

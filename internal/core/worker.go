@@ -435,7 +435,7 @@ func (w *worker) runTask(t *task) {
 		// Completion runs while curJob still points at j, so the final
 		// power-integration sliver inside jobDone's touch lands on the
 		// finishing job.
-		w.s.jobDone(j, false)
+		w.s.jobDone(j)
 	}
 	w.setJob(prevJob)
 }

@@ -2,14 +2,12 @@ package sweep
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"hermes"
 	"hermes/internal/fault"
 	"hermes/internal/trace"
-	"hermes/internal/units"
 	"hermes/internal/workload"
 )
 
@@ -69,21 +67,8 @@ type MachinePoint struct {
 // ClusterPoint is the measured outcome of one (policy, machines, rate)
 // grid point, pooled over trials.
 type ClusterPoint struct {
-	OfferedRPS   float64 `json:"offered_rps"`
-	Arrivals     int64   `json:"arrivals"`
-	Completed    int64   `json:"completed"`
-	Errors       int64   `json:"errors"`
-	PeakInflight int64   `json:"peak_inflight"`
-	MakespanS    float64 `json:"makespan_s"`
-	ObservedRPS  float64 `json:"observed_rps"`
-
-	P50SojournMS float64 `json:"p50_sojourn_ms"`
-	P95SojournMS float64 `json:"p95_sojourn_ms"`
-	P99SojournMS float64 `json:"p99_sojourn_ms"`
-	MaxSojournMS float64 `json:"max_sojourn_ms"`
-	P50QueueMS   float64 `json:"p50_queue_ms"`
-	P95QueueMS   float64 `json:"p95_queue_ms"`
-	P99QueueMS   float64 `json:"p99_queue_ms"`
+	OfferedRPS float64 `json:"offered_rps"`
+	latency
 
 	// FleetJoulesPerRequest divides the WHOLE fleet's energy — idle
 	// machines' floor draw included, every machine charged over the
@@ -139,12 +124,7 @@ type ClusterCurve struct {
 
 // Knee returns the curve's resolved knee rate, reporting false when
 // knee detection could not resolve one (KneeRPS is null).
-func (c ClusterCurve) Knee() (float64, bool) {
-	if c.KneeRPS == nil {
-		return 0, false
-	}
-	return *c.KneeRPS, true
-}
+func (c ClusterCurve) Knee() (float64, bool) { return kneeOf(c.KneeRPS) }
 
 // ClusterResult is the cluster sweep artifact: one curve per (policy,
 // machine count), policy-major. Deterministic for a fixed config.
@@ -174,298 +154,71 @@ type ClusterResult struct {
 	Curves           []ClusterCurve `json:"curves"`
 }
 
-// clusterTrialOut is one cluster trial's raw measurements.
-type clusterTrialOut struct {
-	arrivals int64
-	errors   int64
-	sojourns []units.Time
-	queues   []units.Time
-	spans    []Span
-	steals   int64
-	makespan units.Time
-	stats    hermes.ClusterStats
-	workers  int
-	// classes holds per-service-class raw measurements, keyed by the
-	// full class value; empty for unclassed traces.
-	classes map[hermes.Class]*classAcc
-}
-
-// classOf returns the trial's accumulator for class c, creating it on
-// first use.
-func (out *clusterTrialOut) classOf(c hermes.Class) *classAcc {
-	if out.classes == nil {
-		out.classes = map[hermes.Class]*classAcc{}
-	}
-	acc := out.classes[c]
-	if acc == nil {
-		acc = &classAcc{}
-		out.classes[c] = acc
-	}
-	return acc
-}
-
-// runClusterTrial replays one seeded trace through a fresh Cluster,
-// injecting plan's fault schedule compiled for the same seed.
-func runClusterTrial(cfg ClusterConfig, plan string, policy hermes.Placement, machines int, rps float64, seed int64) (clusterTrialOut, error) {
-	var out clusterTrialOut
-	arrivals, err := TraceArrivals(cfg.Workload, cfg.Trace, rps, cfg.Window, seed)
+// clusterPoint measures one (plan, policy, machines, rate) grid point.
+func (g grid) clusterPoint(fl fleet, rps float64) (ClusterPoint, error) {
+	f, err := g.point(fl, rps)
 	if err != nil {
-		return out, err
-	}
-	dispatch, err := hermes.ParseDispatch(cfg.Dispatch)
-	if err != nil {
-		return out, err
-	}
-	copts := []hermes.Option{
-		hermes.WithMachines(machines),
-		hermes.WithPlacement(policy),
-		hermes.WithMode(cfg.Mode),
-		hermes.WithSeed(seed),
-	}
-	if dispatch != hermes.DispatchFIFO {
-		copts = append(copts, hermes.WithDispatch(dispatch))
-	}
-	if cfg.PreemptQuantum > 0 {
-		copts = append(copts, hermes.WithPreemptQuantum(units.Time(cfg.PreemptQuantum)*units.Nanosecond))
-	}
-	if fault.Canonical(plan) != "" {
-		horizon := units.Time(cfg.Window.Nanoseconds()) * units.Nanosecond
-		evs, err := fault.Compile(plan, seed, machines, horizon)
-		if err != nil {
-			return out, err
-		}
-		copts = append(copts, hermes.WithFaults(evs...))
-	}
-	if cfg.Workers > 0 {
-		copts = append(copts, hermes.WithWorkers(cfg.Workers))
-	}
-	c, err := hermes.NewCluster(copts...)
-	if err != nil {
-		return out, err
-	}
-	out.workers = c.Config().Workers
-	jobs, err := c.SubmitTrace(nil, arrivals)
-	if err != nil {
-		c.Close()
-		return out, err
-	}
-	out.arrivals = int64(len(arrivals))
-	mixed := false
-	for _, a := range arrivals {
-		if !a.Class.IsZero() {
-			mixed = true
-			break
-		}
-	}
-	for i, j := range jobs {
-		rep, err := j.Wait()
-		// Failed jobs count toward depth and makespan but not latency
-		// or steals — same convention as the single-machine sweep.
-		done := arrivals[i].At + rep.Sojourn
-		out.spans = append(out.spans, Span{Arrive: arrivals[i].At, Done: done})
-		if done > out.makespan {
-			out.makespan = done
-		}
-		var acc *classAcc
-		if mixed {
-			acc = out.classOf(arrivals[i].Class)
-			acc.arrivals++
-		}
-		if err != nil {
-			out.errors++
-			if acc != nil {
-				acc.errors++
-			}
-			if cfg.Log != nil {
-				cfg.Log(fmt.Sprintf("sweep: cluster job %d failed: %v", j.ID(), err))
-			}
-			continue
-		}
-		out.sojourns = append(out.sojourns, rep.Sojourn)
-		q := rep.Sojourn - rep.Span
-		if q < 0 {
-			q = 0
-		}
-		out.queues = append(out.queues, q)
-		out.steals += rep.Steals
-		if acc != nil {
-			acc.sojourns = append(acc.sojourns, rep.Sojourn)
-			acc.jobJoules += rep.EnergyJ
-			if t := arrivals[i].Class.SLOTarget; t > 0 && rep.Sojourn <= t {
-				acc.sloMet++
-			}
-		}
-	}
-	if err := c.Close(); err != nil {
-		return out, err
-	}
-	out.stats = c.ClusterStats()
-	return out, nil
-}
-
-// runClusterPoint measures one (plan, policy, machines, rate) grid
-// point over cfg.Trials seeded traces.
-func runClusterPoint(cfg ClusterConfig, plan string, policy hermes.Placement, machines int, rps float64) (ClusterPoint, error) {
-	trials := cfg.Trials
-	if trials < 1 {
-		trials = 1
+		return ClusterPoint{}, err
 	}
 	pt := ClusterPoint{
 		OfferedRPS: rps,
-		PerMachine: make([]MachinePoint, machines),
-	}
-	for m := range pt.PerMachine {
-		pt.PerMachine[m].Machine = m
-	}
-	var (
-		sojourns, queues []units.Time
-		fleetJ           float64
-		fleetElapsed     units.Time
-		tierBusy         = map[units.Freq]units.Time{}
-		totalBusy        units.Time
-		steals           int64
-		makespan         units.Time
-	)
-	var (
-		lost     int64
-		downtime units.Time
-		classes  = map[hermes.Class]*classAcc{}
-	)
-	for trial := 0; trial < trials; trial++ {
-		out, err := runClusterTrial(cfg, plan, policy, machines, rps, cfg.Seed+int64(trial))
-		if err != nil {
-			return ClusterPoint{}, err
-		}
-		for c, acc := range out.classes {
-			pool := classes[c]
-			if pool == nil {
-				pool = &classAcc{}
-				classes[c] = pool
-			}
-			pool.arrivals += acc.arrivals
-			pool.errors += acc.errors
-			pool.sojourns = append(pool.sojourns, acc.sojourns...)
-			pool.jobJoules += acc.jobJoules
-			pool.sloMet += acc.sloMet
-		}
-		pt.Crashes += out.stats.Crashes
-		pt.Rejoins += out.stats.Rejoins
-		pt.Retries += out.stats.Retries
-		lost += out.stats.Lost
-		for _, d := range out.stats.Downtime {
-			downtime += d
-		}
-		pt.Arrivals += out.arrivals
-		pt.Errors += out.errors
-		pt.Completed += int64(len(out.sojourns))
-		if p := PeakInflight(out.spans); p > pt.PeakInflight {
-			pt.PeakInflight = p
-		}
-		sojourns = append(sojourns, out.sojourns...)
-		queues = append(queues, out.queues...)
-		makespan += out.makespan
-		steals += out.steals
-		st := out.stats
-		fleetJ += st.EnergyJ
-		fleetElapsed += st.Elapsed
-		for m, ms := range st.Machines {
-			mp := &pt.PerMachine[m]
-			mp.Placed += st.Placed[m]
-			mp.Migrated += st.Migrated[m]
-			mp.Tasks += ms.Tasks
-			mp.Steals += ms.Steals
-			mp.EnergyJ += ms.EnergyJ
-			pt.Migrated += st.Migrated[m]
-			if ms.Tasks == 0 {
-				mp.IdleTrials++
-				pt.IdleMachines++
-			}
-			totalBusy += ms.Busy
-			for f, d := range ms.FreqBusy {
-				tierBusy[f] += d
-			}
-			if w := out.workers; w > 0 && st.Elapsed > 0 {
-				mp.BusyFrac += float64(ms.Busy) / (float64(st.Elapsed) * float64(w))
-			}
-		}
+		latency:    f.latency(),
+		// The WHOLE fleet's energy over completed jobs, not the jobs'
+		// attributed share: idle machines' floor draw is what placement
+		// policies compete on.
+		FleetJoulesPerRequest: f.perCompleted(f.fleetJ),
+		FleetAvgPowerW:        f.avgPowerW(),
+		StealsPerRequest:      f.perCompleted(float64(f.steals)),
+		Migrated:              f.migrated,
+		IdleMachines:          f.idleMachines,
+		Crashes:               f.crashes,
+		Rejoins:               f.rejoins,
+		Retries:               f.retries,
+		PerMachine:            f.perMachine,
+		Tiers:                 f.tiers(),
+		Classes:               f.classPoints(),
 	}
 	// BusyFrac accumulated one share per trial; average them.
 	for m := range pt.PerMachine {
-		pt.PerMachine[m].BusyFrac /= float64(trials)
-	}
-	sortTimes(sojourns)
-	sortTimes(queues)
-	pt.MakespanS = makespan.Seconds()
-	if pt.MakespanS > 0 {
-		pt.ObservedRPS = float64(pt.Completed) / pt.MakespanS
-	}
-	pt.P50SojournMS = pctMS(sojourns, 0.50)
-	pt.P95SojournMS = pctMS(sojourns, 0.95)
-	pt.P99SojournMS = pctMS(sojourns, 0.99)
-	pt.MaxSojournMS = pctMS(sojourns, 1)
-	pt.P50QueueMS = pctMS(queues, 0.50)
-	pt.P95QueueMS = pctMS(queues, 0.95)
-	pt.P99QueueMS = pctMS(queues, 0.99)
-	if pt.Completed > 0 {
-		pt.FleetJoulesPerRequest = fleetJ / float64(pt.Completed)
-		pt.StealsPerRequest = float64(steals) / float64(pt.Completed)
+		pt.PerMachine[m].BusyFrac /= float64(f.trials)
 	}
 	// Availability and downtime only appear on chaos points: a
 	// fault-free point's availability is trivially 1 and writing it
 	// would reshape the pre-chaos artifact.
-	if fault.Canonical(plan) != "" {
-		pt.Lost = lost
-		pt.DowntimeS = downtime.Seconds()
-		if pt.Completed+lost > 0 {
-			pt.Availability = float64(pt.Completed) / float64(pt.Completed+lost)
+	if fault.Canonical(fl.plan) != "" {
+		pt.Lost = f.lost
+		pt.DowntimeS = f.downtime.Seconds()
+		if pt.Completed+f.lost > 0 {
+			pt.Availability = float64(pt.Completed) / float64(pt.Completed+f.lost)
 		}
 	}
-	if s := fleetElapsed.Seconds(); s > 0 {
-		pt.FleetAvgPowerW = fleetJ / s
-	}
-	freqs := make([]units.Freq, 0, len(tierBusy))
-	for f := range tierBusy {
-		freqs = append(freqs, f)
-	}
-	sort.Slice(freqs, func(i, j int) bool { return freqs[i] > freqs[j] })
-	for _, f := range freqs {
-		tier := Tier{FreqKHz: int64(f), BusyS: tierBusy[f].Seconds()}
-		if totalBusy > 0 {
-			tier.Frac = float64(tierBusy[f]) / float64(totalBusy)
-		}
-		pt.Tiers = append(pt.Tiers, tier)
-	}
-	pt.Classes = classPoints(classes)
 	return pt, nil
 }
 
 // RunCluster executes the whole (policy × machines × rate) grid and
 // assembles the artifact.
 func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
-	spec, err := cfg.Workload.Validate()
+	g, err := grid{
+		workload: cfg.Workload, trace: cfg.Trace, rates: cfg.RatesRPS, window: cfg.Window,
+		seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers, kneeFactor: cfg.KneeFactor,
+		dispatch: cfg.Dispatch, quantum: cfg.PreemptQuantum,
+		log: cfg.Log,
+	}.validate()
 	if err != nil {
 		return ClusterResult{}, err
-	}
-	cfg.Workload = spec
-	if _, err := trace.Resolve(cfg.Trace); err != nil {
-		return ClusterResult{}, err
-	}
-	dispatch, err := hermes.ParseDispatch(cfg.Dispatch)
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	if cfg.PreemptQuantum < 0 {
-		return ClusterResult{}, fmt.Errorf("sweep: preempt quantum must be non-negative, got %v", cfg.PreemptQuantum)
 	}
 	plans := cfg.Faults
 	if len(plans) == 0 {
 		plans = []string{""}
 	}
+	var planNames []string
 	chaos := false
 	for _, plan := range plans {
-		if _, err := fault.Resolve(plan); err != nil {
+		p, err := fault.Resolve(plan)
+		if err != nil {
 			return ClusterResult{}, err
 		}
+		planNames = append(planNames, p.Name)
 		if fault.Canonical(plan) != "" {
 			chaos = true
 		}
@@ -481,51 +234,22 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			return ClusterResult{}, fmt.Errorf("sweep: machine counts must be positive, got %d", n)
 		}
 	}
-	if len(cfg.RatesRPS) == 0 {
-		return ClusterResult{}, fmt.Errorf("sweep: no arrival rates given")
-	}
-	rates := append([]float64(nil), cfg.RatesRPS...)
-	sort.Float64s(rates)
-	for _, r := range rates {
-		if r <= 0 {
-			return ClusterResult{}, fmt.Errorf("sweep: rates must be positive, got %g", r)
-		}
-	}
-	if cfg.Window <= 0 {
-		return ClusterResult{}, fmt.Errorf("sweep: window must be positive, got %v", cfg.Window)
-	}
-	trials := cfg.Trials
-	if trials < 1 {
-		trials = 1
-	}
-	factor := cfg.KneeFactor
-	if factor == 0 {
-		factor = DefaultKneeFactor
-	}
-	if factor < 0 {
-		return ClusterResult{}, fmt.Errorf("sweep: knee factor must be positive, got %g", factor)
-	}
 	res := ClusterResult{
-		Workload:   cfg.Workload,
-		Trace:      trace.Canonical(cfg.Trace),
-		Mode:       cfg.Mode.String(),
-		Machines:   append([]int(nil), cfg.Machines...),
-		RatesRPS:   rates,
-		WindowS:    cfg.Window.Seconds(),
-		Seed:       cfg.Seed,
-		Trials:     trials,
-		Workers:    cfg.Workers,
-		KneeFactor: factor,
-		Dispatch:   CanonicalDispatch(dispatch),
-	}
-	if cfg.PreemptQuantum > 0 {
-		res.PreemptQuantumMS = float64(cfg.PreemptQuantum) / float64(time.Millisecond)
+		Workload:         g.workload,
+		Trace:            trace.Canonical(g.trace),
+		Mode:             cfg.Mode.String(),
+		Machines:         append([]int(nil), cfg.Machines...),
+		RatesRPS:         g.rates,
+		WindowS:          g.window.Seconds(),
+		Seed:             g.seed,
+		Trials:           g.trials,
+		Workers:          g.workers,
+		KneeFactor:       g.kneeFactor,
+		Dispatch:         g.canonicalDispatch(),
+		PreemptQuantumMS: g.quantumMS(),
 	}
 	if chaos {
-		for _, plan := range plans {
-			p, _ := fault.Resolve(plan)
-			res.FaultPlans = append(res.FaultPlans, p.Name)
-		}
+		res.FaultPlans = planNames
 	}
 	// Plans outermost: every fault plan replays the full (policy ×
 	// machines × rate) grid over the SAME seeded traces, so curves
@@ -540,28 +264,29 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 				res.Policies = append(res.Policies, v.String())
 			}
 			for _, machines := range cfg.Machines {
+				fl := fleet{mode: cfg.Mode, machines: machines, policy: &v, plan: plan}
 				curve := ClusterCurve{Policy: v.String(), Machines: machines, Faults: fault.Canonical(plan)}
 				var p99s []float64
-				for _, rate := range rates {
-					pt, err := runClusterPoint(cfg, plan, v, machines, rate)
+				for _, rate := range g.rates {
+					pt, err := g.clusterPoint(fl, rate)
 					if err != nil {
 						return ClusterResult{}, fmt.Errorf("sweep: %s ×%d @ %g rps (faults %q): %w", v, machines, rate, plan, err)
 					}
 					curve.Points = append(curve.Points, pt)
 					p99s = append(p99s, pt.P99SojournMS)
-					if cfg.Log != nil {
+					if g.log != nil {
 						line := fmt.Sprintf("cluster %s ×%d @ %g rps: p50=%.3fms p99=%.3fms fleetJ/req=%.4f idle=%d migr=%d",
 							v, machines, rate, pt.P50SojournMS, pt.P99SojournMS,
 							pt.FleetJoulesPerRequest, pt.IdleMachines, pt.Migrated)
-						if f := fault.Canonical(plan); f != "" {
+						if curve.Faults != "" {
 							line += fmt.Sprintf(" [%s: crashes=%d retries=%d lost=%d avail=%.4f]",
-								f, pt.Crashes, pt.Retries, pt.Lost, pt.Availability)
+								curve.Faults, pt.Crashes, pt.Retries, pt.Lost, pt.Availability)
 						}
-						cfg.Log(line)
+						g.log(line)
 					}
 				}
 				curve.UnloadedP50MS = curve.Points[0].P50SojournMS
-				curve.KneeRPS, curve.KneeReason = DetectKnee(rates, p99s, curve.UnloadedP50MS, factor)
+				curve.KneeRPS, curve.KneeReason = DetectKnee(g.rates, p99s, curve.UnloadedP50MS, g.kneeFactor)
 				res.Curves = append(res.Curves, curve)
 			}
 		}
@@ -574,9 +299,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 // machine:placed:migrated:energy tuples.
 func (r ClusterResult) CSV() string {
 	var b strings.Builder
-	b.WriteString("policy,machines,faults,offered_rps,arrivals,completed,errors,peak_inflight,observed_rps," +
-		"p50_sojourn_ms,p95_sojourn_ms,p99_sojourn_ms,max_sojourn_ms," +
-		"p50_queue_ms,p95_queue_ms,p99_queue_ms," +
+	b.WriteString("policy,machines,faults,offered_rps," + latencyCSVHeader +
 		"fleet_joules_per_request,fleet_avg_power_w,steals_per_request,migrated,idle_machines," +
 		"crashes,rejoins,retries,lost,availability,downtime_s,knee_rps,per_machine\n")
 	for _, c := range r.Curves {
@@ -596,10 +319,8 @@ func (r ClusterResult) CSV() string {
 			if c.Faults == "" && p.Completed > 0 {
 				avail = 1
 			}
-			fmt.Fprintf(&b, "%s,%d,%s,%g,%d,%d,%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.8f,%.6f,%.6f,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%s,%s\n",
-				c.Policy, c.Machines, faults, p.OfferedRPS, p.Arrivals, p.Completed, p.Errors, p.PeakInflight, p.ObservedRPS,
-				p.P50SojournMS, p.P95SojournMS, p.P99SojournMS, p.MaxSojournMS,
-				p.P50QueueMS, p.P95QueueMS, p.P99QueueMS,
+			fmt.Fprintf(&b, "%s,%d,%s,%g,%s,%.8f,%.6f,%.6f,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%s,%s\n",
+				c.Policy, c.Machines, faults, p.OfferedRPS, p.latencyCSV(),
 				p.FleetJoulesPerRequest, p.FleetAvgPowerW, p.StealsPerRequest, p.Migrated, p.IdleMachines,
 				p.Crashes, p.Rejoins, p.Retries, p.Lost, avail, p.DowntimeS, kneeCSV(c.KneeRPS),
 				strings.Join(per, ";"))
@@ -610,47 +331,22 @@ func (r ClusterResult) CSV() string {
 
 // Classed reports whether any point in the result carries per-class
 // rows — true only for mixed traces.
-func (r ClusterResult) Classed() bool {
-	for _, c := range r.Curves {
-		for _, p := range c.Points {
-			if len(p.Classes) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
+func (r ClusterResult) Classed() bool { return r.ClassCSV() != "" }
 
 // ClassCSV renders the per-class breakdown flat, one row per
 // (policy, machines, rate, class). Empty string when the result has no
 // class rows.
 func (r ClusterResult) ClassCSV() string {
-	if !r.Classed() {
-		return ""
-	}
 	var b strings.Builder
-	b.WriteString("policy,machines,offered_rps,tenant,priority,arrivals,completed,errors," +
-		"p50_sojourn_ms,p95_sojourn_ms,p99_sojourn_ms," +
-		"slo_target_ms,slo_attainment,joules_per_request\n")
 	for _, c := range r.Curves {
 		for _, p := range c.Points {
-			for _, cp := range p.Classes {
-				target, attain := "", ""
-				if cp.SLOTargetMS != nil {
-					target = fmt.Sprintf("%g", *cp.SLOTargetMS)
-				}
-				if cp.SLOAttainment != nil {
-					attain = fmt.Sprintf("%.6f", *cp.SLOAttainment)
-				}
-				fmt.Fprintf(&b, "%s,%d,%g,%s,%d,%d,%d,%d,%.6f,%.6f,%.6f,%s,%s,%.8f\n",
-					c.Policy, c.Machines, p.OfferedRPS, cp.Tenant, cp.Priority,
-					cp.Arrivals, cp.Completed, cp.Errors,
-					cp.P50SojournMS, cp.P95SojournMS, cp.P99SojournMS,
-					target, attain, cp.JoulesPerRequest)
-			}
+			classRows(&b, fmt.Sprintf("%s,%d,%g", c.Policy, c.Machines, p.OfferedRPS), p.Classes)
 		}
 	}
-	return b.String()
+	if b.Len() == 0 {
+		return ""
+	}
+	return "policy,machines,offered_rps," + classCSVHeader + b.String()
 }
 
 // String renders the cluster sweep as one compact table per curve.
@@ -663,13 +359,7 @@ func (r ClusterResult) String() string {
 		if c.Faults != "" {
 			fmt.Fprintf(&b, " [faults %s]", c.Faults)
 		}
-		fmt.Fprintf(&b, " (unloaded p50 %.3fms", c.UnloadedP50MS)
-		if k, ok := c.Knee(); ok {
-			fmt.Fprintf(&b, ", knee @ %g rps ×%g", k, r.KneeFactor)
-		} else {
-			fmt.Fprintf(&b, ", no knee ≤ %g rps", r.RatesRPS[len(r.RatesRPS)-1])
-		}
-		b.WriteString(")\n")
+		fmt.Fprintf(&b, " %s\n", kneeNote(c.UnloadedP50MS, c.KneeRPS, r.KneeFactor, r.RatesRPS))
 		b.WriteString("  rps      p50ms    p99ms    queue99  fleetJ/req avgW     idle  migr  peak\n")
 		for _, p := range c.Points {
 			fmt.Fprintf(&b, "  %-8g %-8.3f %-8.3f %-8.3f %-10.4f %-8.2f %-5d %-5d %d\n",

@@ -1,11 +1,18 @@
 // Package sweep runs open-system evaluations over the virtual-time
-// Sim pool: for each point of a (workload × tempo-mode × arrival-rate)
-// grid it generates a seeded Poisson arrival trace, replays it through
-// Runtime.SubmitTrace on the deterministic discrete-event machine, and
+// simulator: for each point of a (workload × tempo-mode × arrival-rate)
+// grid — or a (placement × fleet-size × fault-plan × arrival-rate) one
+// — it generates a seeded arrival trace, replays it through
+// Cluster.SubmitTrace on the deterministic discrete-event machine, and
 // measures the open-system quantities the paper's closed-system
 // figures cannot show — sojourn percentiles, queueing delay,
 // joules/request, average power, steals/request and DVFS-tier
 // residency as functions of offered load, per tempo mode.
+//
+// There is one pipeline (trial.go): a grid is validated once, every
+// trial is one hermes.NewCluster serving one trace, and every point is
+// one fold of its trials. The single-machine sweep is the machines = 1
+// cell of the cluster grid; Point, ClusterPoint and Replay differ only
+// in which of the fold's quantities they render.
 //
 // Every point is deterministic: a fixed config and seed reproduce
 // byte-identical JSON artifacts, so the curves are CI-diffable

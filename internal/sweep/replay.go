@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hermes"
-	"hermes/internal/units"
 )
 
 // ReplayConfig parameterizes one arrival-trace replay on a throwaway
@@ -62,80 +61,29 @@ func ReplayTrace(cfg ReplayConfig, arrivals []hermes.Arrival) (Replay, error) {
 			return out, fmt.Errorf("sweep: replay: arrivals not ascending at %d", i)
 		}
 	}
-	ropts := []hermes.Option{
-		hermes.WithBackend(hermes.Sim),
-		hermes.WithMode(cfg.Mode),
-		hermes.WithSeed(cfg.Seed),
-	}
-	if cfg.Workers > 0 {
-		ropts = append(ropts, hermes.WithWorkers(cfg.Workers))
-	}
-	rt, err := hermes.New(ropts...)
-	if err != nil {
+	g := grid{seed: cfg.Seed, workers: cfg.Workers, log: cfg.Log}
+	f := newFold(1)
+	if err := g.trial(f, fleet{mode: cfg.Mode, machines: 1}, cfg.Seed, arrivals); err != nil {
 		return out, err
 	}
-	jobs, err := rt.SubmitTrace(nil, arrivals)
-	if err != nil {
-		rt.Close()
-		return out, err
+	l := f.latency()
+	out = Replay{
+		Arrivals:         l.Arrivals,
+		Completed:        l.Completed,
+		Errors:           l.Errors,
+		PeakInflight:     l.PeakInflight,
+		MakespanS:        l.MakespanS,
+		ObservedRPS:      l.ObservedRPS,
+		P50SojournMS:     l.P50SojournMS,
+		P95SojournMS:     l.P95SojournMS,
+		P99SojournMS:     l.P99SojournMS,
+		MaxSojournMS:     l.MaxSojournMS,
+		P99QueueMS:       l.P99QueueMS,
+		JoulesPerRequest: f.perCompleted(f.jobJoules),
+		AvgPowerW:        f.avgPowerW(),
 	}
-	out.Arrivals = int64(len(arrivals))
-	var (
-		sojourns, queues []units.Time
-		spans            []Span
-		makespan         units.Time
-		jobJoules        float64
-	)
-	for i, j := range jobs {
-		rep, err := j.Wait()
-		done := arrivals[i].At + rep.Sojourn
-		spans = append(spans, Span{Arrive: arrivals[i].At, Done: done})
-		if done > makespan {
-			makespan = done
-		}
-		if err != nil {
-			out.Errors++
-			if cfg.Log != nil {
-				cfg.Log(fmt.Sprintf("sweep: replay: job %d failed: %v", j.ID(), err))
-			}
-			continue
-		}
-		sojourns = append(sojourns, rep.Sojourn)
-		q := rep.Sojourn - rep.Span
-		if q < 0 {
-			q = 0
-		}
-		queues = append(queues, q)
-		jobJoules += rep.EnergyJ
-	}
-	if err := rt.Close(); err != nil {
-		return out, err
-	}
-	ms, err := rt.MachineStats()
-	if err != nil {
-		return out, err
-	}
-	out.Completed = int64(len(sojourns))
-	out.PeakInflight = PeakInflight(spans)
-	out.MakespanS = makespan.Seconds()
 	if span := arrivals[len(arrivals)-1].At - arrivals[0].At; span > 0 {
 		out.OfferedRPS = float64(len(arrivals)) / span.Seconds()
-	}
-	if out.MakespanS > 0 {
-		out.ObservedRPS = float64(out.Completed) / out.MakespanS
-	}
-	sortTimes(sojourns)
-	sortTimes(queues)
-	out.P50SojournMS = pctMS(sojourns, 0.50)
-	out.P95SojournMS = pctMS(sojourns, 0.95)
-	out.P99SojournMS = pctMS(sojourns, 0.99)
-	out.MaxSojournMS = pctMS(sojourns, 1)
-	out.P99QueueMS = pctMS(queues, 0.99)
-	if out.Completed > 0 {
-		out.JoulesPerRequest = jobJoules / float64(out.Completed)
-	}
-	if s := ms.Elapsed.Seconds(); s > 0 {
-		out.AvgPowerW = ms.EnergyJ / s
 	}
 	return out, nil
 }

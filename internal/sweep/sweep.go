@@ -134,15 +134,16 @@ type Tier struct {
 	Frac    float64 `json:"frac"`
 }
 
-// Point is the measured outcome of one (workload, mode, rate) grid
-// point. All latency quantities are virtual time at full picosecond
-// resolution, pooled across the point's trials.
-type Point struct {
-	OfferedRPS   float64 `json:"offered_rps"`
-	Arrivals     int64   `json:"arrivals"`
-	Completed    int64   `json:"completed"`
-	Errors       int64   `json:"errors"`
-	PeakInflight int64   `json:"peak_inflight"`
+// latency is what every grid point reports first, whatever ran it:
+// counts, depth, throughput and the pooled percentiles. Point and
+// ClusterPoint embed it so their JSON keeps its field order. All latency
+// quantities are virtual time at full picosecond resolution, pooled
+// across the point's trials.
+type latency struct {
+	Arrivals     int64 `json:"arrivals"`
+	Completed    int64 `json:"completed"`
+	Errors       int64 `json:"errors"`
+	PeakInflight int64 `json:"peak_inflight"`
 	// MakespanS is the virtual time from the window's start to the last
 	// completion, summed over trials; ObservedRPS is completions over
 	// that time.
@@ -158,11 +159,23 @@ type Point struct {
 	P50QueueMS float64 `json:"p50_queue_ms"`
 	P95QueueMS float64 `json:"p95_queue_ms"`
 	P99QueueMS float64 `json:"p99_queue_ms"`
+}
 
+// Point is the measured outcome of one (workload, mode, rate) grid
+// point: the machines = 1 cell of the cluster grid.
+type Point struct {
+	OfferedRPS float64 `json:"offered_rps"`
+	latency
+
+	// JoulesPerRequest is the energy attributed to completed jobs (the
+	// exact interval partition of the machine's draw while it served
+	// them) per completed job.
 	JoulesPerRequest float64 `json:"joules_per_request"`
 	AvgPowerW        float64 `json:"avg_power_w"`
 	StealsPerRequest float64 `json:"steals_per_request"`
-	DroppedEvents    uint64  `json:"dropped_events"`
+	// DroppedEvents is always 0: the point runner observes through
+	// per-job reports, synchronously, so nothing can drop.
+	DroppedEvents uint64 `json:"dropped_events"`
 
 	// Tiers is the machine's DVFS residency (share of busy core-time
 	// per frequency), fastest tier first.
@@ -219,317 +232,35 @@ type PointConfig struct {
 	Log func(string)
 }
 
-// trialOut is one trial's raw measurements.
-type trialOut struct {
-	arrivals  int64
-	errors    int64
-	sojourns  []units.Time
-	queues    []units.Time
-	spans     []Span
-	jobJoules float64
-	steals    int64
-	makespan  units.Time
-	dropped   uint64
-	machine   hermes.MachineStats
-	// classes holds per-service-class raw measurements, keyed by the
-	// full class value; empty for unclassed traces.
-	classes map[hermes.Class]*classAcc
-}
-
-// classAcc accumulates one service class's raw measurements across a
-// trial (and, pooled, across trials).
-type classAcc struct {
-	arrivals  int64
-	errors    int64
-	sojourns  []units.Time
-	jobJoules float64
-	sloMet    int64
-}
-
-// classOf returns the trial's accumulator for class c, creating it on
-// first use.
-func (out *trialOut) classOf(c hermes.Class) *classAcc {
-	if out.classes == nil {
-		out.classes = map[hermes.Class]*classAcc{}
-	}
-	acc := out.classes[c]
-	if acc == nil {
-		acc = &classAcc{}
-		out.classes[c] = acc
-	}
-	return acc
-}
-
-// runTrial replays one seeded trace through a fresh Runtime and
-// collects raw per-job and machine-level measurements.
-func runTrial(cfg PointConfig, seed int64) (trialOut, error) {
-	var out trialOut
-	arrivals, err := TraceArrivals(cfg.Workload, cfg.Trace, cfg.RPS, cfg.Window, seed)
-	if err != nil {
-		return out, err
-	}
-	dispatch, err := hermes.ParseDispatch(cfg.Dispatch)
-	if err != nil {
-		return out, err
-	}
-	ropts := []hermes.Option{
-		hermes.WithBackend(hermes.Sim),
-		hermes.WithMode(cfg.Mode),
-		hermes.WithSeed(seed),
-	}
-	if cfg.Workers > 0 {
-		ropts = append(ropts, hermes.WithWorkers(cfg.Workers))
-	}
-	if dispatch != hermes.DispatchFIFO {
-		ropts = append(ropts, hermes.WithDispatch(dispatch))
-	}
-	if cfg.PreemptQuantum > 0 {
-		ropts = append(ropts, hermes.WithPreemptQuantum(units.Time(cfg.PreemptQuantum)*units.Nanosecond))
-	}
-	rt, err := hermes.New(ropts...)
-	if err != nil {
-		return out, err
-	}
-	jobs, err := rt.SubmitTrace(nil, arrivals)
-	if err != nil {
-		rt.Close()
-		return out, err
-	}
-	out.arrivals = int64(len(arrivals))
-	mixed := false
-	for _, a := range arrivals {
-		if !a.Class.IsZero() {
-			mixed = true
-			break
-		}
-	}
-	for i, j := range jobs {
-		rep, err := j.Wait()
-		// A failed job occupied the system from arrival until it
-		// failed (its partial report still carries the real sojourn),
-		// so it counts toward in-flight depth and the makespan exactly
-		// as the wall-clock generator's gauge counts errored requests —
-		// only the latency percentiles and energy stay success-only.
-		done := arrivals[i].At + rep.Sojourn
-		out.spans = append(out.spans, Span{Arrive: arrivals[i].At, Done: done})
-		if done > out.makespan {
-			out.makespan = done
-		}
-		var acc *classAcc
-		if mixed {
-			acc = out.classOf(arrivals[i].Class)
-			acc.arrivals++
-		}
-		if err != nil {
-			out.errors++
-			if acc != nil {
-				acc.errors++
-			}
-			if cfg.Log != nil {
-				cfg.Log(fmt.Sprintf("sweep: job %d failed: %v", j.ID(), err))
-			}
-			continue
-		}
-		out.sojourns = append(out.sojourns, rep.Sojourn)
-		q := rep.Sojourn - rep.Span
-		if q < 0 {
-			q = 0
-		}
-		out.queues = append(out.queues, q)
-		out.jobJoules += rep.EnergyJ
-		out.steals += rep.Steals
-		if acc != nil {
-			acc.sojourns = append(acc.sojourns, rep.Sojourn)
-			acc.jobJoules += rep.EnergyJ
-			if t := arrivals[i].Class.SLOTarget; t > 0 && rep.Sojourn <= t {
-				acc.sloMet++
-			}
-		}
-	}
-	// One close, error-checked: the engine must have shut down cleanly
-	// for the machine ledger below to be final.
-	if err := rt.Close(); err != nil {
-		return out, err
-	}
-	out.dropped = rt.EventsDropped()
-	ms, err := rt.MachineStats()
-	if err != nil {
-		return out, err
-	}
-	out.machine = ms
-	return out, nil
-}
-
 // RunPoint measures one grid point: Trials seeded traces (seed,
 // seed+1, …) each replayed on a fresh simulated machine, percentiles
 // pooled over every completed job, energy and counts summed. The
 // result is deterministic in the config.
 func RunPoint(cfg PointConfig) (Point, error) {
-	trials := cfg.Trials
-	if trials < 1 {
-		trials = 1
+	g := grid{
+		workload: cfg.Workload, trace: cfg.Trace, window: cfg.Window,
+		seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers,
+		dispatch: cfg.Dispatch, quantum: cfg.PreemptQuantum,
+		log: cfg.Log,
 	}
-	pt := Point{OfferedRPS: cfg.RPS}
-	var (
-		sojourns, queues []units.Time
-		machineJ         float64
-		machineElapsed   units.Time
-		tierBusy         = map[units.Freq]units.Time{}
-		totalBusy        units.Time
-		steals           int64
-		makespan         units.Time
-		classes          = map[hermes.Class]*classAcc{}
-	)
-	for trial := 0; trial < trials; trial++ {
-		out, err := runTrial(cfg, cfg.Seed+int64(trial))
-		if err != nil {
-			return Point{}, err
-		}
-		for c, acc := range out.classes {
-			pool := classes[c]
-			if pool == nil {
-				pool = &classAcc{}
-				classes[c] = pool
-			}
-			pool.arrivals += acc.arrivals
-			pool.errors += acc.errors
-			pool.sojourns = append(pool.sojourns, acc.sojourns...)
-			pool.jobJoules += acc.jobJoules
-			pool.sloMet += acc.sloMet
-		}
-		pt.Arrivals += out.arrivals
-		pt.Errors += out.errors
-		pt.Completed += int64(len(out.sojourns))
-		pt.DroppedEvents += out.dropped
-		if p := PeakInflight(out.spans); p > pt.PeakInflight {
-			pt.PeakInflight = p
-		}
-		sojourns = append(sojourns, out.sojourns...)
-		queues = append(queues, out.queues...)
-		makespan += out.makespan
-		pt.JoulesPerRequest += out.jobJoules // divided below
-		steals += out.steals
-		machineJ += out.machine.EnergyJ
-		machineElapsed += out.machine.Elapsed
-		totalBusy += out.machine.Busy
-		for f, d := range out.machine.FreqBusy {
-			tierBusy[f] += d
-		}
-	}
-	sortTimes(sojourns)
-	sortTimes(queues)
-	pt.MakespanS = makespan.Seconds()
-	if pt.MakespanS > 0 {
-		pt.ObservedRPS = float64(pt.Completed) / pt.MakespanS
-	}
-	pt.P50SojournMS = pctMS(sojourns, 0.50)
-	pt.P95SojournMS = pctMS(sojourns, 0.95)
-	pt.P99SojournMS = pctMS(sojourns, 0.99)
-	pt.MaxSojournMS = pctMS(sojourns, 1)
-	pt.P50QueueMS = pctMS(queues, 0.50)
-	pt.P95QueueMS = pctMS(queues, 0.95)
-	pt.P99QueueMS = pctMS(queues, 0.99)
-	if pt.Completed > 0 {
-		pt.JoulesPerRequest /= float64(pt.Completed)
-		pt.StealsPerRequest = float64(steals) / float64(pt.Completed)
-	} else {
-		pt.JoulesPerRequest = 0
-	}
-	if s := machineElapsed.Seconds(); s > 0 {
-		pt.AvgPowerW = machineJ / s
-	}
-	freqs := make([]units.Freq, 0, len(tierBusy))
-	for f := range tierBusy {
-		freqs = append(freqs, f)
-	}
-	sort.Slice(freqs, func(i, j int) bool { return freqs[i] > freqs[j] })
-	for _, f := range freqs {
-		tier := Tier{FreqKHz: int64(f), BusyS: tierBusy[f].Seconds()}
-		if totalBusy > 0 {
-			tier.Frac = float64(tierBusy[f]) / float64(totalBusy)
-		}
-		pt.Tiers = append(pt.Tiers, tier)
-	}
-	pt.Classes = classPoints(classes)
-	return pt, nil
+	return g.machinePoint(cfg.Mode, cfg.RPS)
 }
 
-// classPoints folds pooled per-class accumulators into the artifact
-// rows, ordered highest priority first then by tenant — deterministic
-// for a fixed config. Returns nil for unclassed traces so Point.Classes
-// stays omitted from JSON.
-func classPoints(classes map[hermes.Class]*classAcc) []ClassPoint {
-	if len(classes) == 0 {
-		return nil
+// machinePoint measures one rate on a single machine in one tempo mode.
+func (g grid) machinePoint(mode hermes.Mode, rps float64) (Point, error) {
+	f, err := g.point(fleet{mode: mode, machines: 1}, rps)
+	if err != nil {
+		return Point{}, err
 	}
-	keys := make([]hermes.Class, 0, len(classes))
-	for c := range classes {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Priority != b.Priority {
-			return a.Priority > b.Priority
-		}
-		if a.Tenant != b.Tenant {
-			return a.Tenant < b.Tenant
-		}
-		if a.Deadline != b.Deadline {
-			return a.Deadline < b.Deadline
-		}
-		return a.SLOTarget < b.SLOTarget
-	})
-	out := make([]ClassPoint, 0, len(keys))
-	for _, c := range keys {
-		acc := classes[c]
-		sortTimes(acc.sojourns)
-		cp := ClassPoint{
-			Tenant:       c.Tenant,
-			Priority:     c.Priority,
-			Arrivals:     acc.arrivals,
-			Errors:       acc.errors,
-			Completed:    int64(len(acc.sojourns)),
-			P50SojournMS: pctMS(acc.sojourns, 0.50),
-			P95SojournMS: pctMS(acc.sojourns, 0.95),
-			P99SojournMS: pctMS(acc.sojourns, 0.99),
-		}
-		if cp.Completed > 0 {
-			cp.JoulesPerRequest = acc.jobJoules / float64(cp.Completed)
-		}
-		if c.SLOTarget > 0 {
-			target := float64(c.SLOTarget) / float64(units.Millisecond)
-			cp.SLOTargetMS = &target
-			attain := 0.0
-			if cp.Completed > 0 {
-				attain = float64(acc.sloMet) / float64(cp.Completed)
-			}
-			cp.SLOAttainment = &attain
-		}
-		out = append(out, cp)
-	}
-	return out
-}
-
-// sortTimes sorts virtual times ascending.
-func sortTimes(ts []units.Time) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-}
-
-// pctMS returns the p-quantile (0..1, nearest rank) of sorted virtual
-// times in milliseconds at full picosecond resolution — sub-millisecond
-// sim sojourns survive instead of truncating through microseconds.
-func pctMS(sorted []units.Time, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return float64(sorted[idx]) / float64(units.Millisecond)
+	return Point{
+		OfferedRPS:       rps,
+		latency:          f.latency(),
+		JoulesPerRequest: f.perCompleted(f.jobJoules),
+		AvgPowerW:        f.avgPowerW(),
+		StealsPerRequest: f.perCompleted(float64(f.steals)),
+		Tiers:            f.tiers(),
+		Classes:          f.classPoints(),
+	}, nil
 }
 
 // Config describes a whole sweep: the grid plus shared run shape.
@@ -574,12 +305,7 @@ type Curve struct {
 
 // Knee returns the curve's resolved knee rate, reporting false when
 // knee detection could not resolve one (KneeRPS is null).
-func (c Curve) Knee() (float64, bool) {
-	if c.KneeRPS == nil {
-		return 0, false
-	}
-	return *c.KneeRPS, true
-}
+func (c Curve) Knee() (float64, bool) { return kneeOf(c.KneeRPS) }
 
 // Result is the sweep artifact: one curve per tempo mode over the
 // shared rate grid. It marshals deterministically for a fixed config.
@@ -606,91 +332,47 @@ type Result struct {
 
 // Run executes the whole grid and assembles the artifact.
 func Run(cfg Config) (Result, error) {
-	spec, err := cfg.Workload.Validate()
+	g, err := grid{
+		workload: cfg.Workload, trace: cfg.Trace, rates: cfg.RatesRPS, window: cfg.Window,
+		seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers, kneeFactor: cfg.KneeFactor,
+		dispatch: cfg.Dispatch, quantum: cfg.PreemptQuantum,
+		log: cfg.Log,
+	}.validate()
 	if err != nil {
 		return Result{}, err
-	}
-	cfg.Workload = spec
-	if _, err := trace.Resolve(cfg.Trace); err != nil {
-		return Result{}, err
-	}
-	dispatch, err := hermes.ParseDispatch(cfg.Dispatch)
-	if err != nil {
-		return Result{}, err
-	}
-	if cfg.PreemptQuantum < 0 {
-		return Result{}, fmt.Errorf("sweep: preempt quantum must be non-negative, got %v", cfg.PreemptQuantum)
 	}
 	if len(cfg.Modes) == 0 {
 		return Result{}, fmt.Errorf("sweep: no tempo modes given")
 	}
-	if len(cfg.RatesRPS) == 0 {
-		return Result{}, fmt.Errorf("sweep: no arrival rates given")
-	}
-	rates := append([]float64(nil), cfg.RatesRPS...)
-	sort.Float64s(rates)
-	for _, r := range rates {
-		if r <= 0 {
-			return Result{}, fmt.Errorf("sweep: rates must be positive, got %g", r)
-		}
-	}
-	if cfg.Window <= 0 {
-		return Result{}, fmt.Errorf("sweep: window must be positive, got %v", cfg.Window)
-	}
-	trials := cfg.Trials
-	if trials < 1 {
-		trials = 1
-	}
-	factor := cfg.KneeFactor
-	if factor == 0 {
-		factor = DefaultKneeFactor
-	}
-	if factor < 0 {
-		return Result{}, fmt.Errorf("sweep: knee factor must be positive, got %g", factor)
-	}
 	res := Result{
-		Workload:   cfg.Workload,
-		Trace:      trace.Canonical(cfg.Trace),
-		RatesRPS:   rates,
-		WindowS:    cfg.Window.Seconds(),
-		Seed:       cfg.Seed,
-		Trials:     trials,
-		Workers:    cfg.Workers,
-		KneeFactor: factor,
-		Dispatch:   CanonicalDispatch(dispatch),
-	}
-	if cfg.PreemptQuantum > 0 {
-		res.PreemptQuantumMS = float64(cfg.PreemptQuantum) / float64(time.Millisecond)
+		Workload:         g.workload,
+		Trace:            trace.Canonical(g.trace),
+		RatesRPS:         g.rates,
+		WindowS:          g.window.Seconds(),
+		Seed:             g.seed,
+		Trials:           g.trials,
+		Workers:          g.workers,
+		KneeFactor:       g.kneeFactor,
+		Dispatch:         g.canonicalDispatch(),
+		PreemptQuantumMS: g.quantumMS(),
 	}
 	for _, mode := range cfg.Modes {
 		curve := Curve{Mode: mode.String()}
 		var p99s []float64
-		for _, rate := range rates {
-			pt, err := RunPoint(PointConfig{
-				Workload:       cfg.Workload,
-				Trace:          cfg.Trace,
-				Mode:           mode,
-				RPS:            rate,
-				Window:         cfg.Window,
-				Seed:           cfg.Seed,
-				Trials:         trials,
-				Workers:        cfg.Workers,
-				Dispatch:       cfg.Dispatch,
-				PreemptQuantum: cfg.PreemptQuantum,
-				Log:            cfg.Log,
-			})
+		for _, rate := range g.rates {
+			pt, err := g.machinePoint(mode, rate)
 			if err != nil {
 				return Result{}, fmt.Errorf("sweep: %s @ %g rps: %w", mode, rate, err)
 			}
 			curve.Points = append(curve.Points, pt)
 			p99s = append(p99s, pt.P99SojournMS)
-			if cfg.Log != nil {
-				cfg.Log(fmt.Sprintf("sweep %s %s @ %g rps: p50=%.3fms p99=%.3fms J/req=%.4f peak=%d",
-					cfg.Workload.Kind, mode, rate, pt.P50SojournMS, pt.P99SojournMS, pt.JoulesPerRequest, pt.PeakInflight))
+			if g.log != nil {
+				g.log(fmt.Sprintf("sweep %s %s @ %g rps: p50=%.3fms p99=%.3fms J/req=%.4f peak=%d",
+					g.workload.Kind, mode, rate, pt.P50SojournMS, pt.P99SojournMS, pt.JoulesPerRequest, pt.PeakInflight))
 			}
 		}
 		curve.UnloadedP50MS = curve.Points[0].P50SojournMS
-		curve.KneeRPS, curve.KneeReason = DetectKnee(rates, p99s, curve.UnloadedP50MS, factor)
+		curve.KneeRPS, curve.KneeReason = DetectKnee(g.rates, p99s, curve.UnloadedP50MS, g.kneeFactor)
 		res.Curves = append(res.Curves, curve)
 	}
 	return res, nil
@@ -707,6 +389,14 @@ func CanonicalDispatch(d hermes.Dispatch) string {
 	return d.String()
 }
 
+// kneeOf unpacks a curve's nullable knee.
+func kneeOf(k *float64) (float64, bool) {
+	if k == nil {
+		return 0, false
+	}
+	return *k, true
+}
+
 // kneeCSV renders a curve's knee for a CSV cell: the rate, or empty
 // when no knee resolved (never a synthetic 0).
 func kneeCSV(k *float64) string {
@@ -716,13 +406,57 @@ func kneeCSV(k *float64) string {
 	return fmt.Sprintf("%g", *k)
 }
 
+// kneeNote renders the parenthesis that heads a curve's table: the
+// unloaded p50 and where, if anywhere, the curve kneed.
+func kneeNote(unloadedP50MS float64, knee *float64, factor float64, rates []float64) string {
+	if k, ok := kneeOf(knee); ok {
+		return fmt.Sprintf("(unloaded p50 %.3fms, knee @ %g rps ×%g)", unloadedP50MS, k, factor)
+	}
+	return fmt.Sprintf("(unloaded p50 %.3fms, no knee ≤ %g rps)", unloadedP50MS, rates[len(rates)-1])
+}
+
+// latencyCSV renders the cells every flat sweep row shares, between its
+// key columns and its energy columns.
+func (l latency) latencyCSV() string {
+	return fmt.Sprintf("%d,%d,%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f",
+		l.Arrivals, l.Completed, l.Errors, l.PeakInflight, l.ObservedRPS,
+		l.P50SojournMS, l.P95SojournMS, l.P99SojournMS, l.MaxSojournMS,
+		l.P50QueueMS, l.P95QueueMS, l.P99QueueMS)
+}
+
+const (
+	latencyCSVHeader = "arrivals,completed,errors,peak_inflight,observed_rps," +
+		"p50_sojourn_ms,p95_sojourn_ms,p99_sojourn_ms,max_sojourn_ms," +
+		"p50_queue_ms,p95_queue_ms,p99_queue_ms,"
+	classCSVHeader = "tenant,priority,arrivals,completed,errors," +
+		"p50_sojourn_ms,p95_sojourn_ms,p99_sojourn_ms," +
+		"slo_target_ms,slo_attainment,joules_per_request\n"
+)
+
+// classRows renders one point's per-class rows, each behind the point's
+// key columns.
+func classRows(b *strings.Builder, key string, classes []ClassPoint) {
+	for _, cp := range classes {
+		target, attain := "", ""
+		if cp.SLOTargetMS != nil {
+			target = fmt.Sprintf("%g", *cp.SLOTargetMS)
+		}
+		if cp.SLOAttainment != nil {
+			attain = fmt.Sprintf("%.6f", *cp.SLOAttainment)
+		}
+		fmt.Fprintf(b, "%s,%s,%d,%d,%d,%d,%.6f,%.6f,%.6f,%s,%s,%.8f\n",
+			key, cp.Tenant, cp.Priority,
+			cp.Arrivals, cp.Completed, cp.Errors,
+			cp.P50SojournMS, cp.P95SojournMS, cp.P99SojournMS,
+			target, attain, cp.JoulesPerRequest)
+	}
+}
+
 // CSV renders the sweep flat, one row per (mode, rate) point, with the
 // tier residency packed as freqkHz:frac pairs.
 func (r Result) CSV() string {
 	var b strings.Builder
-	b.WriteString("mode,offered_rps,arrivals,completed,errors,peak_inflight,observed_rps," +
-		"p50_sojourn_ms,p95_sojourn_ms,p99_sojourn_ms,max_sojourn_ms," +
-		"p50_queue_ms,p95_queue_ms,p99_queue_ms," +
+	b.WriteString("mode,offered_rps," + latencyCSVHeader +
 		"joules_per_request,avg_power_w,steals_per_request,knee_rps,tier_residency\n")
 	for _, c := range r.Curves {
 		for _, p := range c.Points {
@@ -730,10 +464,8 @@ func (r Result) CSV() string {
 			for i, t := range p.Tiers {
 				tiers[i] = fmt.Sprintf("%d:%.6f", t.FreqKHz, t.Frac)
 			}
-			fmt.Fprintf(&b, "%s,%g,%d,%d,%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.8f,%.6f,%.6f,%s,%s\n",
-				c.Mode, p.OfferedRPS, p.Arrivals, p.Completed, p.Errors, p.PeakInflight, p.ObservedRPS,
-				p.P50SojournMS, p.P95SojournMS, p.P99SojournMS, p.MaxSojournMS,
-				p.P50QueueMS, p.P95QueueMS, p.P99QueueMS,
+			fmt.Fprintf(&b, "%s,%g,%s,%.8f,%.6f,%.6f,%s,%s\n",
+				c.Mode, p.OfferedRPS, p.latencyCSV(),
 				p.JoulesPerRequest, p.AvgPowerW, p.StealsPerRequest, kneeCSV(c.KneeRPS),
 				strings.Join(tiers, ";"))
 		}
@@ -743,47 +475,22 @@ func (r Result) CSV() string {
 
 // Classed reports whether any point in the result carries per-class
 // rows — true only for mixed traces.
-func (r Result) Classed() bool {
-	for _, c := range r.Curves {
-		for _, p := range c.Points {
-			if len(p.Classes) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
+func (r Result) Classed() bool { return r.ClassCSV() != "" }
 
 // ClassCSV renders the per-class breakdown flat, one row per
 // (mode, rate, class). Empty string when the result has no class rows,
 // so callers can skip the file entirely for unclassed traces.
 func (r Result) ClassCSV() string {
-	if !r.Classed() {
-		return ""
-	}
 	var b strings.Builder
-	b.WriteString("mode,offered_rps,tenant,priority,arrivals,completed,errors," +
-		"p50_sojourn_ms,p95_sojourn_ms,p99_sojourn_ms," +
-		"slo_target_ms,slo_attainment,joules_per_request\n")
 	for _, c := range r.Curves {
 		for _, p := range c.Points {
-			for _, cp := range p.Classes {
-				target, attain := "", ""
-				if cp.SLOTargetMS != nil {
-					target = fmt.Sprintf("%g", *cp.SLOTargetMS)
-				}
-				if cp.SLOAttainment != nil {
-					attain = fmt.Sprintf("%.6f", *cp.SLOAttainment)
-				}
-				fmt.Fprintf(&b, "%s,%g,%s,%d,%d,%d,%d,%.6f,%.6f,%.6f,%s,%s,%.8f\n",
-					c.Mode, p.OfferedRPS, cp.Tenant, cp.Priority,
-					cp.Arrivals, cp.Completed, cp.Errors,
-					cp.P50SojournMS, cp.P95SojournMS, cp.P99SojournMS,
-					target, attain, cp.JoulesPerRequest)
-			}
+			classRows(&b, fmt.Sprintf("%s,%g", c.Mode, p.OfferedRPS), p.Classes)
 		}
 	}
-	return b.String()
+	if b.Len() == 0 {
+		return ""
+	}
+	return "mode,offered_rps," + classCSVHeader + b.String()
 }
 
 // String renders the sweep as one compact table per mode.
@@ -792,13 +499,7 @@ func (r Result) String() string {
 	fmt.Fprintf(&b, "open-system sweep: %s, window=%.3gs, seed=%d, trials=%d, workers=%d\n",
 		r.Workload, r.WindowS, r.Seed, r.Trials, r.Workers)
 	for _, c := range r.Curves {
-		fmt.Fprintf(&b, "mode %s (unloaded p50 %.3fms", c.Mode, c.UnloadedP50MS)
-		if k, ok := c.Knee(); ok {
-			fmt.Fprintf(&b, ", knee @ %g rps ×%g", k, r.KneeFactor)
-		} else {
-			fmt.Fprintf(&b, ", no knee ≤ %g rps", r.RatesRPS[len(r.RatesRPS)-1])
-		}
-		b.WriteString(")\n")
+		fmt.Fprintf(&b, "mode %s %s\n", c.Mode, kneeNote(c.UnloadedP50MS, c.KneeRPS, r.KneeFactor, r.RatesRPS))
 		b.WriteString("  rps      p50ms    p99ms    queue99  J/req    avgW     steals/req  peak\n")
 		for _, p := range c.Points {
 			fmt.Fprintf(&b, "  %-8g %-8.3f %-8.3f %-8.3f %-8.4f %-8.2f %-11.3f %d\n",

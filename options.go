@@ -1,9 +1,11 @@
 package hermes
 
 import (
+	"errors"
 	"fmt"
 
 	"hermes/internal/cpu"
+	"hermes/internal/obs"
 )
 
 // settings accumulates option values before validation.
@@ -23,6 +25,35 @@ type settings struct {
 	retryBudget  int
 	retryBackoff Time
 	retrySet     bool
+}
+
+// gather applies opts in order, skipping nil ones.
+func gather(opts []Option) (settings, error) {
+	var s settings
+	for _, o := range opts {
+		if o == nil {
+			continue
+		}
+		if err := o(&s); err != nil {
+			return s, err
+		}
+	}
+	return s, nil
+}
+
+// startSink starts the asynchronous observer sink WithAsyncObserver
+// asked for and installs it as the configuration's observer; nil when
+// events flow synchronously. The caller owns the sink and must Close it.
+func (s *settings) startSink() (*obs.Async, error) {
+	if s.asyncObs == nil {
+		return nil, nil
+	}
+	if s.cfg.Observer != nil {
+		return nil, errors.New("hermes: WithObserver and WithAsyncObserver are mutually exclusive")
+	}
+	sink := obs.NewAsync(s.asyncObs, s.asyncBuf)
+	s.cfg.Observer = sink
+	return sink, nil
 }
 
 // Option configures a Runtime under construction. Options that can
@@ -308,6 +339,18 @@ type submitSettings struct {
 
 // SubmitOption stamps per-job attributes on one Submit call.
 type SubmitOption func(*submitSettings)
+
+// submitClass folds opts into the job's validated service class; no
+// options give the zero class.
+func submitClass(opts []SubmitOption) (Class, error) {
+	var so submitSettings
+	for _, o := range opts {
+		if o != nil {
+			o(&so)
+		}
+	}
+	return so.class, so.class.Validate()
+}
 
 // WithClass sets the submitted job's service class: the tenant label
 // and priority that ranked dispatch policies, priority-aware load

@@ -152,25 +152,16 @@ type Runtime struct {
 // domain, baseline mode — the same defaults as the package-level Run.
 // Invalid configurations return errors (never panics).
 func New(opts ...Option) (*Runtime, error) {
-	var s settings
-	for _, o := range opts {
-		if o == nil {
-			continue
-		}
-		if err := o(&s); err != nil {
-			return nil, err
-		}
+	s, err := gather(opts)
+	if err != nil {
+		return nil, err
 	}
 	if s.machines != 0 || s.placement != nil || s.faultsSet || s.retrySet {
 		return nil, errors.New("hermes: WithMachines, WithPlacement, WithFaults and WithRetryPolicy apply to NewCluster, not New")
 	}
-	var sink *obs.Async
-	if s.asyncObs != nil {
-		if s.cfg.Observer != nil {
-			return nil, errors.New("hermes: WithObserver and WithAsyncObserver are mutually exclusive")
-		}
-		sink = obs.NewAsync(s.asyncObs, s.asyncBuf)
-		s.cfg.Observer = sink
+	sink, err := s.startSink()
+	if err != nil {
+		return nil, err
 	}
 	// fail releases the sink's consumer goroutine on any constructor
 	// error after it has been started.
@@ -260,16 +251,11 @@ func (r *Runtime) Backend() Backend { return r.backend }
 // carries. No options submits the zero class — exactly the
 // pre-class behaviour.
 func (r *Runtime) Submit(ctx context.Context, root Task, opts ...SubmitOption) (*Job, error) {
-	var so submitSettings
-	for _, o := range opts {
-		if o != nil {
-			o(&so)
-		}
-	}
-	if err := so.class.Validate(); err != nil {
+	class, err := submitClass(opts)
+	if err != nil {
 		return nil, err
 	}
-	j, err := r.exec.Submit(ctx, root, so.class)
+	j, err := r.exec.Submit(ctx, root, class)
 	switch {
 	case errors.Is(err, rt.ErrClosed):
 		err = ErrClosed
@@ -304,7 +290,7 @@ func (r *Runtime) SubmitTrace(ctx context.Context, arrivals []Arrival) ([]*Job, 
 	if !ok {
 		return nil, fmt.Errorf("hermes: SubmitTrace needs the Sim backend (runtime is %v)", r.backend)
 	}
-	return se.SubmitTrace(ctx, arrivals)
+	return se.submit(ctx, arrivals)
 }
 
 // MachineStats returns the simulated machine's totals over the
@@ -370,45 +356,35 @@ func (n nativeExec) Submit(ctx context.Context, root Task, class Class) (*Job, e
 
 // --- simulator backend ----------------------------------------------
 
-// simExec serves jobs through the persistent discrete-event pool
-// (core.Pool): concurrently submitted jobs share the simulated
-// machine's workers, deques, tempo controller and DVFS state as
-// virtual-time arrivals, with per-job reports carrying virtual sojourn
-// and worker-time-weighted energy attribution. Determinism holds per
-// arrival trace: a fixed config, seed and set of (virtual arrival
-// time, job) pairs reproduces byte-identical reports — SubmitTrace
-// fixes the arrival times explicitly; plain Submit assigns "now",
-// which depends on wall-clock submission timing.
-type simExec struct {
-	pool *core.Pool
+// simDriver is the one path from the public API into the simulator,
+// shared by a Runtime's Sim backend (a core.Pool) and a Cluster (a
+// core.Cluster): it assigns job ids, turns arrivals into
+// core.JobRequests wired to their Job handles and to ctx, maps core's
+// sentinel errors onto this package's, and rolls the ids back when the
+// engine refuses a batch. It is an Executor as it stands.
+type simDriver struct {
+	eng interface {
+		Submit(...core.JobRequest) error
+		Close() error
+	}
 
 	mu     sync.Mutex
 	nextID int64
 }
 
-func newSimExec(cfg core.Config) (*simExec, error) {
-	pool, err := core.NewPool(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &simExec{pool: pool}, nil
-}
-
-func (e *simExec) Submit(ctx context.Context, root Task, class Class) (*Job, error) {
-	jobs, err := e.submit(ctx, []Arrival{{At: -1, Task: root, Class: class}})
+// Submit enqueues root to arrive on receipt, at the engine's current
+// virtual time.
+func (d *simDriver) Submit(ctx context.Context, root Task, class Class) (*Job, error) {
+	jobs, err := d.submit(ctx, []Arrival{{At: -1, Task: root, Class: class}})
 	if err != nil {
 		return nil, err
 	}
 	return jobs[0], nil
 }
 
-// SubmitTrace schedules a batch of jobs at explicit virtual arrival
-// times, atomically: the whole trace enters the engine in one step.
-func (e *simExec) SubmitTrace(ctx context.Context, arrivals []Arrival) ([]*Job, error) {
-	return e.submit(ctx, arrivals)
-}
-
-func (e *simExec) submit(ctx context.Context, arrivals []Arrival) ([]*Job, error) {
+// submit schedules a batch of jobs at explicit virtual arrival times,
+// atomically: the whole trace enters the engine in one step.
+func (d *simDriver) submit(ctx context.Context, arrivals []Arrival) ([]*Job, error) {
 	for _, a := range arrivals {
 		if a.Task == nil {
 			return nil, ErrNilTask
@@ -419,15 +395,15 @@ func (e *simExec) submit(ctx context.Context, arrivals []Arrival) ([]*Job, error
 	}
 	jobs := make([]*Job, len(arrivals))
 	reqs := make([]core.JobRequest, len(arrivals))
-	// Id assignment and the pool handoff share e.mu so a failed
+	// Id assignment and the engine handoff share d.mu so a failed
 	// submission can roll its ids back: job ids stay gapless, which
 	// lets id-watermark consumers (hermes-serve's pruned detection)
 	// trust that every id at or below the watermark really ran.
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for i, a := range arrivals {
-		e.nextID++
-		j := job.New(e.nextID)
+		d.nextID++
+		j := job.New(d.nextID)
 		jobs[i] = j
 		reqs[i] = core.JobRequest{
 			ID:        j.ID(),
@@ -443,7 +419,7 @@ func (e *simExec) submit(ctx context.Context, arrivals []Arrival) ([]*Job, error
 			},
 		}
 	}
-	err := e.pool.Submit(reqs...)
+	err := d.eng.Submit(reqs...)
 	switch {
 	case errors.Is(err, core.ErrPoolClosed):
 		err = ErrClosed
@@ -451,10 +427,32 @@ func (e *simExec) submit(ctx context.Context, arrivals []Arrival) ([]*Job, error
 		err = ErrNilTask
 	}
 	if err != nil {
-		e.nextID -= int64(len(arrivals))
+		d.nextID -= int64(len(arrivals))
 		return nil, err
 	}
 	return jobs, nil
 }
 
-func (e *simExec) Close() error { return e.pool.Close() }
+func (d *simDriver) Close() error { return d.eng.Close() }
+
+// simExec is a Runtime's Sim backend: the driver over the persistent
+// discrete-event pool (core.Pool). Concurrently submitted jobs share
+// the simulated machine's workers, deques, tempo controller and DVFS
+// state as virtual-time arrivals, with per-job reports carrying virtual
+// sojourn and worker-time-weighted energy attribution. Determinism
+// holds per arrival trace: a fixed config, seed and set of (virtual
+// arrival time, job) pairs reproduces byte-identical reports —
+// SubmitTrace fixes the arrival times explicitly; plain Submit assigns
+// "now", which depends on wall-clock submission timing.
+type simExec struct {
+	simDriver
+	pool *core.Pool
+}
+
+func newSimExec(cfg core.Config) (*simExec, error) {
+	pool, err := core.NewPool(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &simExec{simDriver: simDriver{eng: pool}, pool: pool}, nil
+}
