@@ -52,8 +52,8 @@ type loadOpts struct {
 	Verbose  bool
 }
 
-// loadSummary is the run's JSON result — the artifact CI records for
-// the perf trajectory.
+// loadSummary is the run's JSON result — the artifact CI's bench and
+// sim-load jobs upload.
 type loadSummary struct {
 	Target   string        `json:"target"`
 	Workload workload.Spec `json:"workload"`

@@ -36,17 +36,10 @@
 //	hermes-bench -sweep -workload ticks -rates 50,100,200,400 \
 //	    -modes baseline,unified -duration 500ms -seed 7 -workers 4 \
 //	    -json SWEEP_sim.json -csv out/
-//
-// Trajectory mode (-trajectory) snapshots the Native hot path for the
-// cross-PR perf record: spawn/join and fib tasks/sec with allocation
-// rates, deque micro-numbers (THE vs Chase–Lev), and joules/request
-// from the fixed deterministic sim load. CI uploads the JSON as
-// BENCH_native.json so future PRs can diff it:
-//
-//	hermes-bench -trajectory -json BENCH_native.json
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -71,14 +64,13 @@ func main() {
 		csvDir  = flag.String("csv", "", "directory to write per-figure CSV files")
 		verbose = flag.Bool("v", false, "log each run")
 
-		load       = flag.Bool("load", false, "run the open-loop Poisson load generator instead of figures")
-		trajectory = flag.Bool("trajectory", false, "run the hot-path perf-trajectory snapshot (BENCH_native.json)")
-		sweepMode  = flag.Bool("sweep", false, "run the open-system (mode × rate) sweep on the Sim backend")
-		rates      = flag.String("rates", "25,50,100,200", "sweep: comma-separated offered-load grid, requests/second")
-		modes      = flag.String("modes", "baseline,unified", "sweep: comma-separated tempo modes")
-		machines   = flag.String("machines", "", "sweep: comma-separated fleet sizes; non-empty selects the cluster sweep (one -modes entry)")
-		placement  = flag.String("placement", "p2c", "cluster sweep: comma-separated placement policies (random, jsq, p2c/p<k>c, gossip)")
-		faults     = flag.String("faults", "",
+		load      = flag.Bool("load", false, "run the open-loop Poisson load generator instead of figures")
+		sweepMode = flag.Bool("sweep", false, "run the open-system (mode × rate) sweep on the Sim backend")
+		rates     = flag.String("rates", "25,50,100,200", "sweep: comma-separated offered-load grid, requests/second")
+		modes     = flag.String("modes", "baseline,unified", "sweep: comma-separated tempo modes")
+		machines  = flag.String("machines", "", "sweep: comma-separated fleet sizes; non-empty selects the cluster sweep (one -modes entry)")
+		placement = flag.String("placement", "p2c", "cluster sweep: comma-separated placement policies (random, jsq, p2c/p<k>c, gossip)")
+		faults    = flag.String("faults", "",
 			"cluster sweep: comma-separated fault plans ("+strings.Join(fault.Names(), ", ")+"; empty = fault-free)")
 		kneeFactor = flag.Float64("kneefactor", sweep.DefaultKneeFactor, "sweep: knee threshold as a multiple of the unloaded p50 sojourn")
 		dispatch   = flag.String("dispatch", "",
@@ -105,22 +97,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if *trajectory {
-		sum, err := runTrajectory(*verbose)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trajectory: spawn/join %.0f tasks/s (%.2f B/op, %.4f allocs/op), "+
-			"fib %.0f tasks/s, deque push/pop the=%.1fns chaselev=%.1fns, sim %.4f J/req\n",
-			sum.SpawnJoin.TasksPerSec, sum.SpawnJoin.BytesPerOp, sum.SpawnJoin.AllocsPerOp,
-			sum.Fib.TasksPerSec, sum.DequePushPopNs.THE, sum.DequePushPopNs.ChaseLev,
-			sum.SimLoad.JoulesPerRequest)
-		if err := writeJSON(sum, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if err := checkModes(*load, *sweepMode, flag.Args()); err != nil {
+		fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	if *sweepMode {
@@ -222,4 +202,18 @@ func main() {
 			}
 		}
 	}
+}
+
+// checkModes rejects a command line that names more than one mode
+// (figures is the mode with neither flag) or carries positional
+// arguments: flag parsing stops at the first one, so "fig 6" would
+// otherwise drop the number and regenerate every figure.
+func checkModes(load, sweep bool, args []string) error {
+	if load && sweep {
+		return errors.New("-load and -sweep are separate modes; pass one")
+	}
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected argument %q (flags start with a dash, e.g. -fig 6)", args[0])
+	}
+	return nil
 }

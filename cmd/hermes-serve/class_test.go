@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// TestSubmitClassEchoed covers the classed submit path: tenant and
+// TestClassedSubmitEchoed covers the classed submit path: tenant and
 // priority ride the POST body, are echoed on acceptance and in the
 // job's status, and label the metrics series; unclassed submissions
 // keep their pre-tenancy response shape.
-func TestSubmitClassEchoed(t *testing.T) {
+func TestClassedSubmitEchoed(t *testing.T) {
 	ts, _ := newTestServer(t, 8, 1<<12)
 
 	id, code := postJob(t, ts.URL, `{"workload":"ticks","n":4,"grain":4,"work":100000,"tenant":"acme","priority":2}`)

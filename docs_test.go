@@ -139,3 +139,30 @@ func TestDocsRelativeLinks(t *testing.T) {
 		t.Fatal("no relative links found in any markdown file — link regex broken?")
 	}
 }
+
+// repoPath matches a repo-relative path under cmd/, internal/ or
+// examples/ wherever a document names one: a back-ticked package, a
+// `go run ./cmd/...` line in a fence, a row of a package table.
+var repoPath = regexp.MustCompile(`\b(?:cmd|internal|examples)/[\w-]+(?:[./][\w-]+)*`)
+
+// TestDocsNamedPathsExist fails when a document names a package,
+// command or file that is not on disk — how the docs learn that a
+// binary or package they teach has been deleted or moved.
+func TestDocsNamedPathsExist(t *testing.T) {
+	checked := 0
+	for _, doc := range append(docFiles, ".claude/skills/verify/SKILL.md") {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		for _, p := range repoPath.FindAllString(string(data), -1) {
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("%s names %q, which does not exist", doc, p)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no repo paths found in any document — path regex broken?")
+	}
+}

@@ -123,19 +123,6 @@ const (
 	DispatchEDF = core.DispatchEDF
 )
 
-// DequeKind selects the work-stealing deque implementation.
-type DequeKind = core.DequeKind
-
-// Deque implementations (Config.Deque, WithDeque).
-const (
-	// DequeAuto picks per backend: Chase–Lev on Native, THE on Sim.
-	DequeAuto = core.DequeAuto
-	// DequeTHE is the paper's THE protocol (mutex on every steal).
-	DequeTHE = core.DequeTHE
-	// DequeChaseLev is the lock-free Chase–Lev deque.
-	DequeChaseLev = core.DequeChaseLev
-)
-
 // Time and work units.
 type (
 	// Time is virtual time in picoseconds.

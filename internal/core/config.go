@@ -45,39 +45,6 @@ func (m Mode) Workpath() bool { return m == WorkpathOnly || m == Unified }
 // Workload reports whether the deque-size strategy is active.
 func (m Mode) Workload() bool { return m == WorkloadOnly || m == Unified }
 
-// DequeKind selects the work-stealing deque implementation behind the
-// scheduler's per-worker queues.
-type DequeKind uint8
-
-const (
-	// DequeAuto picks the backend's preferred implementation: the
-	// lock-free Chase–Lev deque on the Native backend (real thieves
-	// contend, so the steal path must not serialize the pool) and the
-	// THE-protocol deque on the Sim backend (the paper-fidelity
-	// measurement instrument, where overheads are modeled rather than
-	// paid).
-	DequeAuto DequeKind = iota
-	// DequeTHE forces the THE-protocol deque of the paper's Figure 2:
-	// optimistic owner operations, a mutex on every steal.
-	DequeTHE
-	// DequeChaseLev forces the lock-free Chase–Lev deque: atomic
-	// top/bottom indices, a CAS only on steals and the owner's
-	// last-item race.
-	DequeChaseLev
-)
-
-func (k DequeKind) String() string {
-	switch k {
-	case DequeAuto:
-		return "auto"
-	case DequeTHE:
-		return "the"
-	case DequeChaseLev:
-		return "chaselev"
-	}
-	return "invalid"
-}
-
 // Scheduling selects the worker-core mapping policy of Section 3.4.
 type Scheduling uint8
 
@@ -124,10 +91,6 @@ type Config struct {
 	InitialAvgDeque float64
 	// Scheduling selects static or dynamic worker-core mapping.
 	Scheduling Scheduling
-	// Deque selects the work-stealing deque implementation. The
-	// default (DequeAuto) picks Chase–Lev on the Native backend and
-	// THE on Sim; DequeTHE and DequeChaseLev force one.
-	Deque DequeKind
 	// Seed drives every random choice (victim selection). Identical
 	// configs and seeds produce bit-identical runs.
 	Seed int64
@@ -165,14 +128,6 @@ type Config struct {
 	// it cannot influence scheduling, so a fixed config and seed stay
 	// deterministic with or without it.
 	Observer obs.Observer
-	// Cancelled, if non-nil, is polled at spawn and task-execution
-	// boundaries by the simulator. Once it reports true the scheduler
-	// stops executing task bodies and drains the remaining fork-join
-	// structure, so a run under a cancelled context completes quickly.
-	// Runs that are never cancelled are unaffected. Simulator-only:
-	// the real-concurrency executor (internal/rt) cancels per job
-	// through the Submit context instead and ignores this hook.
-	Cancelled func() bool
 }
 
 // withDefaults fills in zero fields and validates the configuration,
@@ -205,9 +160,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.Scheduling > Dynamic {
 		return c, fmt.Errorf("core: invalid scheduling policy %d", c.Scheduling)
-	}
-	if c.Deque > DequeChaseLev {
-		return c, fmt.Errorf("core: invalid deque kind %d", c.Deque)
 	}
 	if c.Dispatch > DispatchEDF {
 		return c, fmt.Errorf("core: invalid dispatch policy %d", c.Dispatch)

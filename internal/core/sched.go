@@ -203,19 +203,15 @@ func (s *sched) touch() {
 	}
 }
 
-// cancelled reports whether the run's cancellation hook has fired.
-func (s *sched) cancelled() bool {
-	return s.cfg.Cancelled != nil && s.cfg.Cancelled()
-}
-
-// taskCancelled reports whether work for job j must be skipped: the
-// run-wide hook for the single-shot path (j == nil), the job's own
-// failure or cancellation state in pool mode. A positive per-job poll
-// records that cancellation genuinely interrupted the job, so late
-// cancellations of already-finished work still report success.
+// taskCancelled reports whether work for job j must be skipped: never
+// on the single-shot path (j == nil), which has no cancellation; the
+// job's own failure or cancellation state in pool mode. A positive
+// per-job poll records that cancellation genuinely interrupted the
+// job, so late cancellations of already-finished work still report
+// success.
 func (s *sched) taskCancelled(j *jobRun) bool {
 	if j == nil {
-		return s.cancelled()
+		return false
 	}
 	if j.failErr != nil {
 		return true

@@ -39,7 +39,10 @@ type worker struct {
 	s    *sched
 	id   int
 	core *cpu.Core
-	dq   deque.Queue[*task]
+	// dq is the paper's THE deque: the simulator is the measurement
+	// instrument, deque overheads are modeled (PushPopCost, StealCost)
+	// rather than paid, and the single-threaded engine never contends.
+	dq   *deque.Deque[*task]
 	proc *sim.Proc
 	rng  *rand.Rand
 
@@ -84,27 +87,12 @@ func newWorker(s *sched, id int, c *cpu.Core) *worker {
 		s:    s,
 		id:   id,
 		core: c,
-		dq:   newDeque(s.cfg.Deque),
+		dq:   deque.New[*task](64),
 		rng:  rand.New(rand.NewSource(s.cfg.Seed*1_000_003 + int64(id))),
 		th:   tempo.NewThresholds(s.cfg.K, s.cfg.InitialAvgDeque),
 	}
 	w.node.Val = w
 	return w
-}
-
-// newDeque instantiates the configured deque implementation. The Sim
-// backend's DequeAuto choice is THE: the simulator is the paper's
-// measurement instrument, deque overheads are modeled (PushPopCost,
-// StealCost) rather than paid, and the single-threaded engine never
-// contends — so fidelity wins over concurrency here. Forcing
-// DequeChaseLev is still useful to pin that both implementations
-// produce identical schedules under the engine's deterministic
-// interleaving.
-func newDeque(kind DequeKind) deque.Queue[*task] {
-	if kind == DequeChaseLev {
-		return deque.NewChaseLev[task](64)
-	}
-	return deque.New[*task](64)
 }
 
 func (w *worker) name() string { return fmt.Sprintf("%sworker%d", w.s.tag, w.id) }

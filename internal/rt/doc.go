@@ -15,10 +15,11 @@
 // wall-clock time.
 //
 // The task-boundary hot path is lock-free and allocation-free in
-// steady state. The deque defaults to the Chase–Lev implementation
-// (CAS only on steals and the owner's last-item race; core.DequeTHE
-// selects the paper-fidelity THE protocol instead); tasks and
-// fork-join blocks come from per-worker free lists; and accounting
+// steady state. The deque is the Chase–Lev implementation (CAS only on
+// steals and the owner's last-item race: real thieves contend, so the
+// steal path must not serialize the pool the way the simulator's
+// paper-fidelity THE protocol would); tasks and fork-join blocks come
+// from per-worker free lists; and accounting
 // never takes a global lock — each worker publishes its (state, freq,
 // since) in a packed atomic word and accumulates an exact per-worker
 // residency matrix (see acct.go), from which readers fold machine
@@ -42,7 +43,6 @@
 // decides races, exactly as on the paper's machines. The sim-only
 // Config knobs are ignored here: the overheads (StealCost,
 // PushPopCost, yield spins, AffinityCost) because real locks and
-// syscalls cost what they cost, the Cancelled hook because rt cancels
-// per job through the Submit context, and Scheduling because workers
-// are always statically pinned (reports are normalized to Static).
+// syscalls cost what they cost, and Scheduling because workers are
+// always statically pinned (reports are normalized to Static).
 package rt

@@ -155,7 +155,7 @@ type poolSnap struct {
 type worker struct {
 	e   *Exec
 	id  int
-	dq  deque.Queue[*task]
+	dq  *deque.ChaseLev[task]
 	rng rngState
 
 	node    tempo.Node[*worker]
@@ -269,16 +269,6 @@ type Exec struct {
 // nowNS is the executor's monotonic clock: nanoseconds since start.
 func (e *Exec) nowNS() int64 { return time.Since(e.start).Nanoseconds() }
 
-// newDeque instantiates the configured deque implementation;
-// DequeAuto resolves to Chase–Lev here (real thieves contend, so the
-// steal path must not serialize the pool).
-func newDeque(kind core.DequeKind) deque.Queue[*task] {
-	if kind == core.DequeTHE {
-		return deque.New[*task](64)
-	}
-	return deque.NewChaseLev[task](64)
-}
-
 // NewExec validates cfg, starts the worker pool and returns the
 // executor. The pool idles (halted cores, no modeled energy draw)
 // until jobs arrive. An unset worker count defaults to
@@ -311,12 +301,8 @@ func NewExec(cfg core.Config) (*Exec, error) {
 	}
 	// Workers are always statically pinned here; reflect that in the
 	// config (and so in every report) rather than echoing a Dynamic
-	// request this executor does not model. Likewise resolve the
-	// deque choice so Config reports what actually runs.
+	// request this executor does not model.
 	cfg.Scheduling = core.Static
-	if cfg.Deque == core.DequeAuto {
-		cfg.Deque = core.DequeChaseLev
-	}
 	e := &Exec{
 		cfg:     cfg,
 		model:   power.NewModel(cfg.Spec),
@@ -338,7 +324,7 @@ func NewExec(cfg core.Config) (*Exec, error) {
 		w := &worker{
 			e:          e,
 			id:         i,
-			dq:         newDeque(cfg.Deque),
+			dq:         deque.NewChaseLev[task](64),
 			rng:        rngState(cfg.Seed*7_919 + int64(i) + 1),
 			th:         tempo.NewThresholds(cfg.K, cfg.InitialAvgDeque),
 			lastState:  cpu.IdleHalt,
@@ -422,15 +408,12 @@ func (e *Exec) SetMode(m core.Mode) error {
 // scheduler stops executing the job's task bodies at spawn and steal
 // boundaries, drains its fork-join structure, and completes the job
 // with ctx's error.
-func (e *Exec) Submit(ctx context.Context, root wl.Task) (*job.Job, error) {
-	return e.SubmitClass(ctx, root, core.Class{})
-}
-
-// SubmitClass is Submit with an explicit service class: the class is
-// recorded on the job and echoed in its Report (per-class metrics,
-// tenant filters). The channel intake stays FIFO regardless — ranked
-// dispatch is a Sim-backend capability, rejected at NewExec.
-func (e *Exec) SubmitClass(ctx context.Context, root wl.Task, class core.Class) (*job.Job, error) {
+//
+// The class (core.Class{} for unclassed traffic) is recorded on the
+// job and echoed in its Report (per-class metrics, tenant filters).
+// The channel intake stays FIFO regardless — ranked dispatch is a
+// Sim-backend capability, rejected at NewExec.
+func (e *Exec) Submit(ctx context.Context, root wl.Task, class core.Class) (*job.Job, error) {
 	if root == nil {
 		return nil, ErrNilTask
 	}
@@ -555,7 +538,7 @@ func Run(cfg core.Config, root wl.Task) (core.Report, error) {
 		return core.Report{}, err
 	}
 	defer e.Close()
-	j, err := e.Submit(context.Background(), root)
+	j, err := e.Submit(context.Background(), root, core.Class{})
 	if err != nil {
 		return core.Report{}, err
 	}

@@ -152,7 +152,7 @@ func TestMultiJobSubmission(t *testing.T) {
 				counters[i].Add(int32(hi - lo))
 				c.Work(200_000)
 			})
-		})
+		}, core.Class{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestJobCancellation(t *testing.T) {
 			}
 			c.Mem(500 * units.Microsecond)
 		})
-	})
+	}, core.Class{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestTaskPanicFailsOnlyItsJob(t *testing.T) {
 			func(wl.Ctx) { panic("boom") },
 			func(c wl.Ctx) { c.Work(100_000) },
 		)
-	})
+	}, core.Class{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestTaskPanicFailsOnlyItsJob(t *testing.T) {
 			ran.Add(1)
 			c.Work(100_000)
 		})
-	})
+	}, core.Class{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestPreCancelledSubmit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
-	j, err := e.Submit(ctx, func(wl.Ctx) { ran.Add(1) })
+	j, err := e.Submit(ctx, func(wl.Ctx) { ran.Add(1) }, core.Class{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,19 +297,19 @@ func TestSubmitAfterClose(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Submit(context.Background(), func(wl.Ctx) {}); err != ErrClosed {
+	if _, err := e.Submit(context.Background(), func(wl.Ctx) {}, core.Class{}); err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := e.Submit(context.Background(), nil); err != ErrClosed && err != ErrNilTask {
+	if _, err := e.Submit(context.Background(), nil, core.Class{}); err != ErrClosed && err != ErrNilTask {
 		t.Fatalf("nil task after close: %v", err)
 	}
 	// A cancelled context must not smuggle a submission past Close.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Submit(cctx, func(wl.Ctx) {}); err != ErrClosed {
+	if _, err := e.Submit(cctx, func(wl.Ctx) {}, core.Class{}); err != ErrClosed {
 		t.Fatalf("cancelled-ctx submit after close: err = %v, want ErrClosed", err)
 	}
 }
@@ -319,7 +319,7 @@ func TestConcurrentClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Submit(context.Background(), func(c wl.Ctx) { c.Work(1_000_000) }); err != nil {
+	if _, err := e.Submit(context.Background(), func(c wl.Ctx) { c.Work(1_000_000) }, core.Class{}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -352,11 +352,11 @@ func TestConcurrentJobEnergyPartition(t *testing.T) {
 		})
 	}
 	machineStart := e.snapshot()
-	j1, err := e.Submit(context.Background(), work)
+	j1, err := e.Submit(context.Background(), work, core.Class{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := e.Submit(context.Background(), work)
+	j2, err := e.Submit(context.Background(), work, core.Class{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestSoloJobKeepsFullMachineEnergy(t *testing.T) {
 		wl.For(c, 0, 8, 1, func(c wl.Ctx, lo, hi int) {
 			c.Work(50_000_000)
 		})
-	})
+	}, core.Class{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestAccountingResidencyContinuity(t *testing.T) {
 		wl.For(c, 0, 32, 1, func(c wl.Ctx, lo, hi int) {
 			c.Work(20_000_000) // ~8ms at 2.4GHz
 		})
-	})
+	}, core.Class{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestAccountingSampledEquivalence(t *testing.T) {
 		wl.For(c, 0, 16, 1, func(c wl.Ctx, lo, hi int) {
 			c.Work(50_000_000) // ~20ms at 2.4GHz: dwell times >> sample period
 		})
-	})
+	}, core.Class{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestSpawnJoinSteadyStateZeroAlloc(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				c.Go(pair...)
 			}
-		})
+		}, core.Class{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,15 +4,14 @@ import (
 	"fmt"
 
 	"hermes/internal/bench"
-	"hermes/internal/hotload"
 	"hermes/internal/units"
 	"hermes/internal/wl"
 )
 
 // The built-in catalog, in presentation order: the synthetic request
 // workloads first (ported from the old internal/synth), then the
-// trajectory fixpoints (bodies from internal/hotload), then the
-// paper's figure benchmarks (internal/bench).
+// scheduler hot-path fixpoints the benchmark's Native workloads and
+// rungs run, then the paper's figure benchmarks (internal/bench).
 func init() {
 	Register(Def{
 		Name:     "fib",
@@ -39,20 +38,20 @@ func init() {
 	})
 	Register(Def{
 		Name:     "spawnjoin",
-		Desc:     "trajectory fixpoint: N two-way fork-join blocks with no-op bodies (pure scheduler hot path)",
+		Desc:     "hot-path fixpoint: N two-way fork-join blocks with no-op bodies (pure scheduler hot path)",
 		Defaults: Spec{N: 4096},
 		MaxN:     1 << 20,
-		Build:    func(s Spec) (wl.Task, error) { return hotload.SpawnJoinLoop(s.N), nil },
+		Build:    func(s Spec) (wl.Task, error) { return spawnJoinLoop(s.N), nil },
 	})
 	Register(Def{
 		Name:     "fibtree",
-		Desc:     "trajectory fixpoint: real fib(n) spawn tree with serial cutoff grain, checked against the sequential reference",
-		Defaults: Spec{N: hotload.FibN, Grain: hotload.FibCutoff},
+		Desc:     "hot-path fixpoint: real fib(n) spawn tree with serial cutoff grain, checked against the sequential reference",
+		Defaults: Spec{N: 21, Grain: 12},
 		MaxN:     32,
 		Build: func(s Spec) (wl.Task, error) {
-			want := hotload.SerialFib(s.N)
+			want := serialFib(s.N)
 			out := new(int)
-			inner := hotload.Fib(s.N, s.Grain, out)
+			inner := fibTree(s.N, s.Grain, out)
 			return func(c wl.Ctx) {
 				inner(c)
 				if *out != want {
@@ -101,6 +100,55 @@ func benchBuild(b *bench.Bench) func(Spec) (wl.Task, error) {
 			}
 		}, nil
 	}
+}
+
+// spawnJoinLoop returns a root task performing ops two-way fork-join
+// blocks with no-op bodies: the steady-state PUSH + POP/STEAL + join
+// cycle with everything else stripped away. The pair slice is hoisted
+// so the workload measures the runtime's allocations, not the
+// caller's variadic.
+func spawnJoinLoop(ops int) wl.Task {
+	noop := func(wl.Ctx) {}
+	pair := []wl.Task{noop, noop}
+	return func(c wl.Ctx) {
+		for i := 0; i < ops; i++ {
+			c.Go(pair...)
+		}
+	}
+}
+
+// fibTree returns a root task computing fib(n) as a binary spawn tree
+// with a serial cutoff — the paper's fine-grained stress whose
+// task-boundary rate exposes any lock or allocation on the scheduler
+// hot path. The result lands in *out for validation against
+// serialFib.
+func fibTree(n, cutoff int, out *int) wl.Task {
+	var fib func(c wl.Ctx, n int, out *int)
+	fib = func(c wl.Ctx, n int, out *int) {
+		if n < cutoff {
+			*out = serialFib(n)
+			return
+		}
+		var a, b int
+		c.Go(
+			func(c wl.Ctx) { fib(c, n-1, &a) },
+			func(c wl.Ctx) { fib(c, n-2, &b) },
+		)
+		*out = a + b
+	}
+	return func(c wl.Ctx) { fib(c, n, out) }
+}
+
+// serialFib is the sequential reference.
+func serialFib(n int) int {
+	if n < 2 {
+		return n
+	}
+	a, b := 0, 1
+	for i := 2; i <= n; i++ {
+		a, b = b, a+b
+	}
+	return b
 }
 
 // fib spawns the canonical binary recursion; every node accounts work

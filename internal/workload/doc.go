@@ -11,8 +11,8 @@
 //
 //   - fib, matmul, ticks: the synthetic HTTP request workloads
 //     (accounted WorkMix cycles, service-sized defaults).
-//   - spawnjoin, fibtree: the scheduler hot-path fixpoints the perf
-//     trajectory is measured on, bodies from internal/hotload.
+//   - spawnjoin, fibtree: the scheduler hot-path fixpoints the
+//     benchmark's Native workloads and rungs build by name.
 //   - knn, ray, sort, compare, hull: the paper's PBBS-style figure
 //     benchmarks from internal/bench, self-verifying against their
 //     sequential references.

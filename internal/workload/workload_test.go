@@ -7,6 +7,7 @@ import (
 
 	"hermes/internal/core"
 	"hermes/internal/units"
+	"hermes/internal/wl"
 )
 
 // synthKinds are the WorkMix-accounting request workloads (the old
@@ -230,4 +231,76 @@ func fibNodes(n int) int64 {
 		return 1
 	}
 	return 1 + fibNodes(n-1) + fibNodes(n-2)
+}
+
+// serialCtx is the smallest wl.Ctx: a fork-join block runs its tasks in
+// serial order on the caller, nothing is accounted, and tasks counts
+// what Go was handed.
+type serialCtx struct{ tasks int }
+
+func (c *serialCtx) Go(tasks ...wl.Task) {
+	c.tasks += len(tasks)
+	for _, t := range tasks {
+		t(c)
+	}
+}
+func (*serialCtx) Work(units.Cycles)             {}
+func (*serialCtx) Mem(units.Time)                {}
+func (*serialCtx) WorkMix(units.Cycles, float64) {}
+func (*serialCtx) Worker() int                   { return 0 }
+
+// TestFibtreeDefaultsAndSelfCheck pins the fibtree entry the
+// benchmark's Native workloads build by name: N 21 / Grain 12 by
+// default, a tree that agrees with the serial reference below, at and
+// above the cutoff, and a root that panics on a wrong answer rather
+// than returning one.
+func TestFibtreeDefaultsAndSelfCheck(t *testing.T) {
+	s, err := Spec{Kind: "fibtree"}.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.N != 21 || s.Grain != 12 {
+		t.Fatalf("fibtree defaults N=%d Grain=%d, want 21/12", s.N, s.Grain)
+	}
+	if got := serialFib(21); got != 10946 {
+		t.Fatalf("serialFib(21) = %d, want 10946", got)
+	}
+	for _, n := range []int{0, 1, 11, 12, 13, 21} {
+		var out int
+		fibTree(n, 12, &out)(&serialCtx{})
+		if want := serialFib(n); out != want {
+			t.Errorf("fibTree(%d, 12) = %d, want %d", n, out, want)
+		}
+	}
+	task, _, err := Spec{Kind: "fibtree"}.Task()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &serialCtx{}
+	task(c) // panics on a mismatch with the serial reference
+	if c.tasks == 0 {
+		t.Fatal("default fibtree spawned nothing: the cutoff swallowed the tree")
+	}
+}
+
+// TestSpawnJoinRootAllocatesNothing pins the hoisted pair slice: the
+// spawnjoin root must hand the runtime the same two tasks every block
+// without allocating, or the benchmark's rt.spawnjoin_allocs_per_op
+// rung (numbers withheld at ≥ 0.01) would measure the workload instead
+// of the scheduler.
+func TestSpawnJoinRootAllocatesNothing(t *testing.T) {
+	const ops = 64
+	task, _, err := Spec{Kind: "spawnjoin", N: ops}.Task()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &serialCtx{}
+	task(c)
+	if c.tasks != 2*ops {
+		t.Fatalf("spawnjoin root handed Go %d tasks, want %d", c.tasks, 2*ops)
+	}
+	var ctx wl.Ctx = c
+	if allocs := testing.AllocsPerRun(100, func() { task(ctx) }); allocs != 0 {
+		t.Errorf("spawnjoin root allocates %v per run of %d blocks, want 0", allocs, ops)
+	}
 }

@@ -138,21 +138,6 @@ func WithFreqs(fastestFirst ...Freq) Option {
 	}
 }
 
-// WithDeque selects the work-stealing deque implementation behind the
-// per-worker queues: DequeTHE (the paper's Figure 2 protocol, a mutex
-// on every steal) or DequeChaseLev (lock-free, CAS only on steals and
-// the owner's last-item race). The default, DequeAuto, picks
-// Chase–Lev on the Native backend and THE on Sim.
-func WithDeque(k DequeKind) Option {
-	return func(s *settings) error {
-		if k > DequeChaseLev {
-			return fmt.Errorf("hermes: invalid deque kind %d", k)
-		}
-		s.cfg.Deque = k
-		return nil
-	}
-}
-
 // WithSeed sets the seed driving every random choice (victim
 // selection). On the Sim backend, identical configs and seeds produce
 // bit-identical per-job reports.

@@ -182,12 +182,6 @@ func New(opts ...Option) (*Runtime, error) {
 		if err != nil {
 			return fail(err)
 		}
-		// Resolve the deque choice the way the Native backend does, so
-		// Config() reports what actually runs on either backend: Auto
-		// is THE here (the paper-fidelity measurement instrument).
-		if r.cfg.Deque == core.DequeAuto {
-			r.cfg.Deque = core.DequeTHE
-		}
 		r.exec = ex
 	case Native:
 		// Hand the backend the pre-validation config: an unset worker
@@ -198,7 +192,7 @@ func New(opts ...Option) (*Runtime, error) {
 			return fail(err)
 		}
 		r.cfg = ex.Config()
-		r.exec = nativeExec{ex}
+		r.exec = ex
 	default:
 		return fail(fmt.Errorf("hermes: unknown backend %d", s.backend))
 	}
@@ -343,15 +337,6 @@ func (r *Runtime) EventsDropped() uint64 {
 		return 0
 	}
 	return r.sink.Dropped()
-}
-
-// nativeExec adapts the real-concurrency executor (internal/rt) to
-// the class-aware Executor contract: the class rides on the job for
-// reporting and metrics while the intake stays FIFO.
-type nativeExec struct{ *rt.Exec }
-
-func (n nativeExec) Submit(ctx context.Context, root Task, class Class) (*Job, error) {
-	return n.Exec.SubmitClass(ctx, root, class)
 }
 
 // --- simulator backend ----------------------------------------------
