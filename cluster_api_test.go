@@ -120,18 +120,10 @@ func TestClusterDeterministicReports(t *testing.T) {
 	}
 }
 
-// TestClusterOptionFencing: cluster-only options are rejected by New,
-// NewCluster refuses the Native backend, and bad policies fail fast.
-func TestClusterOptionFencing(t *testing.T) {
-	if _, err := hermes.New(hermes.WithMachines(4)); err == nil {
-		t.Fatal("New accepted WithMachines")
-	}
-	if _, err := hermes.New(hermes.WithPlacement(hermes.PlacementJSQ())); err == nil {
-		t.Fatal("New accepted WithPlacement")
-	}
-	if _, err := hermes.NewCluster(hermes.WithBackend(hermes.Native)); err == nil {
-		t.Fatal("NewCluster accepted the Native backend")
-	}
+// TestClusterOptionValidation: bad fleet sizes and policies fail fast,
+// and the defaults are one machine behind p2c. (Which backend accepts
+// which option is TestCapabilityMatrix.)
+func TestClusterOptionValidation(t *testing.T) {
 	if _, err := hermes.NewCluster(hermes.WithMachines(0)); err == nil {
 		t.Fatal("NewCluster accepted zero machines")
 	}
@@ -165,14 +157,16 @@ func TestClusterOptionFencing(t *testing.T) {
 	}
 }
 
-// TestOneMachineClusterEqualsRuntime pins what the single simulated-
-// machine driver rests on: a Sim Runtime IS a one-machine Cluster. The
+// TestOneMachineClusterEqualsRuntime pins what the one Sim front door
+// rests on: a Sim Runtime IS a Cluster, one machine by default. The
 // same options, seed and classed trace give byte-identical reports,
-// errors and observer streams on both, in every tempo mode and under
-// every dispatch policy. The first arrival lands at t = 0, before the
-// workers' first events: whether it overtakes their start-up spin-down
-// is decided by process creation order, the one thing the two
-// constructors could silently disagree on.
+// errors, observer streams and fleet ledgers through New and through
+// NewCluster, in every tempo mode and under every dispatch policy, and
+// on a three-machine fleet that loses a machine mid-trace. The first
+// arrival lands at t = 0, before the workers' first events: whether it
+// overtakes their start-up spin-down is decided by process creation
+// order, the one thing two constructors could silently disagree on —
+// so this is the test that fails if a second path ever grows back.
 func TestOneMachineClusterEqualsRuntime(t *testing.T) {
 	arrivals, err := sweep.TraceArrivals(workload.Spec{Kind: "ticks", N: 64}, "mix", 2000, 20*time.Millisecond, 9)
 	if err != nil {
@@ -183,7 +177,7 @@ func TestOneMachineClusterEqualsRuntime(t *testing.T) {
 	}
 	arrivals[0].At = 0
 
-	dump := func(mk func(...hermes.Option) (traceServer, error), opts []hermes.Option) string {
+	dump := func(mk func(...hermes.Option) (*hermes.Runtime, error), opts []hermes.Option) (string, hermes.ClusterStats) {
 		var b strings.Builder
 		var events []hermes.Event
 		opts = append(opts, hermes.WithObserver(hermes.ObserverFunc(func(ev hermes.Event) { events = append(events, ev) })))
@@ -202,16 +196,30 @@ func TestOneMachineClusterEqualsRuntime(t *testing.T) {
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
 		}
+		st := srv.ClusterStats()
+		fmt.Fprintf(&b, "stats %#v\n", st)
 		for i, ev := range events {
 			fmt.Fprintf(&b, "event %d %#v\n", i, ev)
 		}
-		return b.String()
+		return b.String(), st
 	}
-	newRuntime := func(opts ...hermes.Option) (traceServer, error) {
+	newRuntime := func(opts ...hermes.Option) (*hermes.Runtime, error) {
 		return hermes.New(append(opts, hermes.WithBackend(hermes.Sim))...)
 	}
-	newCluster := func(opts ...hermes.Option) (traceServer, error) {
-		return hermes.NewCluster(append(opts, hermes.WithMachines(1))...)
+	// same fails the test where the two dumps first differ. Reports are
+	// long lines: show where the differing one starts, not all of it.
+	same := func(t *testing.T, rt, cl string) {
+		if rt == cl {
+			return
+		}
+		a, b := strings.Split(rt, "\n"), strings.Split(cl, "\n")
+		for i := range min(len(a), len(b)) {
+			if a[i] != b[i] {
+				t.Fatalf("New and NewCluster diverge at line %d of %d/%d:\nruntime: %.400s\ncluster: %.400s",
+					i, len(a), len(b), a[i], b[i])
+			}
+		}
+		t.Fatalf("dumps agree for %d lines, then runtime has %d and cluster %d", min(len(a), len(b)), len(a), len(b))
 	}
 	dispatches := []struct {
 		name    string
@@ -232,21 +240,28 @@ func TestOneMachineClusterEqualsRuntime(t *testing.T) {
 					}
 					return o
 				}
-				rt, cl := dump(newRuntime, opts()), dump(newCluster, opts())
-				if rt == cl {
-					return
-				}
-				// Reports are long lines: show where the first differing
-				// one starts, not all of it.
-				a, b := strings.Split(rt, "\n"), strings.Split(cl, "\n")
-				for i := range min(len(a), len(b)) {
-					if a[i] != b[i] {
-						t.Fatalf("runtime and one-machine cluster diverge at line %d of %d/%d:\nruntime: %.400s\ncluster: %.400s",
-							i, len(a), len(b), a[i], b[i])
-					}
-				}
-				t.Fatalf("dumps agree for %d lines, then runtime has %d and cluster %d", min(len(a), len(b)), len(a), len(b))
+				rt, _ := dump(newRuntime, opts())
+				cl, _ := dump(hermes.NewCluster, append(opts(), hermes.WithMachines(1)))
+				same(t, rt, cl)
 			})
 		}
 	}
+	t.Run("fleet", func(t *testing.T) {
+		opts := func() []hermes.Option {
+			return []hermes.Option{
+				hermes.WithWorkers(4), hermes.WithMode(hermes.Unified), hermes.WithSeed(9),
+				hermes.WithDispatch(hermes.DispatchEDF), hermes.WithPreemptQuantum(50 * hermes.Microsecond),
+				hermes.WithMachines(3), hermes.WithPlacement(hermes.PlacementJSQ()),
+				hermes.WithFaults(
+					hermes.FaultEvent{At: 4 * hermes.Millisecond, Machine: 0, Kind: hermes.FaultCrash},
+					hermes.FaultEvent{At: 11 * hermes.Millisecond, Machine: 0, Kind: hermes.FaultRejoin}),
+			}
+		}
+		rt, st := dump(newRuntime, opts())
+		if st.Crashes != 1 || st.Retries == 0 {
+			t.Fatalf("the crash evicted nothing, so this compares two fault-free runs: %+v", st)
+		}
+		cl, _ := dump(hermes.NewCluster, opts())
+		same(t, rt, cl)
+	})
 }

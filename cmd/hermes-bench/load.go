@@ -206,11 +206,23 @@ func runLoad(opts loadOpts) (loadSummary, error) {
 		return loadSummary{}, fmt.Errorf("load: -dispatch/-quantum shape the in-process runtime; a remote hermes-serve configures its own intake")
 	}
 
-	if opts.URL == "" && opts.Backend == "sim" {
-		// The simulator multiplexes jobs in virtual time: replay the
-		// whole arrival trace deterministically instead of racing the
-		// wall clock.
-		return runVirtualLoad(opts)
+	// The in-process runtime's shape is parsed here, once, for both of
+	// its paths.
+	var mode hermes.Mode
+	if opts.URL == "" {
+		backend, err := hermes.ParseBackend(opts.Backend)
+		if err != nil {
+			return loadSummary{}, err
+		}
+		if mode, err = hermes.ParseMode(opts.Mode); err != nil {
+			return loadSummary{}, err
+		}
+		if backend == hermes.Sim {
+			// The simulator multiplexes jobs in virtual time: replay the
+			// whole arrival trace deterministically instead of racing the
+			// wall clock.
+			return runVirtualLoad(opts, mode, dispatch)
+		}
 	}
 
 	// Pre-draw the whole seeded schedule, then pace it against the
@@ -229,7 +241,7 @@ func runLoad(opts loadOpts) (loadSummary, error) {
 			rng:    rand.New(rand.NewSource(opts.Seed)),
 		}
 	} else {
-		t, err := newInprocTarget(opts)
+		t, err := newInprocTarget(opts, mode, dispatch)
 		if err != nil {
 			return loadSummary{}, err
 		}
@@ -239,13 +251,7 @@ func runLoad(opts loadOpts) (loadSummary, error) {
 	// A mixed trace (any arrival with a non-zero class) gets the
 	// per-class breakdown; single-class traces skip it so their
 	// summaries keep pre-class bytes.
-	mixed := false
-	for _, pt := range points {
-		if !pt.Class.IsZero() {
-			mixed = true
-			break
-		}
-	}
+	mixed := trace.Mixed(points)
 
 	var (
 		wg                  sync.WaitGroup
@@ -389,32 +395,14 @@ type wallClassAcc struct {
 }
 
 // classSummaries folds the per-class accumulators into deterministic
-// summary rows: priority descending (latency-critical first), then
-// tenant, deadline, SLO target ascending — the same order the sweep's
-// per-class artifact uses. Nil in, nil out.
+// summary rows, in the order the sweep's per-class artifact uses
+// (sweep.ClassOrder). Nil in, nil out.
 func classSummaries(classes map[hermes.Class]*wallClassAcc) []classSummary {
 	if len(classes) == 0 {
 		return nil
 	}
-	order := make([]hermes.Class, 0, len(classes))
-	for c := range classes {
-		order = append(order, c)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.Priority != b.Priority {
-			return a.Priority > b.Priority
-		}
-		if a.Tenant != b.Tenant {
-			return a.Tenant < b.Tenant
-		}
-		if a.Deadline != b.Deadline {
-			return a.Deadline < b.Deadline
-		}
-		return a.SLOTarget < b.SLOTarget
-	})
-	rows := make([]classSummary, 0, len(order))
-	for _, c := range order {
+	rows := make([]classSummary, 0, len(classes))
+	for _, c := range sweep.ClassOrder(classes) {
 		acc := classes[c]
 		sort.Slice(acc.sojourns, func(i, j int) bool { return acc.sojourns[i] < acc.sojourns[j] })
 		completed := int64(len(acc.sojourns)) + acc.pruned
@@ -476,32 +464,12 @@ type inprocTarget struct {
 	sumJ float64
 }
 
-// parseLoadMode maps the -mode flag onto a tempo mode ("" selects
-// Unified for programmatic zero-value opts), rejecting typos instead
-// of silently running Unified.
-func parseLoadMode(s string) (hermes.Mode, error) {
-	if s == "" {
-		return hermes.Unified, nil
-	}
-	return hermes.ParseMode(s)
-}
-
-func newInprocTarget(opts loadOpts) (*inprocTarget, error) {
-	be := hermes.Native
-	if opts.Backend == "sim" {
-		be = hermes.Sim
-	}
-	mode, err := parseLoadMode(opts.Mode)
-	if err != nil {
-		return nil, err
-	}
-	dispatch, err := hermes.ParseDispatch(opts.Dispatch)
-	if err != nil {
-		return nil, err
-	}
+// newInprocTarget builds the Native runtime of a wall-clock run; the
+// Sim backend never gets here (runLoad replays it in virtual time).
+func newInprocTarget(opts loadOpts, mode hermes.Mode, dispatch hermes.Dispatch) (*inprocTarget, error) {
 	reg := metrics.New()
 	hopts := []hermes.Option{
-		hermes.WithBackend(be),
+		hermes.WithBackend(hermes.Native),
 		hermes.WithMode(mode),
 		hermes.WithAsyncObserver(reg, opts.Buffer),
 	}

@@ -66,6 +66,32 @@ func TestRunLoadValidation(t *testing.T) {
 	}
 }
 
+// TestLoadBackendSelection: the -backend name is parsed, not compared
+// against "sim" — a typo used to run Native and exit 0.
+func TestLoadBackendSelection(t *testing.T) {
+	opts := loadOpts{RPS: 50, Duration: 100 * time.Millisecond,
+		Spec: workload.Spec{Kind: "ticks", N: 16, Work: 50_000}, Seed: 1, Mode: "unified", Workers: 2}
+	for backend, target := range map[string]string{
+		"sim":    "in-process/sim-virtual",
+		"native": "in-process/native",
+	} {
+		opts.Backend = backend
+		sum, err := runLoad(opts)
+		if err != nil {
+			t.Fatalf("-backend %s: %v", backend, err)
+		}
+		if sum.Target != target {
+			t.Errorf("-backend %s ran %q, want %q", backend, sum.Target, target)
+		}
+	}
+	opts.Backend = "bogus"
+	if _, err := runLoad(opts); err == nil {
+		t.Error("unknown backend accepted")
+	} else if !strings.Contains(err.Error(), "sim or native") {
+		t.Errorf("unknown-backend error %q does not name the valid backends", err)
+	}
+}
+
 // TestLoadAndSweepShareOneGenerator is the single-salt pin: the
 // wall-clock load generator and the virtual-time sweep draw their
 // arrival schedules from the SAME internal/trace process, so for one

@@ -27,18 +27,7 @@ import (
 // error surfaced, and dropped-event accounting appears in the summary
 // (always 0 here — the point-runner observes synchronously through
 // per-job reports, nothing can drop).
-func runVirtualLoad(opts loadOpts) (loadSummary, error) {
-	mode, err := parseLoadMode(opts.Mode)
-	if err != nil {
-		return loadSummary{}, err
-	}
-	dispatch, err := hermes.ParseDispatch(opts.Dispatch)
-	if err != nil {
-		return loadSummary{}, err
-	}
-	if opts.PreemptQuantum < 0 {
-		return loadSummary{}, fmt.Errorf("load: preempt quantum must be non-negative, got %v", opts.PreemptQuantum)
-	}
+func runVirtualLoad(opts loadOpts, mode hermes.Mode, dispatch hermes.Dispatch) (loadSummary, error) {
 	pcfg := sweep.PointConfig{
 		Workload:       opts.Spec,
 		Trace:          opts.Trace,

@@ -215,7 +215,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Label the submission series and this job's latency observation
 	// by workload kind and service class, and capture the arrival for
 	// /capacity replays.
-	s.reg.JobSubmittedClass(j.ID(), spec.Kind, class.Tenant, class.Priority)
+	s.reg.JobSubmitted(j.ID(), spec.Kind, class.Tenant, class.Priority)
 	if s.trace != nil {
 		s.trace.record(spec)
 	}

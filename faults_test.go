@@ -109,15 +109,10 @@ func TestClusterFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestFaultOptionFencing: fault and retry options are cluster-only,
-// and the retry policy rejects nonsense.
+// TestFaultOptionFencing: the retry policy rejects nonsense and a fault
+// plan must fit the fleet. (Which backend accepts the two options is
+// TestCapabilityMatrix.)
 func TestFaultOptionFencing(t *testing.T) {
-	if _, err := hermes.New(hermes.WithFaults(chaosFaults()...)); err == nil {
-		t.Fatal("New accepted WithFaults")
-	}
-	if _, err := hermes.New(hermes.WithRetryPolicy(3, hermes.Millisecond)); err == nil {
-		t.Fatal("New accepted WithRetryPolicy")
-	}
 	if _, err := hermes.NewCluster(
 		hermes.WithSpec(hermes.SystemB()), hermes.WithWorkers(2),
 		hermes.WithRetryPolicy(0, hermes.Millisecond),

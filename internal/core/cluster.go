@@ -175,21 +175,32 @@ type ClusterStats struct {
 	Downtime []units.Time
 }
 
-// Cluster multiplexes N independent simulated machines — each its own
-// cores, deques, tempo controller, DVFS state and power meter — inside
-// one discrete-event engine, fed by a placement tier. It is the one
-// driver of the simulated machine's job stream: a Pool is a Cluster
-// with Machines 1. Jobs arrive as virtual-time events at the cluster
+// Cluster is the persistent multi-job discrete-event executor, the one
+// driver of the simulated machine's job stream: N independent machines
+// — each its own cores, deques, tempo controller, DVFS state and power
+// meter — inside one engine, fed by a placement tier (with Machines 1
+// it has nothing to choose). Jobs arrive as virtual-time events at the
 // intake, which asks the placement policy for a machine and delivers
-// the job there; an optional gossip daemon then lets idle machines pull
-// queued (unstarted) jobs from loaded peers on a realistically stale
-// view of queue sizes.
+// the job there, so concurrent jobs genuinely contend for workers and
+// steals, and open-system quantities (sojourn, queueing delay, energy
+// per request under load) are measured deterministically; an optional
+// gossip daemon lets idle machines pull queued (unstarted) jobs from
+// loaded peers on a realistically stale view of queue sizes.
 //
-// Determinism (the Pool contract, fleet-wide): for a fixed
-// ClusterConfig (seeds included) and arrival trace, per-job reports,
-// per-machine MachineStats, observer event streams and the fleet
-// aggregates are byte-identical run after run — the single shared
-// engine orders all machines' events on one virtual timeline.
+// Determinism: the simulation's event order depends only on the
+// ClusterConfig (seeds included) and on each job's virtual arrival time
+// and id — never on wall-clock submission timing — because external
+// stimuli enter the event order through front-priority injection at
+// their virtual timestamps, and the single shared engine orders all
+// machines' events on one virtual timeline. Submitting a whole trace in
+// one Submit call therefore reproduces byte-identical per-job reports,
+// per-machine MachineStats, observer event sequences and fleet
+// aggregates run after run: the first batch a cluster receives is
+// applied before the engine's first event, arrivals at virtual time
+// zero included, and a later batch is exact when the cluster is
+// quiescent. Jobs submitted "at now" from live callers (a serving
+// process) get arrival times assigned by wall-clock race and are
+// individually valid but not reproducible.
 type Cluster struct {
 	cfg ClusterConfig
 	eng *sim.Engine
@@ -450,7 +461,8 @@ func (h *idleIndex) min() (int, bool) {
 // Submit enqueues a batch of jobs atomically and returns once they are
 // handed to the engine. A cluster's first batch, and any batch handed
 // to a quiescent cluster, is delivered exactly at its virtual arrival
-// times, placement decided at each arrival's virtual instant.
+// times, placement decided at each arrival's virtual instant; see the
+// Cluster determinism contract.
 func (c *Cluster) Submit(reqs ...JobRequest) error {
 	if len(reqs) == 0 {
 		return nil

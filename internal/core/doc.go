@@ -10,7 +10,7 @@
 // figures. Cluster serves a stream of jobs arriving in virtual time on
 // N machines sharing one engine, behind a placement tier; it owns the
 // one engine goroutine, submission bridge, arrival heap, intake process
-// and end-of-trace ledger. A Pool is a Cluster of one machine, so
+// and end-of-trace ledger. One machine is a Cluster with Machines 1, so
 // open-system, fleet and fault-injection evaluations run the same
 // machine through the same code.
 package core

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 
 	"hermes/internal/meter"
 	"hermes/internal/obs"
@@ -23,7 +22,7 @@ var ErrNilRoot = errors.New("core: nil root task")
 // context's error.
 var ErrInterrupted = errors.New("core: job interrupted by cancellation")
 
-// JobRequest describes one job handed to a Pool or Cluster.
+// JobRequest describes one job handed to a Cluster.
 type JobRequest struct {
 	// ID is the caller-assigned job id: unique, positive, and
 	// ascending in submission order (it breaks virtual-time ties
@@ -47,84 +46,10 @@ type JobRequest struct {
 	Done func(Report, error)
 }
 
-// Pool is the persistent multi-job discrete-event executor: one
-// simulated machine — workers, deques, tempo controller, DVFS state,
-// power meter — shared by every job submitted to it, exactly as the
-// Native pool shares its goroutine workers. It is a Cluster of one
-// machine behind a placement that has nothing to choose: the engine
-// goroutine, the submission bridge, the arrival heap and the shutdown
-// handshake are the Cluster's, so what a one-machine evaluation and a
-// fleet evaluation measure is the same machine run by the same code.
-// Jobs are injected as virtual-time arrivals by the in-engine intake
-// process, so concurrent jobs genuinely contend for workers and steals
-// inside the simulation, and open-system quantities (sojourn time,
-// queueing delay, energy per request under load) become measurable
-// deterministically.
-//
-// Determinism: the simulation's event order depends only on the
-// configuration (including Seed) and on each job's virtual arrival
-// time and id — never on wall-clock submission timing — because
-// external stimuli enter the event order through front-priority
-// injection at their virtual timestamps. Submitting a whole trace in
-// one Submit call therefore reproduces byte-identical per-job reports
-// and observer event sequences run after run: the first batch a pool
-// receives is applied before the engine's first event, arrivals at
-// virtual time zero included, and a later batch is exact when the pool
-// is quiescent. Jobs submitted "at now" from live callers (a serving
-// process) get arrival times assigned by wall-clock race and are
-// individually valid but not reproducible.
-type Pool struct{ c *Cluster }
-
-// onlyMachine is a Pool's placement: machine 0, without consulting the
-// view or advancing the placement RNG.
-type onlyMachine struct{}
-
-func (onlyMachine) Place(PlacementView, *rand.Rand) int { return 0 }
-
-// NewPool validates cfg and starts the engine goroutine. The pool
-// idles (halted cores, no events, no wall-clock work) until jobs
-// arrive.
-func NewPool(cfg Config) (*Pool, error) {
-	c, err := NewCluster(ClusterConfig{Machines: 1, Machine: cfg, Placement: onlyMachine{}})
-	if err != nil {
-		return nil, err
-	}
-	return &Pool{c}, nil
-}
-
-// Config returns the validated configuration the pool runs with.
-func (p *Pool) Config() Config { return p.c.cfg.Machine }
-
-// Submit enqueues a batch of jobs atomically and returns once they
-// are handed to the engine. A pool's first batch, and any batch
-// submitted to a quiescent pool, is delivered exactly at its virtual
-// arrival times; see the Pool determinism contract.
-func (p *Pool) Submit(reqs ...JobRequest) error { return p.c.Submit(reqs...) }
-
-// Close rejects further submissions, delivers and completes every
-// already-submitted job (pending virtual arrivals included), then
-// stops the engine. Safe to call more than once.
-func (p *Pool) Close() error { return p.c.Close() }
-
-// MachineEnergyJ returns the machine's total integrated energy over
-// the pool's lifetime. Valid after Close; it is the quantity per-job
-// attributed energies partition.
-func (p *Pool) MachineEnergyJ() float64 {
-	<-p.c.dead
-	return p.c.ms[0].met.Energy()
-}
-
-// MachineStats returns the machine-wide totals through the last job
-// completion. It blocks until the engine goroutine has exited, so call
-// it after Close (like MachineEnergyJ); the returned snapshot is final
-// and immutable. A pool that never completed a job returns the zero
-// aggregate.
-func (p *Pool) MachineStats() MachineStats { return p.c.Stats().Machines[0] }
-
 // MachineStats is one machine's aggregate through the most recent job
-// completion of the Pool or Cluster it belongs to — the quantities
-// per-job Reports carry only as deltas over their own sojourn windows,
-// which overlap under load and so cannot be summed. Open-system
+// completion of the Cluster it belongs to — the quantities per-job
+// Reports carry only as deltas over their own sojourn windows, which
+// overlap under load and so cannot be summed. Open-system
 // evaluations (energy, power and DVFS-tier residency vs offered load)
 // read the machine totals from here. The snapshot is taken at the last
 // JobDone rather than at engine shutdown: the time at which Close lands
@@ -134,11 +59,11 @@ func (p *Pool) MachineStats() MachineStats { return p.c.Stats().Machines[0] }
 // aggregate is byte-reproducible.
 type MachineStats struct {
 	// Elapsed is the virtual time of the last job completion: the
-	// trace's makespan when the pool started quiescent at time zero.
+	// trace's makespan when the cluster started quiescent at time zero.
 	Elapsed units.Time
 	// EnergyJ is the machine's exact integrated energy through Elapsed
-	// (MachineEnergyJ keeps integrating idle draw until shutdown, so it
-	// is at least this).
+	// (the meter keeps integrating idle draw until shutdown, so its
+	// lifetime total is at least this).
 	EnergyJ float64
 
 	// Residency, summed over worker cores.
@@ -146,7 +71,7 @@ type MachineStats struct {
 	// SlowBusy is busy time spent below the maximum frequency.
 	SlowBusy units.Time
 	// FreqBusy maps frequency → busy core-time at that frequency: the
-	// DVFS-tier residency of everything the pool executed.
+	// DVFS-tier residency of everything the machine executed.
 	FreqBusy map[units.Freq]units.Time
 
 	// Scheduler totals across all jobs.

@@ -35,13 +35,28 @@ func (r *recorder) Observe(e obs.Event) {
 	r.mu.Unlock()
 }
 
-// tracePool runs one fixed arrival trace through a fresh Pool and
-// returns the per-job reports (trace order), errors and event stream.
+// oneMachine is what these tests call a pool: a Cluster of one machine
+// behind a placement that has nothing to choose.
+func oneMachine(cfg Config) (*Cluster, error) {
+	return NewCluster(ClusterConfig{Machines: 1, Machine: cfg, Placement: pinPlace{}})
+}
+
+// lifetimeJ is the machine's total integrated energy through engine
+// shutdown — the quantity per-job attributed energies partition. Valid
+// after Close.
+func lifetimeJ(c *Cluster) float64 {
+	<-c.dead
+	return c.ms[0].met.Energy()
+}
+
+// tracePool runs one fixed arrival trace through a fresh one-machine
+// cluster and returns the per-job reports (trace order), errors and
+// event stream.
 func tracePool(t *testing.T, cfg Config, ats []units.Time, mk func(i int) wl.Task) ([]Report, []error, []obs.Event) {
 	t.Helper()
 	rec := &recorder{}
 	cfg.Observer = rec
-	p, err := NewPool(cfg)
+	p, err := oneMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +179,7 @@ func TestPoolEnergyPartition(t *testing.T) {
 	rec := &recorder{}
 	cfg2 := cfg
 	cfg2.Observer = rec
-	p, err := NewPool(cfg2)
+	p, err := oneMachine(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +202,7 @@ func TestPoolEnergyPartition(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	total := p.MachineEnergyJ()
+	total := lifetimeJ(p)
 	if sum > total*1.05 {
 		t.Fatalf("per-job energies double-count: sum=%.3fJ > machine total %.3fJ", sum, total)
 	}
@@ -200,7 +215,7 @@ func TestPoolEnergyPartition(t *testing.T) {
 // TestPoolSoloJobKeepsFullMachineEnergy: a job running alone owns the
 // whole machine's draw over its window, idle cores included.
 func TestPoolSoloJobKeepsFullMachineEnergy(t *testing.T) {
-	p, err := NewPool(Config{Spec: cpu.SystemB(), Workers: 4, Seed: 1})
+	p, err := oneMachine(Config{Spec: cpu.SystemB(), Workers: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +235,7 @@ func TestPoolSoloJobKeepsFullMachineEnergy(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	total := p.MachineEnergyJ()
+	total := lifetimeJ(p)
 	if rep.EnergyJ < total*0.95 || rep.EnergyJ > total*1.001 {
 		t.Fatalf("solo job energy %.4fJ out of band vs machine %.4fJ", rep.EnergyJ, total)
 	}
@@ -234,7 +249,7 @@ func TestPoolSoloJobKeepsFullMachineEnergy(t *testing.T) {
 // stays at or below the machine total (within rounding), and well
 // above zero.
 func TestPoolSumOfEnergiesUnderLoad(t *testing.T) {
-	p, err := NewPool(Config{Spec: cpu.SystemB(), Workers: 4, Mode: Unified, Seed: 5})
+	p, err := oneMachine(Config{Spec: cpu.SystemB(), Workers: 4, Mode: Unified, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +280,7 @@ func TestPoolSumOfEnergiesUnderLoad(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	total := p.MachineEnergyJ()
+	total := lifetimeJ(p)
 	if sum > total*1.05 || sum < total*0.5 {
 		t.Fatalf("attributed sum %.3fJ out of band vs machine %.3fJ", sum, total)
 	}
@@ -274,7 +289,7 @@ func TestPoolSumOfEnergiesUnderLoad(t *testing.T) {
 // TestPoolCancellation: a job cancelled mid-flight completes with
 // ErrInterrupted while a concurrent neighbour is untouched.
 func TestPoolCancellation(t *testing.T) {
-	p, err := NewPool(Config{Spec: cpu.SystemB(), Workers: 2, Seed: 1})
+	p, err := oneMachine(Config{Spec: cpu.SystemB(), Workers: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +342,7 @@ func TestPoolCancellation(t *testing.T) {
 // TestPoolPanicIsolation: a panicking task fails only its own job; a
 // concurrent job and the pool itself survive.
 func TestPoolPanicIsolation(t *testing.T) {
-	p, err := NewPool(Config{Spec: cpu.SystemB(), Workers: 4, Seed: 1})
+	p, err := oneMachine(Config{Spec: cpu.SystemB(), Workers: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +392,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 
 // TestPoolSubmitAfterClose pins the lifecycle errors.
 func TestPoolSubmitAfterClose(t *testing.T) {
-	p, err := NewPool(Config{Spec: cpu.SystemB(), Workers: 2})
+	p, err := oneMachine(Config{Spec: cpu.SystemB(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +415,7 @@ func TestPoolSubmitAfterClose(t *testing.T) {
 // must complete it with ErrInterrupted and shut down cleanly, not
 // panic or hang.
 func TestPoolCancelledFutureArrivalThenClose(t *testing.T) {
-	p, err := NewPool(Config{Spec: cpu.SystemB(), Workers: 2, Seed: 1})
+	p, err := oneMachine(Config{Spec: cpu.SystemB(), Workers: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,13 +460,13 @@ func TestPoolQueueingShowsInSojourn(t *testing.T) {
 	}
 }
 
-// TestPoolMachineStats pins the machine-wide aggregate: energy matches
-// MachineEnergyJ, residency and DVFS-tier busy time are populated, and
+// TestPoolMachineStats pins the machine-wide aggregate: energy is
+// bounded by the meter's lifetime total, residency and DVFS-tier busy time are populated, and
 // the scheduler totals cover every job the pool executed — quantities
 // the overlapping per-job window deltas cannot provide by summation.
 func TestPoolMachineStats(t *testing.T) {
 	cfg := Config{Spec: cpu.SystemB(), Workers: 3, Mode: Unified, Seed: 5}
-	p, err := NewPool(cfg)
+	p, err := oneMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,12 +497,12 @@ func TestPoolMachineStats(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ms := p.MachineStats()
+	ms := p.Stats().Machines[0]
 	// MachineStats freezes at the last job completion; the shutdown
 	// meter keeps integrating idle draw until Close lands, so the
 	// lifetime figure bounds it from above.
-	if ms.EnergyJ <= 0 || ms.EnergyJ > p.MachineEnergyJ() {
-		t.Errorf("MachineStats energy %g outside (0, MachineEnergyJ %g]", ms.EnergyJ, p.MachineEnergyJ())
+	if ms.EnergyJ <= 0 || ms.EnergyJ > lifetimeJ(p) {
+		t.Errorf("MachineStats energy %g outside (0, lifetime %g]", ms.EnergyJ, lifetimeJ(p))
 	}
 	if ms.Elapsed <= 0 || ms.Busy <= 0 {
 		t.Fatalf("degenerate machine stats: %+v", ms)

@@ -27,10 +27,10 @@ type sched struct {
 	done     bool
 	finishAt units.Time
 
-	// pool is non-nil when the sched is one machine of a Cluster (a Pool
-	// is a Cluster of one), serving a stream of jobs injected at virtual
-	// arrival times instead of one root task (see pool.go). done then
-	// means "cluster shut down" rather than "root completed".
+	// pool is non-nil when the sched is one machine of a Cluster, serving
+	// a stream of jobs injected at virtual arrival times instead of one
+	// root task (see pool.go). done then means "cluster shut down" rather
+	// than "root completed".
 	pool *poolRun
 	// mid and tag identify this machine inside its cluster (cluster.go):
 	// mid stamps every observer event's Machine field and tag prefixes

@@ -284,19 +284,6 @@ func (w *worker) outOfWork() {
 	w.node.Unlink()
 }
 
-// selectVictim picks a uniformly random other worker.
-func (w *worker) selectVictim() *worker {
-	n := len(w.s.workers)
-	if n == 1 {
-		return w
-	}
-	j := w.rng.Intn(n - 1)
-	if j >= w.id {
-		j++
-	}
-	return w.s.workers[j]
-}
-
 // stealRound probes every other worker once, starting from a random
 // victim and sweeping cyclically (the usual randomized SELECT loop),
 // until a steal lands or the round is exhausted.

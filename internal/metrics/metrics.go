@@ -140,21 +140,14 @@ func (r *Registry) kind(k Key) *kindSeries {
 // (or their tag raced a very fast completion).
 var unknownKey = Key{Kind: UnknownKind}
 
-// JobSubmitted records one accepted submission of the given workload
-// kind (hermes_jobs_submitted_total{workload=...}) and tags job id so
-// its completion lands in that kind's latency histogram. Call it right
-// after the runtime accepts the job. Unclassed convenience wrapper
-// around JobSubmittedClass.
-func (r *Registry) JobSubmitted(id int64, kind string) {
-	r.JobSubmittedClass(id, kind, "", 0)
-}
-
-// JobSubmittedClass records one accepted submission with its service
-// class: the submission counter and the job's latency observation land
-// in the (workload, tenant, priority) series. Unclassed submissions
-// (empty tenant, zero priority) keep the workload-only label set, so
-// pre-tenancy scrape output is unchanged byte for byte.
-func (r *Registry) JobSubmittedClass(id int64, kind, tenant string, priority int) {
+// JobSubmitted records one accepted submission with its service class:
+// the submission counter (hermes_jobs_submitted_total{workload=...})
+// and, through the id tag, the job's latency observation land in the
+// (workload, tenant, priority) series. Call it right after the runtime
+// accepts the job. Unclassed submissions (empty tenant, zero priority)
+// keep the workload-only label set, so pre-tenancy scrape output is
+// unchanged byte for byte.
+func (r *Registry) JobSubmitted(id int64, kind, tenant string, priority int) {
 	if kind == "" {
 		kind = UnknownKind
 	}

@@ -80,9 +80,9 @@ func TestLatencyHistogramBuckets(t *testing.T) {
 // with sojourn taken from the JobDone event itself.
 func TestPerKindLatencyLabels(t *testing.T) {
 	r := New()
-	r.JobSubmitted(1, "fib")
-	r.JobSubmitted(2, "matmul")
-	r.JobSubmitted(3, "fib")
+	r.JobSubmitted(1, "fib", "", 0)
+	r.JobSubmitted(2, "matmul", "", 0)
+	r.JobSubmitted(3, "fib", "", 0)
 	feed(r,
 		obs.Event{Kind: obs.JobStart, Job: 1, Time: 0},
 		obs.Event{Kind: obs.JobStart, Job: 2, Time: 0},
@@ -175,7 +175,7 @@ func TestLateKindTagMigratesLatency(t *testing.T) {
 		obs.Event{Kind: obs.JobStart, Job: 1, Time: 0},
 		obs.Event{Kind: obs.JobDone, Job: 1, Sojourn: 2 * units.Millisecond},
 	)
-	r.JobSubmitted(1, "fib")
+	r.JobSubmitted(1, "fib", "", 0)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -283,9 +283,9 @@ func TestLatencyHistAndQuantile(t *testing.T) {
 // TestSnapshotJobsSubmitted pins the submitted-total accessor.
 func TestSnapshotJobsSubmitted(t *testing.T) {
 	r := New()
-	r.JobSubmitted(1, "fib")
-	r.JobSubmitted(2, "fib")
-	r.JobSubmitted(3, "matmul")
+	r.JobSubmitted(1, "fib", "", 0)
+	r.JobSubmitted(2, "fib", "", 0)
+	r.JobSubmitted(3, "matmul", "", 0)
 	if got := r.Snapshot().JobsSubmitted; got != 3 {
 		t.Fatalf("JobsSubmitted = %d, want 3", got)
 	}

@@ -28,6 +28,10 @@ var ErrClosed = errors.New("rt: executor closed")
 // ErrNilTask is returned by Submit for a nil root task.
 var ErrNilTask = errors.New("rt: nil root task")
 
+// ErrSimOnly is wrapped by NewExec's refusal of a configuration only
+// the simulator implements (ranked dispatch, quantum preemption).
+var ErrSimOnly = errors.New("rt: needs the Sim backend")
+
 // injectCap bounds the submission queue; Submit blocks (or honours
 // its context) once this many root jobs await pickup.
 const injectCap = 4096
@@ -291,10 +295,10 @@ func NewExec(cfg core.Config) (*Exec, error) {
 		return nil, err
 	}
 	if cfg.Dispatch != core.DispatchFIFO {
-		return nil, fmt.Errorf("rt: dispatch policy %v needs the Sim backend (this executor's intake is FIFO)", cfg.Dispatch)
+		return nil, fmt.Errorf("%w: dispatch policy %v (this executor's intake is FIFO)", ErrSimOnly, cfg.Dispatch)
 	}
 	if cfg.PreemptQuantum != 0 {
-		return nil, fmt.Errorf("rt: preemption quantum needs the Sim backend")
+		return nil, fmt.Errorf("%w: preemption quantum", ErrSimOnly)
 	}
 	if len(cfg.Freqs) > acctFreqCap {
 		return nil, fmt.Errorf("rt: at most %d tempo frequencies supported, got %d", acctFreqCap, len(cfg.Freqs))

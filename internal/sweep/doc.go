@@ -2,14 +2,14 @@
 // simulator: for each point of a (workload × tempo-mode × arrival-rate)
 // grid — or a (placement × fleet-size × fault-plan × arrival-rate) one
 // — it generates a seeded arrival trace, replays it through
-// Cluster.SubmitTrace on the deterministic discrete-event machine, and
+// Runtime.SubmitTrace on the deterministic discrete-event machine, and
 // measures the open-system quantities the paper's closed-system
 // figures cannot show — sojourn percentiles, queueing delay,
 // joules/request, average power, steals/request and DVFS-tier
 // residency as functions of offered load, per tempo mode.
 //
 // There is one pipeline (trial.go): a grid is validated once, every
-// trial is one hermes.NewCluster serving one trace, and every point is
+// trial is one Sim hermes.Runtime serving one trace, and every point is
 // one fold of its trials. The single-machine sweep is the machines = 1
 // cell of the cluster grid; Point, ClusterPoint and Replay differ only
 // in which of the fold's quantities they render.
@@ -29,7 +29,7 @@
 // KneeLatencyMS, JoulesPerRequestAt and BestMode lookups calibrate the
 // serving control loop (internal/control). ReplayTrace runs an
 // explicit arrival trace — rather than a generated Poisson one —
-// through the same deterministic pool, which is what hermes-serve's
+// through the same deterministic machine, which is what hermes-serve's
 // /capacity endpoint uses to answer what-if questions about recorded
 // traffic.
 package sweep

@@ -101,10 +101,6 @@ func (m *Model) Modes() []string {
 	return out
 }
 
-// MaxRate returns the highest calibrated grid rate: beyond it the
-// model extrapolates by clamping.
-func (m *Model) MaxRate() float64 { return m.res.RatesRPS[len(m.res.RatesRPS)-1] }
-
 // curve returns the curve for mode, or nil.
 func (m *Model) curve(mode string) *Curve {
 	for i := range m.res.Curves {

@@ -16,14 +16,6 @@ import (
 // the curve has "kneed" once p99 sojourn exceeds 5× the unloaded p50.
 const DefaultKneeFactor = 5.0
 
-// Trace generates the seeded Poisson arrival trace for one point —
-// the historical entry point, now a thin wrapper over the
-// internal/trace registry's default process. The trace depends only
-// on (spec, rps, window, seed).
-func Trace(spec workload.Spec, rps float64, window time.Duration, seed int64) ([]hermes.Arrival, error) {
-	return TraceArrivals(spec, "", rps, window, seed)
-}
-
 // TraceArrivals generates one grid point's arrival trace through the
 // named process from the internal/trace registry ("" = poisson): the
 // process draws seeded arrival times and per-arrival sizes, and every

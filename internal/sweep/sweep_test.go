@@ -18,11 +18,11 @@ func tinySpec() workload.Spec {
 
 func TestTraceSeededAndBounded(t *testing.T) {
 	spec := tinySpec()
-	a, err := Trace(spec, 500, 100*time.Millisecond, 7)
+	a, err := TraceArrivals(spec, "", 500, 100*time.Millisecond, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Trace(spec, 500, 100*time.Millisecond, 7)
+	b, err := TraceArrivals(spec, "", 500, 100*time.Millisecond, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,17 +38,17 @@ func TestTraceSeededAndBounded(t *testing.T) {
 			t.Fatalf("arrival %d outside (0, window]: %v", i, a[i].At)
 		}
 	}
-	c, err := Trace(spec, 500, 100*time.Millisecond, 8)
+	c, err := TraceArrivals(spec, "", 500, 100*time.Millisecond, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(c) == len(a) && c[0].At == a[0].At {
 		t.Fatal("different seeds produced an identical trace")
 	}
-	if _, err := Trace(spec, 0, time.Second, 1); err == nil {
+	if _, err := TraceArrivals(spec, "", 0, time.Second, 1); err == nil {
 		t.Error("rps=0 accepted")
 	}
-	if _, err := Trace(spec, 100, 0, 1); err == nil {
+	if _, err := TraceArrivals(spec, "", 100, 0, 1); err == nil {
 		t.Error("window=0 accepted")
 	}
 }
@@ -239,7 +239,7 @@ func TestPeakInflightCountsQueuedJobs(t *testing.T) {
 	}
 	// Independent reconstruction: replay the same seed through the
 	// public API and sweep the (arrival, completion) intervals.
-	arrivals, err := Trace(cfg.Workload, cfg.RPS, cfg.Window, cfg.Seed)
+	arrivals, err := TraceArrivals(cfg.Workload, "", cfg.RPS, cfg.Window, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,10 +116,10 @@ func (g grid) point(fl fleet, rps float64) (*fold, error) {
 	return f, nil
 }
 
-// trial serves one arrival trace on one fresh simulated fleet — the
-// only place a sweep touches the runtime — and adds what it measured to
-// f: submit the trace, wait for every job, close, read the fleet
-// ledger.
+// trial serves one arrival trace on one fresh simulated fleet (a Sim
+// Runtime) — the only place a sweep touches the runtime — and adds what
+// it measured to f: submit the trace, wait for every job, close, read
+// the fleet ledger.
 func (g grid) trial(f *fold, fl fleet, seed int64, arrivals []hermes.Arrival) error {
 	dispatch, err := hermes.ParseDispatch(g.dispatch)
 	if err != nil {
@@ -393,30 +393,13 @@ func (f *fold) tiers() []Tier {
 }
 
 // classPoints renders the pooled per-class accumulators as artifact
-// rows, ordered highest priority first then by tenant — deterministic
-// for a fixed config. Nil for unclassed traces, so the Classes fields
-// stay omitted from JSON.
+// rows in ClassOrder — deterministic for a fixed config. Nil for
+// unclassed traces, so the Classes fields stay omitted from JSON.
 func (f *fold) classPoints() []ClassPoint {
 	if len(f.classes) == 0 {
 		return nil
 	}
-	keys := make([]hermes.Class, 0, len(f.classes))
-	for c := range f.classes {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Priority != b.Priority {
-			return a.Priority > b.Priority
-		}
-		if a.Tenant != b.Tenant {
-			return a.Tenant < b.Tenant
-		}
-		if a.Deadline != b.Deadline {
-			return a.Deadline < b.Deadline
-		}
-		return a.SLOTarget < b.SLOTarget
-	})
+	keys := ClassOrder(f.classes)
 	out := make([]ClassPoint, 0, len(keys))
 	for _, c := range keys {
 		acc := f.classes[c]
@@ -446,6 +429,30 @@ func (f *fold) classPoints() []ClassPoint {
 		out = append(out, cp)
 	}
 	return out
+}
+
+// ClassOrder returns the keys of a per-class map in the order every
+// per-class artifact lists them: highest priority first, then tenant,
+// deadline and SLO target ascending.
+func ClassOrder[V any](classes map[hermes.Class]V) []hermes.Class {
+	keys := make([]hermes.Class, 0, len(classes))
+	for c := range classes {
+		keys = append(keys, c)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.Priority != b.Priority {
+			return a.Priority > b.Priority
+		}
+		if a.Tenant != b.Tenant {
+			return a.Tenant < b.Tenant
+		}
+		if a.Deadline != b.Deadline {
+			return a.Deadline < b.Deadline
+		}
+		return a.SLOTarget < b.SLOTarget
+	})
+	return keys
 }
 
 // sortTimes sorts virtual times ascending.

@@ -15,16 +15,14 @@ type settings struct {
 	asyncObs Observer
 	asyncBuf int
 
-	// Cluster-only options (NewCluster): machine count, placement
-	// policy, fault schedule and retry policy. New rejects them — a
-	// single Runtime has no fleet.
+	// The simulated fleet: machine count (0 = one), placement policy
+	// (nil = p2c), fault schedule and retry policy (0 = core's
+	// defaults). Sim backend only.
 	machines     int
 	placement    *Placement
 	faults       []FaultEvent
-	faultsSet    bool
 	retryBudget  int
 	retryBackoff Time
-	retrySet     bool
 }
 
 // gather applies opts in order, skipping nil ones.
@@ -58,7 +56,9 @@ func (s *settings) startSink() (*obs.Async, error) {
 
 // Option configures a Runtime under construction. Options that can
 // fail return their error from New; everything else is validated
-// together by Config.Validate before the backend starts.
+// together by Config.Validate as the backend starts. An option marked
+// "Sim backend only" makes New fail with an error wrapping ErrSimOnly
+// when combined with WithBackend(Native).
 type Option func(*settings) error
 
 // WithBackend selects the execution engine: Sim (default, the
@@ -211,12 +211,12 @@ func WithAsyncObserver(o Observer, buffer int) Option {
 	}
 }
 
-// WithMachines sets the fleet size for NewCluster: n independent
-// simulated machines — each with its own workers, deques, tempo
-// controller, DVFS state and power meter — multiplexed inside one
-// discrete-event engine. Machine m runs with the configured seed plus
-// m, so victim-selection streams differ across the fleet while staying
-// deterministic. Cluster-only: New returns an error if set.
+// WithMachines sets the fleet size: n independent simulated machines —
+// each with its own workers, deques, tempo controller, DVFS state and
+// power meter — multiplexed inside one discrete-event engine. Machine m
+// runs with the configured seed plus m, so victim-selection streams
+// differ across the fleet while staying deterministic. Default: 1. Sim
+// backend only.
 func WithMachines(n int) Option {
 	return func(s *settings) error {
 		if n < 1 {
@@ -227,11 +227,11 @@ func WithMachines(n int) Option {
 	}
 }
 
-// WithPlacement selects the cluster's placement policy — how arriving
+// WithPlacement selects the fleet's placement policy — how arriving
 // jobs are routed across machines. Use the constructors
 // (PlacementRandom, PlacementJSQ, PlacementPowerOfChoices,
 // PlacementGossip) or ParsePlacement. Default: power-of-two-choices.
-// Cluster-only: New returns an error if set.
+// Sim backend only.
 func WithPlacement(p Placement) Option {
 	return func(s *settings) error {
 		v, err := p.Validate()
@@ -243,28 +243,26 @@ func WithPlacement(p Placement) Option {
 	}
 }
 
-// WithFaults installs a deterministic fault schedule for NewCluster:
-// each FaultEvent crashes, rejoins, slows or recovers one machine at
-// an explicit virtual time. Build schedules by hand or compile a named
-// plan with fault.Compile ("crash", "failslow", "blip"). Jobs evicted
-// by a crash are re-placed with bounded, seeded retries — see
-// WithRetryPolicy. Events are validated against the fleet size at
-// NewCluster time. Cluster-only: New returns an error if set.
+// WithFaults installs a deterministic fault schedule: each FaultEvent
+// crashes, rejoins, slows or recovers one machine at an explicit
+// virtual time. Build schedules by hand or compile a named plan with
+// fault.Compile ("crash", "failslow", "blip"). Jobs evicted by a crash
+// are re-placed with bounded, seeded retries — see WithRetryPolicy.
+// Events are validated against the fleet size at construction. Sim
+// backend only.
 func WithFaults(events ...FaultEvent) Option {
 	return func(s *settings) error {
 		s.faults = append([]FaultEvent(nil), events...)
-		s.faultsSet = true
 		return nil
 	}
 }
 
-// WithRetryPolicy bounds crash recovery for NewCluster: a job evicted
-// by a machine crash is re-placed up to budget times, each attempt
-// delayed by a seeded, jittered exponential backoff starting at
-// backoff (doubling per retry). A job past its budget is failed with
-// ErrJobLost and counted in ClusterStats.Lost. Defaults: budget 3,
-// backoff 100µs. budget must be >= 1 and backoff >= 0.
-// Cluster-only: New returns an error if set.
+// WithRetryPolicy bounds crash recovery: a job evicted by a machine
+// crash is re-placed up to budget times, each attempt delayed by a
+// seeded, jittered exponential backoff starting at backoff (doubling
+// per retry). A job past its budget is failed with ErrJobLost and
+// counted in ClusterStats.Lost. Defaults: budget 3, backoff 100µs.
+// budget must be >= 1 and backoff >= 0. Sim backend only.
 func WithRetryPolicy(budget int, backoff Time) Option {
 	return func(s *settings) error {
 		if budget < 1 {
@@ -275,7 +273,6 @@ func WithRetryPolicy(budget int, backoff Time) Option {
 		}
 		s.retryBudget = budget
 		s.retryBackoff = backoff
-		s.retrySet = true
 		return nil
 	}
 }
@@ -285,9 +282,9 @@ func WithRetryPolicy(budget int, backoff Time) Option {
 // order), DispatchPriority (strict Class.Priority, ties in delivery
 // order) or DispatchEDF (earliest absolute deadline first,
 // deadline-less jobs last). Ranked policies read each job's Class —
-// attach one with WithClass or Arrival.Class. Sim backend (and
-// NewCluster, where every machine's intake applies it); the Native
-// executor's intake is inherently FIFO and rejects ranked policies.
+// attach one with WithClass or Arrival.Class; on a fleet every
+// machine's intake applies it. Sim backend only for the ranked policies:
+// the Native executor's intake is inherently FIFO and rejects them.
 func WithDispatch(d Dispatch) Option {
 	return func(s *settings) error {
 		if d > DispatchEDF {
@@ -299,7 +296,7 @@ func WithDispatch(d Dispatch) Option {
 }
 
 // WithPreemptQuantum enables Shinjuku-style quantum preemption under a
-// ranked dispatch policy (Sim backend): a worker executing a CPU
+// ranked dispatch policy (Sim backend only): a worker executing a CPU
 // segment re-checks the ready queue every q of virtual time, and a
 // waiting job that strictly outranks the running one takes the worker
 // immediately — so a short latency-critical arrival overtakes

@@ -109,10 +109,19 @@ var ErrClosed = errors.New("hermes: runtime closed")
 // ErrNilTask is returned by Submit for a nil root task.
 var ErrNilTask = errors.New("hermes: nil root task")
 
-// ErrStatsUnavailable is the sentinel wrapped by MachineStats when the
-// backend keeps no virtual-time machine ledger (today: Native, whose
-// energy accounting lives in per-job Reports). Test with errors.Is.
+// ErrStatsUnavailable is the sentinel wrapped by MachineStats when
+// there is no single machine ledger to return: the Native backend keeps
+// none (its energy accounting lives in per-job Reports), and a Sim
+// fleet of more than one machine has one per machine (read
+// ClusterStats). Test with errors.Is.
 var ErrStatsUnavailable = errors.New("hermes: machine stats unavailable on this backend")
+
+// ErrSimOnly is the sentinel wrapped by every refusal of a capability
+// only the simulator has: a fleet (WithMachines, WithPlacement,
+// WithFaults, WithRetryPolicy, NewCluster), ranked dispatch and quantum
+// preemption at construction, and SubmitTrace on a running Runtime.
+// Test with errors.Is.
+var ErrSimOnly = errors.New("hermes: needs the Sim backend")
 
 // ErrModeSwitchUnavailable is the sentinel wrapped by SetMode when the
 // backend cannot change tempo mode while running (today: Sim, whose
@@ -138,10 +147,22 @@ type Executor interface {
 // configuration. Construct with New, submit with Submit (or the Run
 // method for submit-and-wait), and release with Close. All methods
 // are safe for concurrent use.
+//
+// On the Sim backend a Runtime is a fleet of simulated machines behind
+// a placement tier (one machine unless WithMachines says otherwise) in
+// one discrete-event engine: concurrent jobs share a machine's workers,
+// deques, tempo and DVFS state as virtual-time arrivals, and a fixed
+// option set, seed and SubmitTrace trace reproduce byte-identical
+// Reports, observer streams and ledgers. Plain Submit arrives "now",
+// which depends on wall-clock submission timing.
 type Runtime struct {
-	cfg     Config
 	backend Backend
-	exec    Executor
+	// exec is the backend: &sim on Sim, native on Native, the other one
+	// zero. policy is the placement a Sim fleet routes by.
+	exec   Executor
+	sim    simDriver
+	native *rt.Exec
+	policy Placement
 	// sink is the Runtime-owned async observer from WithAsyncObserver,
 	// nil when events flow synchronously (WithObserver or none).
 	sink *obs.Async
@@ -149,64 +170,92 @@ type Runtime struct {
 
 // New builds a Runtime from functional options. The zero option set
 // selects the simulator backend on System A with one worker per clock
-// domain, baseline mode — the same defaults as the package-level Run.
-// Invalid configurations return errors (never panics).
+// domain, baseline mode, one machine — the same defaults as the
+// package-level Run. Invalid configurations return errors (never
+// panics); options the chosen backend cannot honour return an error
+// wrapping ErrSimOnly.
 func New(opts ...Option) (*Runtime, error) {
 	s, err := gather(opts)
 	if err != nil {
 		return nil, err
 	}
-	if s.machines != 0 || s.placement != nil || s.faultsSet || s.retrySet {
-		return nil, errors.New("hermes: WithMachines, WithPlacement, WithFaults and WithRetryPolicy apply to NewCluster, not New")
-	}
 	sink, err := s.startSink()
 	if err != nil {
 		return nil, err
 	}
-	// fail releases the sink's consumer goroutine on any constructor
-	// error after it has been started.
-	fail := func(err error) (*Runtime, error) {
+	r := &Runtime{backend: s.backend, sink: sink}
+	if s.backend == Sim {
+		err = r.startSim(s)
+	} else {
+		err = r.startNative(s)
+	}
+	if err != nil {
+		// Release the sink's consumer goroutine: nothing will feed it.
 		if sink != nil {
 			sink.Close()
 		}
 		return nil, err
 	}
-	cfg, err := s.cfg.Validate()
-	if err != nil {
-		return fail(err)
-	}
-	r := &Runtime{cfg: cfg, backend: s.backend, sink: sink}
-	switch s.backend {
-	case Sim:
-		ex, err := newSimExec(cfg)
-		if err != nil {
-			return fail(err)
-		}
-		r.exec = ex
-	case Native:
-		// Hand the backend the pre-validation config: an unset worker
-		// count defaults to one per clock domain on the simulator but
-		// to min(GOMAXPROCS, domains) on real goroutine workers.
-		ex, err := rt.NewExec(s.cfg)
-		if err != nil {
-			return fail(err)
-		}
-		r.cfg = ex.Config()
-		r.exec = ex
-	default:
-		return fail(fmt.Errorf("hermes: unknown backend %d", s.backend))
-	}
 	return r, nil
 }
 
-// Config returns the validated configuration the Runtime runs with
-// (defaults filled in). On backends that support live mode switching
-// the returned Mode reflects the current mode, not the boot value.
-func (r *Runtime) Config() Config {
-	if ex, ok := r.exec.(interface{ Config() core.Config }); ok {
-		return ex.Config()
+// startSim builds the simulated fleet: the one place the public API
+// constructs a core.Cluster.
+func (r *Runtime) startSim(s settings) error {
+	r.policy = PlacementPowerOfChoices(2)
+	if s.placement != nil {
+		r.policy = *s.placement
 	}
-	return r.cfg
+	interval, staleness, batch := r.policy.GossipParams()
+	fleet, err := core.NewCluster(core.ClusterConfig{
+		Machines:        max(s.machines, 1),
+		Machine:         s.cfg,
+		Placement:       r.policy.Placer(),
+		GossipInterval:  interval,
+		GossipStaleness: staleness,
+		GossipBatch:     batch,
+		Faults:          s.faults,
+		RetryBudget:     s.retryBudget,
+		RetryBackoff:    s.retryBackoff,
+	})
+	if err != nil {
+		return err
+	}
+	r.sim.eng = fleet
+	r.exec = &r.sim
+	return nil
+}
+
+// startNative starts the real-concurrency pool. It gets the
+// pre-validation config: an unset worker count defaults to one per
+// clock domain on the simulator but to min(GOMAXPROCS, domains) on real
+// goroutine workers.
+func (r *Runtime) startNative(s settings) error {
+	if s.machines != 0 || s.placement != nil || len(s.faults) > 0 || s.retryBudget != 0 {
+		return fmt.Errorf("%w: WithMachines, WithPlacement, WithFaults and WithRetryPolicy configure a simulated fleet (backend is %v)",
+			ErrSimOnly, s.backend)
+	}
+	ex, err := rt.NewExec(s.cfg)
+	if errors.Is(err, rt.ErrSimOnly) {
+		err = fmt.Errorf("%w: %v", ErrSimOnly, err)
+	}
+	if err != nil {
+		return err
+	}
+	r.native = ex
+	r.exec = ex
+	return nil
+}
+
+// Config returns the validated configuration the Runtime runs with
+// (defaults filled in) — on a fleet, the one every machine runs with.
+// On Native, which supports live mode switching, the returned Mode
+// reflects the current mode, not the boot value.
+func (r *Runtime) Config() Config {
+	if r.backend == Sim {
+		return r.sim.eng.Config().Machine
+	}
+	return r.native.Config()
 }
 
 // SetMode switches the Runtime's tempo mode while it serves traffic —
@@ -218,12 +267,11 @@ func (r *Runtime) Config() Config {
 // ErrModeSwitchUnavailable. Switching into a tempo-controlled mode
 // requires the ≥2-frequency ladder such a mode needs at construction.
 func (r *Runtime) SetMode(m Mode) error {
-	ms, ok := r.exec.(interface{ SetMode(core.Mode) error })
-	if !ok {
+	if r.native == nil {
 		return fmt.Errorf("%w: SetMode needs the Native backend (runtime is %v)",
 			ErrModeSwitchUnavailable, r.backend)
 	}
-	return ms.SetMode(m)
+	return r.native.SetMode(m)
 }
 
 // Backend returns the execution engine the Runtime was built with.
@@ -276,32 +324,32 @@ type Arrival struct {
 // one, a fixed config, seed and trace make every per-job Report and
 // the observer event sequence byte-identical run after run, while the
 // jobs genuinely overlap — contending for workers, steals and DVFS
-// state — inside the simulated machine. ctx cancels every job in the
-// trace. The Native backend has no virtual clock to schedule against
-// and returns an error.
+// state — inside the simulated machines; on a fleet each arrival is
+// routed by the placement policy at its virtual instant. ctx cancels
+// every job in the trace. The Native backend has no virtual clock to
+// schedule against and returns an error wrapping ErrSimOnly.
 func (r *Runtime) SubmitTrace(ctx context.Context, arrivals []Arrival) ([]*Job, error) {
-	se, ok := r.exec.(*simExec)
-	if !ok {
-		return nil, fmt.Errorf("hermes: SubmitTrace needs the Sim backend (runtime is %v)", r.backend)
+	if r.backend != Sim {
+		return nil, fmt.Errorf("%w: SubmitTrace schedules in virtual time (runtime is %v)", ErrSimOnly, r.backend)
 	}
-	return se.submit(ctx, arrivals)
+	return r.sim.submit(ctx, arrivals)
 }
 
-// MachineStats returns the simulated machine's totals over the
-// Runtime's whole lifetime — integrated energy, residency by DVFS
+// MachineStats returns the simulated machine's totals through the
+// Runtime's last job completion — integrated energy, residency by DVFS
 // tier, steal and tempo counts — the quantities per-job Reports carry
 // only as deltas over their own (overlapping) sojourn windows.
 // Open-system sweeps read run-level energy, average power and
-// tier-residency curves from here. Sim backend only — Native returns
-// an error wrapping ErrStatsUnavailable; it blocks until the engine
-// has stopped, so call it after Close.
+// tier-residency curves from here. It is the one-machine view of the
+// ClusterStats ledger: Native, and a fleet of more than one machine,
+// return an error wrapping ErrStatsUnavailable. It blocks until the
+// engine has stopped, so call it after Close.
 func (r *Runtime) MachineStats() (MachineStats, error) {
-	se, ok := r.exec.(*simExec)
-	if !ok {
-		return MachineStats{}, fmt.Errorf("%w: MachineStats needs the Sim backend (runtime is %v)",
-			ErrStatsUnavailable, r.backend)
+	if n := r.Machines(); r.backend != Sim || n > 1 {
+		return MachineStats{}, fmt.Errorf("%w: MachineStats is the ledger of a one-machine Sim runtime (this is %v, %d machines); a fleet reads ClusterStats",
+			ErrStatsUnavailable, r.backend, n)
 	}
-	return se.pool.MachineStats(), nil
+	return r.ClusterStats().Machines[0], nil
 }
 
 // Run submits root and waits for its report: the submit-and-wait
@@ -341,17 +389,13 @@ func (r *Runtime) EventsDropped() uint64 {
 
 // --- simulator backend ----------------------------------------------
 
-// simDriver is the one path from the public API into the simulator,
-// shared by a Runtime's Sim backend (a core.Pool) and a Cluster (a
-// core.Cluster): it assigns job ids, turns arrivals into
-// core.JobRequests wired to their Job handles and to ctx, maps core's
-// sentinel errors onto this package's, and rolls the ids back when the
-// engine refuses a batch. It is an Executor as it stands.
+// simDriver is the one path from the public API into the simulator: it
+// assigns job ids, turns arrivals into core.JobRequests wired to their
+// Job handles and to ctx, maps core's sentinel errors onto this
+// package's, and rolls the ids back when the engine refuses a batch. It
+// is an Executor as it stands.
 type simDriver struct {
-	eng interface {
-		Submit(...core.JobRequest) error
-		Close() error
-	}
+	eng *core.Cluster
 
 	mu     sync.Mutex
 	nextID int64
@@ -370,11 +414,6 @@ func (d *simDriver) Submit(ctx context.Context, root Task, class Class) (*Job, e
 // submit schedules a batch of jobs at explicit virtual arrival times,
 // atomically: the whole trace enters the engine in one step.
 func (d *simDriver) submit(ctx context.Context, arrivals []Arrival) ([]*Job, error) {
-	for _, a := range arrivals {
-		if a.Task == nil {
-			return nil, ErrNilTask
-		}
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -419,25 +458,3 @@ func (d *simDriver) submit(ctx context.Context, arrivals []Arrival) ([]*Job, err
 }
 
 func (d *simDriver) Close() error { return d.eng.Close() }
-
-// simExec is a Runtime's Sim backend: the driver over the persistent
-// discrete-event pool (core.Pool). Concurrently submitted jobs share
-// the simulated machine's workers, deques, tempo controller and DVFS
-// state as virtual-time arrivals, with per-job reports carrying virtual
-// sojourn and worker-time-weighted energy attribution. Determinism
-// holds per arrival trace: a fixed config, seed and set of (virtual
-// arrival time, job) pairs reproduces byte-identical reports —
-// SubmitTrace fixes the arrival times explicitly; plain Submit assigns
-// "now", which depends on wall-clock submission timing.
-type simExec struct {
-	simDriver
-	pool *core.Pool
-}
-
-func newSimExec(cfg core.Config) (*simExec, error) {
-	pool, err := core.NewPool(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &simExec{simDriver: simDriver{eng: pool}, pool: pool}, nil
-}
