@@ -337,7 +337,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		s := newSched(c.eng, mcfg)
 		s.mid = m
 		s.tag = fmt.Sprintf("m%d/", m)
-		s.pool = &poolRun{}
 		s.onJobDone = func(end poolSnap) { c.machineJobDone(m, end) }
 		if len(cfg.Faults) > 0 {
 			s.onEvicted = c.requeue

@@ -94,10 +94,11 @@ type Config struct {
 	// Seed drives every random choice (victim selection). Identical
 	// configs and seeds produce bit-identical runs.
 	Seed int64
-	// Dispatch orders the pool's ready jobs awaiting a worker:
+	// Dispatch orders the machine's ready jobs awaiting a worker:
 	// DispatchFIFO (default, class-blind delivery order),
 	// DispatchPriority (strict Class.Priority) or DispatchEDF
-	// (earliest absolute deadline first). Single-shot runs ignore it.
+	// (earliest absolute deadline first). Run's one job has nothing
+	// to be ordered against.
 	Dispatch Dispatch
 	// PreemptQuantum, when positive and Dispatch is not FIFO, lets a
 	// waiting job that outranks the one a worker is executing take
@@ -106,7 +107,7 @@ type Config struct {
 	// quantum-sized slices and the ready queue is re-checked between
 	// slices, so a short latency-critical arrival overtakes
 	// heavy-tailed batch work already in flight. Zero disables
-	// preemption; Sim pool mode only.
+	// preemption; Sim only.
 	PreemptQuantum units.Time
 
 	// Overheads. Zero values select defaults consistent with the

@@ -5,12 +5,16 @@
 // Figure 5, executed over the deterministic discrete-event machine
 // model in internal/cpu, internal/power and internal/meter.
 //
-// Two drivers sit on the scheduler (sched, worker). Run executes one
-// root task to completion on a fresh machine: the paper's closed-system
-// figures. Cluster serves a stream of jobs arriving in virtual time on
-// N machines sharing one engine, behind a placement tier; it owns the
-// one engine goroutine, submission bridge, arrival heap, intake process
-// and end-of-trace ledger. One machine is a Cluster with Machines 1, so
+// One driver sits on the scheduler (sched, worker): a machine serves
+// the jobs delivered to it, each taken by a worker's schedule loop and
+// reported by jobDone. Cluster feeds that path a stream of jobs
+// arriving in virtual time on N machines sharing one engine, behind a
+// placement tier; it owns the one engine goroutine, submission bridge,
+// arrival heap, intake process and end-of-trace ledger, and one machine
+// is a Cluster with Machines 1. Run is one job delivered at t = 0 to a
+// fresh machine that shuts down when the job completes — the paper's
+// closed-system figures — and reports the machine's energy, as the
+// paper's DAQ does, in place of the job's share. Closed-system,
 // open-system, fleet and fault-injection evaluations run the same
 // machine through the same code.
 package core

@@ -81,7 +81,7 @@ func goldenScenarios(t *testing.T) map[string]string {
 }
 
 // TestGoldenReports is the refactoring oracle for everything under the
-// scheduler: one single-root run, one pool trace and one fault-injected
+// scheduler: one Run, one pool trace and one fault-injected
 // cluster trace per tempo mode, each digested whole (reports, errors,
 // fleet stats, full observer stream) against testdata/golden.txt. A
 // change that is meant to keep simulated behaviour — an engine swap, a

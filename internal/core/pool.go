@@ -232,10 +232,9 @@ func (s *sched) deliver(j *jobRun) {
 }
 
 // poolTake hands out the delivered root the dispatch policy ranks
-// first (delivery order under FIFO), or nil. Only meaningful in pool
-// mode.
+// first (delivery order under FIFO), or nil.
 func (s *sched) poolTake() *task {
-	if s.pool == nil || len(s.pool.injectq) == 0 {
+	if len(s.pool.injectq) == 0 {
 		return nil
 	}
 	i := s.poolPick()
@@ -327,8 +326,10 @@ func (s *sched) poolSnapNow() poolSnap {
 // Energy is the exact interval partition accumulated by touch():
 // worker-time weighted like the Native backend, but integrated per
 // interval, so the sum over concurrent jobs equals the machine's
-// joules over every instant a job held a worker — no double counting
-// regardless of how the jobs' windows overlap.
+// joules over every instant some worker executed a job's task — no
+// double counting however the jobs' windows overlap, and less than
+// the machine's joules over the window, for a job alone too (see
+// touch). Run overwrites the four energy fields with the machine's.
 func (s *sched) buildJobReport(j *jobRun, now units.Time, end poolSnap) Report {
 	var span units.Time
 	if j.started {

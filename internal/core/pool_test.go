@@ -212,8 +212,9 @@ func TestPoolEnergyPartition(t *testing.T) {
 	}
 }
 
-// TestPoolSoloJobKeepsFullMachineEnergy: a job running alone owns the
-// whole machine's draw over its window, idle cores included.
+// TestPoolSoloJobKeepsFullMachineEnergy: a job running alone is
+// attributed nearly all of the machine's draw, idle cores included —
+// nearly, see TestSoloJobShareBelowMachine.
 func TestPoolSoloJobKeepsFullMachineEnergy(t *testing.T) {
 	p, err := oneMachine(Config{Spec: cpu.SystemB(), Workers: 4, Seed: 1})
 	if err != nil {
@@ -241,6 +242,32 @@ func TestPoolSoloJobKeepsFullMachineEnergy(t *testing.T) {
 	}
 	if rep.Sojourn != rep.Span {
 		t.Fatalf("solo job queued? sojourn=%v span=%v", rep.Sojourn, rep.Span)
+	}
+}
+
+// TestSoloJobShareBelowMachine pins what touch's attribution really
+// does for a job alone on the machine: its EnergyJ is a share, at most
+// the machine's joules over its window and not equal to them, because
+// intervals in which no worker is Busy inside one of the job's tasks
+// (a top-level pop's deque cost, every worker probing or parked on a
+// join) are attributed to nobody. Measured here, share/machine − 1:
+// baseline −0.3 %, workpath −0.8 %, workload −0.2 %, unified −5.0 %.
+// "Σ per-job joules = machine joules" therefore holds only over
+// instants some worker executes a job's task (ROADMAP 5(b)).
+func TestSoloJobShareBelowMachine(t *testing.T) {
+	for _, mode := range []Mode{Baseline, WorkpathOnly, WorkloadOnly, Unified} {
+		reports, errs, _, st := traceCluster(t,
+			ClusterConfig{Machines: 1, Placement: pinPlace{},
+				Machine: Config{Spec: cpu.SystemB(), Workers: 4, Mode: mode, Seed: 11}},
+			[]units.Time{0}, func(int) wl.Task { return poolWork(96) })
+		if errs[0] != nil {
+			t.Fatalf("%v: %v", mode, errs[0])
+		}
+		share, machine := reports[0].EnergyJ, st.Machines[0].EnergyJ
+		t.Logf("%v: share %.6f J of machine %.6f J (%+.2f%%)", mode, share, machine, 100*(share/machine-1))
+		if share > machine || share < 0.9*machine {
+			t.Errorf("%v: solo job's share %.6f J outside [0.9, 1] × machine %.6f J", mode, share, machine)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"hermes/internal/units"
 )
 
-// Report summarizes one simulated run. Energy and samples follow the
+// Report summarizes one simulated job. Energy and samples follow the
 // paper's measurement methodology (100 Hz meter on a 12 V rail);
 // EnergyJ is the exact piecewise integral for noise-free comparisons.
 type Report struct {
@@ -18,22 +18,30 @@ type Report struct {
 	Mode    Mode
 	Sched   Scheduling
 	// Class is the job's service class as submitted (zero for
-	// unclassed jobs and single-shot runs).
+	// unclassed jobs, Run's included).
 	Class Class
 
 	// Span is the execution time: from the job's first task beginning
-	// to run to root-task completion (the makespan of a single-shot
-	// run, where execution starts at time zero).
+	// to run to root-task completion (the makespan under Run, whose
+	// job starts executing at time zero).
 	Span units.Time
 	// Sojourn is the open-system latency: from the job entering the
-	// system (virtual arrival on the Sim pool, wall-clock submission
-	// on Native) to completion. Sojourn − Span is time spent queued
-	// before any worker picked the job up; for a single-shot run
-	// Sojourn equals Span.
+	// system (virtual arrival on Sim, wall-clock submission on
+	// Native) to completion. Sojourn − Span is time spent queued
+	// before any worker picked the job up; under Run Sojourn equals
+	// Span.
 	Sojourn units.Time
-	// EnergyJ is the exact integrated CPU energy over the span.
+	// EnergyJ is exact integrated CPU energy. From Run it is the whole
+	// machine's over [0, completion]. From a Cluster it is the job's
+	// share: the machine's joules over every interval one of the
+	// job's tasks held a busy worker, split evenly with the other jobs
+	// doing the same. Intervals in which no worker executes any job's
+	// task belong to no job, so even a job alone on its machine reads
+	// up to 5 % below the machine's joules over its window.
 	EnergyJ float64
-	// MeterJ is the energy the paper's 100 Hz DAQ rig would report.
+	// MeterJ is the energy the paper's 100 Hz DAQ rig would report for
+	// the machine (Run); a Cluster job has no rig of its own and
+	// repeats EnergyJ.
 	MeterJ float64
 	// EDP is the energy-delay product (exact energy × span).
 	EDP float64

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"hermes/internal/cpu"
+	"hermes/internal/obs"
 	"hermes/internal/units"
 	"hermes/internal/wl"
 )
@@ -243,6 +246,21 @@ func TestWorkerValidation(t *testing.T) {
 	Run(Config{Spec: cpu.SystemA(), Workers: 17}, func(wl.Ctx) {})
 }
 
+// TestRunTaskPanicPropagates: a panicking task fails Run's one job, and
+// Run re-raises the job's error — the task's panic value and its stack —
+// after the machine has shut down.
+func TestRunTaskPanicPropagates(t *testing.T) {
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "goroutine") {
+			t.Fatalf("Run did not re-raise the task panic with its stack: %v", err)
+		}
+	}()
+	Run(baseCfg(4, Unified), func(c wl.Ctx) {
+		c.Go(func(c wl.Ctx) { c.Work(100_000) }, func(wl.Ctx) { panic("boom") })
+	})
+}
+
 func TestFreqValidation(t *testing.T) {
 	cases := []Config{
 		{Spec: cpu.SystemA(), Workers: 2, Mode: Unified, Freqs: []units.Freq{2_400_000 * units.KHz, 2_000_000 * units.KHz}},                        // unsupported slow
@@ -306,5 +324,62 @@ func TestGoZeroAndOne(t *testing.T) {
 	}
 	if r.Spawns != 0 {
 		t.Fatalf("inline-only blocks must not spawn (got %d)", r.Spawns)
+	}
+}
+
+// TestRunIsOneJobAtZero pins Run to the job-stream path: the same root
+// submitted At: 0 to a one-machine cluster gives the same Report and
+// the same observer stream. Two things are Run's own. The four energy
+// fields are the machine's ledger over [0, completion], not the job's
+// attributed share, and EnergyJ is bit-for-bit the joules the cluster's
+// fleet snapshot froze at that completion. And Run shuts the machine
+// down the instant the job completes, so its stream is the cluster's
+// cut there: what the cluster emits afterwards is the idle machine
+// spinning down (tempo switches, their DVFS commits, meter samples),
+// never another job event. If a second start-up path grows back under
+// Run, this is the test that fails.
+func TestRunIsOneJobAtZero(t *testing.T) {
+	machineOnly := func(r Report) Report {
+		r.EnergyJ, r.MeterJ, r.EDP, r.AvgPowerW = 0, 0, 0, 0
+		return r
+	}
+	for _, mode := range []Mode{Baseline, WorkpathOnly, WorkloadOnly, Unified} {
+		cfg := Config{Spec: cpu.SystemB(), Workers: 4, Mode: mode, Seed: 11}
+		rec := &recorder{}
+		rcfg := cfg
+		rcfg.Observer = rec
+		run := Run(rcfg, poolWork(96))
+
+		reports, errs, events, st := traceCluster(t,
+			ClusterConfig{Machines: 1, Machine: cfg, Placement: pinPlace{}},
+			[]units.Time{0}, func(int) wl.Task { return poolWork(96) })
+		if errs[0] != nil {
+			t.Fatalf("%v: cluster job failed: %v", mode, errs[0])
+		}
+		if a, b := machineOnly(run), machineOnly(reports[0]); !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: Run and a job at t = 0 disagree:\n%#v\n%#v", mode, a, b)
+		}
+		if run.EnergyJ != st.Machines[0].EnergyJ {
+			t.Errorf("%v: Run.EnergyJ = %v, machine ledger at completion = %v", mode, run.EnergyJ, st.Machines[0].EnergyJ)
+		}
+
+		if len(rec.events) == 0 || len(rec.events) > len(events) {
+			t.Fatalf("%v: Run emitted %d events, the cluster %d", mode, len(rec.events), len(events))
+		}
+		sawDone := false
+		for i, e := range rec.events {
+			if e != events[i] {
+				t.Fatalf("%v: event %d diverged: %+v vs %+v", mode, i, e, events[i])
+			}
+			sawDone = sawDone || e.Kind == obs.JobDone
+		}
+		if !sawDone {
+			t.Errorf("%v: Run's stream carries no JobDone", mode)
+		}
+		for _, e := range events[len(rec.events):] {
+			if e.Kind == obs.JobStart || e.Kind == obs.JobDone || e.Kind == obs.Steal {
+				t.Errorf("%v: cluster event after Run's shutdown point is not spin-down: %+v", mode, e)
+			}
+		}
 	}
 }

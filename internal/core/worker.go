@@ -15,9 +15,8 @@ import (
 )
 
 // task is one deque item: a workload closure, the fork-join block it
-// belongs to, and (in pool mode) the job it is accounted against.
-// root marks a job's injected root task, whose completion completes
-// the job.
+// belongs to, and the job it is accounted against. root marks a job's
+// injected root task, whose completion completes the job.
 type task struct {
 	fn   wl.Task
 	blk  *block
@@ -65,9 +64,9 @@ type worker struct {
 	// curJob is the job of the innermost in-flight runTask frame (a
 	// join runs other tasks — possibly other jobs' — inline): the job
 	// this worker's busy time, and so its share of the machine's power
-	// draw, belongs to right now. idlePark marks a worker halted in
-	// poolIdle, the only parked state a job arrival should wake.
-	// Pool-mode accounting.
+	// draw, belongs to right now; nil between tasks. idlePark marks a
+	// worker halted in poolIdle, the only parked state a job arrival
+	// should wake.
 	curJob   *jobRun
 	idlePark bool
 
@@ -97,25 +96,11 @@ func newWorker(s *sched, id int, c *cpu.Core) *worker {
 
 func (w *worker) name() string { return fmt.Sprintf("%sworker%d", w.s.tag, w.id) }
 
-// run is the process body. In single-run mode worker 0 executes the
-// root task directly (the program's main); everyone else — and every
-// worker in pool mode, where roots arrive through the intake — enters
-// the SCHEDULE loop.
-func (w *worker) run(p *sim.Proc) {
-	w.proc = p
-	if w.s.pool == nil && w.id == 0 {
-		w.runTask(&task{fn: w.s.root})
-		w.s.finish()
-		return
-	}
-	w.schedule()
-}
-
-// schedule is Algorithm 3.1: pop local work; failing that, relay
-// immediacy and unlink (out of work), then steal; failing that, yield
-// — or, in pool mode with no job in the system, halt the core until
-// the intake delivers an arrival.
-func (w *worker) schedule() {
+// schedule is the process body, Algorithm 3.1: pop local work; failing
+// that, relay immediacy and unlink (out of work), take a delivered
+// root, then steal; failing that, yield — or, with no job in the
+// system, halt the core until deliver hands the machine an arrival.
+func (w *worker) schedule(*sim.Proc) {
 	for {
 		if w.s.done {
 			return
@@ -147,12 +132,10 @@ func (w *worker) schedule() {
 }
 
 // poolIdle parks the worker (core halted, no modeled draw) while the
-// pool has no active jobs, instead of burning virtual time probing an
-// empty machine. The intake wakes every worker when a job arrives.
-// Always false outside pool mode.
+// machine has no active jobs, instead of burning virtual time probing
+// an empty machine. deliver wakes every idle worker when a job arrives.
 func (w *worker) poolIdle() bool {
-	p := w.s.pool
-	if p == nil || w.s.done || len(p.active) > 0 {
+	if w.s.done || len(w.s.pool.active) > 0 {
 		return false
 	}
 	w.backoff = 0
@@ -230,9 +213,7 @@ func (w *worker) popLocal() (*task, bool) {
 // PUSH): deque op cost, then the workload-sensitive growth check.
 func (w *worker) push(t *task) {
 	w.s.spawns++
-	if t.job != nil {
-		t.job.spawns++
-	}
+	t.job.spawns++
 	w.dq.Push(t)
 	w.proc.Sleep(w.s.cfg.PushPopCost)
 	if w.s.cfg.Mode.Workload() {
@@ -264,11 +245,6 @@ func (w *worker) afterShrink() {
 		w.th.Lower()
 		w.s.retune(w)
 	}
-}
-
-// afterStolenFrom applies Figure 5's STEAL check on the victim side.
-func (w *worker) afterStolenFrom() {
-	w.afterShrink()
 }
 
 // outOfWork runs Algorithm 3.1 lines 6–14: the worker's deque is
@@ -315,9 +291,6 @@ func (w *worker) stealRound() (*task, bool) {
 // deque-size-derived tempo of Figure 4 (workload-only), plus the
 // victim-side shrink check.
 func (w *worker) stealFrom(v *worker) (*task, bool) {
-	if v == w {
-		return nil, false
-	}
 	w.setState(cpu.Spin)
 	w.proc.Sleep(w.s.cfg.StealCost)
 	if w.s.done {
@@ -330,9 +303,7 @@ func (w *worker) stealFrom(v *worker) (*task, bool) {
 	}
 	w.s.steals++
 	w.s.perWorker[w.id].Steals++
-	if t.job != nil {
-		t.job.steals++
-	}
+	t.job.steals++
 	w.s.emit(obs.Event{Kind: obs.Steal, Time: w.s.eng.Now(), Worker: w.id, Victim: v.id})
 	if w.s.cfg.Mode.Workpath() {
 		// Thief procrastination: one workpath level below the victim,
@@ -351,7 +322,7 @@ func (w *worker) stealFrom(v *worker) (*task, bool) {
 		w.th.SetTier(w.th.TierFor(w.dq.Size()))
 		w.s.retune(w)
 	}
-	v.afterStolenFrom()
+	v.afterShrink() // Figure 5's STEAL check on the victim side
 	return t, true
 }
 
@@ -374,17 +345,17 @@ func (w *worker) yield() {
 
 // runTask executes one task: under dynamic scheduling the worker pays
 // the affinity set/reset cost around the WORK invocation
-// (Section 3.4); on completion the task's block is notified. In pool
-// mode the worker's curJob tracks the innermost frame's job while it
-// runs, so every power-integration interval attributes this worker's
-// busy time (and energy share) to the right job, and completing a
-// job's root task completes the job.
+// (Section 3.4); on completion the task's block is notified. The
+// worker's curJob tracks the innermost frame's job while it runs, so
+// every power-integration interval attributes this worker's busy time
+// (and energy share) to the right job, and completing a job's root
+// task completes the job.
 func (w *worker) runTask(t *task) {
 	w.setState(cpu.Busy)
 	j := t.job
 	prevJob := w.curJob
 	w.setJob(j)
-	if j != nil && !j.started {
+	if !j.started {
 		j.started = true
 		j.startAt = w.s.eng.Now()
 	}
@@ -393,9 +364,7 @@ func (w *worker) runTask(t *task) {
 	}
 	if !w.s.taskCancelled(j) {
 		w.s.tasks++
-		if j != nil {
-			j.tasks++
-		}
+		j.tasks++
 		w.runBody(t)
 	}
 	if blk := t.blk; blk != nil {
@@ -422,23 +391,17 @@ func (w *worker) runTask(t *task) {
 // whole stretch since the last touch lands on whichever job is
 // current at the next one.
 func (w *worker) setJob(j *jobRun) {
-	if w.s.pool != nil && w.curJob != j {
+	if w.curJob != j {
 		w.s.touch()
 	}
 	w.curJob = j
 }
 
-// runBody invokes the task closure. In pool mode a panicking body
-// fails only its own job — the error surfaces from the job's
-// completion, the rest of the job drains like a cancellation, and
-// concurrent jobs on the shared machine are untouched (matching the
-// Native backend). The single-run path keeps the engine's trap
-// behaviour: the panic is re-raised from core.Run after teardown.
+// runBody invokes the task closure. A panicking body fails only its
+// own job — the error surfaces from the job's completion, the rest of
+// the job drains like a cancellation, and concurrent jobs on the shared
+// machine are untouched (matching the Native backend).
 func (w *worker) runBody(t *task) {
-	if t.job == nil {
-		t.fn(ctx{w: w})
-		return
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			if sim.IsUnwind(p) {
@@ -508,7 +471,7 @@ func (w *worker) join(blk *block) {
 }
 
 // parkOnBlock halts the core until the block's last task completes.
-// Re-parking after a spurious wake (pool arrivals, DVFS re-rating)
+// Re-parking after a spurious wake (job arrivals, DVFS re-rating)
 // continues the same logical park and is not recounted.
 func (w *worker) parkOnBlock(blk *block) {
 	if blk.pending == 0 {
@@ -535,7 +498,7 @@ func (w *worker) parkOnBlock(blk *block) {
 func (w *worker) workCycles(c units.Cycles) {
 	rem := c
 	for rem > 0 {
-		if j := w.curJob; j != nil && j.evicted {
+		if w.curJob.evicted {
 			return
 		}
 		w.maybePreempt()
@@ -574,13 +537,12 @@ func (w *worker) workCycles(c units.Cycles) {
 
 // preemptible reports whether this worker's CPU segments are subject
 // to quantum preemption: a quantum is configured, a ranked dispatch
-// policy is active, pool mode, and the nesting cap is not exhausted.
-// FIFO never preempts, so the default configuration retires segments
-// exactly as before the quantum existed.
+// policy is active, and the nesting cap is not exhausted. FIFO never
+// preempts, so the default configuration retires segments exactly as
+// before the quantum existed.
 func (w *worker) preemptible() bool {
 	return w.s.cfg.PreemptQuantum > 0 &&
 		w.s.cfg.Dispatch != DispatchFIFO &&
-		w.s.pool != nil &&
 		w.preemptDepth < maxPreemptDepth
 }
 
@@ -590,11 +552,8 @@ func (w *worker) preemptible() bool {
 // worker — runTask's curJob save/restore keeps energy attribution
 // exact across the switch — then the preempted segment resumes.
 func (w *worker) maybePreempt() {
-	if !w.preemptible() || w.curJob == nil {
-		return
-	}
 	s := w.s
-	if len(s.pool.injectq) == 0 {
+	if !w.preemptible() || len(s.pool.injectq) == 0 {
 		return
 	}
 	i := s.poolPick()
@@ -619,12 +578,9 @@ func (w *worker) memWork(d units.Time) {
 		if w.proc.WaitUntil(end) >= end {
 			return
 		}
-		// Spurious wake (e.g. run teardown, eviction); re-park until
-		// done unless the stall no longer matters.
-		if w.s.done {
-			return
-		}
-		if j := w.curJob; j != nil && j.evicted {
+		// Spurious wake (e.g. shutdown, eviction); re-park until done
+		// unless the stall no longer matters.
+		if w.s.done || w.curJob.evicted {
 			return
 		}
 	}
@@ -632,8 +588,7 @@ func (w *worker) memWork(d units.Time) {
 
 // --- wl.Ctx implementation ------------------------------------------
 
-// ctx adapts a worker to the workload API; j is the owning job in
-// pool mode (nil on the single-run path).
+// ctx adapts a worker to the workload API; j is the owning job.
 type ctx struct {
 	w *worker
 	j *jobRun

@@ -97,7 +97,6 @@ func (s Spec) key() string {
 type Avg struct {
 	Span    float64 // seconds
 	Energy  float64 // joules (exact integral)
-	MeterJ  float64 // joules (100 Hz DAQ emulation)
 	EDP     float64
 	Steals  float64
 	SlowOcc float64 // fraction of busy time below max frequency
@@ -140,7 +139,6 @@ func (s *Session) Run(spec Spec) Avg {
 		}
 		a.Span += r.Span.Seconds()
 		a.Energy += r.EnergyJ
-		a.MeterJ += r.MeterJ
 		a.EDP += r.EDP
 		a.Steals += float64(r.Steals)
 		if r.BusyTime > 0 {
@@ -154,7 +152,6 @@ func (s *Session) Run(spec Spec) Avg {
 	t := float64(s.opts.Trials)
 	a.Span /= t
 	a.Energy /= t
-	a.MeterJ /= t
 	a.EDP /= t
 	a.Steals /= t
 	a.SlowOcc /= t

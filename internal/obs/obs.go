@@ -55,8 +55,9 @@ type Event struct {
 	// time since executor start; on the simulator backend it is the
 	// persistent engine's virtual time, globally ordered across the
 	// multi-job stream (JobStart carries the job's virtual arrival,
-	// JobDone its completion time). Only the single-shot core.Run
-	// path still measures from its own run's time zero.
+	// JobDone its completion time). core.Run's stream is the same
+	// clock with one job on it: JobStart for job 1 at zero, JobDone at
+	// its span.
 	Time units.Time
 	// Worker is the acting worker id, -1 if not worker-scoped.
 	Worker int
