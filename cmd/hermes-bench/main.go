@@ -78,22 +78,22 @@ func main() {
 		quantum = flag.Duration("quantum", 0,
 			"load/sweep: preemption quantum under ranked dispatch (0 = jobs run to completion)")
 		rps      = flag.Float64("rps", 100, "load: target arrival rate, requests/second")
-		duration = flag.Duration("duration", 10*time.Second, "load: arrival window")
+		duration = flag.Duration("duration", 10*time.Second, "load/sweep: arrival window")
 		url      = flag.String("url", "", "load: hermes-serve base URL (empty = in-process Runtime)")
 		kind     = flag.String("workload", "ticks",
 			"load/sweep: workload kind ("+strings.Join(workload.Names(), ", ")+")")
 		traceName = flag.String("trace", "",
 			"load/sweep: arrival process ("+strings.Join(trace.Names(), ", ")+"; empty = poisson)")
-		n        = flag.Int("n", 0, "load: workload size (0 = workload default)")
-		grain    = flag.Int("grain", 0, "load: task granularity (0 = workload default)")
-		work     = flag.Int64("work", 0, "load: cycles per unit (0 = workload default)")
-		memfrac  = flag.Float64("memfrac", 0, "load: memory-bound fraction of work")
+		n        = flag.Int("n", 0, "load/sweep: workload size (0 = workload default)")
+		grain    = flag.Int("grain", 0, "load/sweep: task granularity (0 = workload default)")
+		work     = flag.Int64("work", 0, "load/sweep: cycles per unit (0 = workload default)")
+		memfrac  = flag.Float64("memfrac", 0, "load/sweep: memory-bound fraction of work")
 		backend  = flag.String("backend", "native", "load in-process: backend (native or sim)")
 		mode     = flag.String("mode", "unified", "load in-process: tempo mode")
-		workers  = flag.Int("workers", 0, "load in-process: worker count (0 = default)")
+		workers  = flag.Int("workers", 0, "load in-process/sweep: worker count (0 = default)")
 		buffer   = flag.Int("buffer", 1<<16, "load in-process: async observer buffer size")
-		seed     = flag.Int64("seed", 1, "load: arrival-process seed")
-		jsonPath = flag.String("json", "", "load: write the JSON summary to this path")
+		seed     = flag.Int64("seed", 1, "load/sweep: arrival-process seed")
+		jsonPath = flag.String("json", "", "load/sweep: write the JSON summary to this path")
 	)
 	flag.Parse()
 

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,10 +18,9 @@ import (
 	"hermes/internal/workload"
 )
 
-// tinyKneeModel builds a capacity model whose knee is absurdly low, so
-// any real traffic trips the controller.
-func tinyKneeModel(t *testing.T, kneeRPS float64) *sweep.Model {
-	t.Helper()
+// kneeResult is a synthetic sweep artifact: one flat curve per mode,
+// each with its knee resolved at kneeRPS.
+func kneeResult(kneeRPS float64) sweep.Result {
 	res := sweep.Result{
 		Workload:   workload.Spec{Kind: "ticks", N: 64},
 		RatesRPS:   []float64{1, 10, 100},
@@ -33,11 +34,42 @@ func tinyKneeModel(t *testing.T, kneeRPS float64) *sweep.Model {
 		}
 		res.Curves = append(res.Curves, c)
 	}
-	model, err := sweep.ModelFromResult(res)
+	return res
+}
+
+// tinyKneeModel builds a capacity model whose knee is absurdly low, so
+// any real traffic trips the controller.
+func tinyKneeModel(t *testing.T, kneeRPS float64) *sweep.Model {
+	t.Helper()
+	model, err := sweep.ModelFromResult(kneeResult(kneeRPS))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return model
+}
+
+// TestControlBootsFromModelFile covers the -control -sweep-model <file>
+// boot wiring: buildServer loads the artifact from disk and hands the
+// controller a model, so /controlz reports it enabled and idle. A
+// buildServer that ignored sweepModel would report it disabled.
+func TestControlBootsFromModelFile(t *testing.T) {
+	data, err := json.Marshal(kneeResult(10_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := startTestServer(t, serveConfig{backend: "native", mode: "unified", workers: 4, buffer: 1 << 12,
+		maxInflight: 8, jobTimeout: time.Minute, control: true, sweepModel: path})
+	var st control.Status
+	if code := getJSON(t, ts.URL+"/controlz", &st); code != http.StatusOK {
+		t.Fatalf("/controlz: HTTP %d", code)
+	}
+	if !st.Enabled || st.State != "normal" || st.Shed != 0 || st.ModelPath != path {
+		t.Fatalf("controller booted from %s: %+v, want enabled, normal, shed_total 0", path, st)
+	}
 }
 
 // TestControlzDisabledByDefault pins the contract that /controlz always

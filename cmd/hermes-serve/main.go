@@ -34,10 +34,6 @@
 // The async observer drops (and counts) events instead of blocking
 // when its buffer overflows; watch hermes_observer_dropped_events_total
 // and raise -buffer if it moves.
-//
-// -selftest boots the full server on a loopback port, drives it over
-// real HTTP (submit, poll to completion, scrape /metrics) and exits
-// nonzero on any failure — the CI smoke for the serving path.
 package main
 
 import (
@@ -72,18 +68,8 @@ func main() {
 		sweepModel  = flag.String("sweep-model", "", "sweep JSON artifact to load as the capacity model")
 		ctlInterval = flag.Duration("control-interval", time.Second, "control loop tick period")
 		traceCap    = flag.Int("trace-cap", 4096, "arrival-trace ring size for /capacity replays")
-		selftest    = flag.Bool("selftest", false, "boot on a loopback port, exercise the HTTP API, exit nonzero on failure")
 	)
 	flag.Parse()
-
-	if *selftest {
-		if err := runSelftest(*mode, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "hermes-serve selftest: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("hermes-serve selftest: OK")
-		return
-	}
 
 	srv, rt, err := buildServer(serveConfig{
 		backend:         *backend,

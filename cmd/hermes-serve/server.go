@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -157,6 +158,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "bad job spec: data after the JSON object")
 		return
 	}
 	if req.Priority < 0 {
@@ -531,8 +536,8 @@ type workloadsJSON struct {
 
 // handleWorkloads serves the workload catalog: every registered kind
 // with its description, effective defaults and bounds — the registry
-// itself, so clients (and the selftest) can never disagree with what
-// POST /jobs accepts.
+// itself, so clients can never disagree with what POST /jobs accepts
+// (TestWorkloadsCatalogDrivesSubmit).
 func (s *server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	defs := workload.All()
 	out := workloadsJSON{Count: len(defs), Workloads: make([]workloadEntry, 0, len(defs))}

@@ -13,13 +13,14 @@ import (
 	"time"
 
 	"hermes/internal/metrics"
+	"hermes/internal/workload"
 )
 
-// newTestServer boots the full pipeline (runtime + async observer +
-// metrics + HTTP mux) behind an httptest server.
-func newTestServer(t *testing.T, maxInflight, buffer int) (*httptest.Server, *server) {
+// startTestServer boots the full pipeline (runtime + async observer +
+// metrics + control plane + HTTP mux) behind an httptest server.
+func startTestServer(t *testing.T, cfg serveConfig) (*httptest.Server, *server) {
 	t.Helper()
-	srv, rt, err := buildServer(serveConfig{backend: "native", mode: "unified", workers: 4, buffer: buffer, maxInflight: maxInflight, jobTimeout: time.Minute})
+	srv, rt, err := buildServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +30,13 @@ func newTestServer(t *testing.T, maxInflight, buffer int) (*httptest.Server, *se
 		rt.Close()
 	})
 	return ts, srv
+}
+
+// newTestServer is startTestServer on the Native backend with the
+// controller off.
+func newTestServer(t *testing.T, maxInflight, buffer int) (*httptest.Server, *server) {
+	t.Helper()
+	return startTestServer(t, serveConfig{backend: "native", mode: "unified", workers: 4, buffer: buffer, maxInflight: maxInflight, jobTimeout: time.Minute})
 }
 
 func postJob(t *testing.T, base, spec string) (int64, int) {
@@ -110,6 +118,10 @@ func TestBadRequests(t *testing.T) {
 		`{"workload":"ticks","memfrac":7}`,
 		`not json`,
 		`{"workload":"fib","bogus_field":1}`,
+		// The body is one object: anything after it is a client error,
+		// not a second value silently dropped.
+		`{"workload":"fib","n":8} trailing garbage`,
+		`{"workload":"fib","n":8}{"workload":"nope"}`,
 	} {
 		if _, code := postJob(t, ts.URL, spec); code != http.StatusBadRequest {
 			t.Errorf("submit %s: HTTP %d, want 400", spec, code)
@@ -326,15 +338,7 @@ func waitDoneOrPruned(t *testing.T, base string, id int64, timeout time.Duration
 // deterministic simulator too — concurrent HTTP jobs multiplex inside
 // the discrete-event machine instead of serializing.
 func TestServeOnSimBackend(t *testing.T) {
-	srv, rt, err := buildServer(serveConfig{backend: "sim", mode: "unified", workers: 4, buffer: 1 << 16, maxInflight: 64, jobTimeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
-	defer func() {
-		ts.Close()
-		rt.Close()
-	}()
+	ts, _ := startTestServer(t, serveConfig{backend: "sim", mode: "unified", workers: 4, buffer: 1 << 16, maxInflight: 64, jobTimeout: time.Minute})
 	var ids []int64
 	for i := 0; i < 6; i++ {
 		id, code := postJob(t, ts.URL, `{"workload":"fib","n":14}`)
@@ -388,10 +392,44 @@ func TestPerWorkloadMetricsLabels(t *testing.T) {
 	}
 }
 
+// requiredSeries are the /metrics series that must be present after
+// jobs have run — the steal/tempo/DVFS/energy/latency observability
+// surface the serving layer promises.
+var requiredSeries = []string{
+	"hermes_control_enabled",
+	"hermes_control_state",
+	"hermes_control_offered_rps",
+	"hermes_control_shed_total",
+	"hermes_control_mode_switches_total",
+	"hermes_steals_total",
+	"hermes_tempo_switches_total",
+	"hermes_dvfs_commits_total",
+	"hermes_energy_joules",
+	"hermes_power_watts",
+	"hermes_job_energy_joules_total",
+	"hermes_job_latency_seconds_bucket",
+	"hermes_job_latency_seconds_count",
+	"hermes_jobs_completed_total",
+	"hermes_observer_dropped_events_total",
+	`hermes_jobs_submitted_total{workload="fib"}`,
+	`hermes_jobs_submitted_total{workload="matmul"}`,
+	`hermes_jobs_submitted_total{workload="ticks"}`,
+	`hermes_job_latency_seconds_count{workload="fib"}`,
+	// Class-labeled series: one ticks job per service class, each in
+	// its own (workload, tenant, priority) series while the unclassed
+	// ticks series above stays label-compatible with pre-tenancy
+	// scrapes.
+	`hermes_jobs_submitted_total{workload="ticks",tenant="batch",priority="0"}`,
+	`hermes_jobs_submitted_total{workload="ticks",tenant="lc",priority="1"}`,
+	`hermes_jobs_submitted_total{workload="ticks",tenant="lc",priority="2"}`,
+	`hermes_job_latency_seconds_count{workload="ticks",tenant="lc",priority="1"}`,
+	"hermes_control_shed_floor",
+}
+
 func TestMetricsSeriesPresent(t *testing.T) {
 	ts, _ := newTestServer(t, 8, 1<<12)
 	// One job per workload kind plus one per service class:
-	// selftestSeries includes the labeled per-kind families and the
+	// requiredSeries includes the labeled per-kind families and the
 	// class-labeled (workload, tenant, priority) families.
 	for _, spec := range []string{
 		`{"workload":"fib","n":12}`, `{"workload":"matmul","n":24}`, `{"workload":"ticks","n":16}`,
@@ -409,9 +447,47 @@ func TestMetricsSeriesPresent(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(body)
-	for _, series := range selftestSeries {
+	for _, series := range requiredSeries {
 		if !strings.Contains(text, series) {
 			t.Errorf("scrape missing series %s", series)
+		}
+	}
+	if j := metrics.ParseText(text)["hermes_job_energy_joules_total"]; j <= 0 {
+		t.Errorf("hermes_job_energy_joules_total = %g after six jobs, want > 0", j)
+	}
+}
+
+// TestWorkloadsCatalogDrivesSubmit: GET /workloads is the registry, in
+// registry order, and every kind it lists runs from its defaults — the
+// catalog can never drift from what POST /jobs accepts.
+func TestWorkloadsCatalogDrivesSubmit(t *testing.T) {
+	ts, _ := newTestServer(t, 64, 1<<16)
+	var cat workloadsJSON
+	if code := getJSON(t, ts.URL+"/workloads", &cat); code != http.StatusOK {
+		t.Fatalf("/workloads: HTTP %d", code)
+	}
+	want := workload.Names()
+	if cat.Count != len(want) || len(cat.Workloads) != len(want) {
+		t.Fatalf("catalog lists %d kinds (count %d), registry has %d", len(cat.Workloads), cat.Count, len(want))
+	}
+	var ids []int64
+	for i, e := range cat.Workloads {
+		if e.Name != want[i] {
+			t.Fatalf("catalog[%d] = %q, registry has %q", i, e.Name, want[i])
+		}
+		if e.Desc == "" {
+			t.Errorf("%q has no description", e.Name)
+		}
+		spec := fmt.Sprintf(`{"workload":%q}`, e.Name)
+		id, code := postJob(t, ts.URL, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s: HTTP %d", spec, code)
+		}
+		ids = append(ids, id)
+	}
+	for i, id := range ids {
+		if st := waitDone(t, ts.URL, id, 60*time.Second); st.Status != "done" {
+			t.Errorf("default-spec %s job finished %q: %s", want[i], st.Status, st.Error)
 		}
 	}
 }

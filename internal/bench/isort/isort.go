@@ -141,9 +141,3 @@ func (j *Job) Check() error {
 	}
 	return nil
 }
-
-// SerialCycles estimates the total virtual work, for sizing runs.
-func (j *Job) SerialCycles() units.Cycles {
-	n := len(j.Keys)
-	return units.Cycles(passes * n * (histCyclesPerElem + scatterCyclesPerElem))
-}

@@ -69,10 +69,3 @@ func TestRadixEqualsStdSortProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSerialCycles(t *testing.T) {
-	j := New(1000, 1)
-	if j.SerialCycles() <= 0 {
-		t.Fatal("no work estimated")
-	}
-}

@@ -8,7 +8,6 @@ package knn
 
 import (
 	"fmt"
-	"sort"
 
 	"hermes/internal/geom"
 	"hermes/internal/units"
@@ -327,16 +326,4 @@ func (j *Job) Check() error {
 		}
 	}
 	return nil
-}
-
-// SortedResultSample returns a sorted copy of a small result sample,
-// used by example programs for stable output.
-func (j *Job) SortedResultSample(m int) []float64 {
-	if m > len(j.Result) {
-		m = len(j.Result)
-	}
-	s := make([]float64, m)
-	copy(s, j.Result[:m])
-	sort.Float64s(s)
-	return s
 }

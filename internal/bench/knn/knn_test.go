@@ -74,14 +74,3 @@ func TestHeapSemantics(t *testing.T) {
 		t.Fatalf("heap worst = %v, want 5", h.worst())
 	}
 }
-
-func TestSortedResultSample(t *testing.T) {
-	j := New(500, 2, 7)
-	core.Run(core.Config{Workers: 2, Seed: 7}, j.Root)
-	s := j.SortedResultSample(10)
-	for i := 1; i < len(s); i++ {
-		if s[i] < s[i-1] {
-			t.Fatal("sample not sorted")
-		}
-	}
-}

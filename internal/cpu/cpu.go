@@ -277,16 +277,3 @@ func (d *Domain) Commit(now units.Time) bool {
 	d.cur = d.target
 	return true
 }
-
-// ForceFreq sets the domain frequency immediately, bypassing the
-// transition latency. Used for boot-time initialization before the
-// clock starts.
-func (d *Domain) ForceFreq(f units.Freq) {
-	d.cur = f
-	d.pending = false
-	for _, c := range d.Cores {
-		if c.State != Unused {
-			c.Req = f
-		}
-	}
-}

@@ -204,20 +204,6 @@ func TestRequestUnsupportedPanics(t *testing.T) {
 	m.Request(m.Cores[0], 5*units.GHz, 0)
 }
 
-func TestForceFreq(t *testing.T) {
-	m := NewMachine(SystemA())
-	d := m.Domains[3]
-	d.Cores[0].State = Busy
-	slow := units.Freq(1_600_000 * units.KHz)
-	d.ForceFreq(slow)
-	if d.Freq() != slow {
-		t.Fatal("ForceFreq did not apply")
-	}
-	if d.Cores[0].Req != slow {
-		t.Fatal("ForceFreq should align in-use core requests")
-	}
-}
-
 func TestCoreStateString(t *testing.T) {
 	want := map[CoreState]string{Unused: "unused", IdleHalt: "idle", Spin: "spin", Busy: "busy"}
 	for st, s := range want {

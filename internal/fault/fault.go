@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
-	"sync"
 
 	"hermes/internal/core"
 	"hermes/internal/units"
@@ -39,41 +38,22 @@ type Plan struct {
 	Gen func(rng *rand.Rand, machines int, horizon units.Time) []core.FaultEvent
 }
 
-var (
-	regMu sync.RWMutex
-	plans = map[string]Plan{}
-	order []string
-)
-
-// Register adds a fault plan to the registry, panicking on a duplicate
-// or malformed Plan (registration happens in package init).
-func Register(p Plan) {
-	if p.Name == "" || p.Gen == nil {
-		panic(fmt.Sprintf("fault: Register of malformed plan %+v", p))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := plans[p.Name]; dup {
-		panic(fmt.Sprintf("fault: Register called twice for %q", p.Name))
-	}
-	plans[p.Name] = p
-	order = append(order, p.Name)
-}
-
 // Lookup finds a registered plan by name.
 func Lookup(name string) (Plan, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := plans[name]
-	return p, ok
+	for _, p := range plans {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return Plan{}, false
 }
 
-// Names lists the registered plan names in registration order.
+// Names lists the registered plan names in table order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(order))
-	copy(out, order)
+	out := make([]string, len(plans))
+	for i, p := range plans {
+		out[i] = p.Name
+	}
 	return out
 }
 
@@ -140,15 +120,18 @@ func quarter(n int) int {
 	return k
 }
 
-func init() {
-	Register(Plan{
+// plans is the ordered table of fault plans, read-only after package
+// initialization. Names are unique and every entry has a Gen
+// (TestRegistryNames).
+var plans = []Plan{
+	{
 		Name: "none",
 		Desc: "no injected faults — the availability baseline",
 		Gen: func(*rand.Rand, int, units.Time) []core.FaultEvent {
 			return nil
 		},
-	})
-	Register(Plan{
+	},
+	{
 		Name: "crash",
 		Desc: "fail-stop: ~¼ of the fleet crashes mid-window; most victims rejoin after a drawn downtime",
 		Gen: func(rng *rand.Rand, machines int, horizon units.Time) []core.FaultEvent {
@@ -167,8 +150,8 @@ func init() {
 			}
 			return evs
 		},
-	})
-	Register(Plan{
+	},
+	{
 		Name: "failslow",
 		Desc: "stragglers: ~¼ of the fleet runs slow for a long window — lowest-tier pinned, or work inflated 1.5–3×",
 		Gen: func(rng *rand.Rand, machines int, horizon units.Time) []core.FaultEvent {
@@ -186,8 +169,8 @@ func init() {
 			}
 			return evs
 		},
-	})
-	Register(Plan{
+	},
+	{
 		Name: "blip",
 		Desc: "transient stalls: ~½ of the fleet suffers a short 25× slowdown window",
 		Gen: func(rng *rand.Rand, machines int, horizon units.Time) []core.FaultEvent {
@@ -205,5 +188,5 @@ func init() {
 			}
 			return evs
 		},
-	})
+	},
 }

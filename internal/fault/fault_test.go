@@ -18,6 +18,11 @@ func TestRegistryNames(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Names() = %v, want %v", got, want)
 		}
+		// want has no repeats, so the names are unique; a plan without a
+		// Gen would compile to a nil dereference.
+		if p, ok := Lookup(want[i]); !ok || p.Gen == nil {
+			t.Fatalf("plan %q: found %v, Gen nil %v", want[i], ok, p.Gen == nil)
+		}
 	}
 }
 

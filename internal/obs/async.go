@@ -37,8 +37,7 @@ type Async struct {
 	closeOnce sync.Once
 	closeMu   sync.Mutex // serializes the post-drain straggler sweep
 
-	dropped   atomic.Uint64
-	delivered atomic.Uint64
+	dropped atomic.Uint64
 }
 
 // NewAsync starts an async sink delivering to downstream with a
@@ -79,10 +78,6 @@ func (a *Async) Observe(e Event) {
 // was full (or because they arrived after Close began).
 func (a *Async) Dropped() uint64 { return a.dropped.Load() }
 
-// Delivered returns how many events have been handed to the
-// downstream sink so far.
-func (a *Async) Delivered() uint64 { return a.delivered.Load() }
-
 // Close stops intake, drains all buffered events into the downstream
 // sink, and waits for delivery to finish. Safe to call multiple
 // times, including concurrently; every call returns only once the
@@ -102,7 +97,7 @@ func (a *Async) Close() error {
 	for {
 		select {
 		case e := <-a.buf:
-			a.deliver(e)
+			a.sink.Observe(e)
 		default:
 			return nil
 		}
@@ -116,21 +111,16 @@ func (a *Async) loop() {
 	for {
 		select {
 		case e := <-a.buf:
-			a.deliver(e)
+			a.sink.Observe(e)
 		case <-a.quit:
 			for {
 				select {
 				case e := <-a.buf:
-					a.deliver(e)
+					a.sink.Observe(e)
 				default:
 					return
 				}
 			}
 		}
 	}
-}
-
-func (a *Async) deliver(e Event) {
-	a.sink.Observe(e)
-	a.delivered.Add(1)
 }

@@ -533,22 +533,6 @@ func (e *Exec) watch(js *jobState) {
 	js.j.Finish(r, err)
 }
 
-// Run executes root as a single job on a fresh pool and tears the
-// pool down: the one-shot convenience entry, and the shape the old
-// rt.Run API had.
-func Run(cfg core.Config, root wl.Task) (core.Report, error) {
-	e, err := NewExec(cfg)
-	if err != nil {
-		return core.Report{}, err
-	}
-	defer e.Close()
-	j, err := e.Submit(context.Background(), root, core.Class{})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return j.Wait()
-}
-
 // snapshot folds every worker's accounting cell into a consistent
 // copy of the pool accumulators: residency by state and frequency,
 // per-worker stats, and the machine's exact integrated energy. No

@@ -16,10 +16,25 @@ import (
 	"hermes/internal/wl"
 )
 
+// run executes root as a single job on a fresh pool and tears the pool
+// down.
+func run(cfg core.Config, root wl.Task) (core.Report, error) {
+	e, err := NewExec(cfg)
+	if err != nil {
+		return core.Report{}, err
+	}
+	defer e.Close()
+	j, err := e.Submit(context.Background(), root, core.Class{})
+	if err != nil {
+		return core.Report{}, err
+	}
+	return j.Wait()
+}
+
 func TestEveryTaskRunsOnce(t *testing.T) {
 	const n = 400
 	var counts [n]atomic.Int32
-	r, err := Run(core.Config{Spec: cpu.SystemB(), Workers: 4, Mode: core.Unified, Seed: 1}, func(c wl.Ctx) {
+	r, err := run(core.Config{Spec: cpu.SystemB(), Workers: 4, Mode: core.Unified, Seed: 1}, func(c wl.Ctx) {
 		wl.For(c, 0, n, 4, func(c wl.Ctx, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				counts[i].Add(1)
@@ -47,7 +62,7 @@ func TestRealParallelism(t *testing.T) {
 	// With 4 workers and plenty of independent leaves, several workers
 	// must actually execute tasks (worker ids observed > 1).
 	var seen [4]atomic.Int32
-	_, err := Run(core.Config{Spec: cpu.SystemB(), Workers: 4, Seed: 2}, func(c wl.Ctx) {
+	_, err := run(core.Config{Spec: cpu.SystemB(), Workers: 4, Seed: 2}, func(c wl.Ctx) {
 		wl.For(c, 0, 64, 1, func(c wl.Ctx, lo, hi int) {
 			seen[c.Worker()].Add(1)
 			c.Work(2_000_000)
@@ -80,7 +95,7 @@ func TestNestedBlocks(t *testing.T) {
 			c.Go(tree(d-1), tree(d-1))
 		}
 	}
-	if _, err := Run(core.Config{Spec: cpu.SystemB(), Workers: 4, Mode: core.Unified, Seed: 3}, tree(7)); err != nil {
+	if _, err := run(core.Config{Spec: cpu.SystemB(), Workers: 4, Mode: core.Unified, Seed: 3}, tree(7)); err != nil {
 		t.Fatal(err)
 	}
 	if got := leaves.Load(); got != 128 {
@@ -95,7 +110,7 @@ func TestAllModesComplete(t *testing.T) {
 				c.WorkMix(units.Cycles(300_000*(hi-lo)), 0.7)
 			})
 		}
-		r, err := Run(core.Config{Spec: cpu.SystemB(), Workers: 4, Mode: mode, Seed: 4}, work)
+		r, err := run(core.Config{Spec: cpu.SystemB(), Workers: 4, Mode: mode, Seed: 4}, work)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -111,7 +126,7 @@ func TestAllModesComplete(t *testing.T) {
 
 func TestSingleWorker(t *testing.T) {
 	var ran atomic.Int32
-	_, err := Run(core.Config{Spec: cpu.SystemB(), Workers: 1, Mode: core.Unified, Seed: 5}, func(c wl.Ctx) {
+	_, err := run(core.Config{Spec: cpu.SystemB(), Workers: 1, Mode: core.Unified, Seed: 5}, func(c wl.Ctx) {
 		c.Go(
 			func(wl.Ctx) { ran.Add(1) },
 			func(wl.Ctx) { ran.Add(1) },
@@ -130,7 +145,7 @@ func TestWorkerValidation(t *testing.T) {
 	if _, err := NewExec(core.Config{Spec: cpu.SystemB(), Workers: 5}); err == nil {
 		t.Fatal("expected error for too many workers")
 	}
-	if _, err := Run(core.Config{Spec: cpu.SystemB(), Workers: 5}, func(wl.Ctx) {}); err == nil {
+	if _, err := run(core.Config{Spec: cpu.SystemB(), Workers: 5}, func(wl.Ctx) {}); err == nil {
 		t.Fatal("expected error from Run for too many workers")
 	}
 }

@@ -329,10 +329,6 @@ func (r ClusterResult) CSV() string {
 	return b.String()
 }
 
-// Classed reports whether any point in the result carries per-class
-// rows — true only for mixed traces.
-func (r ClusterResult) Classed() bool { return r.ClassCSV() != "" }
-
 // ClassCSV renders the per-class breakdown flat, one row per
 // (policy, machines, rate, class). Empty string when the result has no
 // class rows.

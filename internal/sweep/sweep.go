@@ -465,10 +465,6 @@ func (r Result) CSV() string {
 	return b.String()
 }
 
-// Classed reports whether any point in the result carries per-class
-// rows — true only for mixed traces.
-func (r Result) Classed() bool { return r.ClassCSV() != "" }
-
 // ClassCSV renders the per-class breakdown flat, one row per
 // (mode, rate, class). Empty string when the result has no class rows,
 // so callers can skip the file entirely for unclassed traces.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"sync"
 	"time"
 
 	"hermes"
@@ -48,41 +47,22 @@ type Proc struct {
 	Gen func(rng *rand.Rand, rps float64, horizon units.Time) []Point
 }
 
-var (
-	regMu sync.RWMutex
-	procs = map[string]Proc{}
-	order []string
-)
-
-// Register adds an arrival process to the registry, panicking on a
-// duplicate or malformed Proc (registration happens in package init).
-func Register(p Proc) {
-	if p.Name == "" || p.Gen == nil {
-		panic(fmt.Sprintf("trace: Register of malformed process %+v", p))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := procs[p.Name]; dup {
-		panic(fmt.Sprintf("trace: Register called twice for %q", p.Name))
-	}
-	procs[p.Name] = p
-	order = append(order, p.Name)
-}
-
 // Lookup finds a registered process by name.
 func Lookup(name string) (Proc, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := procs[name]
-	return p, ok
+	for _, p := range procs {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return Proc{}, false
 }
 
-// Names lists the registered process names in registration order.
+// Names lists the registered process names in table order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(order))
-	copy(out, order)
+	out := make([]string, len(procs))
+	for i, p := range procs {
+		out[i] = p.Name
+	}
 	return out
 }
 
@@ -309,13 +289,16 @@ func paretoGen(rng *rand.Rand, rps float64, horizon units.Time) []Point {
 	return pts
 }
 
-func init() {
-	Register(Proc{
+// procs is the ordered table of arrival processes, read-only after
+// package initialization. Names are unique and every entry has a Gen
+// (TestResolve).
+var procs = []Proc{
+	{
 		Name: "poisson",
 		Desc: "memoryless arrivals: exponential interarrivals at the target rate, unit size",
 		Gen:  poissonSized(1),
-	})
-	Register(Proc{
+	},
+	{
 		Name: "mmpp",
 		Desc: "bursty two-state modulated Poisson: 3× bursts and ⅓× lulls, mean rate = target",
 		Gen: func(rng *rand.Rand, rps float64, horizon units.Time) []Point {
@@ -354,16 +337,16 @@ func init() {
 			}
 			return pts
 		},
-	})
-	Register(Proc{
+	},
+	{
 		Name: "pareto",
 		Desc: "Poisson arrivals with heavy-tailed sizes: bounded Pareto (α=1.5, mean 1) scales each request's work",
 		Gen:  paretoGen,
-	})
-	Register(Mix(
+	},
+	Mix(
 		"mix",
 		"2-class mix: 80% heavy-tailed batch (pareto sizes) + 20% light latency-critical (priority 1, 5ms deadline/SLO)",
 		SubProc{Name: "batch", Share: MixBatchShare, Class: MixBatchClass(), Gen: paretoGen},
 		SubProc{Name: "lc", Share: MixLCShare, Class: MixLCClass(), Gen: poissonSized(MixLCSize)},
-	))
+	),
 }

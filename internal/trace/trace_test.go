@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +24,8 @@ func points(t *testing.T, name string, seed int64, rps float64, window time.Dura
 }
 
 // TestResolve pins the name plumbing: "" is poisson, unknown names
-// list the registered processes, Canonical collapses only the default.
+// list the registered processes, Canonical collapses only the default;
+// the table's names are unique and every process has a Gen.
 func TestResolve(t *testing.T) {
 	p, err := Resolve("")
 	if err != nil || p.Name != Default {
@@ -33,9 +35,13 @@ func TestResolve(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown process resolved")
 	}
-	for _, name := range Names() {
+	names := Names()
+	for i, name := range names {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list registered process %q", err, name)
+		}
+		if p, ok := Lookup(name); name == "" || !ok || p.Gen == nil || slices.Index(names, name) != i {
+			t.Errorf("process %d %q is malformed or a duplicate", i, name)
 		}
 	}
 	if Canonical("poisson") != "" || Canonical("") != "" {

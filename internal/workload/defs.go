@@ -13,7 +13,7 @@ import (
 // scheduler hot-path fixpoints the benchmark's Native workloads and
 // rungs run, then the paper's figure benchmarks (internal/bench).
 func init() {
-	Register(Def{
+	catalog = []Def{{
 		Name:     "fib",
 		Desc:     "binary fib recursion with serial cutoff; every node accounts work cycles",
 		Defaults: Spec{N: 18, Grain: 10, Work: 20_000},
@@ -21,29 +21,25 @@ func init() {
 		Build: func(s Spec) (wl.Task, error) {
 			return func(c wl.Ctx) { fib(c, s.N, s.Grain, s.Work, s.MemFrac) }, nil
 		},
-	})
-	Register(Def{
+	}, {
 		Name:     "matmul",
 		Desc:     "dense N×N multiply parallelized over rows; each element accounts work cycles",
 		Defaults: Spec{N: 64, Grain: 8, Work: 1_500, MemFrac: 0.3},
 		MaxN:     2048,
 		Build:    func(s Spec) (wl.Task, error) { return s.matmul(), nil },
-	})
-	Register(Def{
+	}, {
 		Name:     "ticks",
 		Desc:     "flat loop of N independent units of work cycles each — a batch of homogeneous requests",
 		Defaults: Spec{N: 256, Grain: 16, Work: 100_000},
 		MaxN:     1 << 20,
 		Build:    func(s Spec) (wl.Task, error) { return s.ticks(), nil },
-	})
-	Register(Def{
+	}, {
 		Name:     "spawnjoin",
 		Desc:     "hot-path fixpoint: N two-way fork-join blocks with no-op bodies (pure scheduler hot path)",
 		Defaults: Spec{N: 4096},
 		MaxN:     1 << 20,
 		Build:    func(s Spec) (wl.Task, error) { return spawnJoinLoop(s.N), nil },
-	})
-	Register(Def{
+	}, {
 		Name:     "fibtree",
 		Desc:     "hot-path fixpoint: real fib(n) spawn tree with serial cutoff grain, checked against the sequential reference",
 		Defaults: Spec{N: 21, Grain: 12},
@@ -59,14 +55,14 @@ func init() {
 				}
 			}, nil
 		},
-	})
+	}}
 	// The figure benchmarks run real computation on a deterministic
 	// seeded instance and verify their output inside the task, so a
 	// wrong answer fails the job instead of returning silently. The
 	// defaults are service-sized (well under the figure-scale inputs
 	// the harness uses); MaxN caps requests at figure scale.
 	for _, b := range bench.All() {
-		Register(Def{
+		catalog = append(catalog, Def{
 			Name:     b.Name,
 			Desc:     b.Desc,
 			Defaults: Spec{N: benchDefaultN[b.Name], Seed: 42},

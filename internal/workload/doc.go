@@ -3,10 +3,10 @@
 // layer (POST /jobs, GET /workloads), the load generator and sweep
 // (hermes-bench -workload), and the figure harness.
 //
-// A workload is registered once as a Def — a name, a one-line
-// description, parameter defaults and bounds, and a Build function
-// compiling a validated Spec into a runnable wl.Task — and is then
-// instantly servable, sweepable and benchable by name. The built-in
+// A workload is one Def in the catalog table (defs.go) — a name, a
+// one-line description, parameter defaults and bounds, and a Build
+// function compiling a validated Spec into a runnable wl.Task — and is
+// then servable, sweepable and benchable by name. The built-in
 // catalog carries three families:
 //
 //   - fib, matmul, ticks: the synthetic HTTP request workloads

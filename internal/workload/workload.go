@@ -3,7 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 
 	"hermes/internal/units"
 	"hermes/internal/wl"
@@ -60,55 +60,32 @@ type Def struct {
 	Build func(Spec) (wl.Task, error)
 }
 
-var (
-	regMu sync.RWMutex
-	defs  = map[string]Def{}
-	order []string
-)
-
-// Register adds a workload definition to the catalog. It panics on a
-// duplicate or malformed Def — registration happens in package init,
-// where a bad catalog should stop the program, not limp.
-func Register(d Def) {
-	if d.Name == "" || d.Build == nil {
-		panic(fmt.Sprintf("workload: Register of malformed def %+v", d))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := defs[d.Name]; dup {
-		panic(fmt.Sprintf("workload: Register called twice for %q", d.Name))
-	}
-	defs[d.Name] = d
-	order = append(order, d.Name)
-}
+// catalog is the ordered table of workload definitions: built once in
+// package init (defs.go), read-only afterwards. Names are unique and
+// every entry has a Build (TestCatalogShape).
+var catalog []Def
 
 // Lookup finds a registered workload by name.
 func Lookup(name string) (Def, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	d, ok := defs[name]
-	return d, ok
+	for i := range catalog {
+		if catalog[i].Name == name {
+			return catalog[i], true
+		}
+	}
+	return Def{}, false
 }
 
-// Names lists the registered workload names in registration order.
+// Names lists the registered workload names in catalog order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(order))
-	copy(out, order)
-	return out
-}
-
-// All returns every registered definition in registration order.
-func All() []Def {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Def, 0, len(order))
-	for _, name := range order {
-		out = append(out, defs[name])
+	out := make([]string, len(catalog))
+	for i, d := range catalog {
+		out[i] = d.Name
 	}
 	return out
 }
+
+// All returns every registered definition in catalog order.
+func All() []Def { return slices.Clone(catalog) }
 
 // Validate fills the workload's registered defaults and rejects
 // out-of-range parameters, returning the effective spec.

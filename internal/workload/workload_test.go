@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,9 +65,10 @@ func TestUnknownListsRegistered(t *testing.T) {
 	}
 }
 
-// TestCatalogShape is the registry contract: every entry carries a
-// description, Names/All agree on order, and each entry's defaults
-// validate without edits — a catalog row a client can submit verbatim.
+// TestCatalogShape is the registry contract: names are unique and
+// non-empty, every entry carries a Build and a description, Names/All
+// agree on order, and each entry's defaults validate without edits — a
+// catalog row a client can submit verbatim.
 func TestCatalogShape(t *testing.T) {
 	names := Names()
 	all := All()
@@ -74,6 +76,9 @@ func TestCatalogShape(t *testing.T) {
 		t.Fatalf("catalog inconsistent: %d names, %d defs", len(names), len(all))
 	}
 	for i, d := range all {
+		if d.Name == "" || d.Build == nil || slices.Index(names, d.Name) != i {
+			t.Fatalf("catalog[%d] %q is malformed or a duplicate: %+v", i, d.Name, d)
+		}
 		if d.Name != names[i] {
 			t.Errorf("All()[%d] = %q, Names()[%d] = %q", i, d.Name, i, names[i])
 		}
