@@ -561,6 +561,13 @@ func (c *Cluster) Stats() ClusterStats {
 	return st
 }
 
+// EngineStats returns the engine's lifetime counts, events dispatched
+// and coroutines resumed. Like Stats it waits for the engine to exit.
+func (c *Cluster) EngineStats() (events, resumes uint64) {
+	<-c.dead
+	return c.eng.Stats()
+}
+
 // pump drains pending submissions without blocking; it is the engine's
 // tick hook and runs on the engine goroutine between events.
 func (c *Cluster) pump() {

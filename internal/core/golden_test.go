@@ -49,6 +49,57 @@ func goldenArrivals(n int, gap units.Time) []units.Time {
 	return ats
 }
 
+// goldenPool is the pool scenario: twelve jobs of three sizes, 120 µs
+// apart, on four SystemA workers.
+func goldenPool(t *testing.T, mode Mode) ([]Report, []error, []obs.Event, *Cluster) {
+	cfg := Config{Spec: cpu.SystemA(), Workers: 4, Mode: mode, Seed: 5}
+	mk := func(i int) wl.Task { return poolWork(16 + 8*(i%3)) }
+	return traceClassed(t, cfg, goldenArrivals(12, 120*units.Microsecond), mk, func(int) Class { return Class{} })
+}
+
+// goldenQuantum is the scenario that pins workCycles' slice path: an
+// overloaded pool trace under EDF dispatch, every third job on a tight
+// deadline, and a quantum a third of one leaf's CPU segment (280k
+// cycles, ≥ 100 µs on SystemA). The job bodies are poolWork's with two
+// probes: a root that starts with its worker inside a preemption, and a
+// CPU segment that ends at another frequency than it started at — a
+// DVFS commit re-rated it in flight. Every mode must show the first,
+// every mode that moves frequencies the second.
+func goldenQuantum(t *testing.T, mode Mode) string {
+	var preempts, rerates int
+	mk := func(i int) wl.Task {
+		return func(c wl.Ctx) {
+			if c.(ctx).w.preemptDepth > 0 {
+				preempts++
+			}
+			wl.For(c, 0, 16+8*(i%3), 2, func(c wl.Ctx, lo, hi int) {
+				w := c.(ctx).w
+				cy := units.Cycles(200_000 * (hi - lo))
+				mem := units.Cycles(float64(cy) * 0.3)
+				f := w.core.Dom.Freq()
+				c.Work(cy - mem)
+				if w.core.Dom.Freq() != f {
+					rerates++
+				}
+				c.Mem(mem.DurationAt(w.s.cfg.Spec.MaxFreq()))
+			})
+		}
+	}
+	class := func(i int) Class {
+		if i%3 == 2 {
+			return Class{Tenant: "lc", Deadline: 400 * units.Microsecond}
+		}
+		return Class{Tenant: "batch", Deadline: 20 * units.Millisecond}
+	}
+	cfg := Config{Spec: cpu.SystemA(), Workers: 4, Mode: mode, Seed: 9,
+		Dispatch: DispatchEDF, PreemptQuantum: 30 * units.Microsecond}
+	reports, errs, events, _ := traceClassed(t, cfg, goldenArrivals(12, 100*units.Microsecond), mk, class)
+	if preempts == 0 || (mode != Baseline && rerates == 0) {
+		t.Errorf("quantum/%v: %d preemptions, %d mid-segment re-rates; the scenario must show both", mode, preempts, rerates)
+	}
+	return goldenDump(reports, errs, events, nil)
+}
+
 // goldenScenarios maps scenario name → dump. Seeds, traces and the
 // fault plan are fixed; nothing here reads a clock.
 func goldenScenarios(t *testing.T) map[string]string {
@@ -59,9 +110,9 @@ func goldenScenarios(t *testing.T) map[string]string {
 		rep := Run(Config{Spec: cpu.SystemB(), Workers: 4, Mode: mode, Seed: 11, Observer: rec}, poolWork(96))
 		out["run/"+mode.String()] = goldenDump([]Report{rep}, []error{nil}, rec.events, nil)
 
-		pcfg := Config{Spec: cpu.SystemA(), Workers: 4, Mode: mode, Seed: 5}
-		reports, errs, events := tracePool(t, pcfg, goldenArrivals(12, 120*units.Microsecond), mk)
+		reports, errs, events, _ := goldenPool(t, mode)
 		out["pool/"+mode.String()] = goldenDump(reports, errs, events, nil)
+		out["quantum/"+mode.String()] = goldenQuantum(t, mode)
 
 		ccfg := ClusterConfig{
 			Machines:  3,
@@ -114,5 +165,26 @@ func TestGoldenReports(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("simulated behaviour moved:\n--- got\n%s--- %s\n%s", got, goldenPath, want)
+	}
+}
+
+// TestGoldenEventCounts pins the engine's work under the pool scenario,
+// event for event — stronger than the digest, which cannot see an event
+// that changes nothing. The dispatched counts are the scheduler's as it
+// was when every wait resumed its coroutine; resumes are what that cost.
+func TestGoldenEventCounts(t *testing.T) {
+	for _, tc := range []struct {
+		mode            Mode
+		events, resumes uint64
+	}{
+		{Baseline, 743, 485},
+		{Unified, 1068, 652},
+	} {
+		_, _, _, c := goldenPool(t, tc.mode)
+		events, resumes := c.EngineStats()
+		if events != tc.events || resumes != tc.resumes {
+			t.Errorf("pool/%v: %d events dispatched, %d coroutine resumes; recorded %d and %d",
+				tc.mode, events, resumes, tc.events, tc.resumes)
+		}
 	}
 }

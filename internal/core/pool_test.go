@@ -54,6 +54,14 @@ func lifetimeJ(c *Cluster) float64 {
 // event stream.
 func tracePool(t *testing.T, cfg Config, ats []units.Time, mk func(i int) wl.Task) ([]Report, []error, []obs.Event) {
 	t.Helper()
+	reports, errs, events, _ := traceClassed(t, cfg, ats, mk, func(int) Class { return Class{} })
+	return reports, errs, events
+}
+
+// traceClassed is tracePool with a service class per job; it also
+// returns the closed cluster, for its engine counters.
+func traceClassed(t *testing.T, cfg Config, ats []units.Time, mk func(i int) wl.Task, class func(i int) Class) ([]Report, []error, []obs.Event, *Cluster) {
+	t.Helper()
 	rec := &recorder{}
 	cfg.Observer = rec
 	p, err := oneMachine(cfg)
@@ -68,9 +76,10 @@ func tracePool(t *testing.T, cfg Config, ats []units.Time, mk func(i int) wl.Tas
 	for i, at := range ats {
 		i := i
 		reqs[i] = JobRequest{
-			ID:   int64(i + 1),
-			At:   at,
-			Root: mk(i),
+			ID:    int64(i + 1),
+			At:    at,
+			Root:  mk(i),
+			Class: class(i),
 			Done: func(r Report, err error) {
 				reports[i], errs[i] = r, err
 				wg.Done()
@@ -84,7 +93,7 @@ func tracePool(t *testing.T, cfg Config, ats []units.Time, mk func(i int) wl.Tas
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return reports, errs, rec.events
+	return reports, errs, rec.events, p
 }
 
 // TestPoolTraceDeterminism is the reproducibility contract of the

@@ -75,6 +75,10 @@ type Engine struct {
 	alive   int
 	current *Proc
 
+	// dispatched counts events fired and resumes the coroutine switches
+	// into a process; Stats reads them.
+	dispatched, resumes uint64
+
 	// A parking process that popped an event it does not own leaves it
 	// here for Run to dispatch (nil with handed set: it found the queue
 	// empty and idle refused), so no event is popped twice. A panic out
@@ -169,6 +173,11 @@ func IsUnwind(v any) bool {
 // Now returns the current virtual time. Only the running process (or
 // the caller of Run, between runs) may call it.
 func (e *Engine) Now() units.Time { return e.now }
+
+// Stats returns how many events the engine has dispatched and how many
+// of them resumed a coroutine (the rest were taken by a process already
+// running, on its way out of park).
+func (e *Engine) Stats() (dispatched, resumes uint64) { return e.dispatched, e.resumes }
 
 // Current returns the process executing right now, or nil between
 // events (hooks, or the caller of Run). Engine-side plumbing that may
@@ -308,6 +317,7 @@ func (e *Engine) pickParking() *Event {
 // current, running process.
 func (e *Engine) fire(ev *Event) *Proc {
 	p := ev.p
+	e.dispatched++
 	e.now = ev.t
 	e.free = append(e.free, ev)
 	p.pending = nil
@@ -344,6 +354,7 @@ func (e *Engine) Run() {
 		if p.next == nil {
 			p.next, p.stop = iter.Pull(p.run)
 		}
+		e.resumes++
 		p.next() // a runtime.Goexit inside the process carries on here
 		e.current = nil
 		if p.state == stateDone {

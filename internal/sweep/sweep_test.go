@@ -281,3 +281,20 @@ func TestPeakInflightCountsQueuedJobs(t *testing.T) {
 		t.Fatalf("queueing not visible in latency percentiles: %+v", pt)
 	}
 }
+
+// BenchmarkSweepPoint is one sim_sweep-shaped grid point — Unified,
+// `ticks` defaults, 400 rps over a one-second window — with the engine's
+// own counts beside the time: events per simulated job is what the
+// scheduler model asks of the engine, resumes per event how many of
+// those paid a coroutine switch. CI runs it once so it cannot rot.
+func BenchmarkSweepPoint(b *testing.B) {
+	g := grid{workload: workload.Spec{Kind: "ticks"}, window: time.Second, seed: 1}
+	for i := 0; i < b.N; i++ {
+		f, err := g.point(fleet{mode: hermes.Unified, machines: 1}, 400)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(f.events)/float64(f.completed()), "events/job")
+		b.ReportMetric(float64(f.resumes)/float64(f.events), "resumes/event")
+	}
+}

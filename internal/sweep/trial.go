@@ -173,6 +173,8 @@ func (g grid) trial(f *fold, fl fleet, seed int64, arrivals []hermes.Arrival) er
 	}
 	t.stats = c.ClusterStats()
 	t.workers = c.Config().Workers
+	events, resumes := c.EngineStats()
+	f.events, f.resumes = f.events+events, f.resumes+resumes
 	f.add(t)
 	return nil
 }
@@ -226,6 +228,10 @@ type fold struct {
 	// classes is keyed by the full class value; empty for unclassed
 	// traces.
 	classes map[hermes.Class]*classAcc
+
+	// Engine events dispatched and coroutines resumed, summed over
+	// trials: what the cell cost the host. In no artifact.
+	events, resumes uint64
 }
 
 func newFold(machines int) *fold {
