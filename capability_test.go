@@ -118,6 +118,11 @@ func TestCapabilityMatrix(t *testing.T) {
 			if st := rt.ClusterStats(); rt.Backend() == hermes.Native && (st.Completed != 0 || st.Machines != nil) {
 				t.Fatalf("native ClusterStats not zero: %+v", st)
 			}
+			// Likewise the engine's counters: an engine that served a job
+			// dispatched events and resumed some of them; Native has none.
+			if events, resumes := rt.EngineStats(); (rt.Backend() == hermes.Sim) != (events > 0 && resumes > 0 && resumes < events) {
+				t.Fatalf("%v EngineStats: %d events, %d resumes", rt.Backend(), events, resumes)
+			}
 			return nil
 		}, nil, nil},
 		{"SetMode", nil, func(t *testing.T, rt *hermes.Runtime) error {

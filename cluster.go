@@ -108,8 +108,7 @@ func (r *Runtime) ClusterStats() ClusterStats {
 }
 
 // EngineStats returns how many events a Sim Runtime's engine dispatched
-// over its life and how many of them resumed a coroutine — the host
-// cost of a simulation, counted. Call it after Close; zeros on Native.
+// and how many of them resumed a coroutine. After Close; zeros on Native.
 func (r *Runtime) EngineStats() (events, resumes uint64) {
 	if r.backend != Sim {
 		return 0, 0

@@ -561,11 +561,10 @@ func (c *Cluster) Stats() ClusterStats {
 	return st
 }
 
-// EngineStats returns the engine's lifetime counts, events dispatched
-// and coroutines resumed. Like Stats it waits for the engine to exit.
+// EngineStats waits for the engine to exit and returns its counters.
 func (c *Cluster) EngineStats() (events, resumes uint64) {
 	<-c.dead
-	return c.eng.Stats()
+	return c.eng.Dispatched, c.eng.Resumes
 }
 
 // pump drains pending submissions without blocking; it is the engine's

@@ -170,21 +170,25 @@ func TestGoldenReports(t *testing.T) {
 
 // TestGoldenEventCounts pins the engine's work under the pool scenario,
 // event for event — stronger than the digest, which cannot see an event
-// that changes nothing. The dispatched counts are the scheduler's as it
-// was when every wait resumed its coroutine; resumes are what that cost.
+// that changes nothing. Both columns were recorded on the scheduler as
+// it was when every wait resumed its coroutine. Stepped waits must keep
+// the first — same events, so same seq at every tie — and beat the
+// second, which is all they are for.
 func TestGoldenEventCounts(t *testing.T) {
 	for _, tc := range []struct {
-		mode            Mode
-		events, resumes uint64
+		mode                  Mode
+		events, resumesBefore uint64
 	}{
 		{Baseline, 743, 485},
 		{Unified, 1068, 652},
 	} {
 		_, _, _, c := goldenPool(t, tc.mode)
 		events, resumes := c.EngineStats()
-		if events != tc.events || resumes != tc.resumes {
-			t.Errorf("pool/%v: %d events dispatched, %d coroutine resumes; recorded %d and %d",
-				tc.mode, events, resumes, tc.events, tc.resumes)
+		if events != tc.events {
+			t.Errorf("pool/%v: %d events dispatched, recorded %d", tc.mode, events, tc.events)
+		}
+		if resumes >= tc.resumesBefore {
+			t.Errorf("pool/%v: %d coroutine resumes, not below the %d of one resume per wait", tc.mode, resumes, tc.resumesBefore)
 		}
 	}
 }

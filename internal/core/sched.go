@@ -402,6 +402,7 @@ func (s *sched) profLoop(p *sim.Proc) {
 	if !s.cfg.Mode.Workload() {
 		return
 	}
+	sizes := make([]int, len(s.workers)) // Observe copies what it keeps
 	for {
 		if len(s.pool.active) == 0 {
 			p.ParkUntilWake()
@@ -414,7 +415,6 @@ func (s *sched) profLoop(p *sim.Proc) {
 		if s.done {
 			return
 		}
-		sizes := make([]int, len(s.workers))
 		for i, w := range s.workers {
 			sizes[i] = w.dq.Size()
 		}

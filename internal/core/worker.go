@@ -70,6 +70,20 @@ type worker struct {
 	curJob   *jobRun
 	idlePark bool
 
+	// What stealRound's and workCycles' stepped waits carry from wake to
+	// wake; the step funcs are bound once, so a wait allocates nothing.
+	probe struct {
+		victim, left int   // index being probed; probes left, this one included
+		got          *task // the steal that landed
+	}
+	slice struct {
+		rem         units.Cycles // not yet retired
+		f           units.Freq   // rated at this frequency
+		slow        float64      // and this straggler factor
+		start, full units.Time   // from start; rem retires at full
+	}
+	probeStep, sliceStep func() (units.Time, bool)
+
 	helpDepth int
 	backoff   units.Time
 	// preemptDepth bounds quantum-preemption nesting: each preemption
@@ -91,6 +105,7 @@ func newWorker(s *sched, id int, c *cpu.Core) *worker {
 		th:   tempo.NewThresholds(s.cfg.K, s.cfg.InitialAvgDeque),
 	}
 	w.node.Val = w
+	w.probeStep, w.sliceStep = w.stepProbe, w.stepSlice
 	return w
 }
 
@@ -262,45 +277,29 @@ func (w *worker) outOfWork() {
 
 // stealRound probes every other worker once, starting from a random
 // victim and sweeping cyclically (the usual randomized SELECT loop),
-// until a steal lands or the round is exhausted.
+// until a steal lands or the round is exhausted. The round is one
+// stepped wait: stepProbe spends each probe's steal cost and moves on
+// from an empty deque without resuming this worker. A landed steal
+// applies the thief-side tempo rules: thief procrastination (workpath:
+// one level below the victim, after it on the immediacy list) or Figure
+// 4's deque-size tempo (workload-only), plus the victim's shrink check.
 func (w *worker) stealRound() (*task, bool) {
 	n := len(w.s.workers)
-	if n == 1 {
+	if n == 1 || w.s.done {
 		return nil, false
 	}
-	start := w.rng.Intn(n)
-	for i := 0; i < n; i++ {
-		v := w.s.workers[(start+i)%n]
-		if v == w {
-			continue
-		}
-		if w.s.done {
-			return nil, false
-		}
-		if t, ok := w.stealFrom(v); ok {
-			return t, true
-		}
+	w.probe.victim, w.probe.left = w.rng.Intn(n), n-1
+	if w.probe.victim == w.id {
+		w.probe.victim = (w.id + 1) % n
 	}
-	return nil, false
-}
-
-// stealFrom attempts to steal the head of v's deque, spending the
-// steal cost spinning. On success it applies the thief-side tempo
-// rules: thief procrastination (workpath: one level slower than the
-// victim, inserted after it on the immediacy list) or the
-// deque-size-derived tempo of Figure 4 (workload-only), plus the
-// victim-side shrink check.
-func (w *worker) stealFrom(v *worker) (*task, bool) {
 	w.setState(cpu.Spin)
-	w.proc.Sleep(w.s.cfg.StealCost)
-	if w.s.done {
+	w.proc.WaitUntilStep(w.s.eng.Now()+w.s.cfg.StealCost, w.probeStep)
+	t := w.probe.got
+	if t == nil {
 		return nil, false
 	}
-	t, ok := v.dq.Steal()
-	if !ok {
-		w.s.failedSteals++
-		return nil, false
-	}
+	w.probe.got = nil
+	v := w.s.workers[w.probe.victim]
 	w.s.steals++
 	w.s.perWorker[w.id].Steals++
 	t.job.steals++
@@ -324,6 +323,31 @@ func (w *worker) stealFrom(v *worker) (*task, bool) {
 	}
 	v.afterShrink() // Figure 5's STEAL check on the victim side
 	return t, true
+}
+
+// stepProbe is stealRound's step, run by the engine when a probe's steal
+// cost is spent (or a wake cut it short): try the victim's head and, on
+// an empty deque, spin on the next; resume the worker on a landed task.
+func (w *worker) stepProbe() (units.Time, bool) {
+	s, pr := w.s, &w.probe
+	if s.done {
+		return 0, false
+	}
+	// An empty deque is a failed steal without taking the deque's lock:
+	// nothing contends in the engine, and the probe's cost is modeled.
+	if dq := s.workers[pr.victim].dq; !dq.Empty() {
+		pr.got, _ = dq.Steal()
+		return 0, false
+	}
+	s.failedSteals++
+	if pr.left--; pr.left == 0 {
+		return 0, false
+	}
+	if pr.victim = (pr.victim + 1) % len(s.workers); pr.victim == w.id {
+		pr.victim = (pr.victim + 1) % len(s.workers)
+	}
+	w.setState(cpu.Spin)
+	return s.eng.Now() + s.cfg.StealCost, true
 }
 
 // yield backs off after a failed steal round, spinning at the core's
@@ -496,8 +520,8 @@ func (w *worker) parkOnBlock(blk *block) {
 // (maybePreempt), so a higher-ranked arrival overtakes a long CPU
 // burst mid-stream.
 func (w *worker) workCycles(c units.Cycles) {
-	rem := c
-	for rem > 0 {
+	// maybePreempt runs other jobs' segments through w.slice: rem is ours.
+	for rem := c; rem > 0; rem = w.slice.rem {
 		if w.curJob.evicted {
 			return
 		}
@@ -505,34 +529,47 @@ func (w *worker) workCycles(c units.Cycles) {
 		if w.s.done {
 			return
 		}
-		f := w.core.Dom.Freq()
-		slow := w.s.slowFactor
-		start := w.s.eng.Now()
-		dur := rem.DurationAt(f)
-		if slow > 1 {
-			dur = units.Time(float64(dur) * slow)
-		}
-		full := start + dur
-		end := full
-		if q := w.s.cfg.PreemptQuantum; w.preemptible() && dur > q {
-			end = start + q
-		}
-		w.inWork = true
-		resumed := w.proc.WaitUntil(end)
-		w.inWork = false
-		if resumed >= full {
-			return // full segment retired at constant frequency
-		}
-		el := resumed - start
-		if slow > 1 {
-			el = units.Time(float64(el) / slow)
-		}
-		done := units.CyclesIn(el, f)
-		if done >= rem {
-			return
-		}
-		rem -= done
+		w.slice.rem = rem
+		w.proc.WaitUntilStep(w.planSlice(), w.sliceStep)
 	}
+}
+
+// planSlice rates the cycles left at the current frequency and straggler
+// factor and returns when they retire, or the quantum boundary if sooner.
+func (w *worker) planSlice() units.Time {
+	sl := &w.slice
+	sl.f, sl.slow, sl.start = w.core.Dom.Freq(), w.s.slowFactor, w.s.eng.Now()
+	dur := sl.rem.DurationAt(sl.f)
+	if sl.slow > 1 {
+		dur = units.Time(float64(dur) * sl.slow)
+	}
+	sl.full = sl.start + dur
+	w.inWork = true
+	if q := w.s.cfg.PreemptQuantum; w.preemptible() && dur > q {
+		return sl.start + q
+	}
+	return sl.full
+}
+
+// stepSlice is workCycles' step, run by the engine when a slice ends or a
+// wake cuts it short: retire what ran and, unless the worker's loop has
+// an eviction, a shutdown or a preemption to act on, plan the next slice.
+func (w *worker) stepSlice() (units.Time, bool) {
+	sl, now := &w.slice, w.s.eng.Now()
+	w.inWork = false
+	if now >= sl.full {
+		sl.rem = 0 // the whole segment retired at constant frequency
+		return 0, false
+	}
+	el := now - sl.start
+	if sl.slow > 1 {
+		el = units.Time(float64(el) / sl.slow)
+	}
+	sl.rem -= min(units.CyclesIn(el, sl.f), sl.rem)
+	if sl.rem == 0 || w.curJob.evicted || w.s.done || (w.preemptible() && len(w.s.pool.injectq) > 0) {
+		return 0, false
+	}
+	return w.planSlice(), true
 }
 
 // preemptible reports whether this worker's CPU segments are subject

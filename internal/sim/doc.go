@@ -37,10 +37,21 @@
 // with everything else, and may block (the pool's idle hook waits for
 // the next submission).
 //
+// # Stepped waits
+//
+// WaitUntilStep hands a wait's continuation to the dispatcher: at each
+// wake, Run — or the parking process, for its own event — calls the step
+// with the process current, and a step that answers "again" is parked
+// anew without the process ever having been resumed. A loop that only
+// looks at the world and waits again (a thief probing empty deques, a
+// work segment re-planned at a quantum boundary) then costs no switch.
+// The one rule: a step schedules exactly what the process would have,
+// when it would have — so seq, the same-instant tie-break, never moves.
+//
 // # Where failures surface
 //
 // All of them from Run, on its caller's goroutine. The first panic
-// inside a process is captured as a *TaskPanic with the faulting stack;
+// inside a process or its step is captured as a *TaskPanic with its stack;
 // Run stops dispatching, unwinds every other process through its own
 // defers (park panics with a value IsUnwind recognises — recover blocks
 // in process bodies must re-raise it) and re-raises the TaskPanic. The

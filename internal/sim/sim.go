@@ -56,6 +56,7 @@ type Proc struct {
 	pending *Event
 	state   procState
 	fn      func(*Proc)
+	step    func() (next units.Time, again bool) // of the stepped wait it is in, or nil
 
 	// The two halves of iter.Pull over run, created at first dispatch,
 	// and the yield it hands to run. Only Run calls next; only park
@@ -75,9 +76,9 @@ type Engine struct {
 	alive   int
 	current *Proc
 
-	// dispatched counts events fired and resumes the coroutine switches
-	// into a process; Stats reads them.
-	dispatched, resumes uint64
+	// Events fired, and those of them that resumed a coroutine (the rest
+	// a parking process took itself, or were steps). Read after Run.
+	Dispatched, Resumes uint64
 
 	// A parking process that popped an event it does not own leaves it
 	// here for Run to dispatch (nil with handed set: it found the queue
@@ -174,11 +175,6 @@ func IsUnwind(v any) bool {
 // the caller of Run, between runs) may call it.
 func (e *Engine) Now() units.Time { return e.now }
 
-// Stats returns how many events the engine has dispatched and how many
-// of them resumed a coroutine (the rest were taken by a process already
-// running, on its way out of park).
-func (e *Engine) Stats() (dispatched, resumes uint64) { return e.dispatched, e.resumes }
-
 // Current returns the process executing right now, or nil between
 // events (hooks, or the caller of Run). Engine-side plumbing that may
 // run on several processes uses it to avoid illegal self-wakes.
@@ -202,16 +198,41 @@ func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 func (p *Proc) run(yield func(struct{}) bool) {
 	p.yield = yield
 	defer func() {
-		e := p.eng
 		p.state = stateDone
-		r := recover()
-		if r == nil || IsUnwind(r) || e.trapped {
-			return
-		}
-		e.trapped = true
-		e.trap = &TaskPanic{Value: r, Stack: debug.Stack()}
+		p.eng.trapPanic(recover())
 	}()
 	p.fn(p)
+}
+
+// trapPanic makes r, just recovered on a process's behalf by the caller,
+// the engine's trap if it is the first real panic.
+func (e *Engine) trapPanic(r any) {
+	if r == nil || IsUnwind(r) || e.trapped {
+		return
+	}
+	e.trapped = true
+	e.trap = &TaskPanic{Value: r, Stack: debug.Stack()}
+}
+
+// stepped runs the step of the stepped wait p is in, in p's place: p has
+// just fired and is current. It reports whether p stays parked: the step
+// asked to wait again — scheduled here as p's own WaitUntil would have —
+// or panicked, which traps like a panic in p's body.
+func (e *Engine) stepped(p *Proc) (parked bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.trapPanic(r)
+			p.state, e.current, parked = stateParked, nil, true
+		}
+	}()
+	next, again := p.step()
+	if !again {
+		p.step = nil
+		return false
+	}
+	p.pending = e.scheduleAt(next, 0, p)
+	p.state, e.current = stateParked, nil
+	return true
 }
 
 // scheduleAt enqueues a wake with an explicit tie-break priority; the
@@ -317,7 +338,7 @@ func (e *Engine) pickParking() *Event {
 // current, running process.
 func (e *Engine) fire(ev *Event) *Proc {
 	p := ev.p
-	e.dispatched++
+	e.Dispatched++
 	e.now = ev.t
 	e.free = append(e.free, ev)
 	p.pending = nil
@@ -351,10 +372,13 @@ func (e *Engine) Run() {
 			panic("sim: time went backwards")
 		}
 		p := e.fire(ev)
+		if p.step != nil && e.stepped(p) {
+			continue
+		}
 		if p.next == nil {
 			p.next, p.stop = iter.Pull(p.run)
 		}
-		e.resumes++
+		e.Resumes++
 		p.next() // a runtime.Goexit inside the process carries on here
 		e.current = nil
 		if p.state == stateDone {
@@ -400,20 +424,24 @@ func (e *Engine) describeStall() string {
 
 // park gives up the processor until the process's next wake. The
 // parking process runs the pick step itself: if the next live event is
-// its own it moves the clock and carries on with no switch at all; any
+// its own it moves the clock and carries on with no switch at all — or,
+// in a stepped wait whose step asks to wait again, picks again; any
 // other pick it leaves for Run, which it yields to. If a process
 // panicked meanwhile it resumes by unwinding (its defers still run).
 func (p *Proc) park() {
 	e := p.eng
 	p.state = stateParked
 	e.current = nil
-	if !e.trapped {
+	for !e.trapped {
 		ev := e.pickParking()
-		if ev != nil && ev.p == p && ev.t >= e.now {
-			e.fire(ev)
+		if ev == nil || ev.p != p || ev.t < e.now {
+			e.handoff, e.handed = ev, true
+			break
+		}
+		e.fire(ev)
+		if p.step == nil || !e.stepped(p) {
 			return
 		}
-		e.handoff, e.handed = ev, true
 	}
 	p.yield(struct{}{})
 	if e.trapped {
@@ -423,11 +451,18 @@ func (p *Proc) park() {
 
 // WaitUntil parks until virtual time t (or an early Wake). It returns
 // the time at which the process resumed.
-func (p *Proc) WaitUntil(t units.Time) units.Time {
+func (p *Proc) WaitUntil(t units.Time) units.Time { return p.WaitUntilStep(t, nil) }
+
+// WaitUntilStep is WaitUntil with a continuation the dispatcher runs in
+// the parked process's place ("Stepped waits" in the package doc): at
+// every wake, timer or early Wake, step runs with the process current;
+// again parks it until next, unresumed. A step must not park.
+func (p *Proc) WaitUntilStep(t units.Time, step func() (next units.Time, again bool)) units.Time {
 	p.mustBeCurrent("WaitUntil")
 	if t < p.eng.now {
 		panic("sim: WaitUntil into the past")
 	}
+	p.step = step
 	p.pending = p.eng.scheduleAt(t, 0, p)
 	p.park()
 	return p.eng.now
@@ -474,5 +509,8 @@ func (p *Proc) Wake() {
 func (p *Proc) mustBeCurrent(op string) {
 	if p.eng.current != nil && p.eng.current != p {
 		panic("sim: " + op + " called by non-current process " + p.Name)
+	}
+	if p.step != nil {
+		panic("sim: " + op + " inside a step of " + p.Name)
 	}
 }

@@ -316,8 +316,9 @@ func TestIsUnwind(t *testing.T) {
 // scriptOp is one step of a scripted process; the same scripts drive
 // the engine and the reference below.
 type scriptOp struct {
-	kind   byte // 's' Sleep, 'u' WaitUntil, 'p' ParkUntilWake, 'w' Wake, 'g' Go
+	kind   byte // 's' Sleep, 'u' WaitUntil, 'k' WaitUntilStep, 'p' ParkUntilWake, 'w' Wake, 'g' Go
 	d      units.Time
+	steps  int        // 'k': wakes the wait spans, each d after the last
 	target int        // 'w': index into the processes that exist at that moment
 	child  []scriptOp // 'g'
 }
@@ -327,11 +328,13 @@ func genScript(rng *rand.Rand, depth int) []scriptOp {
 	ops := make([]scriptOp, 0, n)
 	for i := 0; i < n; i++ {
 		d := units.Time(rng.Intn(5)) * units.Microsecond // 0 included: same-instant ties
-		switch r := rng.Intn(10); {
+		switch r := rng.Intn(12); {
 		case r < 4:
 			ops = append(ops, scriptOp{kind: 's', d: d})
 		case r < 6:
 			ops = append(ops, scriptOp{kind: 'u', d: d})
+		case r >= 10:
+			ops = append(ops, scriptOp{kind: 'k', d: d, steps: 1 + rng.Intn(5)})
 		case r < 7:
 			ops = append(ops, scriptOp{kind: 'p'})
 		case r < 9:
@@ -369,6 +372,20 @@ func runScripted(roots [][]scriptOp) []string {
 					p.Sleep(op.d)
 				case 'u':
 					p.WaitUntil(e.Now() + op.d)
+				case 'k':
+					// One wait spanning op.steps wakes: all but the last
+					// are logged by the step, in the dispatcher.
+					left := op.steps
+					p.WaitUntilStep(e.Now()+op.d, func() (units.Time, bool) {
+						if e.Current() != p {
+							panic("step ran without its process current")
+						}
+						if left--; left == 0 {
+							return 0, false
+						}
+						log = append(log, fmt.Sprintf("%d@%d", p.ID, e.Now()))
+						return e.Now() + op.d, true
+					})
 				case 'p':
 					p.ParkUntilWake()
 				case 'w':
@@ -422,6 +439,7 @@ type refEvent struct {
 type refProc struct {
 	script  []scriptOp
 	pc      int
+	left    int // wakes left in the 'k' op at pc
 	pending *refEvent
 	done    bool
 }
@@ -521,6 +539,17 @@ func (r *refEngine) run(roots [][]scriptOp) []string {
 			case 's', 'u':
 				p.pending = r.schedule(r.now+op.d, 0, pid)
 				parked = true
+			case 'k':
+				// The reference knows no stepped wait: it is op.steps
+				// plain WaitUntils in a row.
+				if p.left == 0 {
+					p.left = op.steps
+				}
+				if p.left--; p.left > 0 {
+					p.pc--
+				}
+				p.pending = r.schedule(r.now+op.d, 0, pid)
+				parked = true
 			case 'p':
 				parked = true
 			case 'w':
@@ -550,7 +579,9 @@ func (r *refEngine) run(roots [][]scriptOp) []string {
 // TestRandomSchedulesMatchReference: seeded random mixes of Sleep,
 // WaitUntil, ParkUntilWake, Wake, Go from a process, Inject from the
 // tick hook and rescue from the idle hook dispatch in exactly the order
-// the reference gives, time for time.
+// the reference gives, time for time — and so do stepped waits of up to
+// five wakes, early Wakes and Injects landing mid-chain, against the
+// same number of plain WaitUntils in the reference.
 func TestRandomSchedulesMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -674,17 +705,27 @@ func TestSelfWakeHonoursEarlierInject(t *testing.T) {
 
 // TestSteadyStateEventAllocatesNothing: once the heap and the event
 // pool have grown, an event costs no allocation — neither on the
-// self-wake path (one process) nor through Run (sixteen).
+// self-wake path (one process) nor through Run (sixteen), and neither
+// does a stepped wait of four events whose step func was bound once.
 func TestSteadyStateEventAllocatesNothing(t *testing.T) {
 	for _, procs := range []int{1, 16} {
 		e := NewEngine()
-		var allocs float64
+		var allocs, stepAllocs float64
 		stop := false
 		e.Go("measured", func(p *Proc) {
 			for i := 0; i < 100; i++ {
 				p.Sleep(units.Microsecond)
 			}
 			allocs = testing.AllocsPerRun(1000, func() { p.Sleep(units.Microsecond) })
+			left := 0
+			step := func() (units.Time, bool) {
+				left--
+				return e.Now() + units.Microsecond, left > 0
+			}
+			stepAllocs = testing.AllocsPerRun(1000, func() {
+				left = 4
+				p.WaitUntilStep(e.Now()+units.Microsecond, step)
+			})
 			stop = true
 		})
 		for i := 1; i < procs; i++ {
@@ -695,8 +736,8 @@ func TestSteadyStateEventAllocatesNothing(t *testing.T) {
 			})
 		}
 		e.Run()
-		if allocs != 0 {
-			t.Errorf("%d processes: %.2f allocations per event, want 0", procs, allocs)
+		if allocs != 0 || stepAllocs != 0 {
+			t.Errorf("%d processes: %.2f allocations per event, %.2f per stepped wait, want 0", procs, allocs, stepAllocs)
 		}
 	}
 }
@@ -718,11 +759,21 @@ func settledGoroutines(want int) int {
 // started is gone when it returns, and the ones it unwound ran their
 // defers.
 func TestRunLeavesNoGoroutines(t *testing.T) {
+	// Eight processes, the last of them in one stepped wait for as long
+	// as the others sleep: a trap or a deadlock finds it parked there.
 	sleepers := func(e *Engine, unwound *int) {
 		for i := 0; i < 8; i++ {
+			stepped := i == 7
 			e.Go("sleeper", func(p *Proc) {
 				defer func() { *unwound++ }()
-				for k := 0; k < 20; k++ {
+				k := 0
+				if stepped {
+					p.WaitUntilStep(e.Now()+units.Microsecond, func() (units.Time, bool) {
+						k++
+						return e.Now() + units.Microsecond, k < 20
+					})
+				}
+				for ; k < 20; k++ {
 					p.Sleep(units.Microsecond)
 				}
 			})
@@ -862,6 +913,75 @@ func TestHookPanicSurfacesFromRun(t *testing.T) {
 		}
 		if swallowed {
 			t.Fatal("the process body recovered the hook's panic")
+		}
+	}()
+	e.Run()
+}
+
+// TestStepPanicSurfacesFromRun: a panic inside a step — whether Run was
+// running it or its own process on the way out of park — is that
+// process's fault: the body's recover never sees it (the step is not on
+// its stack when Run dispatches it, and must not be when it is), Run
+// re-raises it as a *TaskPanic after every process has unwound, the
+// faulty one included.
+func TestStepPanicSurfacesFromRun(t *testing.T) {
+	for _, bystanders := range []int{0, 3} { // 0: every step runs inside park
+		e := NewEngine()
+		unwound, swallowed := 0, false
+		for i := 0; i < bystanders; i++ {
+			e.Go("bystander", func(p *Proc) {
+				defer func() { unwound++ }()
+				for {
+					p.Sleep(units.Microsecond)
+				}
+			})
+		}
+		e.Go("faulty", func(p *Proc) {
+			defer func() {
+				unwound++
+				if r := recover(); r != nil && !IsUnwind(r) {
+					swallowed = true
+				} else if r != nil {
+					panic(r)
+				}
+			}()
+			k := 0
+			p.WaitUntilStep(e.Now()+units.Microsecond, func() (units.Time, bool) {
+				if k++; k == 5 {
+					panic("step boom")
+				}
+				return e.Now() + units.Microsecond, true
+			})
+			t.Error("the process resumed past a step that panicked")
+		})
+		func() {
+			defer func() {
+				tp, ok := recover().(*TaskPanic)
+				if !ok || tp.Value != "step boom" || !strings.Contains(string(tp.Stack), "TestStepPanicSurfacesFromRun") {
+					t.Fatalf("%d bystanders: Run re-raised %v, want the TaskPanic of the step with its stack", bystanders, tp)
+				}
+			}()
+			e.Run()
+		}()
+		if swallowed || unwound != bystanders+1 {
+			t.Fatalf("%d bystanders: %d processes unwound, body recovered the step's panic: %v", bystanders, unwound, swallowed)
+		}
+	}
+}
+
+// TestParkInsideStepPanics: a step runs in the dispatcher and has no
+// stack to park on.
+func TestParkInsideStepPanics(t *testing.T) {
+	e := NewEngine()
+	e.Go("bad", func(p *Proc) {
+		p.WaitUntilStep(units.Microsecond, func() (units.Time, bool) {
+			p.Sleep(units.Microsecond)
+			return 0, false
+		})
+	})
+	defer func() {
+		if tp, ok := recover().(*TaskPanic); !ok || !strings.Contains(fmt.Sprint(tp.Value), "inside a step") {
+			t.Fatalf("Run raised %v, want the park-inside-a-step panic", tp)
 		}
 	}()
 	e.Run()

@@ -229,8 +229,7 @@ type fold struct {
 	// traces.
 	classes map[hermes.Class]*classAcc
 
-	// Engine events dispatched and coroutines resumed, summed over
-	// trials: what the cell cost the host. In no artifact.
+	// Engine events and coroutine resumes over the trials; in no artifact.
 	events, resumes uint64
 }
 

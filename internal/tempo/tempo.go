@@ -246,14 +246,15 @@ func NewProfiler(window int) *Profiler {
 	return &Profiler{window: window}
 }
 
-// Observe records one period's deque sizes (one entry per worker).
+// Observe records a copy of one period's deque sizes (one entry per
+// worker). A full window recycles the storage of the period it drops.
 func (p *Profiler) Observe(sizes []int) {
-	s := make([]int, len(sizes))
-	copy(s, sizes)
-	p.periods = append(p.periods, s)
-	if len(p.periods) > p.window {
-		p.periods = p.periods[len(p.periods)-p.window:]
+	var s []int
+	if len(p.periods) == p.window {
+		s = p.periods[0][:0]
+		p.periods = append(p.periods[:0], p.periods[1:]...)
 	}
+	p.periods = append(p.periods, append(s, sizes...))
 }
 
 // Average returns the mean deque size across all samples in the
