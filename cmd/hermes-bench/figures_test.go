@@ -9,7 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	"hermes/internal/bench"
+	"hermes/internal/core"
+	"hermes/internal/cpu"
 	"hermes/internal/harness"
+	"hermes/internal/units"
 )
 
 var updateFigures = flag.Bool("update", false, "rewrite testdata/figure*.txt from this run")
@@ -126,4 +130,80 @@ func TestPaperBandsFigures6And7(t *testing.T) {
 	t.Logf("35-cell mean: %.1f %% saved, %.1f %% lost", save, loss)
 	within("35-cell energy saving", save, allSaveLo, allSaveHi)
 	within("35-cell time loss", loss, allLossLo, allLossHi)
+}
+
+// TestPaperBandsFigures14To17 asserts the orderings the paper states
+// for its frequency-selection figures, on per-figure means over cells
+// (five benchmarks × the system's worker counts) of the Compare values
+// the golden test's session already holds. Measured when written
+// (saved / lost, percent):
+//
+//	Figure 14, SystemA 2.4 GHz + slow  1.4: 11.83/7.52  1.6: 10.65/5.11  1.9: 8.35/1.70
+//	Figure 15, SystemB 3.6 GHz + slow  2.1: 18.05/8.95  2.7: 11.97/3.73  3.3: 3.26/2.68
+//	Figure 16, 2.4/1.9/1.6 vs 2.4/1.6:  9.80/3.16 vs 10.65/5.11
+//	Figure 17, 3.6/3.3/2.7 vs 3.6/2.7:  8.23/2.93 vs 11.97/3.73
+//
+// Figure 18's static and dynamic saving means (16.81, 16.86) are too
+// close to assert the paper's direction; it stays open in ROADMAP 5(a)
+// with Figures 10–13.
+func TestPaperBandsFigures14To17(t *testing.T) {
+	skipSlowFigures(t)
+	workers := map[string][]int{"SystemA": {2, 4, 8, 16}, "SystemB": {2, 3, 4}}
+	// mean returns Unified's mean saving and loss over sys's cells with
+	// tempo frequencies freqs, fastest first.
+	mean := func(sys *cpu.Spec, freqs ...units.Freq) (save, loss float64) {
+		cells := 0
+		for _, b := range bench.All() {
+			for _, w := range workers[sys.Name] {
+				s, l, _ := quickSession.Compare(harness.Spec{System: sys, Bench: b, Workers: w, Mode: core.Unified, Freqs: freqs})
+				save += 100 * s
+				loss += 100 * l
+				cells++
+			}
+		}
+		save, loss = save/float64(cells), loss/float64(cells)
+		t.Logf("%s %v: %.2f %% saved, %.2f %% lost", sys.Name, freqs, save, loss)
+		return save, loss
+	}
+	a, b := cpu.SystemA(), cpu.SystemB()
+
+	// Figures 14 and 15: a lower slow tier saves no less energy and
+	// loses no less time.
+	for _, fig := range []struct {
+		n    int
+		sys  *cpu.Spec
+		slow []units.Freq // lowest first
+	}{
+		{14, a, []units.Freq{1400 * units.MHz, 1600 * units.MHz, 1900 * units.MHz}},
+		{15, b, []units.Freq{2100 * units.MHz, 2700 * units.MHz, 3300 * units.MHz}},
+	} {
+		prevSave, prevLoss := mean(fig.sys, fig.sys.MaxFreq(), fig.slow[0])
+		for _, slow := range fig.slow[1:] {
+			save, loss := mean(fig.sys, fig.sys.MaxFreq(), slow)
+			if save > prevSave || loss > prevLoss {
+				t.Errorf("Figure %d: slow tier %v saves %.2f %% and loses %.2f %%, more than a lower one (%.2f, %.2f)",
+					fig.n, slow, save, loss, prevSave, prevLoss)
+			}
+			prevSave, prevLoss = save, loss
+		}
+	}
+
+	// Figures 16 and 17: the 3-frequency set whose middle tier sits
+	// above the 2-frequency slow tier loses less time and saves less
+	// energy than the 2-frequency set.
+	for _, fig := range []struct {
+		n          int
+		sys        *cpu.Spec
+		two, three []units.Freq
+	}{
+		{16, a, []units.Freq{2400 * units.MHz, 1600 * units.MHz}, []units.Freq{2400 * units.MHz, 1900 * units.MHz, 1600 * units.MHz}},
+		{17, b, []units.Freq{3600 * units.MHz, 2700 * units.MHz}, []units.Freq{3600 * units.MHz, 3300 * units.MHz, 2700 * units.MHz}},
+	} {
+		save2, loss2 := mean(fig.sys, fig.two...)
+		save3, loss3 := mean(fig.sys, fig.three...)
+		if loss3 >= loss2 || save3 >= save2 {
+			t.Errorf("Figure %d: 3 frequencies %.2f %% saved / %.2f %% lost, 2 frequencies %.2f / %.2f; want less of both",
+				fig.n, save3, loss3, save2, loss2)
+		}
+	}
 }

@@ -59,7 +59,7 @@ func serve(mode hermes.Mode) []hermes.Report {
 	var wg sync.WaitGroup
 	for q := 0; q < queries; q++ {
 		q := q
-		batch := knn.New(points, 8, 11+int64(q))
+		batch := knn.Factory(points, 8, 11+int64(q))()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

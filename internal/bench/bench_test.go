@@ -19,7 +19,7 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 	for _, b := range All() {
-		if b.DefaultN <= 0 || b.Desc == "" || b.Build == nil {
+		if b.DefaultN <= 0 || b.Desc == "" || b.Factory == nil {
 			t.Fatalf("incomplete bench %+v", b)
 		}
 	}

@@ -9,6 +9,7 @@ package hull
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"hermes/internal/geom"
 	"hermes/internal/units"
@@ -21,8 +22,9 @@ const (
 	serialBelow = 12000 // recursion sizes below this stay serial
 )
 
-// Job is one convex-hull instance.
+// Job is one convex-hull run.
 type Job struct {
+	ref *reference
 	pts []geom.Vec2
 
 	// Hull receives the hull's point indices (unordered set
@@ -31,11 +33,22 @@ type Job struct {
 	Hull []int
 }
 
-// New creates a deterministic instance of n points.
-func New(n int, seed int64) *Job {
-	j := &Job{pts: geom.RandomPoints2(n, seed), mu: make(chan struct{}, 1)}
-	j.mu <- struct{}{}
-	return j
+// reference is the sorted reference hull the runs of one Factory share.
+type reference struct {
+	once sync.Once
+	want []int
+}
+
+// Factory makes runs over n deterministic points: each run gets a
+// freshly generated copy of the points and its own outputs, and all
+// runs share one reference hull, computed at most once, from the input.
+func Factory(n int, seed int64) func() *Job {
+	ref := &reference{}
+	return func() *Job {
+		j := &Job{ref: ref, pts: geom.RandomPoints2(n, seed), mu: make(chan struct{}, 1)}
+		j.mu <- struct{}{}
+		return j
+	}
 }
 
 func (j *Job) addHull(idx int) {
@@ -180,11 +193,14 @@ func less(p, q geom.Vec2) bool {
 // Check verifies the hull against a sequential Andrew's monotone-chain
 // reference.
 func (j *Job) Check() error {
-	want := referenceHull(j.pts)
+	j.ref.once.Do(func() {
+		j.ref.want = referenceHull(j.pts)
+		sort.Ints(j.ref.want)
+	})
+	want := j.ref.want
 	got := make([]int, len(j.Hull))
 	copy(got, j.Hull)
 	sort.Ints(got)
-	sort.Ints(want)
 	if len(got) != len(want) {
 		return fmt.Errorf("hull: %d hull points, reference has %d", len(got), len(want))
 	}
@@ -253,11 +269,4 @@ func referenceHull(pts []geom.Vec2) []int {
 		out = []int{order[0]}
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,8 @@
 package hull
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"hermes/internal/core"
@@ -9,7 +11,7 @@ import (
 )
 
 func TestHullMatchesReference(t *testing.T) {
-	j := New(40_000, 1)
+	j := Factory(40_000, 1)()
 	core.Run(core.Config{Spec: cpu.SystemA(), Workers: 8, Mode: core.Unified, Seed: 1}, j.Root)
 	if err := j.Check(); err != nil {
 		t.Fatal(err)
@@ -21,7 +23,7 @@ func TestHullMatchesReference(t *testing.T) {
 
 func TestTinyInputs(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 10} {
-		j := New(n, 2)
+		j := Factory(n, 2)()
 		core.Run(core.Config{Workers: 2, Seed: 2}, j.Root)
 		if err := j.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -30,7 +32,7 @@ func TestTinyInputs(t *testing.T) {
 }
 
 func TestHullPointsAreExtreme(t *testing.T) {
-	j := New(5000, 3)
+	j := Factory(5000, 3)()
 	core.Run(core.Config{Workers: 4, Seed: 3}, j.Root)
 	// Every non-hull point must lie inside or on the hull: verify via
 	// the reference hull's containment (cross products against the
@@ -70,10 +72,74 @@ func TestReferenceHullDegenerate(t *testing.T) {
 }
 
 func TestCheckCatchesCorruption(t *testing.T) {
-	j := New(3000, 4)
+	j := Factory(3000, 4)()
 	core.Run(core.Config{Workers: 4, Seed: 4}, j.Root)
 	j.Hull = j.Hull[:len(j.Hull)-1]
 	if err := j.Check(); err == nil {
 		t.Fatal("truncated hull passed verification")
+	}
+}
+
+// TestFactorySecondRunStillChecked: the reference the first run's
+// Check fills is the one the second run is checked against, so a
+// corrupted second run still fails, and the runs' outputs are their own.
+func TestFactorySecondRunStillChecked(t *testing.T) {
+	f := Factory(3000, 6)
+	a, b := f(), f()
+	core.Run(core.Config{Workers: 4, Seed: 6}, a.Root)
+	core.Run(core.Config{Workers: 4, Seed: 7}, b.Root)
+	if err := a.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.ref.want) == 0 {
+		t.Fatal("the first Check left the reference empty")
+	}
+	b.Hull = b.Hull[:len(b.Hull)-1]
+	if err := b.Check(); err == nil {
+		t.Fatal("corrupted second run passed verification")
+	}
+	if err := a.Check(); err != nil {
+		t.Fatalf("corrupting the second run broke the first: %v", err)
+	}
+}
+
+// TestRootLeavesInputUntouched: the shared reference is computed from
+// whichever run checks first, so Root must not write the points.
+func TestRootLeavesInputUntouched(t *testing.T) {
+	f := Factory(3000, 8)
+	j := f()
+	core.Run(core.Config{Workers: 4, Seed: 8}, j.Root)
+	if !slices.Equal(j.pts, f().pts) {
+		t.Fatal("Root wrote its input")
+	}
+}
+
+// TestConcurrentRunsShareOneReference: four goroutines take runs from
+// one factory and check them at once (run under -race); the corrupted
+// one fails whichever goroutine computes the reference.
+func TestConcurrentRunsShareOneReference(t *testing.T) {
+	f := Factory(3000, 9)
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j := f()
+			core.Run(core.Config{Workers: 2, Seed: int64(i)}, j.Root)
+			if i == 3 {
+				j.Hull = j.Hull[:len(j.Hull)-1]
+			}
+			errs[i] = j.Check()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs[:3] {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	if errs[3] == nil {
+		t.Fatal("corrupted run passed verification")
 	}
 }

@@ -8,6 +8,7 @@ package knn
 
 import (
 	"fmt"
+	"sync"
 
 	"hermes/internal/geom"
 	"hermes/internal/units"
@@ -31,8 +32,9 @@ type node struct {
 	left, right int     // children node ids (leaf: -1)
 }
 
-// Job is one KNN problem instance.
+// Job is one KNN run.
 type Job struct {
+	ref *reference
 	pts []geom.Vec2
 	k   int
 
@@ -45,22 +47,37 @@ type Job struct {
 	Result []float64
 }
 
-// New creates a deterministic instance of n points with k neighbours.
-func New(n, k int, seed int64) *Job {
-	if k < 1 {
-		k = 1
-	}
-	pts := geom.RandomPoints2(n, seed)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return &Job{
-		pts:    pts,
-		k:      k,
-		idx:    idx,
-		nodes:  make([]node, 0, 2*n/leafSize+4),
-		Result: make([]float64, n),
+// reference holds the brute-force answers for the sampled queries,
+// which the runs of one Factory share.
+type reference struct {
+	once sync.Once
+	sums []refSum
+}
+
+type refSum struct {
+	q   int
+	sum float64
+}
+
+// Factory makes runs of n points with k neighbours (k < 1 means 1):
+// each run gets a freshly generated copy of the points and its own
+// outputs, and all runs share one brute-force reference, computed at
+// most once, from the input.
+func Factory(n, k int, seed int64) func() *Job {
+	ref := &reference{}
+	return func() *Job {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		return &Job{
+			ref:    ref,
+			pts:    geom.RandomPoints2(n, seed),
+			k:      max(k, 1),
+			idx:    idx,
+			nodes:  make([]node, 0, 2*n/leafSize+4),
+			Result: make([]float64, n),
+		}
 	}
 }
 
@@ -299,30 +316,26 @@ func (j *Job) search(id, q int, h *knnHeap, visited int) int {
 // Check verifies a deterministic sample of queries against brute
 // force.
 func (j *Job) Check() error {
-	n := len(j.pts)
-	if n == 0 {
-		return nil
-	}
-	step := n / 17
-	if step == 0 {
-		step = 1
-	}
-	for q := 0; q < n; q += step {
-		h := knnHeap{d: make([]float64, 0, j.k), k: j.k}
-		for i := range j.pts {
-			if i == q {
-				continue
+	j.ref.once.Do(func() {
+		for q := 0; q < len(j.pts); q += max(len(j.pts)/17, 1) {
+			h := knnHeap{d: make([]float64, 0, j.k), k: j.k}
+			for i := range j.pts {
+				if i == q {
+					continue
+				}
+				h.add(j.pts[q].Dist2(j.pts[i]))
 			}
-			h.add(j.pts[q].Dist2(j.pts[i]))
+			j.ref.sums = append(j.ref.sums, refSum{q: q, sum: h.sum()})
 		}
-		want := h.sum()
-		got := j.Result[q]
-		diff := got - want
+	})
+	for _, w := range j.ref.sums {
+		got := j.Result[w.q]
+		diff := got - w.sum
 		if diff < 0 {
 			diff = -diff
 		}
-		if diff > 1e-9*(1+want) {
-			return fmt.Errorf("knn: query %d result %g, brute force %g", q, got, want)
+		if diff > 1e-9*(1+w.sum) {
+			return fmt.Errorf("knn: query %d result %g, brute force %g", w.q, got, w.sum)
 		}
 	}
 	return nil

@@ -8,6 +8,7 @@ package ray
 
 import (
 	"fmt"
+	"sync"
 
 	"hermes/internal/geom"
 	"hermes/internal/units"
@@ -32,8 +33,9 @@ type node struct {
 	left, right int // -1 for leaves
 }
 
-// Job is one ray-casting instance.
+// Job is one ray-casting run.
 type Job struct {
+	ref  *reference
 	tris []geom.Triangle
 	rays []geom.Ray
 
@@ -46,17 +48,37 @@ type Job struct {
 	Hit []int
 }
 
-// New creates a deterministic instance with nTris triangles and nRays
-// rays.
-func New(nTris, nRays int, seed int64) *Job {
-	tris := geom.RandomTriangles(nTris, seed)
-	rays := geom.RandomRays(nRays, seed+1)
-	idx := make([]int, nTris)
-	for i := range idx {
-		idx[i] = i
+// reference holds the brute-force answers for the sampled rays, which
+// the runs of one Factory share.
+type reference struct {
+	once sync.Once
+	hits []refHit
+}
+
+type refHit struct {
+	ray, tri int     // tri is -1 for a miss
+	t        float64 // depth of the hit
+}
+
+// Factory makes runs with nTris triangles and nRays rays: each run gets
+// a freshly generated copy of the scene and its own outputs, and all
+// runs share one brute-force reference, computed at most once, from the
+// input.
+func Factory(nTris, nRays int, seed int64) func() *Job {
+	ref := &reference{}
+	return func() *Job {
+		idx := make([]int, nTris)
+		for i := range idx {
+			idx[i] = i
+		}
+		return &Job{
+			ref:  ref,
+			tris: geom.RandomTriangles(nTris, seed),
+			rays: geom.RandomRays(nRays, seed+1),
+			idx:  idx,
+			Hit:  make([]int, nRays),
+		}
 	}
-	hit := make([]int, nRays)
-	return &Job{tris: tris, rays: rays, idx: idx, Hit: hit}
 }
 
 // Root builds the BVH and casts every ray.
@@ -218,6 +240,7 @@ func median3(a, b, c float64) float64 {
 func (j *Job) cast(r geom.Ray) (hit, nodesVisited, triTests int) {
 	hit = -1
 	best := maxRayT
+	inv := r.InvDir()
 	var stack [64]int
 	sp := 0
 	stack[sp] = j.root
@@ -227,7 +250,7 @@ func (j *Job) cast(r geom.Ray) (hit, nodesVisited, triTests int) {
 		id := stack[sp]
 		n := &j.nodes[id]
 		nodesVisited++
-		if !n.box.IntersectRay(r, best) {
+		if !n.box.IntersectRay(r, inv, best) {
 			continue
 		}
 		if n.left < 0 {
@@ -264,38 +287,34 @@ func (j *Job) cast(r geom.Ray) (hit, nodesVisited, triTests int) {
 
 // Check verifies a deterministic sample of rays against brute force.
 func (j *Job) Check() error {
-	if len(j.rays) == 0 {
-		return nil
-	}
-	step := len(j.rays) / 13
-	if step == 0 {
-		step = 1
-	}
-	for r := 0; r < len(j.rays); r += step {
-		bestT := maxRayT
-		want := -1
-		for t := range j.tris {
-			if d, ok := j.rays[r].IntersectTriangle(j.tris[t]); ok && d < bestT {
-				bestT = d
-				want = t
+	j.ref.once.Do(func() {
+		for r := 0; r < len(j.rays); r += max(len(j.rays)/13, 1) {
+			w := refHit{ray: r, tri: -1, t: maxRayT}
+			for t := range j.tris {
+				if d, ok := j.rays[r].IntersectTriangle(j.tris[t]); ok && d < w.t {
+					w.t, w.tri = d, t
+				}
 			}
+			j.ref.hits = append(j.ref.hits, w)
 		}
-		if got := j.Hit[r]; got != want {
+	})
+	for _, w := range j.ref.hits {
+		if got := j.Hit[w.ray]; got != w.tri {
 			// Two triangles at (numerically) the same depth can swap;
 			// accept if the distances match closely.
-			if got >= 0 && want >= 0 {
-				dg, okg := j.rays[r].IntersectTriangle(j.tris[got])
+			if got >= 0 && w.tri >= 0 {
+				dg, okg := j.rays[w.ray].IntersectTriangle(j.tris[got])
 				if okg {
-					diff := dg - bestT
+					diff := dg - w.t
 					if diff < 0 {
 						diff = -diff
 					}
-					if diff <= 1e-12*(1+bestT) {
+					if diff <= 1e-12*(1+w.t) {
 						continue
 					}
 				}
 			}
-			return fmt.Errorf("ray: ray %d hit %d, brute force %d", r, got, want)
+			return fmt.Errorf("ray: ray %d hit %d, brute force %d", w.ray, got, w.tri)
 		}
 	}
 	return nil

@@ -136,19 +136,24 @@ func (b AABB) LongestAxis() int {
 	return 2
 }
 
+// InvDir returns the per-axis reciprocals of r's direction, the
+// argument IntersectRay takes so a ray tested against many boxes
+// divides once.
+func (r Ray) InvDir() Vec3 { return Vec3{1 / r.D.X, 1 / r.D.Y, 1 / r.D.Z} }
+
 // IntersectRay returns whether r hits the box at some parameter in
-// [0, tMax] using the slab method.
-func (b AABB) IntersectRay(r Ray, tMax float64) bool {
+// [0, tMax] using the slab method. inv must be r.InvDir().
+func (b AABB) IntersectRay(r Ray, inv Vec3, tMax float64) bool {
 	t0, t1 := 0.0, tMax
 	for axis := 0; axis < 3; axis++ {
-		var o, d, mn, mx float64
+		var o, d, id, mn, mx float64
 		switch axis {
 		case 0:
-			o, d, mn, mx = r.O.X, r.D.X, b.Min.X, b.Max.X
+			o, d, id, mn, mx = r.O.X, r.D.X, inv.X, b.Min.X, b.Max.X
 		case 1:
-			o, d, mn, mx = r.O.Y, r.D.Y, b.Min.Y, b.Max.Y
+			o, d, id, mn, mx = r.O.Y, r.D.Y, inv.Y, b.Min.Y, b.Max.Y
 		default:
-			o, d, mn, mx = r.O.Z, r.D.Z, b.Min.Z, b.Max.Z
+			o, d, id, mn, mx = r.O.Z, r.D.Z, inv.Z, b.Min.Z, b.Max.Z
 		}
 		if d == 0 {
 			if o < mn || o > mx {
@@ -156,9 +161,8 @@ func (b AABB) IntersectRay(r Ray, tMax float64) bool {
 			}
 			continue
 		}
-		inv := 1 / d
-		near := (mn - o) * inv
-		far := (mx - o) * inv
+		near := (mn - o) * id
+		far := (mx - o) * id
 		if near > far {
 			near, far = far, near
 		}

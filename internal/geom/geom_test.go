@@ -2,6 +2,8 @@ package geom
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -82,19 +84,117 @@ func TestLongestAxis(t *testing.T) {
 func TestAABBRay(t *testing.T) {
 	bb := AABB{Min: Vec3{0, 0, 0}, Max: Vec3{1, 1, 1}}
 	hit := Ray{O: Vec3{0.5, 0.5, -1}, D: Vec3{0, 0, 1}}
-	if !bb.IntersectRay(hit, 100) {
+	if !bb.IntersectRay(hit, hit.InvDir(), 100) {
 		t.Fatal("central ray should hit the box")
 	}
-	if bb.IntersectRay(hit, 0.5) {
+	if bb.IntersectRay(hit, hit.InvDir(), 0.5) {
 		t.Fatal("tMax shorter than box entry should miss")
 	}
 	miss := Ray{O: Vec3{5, 5, -1}, D: Vec3{0, 0, 1}}
-	if bb.IntersectRay(miss, 100) {
+	if bb.IntersectRay(miss, miss.InvDir(), 100) {
 		t.Fatal("offset ray should miss the box")
 	}
 	par := Ray{O: Vec3{-1, 0.5, 0.5}, D: Vec3{0, 1, 0}} // parallel to x slabs, outside
-	if bb.IntersectRay(par, 100) {
+	if bb.IntersectRay(par, par.InvDir(), 100) {
 		t.Fatal("outside axis-parallel ray should miss")
+	}
+}
+
+// intersectRayDivide is the slab test as it was before IntersectRay
+// took the ray's reciprocals: one division per axis of every box.
+func intersectRayDivide(b AABB, r Ray, tMax float64) bool {
+	t0, t1 := 0.0, tMax
+	for axis := 0; axis < 3; axis++ {
+		var o, d, mn, mx float64
+		switch axis {
+		case 0:
+			o, d, mn, mx = r.O.X, r.D.X, b.Min.X, b.Max.X
+		case 1:
+			o, d, mn, mx = r.O.Y, r.D.Y, b.Min.Y, b.Max.Y
+		default:
+			o, d, mn, mx = r.O.Z, r.D.Z, b.Min.Z, b.Max.Z
+		}
+		if d == 0 {
+			if o < mn || o > mx {
+				return false
+			}
+			continue
+		}
+		inv := 1 / d
+		near := (mn - o) * inv
+		far := (mx - o) * inv
+		if near > far {
+			near, far = far, near
+		}
+		if near > t0 {
+			t0 = near
+		}
+		if far < t1 {
+			t1 = far
+		}
+		if t0 > t1 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIntersectRayMatchesDivide: taking the reciprocals from the caller
+// gives the divide-per-axis answer on every input, including zero and
+// negative-zero directions, subnormal directions whose reciprocal
+// overflows, rays whose origin lies on a box face and tMax exactly at a
+// slab edge. Box corners and origins come from a small grid so faces
+// and origins coincide often.
+func TestIntersectRayMatchesDivide(t *testing.T) {
+	pick := func(rng *rand.Rand, vs ...float64) float64 { return vs[rng.Intn(len(vs))] }
+	coord := func(rng *rand.Rand) float64 {
+		if rng.Intn(4) == 0 {
+			return 3*rng.Float64() - 1
+		}
+		return pick(rng, -1, 0, 0.5, 1, 2)
+	}
+	gen := func(args []reflect.Value, rng *rand.Rand) {
+		var b AABB
+		var r Ray
+		lo, hi := []*float64{&b.Min.X, &b.Min.Y, &b.Min.Z}, []*float64{&b.Max.X, &b.Max.Y, &b.Max.Z}
+		o, d := []*float64{&r.O.X, &r.O.Y, &r.O.Z}, []*float64{&r.D.X, &r.D.Y, &r.D.Z}
+		for a := 0; a < 3; a++ {
+			*lo[a], *hi[a] = coord(rng), coord(rng)
+			if *lo[a] > *hi[a] {
+				*lo[a], *hi[a] = *hi[a], *lo[a]
+			}
+			*o[a] = coord(rng)
+			*d[a] = pick(rng, 0, math.Copysign(0, -1), 1, -1, 0.5, -2, 5e-324, rng.NormFloat64())
+		}
+		tMax := pick(rng, 0, 1, 1e30, math.Inf(1), 4*rng.Float64())
+		if a := rng.Intn(3); rng.Intn(2) == 0 && *d[a] != 0 {
+			// tMax at a slab edge: exactly where the ray enters or
+			// leaves the box's slab on axis a.
+			edge := *lo[a]
+			if rng.Intn(2) == 0 {
+				edge = *hi[a]
+			}
+			tMax = (edge - *o[a]) / *d[a]
+		}
+		args[0], args[1], args[2] = reflect.ValueOf(b), reflect.ValueOf(r), reflect.ValueOf(tMax)
+	}
+	var hits, misses int
+	divide := func(b AABB, r Ray, tMax float64) bool {
+		ok := intersectRayDivide(b, r, tMax)
+		if ok {
+			hits++
+		} else {
+			misses++
+		}
+		return ok
+	}
+	recip := func(b AABB, r Ray, tMax float64) bool { return b.IntersectRay(r, r.InvDir(), tMax) }
+	if err := quick.CheckEqual(divide, recip, &quick.Config{MaxCount: 20_000, Values: gen}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d hits, %d misses", hits, misses)
+	if hits < 1000 || misses < 1000 {
+		t.Fatalf("%d hits and %d misses: the generator does not exercise both answers", hits, misses)
 	}
 }
 

@@ -7,8 +7,10 @@
 // The paper runs 20 trials per configuration and discards the first
 // two; the harness runs a configurable number of trials that vary the
 // scheduler seed (victim selection) while holding the input fixed,
-// and averages. Results are cached within a Session so figures that
-// share runs (e.g. Figure 6 and Figure 8) do not recompute them.
+// and averages. A Session caches each Spec's Avg, so figures that
+// share runs (e.g. Figure 6 and Figure 8) do not recompute them, and
+// one verification reference per input: every run regenerates its
+// input and has its output checked, against a reference computed once.
 package harness
 
 import (
@@ -58,12 +60,19 @@ func Full() Options { return Options{} }
 type Session struct {
 	opts  Options
 	cache map[string]Avg
+	runs  map[input]func() bench.Workload // one factory per input
 	Log   func(string)
+}
+
+// input identifies one benchmark input; the seed is the Session's.
+type input struct {
+	bench string
+	n     int
 }
 
 // NewSession creates a session with the given options.
 func NewSession(opts Options) *Session {
-	return &Session{opts: opts.withDefaults(), cache: map[string]Avg{}}
+	return &Session{opts: opts.withDefaults(), cache: map[string]Avg{}, runs: map[input]func() bench.Workload{}}
 }
 
 // Spec identifies one simulated configuration to average over trials.
@@ -120,9 +129,13 @@ func (s *Session) Run(spec Spec) Avg {
 	if n < 1000 {
 		n = 1000
 	}
+	in := input{spec.Bench.Name, n}
+	if s.runs[in] == nil {
+		s.runs[in] = spec.Bench.Factory(n, s.opts.InputSeed)
+	}
 	var a Avg
 	for trial := 0; trial < s.opts.Trials; trial++ {
-		load := spec.Bench.Build(n, s.opts.InputSeed)
+		load := s.runs[in]()
 		cfg := core.Config{
 			Spec:       spec.System,
 			Workers:    spec.Workers,
