@@ -57,6 +57,28 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParse: Parse never panics, and a policy it accepts renders to a
+// name that parses back to the same policy and validates. The seeds
+// (the catalogue's names and near misses) run under plain go test.
+func FuzzParse(f *testing.F) {
+	for _, s := range append(Known(), "p1c", "p3c", "p64c", "p0c", "p-1c", "p+2c", "p01c", "pc", "", "rr") {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			return
+		}
+		q, err := Parse(p.String())
+		if err != nil || q != p {
+			t.Fatalf("Parse(%q) = %+v renders %q, which parses to %+v, %v", s, p, p.String(), q, err)
+		}
+		if _, err := p.Validate(); err != nil {
+			t.Fatalf("Parse(%q) = %+v does not validate: %v", s, p, err)
+		}
+	})
+}
+
 func TestValidateDefaults(t *testing.T) {
 	p, err := Policy{Kind: "pkc"}.Validate()
 	if err != nil || p.Choices != 2 {

@@ -5,45 +5,20 @@ import (
 
 	"hermes/internal/cpu"
 	"hermes/internal/obs"
+	"hermes/internal/tempo"
 	"hermes/internal/units"
 )
 
 // Mode selects which tempo-control strategies are active.
-type Mode uint8
+type Mode = tempo.Mode
 
+// The tempo modes (see tempo.Mode).
 const (
-	// Baseline is the unmodified work-stealing runtime (the paper's
-	// Intel Cilk Plus control): no tempo control, all cores at the
-	// maximum frequency.
-	Baseline Mode = iota
-	// WorkpathOnly enables only thief procrastination and immediacy
-	// relay (Section 3.1).
-	WorkpathOnly
-	// WorkloadOnly enables only deque-size-driven tempo (Section 3.2).
-	WorkloadOnly
-	// Unified enables both strategies (Section 3.3) — full HERMES.
-	Unified
+	Baseline     = tempo.Baseline
+	WorkpathOnly = tempo.WorkpathOnly
+	WorkloadOnly = tempo.WorkloadOnly
+	Unified      = tempo.Unified
 )
-
-func (m Mode) String() string {
-	switch m {
-	case Baseline:
-		return "baseline"
-	case WorkpathOnly:
-		return "workpath"
-	case WorkloadOnly:
-		return "workload"
-	case Unified:
-		return "hermes"
-	}
-	return "invalid"
-}
-
-// Workpath reports whether the immediacy-list strategy is active.
-func (m Mode) Workpath() bool { return m == WorkpathOnly || m == Unified }
-
-// Workload reports whether the deque-size strategy is active.
-func (m Mode) Workload() bool { return m == WorkloadOnly || m == Unified }
 
 // Scheduling selects the worker-core mapping policy of Section 3.4.
 type Scheduling uint8

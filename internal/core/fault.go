@@ -295,8 +295,8 @@ func (s *sched) slowPin(on bool) {
 	if s.cfg.Mode == Baseline || len(s.cfg.Freqs) == 0 {
 		return
 	}
-	for _, w := range s.workers {
-		s.retune(w)
+	for i := range s.workers {
+		s.retune(i, s.tempo.Level(i, s.cfg.Mode))
 	}
 }
 

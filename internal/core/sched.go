@@ -23,7 +23,7 @@ type sched struct {
 
 	workers []*worker
 	byCore  map[*cpu.Core]*worker
-	prof    *tempo.Profiler
+	tempo   *tempo.Policy
 	// done is set by poolShutdown: every process observes it and exits.
 	done bool
 
@@ -125,12 +125,12 @@ func newSched(eng *sim.Engine, cfg Config) *sched {
 		eng:         eng,
 		mach:        cpu.NewMachine(cfg.Spec),
 		byCore:      map[*cpu.Core]*worker{},
-		prof:        tempo.NewProfiler(cfg.ProfileWindow),
 		freqBusy:    map[units.Freq]units.Time{},
 		dvfsCommits: make([]units.Time, cfg.Spec.Domains()),
 	}
 	s.model = power.NewModel(cfg.Spec)
 	s.met = meter.New(s.model, s.mach)
+	s.tempo = tempo.NewPolicy(cfg.Workers, cfg.K, cfg.InitialAvgDeque, cfg.MaxTempoLevels, cfg.ProfileWindow, s.retune)
 
 	s.perWorker = make([]WorkerStats, cfg.Workers)
 	cores := s.mach.DistinctDomainCores(cfg.Workers)
@@ -264,27 +264,15 @@ func (s *sched) emit(ev obs.Event) {
 
 // --- tempo plumbing -------------------------------------------------
 
-// level returns w's composed tempo level: workpath chain depth plus
-// workload tier deficit (K - S). Level 0 is the fastest tempo.
-func (s *sched) level(w *worker) int {
-	l := w.wpLevel
-	if s.cfg.Mode.Workload() {
-		l += w.th.K() - w.th.Tier()
-	}
-	return l
-}
-
-// retune files the DVFS request matching w's current composed level.
-// Levels map onto the N-frequency set by saturation (level i runs at
-// Freqs[min(i, N-1)]), so deep thief chains and workload tiers stack
-// below the slowest frequency without losing their relative order —
-// Figure 3's "a thief's thief" keeps a slower tempo than its victim
-// even when both saturate the frequency range.
-func (s *sched) retune(w *worker) {
-	fi := s.level(w)
-	if max := len(s.cfg.Freqs) - 1; fi > max {
-		fi = max
-	}
+// retune is the tempo policy's callback: it files the DVFS request
+// matching worker i's new level. Levels map onto the N-frequency set by
+// saturation (level l runs at Freqs[min(l, N-1)]), so deep thief chains
+// and workload tiers stack below the slowest frequency without losing
+// their relative order — Figure 3's "a thief's thief" keeps a slower
+// tempo than its victim even when both saturate the frequency range.
+func (s *sched) retune(i, level int) {
+	w := s.workers[i]
+	fi := min(level, len(s.cfg.Freqs)-1)
 	if s.slowPinned {
 		// Tier-pinned straggler: whatever the tempo strategies ask for,
 		// the machine answers with its lowest frequency.
@@ -313,26 +301,6 @@ func (s *sched) retune(w *worker) {
 func (s *sched) pendingDiffers(w *worker, f units.Freq) bool {
 	target, _, pending := w.core.Dom.Pending()
 	return pending && target != f
-}
-
-// up raises w one workpath level (immediacy relay).
-func (s *sched) up(w *worker) {
-	if w.wpLevel > 0 {
-		w.wpLevel--
-	}
-	s.retune(w)
-}
-
-// downFrom applies thief procrastination: the thief's workpath level
-// sits one below its victim's, capped so pathological chains cannot
-// stack beyond MaxTempoLevels.
-func (s *sched) downFrom(w, victim *worker) {
-	l := victim.wpLevel + 1
-	if max := s.cfg.MaxTempoLevels - 1; l > max {
-		l = max
-	}
-	w.wpLevel = l
-	s.retune(w)
 }
 
 // dvfsLoop is the commit daemon: it sleeps until the earliest pending
@@ -394,15 +362,15 @@ func (s *sched) onFreqChange(d *cpu.Domain) {
 }
 
 // profLoop is the online profiler of Section 3.2: every ProfilePeriod
-// it samples all deque sizes and retunes every worker's thresholds
-// from the rolling average. It parks while no jobs are active (deliver
-// wakes it on arrival) so an idle machine generates no events and the
-// engine can quiesce.
+// it samples all deque sizes into the tempo policy, which retunes every
+// worker's thresholds from the rolling average. It parks while no jobs
+// are active (deliver wakes it on arrival) so an idle machine generates
+// no events and the engine can quiesce.
 func (s *sched) profLoop(p *sim.Proc) {
 	if !s.cfg.Mode.Workload() {
 		return
 	}
-	sizes := make([]int, len(s.workers)) // Observe copies what it keeps
+	sizes := make([]int, len(s.workers)) // Profile copies what it keeps
 	for {
 		if len(s.pool.active) == 0 {
 			p.ParkUntilWake()
@@ -418,10 +386,6 @@ func (s *sched) profLoop(p *sim.Proc) {
 		for i, w := range s.workers {
 			sizes[i] = w.dq.Size()
 		}
-		s.prof.Observe(sizes)
-		avg := s.prof.Average()
-		for _, w := range s.workers {
-			w.th.Retune(avg)
-		}
+		s.tempo.Profile(sizes, s.cfg.Mode)
 	}
 }

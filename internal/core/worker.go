@@ -9,7 +9,6 @@ import (
 	"hermes/internal/deque"
 	"hermes/internal/obs"
 	"hermes/internal/sim"
-	"hermes/internal/tempo"
 	"hermes/internal/units"
 	"hermes/internal/wl"
 )
@@ -44,18 +43,6 @@ type worker struct {
 	dq   *deque.Deque[*task]
 	proc *sim.Proc
 	rng  *rand.Rand
-
-	// Tempo state. node is the immediacy-list hook (workpath); th the
-	// threshold tiers (workload). The worker's tempo level is the sum
-	// of two components — the workpath chain depth (wpLevel, set by
-	// thief procrastination, lowered by immediacy relays) and the
-	// workload tier deficit (K - S) — mapped onto cfg.Freqs by
-	// saturation. Composing the strategies this way is what makes
-	// their unification additive, matching the paper's observation
-	// that unified savings approach the sum of each strategy alone.
-	node    tempo.Node[*worker]
-	th      *tempo.Thresholds
-	wpLevel int
 
 	// inWork marks an in-flight CPU work segment so the DVFS daemon
 	// knows to wake us for re-rating when our domain's clock changes.
@@ -102,9 +89,7 @@ func newWorker(s *sched, id int, c *cpu.Core) *worker {
 		core: c,
 		dq:   deque.New[*task](64),
 		rng:  rand.New(rand.NewSource(s.cfg.Seed*1_000_003 + int64(id))),
-		th:   tempo.NewThresholds(s.cfg.K, s.cfg.InitialAvgDeque),
 	}
-	w.node.Val = w
 	w.probeStep, w.sliceStep = w.stepProbe, w.stepSlice
 	return w
 }
@@ -124,10 +109,10 @@ func (w *worker) schedule(*sim.Proc) {
 			w.runTask(t)
 			continue
 		}
-		w.outOfWork()
+		w.s.tempo.OutOfWork(w.id, w.s.cfg.Mode)
 		if t := w.s.poolTake(); t != nil {
 			w.backoff = 0
-			w.poolResume()
+			w.s.tempo.TookRoot(w.id, w.dq.Size(), w.s.cfg.Mode)
 			w.runTask(t)
 			continue
 		}
@@ -148,57 +133,19 @@ func (w *worker) schedule(*sim.Proc) {
 
 // poolIdle parks the worker (core halted, no modeled draw) while the
 // machine has no active jobs, instead of burning virtual time probing
-// an empty machine. deliver wakes every idle worker when a job arrives.
+// an empty machine: the tempo policy files the slowest tempo first.
+// deliver wakes every idle worker when a job arrives.
 func (w *worker) poolIdle() bool {
 	if w.s.done || len(w.s.pool.active) > 0 {
 		return false
 	}
 	w.backoff = 0
-	w.poolPark()
+	w.s.tempo.Parked(w.id, w.s.cfg.Mode)
 	w.setState(cpu.IdleHalt)
 	w.idlePark = true
 	w.proc.ParkUntilWake()
 	w.idlePark = false
 	return true
-}
-
-// poolPark files the slowest tempo before the core halts — race to
-// idle, then drop V/f. A halted core's leakage follows its domain's
-// held voltage, so an empty machine parks in the lowest DVFS tier
-// instead of idling at whatever frequency its last job left behind
-// (or, for a machine that never ran anything, the boot-time maximum).
-// This is what makes fleet-level consolidation pay: placement policies
-// that concentrate load keep whole machines in this cheapest idle
-// state. No-op under Baseline, which models no tempo control at all.
-func (w *worker) poolPark() {
-	if w.s.cfg.Mode == Baseline {
-		return
-	}
-	if w.s.cfg.Mode.Workpath() {
-		w.wpLevel = w.s.cfg.MaxTempoLevels - 1
-	}
-	if w.s.cfg.Mode.Workload() {
-		w.th.SetTier(w.th.TierFor(0))
-	}
-	w.s.retune(w)
-}
-
-// poolResume re-derives tempo for a worker taking a fresh root from
-// the inject queue: executing a new job's root is the most immediate
-// work in the system, so leftover thief procrastination (including the
-// park-time floor poolPark set) is shed, while the workload tier comes
-// from the worker's (empty) deque per Figure 4(b).
-func (w *worker) poolResume() {
-	if w.s.cfg.Mode == Baseline {
-		return
-	}
-	if w.s.cfg.Mode.Workpath() {
-		w.wpLevel = 0
-	}
-	if w.s.cfg.Mode.Workload() {
-		w.th.SetTier(w.th.TierFor(w.dq.Size()))
-	}
-	w.s.retune(w)
 }
 
 // setState transitions the hosting core's activity state, integrating
@@ -220,7 +167,7 @@ func (w *worker) popLocal() (*task, bool) {
 	}
 	w.setState(cpu.Busy)
 	w.proc.Sleep(w.s.cfg.PushPopCost)
-	w.afterShrink()
+	w.s.tempo.Shrunk(w.id, w.dq.Size(), w.s.cfg.Mode)
 	return t, true
 }
 
@@ -231,48 +178,7 @@ func (w *worker) push(t *task) {
 	t.job.spawns++
 	w.dq.Push(t)
 	w.proc.Sleep(w.s.cfg.PushPopCost)
-	if w.s.cfg.Mode.Workload() {
-		if w.th.WouldRaise(w.dq.Size()) {
-			w.th.Raise()
-			// A deque that climbs past the top threshold marks a
-			// worker with substantial pending work: immediacy has
-			// effectively transferred to it, so any remaining thief
-			// procrastination is shed. This is the unified
-			// algorithm's loss guard — light thieves stay slow
-			// (energy), loaded thieves run fast (time).
-			if w.th.Tier() == w.th.K() && w.wpLevel > 0 {
-				w.wpLevel = 0
-			}
-			w.s.retune(w)
-		}
-	}
-}
-
-// afterShrink applies Figure 5's POP tail check: a deque that shrank
-// below the current tier's threshold lowers the tempo — unless the
-// worker holds the most immediate work (head of the immediacy list).
-func (w *worker) afterShrink() {
-	if !w.s.cfg.Mode.Workload() {
-		return
-	}
-	atHead := w.s.cfg.Mode.Workpath() && w.node.AtHead()
-	if !atHead && w.th.WouldLower(w.dq.Size()) {
-		w.th.Lower()
-		w.s.retune(w)
-	}
-}
-
-// outOfWork runs Algorithm 3.1 lines 6–14: the worker's deque is
-// empty, so any thief-victim relationships it anchored terminate —
-// immediacy is relayed down the chain (each downstream worker speeds
-// up one level) and the worker leaves the list. Idempotent while the
-// worker stays out of the list.
-func (w *worker) outOfWork() {
-	if !w.s.cfg.Mode.Workpath() || !w.node.InList() {
-		return
-	}
-	w.node.Relay(func(x *worker) { w.s.up(x) })
-	w.node.Unlink()
+	w.s.tempo.Pushed(w.id, w.dq.Size(), w.s.cfg.Mode)
 }
 
 // stealRound probes every other worker once, starting from a random
@@ -280,9 +186,7 @@ func (w *worker) outOfWork() {
 // until a steal lands or the round is exhausted. The round is one
 // stepped wait: stepProbe spends each probe's steal cost and moves on
 // from an empty deque without resuming this worker. A landed steal
-// applies the thief-side tempo rules: thief procrastination (workpath:
-// one level below the victim, after it on the immediacy list) or Figure
-// 4's deque-size tempo (workload-only), plus the victim's shrink check.
+// applies the tempo policy's steal rules to thief and victim.
 func (w *worker) stealRound() (*task, bool) {
 	n := len(w.s.workers)
 	if n == 1 || w.s.done {
@@ -304,24 +208,7 @@ func (w *worker) stealRound() (*task, bool) {
 	w.s.perWorker[w.id].Steals++
 	t.job.steals++
 	w.s.emit(obs.Event{Kind: obs.Steal, Time: w.s.eng.Now(), Worker: w.id, Victim: v.id})
-	if w.s.cfg.Mode.Workpath() {
-		// Thief procrastination: one workpath level below the victim,
-		// inserted after it on the immediacy list — unless the thief
-		// is already linked as someone's victim (it was stolen from
-		// mid-probe, e.g. a join holding an enclosing block's task),
-		// in which case it keeps its existing, more immediate slot
-		// (same guard as the native executor).
-		w.s.downFrom(w, v)
-		if !w.node.InList() {
-			tempo.InsertThief(&w.node, &v.node)
-		}
-	} else if w.s.cfg.Mode.Workload() {
-		// Figure 4(b): the fresh thief's tempo comes from its own
-		// deque size — empty deque, lowest tier.
-		w.th.SetTier(w.th.TierFor(w.dq.Size()))
-		w.s.retune(w)
-	}
-	v.afterShrink() // Figure 5's STEAL check on the victim side
+	w.s.tempo.Stole(w.id, v.id, w.dq.Size(), v.dq.Size(), w.s.cfg.Mode)
 	return t, true
 }
 
@@ -461,7 +348,7 @@ func (w *worker) join(blk *block) {
 				} else {
 					w.setState(cpu.Busy)
 					w.proc.Sleep(w.s.cfg.PushPopCost)
-					w.afterShrink()
+					w.s.tempo.Shrunk(w.id, w.dq.Size(), w.s.cfg.Mode)
 					w.runTask(t)
 					w.setState(cpu.Busy)
 					continue
@@ -477,7 +364,7 @@ func (w *worker) join(blk *block) {
 			w.parkOnBlock(blk)
 			continue
 		}
-		w.outOfWork()
+		w.s.tempo.OutOfWork(w.id, w.s.cfg.Mode)
 		if t, ok := w.stealRound(); ok {
 			w.backoff = 0
 			w.helpDepth++

@@ -1,7 +1,8 @@
-// Package rt is the real-concurrency executor: the same HERMES
-// scheduling algorithms as internal/core — work-stealing deques, thief
-// procrastination, immediacy relays, workload thresholds — run by
-// actual goroutine workers in parallel on the host.
+// Package rt is the real-concurrency executor: work-stealing deques
+// under the same HERMES tempo policy as internal/core (tempo.Policy:
+// thief procrastination, immediacy relays, workload thresholds, the
+// root-take and park rules) run by actual goroutine workers in
+// parallel on the host.
 //
 // Unlike the one-shot simulator, rt is a persistent service: NewExec
 // starts a worker pool that outlives any single computation, Submit

@@ -162,9 +162,9 @@ type worker struct {
 	dq  *deque.ChaseLev[task]
 	rng rngState
 
-	node    tempo.Node[*worker]
+	// th is this worker's tier state in the executor's tempo policy,
+	// read here only by the lock-free pre-filter of push and pop.
 	th      *tempo.Thresholds
-	wpLevel int
 	backoff time.Duration
 
 	// lastState shadows the published core state so the owner can
@@ -172,9 +172,14 @@ type worker struct {
 	// common pop→run→pop chain stays Busy throughout). Only the
 	// owning worker changes its state, so the shadow needs no lock.
 	lastState cpu.CoreState
+	// parked records that the tempo policy has filed this worker's
+	// park-time tempo and nothing has moved it since: idleWait sets it
+	// on the way into the halt (at boot too), a root take or a landed
+	// steal clears it, and so does SetMode's reset.
+	parked atomic.Bool
 	// curFreq publishes the worker's tempo frequency for lock-free
-	// reads on the Work hot path. Only retuneLocked (under tempoMu,
-	// for this worker or a victim) writes it.
+	// reads on the Work hot path. Only retuneLocked (under tempoMu)
+	// writes it.
 	curFreq atomic.Int64
 	// reqFreq is the last frequency retuneLocked committed; tempoMu
 	// guards it.
@@ -231,9 +236,8 @@ type Exec struct {
 	// mode is the live tempo mode, read by the scheduling hot paths via
 	// modeNow and replaced by SetMode: cfg.Mode is only the boot value.
 	// Hot paths may pre-filter on a mode that SetMode concurrently
-	// replaces; the locked tempo sections tolerate that (a stale
-	// decision at worst retunes a worker once more), and SetMode's
-	// reset under tempoMu restores the target mode's invariants.
+	// replaces; the locked tempo sections re-read it under tempoMu,
+	// where SetMode stores it and resets the policy.
 	mode atomic.Int32
 
 	workers []*worker
@@ -250,13 +254,16 @@ type Exec struct {
 	watts     [3][acctFreqCap]float64
 	baseWatts float64
 
-	// tempoMu serializes all tempo state (immediacy list, levels,
-	// thresholds, frequency votes). The hot path pre-filters through
-	// the thresholds' lock-free published bounds, so this lock is
-	// taken only when a tier crossing is actually possible, on steals
-	// (already slow path), and by the profiler.
+	// tempoMu serializes every call into the tempo policy and the
+	// frequency votes of its retune callback. The hot path pre-filters
+	// through the thresholds' lock-free published bounds, so this lock
+	// is taken only when a tier crossing is actually possible, on
+	// landed steals and root takes (already slow paths), when a worker
+	// runs out of work or parks, and by the profiler. pend holds the
+	// observer events the callback queued under the lock.
 	tempoMu sync.Mutex
-	prof    *tempo.Profiler
+	tempo   *tempo.Policy
+	pend    []obs.Event
 
 	tempoSwitches atomic.Int64
 	dvfsCommits   atomic.Int64
@@ -313,8 +320,8 @@ func NewExec(cfg core.Config) (*Exec, error) {
 		injectq: make(chan *task, injectCap),
 		closeCh: make(chan struct{}),
 		start:   time.Now(),
-		prof:    tempo.NewProfiler(cfg.ProfileWindow),
 	}
+	e.tempo = tempo.NewPolicy(cfg.Workers, cfg.K, cfg.InitialAvgDeque, cfg.MaxTempoLevels, cfg.ProfileWindow, e.retuneLocked)
 	e.mode.Store(int32(cfg.Mode))
 	for st := cpu.IdleHalt; st <= cpu.Busy; st++ {
 		for fi, f := range cfg.Freqs {
@@ -330,13 +337,12 @@ func NewExec(cfg core.Config) (*Exec, error) {
 			id:         i,
 			dq:         deque.NewChaseLev[task](64),
 			rng:        rngState(cfg.Seed*7_919 + int64(i) + 1),
-			th:         tempo.NewThresholds(cfg.K, cfg.InitialAvgDeque),
+			th:         e.tempo.Thresholds(i),
 			lastState:  cpu.IdleHalt,
 			reqFreq:    cfg.Freqs[0],
 			freeTasks:  make([]*task, 0, freeListCap),
 			freeBlocks: make([]*block, 0, freeListCap),
 		}
-		w.node.Val = w
 		w.cur.w = w
 		w.curIface = &w.cur
 		w.curFreq.Store(int64(cfg.Freqs[0]))
@@ -386,21 +392,17 @@ func (e *Exec) SetMode(m core.Mode) error {
 	if m != core.Baseline && len(e.cfg.Freqs) < 2 {
 		return fmt.Errorf("rt: mode %v needs at least 2 tempo frequencies, pool has %d", m, len(e.cfg.Freqs))
 	}
-	var evs []obs.Event
 	e.tempoMu.Lock()
-	if core.Mode(e.mode.Load()) == m {
+	if e.modeNow() == m {
 		e.tempoMu.Unlock()
 		return nil
 	}
 	e.mode.Store(int32(m))
+	e.tempo.Reset(m)
 	for _, w := range e.workers {
-		w.node.Unlink()
-		w.wpLevel = 0
-		w.th.SetTier(w.th.K())
-		w.retuneLocked(&evs)
+		w.parked.Store(false)
 	}
-	e.tempoMu.Unlock()
-	e.emitAll(evs)
+	e.tempoUnlock()
 	return nil
 }
 
@@ -735,8 +737,8 @@ func (w *worker) freq() units.Freq {
 }
 
 // profLoop is the online profiler of Section 3.2 on wall-clock time:
-// every ProfilePeriod it samples all deque sizes and retunes every
-// worker's thresholds from the rolling average.
+// every ProfilePeriod it samples all deque sizes into the tempo policy,
+// which retunes every worker's thresholds from the rolling average.
 func (e *Exec) profLoop() {
 	defer e.workerWG.Done()
 	tick := time.NewTicker(e.cfg.ProfilePeriod.Duration())
@@ -752,13 +754,7 @@ func (e *Exec) profLoop() {
 			sizes[i] = w.dq.Size()
 		}
 		e.tempoMu.Lock()
-		e.prof.Observe(sizes)
-		if e.modeNow().Workload() {
-			avg := e.prof.Average()
-			for _, w := range e.workers {
-				w.th.Retune(avg)
-			}
-		}
+		e.tempo.Profile(sizes, e.modeNow())
 		e.tempoMu.Unlock()
 	}
 }
@@ -802,7 +798,7 @@ func (w *worker) loop() {
 		w.outOfWork()
 		select {
 		case t := <-w.e.injectq:
-			w.runTask(t)
+			w.runRoot(t)
 			continue
 		default:
 		}
@@ -816,11 +812,17 @@ func (w *worker) loop() {
 
 // idleWait parks the worker on the intake queue with exponential
 // backoff. A pool with no jobs at all halts its cores (no modeled
-// energy draw) and backs off further than one between steal rounds.
-// The backoff timer is per-worker and reused across cycles.
+// energy draw), filing the slowest tempo on the way into the halt, and
+// backs off further than one between steal rounds. The backoff timer
+// is per-worker and reused across cycles.
 func (w *worker) idleWait() {
 	maxBackoff := 200 * time.Microsecond
 	if w.e.active.Load() == 0 {
+		if !w.parked.Swap(true) && w.e.modeNow() != core.Baseline {
+			w.e.tempoMu.Lock()
+			w.e.tempo.Parked(w.id, w.e.modeNow())
+			w.e.tempoUnlock()
+		}
 		w.setState(cpu.IdleHalt)
 		maxBackoff = 2 * time.Millisecond
 	} else {
@@ -840,10 +842,22 @@ func (w *worker) idleWait() {
 	}
 	select {
 	case tk := <-w.e.injectq:
-		w.runTask(tk)
+		w.runRoot(tk)
 	case <-w.e.closeCh:
 	case <-w.idleTimer.C:
 	}
+}
+
+// runRoot runs a root taken from the intake, applying the tempo
+// policy's root-take rule (Figure 4(b)) first.
+func (w *worker) runRoot(t *task) {
+	w.parked.Store(false)
+	if w.e.modeNow() != core.Baseline {
+		w.e.tempoMu.Lock()
+		w.e.tempo.TookRoot(w.id, w.dq.Size(), w.e.modeNow())
+		w.e.tempoUnlock()
+	}
+	w.runTask(t)
 }
 
 func (w *worker) popLocal() (*task, bool) {
@@ -916,73 +930,36 @@ func (w *worker) push(t *task) {
 		t.job.perW[w.id].spawns++
 	}
 	w.dq.Push(t)
-	if !w.e.modeNow().Workload() {
-		return
+	if w.e.modeNow().Workload() && w.th.WouldRaiseFast(w.dq.Size()) {
+		w.e.tempoMu.Lock()
+		w.e.tempo.Pushed(w.id, w.dq.Size(), w.e.modeNow())
+		w.e.tempoUnlock()
 	}
-	if !w.th.WouldRaiseFast(w.dq.Size()) {
-		return
-	}
-	var evs []obs.Event
-	w.e.tempoMu.Lock()
-	if w.th.WouldRaise(w.dq.Size()) {
-		w.th.Raise()
-		// Top-tier veto: a deque past the top threshold marks a
-		// worker with substantial pending work, shedding any
-		// remaining thief procrastination (as in internal/core).
-		if w.th.Tier() == w.th.K() && w.wpLevel > 0 {
-			w.wpLevel = 0
-		}
-		w.retuneLocked(&evs)
-	}
-	w.e.tempoMu.Unlock()
-	w.e.emitAll(evs)
 }
 
-// afterShrink applies Figure 5's POP tail check: a deque that shrank
-// below the current tier's threshold lowers the tempo — unless the
-// worker holds the most immediate work (head of the immediacy list).
-// Like push, it pre-checks the published bound before locking.
+// afterShrink applies Figure 5's POP tail check, pre-checking the
+// published bound before locking like push.
 func (w *worker) afterShrink() {
-	if !w.e.modeNow().Workload() {
-		return
+	if w.e.modeNow().Workload() && w.th.WouldLowerFast(w.dq.Size()) {
+		w.e.tempoMu.Lock()
+		w.e.tempo.Shrunk(w.id, w.dq.Size(), w.e.modeNow())
+		w.e.tempoUnlock()
 	}
-	if !w.th.WouldLowerFast(w.dq.Size()) {
-		return
-	}
-	var evs []obs.Event
-	w.e.tempoMu.Lock()
-	atHead := w.e.modeNow().Workpath() && w.node.AtHead()
-	if !atHead && w.th.WouldLower(w.dq.Size()) {
-		w.th.Lower()
-		w.retuneLocked(&evs)
-	}
-	w.e.tempoMu.Unlock()
-	w.e.emitAll(evs)
 }
 
 // outOfWork relays immediacy down the thief chain and leaves the
 // immediacy list (Algorithm 3.1 lines 6–14).
 func (w *worker) outOfWork() {
-	if !w.e.modeNow().Workpath() {
-		return
+	if w.e.modeNow().Workpath() {
+		w.e.tempoMu.Lock()
+		w.e.tempo.OutOfWork(w.id, w.e.modeNow())
+		w.e.tempoUnlock()
 	}
-	var evs []obs.Event
-	w.e.tempoMu.Lock()
-	if w.node.InList() {
-		w.node.Relay(func(x *worker) {
-			if x.wpLevel > 0 {
-				x.wpLevel--
-			}
-			x.retuneLocked(&evs)
-		})
-		w.node.Unlink()
-	}
-	w.e.tempoMu.Unlock()
-	w.e.emitAll(evs)
 }
 
 // stealRound probes every other worker once from a random start until
-// a steal lands, applying the thief- and victim-side tempo rules.
+// a steal lands, applying the tempo policy's steal rules to thief and
+// victim.
 func (w *worker) stealRound() (*task, bool) {
 	n := len(w.e.workers)
 	if n == 1 {
@@ -1004,85 +981,50 @@ func (w *worker) stealRound() (*task, bool) {
 			t.job.perW[w.id].steals++
 		}
 		w.e.emit(obs.Event{Kind: obs.Steal, Worker: w.id, Victim: v.id})
-		mode := w.e.modeNow()
-		var evs []obs.Event
-		if mode.Workpath() {
+		w.parked.Store(false)
+		if w.e.modeNow() != core.Baseline {
 			w.e.tempoMu.Lock()
-			// Thief procrastination: one workpath level below the
-			// victim, inserted after it on the immediacy list.
-			w.wpLevel = v.wpLevel + 1
-			if max := w.e.cfg.MaxTempoLevels - 1; w.wpLevel > max {
-				w.wpLevel = max
-			}
-			if !w.node.InList() {
-				tempo.InsertThief(&w.node, &v.node)
-			}
-			w.retuneLocked(&evs)
-			w.victimShrinkLocked(v, &evs)
-			w.e.tempoMu.Unlock()
-		} else if mode.Workload() {
-			w.e.tempoMu.Lock()
-			// Figure 4(b): the fresh thief's tempo comes from its own
-			// deque size — empty deque, lowest tier.
-			w.th.SetTier(w.th.TierFor(w.dq.Size()))
-			w.retuneLocked(&evs)
-			w.victimShrinkLocked(v, &evs)
-			w.e.tempoMu.Unlock()
+			w.e.tempo.Stole(w.id, v.id, w.dq.Size(), v.dq.Size(), w.e.modeNow())
+			w.e.tempoUnlock()
 		}
-		w.e.emitAll(evs)
 		return t, true
 	}
 	return nil, false
 }
 
-// victimShrinkLocked applies Figure 5's STEAL check on the victim
-// side; tempoMu must be held.
-func (w *worker) victimShrinkLocked(v *worker, pend *[]obs.Event) {
-	if !w.e.modeNow().Workload() {
-		return
-	}
-	atHead := w.e.modeNow().Workpath() && v.node.AtHead()
-	if !atHead && v.th.WouldLower(v.dq.Size()) {
-		v.th.Lower()
-		v.retuneLocked(pend)
-	}
-}
-
-// retuneLocked applies the composed level as the worker's tempo
-// frequency. Transitions commit immediately (the host has no modeled
-// latency daemon), and each worker owns its whole clock domain, so an
-// accepted tempo request is a DVFS commit; the new frequency is
-// published to the Work hot path (curFreq) and the accounting cell.
-// tempoMu must be held. Observer events are not emitted here — user
-// callbacks must not run under tempoMu — but appended to pend for the
-// caller to emit after unlocking.
-func (w *worker) retuneLocked(pend *[]obs.Event) {
-	level := w.wpLevel
-	if w.e.modeNow().Workload() {
-		level += w.th.K() - w.th.Tier()
-	}
-	fi := level
-	if max := len(w.e.cfg.Freqs) - 1; fi > max {
-		fi = max
-	}
-	f := w.e.cfg.Freqs[fi]
+// retuneLocked is the tempo policy's callback: it applies worker i's
+// new level as its tempo frequency, saturating at the slowest.
+// Transitions commit immediately (the host has no modeled latency
+// daemon), and each worker owns its whole clock domain, so an accepted
+// tempo request is a DVFS commit; the new frequency is published to
+// the Work hot path (curFreq) and the accounting cell. tempoMu must be
+// held. Observer events are not emitted here — user callbacks must not
+// run under tempoMu — but queued on pend for tempoUnlock.
+func (e *Exec) retuneLocked(i, level int) {
+	w := e.workers[i]
+	fi := min(level, len(e.cfg.Freqs)-1)
+	f := e.cfg.Freqs[fi]
 	if w.reqFreq == f {
 		return
 	}
 	w.reqFreq = f
-	w.e.tempoSwitches.Add(1)
-	w.e.dvfsCommits.Add(1)
+	e.tempoSwitches.Add(1)
+	e.dvfsCommits.Add(1)
 	w.curFreq.Store(int64(f))
-	w.e.acctSet(&w.acct, -1, fi)
-	if w.e.cfg.Observer != nil {
-		*pend = append(*pend,
+	e.acctSet(&w.acct, -1, fi)
+	if e.cfg.Observer != nil {
+		e.pend = append(e.pend,
 			obs.Event{Kind: obs.TempoSwitch, Worker: w.id, Victim: -1, Freq: f},
 			obs.Event{Kind: obs.DVFSCommit, Worker: w.id, Victim: -1, Freq: f})
 	}
 }
 
-// emitAll streams deferred events once no scheduler lock is held.
-func (e *Exec) emitAll(evs []obs.Event) {
+// tempoUnlock releases tempoMu, then streams the events the retunes
+// under it queued.
+func (e *Exec) tempoUnlock() {
+	evs := e.pend
+	e.pend = nil
+	e.tempoMu.Unlock()
 	for _, ev := range evs {
 		e.emit(ev)
 	}

@@ -12,6 +12,7 @@ import (
 	"hermes/internal/core"
 	"hermes/internal/cpu"
 	"hermes/internal/job"
+	"hermes/internal/obs"
 	"hermes/internal/units"
 	"hermes/internal/wl"
 )
@@ -543,9 +544,16 @@ func TestAccountingSampledEquivalence(t *testing.T) {
 // TestSpawnJoinSteadyStateZeroAlloc pins the free lists: once the
 // pool is warm, a job performing tens of thousands of spawn/joins
 // must allocate only its fixed per-job setup — no per-operation
-// allocations anywhere in the scheduler.
+// allocations anywhere in the scheduler, the tempo policy's calls
+// under Unified included.
 func TestSpawnJoinSteadyStateZeroAlloc(t *testing.T) {
-	e, err := NewExec(core.Config{Spec: cpu.SystemB(), Workers: 2, Mode: core.Baseline, Seed: 23})
+	for _, mode := range []core.Mode{core.Baseline, core.Unified} {
+		t.Run(mode.String(), func(t *testing.T) { spawnJoinSteadyStateZeroAlloc(t, mode) })
+	}
+}
+
+func spawnJoinSteadyStateZeroAlloc(t *testing.T, mode core.Mode) {
+	e, err := NewExec(core.Config{Spec: cpu.SystemB(), Workers: 2, Mode: mode, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,5 +585,78 @@ func TestSpawnJoinSteadyStateZeroAlloc(t *testing.T) {
 	if allocated > 128<<10 {
 		t.Fatalf("steady-state job allocated %d B over %d spawn/joins (%.1f B/op)",
 			allocated, ops, float64(allocated)/ops)
+	}
+}
+
+// TestNativeParkAndRootTake pins the tempo policy's park and root-take
+// rules on the Native executor. One Unified worker with K = 1 and the
+// default initial average 2 has the threshold {2}, so an empty deque
+// is tier 0. A fresh pool halts at the slowest tempo before its first
+// job, and so does a pool a job has drained. Each job's first switch is
+// then the root-take rule's: thief procrastination shed, tier 0 from
+// the empty deque, level K = 1, the middle frequency. A push past the
+// threshold would switch to the fastest instead.
+func TestNativeParkAndRootTake(t *testing.T) {
+	freqs := []units.Freq{2_400_000 * units.KHz, 1_900_000 * units.KHz, 1_400_000 * units.KHz}
+	var (
+		mu       sync.Mutex
+		switches []units.Freq
+	)
+	e, err := NewExec(core.Config{
+		Spec: cpu.SystemA(), Workers: 1, Mode: core.Unified, Seed: 31, Freqs: freqs, K: 1,
+		ProfilePeriod: 3600 * units.Second, // no profiler retune mid-test
+		Observer: obs.Func(func(ev obs.Event) {
+			if ev.Kind == obs.TempoSwitch {
+				mu.Lock()
+				switches = append(switches, ev.Freq)
+				mu.Unlock()
+			}
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	runJob := func() {
+		t.Helper()
+		j, err := e.Submit(context.Background(), func(c wl.Ctx) {
+			c.Go(func(wl.Ctx) {}, func(wl.Ctx) {}, func(wl.Ctx) {})
+		}, core.Class{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// awaitPark waits for the pool's last switch to be to the slowest
+	// frequency and returns how many switches it has seen by then.
+	awaitPark := func(when string) int {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			mu.Lock()
+			n := len(switches)
+			last := units.Freq(0)
+			if n > 0 {
+				last = switches[n-1]
+			}
+			mu.Unlock()
+			if last == freqs[2] {
+				return n
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s, the pool's last tempo switch is %v, want the slowest %v", when, last, freqs[2])
+			}
+		}
+	}
+	for _, when := range []string{"before the first job", "after a job drained"} {
+		parked := awaitPark(when)
+		runJob()
+		mu.Lock()
+		next := append([]units.Freq(nil), switches[parked:]...)
+		mu.Unlock()
+		if len(next) == 0 || next[0] != freqs[1] {
+			t.Fatalf("%s: the next job's tempo switches are %v, want the first at %v from the root-take rule", when, next, freqs[1])
+		}
 	}
 }

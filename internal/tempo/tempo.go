@@ -5,35 +5,28 @@ import (
 	"sync/atomic"
 )
 
-// Node is the intrusive immediacy-list node embedded in each worker.
-// Val points back to the owning worker.
-type Node[T any] struct {
-	next, prev *Node[T]
-	Val        T
+// Node is one worker's immediacy-list node; Val is the worker's index.
+// A node's successor is the less immediate neighbour (its most recent
+// thief), its predecessor the more immediate one.
+type Node struct {
+	next, prev *Node
+	Val        int
 }
-
-// Next returns the node's successor (the less immediate neighbour: its
-// most recent thief), or nil.
-func (n *Node[T]) Next() *Node[T] { return n.next }
-
-// Prev returns the node's predecessor (the more immediate neighbour),
-// or nil.
-func (n *Node[T]) Prev() *Node[T] { return n.prev }
 
 // InList reports whether the node is currently linked to any other
 // node. A single detached node is "not in a relationship".
-func (n *Node[T]) InList() bool { return n.next != nil || n.prev != nil }
+func (n *Node) InList() bool { return n.next != nil || n.prev != nil }
 
 // AtHead reports whether the node has no predecessor — it processes
 // the most immediate work and must not be slowed by workload control
 // (the `prev != null` guard in Figure 5's POP and STEAL).
-func (n *Node[T]) AtHead() bool { return n.prev == nil }
+func (n *Node) AtHead() bool { return n.prev == nil }
 
 // InsertThief links thief immediately after victim, per Algorithm 3.1
 // lines 20–26: if the victim already had a thief, the new thief is
 // more immediate than the previous one (tasks stolen later are more
 // immediate), so it is inserted between them.
-func InsertThief[T any](thief, victim *Node[T]) {
+func InsertThief(thief, victim *Node) {
 	if thief == victim {
 		panic("tempo: worker cannot be its own thief")
 	}
@@ -50,7 +43,7 @@ func InsertThief[T any](thief, victim *Node[T]) {
 
 // Unlink removes n from the list (Algorithm 3.1 lines 11–14), stitching
 // its neighbours together. Safe on a detached node.
-func (n *Node[T]) Unlink() {
+func (n *Node) Unlink() {
 	if n.prev != nil {
 		n.prev.next = n.next
 	}
@@ -59,16 +52,6 @@ func (n *Node[T]) Unlink() {
 	}
 	n.next = nil
 	n.prev = nil
-}
-
-// Relay visits every node strictly after n in immediacy order — its
-// thief, the thief's thief, and so on (Algorithm 3.1 lines 6–10) — and
-// applies up. Called when n runs out of work: the immediacy baton
-// passes down the chain.
-func (n *Node[T]) Relay(up func(T)) {
-	for x := n.next; x != nil; x = x.next {
-		up(x.Val)
-	}
 }
 
 // Thresholds is the workload-sensitive tier state of one worker.
@@ -146,16 +129,8 @@ func (t *Thresholds) K() int { return len(t.th) }
 // Tier returns the current tier S ∈ [0, K].
 func (t *Thresholds) Tier() int { return t.s }
 
-// Values returns a copy of the current threshold values.
-func (t *Thresholds) Values() []float64 {
-	out := make([]float64, len(t.th))
-	copy(out, t.th)
-	return out
-}
-
 // Retune recomputes the thresholds from a freshly profiled average
-// deque size L: thld_i = (2L/(K+1))·i. The current tier is clamped
-// into range (it cannot be, today, but the invariant is kept locally).
+// deque size L: thld_i = (2L/(K+1))·i. The tier does not move.
 func (t *Thresholds) Retune(avg float64) {
 	if avg < 0 {
 		avg = 0
@@ -169,26 +144,20 @@ func (t *Thresholds) Retune(avg float64) {
 }
 
 // WouldRaise reports whether a deque that has just grown to size
-// crosses the next threshold up (Figure 5 PUSH). The tier itself moves
-// only via Raise: callers commit the tier move if — and only if — the
-// paired tempo UP actually raised the frequency level, keeping tier
-// and tempo strictly synchronized. Without that pairing, DOWNs clamped
-// at the slowest frequency would bank "free" UPs that cancel
-// workpath-sensitive procrastination (see DESIGN.md).
+// crosses the next threshold up (Figure 5 PUSH). Only Raise moves the
+// tier.
 func (t *Thresholds) WouldRaise(size int) bool {
 	return t.s < len(t.th) && float64(size) >= t.th[t.s]
 }
 
 // WouldLower reports whether a deque that has just shrunk to size
 // falls below the current tier's lower threshold (Figure 5 POP and
-// STEAL). Callers commit via Lower only when the paired tempo DOWN
-// actually moved, and never for workers at the head of the immediacy
-// list (the `prev != null` guard).
+// STEAL). Only Lower moves the tier.
 func (t *Thresholds) WouldLower(size int) bool {
 	return t.s > 0 && float64(size) < t.th[t.s-1]
 }
 
-// Raise commits one tier increment (paired with a real tempo UP).
+// Raise moves one tier up, saturating at K.
 func (t *Thresholds) Raise() {
 	if t.s < len(t.th) {
 		t.s++
@@ -196,7 +165,7 @@ func (t *Thresholds) Raise() {
 	}
 }
 
-// Lower commits one tier decrement (paired with a real tempo DOWN).
+// Lower moves one tier down, saturating at 0.
 func (t *Thresholds) Lower() {
 	if t.s > 0 {
 		t.s--
@@ -204,9 +173,7 @@ func (t *Thresholds) Lower() {
 	}
 }
 
-// SetTier forces the tier to v (clamped to [0, K]): used when a
-// workload-only thief re-derives its tier from its own deque at steal
-// time (Figure 4(b)).
+// SetTier forces the tier to v, clamped to [0, K].
 func (t *Thresholds) SetTier(v int) {
 	if v < 0 {
 		v = 0

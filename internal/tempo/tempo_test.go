@@ -2,24 +2,23 @@ package tempo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-type w struct{ id int }
-
-func nodes(n int) []*Node[*w] {
-	out := make([]*Node[*w], n)
+func nodes(n int) []*Node {
+	out := make([]*Node, n)
 	for i := range out {
-		out[i] = &Node[*w]{Val: &w{id: i}}
+		out[i] = &Node{Val: i}
 	}
 	return out
 }
 
-func chainIDs(head *Node[*w]) []int {
+func chainIDs(head *Node) []int {
 	var ids []int
-	for x := head; x != nil; x = x.Next() {
-		ids = append(ids, x.Val.id)
+	for x := head; x != nil; x = x.next {
+		ids = append(ids, x.Val)
 	}
 	return ids
 }
@@ -55,7 +54,7 @@ func TestLaterThiefMoreImmediate(t *testing.T) {
 		}
 	}
 	// Back-links must be consistent.
-	if ns[1].Prev() != ns[2] || ns[2].Prev() != ns[0] {
+	if ns[1].prev != ns[2] || ns[2].prev != ns[0] {
 		t.Fatal("prev pointers inconsistent after middle insert")
 	}
 }
@@ -75,58 +74,58 @@ func TestUnlinkMiddle(t *testing.T) {
 	ns[1].Unlink() // idempotent on detached node
 }
 
+// retunes records a Policy's retune callback calls.
+type retunes [][2]int
+
+func newPolicy(n int) (*Policy, *retunes) {
+	var r retunes
+	p := NewPolicy(n, 2, 15, 4, 4, func(w, level int) { r = append(r, [2]int{w, level}) })
+	return p, &r
+}
+
 func TestRelayVisitsDownstreamOnly(t *testing.T) {
-	ns := nodes(4)
-	InsertThief(ns[1], ns[0])
-	InsertThief(ns[2], ns[1])
-	InsertThief(ns[3], ns[2])
-	var visited []int
-	ns[1].Relay(func(x *w) { visited = append(visited, x.id) })
-	if len(visited) != 2 || visited[0] != 2 || visited[1] != 3 {
-		t.Fatalf("relay visited %v, want [2 3]", visited)
+	p, r := newPolicy(4)
+	p.Stole(1, 0, 0, 0, WorkpathOnly)
+	p.Stole(2, 1, 0, 0, WorkpathOnly)
+	p.Stole(3, 2, 0, 0, WorkpathOnly)
+	*r = nil
+	p.OutOfWork(1, WorkpathOnly)
+	if want := (retunes{{2, 1}, {3, 2}}); !reflect.DeepEqual(*r, want) {
+		t.Fatalf("relay retuned %v, want %v", *r, want)
 	}
 	// Relay from the tail visits nobody.
-	visited = nil
-	ns[3].Relay(func(x *w) { visited = append(visited, x.id) })
-	if len(visited) != 0 {
-		t.Fatalf("tail relay visited %v", visited)
+	*r = nil
+	p.OutOfWork(3, WorkpathOnly)
+	if len(*r) != 0 {
+		t.Fatalf("tail relay retuned %v", *r)
 	}
 }
 
-// TestFigure3Sequence replays the workpath example of Figure 3 at the
-// list/level granularity: steals chain workers 1→2→3, worker 1 runs
-// out (relay), then worker 1 re-steals from worker 2.
+// TestFigure3Sequence replays the workpath example of Figure 3 through
+// the policy: steals chain workers 1→2→3, worker 1 runs out (relay),
+// then worker 1 re-steals from worker 2.
 func TestFigure3Sequence(t *testing.T) {
-	ns := nodes(4) // workers 1..3 used; index = worker-1
-	level := []int{0, 0, 0, 0}
-	down := func(thief, victim int) { level[thief] = level[victim] + 1 }
+	p, _ := newPolicy(3) // index = worker-1
+	level := func(i int) int { return p.Level(i, WorkpathOnly) }
 
 	// (b) worker 2 steals from worker 1.
-	InsertThief(ns[1], ns[0])
-	down(1, 0)
+	p.Stole(1, 0, 0, 0, WorkpathOnly)
 	// (c) worker 3 steals from worker 2 (a thief's thief).
-	InsertThief(ns[2], ns[1])
-	down(2, 1)
-	if level[0] != 0 || level[1] != 1 || level[2] != 2 {
-		t.Fatalf("levels after two steals = %v", level[:3])
+	p.Stole(2, 1, 0, 0, WorkpathOnly)
+	if level(0) != 0 || level(1) != 1 || level(2) != 2 {
+		t.Fatalf("levels after two steals = %d %d %d", level(0), level(1), level(2))
 	}
 	// (d,e) worker 1 finishes: relay raises every downstream worker.
-	ns[0].Relay(func(x *w) { level[x.id]-- })
-	ns[0].Unlink()
-	if level[1] != 0 || level[2] != 1 {
-		t.Fatalf("levels after relay = %v, want worker2=0 worker3=1", level[:3])
-	}
-	// Thief ordering is preserved: worker 3 remains slower than 2.
-	if !(level[2] > level[1]) {
-		t.Fatal("relay must preserve relative tempo order")
+	p.OutOfWork(0, WorkpathOnly)
+	if level(1) != 0 || level(2) != 1 {
+		t.Fatalf("levels after relay = %d %d, want worker2=0 worker3=1", level(1), level(2))
 	}
 	// (f) worker 1 steals from worker 2: now 2 is the victim, 1 the thief.
-	InsertThief(ns[0], ns[1])
-	down(0, 1)
-	if level[0] != 1 {
-		t.Fatalf("worker1 after re-steal = %d, want victim level+1 = 1", level[0])
+	p.Stole(0, 1, 0, 0, WorkpathOnly)
+	if level(0) != 1 {
+		t.Fatalf("worker1 after re-steal = %d, want victim level+1 = 1", level(0))
 	}
-	ids := chainIDs(ns[1])
+	ids := chainIDs(&p.ws[1].node)
 	if len(ids) != 3 || ids[0] != 1 || ids[1] != 0 || ids[2] != 2 {
 		t.Fatalf("chain = %v, want [1 0 2]", ids)
 	}
@@ -196,7 +195,7 @@ func TestInsertPanics(t *testing.T) {
 func TestPaperThresholdExample(t *testing.T) {
 	// Paper, Section 3.2: average 15, K=2 → thresholds {10, 20}.
 	th := NewThresholds(2, 15)
-	v := th.Values()
+	v := th.th
 	if v[0] != 10 || v[1] != 20 {
 		t.Fatalf("thresholds = %v, want [10 20]", v)
 	}
@@ -279,18 +278,18 @@ func TestTierFor(t *testing.T) {
 
 func TestRetune(t *testing.T) {
 	th := NewThresholds(3, 8) // base = 2·8/4 = 4 → {4, 8, 12}
-	v := th.Values()
+	v := th.th
 	if v[0] != 4 || v[1] != 8 || v[2] != 12 {
 		t.Fatalf("thresholds = %v", v)
 	}
 	th.Retune(0)
-	for _, x := range th.Values() {
+	for _, x := range th.th {
 		if x != 0 {
-			t.Fatalf("zero-average retune = %v", th.Values())
+			t.Fatalf("zero-average retune = %v", th.th)
 		}
 	}
 	th.Retune(-5) // clamped to 0
-	if th.Values()[0] != 0 {
+	if th.th[0] != 0 {
 		t.Fatal("negative average must clamp")
 	}
 }
