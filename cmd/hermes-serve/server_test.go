@@ -647,3 +647,39 @@ func TestJobIndexWorkloadFilter(t *testing.T) {
 		t.Fatalf("bad workload filter: HTTP %d, want 400", code)
 	}
 }
+
+// FuzzSubmit: POST /jobs answers any body with 202, 400, 429 or 503 —
+// never another status, never a panic. Two in-flight slots and a short
+// job timeout keep an accepted fuzz job from holding the machine. The
+// seeds (every catalogue workload at its defaults, classed and sized
+// specs, and the malformed bodies TestBadRequests pins) run under plain
+// go test.
+func FuzzSubmit(f *testing.F) {
+	for _, name := range workload.Names() {
+		f.Add(fmt.Sprintf(`{"workload":%q}`, name))
+	}
+	for _, s := range []string{
+		`{"workload":"fib","n":8,"tenant":"lc","priority":3}`,
+		`{"workload":"ticks","n":4,"grain":1,"work":1000,"memfrac":0.5}`,
+		`{"workload":"fib","priority":-1}`,
+		`{"workload":"nope"}`, `{"workload":"fib","n":1000}`, `not json`, ``, `{}`, `null`, `[]`,
+		`{"workload":"fib","bogus_field":1}`, `{"workload":"fib","n":8} trailing garbage`,
+	} {
+		f.Add(s)
+	}
+	srv, rt, err := buildServer(serveConfig{backend: "native", mode: "unified", workers: 2, buffer: 1 << 12, maxInflight: 2, jobTimeout: 50 * time.Millisecond})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { rt.Close() })
+	h := srv.handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("POST /jobs %q: HTTP %d %s", body, rec.Code, rec.Body)
+		}
+	})
+}

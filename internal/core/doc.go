@@ -17,4 +17,9 @@
 // paper's DAQ does, in place of the job's share. Closed-system,
 // open-system, fleet and fault-injection evaluations run the same
 // machine through the same code.
+//
+// Task bodies run ahead of virtual time: Work and Mem record a segment
+// and return, and the worker settles the body's segments — simulating
+// them in order, as blocking calls would have — only where the body
+// meets the scheduler: entering Go, before its join, at return or panic.
 package core

@@ -65,6 +65,7 @@ type sched struct {
 	tasks, spawns, steals, failedSteals int64
 	tempoSwitches, parks                int64
 	dvfsCommitCount                     int64
+	rerates                             int64 // CPU slices cut short by a clock change
 	emittedSamples                      int
 	lastTouch                           units.Time
 	busy, spin, idle, slowBusy          units.Time

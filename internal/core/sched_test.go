@@ -217,6 +217,27 @@ func TestMemWorkInsensitiveToTempo(t *testing.T) {
 	}
 }
 
+// TestRunAheadListBounded: a body that never spawns still settles as
+// it goes — its pending segments never outgrow pendBound — and every
+// cycle it accounted is simulated: 100 000 × 2 400 cycles at 2.4 GHz
+// is 100 ms.
+func TestRunAheadListBounded(t *testing.T) {
+	peak := 0
+	r := Run(baseCfg(1, Baseline), func(c wl.Ctx) {
+		w := c.(ctx).w
+		for i := 0; i < 100_000; i++ {
+			c.Work(2_400)
+			peak = max(peak, len(w.pend)-w.base)
+		}
+	})
+	if peak >= pendBound || peak == 0 {
+		t.Fatalf("pending list peaked at %d segments, bound %d", peak, pendBound)
+	}
+	if r.Span < 100*units.Millisecond || r.Span > 100*units.Millisecond+100*units.Microsecond {
+		t.Fatalf("span = %v, want ≈100ms", r.Span)
+	}
+}
+
 func TestWorkMixSplits(t *testing.T) {
 	// 24e6 cycles, half memory-bound: CPU half 5ms + mem half 5ms at
 	// max frequency = 10ms on baseline.

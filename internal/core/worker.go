@@ -57,7 +57,13 @@ type worker struct {
 	curJob   *jobRun
 	idlePark bool
 
-	// What stealRound's and workCycles' stepped waits carry from wake to
+	// Run-ahead: Work and Mem append to pend and return; settle simulates
+	// the frame's segments pend[base:] (cur is the one in flight).
+	pend      []segment
+	base, cur int
+	stallEnd  units.Time // of the stall in flight
+
+	// What stealRound's and settle's stepped waits carry from wake to
 	// wake; the step funcs are bound once, so a wait allocates nothing.
 	probe struct {
 		victim, left int   // index being probed; probes left, this one included
@@ -69,18 +75,29 @@ type worker struct {
 		slow        float64      // and this straggler factor
 		start, full units.Time   // from start; rem retires at full
 	}
-	probeStep, sliceStep func() (units.Time, bool)
+	probeStep, settleStep func() (units.Time, bool)
 
 	helpDepth int
 	backoff   units.Time
 	// preemptDepth bounds quantum-preemption nesting: each preemption
-	// runs the overtaking job's root inline inside workCycles, so a
+	// runs the overtaking job's root inline inside settle, so a
 	// pathological trace could otherwise stack frames without limit.
 	preemptDepth int
 }
 
 // maxPreemptDepth caps nested quantum preemptions per worker.
 const maxPreemptDepth = 8
+
+// segment is one accounting call not yet simulated: cy CPU cycles or,
+// when cy is 0, a frequency-independent stall of d.
+type segment struct {
+	cy units.Cycles
+	d  units.Time
+}
+
+// pendBound caps a frame's unsettled segments (a full list settles
+// early, invisibly); at 1, every segment settles as its call returns.
+var pendBound = 256
 
 func newWorker(s *sched, id int, c *cpu.Core) *worker {
 	w := &worker{
@@ -90,7 +107,7 @@ func newWorker(s *sched, id int, c *cpu.Core) *worker {
 		dq:   deque.New[*task](64),
 		rng:  rand.New(rand.NewSource(s.cfg.Seed*1_000_003 + int64(id))),
 	}
-	w.probeStep, w.sliceStep = w.stepProbe, w.stepSlice
+	w.probeStep, w.settleStep = w.stepProbe, w.stepSettle
 	return w
 }
 
@@ -308,21 +325,27 @@ func (w *worker) setJob(j *jobRun) {
 	w.curJob = j
 }
 
-// runBody invokes the task closure. A panicking body fails only its
-// own job — the error surfaces from the job's completion, the rest of
+// runBody invokes the task closure as a frame of its own in pend. A
+// panicking body fails only its own job, once what it accounted is
+// settled — the error surfaces from the job's completion, the rest of
 // the job drains like a cancellation, and concurrent jobs on the shared
 // machine are untouched (matching the Native backend).
 func (w *worker) runBody(t *task) {
+	outer := w.base
+	w.base = len(w.pend)
 	defer func() {
 		if p := recover(); p != nil {
 			if sim.IsUnwind(p) {
 				panic(p) // engine teardown, not a task fault
 			}
+			w.settle()
 			t.job.fail(fmt.Errorf("core: job %d task panicked: %v\n%s",
 				t.job.id, p, debug.Stack()))
 		}
+		w.base = outer
 	}()
 	t.fn(ctx{w: w, j: t.job})
+	w.settle()
 }
 
 // join completes a fork-join block: run the block's own pushed tasks
@@ -397,28 +420,69 @@ func (w *worker) parkOnBlock(blk *block) {
 	w.setState(cpu.Busy)
 }
 
-// workCycles advances virtual time by c cycles at the core's current
-// frequency, re-rating the remainder whenever the clock domain
-// commits a DVFS transition — or the machine's straggler factor
-// changes — mid-segment. An eviction (machine crash under this job)
-// abandons the remaining cycles: the job re-runs elsewhere. With a
-// preemption quantum configured, segments are additionally chopped at
-// quantum boundaries and the ready queue re-checked between slices
-// (maybePreempt), so a higher-ranked arrival overtakes a long CPU
-// burst mid-stream.
-func (w *worker) workCycles(c units.Cycles) {
-	// maybePreempt runs other jobs' segments through w.slice: rem is ours.
-	for rem := c; rem > 0; rem = w.slice.rem {
-		if w.curJob.evicted {
-			return
-		}
-		w.maybePreempt()
-		if w.s.done {
-			return
-		}
-		w.slice.rem = rem
-		w.proc.WaitUntilStep(w.planSlice(), w.sliceStep)
+// account adds a non-empty segment to the running frame, settling the
+// frame early when its list is full.
+func (w *worker) account(sg segment) {
+	if sg.cy <= 0 && sg.d <= 0 {
+		return
 	}
+	w.pend = append(w.pend, sg)
+	if len(w.pend)-w.base >= pendBound {
+		w.settle()
+	}
+}
+
+// settle simulates the frame's segments in order as one stepped wait,
+// as blocking calls would have: CPU cycles retire at the core's clock,
+// re-rated when a DVFS commit or straggler change lands mid-segment,
+// chopped at quantum boundaries, and abandoned on eviction (the job
+// re-runs elsewhere); a stall waits out its span. The worker resumes
+// only at the end, or to run an overtaking root inline (maybePreempt),
+// which settles its own segments above ours.
+func (w *worker) settle() {
+	t, wait := w.advance(w.base, true)
+	for {
+		if wait {
+			w.proc.WaitUntilStep(t, w.settleStep)
+		}
+		if w.cur == len(w.pend) {
+			break
+		}
+		cur, rem := w.cur, w.slice.rem
+		w.maybePreempt()
+		w.cur, w.slice.rem = cur, rem
+		if w.s.done {
+			t, wait = w.advance(cur+1, true)
+		} else {
+			t, wait = w.planSlice(), true
+		}
+	}
+	w.pend = w.pend[:w.base]
+}
+
+// advance starts the segments from pend[i] on — i with the cycles left
+// in slice.rem unless fresh — and returns the wake of the first that
+// must wait, or false when the frame is settled or a preemption is due.
+// A CPU segment is skipped on eviction or shutdown; a stall always waits.
+func (w *worker) advance(i int, fresh bool) (units.Time, bool) {
+	for w.cur = i; w.cur < len(w.pend); w.cur, fresh = w.cur+1, true {
+		sg := w.pend[w.cur]
+		if sg.cy == 0 {
+			w.stallEnd = w.s.eng.Now() + sg.d
+			return w.stallEnd, true
+		}
+		if fresh {
+			w.slice.rem = sg.cy
+		}
+		switch {
+		case w.curJob.evicted: // abandoned: the job re-runs elsewhere
+		case w.preemptor() >= 0:
+			return 0, false
+		case !w.s.done:
+			return w.planSlice(), true
+		}
+	}
+	return 0, false
 }
 
 // planSlice rates the cycles left at the current frequency and straggler
@@ -438,23 +502,34 @@ func (w *worker) planSlice() units.Time {
 	return sl.full
 }
 
-// stepSlice is workCycles' step, run by the engine when a slice ends or a
-// wake cuts it short: retire what ran and, unless the worker's loop has
-// an eviction, a shutdown or a preemption to act on, plan the next slice.
-func (w *worker) stepSlice() (units.Time, bool) {
-	sl, now := &w.slice, w.s.eng.Now()
+// stepSettle is settle's step, run when a slice or stall ends or a wake
+// cuts it short: retire what ran, then re-plan, or re-run the segment's
+// checks if there is an eviction, a shutdown or a ready root to see.
+func (w *worker) stepSettle() (units.Time, bool) {
+	s, now := w.s, w.s.eng.Now()
+	if w.pend[w.cur].cy == 0 {
+		if now < w.stallEnd && !s.done && !w.curJob.evicted {
+			return w.stallEnd, true
+		}
+		return w.advance(w.cur+1, true)
+	}
+	sl := &w.slice
 	w.inWork = false
 	if now >= sl.full {
-		sl.rem = 0 // the whole segment retired at constant frequency
-		return 0, false
+		return w.advance(w.cur+1, true) // retired whole at constant frequency
 	}
 	el := now - sl.start
 	if sl.slow > 1 {
 		el = units.Time(float64(el) / sl.slow)
 	}
-	sl.rem -= min(units.CyclesIn(el, sl.f), sl.rem)
-	if sl.rem == 0 || w.curJob.evicted || w.s.done || (w.preemptible() && len(w.s.pool.injectq) > 0) {
-		return 0, false
+	if sl.rem -= min(units.CyclesIn(el, sl.f), sl.rem); sl.rem == 0 {
+		return w.advance(w.cur+1, true)
+	}
+	if w.core.Dom.Freq() != sl.f {
+		s.rerates++
+	}
+	if w.curJob.evicted || s.done || (w.preemptible() && len(s.pool.injectq) > 0) {
+		return w.advance(w.cur, false)
 	}
 	return w.planSlice(), true
 }
@@ -470,44 +545,33 @@ func (w *worker) preemptible() bool {
 		w.preemptDepth < maxPreemptDepth
 }
 
+// preemptor is the ready-queue index of a root that strictly outranks
+// the job this worker is executing and may take it now, or -1.
+func (w *worker) preemptor() int {
+	if q := w.s.pool.injectq; w.preemptible() && len(q) > 0 {
+		if i := w.s.poolPick(); w.s.outranks(q[i].job, w.curJob) {
+			return i
+		}
+	}
+	return -1
+}
+
 // maybePreempt lets a waiting root that strictly outranks the job this
 // worker is executing take the worker now (Shinjuku-style quantum
 // preemption): the overtaking job runs inline to completion on this
 // worker — runTask's curJob save/restore keeps energy attribution
 // exact across the switch — then the preempted segment resumes.
 func (w *worker) maybePreempt() {
-	s := w.s
-	if !w.preemptible() || len(s.pool.injectq) == 0 {
+	s, i := w.s, w.preemptor()
+	if i < 0 {
 		return
 	}
-	i := s.poolPick()
 	t := s.pool.injectq[i]
-	if !s.outranks(t.job, w.curJob) {
-		return
-	}
 	s.pool.injectq = append(s.pool.injectq[:i], s.pool.injectq[i+1:]...)
 	w.preemptDepth++
 	w.runTask(t)
 	w.preemptDepth--
 	w.setState(cpu.Busy)
-}
-
-// memWork advances frequency-independent time (memory-bound stalls).
-func (w *worker) memWork(d units.Time) {
-	if d <= 0 {
-		return
-	}
-	end := w.s.eng.Now() + d
-	for {
-		if w.proc.WaitUntil(end) >= end {
-			return
-		}
-		// Spurious wake (e.g. shutdown, eviction); re-park until done
-		// unless the stall no longer matters.
-		if w.s.done || w.curJob.evicted {
-			return
-		}
-	}
 }
 
 // --- wl.Ctx implementation ------------------------------------------
@@ -525,6 +589,7 @@ var _ wl.Ctx = ctx{}
 // inline, then join.
 func (c ctx) Go(tasks ...wl.Task) {
 	w := c.w
+	w.settle()
 	if w.s.taskCancelled(c.j) {
 		return // spawn boundary: a cancelled run forks no new work
 	}
@@ -540,32 +605,25 @@ func (c ctx) Go(tasks ...wl.Task) {
 		w.push(&task{fn: tasks[i], blk: blk, job: c.j})
 	}
 	tasks[0](c)
+	w.settle()
 	w.join(blk)
 }
 
-// Work accounts CPU-bound cycles.
-func (c ctx) Work(cy units.Cycles) {
-	if cy > 0 {
-		c.w.workCycles(cy)
-	}
-}
+// Work accounts CPU-bound cycles, settled at the next spawn or return.
+func (c ctx) Work(cy units.Cycles) { c.w.account(segment{cy: cy}) }
 
-// Mem accounts frequency-independent stall time.
-func (c ctx) Mem(d units.Time) { c.w.memWork(d) }
+// Mem accounts a frequency-independent stall, settled likewise.
+func (c ctx) Mem(d units.Time) { c.w.account(segment{d: d}) }
 
 // WorkMix splits c into a CPU-bound part (scales with DVFS) and a
 // memory-bound part (converted to time at the machine's maximum
 // frequency, insensitive to DVFS).
 func (c ctx) WorkMix(cy units.Cycles, memFrac float64) {
-	if memFrac < 0 {
-		memFrac = 0
-	}
-	if memFrac > 1 {
-		memFrac = 1
-	}
-	memCycles := units.Cycles(float64(cy) * memFrac)
+	memCycles := units.Cycles(float64(cy) * min(max(memFrac, 0), 1))
 	c.Work(cy - memCycles)
-	c.Mem(memCycles.DurationAt(c.w.s.cfg.Spec.MaxFreq()))
+	if memCycles > 0 {
+		c.Mem(memCycles.DurationAt(c.w.s.cfg.Spec.MaxFreq()))
+	}
 }
 
 // Worker returns the executing worker id.

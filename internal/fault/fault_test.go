@@ -153,3 +153,38 @@ func TestCrashPlanSingleMachineRejoins(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCompile: Resolve and Compile never panic over any plan name,
+// seed, fleet size and horizon, and a schedule Compile returns is sorted
+// by (At, Machine), starts no earlier than 0 and targets only machines
+// of the fleet. Fleets are capped at 4096 machines and horizons at a day
+// of virtual time, where the plans' arithmetic stays inside int64. The
+// seeds (every registered plan and near misses) run under plain go test.
+func FuzzCompile(f *testing.F) {
+	for i, s := range append(Names(), "", "Crash", "crash,failslow", "chaos") {
+		f.Add(s, int64(i), i%5, int64(30*units.Millisecond))
+	}
+	f.Add("crash", int64(7), 1, int64(1))
+	f.Add("blip", int64(7), -1, int64(-1))
+	f.Fuzz(func(t *testing.T, name string, seed int64, machines int, horizon int64) {
+		machines %= 4096
+		h := units.Time(horizon % int64(24*3600*units.Second))
+		if _, err := Resolve(name); err != nil {
+			return
+		}
+		evs, err := Compile(name, seed, machines, h)
+		if err != nil {
+			return
+		}
+		for i, ev := range evs {
+			if ev.At < 0 || ev.Machine < 0 || ev.Machine >= machines {
+				t.Fatalf("%s/seed=%d/%d machines/horizon %v: event %d %+v", name, seed, machines, h, i, ev)
+			}
+			if i > 0 {
+				if p := evs[i-1]; p.At > ev.At || p.At == ev.At && p.Machine > ev.Machine {
+					t.Fatalf("%s/seed=%d: schedule not sorted by (At, Machine) at %d", name, seed, i)
+				}
+			}
+		}
+	})
+}

@@ -47,6 +47,9 @@
 // work segment re-planned at a quantum boundary) then costs no switch.
 // The one rule: a step schedules exactly what the process would have,
 // when it would have — so seq, the same-instant tie-break, never moves.
+// internal/core goes further: a task body's Work and Mem calls return at
+// once, and its segments are simulated as one stepped wait at its next
+// spawn or return, so a worker is resumed per frame, not per call.
 //
 // # Where failures surface
 //

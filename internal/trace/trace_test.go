@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 	"testing"
@@ -245,4 +246,38 @@ func TestArrivalsBuildsSizedTasks(t *testing.T) {
 			t.Fatalf("build %d got size %g, point has %g", i, sizes[i], pts[i].Size)
 		}
 	}
+}
+
+// FuzzResolve: Resolve never panics; a name it accepts is a registered
+// process ("" the default) whose artifact form resolves back to it, and
+// whose points for any seed lie in ascending order inside (0, window].
+// The seeds (every registered name and near misses) run under plain
+// go test.
+func FuzzResolve(f *testing.F) {
+	for i, s := range append(Names(), "", "Poisson", "mmpp ", "lognormal", "mix/") {
+		f.Add(s, int64(i))
+	}
+	f.Fuzz(func(t *testing.T, name string, seed int64) {
+		p, err := Resolve(name)
+		if err != nil {
+			return
+		}
+		if want := cmp.Or(name, Default); p.Name != want || p.Gen == nil {
+			t.Fatalf("Resolve(%q) = %q (generator %t), want %q", name, p.Name, p.Gen != nil, want)
+		}
+		if q, err := Resolve(Canonical(p.Name)); err != nil || q.Name != p.Name {
+			t.Fatalf("Canonical(%q) = %q resolves to %q, %v", p.Name, Canonical(p.Name), q.Name, err)
+		}
+		const window = 50 * time.Millisecond
+		pts, err := p.Points(seed, 400, window)
+		if err != nil {
+			return // too short a window for this seed's draw
+		}
+		horizon := units.Time(window.Nanoseconds()) * units.Nanosecond
+		for i, pt := range pts {
+			if pt.At <= 0 || pt.At > horizon || i > 0 && pt.At < pts[i-1].At {
+				t.Fatalf("%s/seed=%d: point %d at %v, out of order or outside (0, %v]", p.Name, seed, i, pt.At, horizon)
+			}
+		}
+	})
 }

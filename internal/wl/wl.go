@@ -23,7 +23,10 @@ type Ctx interface {
 
 	// Work accounts c cycles of CPU-bound computation. The cycles
 	// retire at the hosting core's current frequency; a DVFS
-	// transition mid-task re-rates the remainder.
+	// transition mid-task re-rates the remainder. The tasks of one
+	// block communicate only through the block's join: on Sim, Work
+	// and Mem return at once and are simulated at the body's next Go
+	// or return, which no body can tell from being simulated in place.
 	Work(c units.Cycles)
 
 	// Mem accounts d of frequency-independent time (memory-bound
