@@ -8,7 +8,7 @@
 //
 // A process parks either until a scheduled virtual time (Sleep /
 // WaitUntil) or indefinitely (ParkUntilWake), and any running process
-// may wake a parked one (Wake), cancelling its pending timer. This
+// may wake a parked one (Wake), superseding its pending timer. This
 // early-wake primitive is what lets the scheduler re-rate in-flight
 // task work when a DVFS transition commits mid-task.
 //
@@ -66,6 +66,7 @@
 // clean run, Run first stops whatever coroutine is still suspended, so
 // it never leaves a goroutine behind.
 //
-// Events are pooled and the queue is a typed 4-ary heap: a steady-state
-// event allocates nothing.
+// Wakes are queued by value in two tiers — the 64 earliest in a sorted
+// front, the rest in a 4-ary heap — and a superseded wake stays queued
+// until it is popped and dropped. A steady-state event allocates nothing.
 package sim

@@ -9,34 +9,23 @@ import (
 	"hermes/internal/units"
 )
 
-// Event is a scheduled wake-up for a process. Cancelled events stay in
-// the heap and are skipped lazily. Events are pooled: popping one, live
-// or cancelled, returns it to the engine's free list — safe because its
-// owner's Proc.pending, the only reference outside the heap, is cleared
-// when it fires and replaced before it is cancelled.
-type Event struct {
-	t        units.Time
-	prio     int8
-	seq      uint64
-	p        *Proc
-	canceled bool
+// entry is one scheduled wake, held by value in the queue. key packs
+// the tie-break priority above the schedule order, so the dispatch order
+// — virtual time, then priority, then schedule order — is two integer
+// compares. An entry whose key is not its owner's wakeKey was superseded
+// and is dropped when popped.
+type entry struct {
+	t   units.Time
+	key uint64
+	p   *Proc
 }
 
-// Cancel marks the event so it will not fire. Safe to call on an
-// already-cancelled event.
-func (e *Event) Cancel() { e.canceled = true }
+func (a entry) before(b entry) bool { return a.t < b.t || a.t == b.t && a.key < b.key }
 
-// before is the dispatch order: virtual time, then priority, then
-// schedule order.
-func (e *Event) before(o *Event) bool {
-	if e.t != o.t {
-		return e.t < o.t
-	}
-	if e.prio != o.prio {
-		return e.prio < o.prio
-	}
-	return e.seq < o.seq
-}
+// frontCap bounds the queue's sorted front tier. A pool or cluster point
+// holds one wake per process, 15–18 of them, and a new one lands a few
+// slots from the earliest: the front serves those with no heap at all.
+const frontCap = 64
 
 type procState uint8
 
@@ -53,7 +42,8 @@ type Proc struct {
 	eng     *Engine
 	ID      int
 	Name    string
-	pending *Event
+	wakeKey uint64     // key of the one live wake, 0 for none
+	wakeAt  units.Time // its time
 	state   procState
 	fn      func(*Proc)
 	step    func() (next units.Time, again bool) // of the stepped wait it is in, or nil
@@ -66,11 +56,13 @@ type Proc struct {
 	yield func(struct{}) bool
 }
 
-// Engine owns the virtual clock and the event queue.
+// Engine owns the virtual clock and the event queue. The queue has two
+// tiers: front, the earliest entries sorted latest-first, so a pop takes
+// the last one; and heap, a 4-ary min-heap of every entry after them.
 type Engine struct {
 	now     units.Time
-	events  []*Event // 4-ary min-heap in Event.before order
-	free    []*Event
+	front   []entry
+	heap    []entry
 	seq     uint64
 	procs   []*Proc
 	alive   int
@@ -80,12 +72,10 @@ type Engine struct {
 	// a parking process took itself, or were steps). Read after Run.
 	Dispatched, Resumes uint64
 
-	// A parking process that popped an event it does not own leaves it
-	// here for Run to dispatch (nil with handed set: it found the queue
-	// empty and idle refused), so no event is popped twice. A panic out
+	// A parking process that popped an entry it does not own leaves it
+	// here for Run to dispatch, so no entry is popped twice. A panic out
 	// of a hook it ran travels the same way, in hookPanic.
-	handoff   *Event
-	handed    bool
+	handoff   entry
 	hookPanic any
 
 	// trapped puts the engine in unwind mode: no more events are
@@ -154,13 +144,10 @@ func (e *Engine) Inject(p *Proc, t units.Time) {
 	if t < e.now {
 		t = e.now
 	}
-	if p.pending != nil {
-		if p.pending.t <= t {
-			return // already waking at or before t
-		}
-		p.pending.Cancel()
+	if p.wakeKey != 0 && p.wakeAt <= t {
+		return // already waking at or before t
 	}
-	p.pending = e.scheduleAt(t, -1, p)
+	e.scheduleAt(t, -1, p)
 }
 
 // IsUnwind reports whether a recovered panic value is the engine's
@@ -188,7 +175,7 @@ func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 	p := &Proc{eng: e, ID: len(e.procs), Name: name, fn: fn}
 	e.procs = append(e.procs, p)
 	e.alive++
-	p.pending = e.scheduleAt(e.now, 0, p)
+	e.scheduleAt(e.now, 0, p)
 	return p
 }
 
@@ -230,93 +217,115 @@ func (e *Engine) stepped(p *Proc) (parked bool) {
 		p.step = nil
 		return false
 	}
-	p.pending = e.scheduleAt(next, 0, p)
+	e.scheduleAt(next, 0, p)
 	p.state, e.current = stateParked, nil
 	return true
 }
 
-// scheduleAt enqueues a wake with an explicit tie-break priority; the
-// priority must be fixed before the heap insert or ordering breaks.
-func (e *Engine) scheduleAt(t units.Time, prio int8, p *Proc) *Event {
+// scheduleAt queues a wake for p at t with tie-break priority prio and
+// makes it p's one live wake, superseding any wake p had before.
+func (e *Engine) scheduleAt(t units.Time, prio int8, p *Proc) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
 	}
 	e.seq++
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev, e.free = e.free[n-1], e.free[:n-1]
-	} else {
-		ev = new(Event)
+	x := entry{t: t, key: uint64(prio+1)<<56 | e.seq, p: p}
+	p.wakeKey, p.wakeAt = x.key, t
+	if len(e.heap) > 0 && e.heap[0].before(x) {
+		e.heapPush(x)
+		return
 	}
-	*ev = Event{t: t, prio: prio, seq: e.seq, p: p}
+	// Insert x into the front, scanning from its earliest end; a full
+	// front spills its latest entry into the heap, which stays after it.
+	f := append(e.front, x)
+	i := len(f) - 1
+	for ; i > 0 && f[i-1].before(x); i-- {
+		f[i] = f[i-1]
+	}
+	f[i] = x
+	if len(f) > frontCap {
+		e.heapPush(f[0])
+		f = f[:copy(f, f[1:])]
+	}
+	e.front = f
+}
 
-	// Sift up from a new last leaf.
-	h := append(e.events, ev)
+func (e *Engine) heapPush(x entry) {
+	h := append(e.heap, x)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !ev.before(h[parent]) {
+		if !x.before(h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = ev
-	e.events = h
-	return ev
+	h[i] = x
+	e.heap = h
 }
 
-// pop removes and returns the earliest live event, or nil when none is
-// left. Cancelled events it meets on the way are recycled.
-func (e *Engine) pop() *Event {
-	for len(e.events) > 0 {
-		h := e.events
-		top := h[0]
-		n := len(h) - 1
-		last := h[n]
-		h[n] = nil
-		h = h[:n]
-		e.events = h
-		// Sift the old last leaf down from the root.
-		i := 0
-		for c := 1; c < n; c = 4*i + 1 {
-			m := c
-			for k, end := c+1, min(c+4, n); k < end; k++ {
-				if h[k].before(h[m]) {
-					m = k
-				}
+func (e *Engine) heapPop() entry {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	e.heap = h
+	// Sift the old last leaf down from the root.
+	i := 0
+	for c := 1; c < n; c = 4*i + 1 {
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if h[k].before(h[m]) {
+				m = k
 			}
-			if !h[m].before(last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
 		}
-		if n > 0 {
-			h[i] = last
+		if !h[m].before(last) {
+			break
 		}
-		if !top.canceled {
-			return top
-		}
-		e.free = append(e.free, top)
+		h[i] = h[m]
+		i = m
 	}
-	return nil
+	if n > 0 {
+		h[i] = last
+	}
+	return top
+}
+
+// pop removes and returns the earliest live entry — the front's last, or
+// the heap's top when the front is empty — dropping superseded ones on
+// the way. Its owner is nil when the queue is empty.
+func (e *Engine) pop() entry {
+	for {
+		var x entry
+		if n := len(e.front) - 1; n >= 0 {
+			x, e.front = e.front[n], e.front[:n]
+		} else if len(e.heap) > 0 {
+			x = e.heapPop()
+		} else {
+			return x
+		}
+		if x.key == x.p.wakeKey {
+			return x
+		}
+	}
 }
 
 // pick is the step before every dispatch: run tick, pop the next live
 // event, and on an empty queue let idle feed the engine and start over.
-// It returns nil when the queue is empty and idle declines — deadlock.
-// The caller must have cleared current.
-func (e *Engine) pick() *Event {
+// It returns an entry with a nil owner when the queue is empty and idle
+// declines — deadlock. The caller must have cleared current.
+func (e *Engine) pick() entry {
 	for {
 		if e.tick != nil {
 			e.tick()
 		}
-		if ev := e.pop(); ev != nil {
+		if ev := e.pop(); ev.p != nil {
 			return ev
 		}
 		if e.idle == nil || !e.idle() {
-			return nil
+			return entry{}
 		}
 	}
 }
@@ -325,7 +334,7 @@ func (e *Engine) pick() *Event {
 // out of a hook must not unwind that process's stack, where a recover
 // meant for the process's own faults would swallow it; it is held for
 // Run to raise, as if Run had run the hook.
-func (e *Engine) pickParking() *Event {
+func (e *Engine) pickParking() entry {
 	defer func() {
 		if r := recover(); r != nil {
 			e.hookPanic = r
@@ -334,14 +343,13 @@ func (e *Engine) pickParking() *Event {
 	return e.pick()
 }
 
-// fire moves the clock to ev, recycles it, and makes its owner the
-// current, running process.
-func (e *Engine) fire(ev *Event) *Proc {
+// fire moves the clock to ev and makes its owner the current, running
+// process, with no live wake.
+func (e *Engine) fire(ev entry) *Proc {
 	p := ev.p
 	e.Dispatched++
 	e.now = ev.t
-	e.free = append(e.free, ev)
-	p.pending = nil
+	p.wakeKey = 0
 	p.state = stateRunning
 	e.current = p
 	return p
@@ -355,17 +363,16 @@ func (e *Engine) fire(ev *Event) *Proc {
 func (e *Engine) Run() {
 	defer e.unwind() // the deadlock panic, a hook's panic, a Goexit
 	for e.alive > 0 && !e.trapped {
-		ev := e.handoff
-		if e.handed {
-			e.handoff, e.handed = nil, false
-		} else {
-			ev = e.pick()
-		}
 		if r := e.hookPanic; r != nil {
 			e.hookPanic = nil
 			panic(r)
 		}
-		if ev == nil {
+		ev := e.handoff
+		e.handoff = entry{}
+		if ev.p == nil {
+			ev = e.pick()
+		}
+		if ev.p == nil {
 			panic("sim: deadlock — " + e.describeStall())
 		}
 		if ev.t < e.now {
@@ -426,16 +433,17 @@ func (e *Engine) describeStall() string {
 // parking process runs the pick step itself: if the next live event is
 // its own it moves the clock and carries on with no switch at all — or,
 // in a stepped wait whose step asks to wait again, picks again; any
-// other pick it leaves for Run, which it yields to. If a process
-// panicked meanwhile it resumes by unwinding (its defers still run).
+// other entry it leaves for Run, which it yields to and which picks anew
+// if there was none. If a process panicked meanwhile it resumes by
+// unwinding (its defers still run).
 func (p *Proc) park() {
 	e := p.eng
 	p.state = stateParked
 	e.current = nil
 	for !e.trapped {
 		ev := e.pickParking()
-		if ev == nil || ev.p != p || ev.t < e.now {
-			e.handoff, e.handed = ev, true
+		if ev.p != p || ev.t < e.now {
+			e.handoff = ev
 			break
 		}
 		e.fire(ev)
@@ -463,7 +471,7 @@ func (p *Proc) WaitUntilStep(t units.Time, step func() (next units.Time, again b
 		panic("sim: WaitUntil into the past")
 	}
 	p.step = step
-	p.pending = p.eng.scheduleAt(t, 0, p)
+	p.eng.scheduleAt(t, 0, p)
 	p.park()
 	return p.eng.now
 }
@@ -480,13 +488,13 @@ func (p *Proc) Sleep(d units.Time) units.Time {
 // ParkUntilWake parks with no timer; only Wake resumes the process.
 func (p *Proc) ParkUntilWake() units.Time {
 	p.mustBeCurrent("ParkUntilWake")
-	p.pending = nil
+	p.wakeKey = 0
 	p.park()
 	return p.eng.now
 }
 
 // Wake makes a parked process runnable at the current virtual time,
-// cancelling any pending timer. The caller must be the currently
+// superseding any pending timer. The caller must be the currently
 // running process (or the engine owner between runs); a process cannot
 // wake itself. Waking an already-runnable or finished process is a
 // no-op, so completion broadcasts are safe.
@@ -497,13 +505,10 @@ func (p *Proc) Wake() {
 	if p.state == stateDone {
 		return
 	}
-	if p.pending != nil {
-		if p.pending.t == p.eng.now {
-			return // already scheduled to run now
-		}
-		p.pending.Cancel()
+	if p.wakeKey != 0 && p.wakeAt == p.eng.now {
+		return // already scheduled to run now
 	}
-	p.pending = p.eng.scheduleAt(p.eng.now, 0, p)
+	p.eng.scheduleAt(p.eng.now, 0, p)
 }
 
 func (p *Proc) mustBeCurrent(op string) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -216,15 +217,6 @@ func TestManyProcsStress(t *testing.T) {
 	}
 }
 
-func TestEventCancel(t *testing.T) {
-	ev := &Event{}
-	ev.Cancel()
-	ev.Cancel() // idempotent
-	if !ev.canceled {
-		t.Fatal("cancel did not mark event")
-	}
-}
-
 // TestIdleHookFeedsQuiescentEngine: a parked process plus an empty
 // event queue triggers the idle hook instead of the deadlock panic;
 // the hook injects a future wake and the simulation proceeds at that
@@ -358,8 +350,9 @@ func hookTarget(tickN, procs int) (target int, d units.Time, fire bool) {
 const idleRescue = 3 * units.Microsecond
 
 // runScripted runs the scripts on the real engine and returns one log
-// line per dispatch.
-func runScripted(roots [][]scriptOp) []string {
+// line per dispatch. probe, if not nil, looks at the engine after every
+// tick, just before the pop.
+func runScripted(roots [][]scriptOp, probe func(*Engine)) []string {
 	e := NewEngine()
 	var log []string
 	var body func(script []scriptOp) func(*Proc)
@@ -409,6 +402,9 @@ func runScripted(roots [][]scriptOp) []string {
 		tickN++
 		if target, d, fire := hookTarget(tickN, len(e.procs)); fire {
 			e.Inject(e.procs[target], e.Now()+d)
+		}
+		if probe != nil {
+			probe(e)
 		}
 	})
 	e.SetIdle(func() bool {
@@ -589,7 +585,7 @@ func TestRandomSchedulesMatchReference(t *testing.T) {
 		for i := range roots {
 			roots[i] = genScript(rng, 0)
 		}
-		got := runScripted(roots)
+		got := runScripted(roots, nil)
 		want := (&refEngine{}).run(roots)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d dispatches, reference %d", seed, len(got), len(want))
@@ -603,57 +599,147 @@ func TestRandomSchedulesMatchReference(t *testing.T) {
 	}
 }
 
-// TestRecycledEventDoesNotFireForOldOwner: a timer cancelled by an
-// early Wake is recycled when it is popped and handed to the next
-// schedule; its old owner, parked with no timer by then, stays parked.
-func TestRecycledEventDoesNotFireForOldOwner(t *testing.T) {
-	e := NewEngine()
+// TestSupersededWakeNeverFires: a timer superseded by an early Wake,
+// or by an earlier Inject, stays queued — in the front tier with three
+// processes, in the heap tier behind 70 sleepers — and is dropped when
+// it is popped. Its owner resumes only at its live wakes: parked with no
+// timer by then, or waiting again at the stale timer's exact instant,
+// where the stale entry is the earlier of the two in schedule order.
+func TestSupersededWakeNeverFires(t *testing.T) {
 	us := units.Microsecond
-	var aResumes, dResumes []units.Time
-	var stale *Event
-	var a, d *Proc
-	a = e.Go("a", func(p *Proc) {
-		stale = p.pending
-		aResumes = append(aResumes, p.Sleep(100*us)) // cancelled at 10µs
-		aResumes = append(aResumes, p.ParkUntilWake())
-	})
-	e.Go("b", func(p *Proc) {
-		p.Sleep(10 * us)
-		stale = a.pending
-		a.Wake()
-		p.Sleep(290 * us)
-		a.Wake()
-	})
-	d = e.Go("d", func(p *Proc) {
-		dResumes = append(dResumes, p.ParkUntilWake())
-	})
-	e.Go("c", func(p *Proc) {
-		p.Sleep(100 * us) // pops the stale timer on the way here
-		reused := false
-		for _, ev := range e.free {
-			reused = reused || ev == stale
-		}
-		if !reused || !stale.canceled {
-			t.Errorf("the cancelled timer was not recycled on pop")
-		}
-		// Drain the free list into live events until one of them is the
-		// recycled struct, owned by d.
-		for d.pending != stale && len(e.free) > 0 {
-			if d.pending != nil {
-				d.pending.Cancel()
+	for _, fillers := range []int{0, 70} {
+		for _, by := range []string{"Wake", "Inject"} {
+			for _, again := range []bool{false, true} {
+				e := NewEngine()
+				var resumes []units.Time
+				a := e.Go("a", func(p *Proc) {
+					resumes = append(resumes, p.Sleep(100*us)) // superseded at 10µs
+					if again {
+						resumes = append(resumes, p.WaitUntil(100*us))
+					}
+					resumes = append(resumes, p.ParkUntilWake())
+				})
+				inject := false
+				e.SetTick(func() {
+					if inject {
+						inject = false
+						e.Inject(a, e.Now())
+					}
+				})
+				inHeap := false
+				e.Go("b", func(p *Proc) {
+					p.Sleep(10 * us)
+					inHeap = !slices.ContainsFunc(e.front, func(x entry) bool { return x.key == a.wakeKey })
+					if by == "Wake" {
+						a.Wake()
+					} else {
+						inject = true
+					}
+					p.Sleep(290 * us)
+					a.Wake()
+				})
+				for i := 0; i < fillers; i++ {
+					e.Go("filler", func(p *Proc) {
+						for e.Now() < 400*us {
+							p.Sleep(us)
+						}
+					})
+				}
+				e.Run()
+				want := []units.Time{10 * us, 300 * us}
+				if again {
+					want = []units.Time{10 * us, 100 * us, 300 * us}
+				}
+				if fmt.Sprint(resumes) != fmt.Sprint(want) || inHeap != (fillers > 0) {
+					t.Errorf("%d fillers, by %s, again %v: resumed at %v, want %v; stale timer in the heap tier: %v",
+						fillers, by, again, resumes, want, inHeap)
+				}
 			}
-			d.pending = e.scheduleAt(e.now+50*us, 0, d)
 		}
-		if d.pending != stale {
-			t.Errorf("the recycled struct was never reused")
-		}
-	})
-	e.Run()
-	if fmt.Sprint(aResumes) != fmt.Sprint([]units.Time{10 * us, 300 * us}) {
-		t.Fatalf("old owner resumed at %v, want [10µs 300µs]", aResumes)
 	}
-	if fmt.Sprint(dResumes) != fmt.Sprint([]units.Time{150 * us}) {
-		t.Fatalf("new owner resumed at %v, want [150µs]", dResumes)
+}
+
+// TestManyProcsMatchReference: the scripts of
+// TestRandomSchedulesMatchReference with 70–270 roots, so the start
+// burst alone overflows the front tier, dispatch exactly as the
+// reference does — and the run really did spill into the heap tier and
+// pop from it with the front empty.
+func TestManyProcsMatchReference(t *testing.T) {
+	var spilled, heapPopped bool
+	probe := func(e *Engine) {
+		// An empty heap gains its first entry only by a full front's spill.
+		spilled = spilled || len(e.heap) > 0
+		heapPopped = heapPopped || len(e.front) == 0 && len(e.heap) > 0
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		roots := make([][]scriptOp, 70+rng.Intn(201))
+		for i := range roots {
+			roots[i] = genScript(rng, 0)
+		}
+		got := runScripted(roots, probe)
+		want := (&refEngine{}).run(roots)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d dispatches, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d is %s, reference %s", seed, i, got[i], want[i])
+			}
+		}
+	}
+	if !spilled || !heapPopped {
+		t.Fatalf("spilled into the heap tier: %v, popped from it: %v; want both", spilled, heapPopped)
+	}
+}
+
+// TestQueueTiersPopInOrder: scheduleAt and pop alone, with no process
+// run, against the minimum of the live wakes: times spread over 1 ms,
+// both priorities, 1–300 owners and superseded wakes among them, so
+// front inserts, spills of the front's latest entry, heap pushes and
+// heap-tier pops all happen.
+func TestQueueTiersPopInOrder(t *testing.T) {
+	frontSpills := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		procs := make([]*Proc, 1+rng.Intn(300))
+		live := map[*Proc]entry{}
+		for i := range procs {
+			procs[i] = &Proc{ID: i}
+		}
+		for k := 0; k < 3000; k++ {
+			if rng.Intn(3) > 0 {
+				p := procs[rng.Intn(len(procs))]
+				latest := entry{}
+				if len(e.front) == frontCap {
+					latest = e.front[0]
+				}
+				e.scheduleAt(e.now+units.Time(rng.Intn(1000))*units.Microsecond, int8(rng.Intn(2)-1), p)
+				live[p] = entry{t: p.wakeAt, key: p.wakeKey, p: p}
+				if latest.p != nil && e.front[0] != latest {
+					frontSpills++
+				}
+				continue
+			}
+			var want entry
+			for _, x := range live {
+				if want.p == nil || x.before(want) {
+					want = x
+				}
+			}
+			got := e.pop()
+			if got != want {
+				t.Fatalf("seed %d, op %d: popped %+v, want %+v", seed, k, got, want)
+			}
+			if got.p != nil {
+				e.now, got.p.wakeKey = got.t, 0
+				delete(live, got.p)
+			}
+		}
+	}
+	if frontSpills == 0 {
+		t.Fatal("no front entry was ever spilled into the heap tier")
 	}
 }
 
@@ -693,7 +779,7 @@ func TestSelfWakeHonoursEarlierInject(t *testing.T) {
 		order = append(order, fmt.Sprintf("other@%v", e.Now()))
 	})
 	e.SetTick(func() {
-		if armed && other.state == stateParked && other.pending == nil && len(order) == 0 {
+		if armed && other.state == stateParked && other.wakeKey == 0 && len(order) == 0 {
 			e.Inject(other, 50*units.Microsecond)
 		}
 	})
@@ -703,12 +789,13 @@ func TestSelfWakeHonoursEarlierInject(t *testing.T) {
 	}
 }
 
-// TestSteadyStateEventAllocatesNothing: once the heap and the event
-// pool have grown, an event costs no allocation — neither on the
-// self-wake path (one process) nor through Run (sixteen), and neither
-// does a stepped wait of four events whose step func was bound once.
+// TestSteadyStateEventAllocatesNothing: once the queue's tiers have
+// grown, an event costs no allocation — neither on the self-wake path
+// (one process) nor through Run (sixteen, and two hundred, past the
+// front tier), and neither does a stepped wait of four events whose
+// step func was bound once.
 func TestSteadyStateEventAllocatesNothing(t *testing.T) {
-	for _, procs := range []int{1, 16} {
+	for _, procs := range []int{1, 16, 200} {
 		e := NewEngine()
 		var allocs, stepAllocs float64
 		stop := false
@@ -985,4 +1072,57 @@ func TestParkInsideStepPanics(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// BenchmarkEngine is the engine alone at 16, 256 and 4096 processes,
+// each sleeping a fixed period of its own spread over 1–1000 µs: plain
+// sleepers (a Sleep loop, one resume per event unless the sleeper owns
+// the next event too) and stepped sleepers (one WaitUntilStep whose step
+// waits again, no resume at all). The 4096 case keeps most wakes in the
+// queue's heap tier. One op is one event; coroutine start-up and the
+// queue's growth are outside the timed part.
+func BenchmarkEngine(b *testing.B) {
+	for _, kind := range []string{"plain", "stepped"} {
+		for _, procs := range []int{16, 256, 4096} {
+			b.Run(fmt.Sprintf("%s/procs=%d", kind, procs), func(b *testing.B) {
+				e := NewEngine()
+				warm, events := 4*procs, 0
+				var m0, m1 runtime.MemStats
+				// count is every event's first act: it starts the clock
+				// after the warm-up and stops it after b.N events.
+				count := func() bool {
+					switch events++; events {
+					case warm:
+						runtime.ReadMemStats(&m0)
+						b.ResetTimer()
+					case warm + b.N:
+						b.StopTimer()
+						runtime.ReadMemStats(&m1)
+					}
+					return events < warm+b.N
+				}
+				for i := 0; i < procs; i++ {
+					period := units.Time(1+i*7919%1000) * units.Microsecond
+					if kind == "plain" {
+						e.Go("sleeper", func(p *Proc) {
+							for count() {
+								p.Sleep(period)
+							}
+						})
+						continue
+					}
+					e.Go("stepper", func(p *Proc) {
+						if count() {
+							p.WaitUntilStep(e.Now()+period, func() (units.Time, bool) {
+								return e.Now() + period, count()
+							})
+						}
+					})
+				}
+				e.Run()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+				b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/event")
+			})
+		}
+	}
 }
