@@ -7,43 +7,59 @@ import (
 	"testing"
 	"time"
 
+	"hermes"
 	"hermes/internal/sweep"
 	"hermes/internal/trace"
+	"hermes/internal/units"
 	"hermes/internal/workload"
 )
 
+// nativeSummary folds completed jobs with the given sojourns, all
+// arriving at time zero, into the Native run's load summary.
+func nativeSummary(sojourns ...units.Time) loadSummary {
+	arrivals := make([]hermes.Arrival, len(sojourns))
+	reports := make([]hermes.Report, len(sojourns))
+	for i, s := range sojourns {
+		reports[i].Sojourn = s
+	}
+	pt := sweep.Fold(100, arrivals, reports, make([]error, len(sojourns)))
+	return summarize(loadOpts{RPS: 100}, "in-process/native", hermes.DispatchFIFO, pt)
+}
+
+// TestPercentileMS pins the nearest-rank sojourn percentiles the load
+// summary reports: whole ranks of 1..100 ms, and 0 with no samples.
 func TestPercentileMS(t *testing.T) {
-	var sorted []time.Duration
-	for i := 1; i <= 100; i++ {
-		sorted = append(sorted, time.Duration(i)*time.Millisecond)
+	var sojourns []units.Time
+	for i := 100; i >= 1; i-- {
+		sojourns = append(sojourns, units.Time(i)*units.Millisecond)
 	}
-	cases := []struct {
-		p    float64
-		want float64
+	sum := nativeSummary(sojourns...)
+	for _, c := range []struct {
+		name      string
+		got, want float64
 	}{
-		{0.50, 50}, {0.95, 95}, {0.99, 99}, {1, 100},
-	}
-	for _, c := range cases {
-		if got := percentileMS(sorted, c.p); got != c.want {
-			t.Errorf("p%.0f = %gms, want %gms", c.p*100, got, c.want)
+		{"p50", sum.P50SojournMS, 50}, {"p95", sum.P95SojournMS, 95},
+		{"p99", sum.P99SojournMS, 99}, {"max", sum.MaxSojournMS, 100},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %gms, want %gms", c.name, c.got, c.want)
 		}
 	}
-	if got := percentileMS(nil, 0.5); got != 0 {
-		t.Errorf("empty percentile = %g, want 0", got)
+	if empty := nativeSummary(); empty.P50SojournMS != 0 || empty.MaxSojournMS != 0 {
+		t.Errorf("empty percentiles p50=%g max=%g, want 0", empty.P50SojournMS, empty.MaxSojournMS)
 	}
 }
 
 // TestPercentileMSSubMillisecond is the regression pin for the
-// truncation bugfix: sub-millisecond sojourns — the norm for simulated
-// requests — must keep nanosecond precision instead of collapsing
-// through whole microseconds.
+// sub-millisecond sojourns a load summary reports: they keep their
+// full resolution instead of truncating to whole milliseconds.
 func TestPercentileMSSubMillisecond(t *testing.T) {
-	sorted := []time.Duration{1500 * time.Nanosecond, 2750 * time.Nanosecond}
-	if got := percentileMS(sorted, 0.5); got != 0.0015 {
-		t.Errorf("p50 of 1500ns = %gms, want 0.0015ms", got)
+	sum := nativeSummary(1500*units.Nanosecond, 2750*units.Nanosecond)
+	if sum.P50SojournMS != 0.0015 {
+		t.Errorf("p50 of 1500ns = %gms, want 0.0015ms", sum.P50SojournMS)
 	}
-	if got := percentileMS(sorted, 1); got != 0.00275 {
-		t.Errorf("max of 2750ns = %gms, want 0.00275ms", got)
+	if sum.MaxSojournMS != 0.00275 {
+		t.Errorf("max of 2750ns = %gms, want 0.00275ms", sum.MaxSojournMS)
 	}
 }
 
@@ -92,13 +108,13 @@ func TestLoadBackendSelection(t *testing.T) {
 	}
 }
 
-// TestLoadAndSweepShareOneGenerator is the single-salt pin: the
-// wall-clock load generator and the virtual-time sweep draw their
-// arrival schedules from the SAME internal/trace process, so for one
-// (trace, rps, window, seed) tuple both paths fire the identical
-// sequence. Before the registry, each path kept its own copy of the
-// PCG salt constant; this test fails if a second generator ever
-// reappears.
+// TestLoadAndSweepShareOneGenerator is the single-salt pin: both load
+// backends and the sweep draw their arrival schedules through
+// sweep.TraceArrivals, and TraceArrivals must fire exactly the
+// registered internal/trace process's point sequence for one (trace,
+// rps, window, seed) tuple. Before the registry, the load and sweep
+// paths each kept their own copy of the PCG salt constant; this test
+// fails if a second generator ever reappears behind TraceArrivals.
 func TestLoadAndSweepShareOneGenerator(t *testing.T) {
 	const (
 		rps    = 250.0
@@ -114,24 +130,22 @@ func TestLoadAndSweepShareOneGenerator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The wall-clock path: runLoad pre-draws proc.Points and paces
-		// them against real time.
+		// The registry's own draw.
 		pts, err := proc.Points(seed, rps, window)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The sweep path: TraceArrivals compiles the same schedule into
-		// a virtual-time trace.
+		// What runLoad and the sweep submit.
 		arr, err := sweep.TraceArrivals(spec, name, rps, window, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(pts) != len(arr) {
-			t.Fatalf("%s: load draws %d arrivals, sweep %d", name, len(pts), len(arr))
+			t.Fatalf("%s: the registry draws %d arrivals, TraceArrivals %d", name, len(pts), len(arr))
 		}
 		for i := range pts {
 			if pts[i].At != arr[i].At {
-				t.Fatalf("%s: arrival %d at %v on the load path, %v on the sweep path",
+				t.Fatalf("%s: arrival %d at %v in the registry, %v from TraceArrivals",
 					name, i, pts[i].At, arr[i].At)
 			}
 		}
@@ -150,7 +164,6 @@ func TestInprocLoadShortRun(t *testing.T) {
 		Backend:  "native",
 		Mode:     "unified",
 		Workers:  4,
-		Buffer:   1 << 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +171,7 @@ func TestInprocLoadShortRun(t *testing.T) {
 	if sum.Submitted == 0 || sum.Completed != sum.Submitted {
 		t.Fatalf("lost requests: %+v", sum)
 	}
-	if sum.Errors != 0 || sum.Rejected != 0 {
+	if sum.Errors != 0 {
 		t.Fatalf("unexpected failures: %+v", sum)
 	}
 	if sum.P50SojournMS <= 0 || sum.P99SojournMS < sum.P50SojournMS {
@@ -169,6 +182,53 @@ func TestInprocLoadShortRun(t *testing.T) {
 	}
 	if sum.DroppedEvents != 0 {
 		t.Fatalf("%d events dropped below buffer size", sum.DroppedEvents)
+	}
+}
+
+// TestInprocLoadMixedClasses covers the per-class rows of a Native
+// wall-clock run: they partition the flat totals, come in the sweep's
+// class order (the latency-critical priority-1 class first) and carry
+// the lc class's SLO target with an attainment in [0, 1].
+func TestInprocLoadMixedClasses(t *testing.T) {
+	sum, err := runLoad(loadOpts{
+		RPS:      200,
+		Duration: 500 * time.Millisecond,
+		Spec:     workload.Spec{Kind: "ticks", N: 16, Work: 50_000},
+		Trace:    "mix",
+		Seed:     7,
+		Backend:  "native",
+		Mode:     "unified",
+		Workers:  2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Classes) != 2 {
+		t.Fatalf("mixed trace gave %d class rows, want 2: %+v", len(sum.Classes), sum.Classes)
+	}
+	var submitted, completed, errs int64
+	for _, c := range sum.Classes {
+		submitted += c.Submitted
+		completed += c.Completed
+		errs += c.Errors
+	}
+	if submitted != sum.Submitted || completed != sum.Completed || errs != sum.Errors {
+		t.Fatalf("class rows sum to submitted=%d completed=%d errors=%d, flat totals %d/%d/%d",
+			submitted, completed, errs, sum.Submitted, sum.Completed, sum.Errors)
+	}
+	lc, batch := trace.MixLCClass(), trace.MixBatchClass()
+	if c := sum.Classes[0]; c.Tenant != lc.Tenant || c.Priority != lc.Priority {
+		t.Fatalf("first row is %s/%d, want the lc class first", c.Tenant, c.Priority)
+	}
+	if c := sum.Classes[1]; c.Tenant != batch.Tenant || c.Priority != batch.Priority {
+		t.Fatalf("second row is %s/%d, want batch", c.Tenant, c.Priority)
+	}
+	c := sum.Classes[0]
+	if c.SLOTargetMS == nil || *c.SLOTargetMS != float64(lc.SLOTarget)/float64(units.Millisecond) {
+		t.Fatalf("lc row SLO target %v, want %v", c.SLOTargetMS, lc.SLOTarget)
+	}
+	if a := c.SLOAttainment; a == nil || *a < 0 || *a > 1 {
+		t.Fatalf("lc row SLO attainment %v, want a fraction", a)
 	}
 }
 

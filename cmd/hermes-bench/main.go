@@ -8,21 +8,24 @@
 //	hermes-bench -quick          # CI-scale (smaller inputs, 2 trials)
 //	hermes-bench -csv out/       # also write CSV files
 //
-// Load mode (-load) fires Poisson arrivals at a target RPS — against
-// a hermes-serve endpoint (-url) or an in-process Runtime — and
-// reports throughput, p50/p95/p99 sojourn time and joules/request:
+// Load mode (-load) fires a seeded arrival trace at a target RPS into
+// an in-process Runtime and reports throughput, p50/p95/p99 sojourn
+// time and joules/request. On the default Native backend the trace is
+// paced against the wall clock:
 //
 //	hermes-bench -load -rps 100 -duration 10s -workload ticks
-//	hermes-bench -load -rps 50 -duration 30s -url http://localhost:8080 -json load.json
 //
-// With -backend sim (and no -url) the seeded trace is replayed in
-// VIRTUAL time inside the deterministic discrete-event engine: jobs
-// genuinely contend for the simulated machine, the sojourn
-// percentiles are virtual-time quantities, there is no wall-clock
-// pacing at all, and two runs with the same seed emit byte-identical
-// JSON summaries:
+// With -backend sim the seeded trace is replayed in VIRTUAL time
+// inside the deterministic discrete-event engine: jobs genuinely
+// contend for the simulated machine, the sojourn percentiles are
+// virtual-time quantities, there is no wall-clock pacing at all, and
+// two runs with the same seed emit byte-identical JSON summaries:
 //
 //	hermes-bench -load -backend sim -rps 150 -duration 2s -seed 7 -json sim-load.json
+//
+// Both backends render their summary from the sweep's one fold. Load
+// against a live hermes-serve is the benchmark module's serve_http
+// workload.
 //
 // Sweep mode (-sweep) generalizes the virtual-time replay into the
 // full open-system evaluation: a (workload × tempo-mode × rate) grid,
@@ -44,6 +47,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -79,7 +83,6 @@ func main() {
 			"load/sweep: preemption quantum under ranked dispatch (0 = jobs run to completion)")
 		rps      = flag.Float64("rps", 100, "load: target arrival rate, requests/second")
 		duration = flag.Duration("duration", 10*time.Second, "load/sweep: arrival window")
-		url      = flag.String("url", "", "load: hermes-serve base URL (empty = in-process Runtime)")
 		kind     = flag.String("workload", "ticks",
 			"load/sweep: workload kind ("+strings.Join(workload.Names(), ", ")+")")
 		traceName = flag.String("trace", "",
@@ -88,16 +91,17 @@ func main() {
 		grain    = flag.Int("grain", 0, "load/sweep: task granularity (0 = workload default)")
 		work     = flag.Int64("work", 0, "load/sweep: cycles per unit (0 = workload default)")
 		memfrac  = flag.Float64("memfrac", 0, "load/sweep: memory-bound fraction of work")
-		backend  = flag.String("backend", "native", "load in-process: backend (native or sim)")
-		mode     = flag.String("mode", "unified", "load in-process: tempo mode")
-		workers  = flag.Int("workers", 0, "load in-process/sweep: worker count (0 = default)")
-		buffer   = flag.Int("buffer", 1<<16, "load in-process: async observer buffer size")
+		backend  = flag.String("backend", "native", "load: backend (native or sim)")
+		mode     = flag.String("mode", "unified", "load: tempo mode")
+		workers  = flag.Int("workers", 0, "load/sweep: worker count (0 = default)")
 		seed     = flag.Int64("seed", 1, "load/sweep: arrival-process seed")
 		jsonPath = flag.String("json", "", "load/sweep: write the JSON summary to this path")
 	)
 	flag.Parse()
 
-	if err := checkModes(*load, *sweepMode, flag.Args()); err != nil {
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkModes(*load, *sweepMode, set, flag.Args()); err != nil {
 		fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -135,7 +139,6 @@ func main() {
 
 	if *load {
 		sum, err := runLoad(loadOpts{
-			URL:      *url,
 			RPS:      *rps,
 			Duration: *duration,
 			Spec: workload.Spec{
@@ -147,7 +150,6 @@ func main() {
 			Backend:        *backend,
 			Mode:           *mode,
 			Workers:        *workers,
-			Buffer:         *buffer,
 			Dispatch:       *dispatch,
 			PreemptQuantum: *quantum,
 			Verbose:        *verbose,
@@ -204,16 +206,42 @@ func main() {
 	}
 }
 
+// loadSweepFlags are the flags -load and -sweep share: the workload,
+// its arrival trace and the runtime's shape.
+const loadSweepFlags = "workload n grain work memfrac trace duration seed workers json dispatch quantum v"
+
+// modeFlags lists, per mode, every flag the mode reads.
+var modeFlags = map[string]string{
+	"figure": "fig quick scale trials csv v",
+	"-load":  "load rps backend mode " + loadSweepFlags,
+	"-sweep": "sweep rates modes machines placement faults kneefactor trials csv " + loadSweepFlags,
+}
+
 // checkModes rejects a command line that names more than one mode
-// (figures is the mode with neither flag) or carries positional
-// arguments: flag parsing stops at the first one, so "fig 6" would
-// otherwise drop the number and regenerate every figure.
-func checkModes(load, sweep bool, args []string) error {
+// (figures is the mode with neither flag), sets a flag the chosen mode
+// does not read (it would be silently ignored: -load -machines 3 would
+// run one machine), or carries positional arguments: flag parsing stops
+// at the first one, so "fig 6" would otherwise drop the number and
+// regenerate every figure. set holds the names of the flags given on
+// the command line.
+func checkModes(load, sweep bool, set, args []string) error {
 	if load && sweep {
 		return errors.New("-load and -sweep are separate modes; pass one")
 	}
 	if len(args) > 0 {
 		return fmt.Errorf("unexpected argument %q (flags start with a dash, e.g. -fig 6)", args[0])
+	}
+	mode := "figure"
+	if load {
+		mode = "-load"
+	} else if sweep {
+		mode = "-sweep"
+	}
+	reads := strings.Fields(modeFlags[mode])
+	for _, name := range set {
+		if !slices.Contains(reads, name) {
+			return fmt.Errorf("-%s does not apply to %s mode", name, mode)
+		}
 	}
 	return nil
 }

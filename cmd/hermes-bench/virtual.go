@@ -20,13 +20,9 @@ import (
 // artifact rather than a wall-clock experiment.
 //
 // It is a thin wrapper over the sweep point-runner (one workload, one
-// mode, one rate), so the shared measurement semantics apply here too:
-// peak in-flight counts jobs from arrival to completion (queued jobs
-// included, like the wall-clock generator), percentiles keep full
-// virtual-time resolution, the Runtime is closed exactly once with its
-// error surfaced, and dropped-event accounting appears in the summary
-// (always 0 here — the point-runner observes synchronously through
-// per-job reports, nothing can drop).
+// mode, one rate), rendered through the same summarize as the Native
+// wall-clock run. Dropped events are always 0 here: the point-runner
+// observes synchronously through per-job reports, nothing can drop.
 func runVirtualLoad(opts loadOpts, mode hermes.Mode, dispatch hermes.Dispatch) (loadSummary, error) {
 	pcfg := sweep.PointConfig{
 		Workload:       opts.Spec,
@@ -47,8 +43,17 @@ func runVirtualLoad(opts loadOpts, mode hermes.Mode, dispatch hermes.Dispatch) (
 	if err != nil {
 		return loadSummary{}, err
 	}
+	return summarize(opts, "in-process/sim-virtual", dispatch, pt), nil
+}
+
+// summarize renders one measured point as the load summary, for either
+// backend. Peak in-flight counts jobs from arrival to completion,
+// queued jobs included. A mixed trace carries the point's per-class
+// rows through; single-class traces leave Classes nil and keep their
+// pre-class JSON bytes.
+func summarize(opts loadOpts, target string, dispatch hermes.Dispatch, pt sweep.Point) loadSummary {
 	sum := loadSummary{
-		Target:           "in-process/sim-virtual",
+		Target:           target,
 		Workload:         opts.Spec,
 		Trace:            trace.Canonical(opts.Trace),
 		Dispatch:         sweep.CanonicalDispatch(dispatch),
@@ -66,9 +71,6 @@ func runVirtualLoad(opts loadOpts, mode hermes.Mode, dispatch hermes.Dispatch) (
 		JoulesPerRequest: pt.JoulesPerRequest,
 		DroppedEvents:    pt.DroppedEvents,
 	}
-	// A mixed trace carries the point-runner's per-class rows through
-	// to the summary; single-class traces leave Classes nil and keep
-	// their pre-class JSON bytes.
 	for _, c := range pt.Classes {
 		sum.Classes = append(sum.Classes, classSummary{
 			Tenant:           c.Tenant,
@@ -84,7 +86,7 @@ func runVirtualLoad(opts loadOpts, mode hermes.Mode, dispatch hermes.Dispatch) (
 			JoulesPerRequest: c.JoulesPerRequest,
 		})
 	}
-	return sum, nil
+	return sum
 }
 
 // parseLoadModes splits a comma-separated tempo-mode list through the

@@ -521,8 +521,8 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // ParseText extracts series values from a Prometheus text exposition —
-// the minimal reader the load generator uses to diff /metrics scrapes
-// without a client dependency. Unlabeled series map under their bare
+// the minimal reader the benchmark's serve_http client uses to diff
+// /metrics scrapes without a client dependency. Unlabeled series map under their bare
 // name. Labeled series map under the full "name{labels}" string AND
 // fold (sum) into the bare name, so readers of the formerly-unlabeled
 // totals — hermes_job_latency_seconds_count, the per-kind submission

@@ -42,9 +42,7 @@ type Span struct {
 // the system, counting each job from its arrival to its completion —
 // not merely while executing — so queued-but-unstarted jobs deepen the
 // measurement exactly as they deepen the system. An arrival and a
-// completion at the same instant count the arrival first, matching the
-// wall-clock generator, whose gauge increments at submission before
-// any same-moment completion decrements it.
+// completion at the same instant count the arrival first.
 func PeakInflight(spans []Span) int64 {
 	type edge struct {
 		t units.Time
@@ -244,15 +242,17 @@ func (g grid) machinePoint(mode hermes.Mode, rps float64) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	return Point{
-		OfferedRPS:       rps,
-		latency:          f.latency(),
-		JoulesPerRequest: f.perCompleted(f.jobJoules),
-		AvgPowerW:        f.avgPowerW(),
-		StealsPerRequest: f.perCompleted(float64(f.steals)),
-		Tiers:            f.tiers(),
-		Classes:          f.classPoints(),
-	}, nil
+	return f.machinePoint(rps), nil
+}
+
+// Fold renders one trial run outside the simulator — the wall-clock
+// load generator's Native run — as a Point: its arrivals, offsets from
+// the run's start, and each one's report or error, in trace order.
+// There is no machine ledger, so AvgPowerW is 0 and Tiers is nil.
+func Fold(rps float64, arrivals []hermes.Arrival, reports []hermes.Report, errs []error) Point {
+	f := newFold(0)
+	f.add(trialOut{arrivals: arrivals, reports: reports, errs: errs})
+	return f.machinePoint(rps)
 }
 
 // Config describes a whole sweep: the grid plus shared run shape.

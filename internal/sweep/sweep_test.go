@@ -216,6 +216,32 @@ func TestPeakInflightTieAndNesting(t *testing.T) {
 	}
 }
 
+// TestPctMS pins the nearest-rank percentile every artifact and both
+// load backends report: whole ranks of 1..100 ms, 0 for no samples,
+// and sub-millisecond sojourns at full resolution instead of truncated
+// through whole microseconds.
+func TestPctMS(t *testing.T) {
+	var sorted []units.Time
+	for i := 1; i <= 100; i++ {
+		sorted = append(sorted, units.Time(i)*units.Millisecond)
+	}
+	for _, c := range []struct{ p, want float64 }{{0.50, 50}, {0.95, 95}, {0.99, 99}, {1, 100}} {
+		if got := pctMS(sorted, c.p); got != c.want {
+			t.Errorf("p%.0f = %gms, want %gms", c.p*100, got, c.want)
+		}
+	}
+	if got := pctMS(nil, 0.5); got != 0 {
+		t.Errorf("empty percentile = %g, want 0", got)
+	}
+	sub := []units.Time{1500 * units.Nanosecond, 2750 * units.Nanosecond}
+	if got := pctMS(sub, 0.5); got != 0.0015 {
+		t.Errorf("p50 of 1500ns = %gms, want 0.0015ms", got)
+	}
+	if got := pctMS(sub, 1); got != 0.00275 {
+		t.Errorf("max of 2750ns = %gms, want 0.00275ms", got)
+	}
+}
+
 // TestPeakInflightCountsQueuedJobs is the regression pin for the
 // in-flight-depth bugfix: under a queueing-heavy trace (one worker,
 // offered load far above capacity) the measured depth must count jobs
@@ -257,11 +283,14 @@ func TestPeakInflightCountsQueuedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var spans []Span
+	reports := make([]hermes.Report, len(jobs))
+	errs := make([]error, len(jobs))
 	for i, j := range jobs {
 		rep, err := j.Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
+		reports[i] = rep
 		spans = append(spans, Span{Arrive: arrivals[i].At, Done: arrivals[i].At + rep.Sojourn})
 	}
 	if err := rt.Close(); err != nil {
@@ -270,6 +299,17 @@ func TestPeakInflightCountsQueuedJobs(t *testing.T) {
 	want := PeakInflight(spans)
 	if pt.PeakInflight != want {
 		t.Fatalf("point peak in-flight %d != brute-force arrival→completion depth %d", pt.PeakInflight, want)
+	}
+	// Fold, the wall-clock load path's renderer, gives the same reports
+	// the same latency, energy and steals as the point-runner; only the
+	// machine ledger it never sees is missing.
+	fp := Fold(cfg.RPS, arrivals, reports, errs)
+	if fp.latency != pt.latency || fp.JoulesPerRequest != pt.JoulesPerRequest ||
+		fp.StealsPerRequest != pt.StealsPerRequest || fp.OfferedRPS != pt.OfferedRPS {
+		t.Fatalf("Fold of the point's reports:\n%+v\nwant\n%+v", fp, pt)
+	}
+	if fp.AvgPowerW != 0 || fp.Tiers != nil {
+		t.Fatalf("Fold rendered a machine ledger it was not given: %+v", fp)
 	}
 	// Under ~100 arrivals in the window against a single worker whose
 	// service time alone exceeds the interarrival gap 5×, the backlog

@@ -247,8 +247,7 @@ func newFold(machines int) *fold {
 
 // add pools one trial. A failed job occupied the system from arrival
 // until it failed (its partial report still carries the real sojourn),
-// so it counts toward in-flight depth and the makespan exactly as the
-// wall-clock generator's gauge counts errored requests — only the
+// so it counts toward in-flight depth and the makespan — only the
 // latency percentiles, steals and energy stay success-only.
 func (f *fold) add(t trialOut) {
 	f.trials++
@@ -345,6 +344,19 @@ func (f *fold) perCompleted(total float64) float64 {
 	return total / float64(f.completed())
 }
 
+// machinePoint renders the fold as one single-machine Point.
+func (f *fold) machinePoint(rps float64) Point {
+	return Point{
+		OfferedRPS:       rps,
+		latency:          f.latency(),
+		JoulesPerRequest: f.perCompleted(f.jobJoules),
+		AvgPowerW:        f.avgPowerW(),
+		StealsPerRequest: f.perCompleted(float64(f.steals)),
+		Tiers:            f.tiers(),
+		Classes:          f.classPoints(),
+	}
+}
+
 // avgPowerW is the fleet's energy over its elapsed virtual time, both
 // summed over trials.
 func (f *fold) avgPowerW() float64 {
@@ -398,13 +410,13 @@ func (f *fold) tiers() []Tier {
 }
 
 // classPoints renders the pooled per-class accumulators as artifact
-// rows in ClassOrder — deterministic for a fixed config. Nil for
+// rows in classOrder — deterministic for a fixed config. Nil for
 // unclassed traces, so the Classes fields stay omitted from JSON.
 func (f *fold) classPoints() []ClassPoint {
 	if len(f.classes) == 0 {
 		return nil
 	}
-	keys := ClassOrder(f.classes)
+	keys := classOrder(f.classes)
 	out := make([]ClassPoint, 0, len(keys))
 	for _, c := range keys {
 		acc := f.classes[c]
@@ -436,10 +448,10 @@ func (f *fold) classPoints() []ClassPoint {
 	return out
 }
 
-// ClassOrder returns the keys of a per-class map in the order every
+// classOrder returns the pooled classes in the order every
 // per-class artifact lists them: highest priority first, then tenant,
 // deadline and SLO target ascending.
-func ClassOrder[V any](classes map[hermes.Class]V) []hermes.Class {
+func classOrder(classes map[hermes.Class]*classAcc) []hermes.Class {
 	keys := make([]hermes.Class, 0, len(classes))
 	for c := range classes {
 		keys = append(keys, c)
@@ -465,13 +477,13 @@ func sortTimes(ts []units.Time) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
 }
 
-// NearestRank returns the index of the p-quantile (0..1) among n sorted
+// nearestRank returns the index of the p-quantile (0..1) among n sorted
 // samples by the nearest-rank method, clamped to [0, n-1]; n must be
 // positive. It is the one percentile rule behind every sweep artifact
-// and the load generator's summaries. (metrics.Hist.Quantile
+// and both of the load generator's backends. (metrics.Hist.Quantile
 // interpolates inside histogram buckets: a different algorithm for data
 // that keeps no samples.)
-func NearestRank(n int, p float64) int {
+func nearestRank(n int, p float64) int {
 	return min(max(int(p*float64(n)+0.5)-1, 0), n-1)
 }
 
@@ -482,5 +494,5 @@ func pctMS(sorted []units.Time, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	return float64(sorted[NearestRank(len(sorted), p)]) / float64(units.Millisecond)
+	return float64(sorted[nearestRank(len(sorted), p)]) / float64(units.Millisecond)
 }

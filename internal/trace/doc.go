@@ -12,8 +12,8 @@
 //
 //   - poisson: exponential interarrivals at the target rate, size 1.
 //     The default, stream-compatible with the generator the sweep and
-//     the wall-clock load generator historically shared only through
-//     a duplicated salt constant.
+//     the load generator historically shared only through a duplicated
+//     salt constant.
 //   - mmpp: a two-state Markov-modulated Poisson process — bursts at
 //     3× the target rate alternating with lulls at ⅓ of it, mean rate
 //     equal to the target. The bursty shape tail-latency scheduling

@@ -217,18 +217,6 @@ func MixLCClass() hermes.Class {
 	return hermes.Class{Tenant: "lc", Priority: 1, Deadline: MixLCDeadline, SLOTarget: MixLCSLO}
 }
 
-// Mixed reports whether any point in pts carries a non-zero service
-// class — i.e. whether the trace came from a mixed process and
-// per-class breakouts are meaningful.
-func Mixed(pts []Point) bool {
-	for _, pt := range pts {
-		if !pt.Class.IsZero() {
-			return true
-		}
-	}
-	return false
-}
-
 // MMPP shape: the high state bursts at 3× the target rate, the low
 // state idles at ⅓ of it, and dwell times are chosen so the process
 // spends ¼ of its time high — the stationary mean rate is exactly the
