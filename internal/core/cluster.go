@@ -249,7 +249,7 @@ type Cluster struct {
 	// reports.
 	completed int64
 	fleetAt   units.Time
-	fleetSnap []poolSnap
+	fleetSnap []Ledger
 
 	// Submission side: the bridge from caller goroutines to the engine
 	// goroutine.
@@ -318,7 +318,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		views:     make([]queueView, cfg.Machines),
 		placed:    make([]int64, cfg.Machines),
 		migrated:  make([]int64, cfg.Machines),
-		fleetSnap: make([]poolSnap, cfg.Machines),
+		fleetSnap: make([]Ledger, cfg.Machines),
 		msgs:      make(chan poolMsg, 64),
 		dead:      make(chan struct{}),
 	}
@@ -337,7 +337,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		s := newSched(c.eng, mcfg)
 		s.mid = m
 		s.tag = fmt.Sprintf("m%d/", m)
-		s.onJobDone = func(end poolSnap) { c.machineJobDone(m, end) }
+		s.onJobDone = func(end *Ledger) { c.machineJobDone(m, end) }
 		if len(cfg.Faults) > 0 {
 			s.onEvicted = c.requeue
 		}
@@ -554,9 +554,9 @@ func (c *Cluster) Stats() ClusterStats {
 	if c.fleetDown != nil {
 		st.Downtime = append([]units.Time(nil), c.fleetDown...)
 	}
-	for m, snap := range c.fleetSnap {
-		st.Machines[m] = snap.machineStats(c.fleetAt)
-		st.EnergyJ += snap.joules
+	for m := range c.fleetSnap {
+		st.Machines[m] = c.fleetSnap[m].machineStats(c.fleetAt, c.ms[m].cfg.Freqs)
+		st.EnergyJ += c.fleetSnap[m].Joules
 	}
 	return st
 }
@@ -747,24 +747,32 @@ func (c *Cluster) place(j *jobRun) {
 }
 
 // machineJobDone is every machine's completion hook: maintain the
-// idle index, and freeze the fleet-wide snapshot at this completion's
-// virtual instant — across ALL machines, idle ones included, so the
-// final snapshot (the one Stats reports) charges every machine's draw
-// through the same deterministic window, not through the
-// wall-clock-racy shutdown time. end is the snapshot machine m's
-// jobDone just took; the other machines are snapshotted here.
-func (c *Cluster) machineJobDone(m int, end poolSnap) {
+// idle index and freeze the fleet at this completion's instant.
+func (c *Cluster) machineJobDone(m int, end *Ledger) {
 	c.completed++
 	if len(c.ms[m].pool.active) == 0 && !c.ms[m].dead {
 		c.idle.push(m)
 	}
+	c.freezeFleet(m, end)
+	if c.stop && c.arrivals.Len() == 0 && c.totalActive() == 0 {
+		c.wakeIntake()
+	}
+}
+
+// freezeFleet copies every machine's ledger into the fleet snapshot at
+// the current virtual instant — idle machines included, so the final
+// snapshot (the one Stats reports) charges every machine's draw through
+// the same deterministic window, not through the wall-clock-racy
+// shutdown time. end is the copy machine m's jobDone just took; the
+// other machines are copied here, into reused buffers.
+func (c *Cluster) freezeFleet(m int, end *Ledger) {
 	c.fleetAt = c.eng.Now()
 	for i, s := range c.ms {
 		if i == m {
-			c.fleetSnap[i] = end
+			c.fleetSnap[i].CopyFrom(end)
 		} else {
 			s.touch()
-			c.fleetSnap[i] = s.poolSnapNow()
+			s.snapInto(&c.fleetSnap[i])
 		}
 		if c.fleetDown != nil {
 			d := s.downTotal
@@ -773,9 +781,6 @@ func (c *Cluster) machineJobDone(m int, end poolSnap) {
 			}
 			c.fleetDown[i] = d
 		}
-	}
-	if c.stop && c.arrivals.Len() == 0 && c.totalActive() == 0 {
-		c.wakeIntake()
 	}
 }
 

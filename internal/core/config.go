@@ -146,6 +146,9 @@ func (c Config) Validate() (Config, error) {
 	if len(c.Freqs) == 0 {
 		c.Freqs = DefaultFreqs(c.Spec)
 	}
+	if len(c.Freqs) > MaxFreqs {
+		return c, fmt.Errorf("core: at most %d tempo frequencies supported, got %d", MaxFreqs, len(c.Freqs))
+	}
 	for i, f := range c.Freqs {
 		if !c.Spec.Supports(f) {
 			return c, fmt.Errorf("core: %s does not support tempo frequency %v", c.Spec.Name, f)

@@ -110,7 +110,9 @@ type jobRun struct {
 
 	tasks, spawns, steals int64
 	energyJ               float64 // exact interval-partitioned share of machine joules
-	snap                  poolSnap
+	// snap is the machine's ledger at delivery, from the machine's
+	// spare list; jobDone returns it there.
+	snap *Ledger
 }
 
 // fail records the job's first task panic; the rest of the job drains
@@ -127,45 +129,6 @@ func (j *jobRun) finish(rep Report, err error) {
 		j.done = nil
 		done(rep, err)
 	}
-}
-
-// poolSnap is a consistent copy of one machine's accumulators, taken
-// at job arrival and completion; a job's report is the delta.
-type poolSnap struct {
-	joules                 float64
-	busy, spin, idle, slow units.Time
-	freqBusy               map[units.Freq]units.Time
-	perWorker              []WorkerStats
-	tasks, spawns, steals  int64
-	failedSteals           int64
-	tempoSwitches          int64
-	dvfsCommits            int64
-	parks                  int64
-}
-
-// machineStats renders the snapshot, taken at virtual time at, as the
-// exported aggregate.
-func (snap poolSnap) machineStats(at units.Time) MachineStats {
-	ms := MachineStats{
-		Elapsed:       at,
-		EnergyJ:       snap.joules,
-		Busy:          snap.busy,
-		Spin:          snap.spin,
-		Idle:          snap.idle,
-		SlowBusy:      snap.slow,
-		FreqBusy:      make(map[units.Freq]units.Time, len(snap.freqBusy)),
-		Tasks:         snap.tasks,
-		Spawns:        snap.spawns,
-		Steals:        snap.steals,
-		FailedSteals:  snap.failedSteals,
-		TempoSwitches: snap.tempoSwitches,
-		DVFSCommits:   snap.dvfsCommits,
-		Parks:         snap.parks,
-	}
-	for f, t := range snap.freqBusy {
-		ms.FreqBusy[f] = t
-	}
-	return ms
 }
 
 // poolRun is one machine's job-stream state; only the engine goroutine
@@ -205,7 +168,10 @@ func (p *poolRun) dropActive(j *jobRun) {
 func (s *sched) deliver(j *jobRun) {
 	now := s.eng.Now()
 	s.touch()
-	j.snap = s.poolSnapNow()
+	if j.snap == nil {
+		j.snap = s.spareLedger()
+	}
+	s.snapInto(j.snap)
 	if !j.delivered {
 		j.delivered = true
 		j.arriveAt = now
@@ -263,8 +229,10 @@ func (s *sched) jobDone(j *jobRun) {
 		return
 	}
 	now := s.eng.Now()
-	end := s.poolSnapNow()
-	rep := s.buildJobReport(j, now, end)
+	s.snapInto(&s.end)
+	rep := s.buildJobReport(j, now, &s.end)
+	s.spare = append(s.spare, j.snap)
+	j.snap = nil
 	s.pool.dropActive(j)
 	s.emit(obs.Event{Kind: obs.JobDone, Job: j.id, Time: now, Worker: -1, Victim: -1,
 		Energy: rep.EnergyJ, Sojourn: now - j.arriveAt})
@@ -277,7 +245,7 @@ func (s *sched) jobDone(j *jobRun) {
 	}
 	j.finish(rep, err)
 	s.trimSamples()
-	s.onJobDone(end)
+	s.onJobDone(&s.end)
 }
 
 // poolShutdown ends the simulation: every process observes done and
@@ -292,37 +260,13 @@ func (s *sched) poolShutdown() {
 	s.profProc.Wake()
 }
 
-// poolSnapNow copies the machine-wide accumulators; callers touch()
-// first.
-func (s *sched) poolSnapNow() poolSnap {
-	snap := poolSnap{
-		joules:        s.met.Energy(),
-		busy:          s.busy,
-		spin:          s.spin,
-		idle:          s.idle,
-		slow:          s.slowBusy,
-		freqBusy:      make(map[units.Freq]units.Time, len(s.freqBusy)),
-		perWorker:     make([]WorkerStats, len(s.perWorker)),
-		tasks:         s.tasks,
-		spawns:        s.spawns,
-		steals:        s.steals,
-		failedSteals:  s.failedSteals,
-		tempoSwitches: s.tempoSwitches,
-		dvfsCommits:   s.dvfsCommitCount,
-		parks:         s.parks,
-	}
-	for f, t := range s.freqBusy {
-		snap.freqBusy[f] = t
-	}
-	copy(snap.perWorker, s.perWorker)
-	return snap
-}
-
-// buildJobReport renders a job's report as the machine delta over its
-// sojourn window [arrival, completion]. Tasks, Spawns and Steals are
-// exact per-job attributions; counts the machine cannot attribute to
-// one job (failed steals, tempo switches, residency) cover everything
-// that happened during the window, concurrent neighbours included.
+// buildJobReport renders a job's report as the machine ledger's delta
+// (Ledger.Since) over [delivery, completion]: the sojourn window, or
+// its final placement's part of it after a retry or a gossip move.
+// Tasks, Spawns and Steals are exact per-job attributions; counts the
+// machine cannot attribute to one job (failed steals, tempo switches,
+// residency) cover everything that happened during the window,
+// concurrent neighbours included.
 // Energy is the exact interval partition accumulated by touch():
 // worker-time weighted like the Native backend, but integrated per
 // interval, so the sum over concurrent jobs equals the machine's
@@ -330,7 +274,7 @@ func (s *sched) poolSnapNow() poolSnap {
 // double counting however the jobs' windows overlap, and less than
 // the machine's joules over the window, for a job alone too (see
 // touch). Run overwrites the four energy fields with the machine's.
-func (s *sched) buildJobReport(j *jobRun, now units.Time, end poolSnap) Report {
+func (s *sched) buildJobReport(j *jobRun, now units.Time, end *Ledger) Report {
 	var span units.Time
 	if j.started {
 		span = now - j.startAt
@@ -343,54 +287,36 @@ func (s *sched) buildJobReport(j *jobRun, now units.Time, end poolSnap) Report {
 			samples = append(samples, smp)
 		}
 	}
-	r := Report{
-		System:        s.cfg.Spec.Name,
-		Workers:       s.cfg.Workers,
-		Mode:          s.cfg.Mode,
-		Sched:         s.cfg.Scheduling,
-		Class:         j.class,
-		Span:          span,
-		Sojourn:       sojourn,
-		EnergyJ:       energy,
-		MeterJ:        energy, // the DAQ meters the machine, not one job
-		EDP:           meter.EDP(energy, span),
-		Samples:       samples,
-		Tasks:         j.tasks,
-		Spawns:        j.spawns,
-		Steals:        j.steals,
-		FailedSteals:  end.failedSteals - j.snap.failedSteals,
-		TempoSwitches: end.tempoSwitches - j.snap.tempoSwitches,
-		DVFSCommits:   end.dvfsCommits - j.snap.dvfsCommits,
-		Parks:         end.parks - j.snap.parks,
-		BusyTime:      end.busy - j.snap.busy,
-		SpinTime:      end.spin - j.snap.spin,
-		IdleTime:      end.idle - j.snap.idle,
-		SlowBusyTime:  end.slow - j.snap.slow,
-		FreqBusy:      map[units.Freq]units.Time{},
-		PerWorker:     make([]WorkerStats, len(end.perWorker)),
-		Retries:       j.retries,
-		Placements:    append([]int(nil), j.placements...),
-	}
+	r := end.Since(j.snap, s.cfg.Freqs)
+	r.System, r.Workers, r.Mode, r.Sched, r.Class = s.cfg.Spec.Name, s.cfg.Workers, s.cfg.Mode, s.cfg.Scheduling, j.class
+	r.Span, r.Sojourn, r.Samples = span, sojourn, samples
+	r.EnergyJ = energy
+	r.MeterJ = energy // the DAQ meters the machine, not one job
+	r.EDP = meter.EDP(energy, span)
+	r.Tasks, r.Spawns, r.Steals = j.tasks, j.spawns, j.steals
+	r.Retries, r.Placements = j.retries, append([]int(nil), j.placements...)
 	if sojourn > 0 {
 		r.AvgPowerW = energy / sojourn.Seconds()
 	}
-	for f, t := range end.freqBusy {
-		if d := t - j.snap.freqBusy[f]; d > 0 {
-			r.FreqBusy[f] = d
-		}
-	}
-	for i := range end.perWorker {
-		a, b := j.snap.perWorker[i], end.perWorker[i]
-		r.PerWorker[i] = WorkerStats{
-			Busy:     b.Busy - a.Busy,
-			SlowBusy: b.SlowBusy - a.SlowBusy,
-			Spin:     b.Spin - a.Spin,
-			SlowSpin: b.SlowSpin - a.SlowSpin,
-			Idle:     b.Idle - a.Idle,
-			Steals:   b.Steals - a.Steals,
-		}
-	}
 	return r
+}
+
+// snapInto copies the machine's ledger into dst, reusing dst's buffer;
+// callers touch() first.
+func (s *sched) snapInto(dst *Ledger) {
+	dst.CopyFrom(&s.led)
+	dst.Joules = s.met.Energy()
+}
+
+// spareLedger hands out a ledger buffer for a job's delivery copy.
+func (s *sched) spareLedger() *Ledger {
+	n := len(s.spare)
+	if n == 0 {
+		return new(Ledger)
+	}
+	l := s.spare[n-1]
+	s.spare = s.spare[:n-1]
+	return l
 }
 
 // trimSamples discards 100 Hz meter samples that precede every active

@@ -67,7 +67,11 @@ type Report struct {
 	Retries    int64
 	Placements []int
 
-	// Residency, summed over worker cores.
+	// Residency, summed over worker cores, over the job's window on
+	// its machine: from delivery to completion. A retried or
+	// gossip-migrated job's residency covers its final placement, from
+	// re-delivery, while Sojourn covers its whole stay; a job placed
+	// once covers Workers × Sojourn exactly.
 	BusyTime units.Time
 	SpinTime units.Time
 	IdleTime units.Time

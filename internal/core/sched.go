@@ -38,7 +38,7 @@ type sched struct {
 	// snapshot that completion took — the cluster's hook for
 	// idle-machine tracking and the fleet-wide stats snapshot, frozen at
 	// the deterministic virtual instant of each completion.
-	onJobDone func(end poolSnap)
+	onJobDone func(end *Ledger)
 	// onEvicted, if non-nil, receives each job whose drain finished
 	// after a crash evicted it — the cluster's re-placement hook. Set
 	// only when fault injection is configured.
@@ -61,16 +61,17 @@ type sched struct {
 	dvfsProc    *sim.Proc
 	profProc    *sim.Proc
 
-	// statistics (single-threaded in the DES; plain ints)
-	tasks, spawns, steals, failedSteals int64
-	tempoSwitches, parks                int64
-	dvfsCommitCount                     int64
-	rerates                             int64 // CPU slices cut short by a clock change
-	emittedSamples                      int
-	lastTouch                           units.Time
-	busy, spin, idle, slowBusy          units.Time
-	freqBusy                            map[units.Freq]units.Time
-	perWorker                           []WorkerStats
+	// led is the machine's ledger, credited up to lastTouch; domFi
+	// caches each clock domain's index into cfg.Freqs. end is jobDone's
+	// reused end-of-job copy, and spare holds delivery copies that
+	// completed jobs handed back.
+	led            Ledger
+	domFi          []int
+	end            Ledger
+	spare          []*Ledger
+	lastTouch      units.Time
+	rerates        int64 // CPU slices cut short by a clock change
+	emittedSamples int
 }
 
 // Run executes root to completion on a fresh simulated machine and
@@ -93,8 +94,8 @@ func Run(cfg Config, root wl.Task) Report {
 		rep, err = r, e
 		rep.MeterJ = s.met.MeterEnergy() // before jobDone trims the samples
 	}}
-	s.onJobDone = func(end poolSnap) {
-		rep.EnergyJ = end.joules
+	s.onJobDone = func(end *Ledger) {
+		rep.EnergyJ = end.Joules
 		driver.Wake()
 	}
 	driver = s.eng.Go("run", func(p *sim.Proc) {
@@ -126,14 +127,14 @@ func newSched(eng *sim.Engine, cfg Config) *sched {
 		eng:         eng,
 		mach:        cpu.NewMachine(cfg.Spec),
 		byCore:      map[*cpu.Core]*worker{},
-		freqBusy:    map[units.Freq]units.Time{},
 		dvfsCommits: make([]units.Time, cfg.Spec.Domains()),
+		domFi:       make([]int, cfg.Spec.Domains()),
 	}
 	s.model = power.NewModel(cfg.Spec)
 	s.met = meter.New(s.model, s.mach)
 	s.tempo = tempo.NewPolicy(cfg.Workers, cfg.K, cfg.InitialAvgDeque, cfg.MaxTempoLevels, cfg.ProfileWindow, s.retune)
 
-	s.perWorker = make([]WorkerStats, cfg.Workers)
+	s.led.Workers = make([]WorkerLedger, cfg.Workers)
 	cores := s.mach.DistinctDomainCores(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		w := newWorker(s, i, cores[i])
@@ -157,54 +158,35 @@ func (s *sched) start() {
 	}
 }
 
-// touch integrates power and frequency residency up to the current
-// virtual time. It must be called before any mutation of machine
-// state (core states, domain frequencies). It also partitions the
-// interval's machine energy exactly among the jobs whose tasks held
-// busy workers through it (equal worker-time weights, the Native
-// backend's attribution rule applied per integration interval):
-// concurrent jobs split the machine's joules with no double counting,
-// idle and spinning cores' draw included. An interval in which no
-// worker is Busy inside a job's task — a top-level pop's deque cost,
-// every worker probing or parked — is attributed to nobody, so even a
-// solo job's share stays below the machine's joules over its window
-// (TestSoloJobShareBelowMachine: up to 5 % under Unified).
+// touch brings the machine up to the current virtual time: it credits
+// the interval to each worker's (state, frequency index) cell of the
+// machine's ledger — the domain's index cached by dvfsLoop at each
+// commit — and integrates the meter's joules. It must be called before
+// any mutation of machine state (core states, domain frequencies). A
+// crashed machine's interval is downtime: no residency, zero draw.
+// touch also partitions the interval's machine energy exactly among
+// the jobs whose tasks held busy workers through it (equal worker-time
+// weights, the Native backend's attribution rule applied per
+// integration interval): concurrent jobs split the machine's joules
+// with no double counting, idle and spinning cores' draw included. An
+// interval in which no worker is Busy inside a job's task — a
+// top-level pop's deque cost, every worker probing or parked — is
+// attributed to nobody, so even a solo job's share stays below the
+// machine's joules over its window (TestSoloJobShareBelowMachine: up
+// to 5 % under Unified).
 func (s *sched) touch() {
 	now := s.eng.Now()
 	served := 0
-	if now > s.lastTouch && s.dead {
-		// A crashed machine accrues no residency: the interval is
-		// downtime, not busy/spin/idle time, and the gated meter
-		// integrates it at zero watts below.
+	if s.dead {
 		s.lastTouch = now
 	}
 	if now > s.lastTouch {
 		dt := now - s.lastTouch
-		maxF := s.cfg.Spec.MaxFreq()
 		for i, w := range s.workers {
-			f := w.core.Dom.Freq()
-			pw := &s.perWorker[i]
-			switch w.core.State {
-			case cpu.Busy:
-				s.busy += dt
-				s.freqBusy[f] += dt
-				pw.Busy += dt
-				if f != maxF {
-					s.slowBusy += dt
-					pw.SlowBusy += dt
-				}
-				if w.curJob != nil {
-					served++
-				}
-			case cpu.Spin:
-				s.spin += dt
-				pw.Spin += dt
-				if f != maxF {
-					pw.SlowSpin += dt
-				}
-			case cpu.IdleHalt:
-				s.idle += dt
-				pw.Idle += dt
+			st := w.core.State
+			s.led.Workers[i].Res[st-1][s.domFi[w.core.Dom.ID]] += dt
+			if st == cpu.Busy && w.curJob != nil {
+				served++
 			}
 		}
 		s.lastTouch = now
@@ -283,7 +265,7 @@ func (s *sched) retune(i, level int) {
 	if w.core.Req == f && !s.pendingDiffers(w, f) {
 		return
 	}
-	s.tempoSwitches++
+	s.led.TempoSwitches++
 	s.emit(obs.Event{Kind: obs.TempoSwitch, Time: s.eng.Now(), Worker: w.id, Victim: -1, Freq: f})
 	changed, at := s.mach.Request(w.core, f, s.eng.Now())
 	dom := w.core.Dom
@@ -329,7 +311,12 @@ func (s *sched) dvfsLoop(p *sim.Proc) {
 			d := s.mach.Domains[id]
 			s.touch()
 			if d.Commit(now) {
-				s.dvfsCommitCount++
+				s.led.DVFSCommits++
+				for fi, f := range s.cfg.Freqs {
+					if f == d.Freq() {
+						s.domFi[id] = fi
+					}
+				}
 				s.emit(obs.Event{Kind: obs.DVFSCommit, Time: s.eng.Now(), Worker: -1, Victim: -1, Freq: d.Freq()})
 				s.onFreqChange(d)
 			}

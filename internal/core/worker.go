@@ -191,7 +191,7 @@ func (w *worker) popLocal() (*task, bool) {
 // push places a spawned task on the worker's own tail (Figure 5
 // PUSH): deque op cost, then the workload-sensitive growth check.
 func (w *worker) push(t *task) {
-	w.s.spawns++
+	w.s.led.Spawns++
 	t.job.spawns++
 	w.dq.Push(t)
 	w.proc.Sleep(w.s.cfg.PushPopCost)
@@ -221,8 +221,8 @@ func (w *worker) stealRound() (*task, bool) {
 	}
 	w.probe.got = nil
 	v := w.s.workers[w.probe.victim]
-	w.s.steals++
-	w.s.perWorker[w.id].Steals++
+	w.s.led.Steals++
+	w.s.led.Workers[w.id].Steals++
 	t.job.steals++
 	w.s.emit(obs.Event{Kind: obs.Steal, Time: w.s.eng.Now(), Worker: w.id, Victim: v.id})
 	w.s.tempo.Stole(w.id, v.id, w.dq.Size(), v.dq.Size(), w.s.cfg.Mode)
@@ -243,7 +243,7 @@ func (w *worker) stepProbe() (units.Time, bool) {
 		pr.got, _ = dq.Steal()
 		return 0, false
 	}
-	s.failedSteals++
+	s.led.FailedSteals++
 	if pr.left--; pr.left == 0 {
 		return 0, false
 	}
@@ -291,7 +291,7 @@ func (w *worker) runTask(t *task) {
 		w.proc.Sleep(2 * w.s.cfg.AffinityCost)
 	}
 	if !w.s.taskCancelled(j) {
-		w.s.tasks++
+		w.s.led.Tasks++
 		j.tasks++
 		w.runBody(t)
 	}
@@ -413,7 +413,7 @@ func (w *worker) parkOnBlock(blk *block) {
 	}
 	if blk.waiter != w {
 		blk.waiter = w
-		w.s.parks++
+		w.s.led.Parks++
 	}
 	w.setState(cpu.IdleHalt)
 	w.proc.ParkUntilWake()

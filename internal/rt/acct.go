@@ -4,20 +4,20 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"hermes/internal/core"
 	"hermes/internal/cpu"
 )
 
 // This file is the lock-free accounting spine of the Native executor.
 //
-// The old design serialized the pool: every core-state transition took
-// a global meterMu and walked all workers to integrate power piecewise
-// (O(workers) under a lock, on the task-boundary hot path). Here each
-// worker instead owns one padded accounting cell: it publishes its
+// Each worker owns one padded accounting cell: it publishes its
 // current (state, freq index, since-nanoseconds) in a single packed
 // atomic word and accumulates its own exact residency matrix —
 // nanoseconds spent in each (state, frequency) pair — locally. Nobody
 // holds a global lock, and a worker's transition touches only its own
-// cache lines.
+// cache lines. A job-boundary read (snapshot) folds the cells into a
+// core.Ledger, the same (state × frequency) ledger the simulator
+// keeps, and reports render through the same Ledger.Since.
 //
 // Because the power model is linear in per-core contributions
 // (machine watts = uncore + Σ per-core watts(state, freq), and each
@@ -25,7 +25,7 @@ import (
 // the machine's exact integrated energy falls out of the residency
 // matrix: joules = baseWatts·elapsed + Σ_w Σ_{state,freq}
 // watts[state][freq]·residency_w[state][freq]. Readers (job
-// snapshots, the 100 Hz meterLoop, Close) fold the cells on demand —
+// snapshots and the 100 Hz meterLoop) fold the cells on demand —
 // integration happens at read time, not on every transition, and is
 // still exact, not sampled.
 //
@@ -35,11 +35,6 @@ import (
 // the CAS acquisition almost always succeeds first try. Readers
 // retry until they observe a stable even sequence, making a fold a
 // consistent snapshot of word + matrix without blocking the owner.
-
-// acctFreqCap bounds the tempo-frequency set the matrix covers. Both
-// modeled systems expose 5 operating points; NewExec rejects configs
-// beyond the cap.
-const acctFreqCap = 8
 
 // packAcct packs a core state (2 bits), tempo-frequency index
 // (6 bits) and monotonic nanoseconds since executor start (56 bits —
@@ -61,8 +56,8 @@ type acct struct {
 	seq  atomic.Uint64 // seqlock: odd while a writer is inside
 	word atomic.Uint64 // packed (state, freq index, sinceNS)
 	// res is the exact residency matrix in nanoseconds, indexed
-	// (state-1)*acctFreqCap + freqIndex for states IdleHalt/Spin/Busy.
-	res [3 * acctFreqCap]atomic.Int64
+	// [state-1][freqIndex] for states IdleHalt/Spin/Busy.
+	res [3][core.MaxFreqs]atomic.Int64
 	// Per-worker scheduler counters, folded into pool totals on read:
 	// the owner (acting as worker or as thief) is the only writer, so
 	// the atomics never contend.
@@ -96,7 +91,7 @@ func (e *Exec) acctSet(a *acct, st int, fi int) {
 	now := e.nowNS()
 	ost, ofi, since := unpackAcct(a.word.Load())
 	if d := now - since; d > 0 && ost >= cpu.IdleHalt {
-		a.res[(int(ost)-1)*acctFreqCap+ofi].Add(d)
+		a.res[ost-1][ofi].Add(d)
 	}
 	nst, nfi := ost, ofi
 	if st >= 0 {
@@ -113,7 +108,7 @@ func (e *Exec) acctSet(a *acct, st int, fi int) {
 // with the in-flight interval already credited, the current (state,
 // freq), and the scheduler counters.
 type acctFold struct {
-	res [3 * acctFreqCap]int64
+	res [3][core.MaxFreqs]int64
 	st  cpu.CoreState
 	fi  int
 
@@ -133,8 +128,10 @@ func (e *Exec) foldAcct(a *acct) acctFold {
 			continue
 		}
 		word = a.word.Load()
-		for i := range f.res {
-			f.res[i] = a.res[i].Load()
+		for st := range f.res {
+			for fi := range f.res[st] {
+				f.res[st][fi] = a.res[st][fi].Load()
+			}
 		}
 		if a.seq.Load() == s {
 			break
@@ -145,7 +142,7 @@ func (e *Exec) foldAcct(a *acct) acctFold {
 	// The clock read is ordered after the word read, and writers stamp
 	// sinceNS from inside their critical section, so now >= since.
 	if d := e.nowNS() - since; d > 0 && st >= cpu.IdleHalt {
-		f.res[(int(st)-1)*acctFreqCap+fi] += d
+		f.res[st-1][fi] += d
 	}
 	f.tasks = a.tasks.Load()
 	f.spawns = a.spawns.Load()

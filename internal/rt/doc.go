@@ -23,9 +23,10 @@
 // from per-worker free lists; and accounting
 // never takes a global lock — each worker publishes its (state, freq,
 // since) in a packed atomic word and accumulates an exact per-worker
-// residency matrix (see acct.go), from which readers fold machine
-// energy on demand: at job boundaries, at the paper's 100 Hz DAQ
-// cadence in meterLoop, and on Close. Workload-tempo threshold checks
+// residency matrix (see acct.go). Readers fold the cells on demand:
+// into a core.Ledger at job boundaries, rendered by the same
+// Ledger.Since as the simulator's reports, and into machine energy at
+// the paper's 100 Hz DAQ cadence in meterLoop. Workload-tempo threshold checks
 // pre-filter through lock-free published bounds, so PUSH and POP take
 // tempoMu only when a tier crossing is actually possible.
 //

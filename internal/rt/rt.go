@@ -99,7 +99,7 @@ type jobState struct {
 	j       *job.Job
 	rootBlk *block
 	start   time.Time
-	snap    poolSnap
+	snap    core.Ledger
 	// class is the job's service class: carried into the Report (and
 	// so into per-class metrics), never scheduled on — this executor's
 	// channel intake is inherently FIFO.
@@ -142,18 +142,6 @@ func (js *jobState) taskErr() error {
 	js.failMu.Lock()
 	defer js.failMu.Unlock()
 	return js.failErr
-}
-
-// poolSnap is a consistent copy of the pool-wide accumulators, taken
-// at job start and completion; a job's report is the delta.
-type poolSnap struct {
-	joules                 float64
-	busy, spin, idle, slow units.Time
-	freqBusy               map[units.Freq]units.Time
-	perWorker              []core.WorkerStats
-	failedSteals           int64
-	tempoSwitches          int64
-	dvfsCommits            int64
 }
 
 type worker struct {
@@ -251,7 +239,7 @@ type Exec struct {
 	// draw of cores no worker occupies). Together with the per-worker
 	// residency matrices they yield the exact integrated machine
 	// energy without any global meter lock.
-	watts     [3][acctFreqCap]float64
+	watts     [3][core.MaxFreqs]float64
 	baseWatts float64
 
 	// tempoMu serializes every call into the tempo policy and the
@@ -306,9 +294,6 @@ func NewExec(cfg core.Config) (*Exec, error) {
 	}
 	if cfg.PreemptQuantum != 0 {
 		return nil, fmt.Errorf("%w: preemption quantum", ErrSimOnly)
-	}
-	if len(cfg.Freqs) > acctFreqCap {
-		return nil, fmt.Errorf("rt: at most %d tempo frequencies supported, got %d", acctFreqCap, len(cfg.Freqs))
 	}
 	// Workers are always statically pinned here; reflect that in the
 	// config (and so in every report) rather than echoing a Dynamic
@@ -524,7 +509,7 @@ func (e *Exec) watch(js *jobState) {
 	case <-js.rootBlk.done:
 	}
 	end := e.snapshot()
-	r := e.buildReport(js, end)
+	r := e.buildReport(js, &end)
 	e.active.Add(-1)
 	e.emit(obs.Event{Kind: obs.JobDone, Job: js.id, Worker: -1, Victim: -1,
 		Energy: r.EnergyJ, Sojourn: r.Sojourn})
@@ -535,58 +520,34 @@ func (e *Exec) watch(js *jobState) {
 	js.j.Finish(r, err)
 }
 
-// snapshot folds every worker's accounting cell into a consistent
-// copy of the pool accumulators: residency by state and frequency,
-// per-worker stats, and the machine's exact integrated energy. No
-// lock is taken — each cell is read through its seqlock — so
-// snapshots never stall the pool.
-func (e *Exec) snapshot() poolSnap {
-	s := poolSnap{
-		freqBusy:      map[units.Freq]units.Time{},
-		perWorker:     make([]core.WorkerStats, len(e.workers)),
-		tempoSwitches: e.tempoSwitches.Load(),
-		dvfsCommits:   e.dvfsCommits.Load(),
+// snapshot folds every worker's accounting cell into a ledger: each
+// worker's residency matrix and steals, the pool's counters and the
+// machine's exact integrated energy. No lock is taken — each cell is
+// read through its seqlock — so snapshots never stall the pool.
+func (e *Exec) snapshot() core.Ledger {
+	l := core.Ledger{
+		Workers:       make([]core.WorkerLedger, len(e.workers)),
+		TempoSwitches: e.tempoSwitches.Load(),
+		DVFSCommits:   e.dvfsCommits.Load(),
 	}
-	nf := len(e.cfg.Freqs)
 	var coreJ float64
 	for i, w := range e.workers {
 		f := e.foldAcct(&w.acct)
 		coreJ += e.cellJoules(&f)
-		pw := &s.perWorker[i]
-		for st := 0; st < 3; st++ {
-			row := st * acctFreqCap
-			for fi := 0; fi < nf; fi++ {
-				ns := f.res[row+fi]
-				if ns == 0 {
-					continue
-				}
-				dt := units.Time(ns) * units.Nanosecond
-				switch cpu.CoreState(st + 1) {
-				case cpu.Busy:
-					s.busy += dt
-					s.freqBusy[e.cfg.Freqs[fi]] += dt
-					pw.Busy += dt
-					if fi != 0 {
-						s.slow += dt
-						pw.SlowBusy += dt
-					}
-				case cpu.Spin:
-					s.spin += dt
-					pw.Spin += dt
-					if fi != 0 {
-						pw.SlowSpin += dt
-					}
-				case cpu.IdleHalt:
-					s.idle += dt
-					pw.Idle += dt
-				}
+		lw := &l.Workers[i]
+		for st := range f.res {
+			for fi, ns := range f.res[st] {
+				lw.Res[st][fi] = units.Time(ns) * units.Nanosecond
 			}
 		}
-		pw.Steals = f.steals
-		s.failedSteals += f.failedSteals
+		lw.Steals = f.steals
+		l.Tasks += f.tasks
+		l.Spawns += f.spawns
+		l.Steals += f.steals
+		l.FailedSteals += f.failedSteals
 	}
-	s.joules = coreJ + e.baseWatts*float64(e.nowNS())*1e-9
-	return s
+	l.Joules = coreJ + e.baseWatts*float64(e.nowNS())*1e-9
+	return l
 }
 
 // cellJoules integrates one folded cell's residency matrix against
@@ -595,11 +556,9 @@ func (e *Exec) snapshot() poolSnap {
 // the observer's EnergySample stream cannot drift apart.
 func (e *Exec) cellJoules(f *acctFold) float64 {
 	var j float64
-	nf := len(e.cfg.Freqs)
-	for st := 0; st < 3; st++ {
-		row := st * acctFreqCap
-		for fi := 0; fi < nf; fi++ {
-			if ns := f.res[row+fi]; ns != 0 {
+	for st := range f.res {
+		for fi, ns := range f.res[st] {
+			if ns != 0 {
 				j += e.watts[st][fi] * float64(ns) * 1e-9
 			}
 		}
@@ -632,7 +591,7 @@ func (e *Exec) powerNow() (watts, joules float64) {
 // residency attributed to this job, so concurrent jobs partition the
 // pool's energy instead of each claiming the whole machine (a job
 // running alone keeps the full draw, idle cores included).
-func (e *Exec) buildReport(js *jobState, end poolSnap) core.Report {
+func (e *Exec) buildReport(js *jobState, end *core.Ledger) core.Report {
 	now := time.Now()
 	sojourn := units.Time(now.Sub(js.start).Nanoseconds()) * units.Nanosecond
 	var span units.Time
@@ -651,58 +610,25 @@ func (e *Exec) buildReport(js *jobState, end poolSnap) core.Report {
 		steals += c.steals
 		busyNS += c.busyNS
 	}
-	machineJ := end.joules - js.snap.joules
+	r := end.Since(&js.snap, e.cfg.Freqs)
+	machineJ := end.Joules - js.snap.Joules
 	energy := machineJ
-	if poolBusy := end.busy - js.snap.busy; poolBusy > 0 {
+	if poolBusy := r.BusyTime; poolBusy > 0 {
 		jobBusy := units.Time(busyNS) * units.Nanosecond
 		if jobBusy < poolBusy {
 			energy = machineJ * float64(jobBusy) / float64(poolBusy)
 		}
 	}
-	r := core.Report{
-		System:        e.cfg.Spec.Name,
-		Workers:       e.cfg.Workers,
-		Mode:          e.modeNow(),
-		Sched:         e.cfg.Scheduling,
-		Class:         js.class,
-		Span:          span,
-		Sojourn:       sojourn,
-		EnergyJ:       energy,
-		MeterJ:        energy, // no modeled DAQ on the host
-		EDP:           meter.EDP(energy, span),
-		Tasks:         tasks,
-		Spawns:        spawns,
-		Steals:        steals,
-		FailedSteals:  end.failedSteals - js.snap.failedSteals,
-		TempoSwitches: end.tempoSwitches - js.snap.tempoSwitches,
-		DVFSCommits:   end.dvfsCommits - js.snap.dvfsCommits,
-		BusyTime:      end.busy - js.snap.busy,
-		SpinTime:      end.spin - js.snap.spin,
-		IdleTime:      end.idle - js.snap.idle,
-		SlowBusyTime:  end.slow - js.snap.slow,
-		FreqBusy:      map[units.Freq]units.Time{},
-		PerWorker:     make([]core.WorkerStats, len(end.perWorker)),
-	}
+	r.System, r.Workers, r.Mode, r.Sched, r.Class = e.cfg.Spec.Name, e.cfg.Workers, e.modeNow(), e.cfg.Scheduling, js.class
+	r.Span, r.Sojourn = span, sojourn
+	r.Tasks, r.Spawns, r.Steals = tasks, spawns, steals
+	r.EnergyJ = energy
+	r.MeterJ = energy // no modeled DAQ on the host
+	r.EDP = meter.EDP(energy, span)
 	if sojourn > 0 {
 		// Average over the job's whole stay: the delta accumulators
 		// behind the report cover [submission, completion].
 		r.AvgPowerW = energy / sojourn.Seconds()
-	}
-	for f, t := range end.freqBusy {
-		if d := t - js.snap.freqBusy[f]; d > 0 {
-			r.FreqBusy[f] = d
-		}
-	}
-	for i := range end.perWorker {
-		a, b := js.snap.perWorker[i], end.perWorker[i]
-		r.PerWorker[i] = core.WorkerStats{
-			Busy:     b.Busy - a.Busy,
-			SlowBusy: b.SlowBusy - a.SlowBusy,
-			Spin:     b.Spin - a.Spin,
-			SlowSpin: b.SlowSpin - a.SlowSpin,
-			Idle:     b.Idle - a.Idle,
-			Steals:   b.Steals - a.Steals,
-		}
 	}
 	return r
 }

@@ -391,7 +391,10 @@ func TestConcurrentJobEnergyPartition(t *testing.T) {
 	if r1.EnergyJ <= 0 || r2.EnergyJ <= 0 {
 		t.Fatalf("jobs lost their energy: %g, %g", r1.EnergyJ, r2.EnergyJ)
 	}
-	total := machineEnd.joules - machineStart.joules
+	for _, r := range []core.Report{r1, r2} {
+		checkRendered(t, r)
+	}
+	total := machineEnd.Joules - machineStart.Joules
 	sum := r1.EnergyJ + r2.EnergyJ
 	if sum > total*1.05 {
 		t.Fatalf("per-job energies double-count: sum=%.3fJ > machine total %.3fJ", sum, total)
@@ -401,6 +404,25 @@ func TestConcurrentJobEnergyPartition(t *testing.T) {
 	if r1.EnergyJ > total*0.9 || r2.EnergyJ > total*0.9 {
 		t.Fatalf("one job claimed nearly the whole machine: %.3fJ and %.3fJ of %.3fJ",
 			r1.EnergyJ, r2.EnergyJ, total)
+	}
+}
+
+// checkRendered asserts the identities of a report rendered from the
+// residency ledger: busy time summed by frequency and over workers is
+// the report's busy time, and so is slow busy time over workers.
+func checkRendered(t *testing.T, r core.Report) {
+	t.Helper()
+	var byFreq, byWorker, slowByWorker units.Time
+	for _, d := range r.FreqBusy {
+		byFreq += d
+	}
+	for _, pw := range r.PerWorker {
+		byWorker += pw.Busy
+		slowByWorker += pw.SlowBusy
+	}
+	if byFreq != r.BusyTime || byWorker != r.BusyTime || slowByWorker != r.SlowBusyTime {
+		t.Fatalf("job %v: busy %v, by frequency %v, by worker %v; slow busy %v, by worker %v",
+			r, r.BusyTime, byFreq, byWorker, r.SlowBusyTime, slowByWorker)
 	}
 }
 
@@ -429,7 +451,7 @@ func TestSoloJobKeepsFullMachineEnergy(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	total := end.joules - start.joules
+	total := end.Joules - start.Joules
 	if r.EnergyJ < total*0.80 || r.EnergyJ > total*1.01 {
 		t.Fatalf("solo job energy %.3fJ out of band vs machine %.3fJ", r.EnergyJ, total)
 	}
@@ -462,9 +484,8 @@ func TestAccountingResidencyContinuity(t *testing.T) {
 	s1 := e.snapshot()
 	t1 := e.nowNS()
 	window := units.Time(t1-t0) * units.Nanosecond
-	for i := range s1.perWorker {
-		a, b := s0.perWorker[i], s1.perWorker[i]
-		covered := (b.Busy - a.Busy) + (b.Spin - a.Spin) + (b.Idle - a.Idle)
+	for i, pw := range s1.Since(&s0, e.cfg.Freqs).PerWorker {
+		covered := pw.Busy + pw.Spin + pw.Idle
 		// The two snapshots bracket [t0, t1] loosely (each worker is
 		// folded at a slightly different instant), so allow a few
 		// percent of slack in both directions.
@@ -530,7 +551,7 @@ func TestAccountingSampledEquivalence(t *testing.T) {
 	sampled := <-done
 	end := e.snapshot()
 
-	exact := end.joules - start.joules
+	exact := end.Joules - start.Joules
 	if exact <= 0 {
 		t.Fatalf("no exact energy integrated: %g", exact)
 	}

@@ -360,6 +360,14 @@ func TestCancellationNative(t *testing.T) {
 // TestOptionAndConfigErrors checks that every former configuration
 // panic surfaces as an error through the option API.
 func TestOptionAndConfigErrors(t *testing.T) {
+	// Nine descending operating points: one more than a residency
+	// ledger's matrix covers.
+	nine := hermes.SystemB()
+	for f, mv := 1_200_000*hermes.KHz, 950; len(nine.Points) < 9; f, mv = f-200_000*hermes.KHz, mv-50 {
+		p := nine.Points[len(nine.Points)-1]
+		p.F, p.MilliVolts = f, mv
+		nine.Points = append(nine.Points, p)
+	}
 	cases := []struct {
 		name string
 		opts []hermes.Option
@@ -390,6 +398,12 @@ func TestOptionAndConfigErrors(t *testing.T) {
 			hermes.WithMode(hermes.Unified),
 			hermes.WithFreqs(3_600_000 * hermes.KHz),
 		}, "at least two frequencies"},
+		{"nine frequencies on Sim", []hermes.Option{
+			hermes.WithSpec(nine), hermes.WithFreqs(nine.Freqs()...),
+		}, "at most 8 tempo frequencies"},
+		{"nine frequencies on Native", []hermes.Option{
+			hermes.WithBackend(hermes.Native), hermes.WithSpec(nine), hermes.WithFreqs(nine.Freqs()...),
+		}, "at most 8 tempo frequencies"},
 		{"empty freqs option", []hermes.Option{hermes.WithFreqs()}, "at least one frequency"},
 		{"zero thresholds", []hermes.Option{hermes.WithThresholds(0)}, "must be positive"},
 		{"bad profile", []hermes.Option{hermes.WithProfile(0, 0)}, "must be positive"},
