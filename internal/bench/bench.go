@@ -14,7 +14,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"hermes/internal/bench/csort"
 	"hermes/internal/bench/hull"
@@ -123,6 +122,3 @@ func ByName(name string) (*Bench, error) {
 	}
 	return nil, fmt.Errorf("bench: unknown benchmark %q (have %v)", name, Names())
 }
-
-// sorted is a tiny helper shared by tests.
-func sorted(xs []float64) bool { return sort.Float64sAreSorted(xs) }

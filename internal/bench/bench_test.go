@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sort"
 	"testing"
 
 	"hermes/internal/core"
@@ -76,3 +77,6 @@ func TestSortedHelper(t *testing.T) {
 		t.Fatal("sorted helper broken")
 	}
 }
+
+// sorted is the helper TestSortedHelper checks.
+func sorted(xs []float64) bool { return sort.Float64sAreSorted(xs) }

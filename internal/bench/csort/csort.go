@@ -95,7 +95,7 @@ func (j *Job) Root(c wl.Ctx) {
 			blo, bhi := j.blockRange(b, n)
 			cnt := counts[b]
 			for i := blo; i < bhi; i++ {
-				bk := sort.SearchFloat64s(pivots, j.Keys[i])
+				bk := bucket(pivots, j.Keys[i])
 				bucketOf[i] = uint8(bk)
 				cnt[bk]++
 			}
@@ -151,6 +151,22 @@ func (j *Job) Root(c wl.Ctx) {
 			c.WorkMix(units.Cycles((bhi-blo)*6), 0.7)
 		}
 	})
+}
+
+// bucket is sort.SearchFloat64s(p, x) without the closure call: the
+// smallest i with p[i] >= x, or len(p), by the same bisection, so a
+// NaN or a signed zero lands where SearchFloat64s puts it.
+func bucket(p []float64, x float64) int {
+	lo, hi := 0, len(p)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if !(p[m] >= x) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 func (j *Job) blockRange(b, n int) (int, int) {

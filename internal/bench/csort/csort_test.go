@@ -1,6 +1,8 @@
 package csort
 
 import (
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -52,5 +54,30 @@ func TestCheckCatchesUnsorted(t *testing.T) {
 func TestLog2(t *testing.T) {
 	if log2(1) != 1 || log2(2) != 1 || log2(1024) != 10 {
 		t.Fatalf("log2: %v %v %v", log2(1), log2(2), log2(1024))
+	}
+}
+
+// TestBucketMatchesSearchFloat64s: the hand-written pivot search puts
+// every key where sort.SearchFloat64s does, on random pivots with
+// ties and on keys at a pivot, between ties, at ±0, ±Inf and NaN.
+func TestBucketMatchesSearchFloat64s(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	negZero := math.Copysign(0, -1)
+	for trial := 0; trial < 300; trial++ {
+		p := make([]float64, rng.Intn(70))
+		for i := range p {
+			p[i] = float64(rng.Intn(8)) / 4
+			if rng.Intn(10) == 0 {
+				p[i] = negZero
+			}
+		}
+		sort.Float64s(p)
+		keys := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, negZero, rng.Float64() * 2, -1, 3}
+		keys = append(keys, p...)
+		for _, x := range keys {
+			if got, want := bucket(p, x), sort.SearchFloat64s(p, x); got != want {
+				t.Fatalf("pivots %v, key %v: bucket %d, SearchFloat64s %d", p, x, got, want)
+			}
+		}
 	}
 }

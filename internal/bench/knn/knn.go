@@ -39,6 +39,7 @@ type Job struct {
 	k   int
 
 	idx   []int
+	byIdx []geom.Vec2 // byIdx[k] is point idx[k], once fill has placed it
 	nodes []node
 	root  int
 
@@ -75,6 +76,7 @@ func Factory(n, k int, seed int64) func() *Job {
 			pts:    geom.RandomPoints2(n, seed),
 			k:      max(k, 1),
 			idx:    idx,
+			byIdx:  make([]geom.Vec2, n),
 			nodes:  make([]node, 0, 2*n/leafSize+4),
 			Result: make([]float64, n),
 		}
@@ -95,8 +97,11 @@ func (j *Job) Root(c wl.Ctx) {
 	j.fill(c, j.root)
 	wl.For(c, 0, len(j.pts), queryGrain, func(c wl.Ctx, lo, hi int) {
 		visited := 0
+		h := knnHeap{d: make([]float64, 0, j.k), k: j.k}
 		for q := lo; q < hi; q++ {
-			j.Result[q], visited = j.query(q, visited)
+			h.d = h.d[:0]
+			visited = j.search(j.root, q, &h, visited)
+			j.Result[q] = h.sum()
 		}
 		c.WorkMix(units.Cycles(visited*visitCycles), queryMemFrac)
 	})
@@ -126,6 +131,9 @@ func (j *Job) fill(c wl.Ctx, id int) {
 	lo, hi := n.lo, n.hi
 	if n.left < 0 {
 		n.axis = -1
+		for k := lo; k < hi; k++ {
+			j.byIdx[k] = j.pts[j.idx[k]]
+		}
 		c.WorkMix(units.Cycles((hi-lo)*buildCPE), buildMemFrac)
 		return
 	}
@@ -272,25 +280,18 @@ func (h *knnHeap) sum() float64 {
 	return s
 }
 
-// query returns the sum of squared distances from point q to its k
-// nearest neighbours (excluding itself) and the running visited-node
-// counter for cost accounting.
-func (j *Job) query(q int, visited int) (float64, int) {
-	h := knnHeap{d: make([]float64, 0, j.k), k: j.k}
-	visited = j.search(j.root, q, &h, visited)
-	return h.sum(), visited
-}
-
+// search adds the squared distances from point q to its nearest
+// neighbours (excluding itself) under node id to h and returns the
+// running visited-node counter for cost accounting.
 func (j *Job) search(id, q int, h *knnHeap, visited int) int {
 	visited++
 	n := &j.nodes[id]
 	p := j.pts[q]
 	if n.axis < 0 {
-		for _, i := range j.idx[n.lo:n.hi] {
-			if i == q {
-				continue
+		for k := n.lo; k < n.hi; k++ {
+			if j.idx[k] != q {
+				h.add(p.Dist2(j.byIdx[k]))
 			}
-			h.add(p.Dist2(j.pts[i]))
 		}
 		visited += n.hi - n.lo
 		return visited

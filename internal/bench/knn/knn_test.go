@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -138,5 +139,56 @@ func TestConcurrentRunsShareOneReference(t *testing.T) {
 	}
 	if errs[3] == nil {
 		t.Fatal("corrupted run passed verification")
+	}
+}
+
+// searchByIndex is search as it was before leaves scanned the points
+// copied into idx order: a leaf reads each point through idx.
+func (j *Job) searchByIndex(id, q int, h *knnHeap) {
+	n := &j.nodes[id]
+	p := j.pts[q]
+	if n.axis < 0 {
+		for _, i := range j.idx[n.lo:n.hi] {
+			if i != q {
+				h.add(p.Dist2(j.pts[i]))
+			}
+		}
+		return
+	}
+	qc := p.X
+	if n.axis == 1 {
+		qc = p.Y
+	}
+	near, far := n.left, n.right
+	if qc > n.split {
+		near, far = far, near
+	}
+	j.searchByIndex(near, q, h)
+	if diff := qc - n.split; diff*diff < h.worst() {
+		j.searchByIndex(far, q, h)
+	}
+}
+
+// TestLeafScanMatchesIndexScan: with leaves scanning byIdx and one heap
+// buffer per leaf task, every query's sum is bit-equal to a fresh heap
+// per query reading points through idx, on clustered points with
+// duplicates (ties in the heap and at a split).
+func TestLeafScanMatchesIndexScan(t *testing.T) {
+	j := Factory(3000, 5, 10)()
+	for i := 0; i < len(j.pts); i += 7 {
+		j.pts[i] = j.pts[i/2]
+	}
+	core.Run(core.Config{Workers: 4, Seed: 10}, j.Root)
+	for k, i := range j.idx {
+		if j.byIdx[k] != j.pts[i] {
+			t.Fatalf("byIdx[%d] = %v, want point %d %v", k, j.byIdx[k], i, j.pts[i])
+		}
+	}
+	for q := range j.pts {
+		h := knnHeap{k: j.k}
+		j.searchByIndex(j.root, q, &h)
+		if got, want := j.Result[q], h.sum(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("query %d: %v, index scan %v", q, got, want)
+		}
 	}
 }

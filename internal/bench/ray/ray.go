@@ -40,6 +40,7 @@ type Job struct {
 	rays []geom.Ray
 
 	idx   []int
+	edges []geom.Edges // edges[k] is triangle idx[k]'s, once fill has placed it
 	nodes []node
 	root  int
 
@@ -72,11 +73,12 @@ func Factory(nTris, nRays int, seed int64) func() *Job {
 			idx[i] = i
 		}
 		return &Job{
-			ref:  ref,
-			tris: geom.RandomTriangles(nTris, seed),
-			rays: geom.RandomRays(nRays, seed+1),
-			idx:  idx,
-			Hit:  make([]int, nRays),
+			ref:   ref,
+			tris:  geom.RandomTriangles(nTris, seed),
+			rays:  geom.RandomRays(nRays, seed+1),
+			idx:   idx,
+			edges: make([]geom.Edges, nTris),
+			Hit:   make([]int, nRays),
 		}
 	}
 }
@@ -129,6 +131,9 @@ func (j *Job) fill(c wl.Ctx, id int) {
 	lo, hi := n.lo, n.hi
 	c.WorkMix(units.Cycles((hi-lo)*buildCPE), buildMemFrac)
 	if n.left < 0 {
+		for k := lo; k < hi; k++ {
+			j.edges[k] = j.tris[j.idx[k]].Edges()
+		}
 		return
 	}
 	cb := geom.EmptyAABB()
@@ -254,11 +259,11 @@ func (j *Job) cast(r geom.Ray) (hit, nodesVisited, triTests int) {
 			continue
 		}
 		if n.left < 0 {
-			for _, t := range j.idx[n.lo:n.hi] {
+			for k := n.lo; k < n.hi; k++ {
 				triTests++
-				if d, ok := r.IntersectTriangle(j.tris[t]); ok && d < best {
+				if d, ok := r.IntersectEdges(j.edges[k]); ok && d < best {
 					best = d
-					hit = t
+					hit = j.idx[k]
 				}
 			}
 			continue
@@ -318,15 +323,4 @@ func (j *Job) Check() error {
 		}
 	}
 	return nil
-}
-
-// HitCount returns how many rays hit any triangle (example output).
-func (j *Job) HitCount() int {
-	c := 0
-	for _, h := range j.Hit {
-		if h >= 0 {
-			c++
-		}
-	}
-	return c
 }

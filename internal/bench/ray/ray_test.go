@@ -154,3 +154,26 @@ func TestConcurrentRunsShareOneReference(t *testing.T) {
 		t.Fatal("corrupted run passed verification")
 	}
 }
+
+// TestEdgesFollowLeafOrder: after a run, edges[k] is the precomputed
+// edges of triangle idx[k], the triangle a leaf's test at k reports.
+func TestEdgesFollowLeafOrder(t *testing.T) {
+	j := Factory(3000, 10, 11)()
+	core.Run(core.Config{Workers: 4, Seed: 11}, j.Root)
+	for k, i := range j.idx {
+		if j.edges[k] != j.tris[i].Edges() {
+			t.Fatalf("edges[%d] is not triangle %d's", k, i)
+		}
+	}
+}
+
+// HitCount returns how many rays hit any triangle.
+func (j *Job) HitCount() int {
+	c := 0
+	for _, h := range j.Hit {
+		if h >= 0 {
+			c++
+		}
+	}
+	return c
+}

@@ -70,27 +70,36 @@ type Ray struct{ O, D Vec3 }
 
 // IntersectTriangle runs the Möller–Trumbore test. It returns the ray
 // parameter t ≥ 0 of the hit and whether the ray hits the triangle.
-func (r Ray) IntersectTriangle(tri Triangle) (float64, bool) {
+func (r Ray) IntersectTriangle(tri Triangle) (float64, bool) { return r.IntersectEdges(tri.Edges()) }
+
+// Edges is a triangle as Möller–Trumbore reads it: vertex A and the
+// edges E1 = B−A and E2 = C−A, computed once for many rays.
+type Edges struct{ A, E1, E2 Vec3 }
+
+// Edges returns the triangle's vertex A and its two edges from A.
+func (t Triangle) Edges() Edges { return Edges{t.A, t.B.Sub(t.A), t.C.Sub(t.A)} }
+
+// IntersectEdges is IntersectTriangle on a triangle's precomputed
+// Edges.
+func (r Ray) IntersectEdges(e Edges) (float64, bool) {
 	const eps = 1e-12
-	e1 := tri.B.Sub(tri.A)
-	e2 := tri.C.Sub(tri.A)
-	p := r.D.Cross(e2)
-	det := e1.Dot(p)
+	p := r.D.Cross(e.E2)
+	det := e.E1.Dot(p)
 	if det > -eps && det < eps {
 		return 0, false // parallel
 	}
 	inv := 1 / det
-	s := r.O.Sub(tri.A)
+	s := r.O.Sub(e.A)
 	u := s.Dot(p) * inv
 	if u < 0 || u > 1 {
 		return 0, false
 	}
-	q := s.Cross(e1)
+	q := s.Cross(e.E1)
 	v := r.D.Dot(q) * inv
 	if v < 0 || u+v > 1 {
 		return 0, false
 	}
-	t := e2.Dot(q) * inv
+	t := e.E2.Dot(q) * inv
 	if t < eps {
 		return 0, false
 	}
@@ -144,39 +153,35 @@ func (r Ray) InvDir() Vec3 { return Vec3{1 / r.D.X, 1 / r.D.Y, 1 / r.D.Z} }
 // IntersectRay returns whether r hits the box at some parameter in
 // [0, tMax] using the slab method. inv must be r.InvDir().
 func (b AABB) IntersectRay(r Ray, inv Vec3, tMax float64) bool {
-	t0, t1 := 0.0, tMax
-	for axis := 0; axis < 3; axis++ {
-		var o, d, id, mn, mx float64
-		switch axis {
-		case 0:
-			o, d, id, mn, mx = r.O.X, r.D.X, inv.X, b.Min.X, b.Max.X
-		case 1:
-			o, d, id, mn, mx = r.O.Y, r.D.Y, inv.Y, b.Min.Y, b.Max.Y
-		default:
-			o, d, id, mn, mx = r.O.Z, r.D.Z, inv.Z, b.Min.Z, b.Max.Z
-		}
-		if d == 0 {
-			if o < mn || o > mx {
-				return false
-			}
-			continue
-		}
-		near := (mn - o) * id
-		far := (mx - o) * id
-		if near > far {
-			near, far = far, near
-		}
-		if near > t0 {
-			t0 = near
-		}
-		if far < t1 {
-			t1 = far
-		}
-		if t0 > t1 {
-			return false
-		}
+	t0, t1, ok := slab(r.O.X, r.D.X, inv.X, b.Min.X, b.Max.X, 0, tMax)
+	if ok {
+		t0, t1, ok = slab(r.O.Y, r.D.Y, inv.Y, b.Min.Y, b.Max.Y, t0, t1)
 	}
-	return true
+	if ok {
+		_, _, ok = slab(r.O.Z, r.D.Z, inv.Z, b.Min.Z, b.Max.Z, t0, t1)
+	}
+	return ok
+}
+
+// slab clips the parameter interval [t0, t1] to one axis's slab
+// [mn, mx] for a ray with origin o, direction d and id = 1/d; a ray
+// parallel to the slab keeps the interval if its origin is inside.
+func slab(o, d, id, mn, mx, t0, t1 float64) (float64, float64, bool) {
+	if d == 0 {
+		return t0, t1, !(o < mn || o > mx)
+	}
+	near := (mn - o) * id
+	far := (mx - o) * id
+	if near > far {
+		near, far = far, near
+	}
+	if near > t0 {
+		t0 = near
+	}
+	if far < t1 {
+		t1 = far
+	}
+	return t0, t1, !(t0 > t1)
 }
 
 // RandomPoints2 returns n deterministic pseudo-random points in the

@@ -139,11 +139,50 @@ func intersectRayDivide(b AABB, r Ray, tMax float64) bool {
 	return true
 }
 
+// intersectRayLoop is IntersectRay as it was before its three slab
+// steps were unrolled: one loop over the axes with a switch.
+func intersectRayLoop(b AABB, r Ray, inv Vec3, tMax float64) bool {
+	t0, t1 := 0.0, tMax
+	for axis := 0; axis < 3; axis++ {
+		var o, d, id, mn, mx float64
+		switch axis {
+		case 0:
+			o, d, id, mn, mx = r.O.X, r.D.X, inv.X, b.Min.X, b.Max.X
+		case 1:
+			o, d, id, mn, mx = r.O.Y, r.D.Y, inv.Y, b.Min.Y, b.Max.Y
+		default:
+			o, d, id, mn, mx = r.O.Z, r.D.Z, inv.Z, b.Min.Z, b.Max.Z
+		}
+		if d == 0 {
+			if o < mn || o > mx {
+				return false
+			}
+			continue
+		}
+		near := (mn - o) * id
+		far := (mx - o) * id
+		if near > far {
+			near, far = far, near
+		}
+		if near > t0 {
+			t0 = near
+		}
+		if far < t1 {
+			t1 = far
+		}
+		if t0 > t1 {
+			return false
+		}
+	}
+	return true
+}
+
 // TestIntersectRayMatchesDivide: taking the reciprocals from the caller
 // gives the divide-per-axis answer on every input, including zero and
 // negative-zero directions, subnormal directions whose reciprocal
 // overflows, rays whose origin lies on a box face and tMax exactly at a
-// slab edge. Box corners and origins come from a small grid so faces
+// slab edge, and NaN in an origin, a direction or tMax. The unrolled
+// slab steps also give the old loop's answer on every input. Box corners and origins come from a small grid so faces
 // and origins coincide often.
 func TestIntersectRayMatchesDivide(t *testing.T) {
 	pick := func(rng *rand.Rand, vs ...float64) float64 { return vs[rng.Intn(len(vs))] }
@@ -165,8 +204,17 @@ func TestIntersectRayMatchesDivide(t *testing.T) {
 			}
 			*o[a] = coord(rng)
 			*d[a] = pick(rng, 0, math.Copysign(0, -1), 1, -1, 0.5, -2, 5e-324, rng.NormFloat64())
+			if rng.Intn(200) == 0 {
+				*o[a] = math.NaN()
+			}
+			if rng.Intn(200) == 0 {
+				*d[a] = math.NaN()
+			}
 		}
 		tMax := pick(rng, 0, 1, 1e30, math.Inf(1), 4*rng.Float64())
+		if rng.Intn(200) == 0 {
+			tMax = math.NaN()
+		}
 		if a := rng.Intn(3); rng.Intn(2) == 0 && *d[a] != 0 {
 			// tMax at a slab edge: exactly where the ray enters or
 			// leaves the box's slab on axis a.
@@ -189,12 +237,88 @@ func TestIntersectRayMatchesDivide(t *testing.T) {
 		return ok
 	}
 	recip := func(b AABB, r Ray, tMax float64) bool { return b.IntersectRay(r, r.InvDir(), tMax) }
+	loop := func(b AABB, r Ray, tMax float64) bool { return intersectRayLoop(b, r, r.InvDir(), tMax) }
 	if err := quick.CheckEqual(divide, recip, &quick.Config{MaxCount: 20_000, Values: gen}); err != nil {
+		t.Fatal(err)
+	}
+	if err := quick.CheckEqual(loop, recip, &quick.Config{MaxCount: 20_000, Values: gen}); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("%d hits, %d misses", hits, misses)
 	if hits < 1000 || misses < 1000 {
 		t.Fatalf("%d hits and %d misses: the generator does not exercise both answers", hits, misses)
+	}
+}
+
+// intersectTriangleInline is IntersectTriangle as it was before it
+// read a triangle's precomputed Edges.
+func intersectTriangleInline(r Ray, tri Triangle) (float64, bool) {
+	const eps = 1e-12
+	e1 := tri.B.Sub(tri.A)
+	e2 := tri.C.Sub(tri.A)
+	p := r.D.Cross(e2)
+	det := e1.Dot(p)
+	if det > -eps && det < eps {
+		return 0, false // parallel
+	}
+	inv := 1 / det
+	s := r.O.Sub(tri.A)
+	u := s.Dot(p) * inv
+	if u < 0 || u > 1 {
+		return 0, false
+	}
+	q := s.Cross(e1)
+	v := r.D.Dot(q) * inv
+	if v < 0 || u+v > 1 {
+		return 0, false
+	}
+	t := e2.Dot(q) * inv
+	if t < eps {
+		return 0, false
+	}
+	return t, true
+}
+
+// TestIntersectEdgesMatchesInline: Möller–Trumbore on precomputed
+// edges gives the inline test's answer, bit for bit, on random scenes
+// and on degenerate ones: a collapsed vertex, a zero or NaN direction
+// component, a ray parallel to the triangle, an origin on a vertex.
+func TestIntersectEdgesMatchesInline(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tris := RandomTriangles(200, 3)
+	rays := RandomRays(200, 4)
+	for i := range tris {
+		switch i % 5 {
+		case 1:
+			tris[i].C = tris[i].A
+		case 2:
+			rays[i].D.X = 0
+		case 3:
+			rays[i].D.Y = math.NaN()
+		case 4:
+			rays[i].O = tris[i].B
+		}
+		if i%7 == 0 {
+			rays[i].D = tris[i].B.Sub(tris[i].A).Scale(rng.Float64())
+		}
+	}
+	var hits int
+	for _, tri := range tris {
+		e := tri.Edges()
+		for _, r := range rays {
+			d0, ok0 := intersectTriangleInline(r, tri)
+			d1, ok1 := r.IntersectEdges(e)
+			d2, ok2 := r.IntersectTriangle(tri)
+			if ok0 != ok1 || math.Float64bits(d0) != math.Float64bits(d1) || ok1 != ok2 || math.Float64bits(d1) != math.Float64bits(d2) {
+				t.Fatalf("ray %+v, triangle %+v: inline (%v, %v), edges (%v, %v), IntersectTriangle (%v, %v)", r, tri, d0, ok0, d1, ok1, d2, ok2)
+			}
+			if ok0 {
+				hits++
+			}
+		}
+	}
+	if hits < 50 {
+		t.Fatalf("only %d hits: the scene does not exercise the hit path", hits)
 	}
 }
 

@@ -9,8 +9,11 @@
 // scheduler seed (victim selection) while holding the input fixed,
 // and averages. A Session caches each Spec's Avg, so figures that
 // share runs (e.g. Figure 6 and Figure 8) do not recompute them, and
-// one verification reference per input: every run regenerates its
-// input and has its output checked, against a reference computed once.
+// one verification reference per input. Every run regenerates its
+// input and executes its kernel once, across the host's cores, under
+// wl.Record; the simulator replays the recording, and the run fails
+// unless its simulated tasks and spawns match the recording's and its
+// output passes the check against the reference, computed once.
 package harness
 
 import (
@@ -23,6 +26,7 @@ import (
 	"hermes/internal/cpu"
 	"hermes/internal/meter"
 	"hermes/internal/units"
+	"hermes/internal/wl"
 )
 
 // Options scale experiments between CI-quick and paper-full.
@@ -94,12 +98,8 @@ func (s Spec) key() string {
 	for i, f := range s.Freqs {
 		fs[i] = f.String()
 	}
-	nf := s.NFactor
-	if nf == 0 {
-		nf = 1
-	}
 	return fmt.Sprintf("%s|%s|w%d|%s|%s|%s|n%d",
-		s.System.Name, s.Bench.Name, s.Workers, s.Mode, s.Sched, strings.Join(fs, ","), nf)
+		s.System.Name, s.Bench.Name, s.Workers, s.Mode, s.Sched, strings.Join(fs, ","), max(s.NFactor, 1))
 }
 
 // Avg is the trial-averaged outcome of one Spec.
@@ -121,14 +121,7 @@ func (s *Session) Run(spec Spec) Avg {
 	if a, ok := s.cache[k]; ok {
 		return a
 	}
-	nf := spec.NFactor
-	if nf == 0 {
-		nf = 1
-	}
-	n := int(float64(spec.Bench.DefaultN*nf) * s.opts.Scale)
-	if n < 1000 {
-		n = 1000
-	}
+	n := max(int(float64(spec.Bench.DefaultN*max(spec.NFactor, 1))*s.opts.Scale), 1000)
 	in := input{spec.Bench.Name, n}
 	if s.runs[in] == nil {
 		s.runs[in] = spec.Bench.Factory(n, s.opts.InputSeed)
@@ -144,7 +137,12 @@ func (s *Session) Run(spec Spec) Avg {
 			Freqs:      spec.Freqs,
 			Seed:       s.opts.InputSeed*7919 + int64(trial)*104729 + 1,
 		}
-		r := core.Run(cfg, load.Root)
+		script := wl.Record(load.Root)
+		r := core.Run(cfg, script.Task())
+		if r.Tasks != script.Tasks() || r.Spawns != script.Spawns() {
+			panic(fmt.Sprintf("harness: %s verification failed: simulated %d tasks, %d spawns; recorded %d, %d",
+				spec.Bench.Name, r.Tasks, r.Spawns, script.Tasks(), script.Spawns()))
+		}
 		if load.Check != nil {
 			if err := load.Check(); err != nil {
 				panic(fmt.Sprintf("harness: %s verification failed: %v", spec.Bench.Name, err))

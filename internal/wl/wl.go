@@ -3,7 +3,9 @@
 // work-stealing scheduler, plus explicit cost accounting that lets the
 // same workload code run on the discrete-event simulator (costs drive
 // virtual time) and on the real-concurrency executor (costs drive
-// calibrated throttling).
+// calibrated throttling). Record executes a Task on the host's cores
+// and keeps its calls as a Script, whose Task makes the same calls on
+// either executor; Worker is unavailable while recording.
 package wl
 
 import "hermes/internal/units"
@@ -38,7 +40,8 @@ type Ctx interface {
 	// machine's maximum frequency and does not scale with DVFS.
 	WorkMix(c units.Cycles, memFrac float64)
 
-	// Worker returns the executing worker's id, for diagnostics.
+	// Worker returns the executing worker's id, for diagnostics. It
+	// panics while Record runs the body.
 	Worker() int
 }
 
