@@ -33,7 +33,7 @@
 // Sim pool, emitting per-mode curves of sojourn percentiles, queueing
 // delay, joules/request, average power, steals/request and DVFS-tier
 // residency vs offered load, with knee detection (first rate whose p99
-// exceeds -kneefactor × the unloaded p50). Two runs with the same
+// exceeds five times the unloaded p50). Two runs with the same
 // flags emit byte-identical JSON — the artifact CI diffs and uploads:
 //
 //	hermes-bench -sweep -workload ticks -rates 50,100,200,400 \
@@ -53,7 +53,6 @@ import (
 
 	"hermes/internal/fault"
 	"hermes/internal/harness"
-	"hermes/internal/sweep"
 	"hermes/internal/trace"
 	"hermes/internal/units"
 	"hermes/internal/workload"
@@ -76,8 +75,7 @@ func main() {
 		placement = flag.String("placement", "p2c", "cluster sweep: comma-separated placement policies (random, jsq, p2c/p<k>c, gossip)")
 		faults    = flag.String("faults", "",
 			"cluster sweep: comma-separated fault plans ("+strings.Join(fault.Names(), ", ")+"; empty = fault-free)")
-		kneeFactor = flag.Float64("kneefactor", sweep.DefaultKneeFactor, "sweep: knee threshold as a multiple of the unloaded p50 sojourn")
-		dispatch   = flag.String("dispatch", "",
+		dispatch = flag.String("dispatch", "",
 			"load/sweep: intake dispatch policy (fifo, priority, edf; empty = fifo)")
 		quantum = flag.Duration("quantum", 0,
 			"load/sweep: preemption quantum under ranked dispatch (0 = jobs run to completion)")
@@ -123,7 +121,6 @@ func main() {
 			Seed:           *seed,
 			Trials:         *trials,
 			Workers:        *workers,
-			KneeFactor:     *kneeFactor,
 			Dispatch:       *dispatch,
 			PreemptQuantum: *quantum,
 			JSONPath:       *jsonPath,
@@ -214,7 +211,7 @@ const loadSweepFlags = "workload n grain work memfrac trace duration seed worker
 var modeFlags = map[string]string{
 	"figure": "fig quick scale trials csv v",
 	"-load":  "load rps backend mode " + loadSweepFlags,
-	"-sweep": "sweep rates modes machines placement faults kneefactor trials csv " + loadSweepFlags,
+	"-sweep": "sweep rates modes machines placement faults trials csv " + loadSweepFlags,
 }
 
 // checkModes rejects a command line that names more than one mode

@@ -25,7 +25,7 @@ func TestCheckModes(t *testing.T) {
 		{"load flags", true, false, []string{"load", "backend", "mode", "rps", "duration", "seed",
 			"workers", "json", "dispatch", "quantum", "trace", "workload", "n", "grain", "work", "memfrac", "v"}, nil, true},
 		{"sweep flags", false, true, []string{"sweep", "rates", "modes", "machines", "placement", "faults",
-			"kneefactor", "trials", "csv", "duration", "seed", "workers", "json", "dispatch", "quantum", "trace"}, nil, true},
+			"trials", "csv", "duration", "seed", "workers", "json", "dispatch", "quantum", "trace"}, nil, true},
 		{"load with machines", true, false, []string{"load", "backend", "machines"}, nil, false},
 		{"load with trials", true, false, []string{"load", "trials"}, nil, false},
 		{"load with csv", true, false, []string{"load", "csv"}, nil, false},

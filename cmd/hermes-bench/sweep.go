@@ -17,18 +17,17 @@ import (
 
 // sweepOpts parameterizes one -sweep invocation.
 type sweepOpts struct {
-	Spec       workload.Spec
-	Trace      string // arrival process name ("" = poisson)
-	Rates      string // comma-separated offered RPS grid
-	Modes      string // comma-separated tempo modes
-	Machines   string // comma-separated fleet sizes; "" = single-machine sweep
-	Placement  string // comma-separated placement policies (cluster sweep)
-	Faults     string // comma-separated fault plans (cluster sweep; "" = fault-free)
-	Window     time.Duration
-	Seed       int64
-	Trials     int
-	Workers    int
-	KneeFactor float64
+	Spec      workload.Spec
+	Trace     string // arrival process name ("" = poisson)
+	Rates     string // comma-separated offered RPS grid
+	Modes     string // comma-separated tempo modes
+	Machines  string // comma-separated fleet sizes; "" = single-machine sweep
+	Placement string // comma-separated placement policies (cluster sweep)
+	Faults    string // comma-separated fault plans (cluster sweep; "" = fault-free)
+	Window    time.Duration
+	Seed      int64
+	Trials    int
+	Workers   int
 	// Dispatch names the intake dispatch policy ("" = fifo);
 	// PreemptQuantum is the ranked-dispatch preemption quantum.
 	Dispatch       string
@@ -171,7 +170,6 @@ func runSweep(opts sweepOpts) error {
 		Seed:           opts.Seed,
 		Trials:         opts.Trials,
 		Workers:        opts.Workers,
-		KneeFactor:     opts.KneeFactor,
 		Dispatch:       opts.Dispatch,
 		PreemptQuantum: opts.PreemptQuantum,
 	}
@@ -247,7 +245,6 @@ func runClusterSweep(opts sweepOpts, rates []float64, modes []hermes.Mode) error
 		Seed:           opts.Seed,
 		Trials:         opts.Trials,
 		Workers:        opts.Workers,
-		KneeFactor:     opts.KneeFactor,
 		Dispatch:       opts.Dispatch,
 		PreemptQuantum: opts.PreemptQuantum,
 	}

@@ -107,7 +107,7 @@ func TestControllerShedding429(t *testing.T) {
 	}
 	srv.ctl = ctl
 
-	// Offer far more than the 1 rps knee across two ticks (EnterTicks).
+	// Offer far more than the 1 rps knee across two ticks (control's enterTicks).
 	for tick := 0; tick < 2; tick++ {
 		for i := 0; i < 100; i++ {
 			ctl.Admit()

@@ -143,6 +143,14 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// raisePeak lifts the in-flight high-water mark to n. The
+// compare-and-swap loop keeps a submitter holding a stale smaller n
+// from overwriting a larger peak another submitter just stored.
+func (s *server) raisePeak(n int64) {
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+	}
+}
+
 // submitRequest is the POST /jobs body: a workload spec plus the
 // optional service class (tenant, priority). Both default to the
 // unclassed job, so every pre-tenancy client body still parses.
@@ -191,9 +199,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"max in-flight jobs reached (%d); retry later", s.maxInflight)
 		return
 	}
-	if n := int64(len(s.inflight)); n > s.peak.Load() {
-		s.peak.Store(n) // racy high-water mark: good enough for ops visibility
-	}
+	s.raisePeak(int64(len(s.inflight)))
 
 	// The job outlives this request; its lifetime is bounded by the
 	// optional server-side timeout, not by the client connection.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,6 +164,35 @@ func TestHealthz(t *testing.T) {
 	}
 	if !h.OK || h.Backend != "native" || h.MaxInflight != 16 {
 		t.Fatalf("healthz fields wrong: %+v", h)
+	}
+}
+
+// TestPeakInflightOnlyRises raises the in-flight high-water mark from
+// many goroutines at once, as concurrent submitters do: each climbs its
+// own interleaved ladder below top while one more offers top once,
+// midway. A submitter that read the mark before top landed and stores
+// its smaller value after would lower it for good, so the mark must end
+// at top.
+func TestPeakInflightOnlyRises(t *testing.T) {
+	const climbers, top = 4, 1 << 16
+	var s server
+	var wg sync.WaitGroup
+	for g := 0; g < climbers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := g; n < top; n += climbers {
+				s.raisePeak(int64(n))
+			}
+		}(g)
+	}
+	for s.peak.Load() < top/2 {
+		runtime.Gosched()
+	}
+	s.raisePeak(top)
+	wg.Wait()
+	if got := s.peak.Load(); got != top {
+		t.Fatalf("peak in-flight %d, want the largest value offered, %d", got, top)
 	}
 }
 

@@ -196,7 +196,7 @@ func (j *Job) selectNth(lo, hi, nth, axis int) {
 	for hi-lo > 2 {
 		mid := lo + (hi-lo)/2
 		a, b, c := j.coord(j.idx[lo], axis), j.coord(j.idx[mid], axis), j.coord(j.idx[hi-1], axis)
-		pivot := median3(a, b, c)
+		pivot := geom.Median3(a, b, c)
 		i, k := lo, hi-1
 		for i <= k {
 			for j.coord(j.idx[i], axis) < pivot {
@@ -226,19 +226,6 @@ func (j *Job) selectNth(lo, hi, nth, axis int) {
 			j.idx[b], j.idx[b-1] = j.idx[b-1], j.idx[b]
 		}
 	}
-}
-
-func median3(a, b, c float64) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-	}
-	if a > b {
-		b = a
-	}
-	return b
 }
 
 // knnHeap is a fixed-k max-first list of best squared distances.

@@ -191,7 +191,7 @@ func (j *Job) centroidCoord(t, axis int) float64 {
 func (j *Job) selectNth(lo, hi, nth, axis int) {
 	for hi-lo > 2 {
 		mid := lo + (hi-lo)/2
-		pivot := median3(
+		pivot := geom.Median3(
 			j.centroidCoord(j.idx[lo], axis),
 			j.centroidCoord(j.idx[mid], axis),
 			j.centroidCoord(j.idx[hi-1], axis),
@@ -224,19 +224,6 @@ func (j *Job) selectNth(lo, hi, nth, axis int) {
 			j.idx[b], j.idx[b-1] = j.idx[b-1], j.idx[b]
 		}
 	}
-}
-
-func median3(a, b, c float64) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-	}
-	if a > b {
-		b = a
-	}
-	return b
 }
 
 // cast returns the first triangle index hit by r (or -1), plus visit

@@ -71,16 +71,6 @@ type Config struct {
 	// keeps admission control only.
 	Switcher ModeSwitcher
 
-	// EnterTicks over-knee observations in a row enter Shedding
-	// (default 2); ExitTicks calm observations leave it (default 3);
-	// CooldownTicks calm observations graduate Recovered → Normal
-	// (default 5); ModeHoldTicks is the minimum spacing between mode
-	// switches (default 10).
-	EnterTicks, ExitTicks, CooldownTicks, ModeHoldTicks int
-	// RecoverFrac scales both knee bounds for the exit test: recovery
-	// requires rate AND p99 below RecoverFrac × bound (default 0.8).
-	RecoverFrac float64
-
 	// Log, when non-nil, receives one line per state transition and
 	// mode switch.
 	Log func(format string, args ...any)
@@ -90,6 +80,20 @@ type Config struct {
 	// load: ..." on /controlz instead of a generic no-model message.
 	DisabledReason string
 }
+
+// The loop's hysteresis, in ticks: enterTicks over-knee observations
+// in a row enter Shedding, exitTicks calm observations leave it,
+// cooldownTicks calm observations graduate Recovered → Normal, and
+// modeHoldTicks is the minimum spacing between mode switches. An
+// observation is calm when rate AND p99 are below recoverFrac × their
+// knee bounds.
+const (
+	enterTicks    = 2
+	exitTicks     = 3
+	cooldownTicks = 5
+	modeHoldTicks = 10
+	recoverFrac   = 0.8
+)
 
 // Controller runs the admission/actuation feedback loop. Admit is safe
 // to call concurrently with Tick and Status.
@@ -130,21 +134,6 @@ type Controller struct {
 // support the feedback loop come back Disabled with a reason, so the
 // caller can always mount /controlz and scrape hermes_control_state.
 func New(cfg Config) *Controller {
-	if cfg.EnterTicks <= 0 {
-		cfg.EnterTicks = 2
-	}
-	if cfg.ExitTicks <= 0 {
-		cfg.ExitTicks = 3
-	}
-	if cfg.CooldownTicks <= 0 {
-		cfg.CooldownTicks = 5
-	}
-	if cfg.ModeHoldTicks <= 0 {
-		cfg.ModeHoldTicks = 10
-	}
-	if cfg.RecoverFrac <= 0 || cfg.RecoverFrac > 1 {
-		cfg.RecoverFrac = 0.8
-	}
 	c := &Controller{cfg: cfg, mode: cfg.Mode.String()}
 	if reason := c.usable(); reason != "" {
 		c.reason = reason
@@ -233,14 +222,14 @@ func (c *Controller) Tick(dt time.Duration) {
 	c.lastOffered = offered
 
 	over := (c.kneeLatMS > 0 && c.liveP99MS > c.kneeLatMS) || c.liveRPS > c.kneeRPS
-	calm := c.liveRPS < c.cfg.RecoverFrac*c.kneeRPS &&
-		(c.kneeLatMS <= 0 || c.liveP99MS < c.cfg.RecoverFrac*c.kneeLatMS)
+	calm := c.liveRPS < recoverFrac*c.kneeRPS &&
+		(c.kneeLatMS <= 0 || c.liveP99MS < recoverFrac*c.kneeLatMS)
 
 	switch State(c.state.Load()) {
 	case Normal:
 		if over {
 			c.tripStreak++
-			if c.tripStreak >= c.cfg.EnterTicks {
+			if c.tripStreak >= enterTicks {
 				c.transitionLocked(Shedding)
 			}
 		} else {
@@ -249,7 +238,7 @@ func (c *Controller) Tick(dt time.Duration) {
 	case Shedding:
 		if calm {
 			c.calmStreak++
-			if c.calmStreak >= c.cfg.ExitTicks {
+			if c.calmStreak >= exitTicks {
 				c.transitionLocked(Recovered)
 			}
 		} else {
@@ -260,7 +249,7 @@ func (c *Controller) Tick(dt time.Duration) {
 			// seen is shedding. Lower classes always shed before higher.
 			if over {
 				c.tripStreak++
-				if c.tripStreak >= c.cfg.EnterTicks && c.shedFloor.Load() < c.prioMax.Load() {
+				if c.tripStreak >= enterTicks && c.shedFloor.Load() < c.prioMax.Load() {
 					c.tripStreak = 0
 					floor := c.shedFloor.Add(1)
 					if c.cfg.Log != nil {
@@ -275,13 +264,13 @@ func (c *Controller) Tick(dt time.Duration) {
 	case Recovered:
 		if over {
 			c.tripStreak++
-			if c.tripStreak >= c.cfg.EnterTicks {
+			if c.tripStreak >= enterTicks {
 				c.transitionLocked(Shedding)
 			}
 		} else {
 			c.tripStreak = 0
 			c.calmStreak++
-			if c.calmStreak >= c.cfg.CooldownTicks {
+			if c.calmStreak >= cooldownTicks {
 				c.transitionLocked(Normal)
 			}
 		}
@@ -307,7 +296,7 @@ func (c *Controller) transitionLocked(next State) {
 }
 
 // maybeSwitchModeLocked actuates the model's energy-optimal mode for
-// the observed rate, rate-limited by ModeHoldTicks; c.mu must be held.
+// the observed rate, rate-limited by modeHoldTicks; c.mu must be held.
 func (c *Controller) maybeSwitchModeLocked() {
 	if c.cfg.Switcher == nil {
 		return
@@ -336,7 +325,7 @@ func (c *Controller) maybeSwitchModeLocked() {
 	prev := c.mode
 	c.mode = best
 	c.switches++
-	c.holdTicks = c.cfg.ModeHoldTicks
+	c.holdTicks = modeHoldTicks
 	k, _ := c.cfg.Model.Knee(best)
 	c.kneeRPS = k
 	c.kneeLatMS = c.cfg.Model.KneeLatencyMS(best)

@@ -137,8 +137,8 @@ func TestDisabledForUnresolvedKnee(t *testing.T) {
 }
 
 // TestHysteresisNoFlap scripts the exact metrics sequence of a load
-// spike and pins every transition: enter needs EnterTicks consecutive
-// trips, exit needs ExitTicks calm, and alternating signals flap
+// spike and pins every transition: enter needs enterTicks consecutive
+// trips, exit needs exitTicks calm, and alternating signals flap
 // nothing.
 func TestHysteresisNoFlap(t *testing.T) {
 	src := newFakeSource()
@@ -146,7 +146,7 @@ func TestHysteresisNoFlap(t *testing.T) {
 		Model:  testModel(t),
 		Mode:   hermes.Baseline, // knee 100 rps / 10 ms
 		Source: src,
-		// Defaults: EnterTicks 2, ExitTicks 3, CooldownTicks 5.
+		// enterTicks 2, exitTicks 3, cooldownTicks 5.
 	})
 	if !c.Enabled() || c.State() != Normal {
 		t.Fatalf("boot state = %v, want normal", c.State())
@@ -166,7 +166,7 @@ func TestHysteresisNoFlap(t *testing.T) {
 			t.Fatalf("calm tick %d: %v", i, st)
 		}
 	}
-	// Alternating spike/calm never reaches EnterTicks=2 in a row.
+	// Alternating spike/calm never reaches enterTicks=2 in a row.
 	for i := 0; i < 4; i++ {
 		if st := step(150, 0.002); st != Normal {
 			t.Fatalf("single spike flipped state: %v", st)
@@ -187,7 +187,7 @@ func TestHysteresisNoFlap(t *testing.T) {
 	}
 	c.Tick(time.Second) // absorb the probe traffic above (10 rps, calm): calm streak 1
 
-	// Exit needs ExitTicks=3 consecutive calm ticks; the one above
+	// Exit needs exitTicks=3 consecutive calm ticks; the one above
 	// counts, so one more keeps it Shedding and the third recovers.
 	if st := step(20, 0.002); st != Shedding {
 		t.Fatalf("calm streak 2 should still shed: %v", st)
@@ -236,11 +236,10 @@ func TestModeSwitchActuation(t *testing.T) {
 	src := newFakeSource()
 	sw := &fakeSwitcher{}
 	c := New(Config{
-		Model:         testModel(t),
-		Mode:          hermes.Baseline,
-		Source:        src,
-		Switcher:      sw,
-		ModeHoldTicks: 3,
+		Model:    testModel(t),
+		Mode:     hermes.Baseline,
+		Source:   src,
+		Switcher: sw,
 	})
 	// Low rate: unified ("hermes") is cheaper → switch on first tick.
 	offer(c, 50)
@@ -257,9 +256,9 @@ func TestModeSwitchActuation(t *testing.T) {
 	if s.KneeRPS != 200 {
 		t.Fatalf("knee after switch = %g, want 200", s.KneeRPS)
 	}
-	// Hold window: no second switch for ModeHoldTicks ticks even if
+	// Hold window: no second switch for modeHoldTicks ticks even if
 	// the optimum changes.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < modeHoldTicks; i++ {
 		offer(c, 50)
 		c.Tick(time.Second)
 		if len(sw.modes) != 1 {

@@ -19,7 +19,7 @@ func TestPrioritySheddingEscalation(t *testing.T) {
 		Model:  testModel(t),
 		Mode:   hermes.Baseline, // knee 100 rps / 10 ms
 		Source: src,
-		// Defaults: EnterTicks 2, ExitTicks 3.
+		// enterTicks 2, exitTicks 3.
 	})
 	// offer both classes so the controller learns priority 1 exists.
 	offerBoth := func(n int) (lo, hi int) {
@@ -57,7 +57,7 @@ func TestPrioritySheddingEscalation(t *testing.T) {
 	}
 	c.Tick(time.Second) // absorb the probe traffic (calm)
 
-	// Pressure persists: after EnterTicks more over-knee ticks the
+	// Pressure persists: after enterTicks more over-knee ticks the
 	// floor escalates to 1 and the higher class sheds too.
 	step(150, 0.030)
 	step(150, 0.030)

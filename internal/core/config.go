@@ -27,7 +27,7 @@ const (
 	// Static pre-assigns each worker to a core for the whole run.
 	Static Scheduling = iota
 	// Dynamic re-pins the worker around every WORK invocation
-	// (affinity set before, reset after), paying AffinityCost twice
+	// (affinity set before, reset after), paying affinityCost twice
 	// per task. This is the paper's explanation for dynamic
 	// scheduling's slightly higher energy (Figure 18).
 	Dynamic
@@ -61,9 +61,6 @@ type Config struct {
 	// rolling average spans (default 16).
 	ProfilePeriod units.Time
 	ProfileWindow int
-	// InitialAvgDeque seeds the thresholds before the first profile
-	// period completes (default 2).
-	InitialAvgDeque float64
 	// Scheduling selects static or dynamic worker-core mapping.
 	Scheduling Scheduling
 	// Seed drives every random choice (victim selection). Identical
@@ -85,25 +82,35 @@ type Config struct {
 	// preemption; Sim only.
 	PreemptQuantum units.Time
 
-	// Overheads. Zero values select defaults consistent with the
-	// paper's Section 3.4 discussion.
-	StealCost    units.Time // per steal attempt (lock + probe), default 1.2µs
-	PushPopCost  units.Time // per local deque operation, default 60ns
-	YieldSpin    units.Time // initial failed-steal backoff, default 25µs
-	YieldSpinMax units.Time // backoff cap, default 200µs
-	AffinityCost units.Time // per affinity syscall under Dynamic, default 1.5µs
-	MaxHelpDepth int        // join help-steal nesting cap, default 128
-	// MaxTempoLevels bounds how deep tempo levels can stack (thief
-	// chains, workload tiers). Levels map onto the N frequencies by
-	// saturation: level i runs at Freqs[min(i, N-1)], per the paper's
-	// N-frequency tempo control. Default N+2.
-	MaxTempoLevels int
-
 	// Observer, if non-nil, receives scheduler events (steals, tempo
 	// switches, DVFS commits, energy samples). Purely observational:
 	// it cannot influence scheduling, so a fixed config and seed stay
 	// deterministic with or without it.
 	Observer obs.Observer
+}
+
+// The runtime overheads of the paper's Section 3.4: fixed parts of the
+// simulated machine model, not parameters of a run.
+const (
+	stealCost    = 1200 * units.Nanosecond // per steal attempt (lock + probe)
+	pushPopCost  = 60 * units.Nanosecond   // per local deque operation
+	yieldSpin    = 25 * units.Microsecond  // initial failed-steal backoff
+	yieldSpinMax = 200 * units.Microsecond // backoff cap
+	affinityCost = 1500 * units.Nanosecond // per affinity syscall under Dynamic
+	maxHelpDepth = 128                     // join help-steal nesting cap
+	// initialAvgDeque seeds the thresholds before the first profile
+	// period completes.
+	initialAvgDeque = 2
+)
+
+// NewTempoPolicy returns the HERMES tempo policy of a validated cfg,
+// for either executor; retune receives a worker and its new level.
+// Tempo levels stack (thief chains, workload tiers) up to
+// len(cfg.Freqs)+2 deep and map onto the frequencies by saturation:
+// level i runs at Freqs[min(i, N-1)], per the paper's N-frequency
+// tempo control.
+func NewTempoPolicy(cfg Config, retune func(worker, level int)) *tempo.Policy {
+	return tempo.NewPolicy(cfg.Workers, cfg.K, initialAvgDeque, len(cfg.Freqs)+2, cfg.ProfileWindow, retune)
 }
 
 // withDefaults fills in zero fields and validates the configuration,
@@ -168,36 +175,12 @@ func (c Config) Validate() (Config, error) {
 	if c.K < 0 {
 		return c, fmt.Errorf("core: K must not be negative, got %d (zero selects the default)", c.K)
 	}
-	// Negative values are never meaningful for these knobs (zero means
-	// "use the default"); reject them here so backends can trust the
-	// validated config — a negative ProfilePeriod, for example, would
-	// otherwise panic the native profiler's ticker.
-	for _, f := range []struct {
-		name string
-		v    units.Time
-	}{
-		{"ProfilePeriod", c.ProfilePeriod},
-		{"StealCost", c.StealCost},
-		{"PushPopCost", c.PushPopCost},
-		{"YieldSpin", c.YieldSpin},
-		{"YieldSpinMax", c.YieldSpinMax},
-		{"AffinityCost", c.AffinityCost},
-	} {
-		if f.v < 0 {
-			return c, fmt.Errorf("core: %s must not be negative, got %v", f.name, f.v)
-		}
+	// A negative ProfilePeriod would panic the native profiler's ticker.
+	if c.ProfilePeriod < 0 {
+		return c, fmt.Errorf("core: ProfilePeriod must not be negative, got %v", c.ProfilePeriod)
 	}
 	if c.ProfileWindow < 0 {
 		return c, fmt.Errorf("core: ProfileWindow must not be negative, got %d", c.ProfileWindow)
-	}
-	if c.InitialAvgDeque < 0 {
-		return c, fmt.Errorf("core: InitialAvgDeque must not be negative, got %v", c.InitialAvgDeque)
-	}
-	if c.MaxHelpDepth < 0 {
-		return c, fmt.Errorf("core: MaxHelpDepth must not be negative, got %d", c.MaxHelpDepth)
-	}
-	if c.MaxTempoLevels < 0 {
-		return c, fmt.Errorf("core: MaxTempoLevels must not be negative, got %d", c.MaxTempoLevels)
 	}
 	if c.K == 0 {
 		c.K = 2
@@ -207,34 +190,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.ProfileWindow == 0 {
 		c.ProfileWindow = 16
-	}
-	if c.InitialAvgDeque == 0 {
-		c.InitialAvgDeque = 2
-	}
-	if c.StealCost == 0 {
-		c.StealCost = 1200 * units.Nanosecond
-	}
-	if c.PushPopCost == 0 {
-		c.PushPopCost = 60 * units.Nanosecond
-	}
-	if c.YieldSpin == 0 {
-		c.YieldSpin = 25 * units.Microsecond
-	}
-	if c.YieldSpinMax == 0 {
-		c.YieldSpinMax = 200 * units.Microsecond
-	}
-	if c.AffinityCost == 0 {
-		c.AffinityCost = 1500 * units.Nanosecond
-	}
-	if c.MaxHelpDepth == 0 {
-		c.MaxHelpDepth = 128
-	}
-	if c.MaxTempoLevels == 0 {
-		c.MaxTempoLevels = len(c.Freqs) + 2
-	}
-	if c.MaxTempoLevels < len(c.Freqs) {
-		return c, fmt.Errorf("core: MaxTempoLevels (%d) must cover the tempo frequency set (%d)",
-			c.MaxTempoLevels, len(c.Freqs))
 	}
 	return c, nil
 }

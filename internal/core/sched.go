@@ -132,7 +132,7 @@ func newSched(eng *sim.Engine, cfg Config) *sched {
 	}
 	s.model = power.NewModel(cfg.Spec)
 	s.met = meter.New(s.model, s.mach)
-	s.tempo = tempo.NewPolicy(cfg.Workers, cfg.K, cfg.InitialAvgDeque, cfg.MaxTempoLevels, cfg.ProfileWindow, s.retune)
+	s.tempo = NewTempoPolicy(cfg, s.retune)
 
 	s.led.Workers = make([]WorkerLedger, cfg.Workers)
 	cores := s.mach.DistinctDomainCores(cfg.Workers)

@@ -38,7 +38,7 @@ type worker struct {
 	id   int
 	core *cpu.Core
 	// dq is the paper's THE deque: the simulator is the measurement
-	// instrument, deque overheads are modeled (PushPopCost, StealCost)
+	// instrument, deque overheads are modeled (pushPopCost, stealCost)
 	// rather than paid, and the single-threaded engine never contends.
 	dq   *deque.Deque[*task]
 	proc *sim.Proc
@@ -183,7 +183,7 @@ func (w *worker) popLocal() (*task, bool) {
 		return nil, false
 	}
 	w.setState(cpu.Busy)
-	w.proc.Sleep(w.s.cfg.PushPopCost)
+	w.proc.Sleep(pushPopCost)
 	w.s.tempo.Shrunk(w.id, w.dq.Size(), w.s.cfg.Mode)
 	return t, true
 }
@@ -194,7 +194,7 @@ func (w *worker) push(t *task) {
 	w.s.led.Spawns++
 	t.job.spawns++
 	w.dq.Push(t)
-	w.proc.Sleep(w.s.cfg.PushPopCost)
+	w.proc.Sleep(pushPopCost)
 	w.s.tempo.Pushed(w.id, w.dq.Size(), w.s.cfg.Mode)
 }
 
@@ -214,7 +214,7 @@ func (w *worker) stealRound() (*task, bool) {
 		w.probe.victim = (w.id + 1) % n
 	}
 	w.setState(cpu.Spin)
-	w.proc.WaitUntilStep(w.s.eng.Now()+w.s.cfg.StealCost, w.probeStep)
+	w.proc.WaitUntilStep(w.s.eng.Now()+stealCost, w.probeStep)
 	t := w.probe.got
 	if t == nil {
 		return nil, false
@@ -251,7 +251,7 @@ func (w *worker) stepProbe() (units.Time, bool) {
 		pr.victim = (pr.victim + 1) % len(s.workers)
 	}
 	w.setState(cpu.Spin)
-	return s.eng.Now() + s.cfg.StealCost, true
+	return s.eng.Now() + stealCost, true
 }
 
 // yield backs off after a failed steal round, spinning at the core's
@@ -260,11 +260,11 @@ func (w *worker) stepProbe() (units.Time, bool) {
 // next successful pop or steal.
 func (w *worker) yield() {
 	if w.backoff == 0 {
-		w.backoff = w.s.cfg.YieldSpin
+		w.backoff = yieldSpin
 	} else {
 		w.backoff *= 2
-		if w.backoff > w.s.cfg.YieldSpinMax {
-			w.backoff = w.s.cfg.YieldSpinMax
+		if w.backoff > yieldSpinMax {
+			w.backoff = yieldSpinMax
 		}
 	}
 	w.setState(cpu.Spin)
@@ -288,7 +288,7 @@ func (w *worker) runTask(t *task) {
 		j.startAt = w.s.eng.Now()
 	}
 	if w.s.cfg.Scheduling == Dynamic {
-		w.proc.Sleep(2 * w.s.cfg.AffinityCost)
+		w.proc.Sleep(2 * affinityCost)
 	}
 	if !w.s.taskCancelled(j) {
 		w.s.led.Tasks++
@@ -370,7 +370,7 @@ func (w *worker) join(blk *block) {
 					localExhausted = true
 				} else {
 					w.setState(cpu.Busy)
-					w.proc.Sleep(w.s.cfg.PushPopCost)
+					w.proc.Sleep(pushPopCost)
 					w.s.tempo.Shrunk(w.id, w.dq.Size(), w.s.cfg.Mode)
 					w.runTask(t)
 					w.setState(cpu.Busy)
@@ -383,7 +383,7 @@ func (w *worker) join(blk *block) {
 		if blk.pending == 0 {
 			break
 		}
-		if w.helpDepth >= w.s.cfg.MaxHelpDepth {
+		if w.helpDepth >= maxHelpDepth {
 			w.parkOnBlock(blk)
 			continue
 		}

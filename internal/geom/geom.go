@@ -184,6 +184,21 @@ func slab(o, d, id, mn, mx, t0, t1 float64) (float64, float64, bool) {
 	return t0, t1, !(t0 > t1)
 }
 
+// Median3 returns the median of a, b and c: the pivot the knn and ray
+// kernels' kd-tree builds partition around.
+func Median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		b = a
+	}
+	return b
+}
+
 // RandomPoints2 returns n deterministic pseudo-random points in the
 // unit square, with a mild cluster structure (a fraction of points
 // concentrate around a few centers) so spatial workloads are

@@ -21,6 +21,17 @@ func TestVec2Ops(t *testing.T) {
 	}
 }
 
+func TestMedian3(t *testing.T) {
+	for _, c := range [][4]float64{
+		{1, 2, 3, 2}, {1, 3, 2, 2}, {2, 1, 3, 2}, {2, 3, 1, 2}, {3, 1, 2, 2}, {3, 2, 1, 2},
+		{1, 1, 2, 1}, {2, 1, 1, 1}, {1, 2, 2, 2}, {-1, -1, -1, -1},
+	} {
+		if got := Median3(c[0], c[1], c[2]); got != c[3] {
+			t.Errorf("Median3(%g, %g, %g) = %g, want %g", c[0], c[1], c[2], got, c[3])
+		}
+	}
+}
+
 func TestVec3Ops(t *testing.T) {
 	a := Vec3{1, 2, 3}
 	if s := a.Scale(2); s != (Vec3{2, 4, 6}) {

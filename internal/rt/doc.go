@@ -42,9 +42,9 @@
 // remains the measurement instrument.
 //
 // Unlike the simulator, runs are not deterministic: the OS scheduler
-// decides races, exactly as on the paper's machines. The sim-only
-// Config knobs are ignored here: the overheads (StealCost,
-// PushPopCost, yield spins, AffinityCost) because real locks and
-// syscalls cost what they cost, and Scheduling because workers are
-// always statically pinned (reports are normalized to Static).
+// decides races, exactly as on the paper's machines. The simulator's
+// fixed overheads (steal, push/pop, yield spins, affinity calls) have
+// no counterpart here, because real locks and syscalls cost what they
+// cost; Scheduling is ignored because workers are always statically
+// pinned (reports are normalized to Static).
 package rt

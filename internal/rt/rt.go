@@ -306,7 +306,7 @@ func NewExec(cfg core.Config) (*Exec, error) {
 		closeCh: make(chan struct{}),
 		start:   time.Now(),
 	}
-	e.tempo = tempo.NewPolicy(cfg.Workers, cfg.K, cfg.InitialAvgDeque, cfg.MaxTempoLevels, cfg.ProfileWindow, e.retuneLocked)
+	e.tempo = core.NewTempoPolicy(cfg, e.retuneLocked)
 	e.mode.Store(int32(cfg.Mode))
 	for st := cpu.IdleHalt; st <= cpu.Busy; st++ {
 		for fi, f := range cfg.Freqs {

@@ -24,16 +24,15 @@ type ClusterConfig struct {
 	// Faults names the fault plans from the internal/fault registry to
 	// sweep over ("" or "none" = fault-free). Empty means a single
 	// fault-free pass — the pre-chaos artifact, byte for byte.
-	Faults     []string
-	Mode       hermes.Mode
-	Policies   []hermes.Placement
-	Machines   []int // fleet sizes; ascending preferred
-	RatesRPS   []float64
-	Window     time.Duration
-	Seed       int64
-	Trials     int
-	Workers    int // per machine; 0 = backend default
-	KneeFactor float64
+	Faults   []string
+	Mode     hermes.Mode
+	Policies []hermes.Placement
+	Machines []int // fleet sizes; ascending preferred
+	RatesRPS []float64
+	Window   time.Duration
+	Seed     int64
+	Trials   int
+	Workers  int // per machine; 0 = backend default
 	// Dispatch names the intake dispatch policy every machine runs
 	// ("" or "fifo" = arrival order, "priority", "edf").
 	Dispatch string
@@ -200,7 +199,7 @@ func (g grid) clusterPoint(fl fleet, rps float64) (ClusterPoint, error) {
 func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	g, err := grid{
 		workload: cfg.Workload, trace: cfg.Trace, rates: cfg.RatesRPS, window: cfg.Window,
-		seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers, kneeFactor: cfg.KneeFactor,
+		seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers,
 		dispatch: cfg.Dispatch, quantum: cfg.PreemptQuantum,
 		log: cfg.Log,
 	}.validate()
@@ -244,7 +243,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		Seed:             g.seed,
 		Trials:           g.trials,
 		Workers:          g.workers,
-		KneeFactor:       g.kneeFactor,
+		KneeFactor:       DefaultKneeFactor,
 		Dispatch:         g.canonicalDispatch(),
 		PreemptQuantumMS: g.quantumMS(),
 	}
@@ -286,7 +285,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 					}
 				}
 				curve.UnloadedP50MS = curve.Points[0].P50SojournMS
-				curve.KneeRPS, curve.KneeReason = DetectKnee(g.rates, p99s, curve.UnloadedP50MS, g.kneeFactor)
+				curve.KneeRPS, curve.KneeReason = DetectKnee(g.rates, p99s, curve.UnloadedP50MS, DefaultKneeFactor)
 				res.Curves = append(res.Curves, curve)
 			}
 		}

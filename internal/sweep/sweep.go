@@ -12,8 +12,8 @@ import (
 	"hermes/internal/workload"
 )
 
-// DefaultKneeFactor is the knee threshold when Config leaves it unset:
-// the curve has "kneed" once p99 sojourn exceeds 5× the unloaded p50.
+// DefaultKneeFactor is the knee threshold every sweep uses: the curve
+// has "kneed" once p99 sojourn exceeds 5× the unloaded p50.
 const DefaultKneeFactor = 5.0
 
 // TraceArrivals generates one grid point's arrival trace through the
@@ -260,14 +260,13 @@ type Config struct {
 	Workload workload.Spec
 	// Trace names the arrival process from the internal/trace registry
 	// ("" = poisson).
-	Trace      string
-	Modes      []hermes.Mode
-	RatesRPS   []float64 // ascending; Run sorts a copy if not
-	Window     time.Duration
-	Seed       int64
-	Trials     int
-	Workers    int
-	KneeFactor float64 // 0 = DefaultKneeFactor
+	Trace    string
+	Modes    []hermes.Mode
+	RatesRPS []float64 // ascending; Run sorts a copy if not
+	Window   time.Duration
+	Seed     int64
+	Trials   int
+	Workers  int
 	// Dispatch names the intake dispatch policy every point runs under
 	// ("" or "fifo" = arrival order, "priority", "edf").
 	Dispatch string
@@ -326,7 +325,7 @@ type Result struct {
 func Run(cfg Config) (Result, error) {
 	g, err := grid{
 		workload: cfg.Workload, trace: cfg.Trace, rates: cfg.RatesRPS, window: cfg.Window,
-		seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers, kneeFactor: cfg.KneeFactor,
+		seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers,
 		dispatch: cfg.Dispatch, quantum: cfg.PreemptQuantum,
 		log: cfg.Log,
 	}.validate()
@@ -344,7 +343,7 @@ func Run(cfg Config) (Result, error) {
 		Seed:             g.seed,
 		Trials:           g.trials,
 		Workers:          g.workers,
-		KneeFactor:       g.kneeFactor,
+		KneeFactor:       DefaultKneeFactor,
 		Dispatch:         g.canonicalDispatch(),
 		PreemptQuantumMS: g.quantumMS(),
 	}
@@ -364,7 +363,7 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 		curve.UnloadedP50MS = curve.Points[0].P50SojournMS
-		curve.KneeRPS, curve.KneeReason = DetectKnee(g.rates, p99s, curve.UnloadedP50MS, g.kneeFactor)
+		curve.KneeRPS, curve.KneeReason = DetectKnee(g.rates, p99s, curve.UnloadedP50MS, DefaultKneeFactor)
 		res.Curves = append(res.Curves, curve)
 	}
 	return res, nil

@@ -19,24 +19,22 @@ import (
 // callers (the grids, the load generator, /capacity) validated already,
 // and whatever is wrong still fails where it is used.
 type grid struct {
-	workload   workload.Spec
-	trace      string
-	rates      []float64
-	window     time.Duration
-	seed       int64
-	trials     int
-	workers    int
-	kneeFactor float64
-	dispatch   string
-	quantum    time.Duration
+	workload workload.Spec
+	trace    string
+	rates    []float64
+	window   time.Duration
+	seed     int64
+	trials   int
+	workers  int
+	dispatch string
+	quantum  time.Duration
 	// log, when non-nil, receives progress lines and a diagnostic per
 	// failed job.
 	log func(string)
 }
 
-// validate fills the grid's defaults (one trial, the default knee
-// factor, rates sorted ascending in a copy) and rejects grids that
-// cannot run.
+// validate fills the grid's defaults (one trial, rates sorted
+// ascending in a copy) and rejects grids that cannot run.
 func (g grid) validate() (grid, error) {
 	spec, err := g.workload.Validate()
 	if err != nil {
@@ -65,12 +63,6 @@ func (g grid) validate() (grid, error) {
 	}
 	if g.trials < 1 {
 		g.trials = 1
-	}
-	if g.kneeFactor == 0 {
-		g.kneeFactor = DefaultKneeFactor
-	}
-	if g.kneeFactor < 0 {
-		return g, fmt.Errorf("sweep: knee factor must be positive, got %g", g.kneeFactor)
 	}
 	return g, nil
 }

@@ -343,14 +343,3 @@ func submitClass(opts []SubmitOption) (Class, error) {
 func WithClass(c Class) SubmitOption {
 	return func(ss *submitSettings) { ss.class = c }
 }
-
-// WithConfig replaces the entire base configuration — the escape
-// hatch for callers migrating from the Config-struct API or setting
-// fields no dedicated option covers (overheads, MaxTempoLevels, …).
-// Later options still apply on top.
-func WithConfig(cfg Config) Option {
-	return func(s *settings) error {
-		s.cfg = cfg
-		return nil
-	}
-}

@@ -407,16 +407,6 @@ func TestOptionAndConfigErrors(t *testing.T) {
 		{"empty freqs option", []hermes.Option{hermes.WithFreqs()}, "at least one frequency"},
 		{"zero thresholds", []hermes.Option{hermes.WithThresholds(0)}, "must be positive"},
 		{"bad profile", []hermes.Option{hermes.WithProfile(0, 0)}, "must be positive"},
-		{"small MaxTempoLevels", []hermes.Option{
-			hermes.WithConfig(hermes.Config{MaxTempoLevels: 1}),
-		}, "MaxTempoLevels"},
-		{"negative ProfilePeriod via WithConfig", []hermes.Option{
-			hermes.WithConfig(hermes.Config{ProfilePeriod: -1}),
-			hermes.WithBackend(hermes.Native),
-		}, "ProfilePeriod"},
-		{"negative StealCost via WithConfig", []hermes.Option{
-			hermes.WithConfig(hermes.Config{StealCost: -1}),
-		}, "StealCost"},
 	}
 	for _, tc := range cases {
 		rt, err := hermes.New(tc.opts...)
