@@ -16,7 +16,7 @@ import (
 	"hermes/internal/units"
 )
 
-var updateFigures = flag.Bool("update", false, "rewrite testdata/figure*.txt from this run")
+var update = flag.Bool("update", false, "rewrite testdata/figure*.txt and testdata/ci from this run")
 
 // quickSession is the one -quick session both tests below draw from:
 // whichever runs second finds its runs in the cache.
@@ -33,13 +33,15 @@ func skipSlowFigures(t *testing.T) {
 
 // TestQuickFiguresGolden pins what `hermes-bench -quick -fig N` prints
 // for the paper's figures 6–22 (the table, not the wall-clock
-// "regenerated in" line) byte-for-byte against testdata/. The figures
-// run real kernels through core.Run on the Sim engine, so this is the
-// end-to-end oracle for any change that must not move simulated
-// results. One session serves all seventeen, as a plain `-quick` run
-// does; its cache only skips repeated identical runs. About a minute
-// and a half of kernel compute: skipped under -short and under the
-// race detector, which would multiply that without adding coverage.
+// "regenerated in" line) byte-for-byte against testdata/. The session
+// runs each of the figures' seven inputs' kernels once under wl.Record,
+// checks the output, and simulates every trial from the recording
+// through core.Run, so this is the end-to-end oracle for any change
+// that must not move simulated results. One session serves all
+// seventeen, as a plain `-quick` run does; its cache only skips
+// repeated identical runs. About four seconds on two cores: skipped
+// under -short and under the race detector, which would multiply that
+// without adding coverage.
 func TestQuickFiguresGolden(t *testing.T) {
 	skipSlowFigures(t)
 	s := quickSession
@@ -50,7 +52,7 @@ func TestQuickFiguresGolden(t *testing.T) {
 		}
 		got := tab.String() + "\n"
 		path := filepath.Join("testdata", fmt.Sprintf("figure%02d.txt", id))
-		if *updateFigures {
+		if *update {
 			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 				t.Fatal(err)
 			}

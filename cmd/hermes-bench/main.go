@@ -58,59 +58,69 @@ import (
 	"hermes/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is hermes-bench on the command-line arguments args. It returns
+// the exit status: 2 for a usage error, 1 for a failed run.
+func run(args []string) int {
+	fs := flag.NewFlagSet("hermes-bench", flag.ContinueOnError)
 	var (
-		fig     = flag.Int("fig", 0, "figure number to regenerate (0 = all)")
-		quick   = flag.Bool("quick", false, "CI-scale runs: smaller inputs, fewer trials")
-		trials  = flag.Int("trials", 0, "override trials per configuration")
-		scale   = flag.Float64("scale", 0, "override input-size scale factor")
-		csvDir  = flag.String("csv", "", "directory to write per-figure CSV files")
-		verbose = flag.Bool("v", false, "log each run")
+		fig     = fs.Int("fig", 0, "figure number to regenerate (0 = all)")
+		quick   = fs.Bool("quick", false, "CI-scale runs: smaller inputs, fewer trials")
+		trials  = fs.Int("trials", 0, "override trials per configuration")
+		scale   = fs.Float64("scale", 0, "override input-size scale factor")
+		csvDir  = fs.String("csv", "", "directory to write per-figure CSV files")
+		verbose = fs.Bool("v", false, "log each run")
 
-		load      = flag.Bool("load", false, "run the open-loop Poisson load generator instead of figures")
-		sweepMode = flag.Bool("sweep", false, "run the open-system (mode × rate) sweep on the Sim backend")
-		rates     = flag.String("rates", "25,50,100,200", "sweep: comma-separated offered-load grid, requests/second")
-		modes     = flag.String("modes", "baseline,unified", "sweep: comma-separated tempo modes")
-		machines  = flag.String("machines", "", "sweep: comma-separated fleet sizes; non-empty selects the cluster sweep (one -modes entry)")
-		placement = flag.String("placement", "p2c", "cluster sweep: comma-separated placement policies (random, jsq, p2c/p<k>c, gossip)")
-		faults    = flag.String("faults", "",
+		load      = fs.Bool("load", false, "run the open-loop Poisson load generator instead of figures")
+		sweepMode = fs.Bool("sweep", false, "run the open-system (mode × rate) sweep on the Sim backend")
+		rates     = fs.String("rates", "25,50,100,200", "sweep: comma-separated offered-load grid, requests/second")
+		modes     = fs.String("modes", "baseline,unified", "sweep: comma-separated tempo modes")
+		machines  = fs.String("machines", "", "sweep: comma-separated fleet sizes; non-empty selects the cluster sweep (one -modes entry)")
+		placement = fs.String("placement", "p2c", "cluster sweep: comma-separated placement policies (random, jsq, p2c/p<k>c, gossip)")
+		faults    = fs.String("faults", "",
 			"cluster sweep: comma-separated fault plans ("+strings.Join(fault.Names(), ", ")+"; empty = fault-free)")
-		dispatch = flag.String("dispatch", "",
+		dispatch = fs.String("dispatch", "",
 			"load/sweep: intake dispatch policy (fifo, priority, edf; empty = fifo)")
-		quantum = flag.Duration("quantum", 0,
+		quantum = fs.Duration("quantum", 0,
 			"load/sweep: preemption quantum under ranked dispatch (0 = jobs run to completion)")
-		rps      = flag.Float64("rps", 100, "load: target arrival rate, requests/second")
-		duration = flag.Duration("duration", 10*time.Second, "load/sweep: arrival window")
-		kind     = flag.String("workload", "ticks",
+		rps      = fs.Float64("rps", 100, "load: target arrival rate, requests/second")
+		duration = fs.Duration("duration", 10*time.Second, "load/sweep: arrival window")
+		kind     = fs.String("workload", "ticks",
 			"load/sweep: workload kind ("+strings.Join(workload.Names(), ", ")+")")
-		traceName = flag.String("trace", "",
+		traceName = fs.String("trace", "",
 			"load/sweep: arrival process ("+strings.Join(trace.Names(), ", ")+"; empty = poisson)")
-		n        = flag.Int("n", 0, "load/sweep: workload size (0 = workload default)")
-		grain    = flag.Int("grain", 0, "load/sweep: task granularity (0 = workload default)")
-		work     = flag.Int64("work", 0, "load/sweep: cycles per unit (0 = workload default)")
-		memfrac  = flag.Float64("memfrac", 0, "load/sweep: memory-bound fraction of work")
-		backend  = flag.String("backend", "native", "load: backend (native or sim)")
-		mode     = flag.String("mode", "unified", "load: tempo mode")
-		workers  = flag.Int("workers", 0, "load/sweep: worker count (0 = default)")
-		seed     = flag.Int64("seed", 1, "load/sweep: arrival-process seed")
-		jsonPath = flag.String("json", "", "load/sweep: write the JSON summary to this path")
+		n        = fs.Int("n", 0, "load/sweep: workload size (0 = workload default)")
+		grain    = fs.Int("grain", 0, "load/sweep: task granularity (0 = workload default)")
+		work     = fs.Int64("work", 0, "load/sweep: cycles per unit (0 = workload default)")
+		memfrac  = fs.Float64("memfrac", 0, "load/sweep: memory-bound fraction of work")
+		backend  = fs.String("backend", "native", "load: backend (native or sim)")
+		mode     = fs.String("mode", "unified", "load: tempo mode")
+		workers  = fs.Int("workers", 0, "load/sweep: worker count (0 = default)")
+		seed     = fs.Int64("seed", 1, "load/sweep: arrival-process seed")
+		jsonPath = fs.String("json", "", "load/sweep: write the JSON summary to this path")
 	)
-	flag.Parse()
-
-	var set []string
-	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
-	if err := checkModes(*load, *sweepMode, set, flag.Args()); err != nil {
-		fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 
-	if *sweepMode {
-		err := runSweep(sweepOpts{
-			Spec: workload.Spec{
-				Kind: *kind, N: *n, Grain: *grain,
-				Work: units.Cycles(*work), MemFrac: *memfrac,
-			},
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkModes(*load, *sweepMode, *trials, *scale, set, fs.Args()); err != nil {
+		fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
+		fs.Usage()
+		return 2
+	}
+
+	spec := workload.Spec{Kind: *kind, N: *n, Grain: *grain, Work: units.Cycles(*work), MemFrac: *memfrac}
+	var err error
+	switch {
+	case *sweepMode:
+		err = runSweep(sweepOpts{
+			Spec:           spec,
 			Trace:          *traceName,
 			Rates:          *rates,
 			Modes:          *modes,
@@ -127,21 +137,12 @@ func main() {
 			CSVDir:         *csvDir,
 			Verbose:        *verbose,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *load {
-		sum, err := runLoad(loadOpts{
-			RPS:      *rps,
-			Duration: *duration,
-			Spec: workload.Spec{
-				Kind: *kind, N: *n, Grain: *grain,
-				Work: units.Cycles(*work), MemFrac: *memfrac,
-			},
+	case *load:
+		var sum loadSummary
+		sum, err = runLoad(loadOpts{
+			RPS:            *rps,
+			Duration:       *duration,
+			Spec:           spec,
 			Trace:          *traceName,
 			Seed:           *seed,
 			Backend:        *backend,
@@ -151,56 +152,58 @@ func main() {
 			PreemptQuantum: *quantum,
 			Verbose:        *verbose,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
-			os.Exit(1)
+		if err == nil {
+			err = writeSummary(sum, *jsonPath)
 		}
-		if err := writeSummary(sum, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
-			os.Exit(1)
+	default:
+		opts := harness.Full()
+		if *quick {
+			opts = harness.Quick()
 		}
-		return
+		if *trials > 0 {
+			opts.Trials = *trials
+		}
+		if *scale > 0 {
+			opts.Scale = *scale
+		}
+		opts.Verbose = *verbose
+		err = runFigures(opts, *fig, *csvDir)
 	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
+		return 1
+	}
+	return 0
+}
 
-	opts := harness.Full()
-	if *quick {
-		opts = harness.Quick()
-	}
-	if *trials > 0 {
-		opts.Trials = *trials
-	}
-	if *scale > 0 {
-		opts.Scale = *scale
-	}
-	opts.Verbose = *verbose
+// runFigures prints figure fig (0 = every figure) and, with a csvDir,
+// writes each as figureNN.csv there.
+func runFigures(opts harness.Options, fig int, csvDir string) error {
 	s := harness.NewSession(opts)
 	s.Log = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
-
 	ids := harness.Figures()
-	if *fig != 0 {
-		ids = []int{*fig}
+	if fig != 0 {
+		ids = []int{fig}
 	}
 	for _, id := range ids {
 		start := time.Now()
 		t, err := s.Figure(id)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Println(t.String())
 		fmt.Printf("(regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
-				os.Exit(1)
+		if csvDir != "" {
+			if err := os.MkdirAll(csvDir, 0o755); err != nil {
+				return err
 			}
-			path := filepath.Join(*csvDir, fmt.Sprintf("figure%02d.csv", id))
+			path := filepath.Join(csvDir, fmt.Sprintf("figure%02d.csv", id))
 			if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
-				os.Exit(1)
+				return err
 			}
 		}
 	}
+	return nil
 }
 
 // loadSweepFlags are the flags -load and -sweep share: the workload,
@@ -219,9 +222,10 @@ var modeFlags = map[string]string{
 // does not read (it would be silently ignored: -load -machines 3 would
 // run one machine), or carries positional arguments: flag parsing stops
 // at the first one, so "fig 6" would otherwise drop the number and
-// regenerate every figure. set holds the names of the flags given on
-// the command line.
-func checkModes(load, sweep bool, set, args []string) error {
+// regenerate every figure. It also rejects a negative -trials or
+// -scale, which would otherwise fall back to the default. set holds
+// the names of the flags given on the command line.
+func checkModes(load, sweep bool, trials int, scale float64, set, args []string) error {
 	if load && sweep {
 		return errors.New("-load and -sweep are separate modes; pass one")
 	}
@@ -239,6 +243,12 @@ func checkModes(load, sweep bool, set, args []string) error {
 		if !slices.Contains(reads, name) {
 			return fmt.Errorf("-%s does not apply to %s mode", name, mode)
 		}
+	}
+	if trials < 0 {
+		return fmt.Errorf("-trials %d is negative", trials)
+	}
+	if scale < 0 {
+		return fmt.Errorf("-scale %g is negative", scale)
 	}
 	return nil
 }

@@ -5,11 +5,11 @@
 // deterministic instance, runs real computation on the runtime through
 // the wl API, and verifies its output against a sequential reference.
 //
-// Runs over one input come from one factory (Bench.Factory). Every run
-// gets a freshly generated input and its own outputs, and every run's
-// output is checked; the reference it is checked against is computed
-// at most once per factory, from the input alone. sort and compare
-// check an O(n) checksum and need no reference.
+// Build makes one instance: a freshly generated input, its outputs,
+// and a Check that verifies the outputs against a reference it
+// computes from the input (knn, ray, hull) or against an O(n)
+// checksum (sort, compare). harness.Session builds, records and checks
+// each input once and replays the recording on every trial.
 package bench
 
 import (
@@ -39,25 +39,16 @@ type Bench struct {
 	Desc string
 	// DefaultN is the input size used by the figure harness.
 	DefaultN int
-	// Factory returns the maker of runs over the deterministic instance
-	// of size n: each call is a fresh run, and the runs share one
-	// verification reference.
-	Factory func(n int, seed int64) func() Workload
+	// Build creates the deterministic instance of size n.
+	Build func(n int, seed int64) Workload
 }
 
-// Build creates a deterministic instance of size n: one run of a fresh
-// factory.
-func (b *Bench) Build(n int, seed int64) Workload { return b.Factory(n, seed)() }
-
-// runs adapts a kernel's maker of runs to what Factory returns.
-func runs[J interface {
+// job is a kernel's run as a Workload.
+func job(j interface {
 	Root(wl.Ctx)
 	Check() error
-}](next func() J) func() Workload {
-	return func() Workload {
-		j := next()
-		return Workload{Root: j.Root, Check: j.Check}
-	}
+}) Workload {
+	return Workload{Root: j.Root, Check: j.Check}
 }
 
 var all = []*Bench{
@@ -65,35 +56,31 @@ var all = []*Bench{
 		Name:     "knn",
 		Desc:     "k-nearest neighbors over 2-D points (kd-tree build + queries)",
 		DefaultN: 150_000,
-		Factory:  func(n int, seed int64) func() Workload { return runs(knn.Factory(n, 8, seed)) },
+		Build:    func(n int, seed int64) Workload { return job(knn.New(n, 8, seed)) },
 	},
 	{
 		Name:     "ray",
 		Desc:     "first ray-triangle intersection (BVH build + traversal)",
 		DefaultN: 120_000,
-		Factory:  func(n int, seed int64) func() Workload { return runs(ray.Factory(n/2, n, seed)) },
+		Build:    func(n int, seed int64) Workload { return job(ray.New(n/2, n, seed)) },
 	},
 	{
 		Name:     "sort",
 		Desc:     "integer sort: parallel LSD radix sort",
 		DefaultN: 4_000_000,
-		Factory: func(n int, seed int64) func() Workload {
-			return runs(func() *isort.Job { return isort.New(n, seed) })
-		},
+		Build:    func(n int, seed int64) Workload { return job(isort.New(n, seed)) },
 	},
 	{
 		Name:     "compare",
 		Desc:     "comparison sort: parallel sample sort",
 		DefaultN: 2_000_000,
-		Factory: func(n int, seed int64) func() Workload {
-			return runs(func() *csort.Job { return csort.New(n, seed) })
-		},
+		Build:    func(n int, seed int64) Workload { return job(csort.New(n, seed)) },
 	},
 	{
 		Name:     "hull",
 		Desc:     "planar convex hull: parallel quickhull",
 		DefaultN: 2_500_000,
-		Factory:  func(n int, seed int64) func() Workload { return runs(hull.Factory(n, seed)) },
+		Build:    func(n int, seed int64) Workload { return job(hull.New(n, seed)) },
 	},
 }
 

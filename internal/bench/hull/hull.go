@@ -9,7 +9,6 @@ package hull
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"hermes/internal/geom"
 	"hermes/internal/units"
@@ -24,7 +23,6 @@ const (
 
 // Job is one convex-hull run.
 type Job struct {
-	ref *reference
 	pts []geom.Vec2
 
 	// Hull receives the hull's point indices (unordered set
@@ -33,22 +31,11 @@ type Job struct {
 	Hull []int
 }
 
-// reference is the sorted reference hull the runs of one Factory share.
-type reference struct {
-	once sync.Once
-	want []int
-}
-
-// Factory makes runs over n deterministic points: each run gets a
-// freshly generated copy of the points and its own outputs, and all
-// runs share one reference hull, computed at most once, from the input.
-func Factory(n int, seed int64) func() *Job {
-	ref := &reference{}
-	return func() *Job {
-		j := &Job{ref: ref, pts: geom.RandomPoints2(n, seed), mu: make(chan struct{}, 1)}
-		j.mu <- struct{}{}
-		return j
-	}
+// New creates a deterministic instance of n points.
+func New(n int, seed int64) *Job {
+	j := &Job{pts: geom.RandomPoints2(n, seed), mu: make(chan struct{}, 1)}
+	j.mu <- struct{}{}
+	return j
 }
 
 func (j *Job) addHull(idx int) {
@@ -193,11 +180,8 @@ func less(p, q geom.Vec2) bool {
 // Check verifies the hull against a sequential Andrew's monotone-chain
 // reference.
 func (j *Job) Check() error {
-	j.ref.once.Do(func() {
-		j.ref.want = referenceHull(j.pts)
-		sort.Ints(j.ref.want)
-	})
-	want := j.ref.want
+	want := referenceHull(j.pts)
+	sort.Ints(want)
 	got := make([]int, len(j.Hull))
 	copy(got, j.Hull)
 	sort.Ints(got)

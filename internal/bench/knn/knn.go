@@ -8,7 +8,7 @@ package knn
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"hermes/internal/geom"
 	"hermes/internal/units"
@@ -34,7 +34,6 @@ type node struct {
 
 // Job is one KNN run.
 type Job struct {
-	ref *reference
 	pts []geom.Vec2
 	k   int
 
@@ -48,38 +47,20 @@ type Job struct {
 	Result []float64
 }
 
-// reference holds the brute-force answers for the sampled queries,
-// which the runs of one Factory share.
-type reference struct {
-	once sync.Once
-	sums []refSum
-}
-
-type refSum struct {
-	q   int
-	sum float64
-}
-
-// Factory makes runs of n points with k neighbours (k < 1 means 1):
-// each run gets a freshly generated copy of the points and its own
-// outputs, and all runs share one brute-force reference, computed at
-// most once, from the input.
-func Factory(n, k int, seed int64) func() *Job {
-	ref := &reference{}
-	return func() *Job {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return &Job{
-			ref:    ref,
-			pts:    geom.RandomPoints2(n, seed),
-			k:      max(k, 1),
-			idx:    idx,
-			byIdx:  make([]geom.Vec2, n),
-			nodes:  make([]node, 0, 2*n/leafSize+4),
-			Result: make([]float64, n),
-		}
+// New creates a deterministic instance of n points with k neighbours
+// (k < 1 means 1).
+func New(n, k int, seed int64) *Job {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return &Job{
+		pts:    geom.RandomPoints2(n, seed),
+		k:      max(k, 1),
+		idx:    idx,
+		byIdx:  make([]geom.Vec2, n),
+		nodes:  make([]node, 0, 2*n/leafSize+4),
+		Result: make([]float64, n),
 	}
 }
 
@@ -302,28 +283,17 @@ func (j *Job) search(id, q int, h *knnHeap, visited int) int {
 }
 
 // Check verifies a deterministic sample of queries against brute
-// force.
+// force over the input.
 func (j *Job) Check() error {
-	j.ref.once.Do(func() {
-		for q := 0; q < len(j.pts); q += max(len(j.pts)/17, 1) {
-			h := knnHeap{d: make([]float64, 0, j.k), k: j.k}
-			for i := range j.pts {
-				if i == q {
-					continue
-				}
+	for q := 0; q < len(j.pts); q += max(len(j.pts)/17, 1) {
+		h := knnHeap{d: make([]float64, 0, j.k), k: j.k}
+		for i := range j.pts {
+			if i != q {
 				h.add(j.pts[q].Dist2(j.pts[i]))
 			}
-			j.ref.sums = append(j.ref.sums, refSum{q: q, sum: h.sum()})
 		}
-	})
-	for _, w := range j.ref.sums {
-		got := j.Result[w.q]
-		diff := got - w.sum
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 1e-9*(1+w.sum) {
-			return fmt.Errorf("knn: query %d result %g, brute force %g", w.q, got, w.sum)
+		if got, want := j.Result[q], h.sum(); math.Abs(got-want) > 1e-9*(1+want) {
+			return fmt.Errorf("knn: query %d result %g, brute force %g", q, got, want)
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package knn
 import (
 	"math"
 	"slices"
-	"sync"
 	"testing"
 
 	"hermes/internal/core"
@@ -11,7 +10,7 @@ import (
 )
 
 func TestQueriesMatchBruteForce(t *testing.T) {
-	j := Factory(5000, 8, 1)()
+	j := New(5000, 8, 1)
 	core.Run(core.Config{Spec: cpu.SystemA(), Workers: 8, Mode: core.Unified, Seed: 1}, j.Root)
 	if err := j.Check(); err != nil {
 		t.Fatal(err)
@@ -20,7 +19,7 @@ func TestQueriesMatchBruteForce(t *testing.T) {
 
 func TestSmallInputs(t *testing.T) {
 	for _, n := range []int{2, 3, 33, 64, 100} {
-		j := Factory(n, 3, 2)()
+		j := New(n, 3, 2)
 		core.Run(core.Config{Workers: 2, Seed: 2}, j.Root)
 		if err := j.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -29,7 +28,7 @@ func TestSmallInputs(t *testing.T) {
 }
 
 func TestKClamp(t *testing.T) {
-	j := Factory(100, 0, 4)() // k < 1 clamps to 1
+	j := New(100, 0, 4) // k < 1 clamps to 1
 	core.Run(core.Config{Workers: 2, Seed: 4}, j.Root)
 	if err := j.Check(); err != nil {
 		t.Fatal(err)
@@ -37,7 +36,7 @@ func TestKClamp(t *testing.T) {
 }
 
 func TestCheckCatchesCorruption(t *testing.T) {
-	j := Factory(2000, 4, 5)()
+	j := New(2000, 4, 5)
 	core.Run(core.Config{Workers: 4, Seed: 5}, j.Root)
 	j.Result[0] += 1
 	if err := j.Check(); err == nil {
@@ -46,7 +45,7 @@ func TestCheckCatchesCorruption(t *testing.T) {
 }
 
 func TestSelectNth(t *testing.T) {
-	j := Factory(1000, 1, 6)()
+	j := New(1000, 1, 6)
 	// Partition around the median by x and verify the partition
 	// property directly.
 	mid := 500
@@ -78,67 +77,13 @@ func TestHeapSemantics(t *testing.T) {
 	}
 }
 
-// TestFactorySecondRunStillChecked: the reference the first run's
-// Check fills is the one the second run is checked against, so a
-// corrupted second run still fails, and the runs' outputs are their own.
-func TestFactorySecondRunStillChecked(t *testing.T) {
-	f := Factory(2000, 4, 6)
-	a, b := f(), f()
-	core.Run(core.Config{Workers: 4, Seed: 6}, a.Root)
-	core.Run(core.Config{Workers: 4, Seed: 7}, b.Root)
-	if err := a.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.ref.sums) == 0 {
-		t.Fatal("the first Check left the reference empty")
-	}
-	b.Result[0] += 1
-	if err := b.Check(); err == nil {
-		t.Fatal("corrupted second run passed verification")
-	}
-	if err := a.Check(); err != nil {
-		t.Fatalf("corrupting the second run broke the first: %v", err)
-	}
-}
-
-// TestRootLeavesInputUntouched: the shared reference is computed from
-// whichever run checks first, so Root must not write the points.
+// TestRootLeavesInputUntouched: Check derives its reference from the
+// input after Root ran, so Root must not write the points.
 func TestRootLeavesInputUntouched(t *testing.T) {
-	f := Factory(2000, 4, 8)
-	j := f()
+	j := New(2000, 4, 8)
 	core.Run(core.Config{Workers: 4, Seed: 8}, j.Root)
-	if !slices.Equal(j.pts, f().pts) {
+	if !slices.Equal(j.pts, New(2000, 4, 8).pts) {
 		t.Fatal("Root wrote its input")
-	}
-}
-
-// TestConcurrentRunsShareOneReference: four goroutines take runs from
-// one factory and check them at once (run under -race); the corrupted
-// one fails whichever goroutine computes the reference.
-func TestConcurrentRunsShareOneReference(t *testing.T) {
-	f := Factory(2000, 4, 9)
-	errs := make([]error, 4)
-	var wg sync.WaitGroup
-	for i := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j := f()
-			core.Run(core.Config{Workers: 2, Seed: int64(i)}, j.Root)
-			if i == 3 {
-				j.Result[0] += 1
-			}
-			errs[i] = j.Check()
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs[:3] {
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-	}
-	if errs[3] == nil {
-		t.Fatal("corrupted run passed verification")
 	}
 }
 
@@ -174,7 +119,7 @@ func (j *Job) searchByIndex(id, q int, h *knnHeap) {
 // per query reading points through idx, on clustered points with
 // duplicates (ties in the heap and at a split).
 func TestLeafScanMatchesIndexScan(t *testing.T) {
-	j := Factory(3000, 5, 10)()
+	j := New(3000, 5, 10)
 	for i := 0; i < len(j.pts); i += 7 {
 		j.pts[i] = j.pts[i/2]
 	}

@@ -8,7 +8,7 @@ package ray
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"hermes/internal/geom"
 	"hermes/internal/units"
@@ -35,7 +35,6 @@ type node struct {
 
 // Job is one ray-casting run.
 type Job struct {
-	ref  *reference
 	tris []geom.Triangle
 	rays []geom.Ray
 
@@ -49,37 +48,18 @@ type Job struct {
 	Hit []int
 }
 
-// reference holds the brute-force answers for the sampled rays, which
-// the runs of one Factory share.
-type reference struct {
-	once sync.Once
-	hits []refHit
-}
-
-type refHit struct {
-	ray, tri int     // tri is -1 for a miss
-	t        float64 // depth of the hit
-}
-
-// Factory makes runs with nTris triangles and nRays rays: each run gets
-// a freshly generated copy of the scene and its own outputs, and all
-// runs share one brute-force reference, computed at most once, from the
-// input.
-func Factory(nTris, nRays int, seed int64) func() *Job {
-	ref := &reference{}
-	return func() *Job {
-		idx := make([]int, nTris)
-		for i := range idx {
-			idx[i] = i
-		}
-		return &Job{
-			ref:   ref,
-			tris:  geom.RandomTriangles(nTris, seed),
-			rays:  geom.RandomRays(nRays, seed+1),
-			idx:   idx,
-			edges: make([]geom.Edges, nTris),
-			Hit:   make([]int, nRays),
-		}
+// New creates a deterministic scene of nTris triangles and nRays rays.
+func New(nTris, nRays int, seed int64) *Job {
+	idx := make([]int, nTris)
+	for i := range idx {
+		idx[i] = i
+	}
+	return &Job{
+		tris:  geom.RandomTriangles(nTris, seed),
+		rays:  geom.RandomRays(nRays, seed+1),
+		idx:   idx,
+		edges: make([]geom.Edges, nTris),
+		Hit:   make([]int, nRays),
 	}
 }
 
@@ -277,36 +257,25 @@ func (j *Job) cast(r geom.Ray) (hit, nodesVisited, triTests int) {
 	return hit, nodesVisited, triTests
 }
 
-// Check verifies a deterministic sample of rays against brute force.
+// Check verifies a deterministic sample of rays against brute force
+// over the input.
 func (j *Job) Check() error {
-	j.ref.once.Do(func() {
-		for r := 0; r < len(j.rays); r += max(len(j.rays)/13, 1) {
-			w := refHit{ray: r, tri: -1, t: maxRayT}
-			for t := range j.tris {
-				if d, ok := j.rays[r].IntersectTriangle(j.tris[t]); ok && d < w.t {
-					w.t, w.tri = d, t
-				}
+	for r := 0; r < len(j.rays); r += max(len(j.rays)/13, 1) {
+		tri, t := -1, maxRayT // the first hit; -1 for a miss
+		for k := range j.tris {
+			if d, ok := j.rays[r].IntersectTriangle(j.tris[k]); ok && d < t {
+				t, tri = d, k
 			}
-			j.ref.hits = append(j.ref.hits, w)
 		}
-	})
-	for _, w := range j.ref.hits {
-		if got := j.Hit[w.ray]; got != w.tri {
+		if got := j.Hit[r]; got != tri {
 			// Two triangles at (numerically) the same depth can swap;
 			// accept if the distances match closely.
-			if got >= 0 && w.tri >= 0 {
-				dg, okg := j.rays[w.ray].IntersectTriangle(j.tris[got])
-				if okg {
-					diff := dg - w.t
-					if diff < 0 {
-						diff = -diff
-					}
-					if diff <= 1e-12*(1+w.t) {
-						continue
-					}
+			if got >= 0 && tri >= 0 {
+				if dg, ok := j.rays[r].IntersectTriangle(j.tris[got]); ok && math.Abs(dg-t) <= 1e-12*(1+t) {
+					continue
 				}
 			}
-			return fmt.Errorf("ray: ray %d hit %d, brute force %d", w.ray, got, w.tri)
+			return fmt.Errorf("ray: ray %d hit %d, brute force %d", r, got, tri)
 		}
 	}
 	return nil

@@ -9,15 +9,17 @@
 // scheduler seed (victim selection) while holding the input fixed,
 // and averages. A Session caches each Spec's Avg, so figures that
 // share runs (e.g. Figure 6 and Figure 8) do not recompute them, and
-// one verification reference per input. Every run regenerates its
-// input and executes its kernel once, across the host's cores, under
-// wl.Record; the simulator replays the recording, and the run fails
-// unless its simulated tasks and spawns match the recording's and its
-// output passes the check against the reference, computed once.
+// one recording per input. On an input's first use the Session builds
+// it, executes its kernel once across the host's cores under
+// wl.Record, and checks the kernel's output against the reference;
+// then it drops the input. Every trial of every Spec over that input
+// simulates the recording and fails unless its simulated tasks and
+// spawns equal the recording's.
 package harness
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -60,12 +62,16 @@ func Quick() Options { return Options{Trials: 2, Scale: 0.25} }
 // Full returns the paper-scale defaults.
 func Full() Options { return Options{} }
 
-// Session runs experiments with caching.
+// Session runs experiments with caching: one Avg per Spec and one
+// recording per input. Build, wl.Record and the output's Check run
+// once per input, on its first use; the tasks/spawns match against
+// the recording runs on every trial. A Session is not safe for
+// concurrent use.
 type Session struct {
-	opts  Options
-	cache map[string]Avg
-	runs  map[input]func() bench.Workload // one factory per input
-	Log   func(string)
+	opts    Options
+	cache   map[string]Avg
+	scripts map[input]*wl.Script
+	Log     func(string)
 }
 
 // input identifies one benchmark input; the seed is the Session's.
@@ -76,7 +82,29 @@ type input struct {
 
 // NewSession creates a session with the given options.
 func NewSession(opts Options) *Session {
-	return &Session{opts: opts.withDefaults(), cache: map[string]Avg{}, runs: map[input]func() bench.Workload{}}
+	return &Session{opts: opts.withDefaults(), cache: map[string]Avg{}, scripts: map[input]*wl.Script{}}
+}
+
+// script returns the recording of b's input of size n, making it on
+// first use: build the input, record its kernel, check the output.
+func (s *Session) script(b *bench.Bench, n int) *wl.Script {
+	in := input{b.Name, n}
+	if sc, ok := s.scripts[in]; ok {
+		return sc
+	}
+	load := b.Build(n, s.opts.InputSeed)
+	sc := wl.Record(load.Root)
+	if load.Check != nil {
+		if err := load.Check(); err != nil {
+			panic(fmt.Sprintf("harness: %s verification failed: %v", b.Name, err))
+		}
+	}
+	s.scripts[in] = sc
+	// The input, its outputs and its reference are garbage now, but the
+	// replays that follow allocate too little to start a collection:
+	// without this one the heap would stay at the kernel's peak.
+	runtime.GC()
+	return sc
 }
 
 // Spec identifies one simulated configuration to average over trials.
@@ -122,13 +150,9 @@ func (s *Session) Run(spec Spec) Avg {
 		return a
 	}
 	n := max(int(float64(spec.Bench.DefaultN*max(spec.NFactor, 1))*s.opts.Scale), 1000)
-	in := input{spec.Bench.Name, n}
-	if s.runs[in] == nil {
-		s.runs[in] = spec.Bench.Factory(n, s.opts.InputSeed)
-	}
+	script := s.script(spec.Bench, n)
 	var a Avg
 	for trial := 0; trial < s.opts.Trials; trial++ {
-		load := s.runs[in]()
 		cfg := core.Config{
 			Spec:       spec.System,
 			Workers:    spec.Workers,
@@ -137,16 +161,10 @@ func (s *Session) Run(spec Spec) Avg {
 			Freqs:      spec.Freqs,
 			Seed:       s.opts.InputSeed*7919 + int64(trial)*104729 + 1,
 		}
-		script := wl.Record(load.Root)
 		r := core.Run(cfg, script.Task())
 		if r.Tasks != script.Tasks() || r.Spawns != script.Spawns() {
 			panic(fmt.Sprintf("harness: %s verification failed: simulated %d tasks, %d spawns; recorded %d, %d",
 				spec.Bench.Name, r.Tasks, r.Spawns, script.Tasks(), script.Spawns()))
-		}
-		if load.Check != nil {
-			if err := load.Check(); err != nil {
-				panic(fmt.Sprintf("harness: %s verification failed: %v", spec.Bench.Name, err))
-			}
 		}
 		a.Span += r.Span.Seconds()
 		a.Energy += r.EnergyJ

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hermes/internal/bench"
@@ -35,10 +37,9 @@ func TestReplayEqualsExecution(t *testing.T) {
 		for _, b := range bench.All() {
 			for _, mode := range []core.Mode{core.Baseline, core.Unified} {
 				cfg := core.Config{Spec: sys, Workers: 3, Mode: mode, Seed: 5}
-				runs := b.Factory(replayN(b), 8)
-				live := runs()
+				live := b.Build(replayN(b), 8)
 				_, want := simulate(cfg, live.Root)
-				rec := runs()
+				rec := b.Build(replayN(b), 8)
 				script := wl.Record(rec.Root)
 				r, got := simulate(cfg, script.Task())
 				if got != want {
@@ -59,12 +60,13 @@ func TestReplayEqualsExecution(t *testing.T) {
 	}
 }
 
-// TestRecordingsOfOneInputAreEqual: two runs over one input record
-// equal scripts, however the host's goroutines shared the bodies.
+// TestRecordingsOfOneInputAreEqual: two builds of one input record
+// equal scripts, however the host's goroutines shared the bodies. It
+// is what lets a Session record an input once for all its trials.
 func TestRecordingsOfOneInputAreEqual(t *testing.T) {
 	for _, b := range bench.All() {
-		runs := b.Factory(replayN(b), 9)
-		if a, c := wl.Record(runs().Root), wl.Record(runs().Root); !reflect.DeepEqual(a, c) {
+		n := replayN(b)
+		if a, c := wl.Record(b.Build(n, 9).Root), wl.Record(b.Build(n, 9).Root); !reflect.DeepEqual(a, c) {
 			t.Errorf("%s: two recordings of one input differ", b.Name)
 		}
 	}
@@ -106,8 +108,7 @@ func (c *workSpan) Worker() int { return 0 }
 func TestRecordedWorkSpanBounds(t *testing.T) {
 	for _, sys := range []*cpu.Spec{cpu.SystemA(), cpu.SystemB()} {
 		for _, b := range bench.All() {
-			runs := b.Factory(replayN(b), 10)
-			script := wl.Record(runs().Root)
+			script := wl.Record(b.Build(replayN(b), 10).Root)
 			ws := &workSpan{f: sys.MaxFreq()}
 			script.Task()(ws)
 			for _, p := range workerCounts(sys) {
@@ -119,4 +120,53 @@ func TestRecordedWorkSpanBounds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSessionRecordsEachInputOnce: a Session builds, records and checks
+// an input once, on its first use, and simulates every trial of every
+// Spec over it; a different NFactor is a second input, and a failing
+// Check panics on the input's first use.
+func TestSessionRecordsEachInputOnce(t *testing.T) {
+	var builds, checks, runs int
+	var fail error
+	fake := &bench.Bench{Name: "fake", DefaultN: 4000, Build: func(n int, seed int64) bench.Workload {
+		builds++
+		return bench.Workload{
+			Root: func(c wl.Ctx) {
+				wl.For(c, 0, n, 500, func(c wl.Ctx, lo, hi int) { c.Work(units.Cycles(1000 * (hi - lo))) })
+			},
+			Check: func() error { checks++; return fail },
+		}
+	}}
+	s := NewSession(Options{Trials: 3, InputSeed: 5, Verbose: true})
+	s.Log = func(string) { runs++ }
+	var specs []Spec
+	for _, sys := range []*cpu.Spec{cpu.SystemA(), cpu.SystemB()} {
+		for _, mode := range []core.Mode{core.Baseline, core.Unified} {
+			specs = append(specs, Spec{System: sys, Bench: fake, Workers: 2, Mode: mode})
+		}
+	}
+	for _, spec := range specs {
+		s.Run(spec)
+	}
+	if builds != 1 || checks != 1 || runs != 3*len(specs) {
+		t.Fatalf("%d Specs × 3 trials over one input: %d builds, %d checks, %d runs; want 1, 1, %d",
+			len(specs), builds, checks, runs, 3*len(specs))
+	}
+
+	spec := specs[0]
+	spec.NFactor = 2
+	s.Run(spec)
+	if builds != 2 || checks != 2 || runs != 3*len(specs)+3 {
+		t.Fatalf("a second input: %d builds, %d checks, %d runs", builds, checks, runs)
+	}
+
+	fail = errors.New("corrupt output")
+	spec.NFactor = 3
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "verification failed") {
+			t.Fatalf("a failing Check on first use: recovered %v, want a verification failure", p)
+		}
+	}()
+	s.Run(spec)
 }

@@ -14,8 +14,10 @@ import (
 
 // BenchmarkSessionRound times one paper_figs-shaped round: the 35
 // rows of Figures 6 and 7 in both modes, 70 runs at scale 0.1, one
-// trial each, every run recorded, simulated and checked. It reports
-// runs per second and process CPU milliseconds per run.
+// trial each. Each kernel's one input is built, recorded and checked
+// on its first run; all 70 runs simulate a recording and match its
+// tasks and spawns. It reports runs per second and process CPU
+// milliseconds per run.
 func BenchmarkSessionRound(b *testing.B) {
 	var runs int
 	var cpuS float64
