@@ -7,9 +7,9 @@
 //
 // Build makes one instance: a freshly generated input, its outputs,
 // and a Check that verifies the outputs against a reference it
-// computes from the input (knn, ray, hull) or against an O(n)
-// checksum (sort, compare). harness.Session builds, records and checks
-// each input once and replays the recording on every trial.
+// computes from the input (knn, ray, hull) or against an O(n) key-
+// multiset fingerprint (sort, compare). harness.Session builds, records
+// and checks each input once and replays the recording on every trial.
 package bench
 
 import (

@@ -8,6 +8,7 @@ package csort
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -29,7 +30,7 @@ const (
 type Job struct {
 	Keys   []float64
 	tmp    []float64
-	sum    float64
+	fp     uint64 // the input's key-multiset fingerprint
 	blocks int
 }
 
@@ -38,14 +39,12 @@ type Job struct {
 func New(n int, seed int64) *Job {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]float64, n)
-	var sum float64
 	for i := range keys {
 		if rng.Intn(3) == 0 {
 			keys[i] = rng.ExpFloat64() * 0.1
 		} else {
 			keys[i] = rng.Float64()
 		}
-		sum += keys[i]
 	}
 	blocks := n / 18000
 	if blocks < 1 {
@@ -54,7 +53,7 @@ func New(n int, seed int64) *Job {
 	if blocks > 512 {
 		blocks = 512
 	}
-	return &Job{Keys: keys, tmp: make([]float64, n), sum: sum, blocks: blocks}
+	return &Job{Keys: keys, tmp: make([]float64, n), fp: fingerprint(keys), blocks: blocks}
 }
 
 // Root sorts Keys in place.
@@ -173,23 +172,33 @@ func (j *Job) blockRange(b, n int) (int, int) {
 	return b * n / j.blocks, (b + 1) * n / j.blocks
 }
 
-// Check verifies ordering and the key-sum invariant.
+// Check verifies ordering and the input's key multiset, bit for bit.
 func (j *Job) Check() error {
-	var sum float64
-	for i, k := range j.Keys {
-		if i > 0 && j.Keys[i-1] > k {
+	for i := 1; i < len(j.Keys); i++ {
+		if j.Keys[i-1] > j.Keys[i] {
 			return fmt.Errorf("csort: keys[%d] > keys[%d]", i-1, i)
 		}
-		sum += k
 	}
-	diff := sum - j.sum
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 1e-6*(1+j.sum) {
-		return fmt.Errorf("csort: key sum drifted: %g vs %g", sum, j.sum)
+	if fp := fingerprint(j.Keys); fp != j.fp {
+		return fmt.Errorf("csort: key multiset differs from the input's: fingerprint %#x != %#x", fp, j.fp)
 	}
 	return nil
+}
+
+// fingerprint is an order-independent fingerprint of a key multiset:
+// the sum mod 2⁶⁴ of a bijective 64-bit mix (splitmix64's finalizer)
+// of each key's bits, so it compares exactly, with no tolerance.
+// Unlike the key sum, it changes when keys are swapped for others with
+// the same sum, barring a 64-bit collision.
+func fingerprint(keys []float64) uint64 {
+	var fp uint64
+	for _, k := range keys {
+		z := math.Float64bits(k)
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		fp += z ^ z>>31
+	}
+	return fp
 }
 
 func log2(n int) float64 {

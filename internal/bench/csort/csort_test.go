@@ -81,3 +81,21 @@ func TestBucketMatchesSearchFloat64s(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckCatchesEqualSumSwap: a sorted output whose keys were swapped
+// for others with the same sum, like [1, 2, 3] → [1, 1, 4], has lost
+// the input's key multiset.
+func TestCheckCatchesEqualSumSwap(t *testing.T) {
+	j := New(5000, 3)
+	core.Run(core.Config{Workers: 2, Seed: 3}, j.Root)
+	const d = 1e-9
+	i := 0
+	for j.Keys[i+1]-j.Keys[i] < 4*d {
+		i++
+	}
+	j.Keys[i] += d
+	j.Keys[i+1] -= d
+	if err := j.Check(); err == nil {
+		t.Fatal("sorted keys with the input's sum but not its multiset passed verification")
+	}
+}

@@ -7,7 +7,10 @@
 package hull
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"hermes/internal/geom"
@@ -177,8 +180,9 @@ func less(p, q geom.Vec2) bool {
 	return p.Y < q.Y
 }
 
-// Check verifies the hull against a sequential Andrew's monotone-chain
-// reference.
+// Check verifies the hull against a sequential reference: the
+// Akl–Toussaint filter, then Andrew's monotone chain on the points it
+// keeps.
 func (j *Job) Check() error {
 	want := referenceHull(j.pts)
 	sort.Ints(want)
@@ -196,27 +200,110 @@ func (j *Job) Check() error {
 	return nil
 }
 
-// referenceHull is a sequential monotone-chain convex hull returning
-// point indices (excluding collinear boundary points, matching
-// quickhull's strict-outside tests).
+// referenceHull returns the indices of the hull's vertices, excluding
+// collinear boundary points (matching quickhull's strict-outside
+// tests) and naming coincident points by their lowest index (as
+// quickhull's first-wins scans do). It is linear up to a sort of the
+// few points the Akl–Toussaint filter keeps: no point strictly inside
+// a polygon of input points can be a hull vertex, so one pass finds
+// the extreme points in eight directions and a second drops every
+// point strictly inside their polygon.
 func referenceHull(pts []geom.Vec2) []int {
-	n := len(pts)
-	if n == 0 {
+	if len(pts) == 0 {
 		return nil
 	}
-	if n == 1 {
-		return []int{0}
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool { return less(pts[order[x]], pts[order[y]]) })
-	if pts[order[0]] == pts[order[n-1]] {
-		// All points coincide: the hull is a single point.
-		return []int{order[0]}
+	return monotoneChain(pts, akl(pts))
+}
+
+// akl returns, in index order, the points not strictly inside the
+// polygon of pts' extreme points in the directions +x, +(x+y), +y,
+// −(x−y), −x, −(x+y), −y and +(x−y), taken counter-clockwise. A point
+// is dropped only if an orientation test whose sign is certain puts it
+// strictly left of every non-degenerate edge, so a point within
+// rounding of an edge is kept: for coordinates whose products do not
+// overflow, the filter keeps too many points at worst, never too few.
+// If every edge is degenerate (all points coincide) it drops nothing.
+func akl(pts []geom.Vec2) []int {
+	var ext [8]int
+	p0 := pts[0]
+	hx, hs, hy, ht := p0.X, p0.X+p0.Y, p0.Y, p0.Y-p0.X // maxima of x, x+y, y, y−x
+	lx, ls, ly, lt := hx, hs, hy, ht                   // and their minima
+	for i, p := range pts {
+		x, s, y, t := p.X, p.X+p.Y, p.Y, p.Y-p.X
+		if x > hx {
+			hx, ext[0] = x, i
+		} else if x < lx {
+			lx, ext[4] = x, i
+		}
+		if s > hs {
+			hs, ext[1] = s, i
+		} else if s < ls {
+			ls, ext[5] = s, i
+		}
+		if y > hy {
+			hy, ext[2] = y, i
+		} else if y < ly {
+			ly, ext[6] = y, i
+		}
+		if t > ht {
+			ht, ext[3] = t, i
+		} else if t < lt {
+			lt, ext[7] = t, i
+		}
 	}
 
+	// An edge (a, b−a) drops p if (b−a) × (p−a) > bound. The bound is
+	// twice Shewchuk's ccwerrboundA, (3 + 16ε)ε with ε = 2⁻⁵³, times an
+	// upper bound on the two products' magnitudes over all points
+	// (|p−a| is at most the points' extent on each axis), plus the
+	// smallest normal for underflow: a computed value above it has the
+	// sign of the exact one.
+	const errA = (3 + 16*0x1p-53) * 0x1p-53
+	type edge struct {
+		a, ab geom.Vec2
+		bound float64
+	}
+	var edges []edge
+	for d, i := range ext {
+		a, b := pts[i], pts[ext[(d+1)%8]]
+		if a != b {
+			ab := b.Sub(a)
+			bound := 2*errA*(math.Abs(ab.X)*(hy-ly)+math.Abs(ab.Y)*(hx-lx)) + 0x1p-1022
+			edges = append(edges, edge{a, ab, bound})
+		}
+	}
+	var keep []int
+	for i, p := range pts {
+		inside := len(edges) > 0
+		for _, e := range edges {
+			if e.ab.X*(p.Y-e.a.Y)-e.ab.Y*(p.X-e.a.X) <= e.bound {
+				inside = false
+				break
+			}
+		}
+		if !inside {
+			keep = append(keep, i)
+		}
+	}
+	return keep
+}
+
+// monotoneChain is Andrew's monotone chain over the points idx names;
+// it reorders idx.
+func monotoneChain(pts []geom.Vec2, idx []int) []int {
+	slices.SortFunc(idx, func(x, y int) int {
+		if c := cmp.Compare(pts[x].X, pts[y].X); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(pts[x].Y, pts[y].Y); c != 0 {
+			return c
+		}
+		return x - y
+	})
+	idx = slices.CompactFunc(idx, func(x, y int) bool { return pts[x] == pts[y] })
+	if len(idx) == 1 {
+		return idx
+	}
 	build := func(seq []int) []int {
 		var st []int
 		for _, i := range seq {
@@ -230,27 +317,9 @@ func referenceHull(pts []geom.Vec2) []int {
 			}
 			st = append(st, i)
 		}
-		return st
+		return st[:len(st)-1] // the last point starts the other chain
 	}
-	lower := build(order)
-	rev := make([]int, n)
-	for i := range order {
-		rev[i] = order[n-1-i]
-	}
-	upper := build(rev)
-
-	seen := map[int]bool{}
-	var out []int
-	for _, chain := range [][]int{lower, upper} {
-		for _, i := range chain[:max(len(chain)-1, 0)] { // endpoints shared
-			if !seen[i] {
-				seen[i] = true
-				out = append(out, i)
-			}
-		}
-	}
-	if len(out) == 0 {
-		out = []int{order[0]}
-	}
-	return out
+	lower := build(idx)
+	slices.Reverse(idx)
+	return append(lower, build(idx)...)
 }

@@ -35,7 +35,7 @@ const (
 type Job struct {
 	Keys   []uint32
 	tmp    []uint32
-	sum    uint64 // input checksum (order-independent)
+	fp     uint64 // the input's key-multiset fingerprint
 	blocks int
 }
 
@@ -44,10 +44,8 @@ type Job struct {
 func New(n int, seed int64) *Job {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]uint32, n)
-	var sum uint64
 	for i := range keys {
 		keys[i] = rng.Uint32()
-		sum += uint64(keys[i])
 	}
 	blocks := n / 18000
 	if blocks < 1 {
@@ -56,7 +54,7 @@ func New(n int, seed int64) *Job {
 	if blocks > 512 {
 		blocks = 512
 	}
-	return &Job{Keys: keys, tmp: make([]uint32, n), sum: sum, blocks: blocks}
+	return &Job{Keys: keys, tmp: make([]uint32, n), fp: fingerprint(keys), blocks: blocks}
 }
 
 // Root sorts Keys in place (an even number of passes lands the result
@@ -126,18 +124,30 @@ func (j *Job) blockRange(b, n int) (int, int) {
 	return lo, hi
 }
 
-// Check verifies the result: non-decreasing order and the same key
-// checksum as the input.
+// Check verifies the result: non-decreasing order and the input's key
+// multiset.
 func (j *Job) Check() error {
-	var sum uint64
-	for i, k := range j.Keys {
-		if i > 0 && j.Keys[i-1] > k {
-			return fmt.Errorf("isort: keys[%d]=%d > keys[%d]=%d", i-1, j.Keys[i-1], i, k)
+	for i := 1; i < len(j.Keys); i++ {
+		if j.Keys[i-1] > j.Keys[i] {
+			return fmt.Errorf("isort: keys[%d]=%d > keys[%d]=%d", i-1, j.Keys[i-1], i, j.Keys[i])
 		}
-		sum += uint64(k)
 	}
-	if sum != j.sum {
-		return fmt.Errorf("isort: checksum mismatch: %d != %d", sum, j.sum)
+	if fp := fingerprint(j.Keys); fp != j.fp {
+		return fmt.Errorf("isort: key multiset differs from the input's: fingerprint %#x != %#x", fp, j.fp)
 	}
 	return nil
+}
+
+// fingerprint is an order-independent fingerprint of a key multiset:
+// the sum mod 2⁶⁴ of a bijective 64-bit mix (splitmix64's finalizer)
+// of each key. Unlike the plain key sum, it changes when keys are
+// swapped for others with the same sum, barring a 64-bit collision.
+func fingerprint(keys []uint32) uint64 {
+	var fp uint64
+	for _, k := range keys {
+		z := (uint64(k) ^ uint64(k)>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		fp += z ^ z>>31
+	}
+	return fp
 }

@@ -69,3 +69,20 @@ func TestRadixEqualsStdSortProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckCatchesEqualSumSwap: a sorted output whose keys were swapped
+// for others with the same sum, like [1, 2, 3] → [1, 1, 4], has lost
+// the input's key multiset.
+func TestCheckCatchesEqualSumSwap(t *testing.T) {
+	j := New(1000, 3)
+	core.Run(core.Config{Workers: 2, Seed: 3}, j.Root)
+	i := 0
+	for j.Keys[i+1]-j.Keys[i] < 2 {
+		i++
+	}
+	j.Keys[i]++
+	j.Keys[i+1]--
+	if err := j.Check(); err == nil {
+		t.Fatal("sorted keys with the input's sum but not its multiset passed verification")
+	}
+}
