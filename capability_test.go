@@ -99,7 +99,6 @@ func TestCapabilityMatrix(t *testing.T) {
 			}
 			return nil
 		}, nil, hermes.ErrSimOnly},
-		{"WithRetryPolicy", []hermes.Option{hermes.WithRetryPolicy(2, 50*hermes.Microsecond)}, serve, nil, hermes.ErrSimOnly},
 		{"WithDispatch(priority)", []hermes.Option{hermes.WithDispatch(hermes.DispatchPriority)}, serve, nil, hermes.ErrSimOnly},
 		{"WithDispatch(edf)", []hermes.Option{hermes.WithDispatch(hermes.DispatchEDF)}, serve, nil, hermes.ErrSimOnly},
 		{"WithPreemptQuantum", []hermes.Option{hermes.WithPreemptQuantum(50 * hermes.Microsecond)}, serve, nil, hermes.ErrSimOnly},

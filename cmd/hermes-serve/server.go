@@ -22,7 +22,8 @@ import (
 // server exposes one hermes.Runtime as an HTTP job-submission
 // service: POST /jobs runs a parameterized synthetic workload, GET
 // /jobs/{id} reports its status, GET /metrics serves the Prometheus
-// fold of the runtime's observer stream, GET /healthz liveness.
+// fold of the runtime's observer stream and of every job's report,
+// GET /healthz liveness.
 type server struct {
 	rt  *hermes.Runtime
 	reg *metrics.Registry
@@ -223,16 +224,19 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.maxID = j.ID()
 	}
 	s.mu.Unlock()
-	// Label the submission series and this job's latency observation
-	// by workload kind and service class, and capture the arrival for
-	// /capacity replays.
-	s.reg.JobSubmitted(j.ID(), spec.Kind, class.Tenant, class.Priority)
+	// Count the submission in its (workload, tenant, priority) series
+	// and capture the arrival for /capacity replays. The job's own
+	// report is the only source of its completion telemetry: the
+	// observer stream may drop events, this goroutine never does.
+	key := metrics.Key{Kind: spec.Kind, Tenant: class.Tenant, Priority: class.Priority}
+	s.reg.JobSubmitted(key.Kind, key.Tenant, key.Priority)
 	if s.trace != nil {
 		s.trace.record(spec)
 	}
 	go func() {
 		defer cancel()
-		<-j.Done()
+		rep, _ := j.Wait()
+		s.reg.JobDone(key, rep.Sojourn, rep.EnergyJ)
 		rec.finish(time.Now())
 		<-s.inflight
 		s.pruneDone(j.ID())

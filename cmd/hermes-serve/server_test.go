@@ -258,6 +258,66 @@ func TestSustains200InflightWithZeroEventLoss(t *testing.T) {
 	}
 }
 
+// TestJobTelemetryExactUnderObserverDrops: a one-slot observer buffer
+// makes the async sink drop events, yet every job is counted started
+// and completed and observed in the latency histogram exactly once,
+// because job telemetry comes from each job's own report, not from the
+// event stream.
+func TestJobTelemetryExactUnderObserverDrops(t *testing.T) {
+	const jobs = 60
+	ts, _ := newTestServer(t, 256, 1)
+	// Concurrent submissions overlap the jobs' event bursts, so the
+	// one-slot buffer overflows on every run.
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"workload":"ticks","n":16}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Errorf("job %d: HTTP %d", i, resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	want := map[string]float64{
+		"hermes_jobs_completed_total":      jobs,
+		"hermes_job_latency_seconds_count": jobs,
+		"hermes_jobs_started_total":        jobs,
+		"hermes_jobs_inflight":             0,
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		vals := metrics.ParseText(string(body))
+		exact := vals["hermes_observer_dropped_events_total"] > 0
+		for name, v := range want {
+			exact = exact && vals[name] == v
+		}
+		if exact {
+			return
+		}
+		if time.Now().After(deadline) {
+			got := map[string]float64{"hermes_observer_dropped_events_total": vals["hermes_observer_dropped_events_total"]}
+			for name := range want {
+				got[name] = vals[name]
+			}
+			t.Fatalf("after %d jobs: %v, want %v and dropped events > 0", jobs, got, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestLongPollStatus pins GET /jobs/{id}?wait: the handler holds the
 // request until the job completes instead of answering "running", so
 // a single request observes completion with no client-side poll loop.

@@ -29,7 +29,7 @@ const (
 )
 
 // ErrJobLost fails a job evicted by machine crashes more times than
-// the cluster's retry budget allows (see WithRetryPolicy), or one that
+// the cluster's retry budget allows (see WithFaults), or one that
 // cannot be re-placed because the whole fleet is down for good. Lost
 // jobs still resolve: Job.Wait returns this error and the partial
 // Report records the retry history.

@@ -45,7 +45,6 @@ func (s State) String() string {
 // Source is where the controller reads live signals: satisfied by
 // *metrics.Registry, faked by tests to script exact sequences.
 type Source interface {
-	Snapshot() metrics.Snapshot
 	LatencyHist() metrics.Hist
 }
 

@@ -49,7 +49,6 @@ func newFakeSource() *fakeSource {
 	return &fakeSource{hist: metrics.Hist{Buckets: make([]int64, len(metrics.LatencyBuckets)+1)}}
 }
 
-func (f *fakeSource) Snapshot() metrics.Snapshot { return metrics.Snapshot{} }
 func (f *fakeSource) LatencyHist() metrics.Hist {
 	return metrics.Hist{
 		Buckets: append([]int64(nil), f.hist.Buckets...),

@@ -75,15 +75,9 @@ type ClusterConfig struct {
 	// Faults is the injected failure schedule, replayed by an
 	// engine-side daemon on the shared virtual timeline; empty runs a
 	// fault-free fleet with zero overhead and byte-identical outcomes
-	// to a build without fault support at all.
+	// to a build without fault support at all. Evicted jobs retry on
+	// the fixed policy retryBudget / retryBackoff.
 	Faults []FaultEvent
-	// RetryBudget bounds how many times a job evicted by a crash is
-	// re-placed before it is lost; 0 means the default (3).
-	RetryBudget int
-	// RetryBackoff is the base delay before an evicted job re-enters
-	// placement; attempt k waits backoff·2^(k-1) scaled by a seeded
-	// jitter in [0.5, 1.5). 0 means the default (100µs).
-	RetryBackoff units.Time
 }
 
 // Validate fills defaults and checks the cluster configuration,
@@ -114,18 +108,6 @@ func (c ClusterConfig) Validate() (ClusterConfig, error) {
 	}
 	if c.Seed == 0 {
 		c.Seed = c.Machine.Seed
-	}
-	if c.RetryBudget < 0 {
-		return c, fmt.Errorf("core: retry budget must not be negative, got %d", c.RetryBudget)
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = defaultRetryBudget
-	}
-	if c.RetryBackoff < 0 {
-		return c, fmt.Errorf("core: retry backoff must not be negative, got %v", c.RetryBackoff)
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = defaultRetryBackoff
 	}
 	if len(c.Faults) > 0 {
 		evs, err := validateFaults(c.Faults, c.Machines)

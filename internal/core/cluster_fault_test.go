@@ -207,8 +207,7 @@ func TestClusterFailslowStretchesSpan(t *testing.T) {
 }
 
 // TestClusterFaultValidate covers the fault-config surface: bad
-// machine indices, times, kinds, factors and retry knobs all fail
-// Validate; defaults land.
+// machine indices, times, kinds and factors all fail Validate.
 func TestClusterFaultValidate(t *testing.T) {
 	good := ClusterConfig{
 		Machines:  2,
@@ -216,12 +215,8 @@ func TestClusterFaultValidate(t *testing.T) {
 		Placement: pinPlace{0},
 		Faults:    []FaultEvent{{At: 1, Machine: 1, Kind: FaultCrash}},
 	}
-	v, err := good.Validate()
-	if err != nil {
+	if _, err := good.Validate(); err != nil {
 		t.Fatalf("valid fault config rejected: %v", err)
-	}
-	if v.RetryBudget != defaultRetryBudget || v.RetryBackoff != defaultRetryBackoff {
-		t.Fatalf("retry defaults %d/%v", v.RetryBudget, v.RetryBackoff)
 	}
 	for _, bad := range []func(*ClusterConfig){
 		func(c *ClusterConfig) { c.Faults = []FaultEvent{{Machine: 2, Kind: FaultCrash}} },
@@ -229,8 +224,6 @@ func TestClusterFaultValidate(t *testing.T) {
 		func(c *ClusterConfig) { c.Faults = []FaultEvent{{At: -1, Machine: 0, Kind: FaultCrash}} },
 		func(c *ClusterConfig) { c.Faults = []FaultEvent{{Machine: 0, Kind: FaultKind(9)}} },
 		func(c *ClusterConfig) { c.Faults = []FaultEvent{{Machine: 0, Kind: FaultSlow, Factor: 0.5}} },
-		func(c *ClusterConfig) { c.RetryBudget = -1 },
-		func(c *ClusterConfig) { c.RetryBackoff = -1 },
 	} {
 		cfg := good
 		bad(&cfg)
@@ -244,7 +237,7 @@ func TestClusterFaultValidate(t *testing.T) {
 		{At: 9, Machine: 1, Kind: FaultRejoin},
 		{At: 3, Machine: 0, Kind: FaultCrash},
 	}
-	v, err = shuffled.Validate()
+	v, err := shuffled.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}

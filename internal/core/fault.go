@@ -21,10 +21,12 @@ const faultSeedSalt = 0x9e3779b9
 // (or the fleet) ran out.
 var ErrJobLost = errors.New("core: job lost to machine failure")
 
-// Retry defaults applied by ClusterConfig.Validate.
+// Crash recovery: an evicted job is re-placed at most retryBudget
+// times; attempt k waits retryBackoff·2^(k-1) scaled by a seeded
+// jitter in [0.5, 1.5).
 const (
-	defaultRetryBudget  = 3
-	defaultRetryBackoff = 100 * units.Microsecond
+	retryBudget  = 3
+	retryBackoff = 100 * units.Microsecond
 )
 
 // FaultKind names one kind of injected machine fault.
@@ -213,13 +215,13 @@ func (c *Cluster) applyFault(ev FaultEvent) {
 // observed the eviction (a draining worker or the fault daemon).
 func (c *Cluster) requeue(j *jobRun) {
 	j.evicted = false
-	if int(j.retries) >= c.cfg.RetryBudget {
+	if j.retries >= retryBudget {
 		c.lose(j)
 		return
 	}
 	j.retries++
 	c.retries++
-	d := c.cfg.RetryBackoff << (j.retries - 1)
+	d := retryBackoff << (j.retries - 1)
 	jitter := 0.5 + c.frng.Float64()
 	j.at = c.eng.Now() + units.Time(float64(d)*jitter)
 	heap.Push(&c.arrivals, j)

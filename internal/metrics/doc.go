@@ -1,10 +1,12 @@
-// Package metrics folds the runtime's Observer event stream into
-// Prometheus-text-format series — counters for scheduler activity
-// (steals, tempo switches, DVFS commits, job lifecycle), gauges for
+// Package metrics folds the runtime's Observer event stream and the
+// serving layer's per-job reports into Prometheus-text-format series —
+// counters for scheduler activity (steals, tempo switches, DVFS
+// commits) and for jobs (submitted, completed), gauges for
 // instantaneous power and cumulative energy, and a histogram for job
 // latency — with no external dependencies. A Registry is an
 // obs.Observer, so it can sit directly behind an obs.Async sink and
-// be scraped over HTTP via Handler.
+// be scraped over HTTP via Handler; the job series come only from
+// JobSubmitted and JobDone, so a full sink never costs a job count.
 //
 // Beyond the scrape surface, a Registry is also a programmatic metrics
 // source: Snapshot returns a consistent counter/gauge view, and

@@ -13,16 +13,6 @@ import (
 	"hermes/internal/units"
 )
 
-// maxTrackedJobs bounds the in-flight job-start and job-kind tables:
-// entries whose JobDone event was dropped (async-sink overflow) are
-// swept once they fall this many job ids behind, instead of leaking.
-const maxTrackedJobs = 8192
-
-// UnknownKind labels jobs never tagged with a workload kind (submitted
-// outside the serving path, or whose tag raced a very fast
-// completion).
-const UnknownKind = "unknown"
-
 // LatencyBuckets are the upper bounds (seconds) of the job-latency
 // histogram, exponential from 1 ms to 60 s; an implicit +Inf bucket
 // catches the rest.
@@ -39,7 +29,6 @@ type Snapshot struct {
 	TempoSwitches int64
 	DVFSCommits   int64
 	JobsSubmitted int64 // accepted submissions, summed across kinds
-	JobsStarted   int64
 	JobsCompleted int64
 	JobsInflight  int64
 	EnergyJ       float64 // machine cumulative joules (last sample)
@@ -73,31 +62,25 @@ type kindSeries struct {
 	latBuckets []int64 // per-bucket; cumulative is computed at scrape
 }
 
-// Registry accumulates Observer events into scrapeable series. All
-// methods are safe for concurrent use; the expected deployment is a
-// single obs.Async consumer feeding it while HTTP scrapes read.
+// Registry folds scheduler events and job completions into scrapeable
+// series. All methods are safe for concurrent use. Scheduler counters
+// and energy samples arrive through Observe, typically behind a bounded
+// obs.Async sink that may drop them; job counts, job energy and
+// latency arrive through JobSubmitted and JobDone, which the caller
+// makes for every job it submits, so no drop can touch them.
 type Registry struct {
 	mu            sync.Mutex
 	steals        int64
 	tempoSwitches int64
 	dvfsCommits   int64
-	jobsStarted   int64
 	jobsDone      int64
 	energyJ       float64
 	powerW        float64
 	jobEnergyJ    float64
-	jobStart      map[int64]units.Time // job id -> JobStart event time
-	jobKind       map[int64]Key        // job id -> series key tag
 	byKind        map[Key]*kindSeries
-	// unknownDone remembers the latencies of jobs whose JobDone
-	// arrived before their kind tag (the tag races the fold on fast
-	// jobs): a late JobSubmitted migrates the observation from the
-	// "unknown" series to the real kind, so per-kind latency counts
-	// reconcile with submission counts.
-	unknownDone map[int64]float64
-	latSum      float64 // totals across kinds
-	latCount    int64
-	latBuckets  []int64 // per-bucket totals across kinds, non-cumulative
+	latSum        float64 // totals across kinds
+	latCount      int64
+	latBuckets    []int64 // per-bucket totals across kinds, non-cumulative
 
 	dropSource func() uint64 // optional: async sink's drop counter
 	collectors []func(io.Writer) error
@@ -106,11 +89,8 @@ type Registry struct {
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		jobStart:    make(map[int64]units.Time),
-		jobKind:     make(map[int64]Key),
-		byKind:      make(map[Key]*kindSeries),
-		unknownDone: make(map[int64]float64),
-		latBuckets:  make([]int64, len(LatencyBuckets)+1),
+		byKind:     make(map[Key]*kindSeries),
+		latBuckets: make([]int64, len(LatencyBuckets)+1),
 	}
 }
 
@@ -136,47 +116,40 @@ func (r *Registry) kind(k Key) *kindSeries {
 	return ks
 }
 
-// unknownKey is the series jobs fold under when they were never tagged
-// (or their tag raced a very fast completion).
-var unknownKey = Key{Kind: UnknownKind}
+// unknownKey labels the zeroed series a scrape renders before the
+// first submission, so the labeled families are always present.
+var unknownKey = Key{Kind: "unknown"}
 
-// JobSubmitted records one accepted submission with its service class:
-// the submission counter (hermes_jobs_submitted_total{workload=...})
-// and, through the id tag, the job's latency observation land in the
-// (workload, tenant, priority) series. Call it right after the runtime
-// accepts the job. Unclassed submissions (empty tenant, zero priority)
-// keep the workload-only label set, so pre-tenancy scrape output is
-// unchanged byte for byte.
-func (r *Registry) JobSubmitted(id int64, kind, tenant string, priority int) {
-	if kind == "" {
-		kind = UnknownKind
-	}
-	key := Key{Kind: kind, Tenant: tenant, Priority: priority}
+// JobSubmitted records one accepted submission in the (workload,
+// tenant, priority) series: hermes_jobs_submitted_total and
+// hermes_jobs_started_total. Call it once the runtime accepts the job.
+// Unclassed submissions (empty tenant, zero priority) keep the
+// workload-only label set, so pre-tenancy scrape output is unchanged
+// byte for byte.
+func (r *Registry) JobSubmitted(kind, tenant string, priority int) {
+	r.mu.Lock()
+	r.kind(Key{Kind: kind, Tenant: tenant, Priority: priority}).submitted++
+	r.mu.Unlock()
+}
+
+// JobDone records one completed job (success, cancellation or
+// failure) from its report: the completion count, its attributed
+// energy, and its sojourn in the key's latency series and in the
+// all-kinds histogram. Call it once per job JobSubmitted counted.
+func (r *Registry) JobDone(key Key, sojourn units.Time, energyJ float64) {
+	sec := sojourn.Seconds()
+	b := bucketFor(sec)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.kind(key).submitted++
-	if lat, raced := r.unknownDone[id]; raced && key != unknownKey {
-		// The job finished before this tag landed and was folded under
-		// "unknown": move the observation to its real series.
-		delete(r.unknownDone, id)
-		u := r.kind(unknownKey)
-		u.latSum -= lat
-		u.latCount--
-		u.latBuckets[bucketFor(lat)]--
-		ks := r.kind(key)
-		ks.latSum += lat
-		ks.latCount++
-		ks.latBuckets[bucketFor(lat)]++
-		return
-	}
-	r.jobKind[id] = key
-	if len(r.jobKind) > 2*maxTrackedJobs {
-		for old := range r.jobKind {
-			if old <= id-maxTrackedJobs {
-				delete(r.jobKind, old)
-			}
-		}
-	}
+	r.jobsDone++
+	r.jobEnergyJ += energyJ
+	r.latSum += sec
+	r.latCount++
+	r.latBuckets[b]++
+	ks := r.kind(key)
+	ks.latSum += sec
+	ks.latCount++
+	ks.latBuckets[b]++
 }
 
 // SetDropSource wires the registry to an event-drop counter (e.g.
@@ -188,7 +161,9 @@ func (r *Registry) SetDropSource(fn func() uint64) {
 	r.mu.Unlock()
 }
 
-// Observe folds one scheduler event into the registry.
+// Observe folds one scheduler event into the registry: steals, tempo
+// switches, DVFS commits and energy samples. Job-lifecycle events are
+// ignored; JobSubmitted and JobDone carry those facts.
 func (r *Registry) Observe(e obs.Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -202,68 +177,7 @@ func (r *Registry) Observe(e obs.Event) {
 	case obs.EnergySample:
 		r.powerW = e.Power
 		r.energyJ = e.Energy
-	case obs.JobStart:
-		r.jobsStarted++
-		r.jobStart[e.Job] = e.Time
-		// A JobDone lost to async-sink overflow would leave its start
-		// entry behind forever; job ids are monotonic per executor, so
-		// sweep entries too old to ever complete. Triggering at twice
-		// the window keeps the sweep amortized O(1) per event: each
-		// full scan evicts at least a window's worth of orphans.
-		if len(r.jobStart) > 2*maxTrackedJobs {
-			for id := range r.jobStart {
-				if id <= e.Job-maxTrackedJobs {
-					delete(r.jobStart, id)
-				}
-			}
-		}
-	case obs.JobDone:
-		r.jobsDone++
-		r.jobEnergyJ += e.Energy
-		// Prefer the sojourn the backend stamped on the event — it
-		// survives a dropped JobStart; fall back to start/done pairing
-		// for older event sources.
-		lat := e.Sojourn.Seconds()
-		start, paired := r.jobStart[e.Job]
-		if paired {
-			delete(r.jobStart, e.Job)
-		}
-		if e.Sojourn <= 0 {
-			if !paired {
-				return
-			}
-			lat = (e.Time - start).Seconds()
-		}
-		if lat < 0 {
-			lat = 0
-		}
-		key, tagged := r.jobKind[e.Job]
-		if !tagged {
-			key = unknownKey
-			// Remember the fold so a late kind tag can migrate it.
-			r.unknownDone[e.Job] = lat
-			if len(r.unknownDone) > 2*maxTrackedJobs {
-				for old := range r.unknownDone {
-					if old <= e.Job-maxTrackedJobs {
-						delete(r.unknownDone, old)
-					}
-				}
-			}
-		} else {
-			delete(r.jobKind, e.Job)
-		}
-		r.observeLatencyLocked(key, lat)
 	}
-}
-
-func (r *Registry) observeLatencyLocked(key Key, sec float64) {
-	r.latSum += sec
-	r.latCount++
-	r.latBuckets[bucketFor(sec)]++
-	ks := r.kind(key)
-	ks.latSum += sec
-	ks.latCount++
-	ks.latBuckets[bucketFor(sec)]++
 }
 
 // snapshotLocked copies the scalar series; r.mu must be held.
@@ -279,9 +193,8 @@ func (r *Registry) snapshotLocked() Snapshot {
 		TempoSwitches: r.tempoSwitches,
 		DVFSCommits:   r.dvfsCommits,
 		JobsSubmitted: submitted,
-		JobsStarted:   r.jobsStarted,
 		JobsCompleted: r.jobsDone,
-		JobsInflight:  r.jobsStarted - r.jobsDone,
+		JobsInflight:  submitted - r.jobsDone,
 		EnergyJ:       r.energyJ,
 		PowerW:        r.powerW,
 		JobEnergyJ:    r.jobEnergyJ,
@@ -454,7 +367,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	counter("hermes_steals_total", "Successful task steals.", snap.Steals)
 	counter("hermes_tempo_switches_total", "Worker tempo-level changes requested.", snap.TempoSwitches)
 	counter("hermes_dvfs_commits_total", "Clock-domain frequency transitions that landed.", snap.DVFSCommits)
-	counter("hermes_jobs_started_total", "Jobs that began execution.", snap.JobsStarted)
+	counter("hermes_jobs_started_total", "Jobs handed to the runtime: accepted submissions.", snap.JobsSubmitted)
 	counter("hermes_jobs_completed_total", "Jobs that completed (success, cancellation or failure).", snap.JobsCompleted)
 	gauge("hermes_jobs_inflight", "Jobs started and not yet completed.", snap.JobsInflight)
 	gauge("hermes_power_watts", "Instantaneous modeled machine power draw.", snap.PowerW)

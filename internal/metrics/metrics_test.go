@@ -15,8 +15,12 @@ func feed(r *Registry, events ...obs.Event) {
 	}
 }
 
+// TestRegistryFoldsEvents: scheduler counters and energy samples come
+// from Observe, job counts, job energy and latency from JobSubmitted
+// and JobDone; job-lifecycle events on the stream count for nothing.
 func TestRegistryFoldsEvents(t *testing.T) {
 	r := New()
+	r.JobSubmitted("fib", "", 0)
 	feed(r,
 		obs.Event{Kind: obs.JobStart, Job: 1, Time: 0},
 		obs.Event{Kind: obs.Steal, Worker: 1, Victim: 0},
@@ -24,13 +28,17 @@ func TestRegistryFoldsEvents(t *testing.T) {
 		obs.Event{Kind: obs.TempoSwitch, Worker: 1, Freq: units.GHz},
 		obs.Event{Kind: obs.DVFSCommit, Worker: 1, Freq: units.GHz},
 		obs.Event{Kind: obs.EnergySample, Power: 42.5, Energy: 1.25},
-		obs.Event{Kind: obs.JobDone, Job: 1, Time: 50 * units.Millisecond, Energy: 0.75},
+		obs.Event{Kind: obs.JobDone, Job: 1, Time: 50 * units.Millisecond, Sojourn: 50 * units.Millisecond, Energy: 9},
 	)
+	if s := r.Snapshot(); s.JobsCompleted != 0 || s.LatencyCount != 0 || s.JobEnergyJ != 0 {
+		t.Fatalf("job-lifecycle events folded into job series: %+v", s)
+	}
+	r.JobDone(Key{Kind: "fib"}, 50*units.Millisecond, 0.75)
 	s := r.Snapshot()
 	if s.Steals != 2 || s.TempoSwitches != 1 || s.DVFSCommits != 1 {
 		t.Fatalf("scheduler counters wrong: %+v", s)
 	}
-	if s.JobsStarted != 1 || s.JobsCompleted != 1 || s.JobsInflight != 0 {
+	if s.JobsSubmitted != 1 || s.JobsCompleted != 1 || s.JobsInflight != 0 {
 		t.Fatalf("job counters wrong: %+v", s)
 	}
 	if s.PowerW != 42.5 || s.EnergyJ != 1.25 || s.JobEnergyJ != 0.75 {
@@ -43,15 +51,10 @@ func TestRegistryFoldsEvents(t *testing.T) {
 
 func TestLatencyHistogramBuckets(t *testing.T) {
 	r := New()
-	// 3 untagged jobs: 2 ms, 30 ms, 2 s — they land in the "unknown"
-	// workload label.
-	lat := []units.Time{2 * units.Millisecond, 30 * units.Millisecond, 2 * units.Second}
-	for i, l := range lat {
-		id := int64(i + 1)
-		feed(r,
-			obs.Event{Kind: obs.JobStart, Job: id, Time: 0},
-			obs.Event{Kind: obs.JobDone, Job: id, Time: l},
-		)
+	// 3 fib jobs: 2 ms, 30 ms, 2 s.
+	for _, l := range []units.Time{2 * units.Millisecond, 30 * units.Millisecond, 2 * units.Second} {
+		r.JobSubmitted("fib", "", 0)
+		r.JobDone(Key{Kind: "fib"}, l, 0)
 	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -59,11 +62,11 @@ func TestLatencyHistogramBuckets(t *testing.T) {
 	}
 	text := b.String()
 	for _, want := range []string{
-		`hermes_job_latency_seconds_bucket{workload="unknown",le="0.0025"} 1`,
-		`hermes_job_latency_seconds_bucket{workload="unknown",le="0.05"} 2`,
-		`hermes_job_latency_seconds_bucket{workload="unknown",le="2.5"} 3`,
-		`hermes_job_latency_seconds_bucket{workload="unknown",le="+Inf"} 3`,
-		`hermes_job_latency_seconds_count{workload="unknown"} 3`,
+		`hermes_job_latency_seconds_bucket{workload="fib",le="0.0025"} 1`,
+		`hermes_job_latency_seconds_bucket{workload="fib",le="0.05"} 2`,
+		`hermes_job_latency_seconds_bucket{workload="fib",le="2.5"} 3`,
+		`hermes_job_latency_seconds_bucket{workload="fib",le="+Inf"} 3`,
+		`hermes_job_latency_seconds_count{workload="fib"} 3`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q\n%s", want, text)
@@ -75,22 +78,17 @@ func TestLatencyHistogramBuckets(t *testing.T) {
 	}
 }
 
-// TestPerKindLatencyLabels pins the per-workload breakdown: tagged
-// jobs land in their own kind's histogram and submission counter,
-// with sojourn taken from the JobDone event itself.
+// TestPerKindLatencyLabels pins the per-workload breakdown: each job
+// lands in its own kind's histogram and submission counter.
 func TestPerKindLatencyLabels(t *testing.T) {
 	r := New()
-	r.JobSubmitted(1, "fib", "", 0)
-	r.JobSubmitted(2, "matmul", "", 0)
-	r.JobSubmitted(3, "fib", "", 0)
-	feed(r,
-		obs.Event{Kind: obs.JobStart, Job: 1, Time: 0},
-		obs.Event{Kind: obs.JobStart, Job: 2, Time: 0},
-		obs.Event{Kind: obs.JobStart, Job: 3, Time: 0},
-		obs.Event{Kind: obs.JobDone, Job: 1, Time: 5 * units.Second, Sojourn: 2 * units.Millisecond},
-		obs.Event{Kind: obs.JobDone, Job: 2, Time: 5 * units.Second, Sojourn: 30 * units.Millisecond},
-		obs.Event{Kind: obs.JobDone, Job: 3, Time: 5 * units.Second, Sojourn: 40 * units.Millisecond},
-	)
+	for _, j := range []struct {
+		kind    string
+		sojourn units.Time
+	}{{"fib", 2 * units.Millisecond}, {"matmul", 30 * units.Millisecond}, {"fib", 40 * units.Millisecond}} {
+		r.JobSubmitted(j.kind, "", 0)
+		r.JobDone(Key{Kind: j.kind}, j.sojourn, 0)
+	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -107,12 +105,6 @@ func TestPerKindLatencyLabels(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q\n%s", want, text)
 		}
-	}
-	// Sojourn carried on the event wins over Time-pairing (Time here
-	// would be a wild 5 s); the fib job's 2 ms proves it.
-	s := r.Snapshot()
-	if s.LatencySum > 0.1 {
-		t.Errorf("latency folded from Time pairing, not Sojourn: sum=%g", s.LatencySum)
 	}
 	vals := ParseText(text)
 	if vals["hermes_jobs_submitted_total"] != 3 {
@@ -165,33 +157,6 @@ func TestParseTextRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLateKindTagMigratesLatency: a job whose JobDone races ahead of
-// its kind tag is first folded under "unknown", then migrated to its
-// real kind when the tag lands — per-kind latency counts reconcile
-// with submission counts even for jobs faster than the tagging path.
-func TestLateKindTagMigratesLatency(t *testing.T) {
-	r := New()
-	feed(r,
-		obs.Event{Kind: obs.JobStart, Job: 1, Time: 0},
-		obs.Event{Kind: obs.JobDone, Job: 1, Sojourn: 2 * units.Millisecond},
-	)
-	r.JobSubmitted(1, "fib", "", 0)
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
-	for _, want := range []string{
-		`hermes_job_latency_seconds_count{workload="fib"} 1`,
-		`hermes_job_latency_seconds_count{workload="unknown"} 0`,
-		`hermes_job_latency_seconds_bucket{workload="fib",le="0.0025"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("scrape missing %q\n%s", want, text)
-		}
-	}
-}
-
 // TestParseTextLabeledSeries pins the labeled-output contract: full
 // "name{labels}" keys are exposed and fold into the bare name.
 func TestParseTextLabeledSeries(t *testing.T) {
@@ -207,44 +172,14 @@ func TestParseTextLabeledSeries(t *testing.T) {
 	}
 }
 
-func TestUnmatchedJobDoneDoesNotPanic(t *testing.T) {
-	r := New()
-	// JobDone without a recorded JobStart (e.g. registry attached
-	// mid-stream): counted, but no latency observation.
-	feed(r, obs.Event{Kind: obs.JobDone, Job: 9, Time: units.Second, Energy: 1})
-	s := r.Snapshot()
-	if s.JobsCompleted != 1 || s.LatencyCount != 0 {
-		t.Fatalf("mid-stream JobDone handled wrong: %+v", s)
-	}
-}
-
-// TestJobStartTableBounded pins the leak fix: JobStart entries whose
-// JobDone was lost to sink overflow are swept instead of accumulating
-// forever.
-func TestJobStartTableBounded(t *testing.T) {
-	r := New()
-	for id := int64(1); id <= 3*maxTrackedJobs; id++ {
-		r.Observe(obs.Event{Kind: obs.JobStart, Job: id})
-	}
-	r.mu.Lock()
-	n := len(r.jobStart)
-	r.mu.Unlock()
-	if n > 2*maxTrackedJobs+1 {
-		t.Fatalf("jobStart table grew to %d entries (window %d); orphaned starts leak", n, maxTrackedJobs)
-	}
-}
-
 // TestLatencyHistAndQuantile exercises the controller-facing histogram
 // accessors: the all-kinds Hist, windowed differencing, and quantile
 // interpolation.
 func TestLatencyHistAndQuantile(t *testing.T) {
 	r := New()
-	for i := int64(1); i <= 100; i++ {
+	for range 100 {
 		// 100 jobs at 2 ms sojourn: p99 interpolates inside (1ms, 2.5ms].
-		feed(r,
-			obs.Event{Kind: obs.JobStart, Job: i, Time: 0},
-			obs.Event{Kind: obs.JobDone, Job: i, Time: 2 * units.Millisecond, Sojourn: 2 * units.Millisecond},
-		)
+		r.JobDone(Key{Kind: "fib"}, 2*units.Millisecond, 0)
 	}
 	h := r.LatencyHist()
 	if h.Count != 100 {
@@ -260,11 +195,8 @@ func TestLatencyHistAndQuantile(t *testing.T) {
 
 	// Window: 50 more jobs at 40 ms; the diff must only see those.
 	before := h
-	for i := int64(101); i <= 150; i++ {
-		feed(r,
-			obs.Event{Kind: obs.JobStart, Job: i, Time: 0},
-			obs.Event{Kind: obs.JobDone, Job: i, Time: 40 * units.Millisecond, Sojourn: 40 * units.Millisecond},
-		)
+	for range 50 {
+		r.JobDone(Key{Kind: "fib"}, 40*units.Millisecond, 0)
 	}
 	win := r.LatencyHist().Sub(before)
 	if win.Count != 50 {
@@ -283,9 +215,9 @@ func TestLatencyHistAndQuantile(t *testing.T) {
 // TestSnapshotJobsSubmitted pins the submitted-total accessor.
 func TestSnapshotJobsSubmitted(t *testing.T) {
 	r := New()
-	r.JobSubmitted(1, "fib", "", 0)
-	r.JobSubmitted(2, "fib", "", 0)
-	r.JobSubmitted(3, "matmul", "", 0)
+	r.JobSubmitted("fib", "", 0)
+	r.JobSubmitted("fib", "", 0)
+	r.JobSubmitted("matmul", "", 0)
 	if got := r.Snapshot().JobsSubmitted; got != 3 {
 		t.Fatalf("JobsSubmitted = %d, want 3", got)
 	}

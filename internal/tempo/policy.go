@@ -43,9 +43,9 @@ func (m Mode) Workload() bool { return m == WorkloadOnly || m == Unified }
 // has one method per paper event. A worker's tempo level is the sum of
 // two components: the workpath chain depth (set by thief
 // procrastination, lowered by immediacy relays) and the workload tier
-// deficit K − S. Composing the strategies this way is what makes their
-// unification additive, matching the paper's observation that unified
-// savings approach the sum of each strategy alone.
+// deficit K − S. The composition is additive in levels, not in
+// savings: ROADMAP item 18 measured the two strategies' savings alone
+// at 1.4–2.4× unified's.
 //
 // Policy is pure: no clock, no lock, no observer. Callers serialize
 // calls and pass the live mode and deque sizes; every level change is

@@ -16,13 +16,10 @@ type settings struct {
 	asyncBuf int
 
 	// The simulated fleet: machine count (0 = one), placement policy
-	// (nil = p2c), fault schedule and retry policy (0 = core's
-	// defaults). Sim backend only.
-	machines     int
-	placement    *Placement
-	faults       []FaultEvent
-	retryBudget  int
-	retryBackoff Time
+	// (nil = p2c) and fault schedule. Sim backend only.
+	machines  int
+	placement *Placement
+	faults    []FaultEvent
 }
 
 // gather applies opts in order, skipping nil ones.
@@ -247,32 +244,14 @@ func WithPlacement(p Placement) Option {
 // crashes, rejoins, slows or recovers one machine at an explicit
 // virtual time. Build schedules by hand or compile a named plan with
 // fault.Compile ("crash", "failslow", "blip"). Jobs evicted by a crash
-// are re-placed with bounded, seeded retries — see WithRetryPolicy.
+// are re-placed up to 3 times, each attempt after a seeded, jittered
+// backoff from 100µs doubling per retry; a job past that budget fails
+// with ErrJobLost and counts in ClusterStats.Lost.
 // Events are validated against the fleet size at construction. Sim
 // backend only.
 func WithFaults(events ...FaultEvent) Option {
 	return func(s *settings) error {
 		s.faults = append([]FaultEvent(nil), events...)
-		return nil
-	}
-}
-
-// WithRetryPolicy bounds crash recovery: a job evicted by a machine
-// crash is re-placed up to budget times, each attempt delayed by a
-// seeded, jittered exponential backoff starting at backoff (doubling
-// per retry). A job past its budget is failed with ErrJobLost and
-// counted in ClusterStats.Lost. Defaults: budget 3, backoff 100µs.
-// budget must be >= 1 and backoff >= 0. Sim backend only.
-func WithRetryPolicy(budget int, backoff Time) Option {
-	return func(s *settings) error {
-		if budget < 1 {
-			return fmt.Errorf("hermes: retry budget must be at least 1, got %d", budget)
-		}
-		if backoff < 0 {
-			return fmt.Errorf("hermes: retry backoff must not be negative, got %v", backoff)
-		}
-		s.retryBudget = budget
-		s.retryBackoff = backoff
 		return nil
 	}
 }

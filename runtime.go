@@ -118,7 +118,7 @@ var ErrStatsUnavailable = errors.New("hermes: machine stats unavailable on this 
 
 // ErrSimOnly is the sentinel wrapped by every refusal of a capability
 // only the simulator has: a fleet (WithMachines, WithPlacement,
-// WithFaults, WithRetryPolicy, NewCluster), ranked dispatch and quantum
+// WithFaults, NewCluster), ranked dispatch and quantum
 // preemption at construction, and SubmitTrace on a running Runtime.
 // Test with errors.Is.
 var ErrSimOnly = errors.New("hermes: needs the Sim backend")
@@ -215,8 +215,6 @@ func (r *Runtime) startSim(s settings) error {
 		GossipStaleness: staleness,
 		GossipBatch:     batch,
 		Faults:          s.faults,
-		RetryBudget:     s.retryBudget,
-		RetryBackoff:    s.retryBackoff,
 	})
 	if err != nil {
 		return err
@@ -231,8 +229,8 @@ func (r *Runtime) startSim(s settings) error {
 // clock domain on the simulator but to min(GOMAXPROCS, domains) on real
 // goroutine workers.
 func (r *Runtime) startNative(s settings) error {
-	if s.machines != 0 || s.placement != nil || len(s.faults) > 0 || s.retryBudget != 0 {
-		return fmt.Errorf("%w: WithMachines, WithPlacement, WithFaults and WithRetryPolicy configure a simulated fleet (backend is %v)",
+	if s.machines != 0 || s.placement != nil || len(s.faults) > 0 {
+		return fmt.Errorf("%w: WithMachines, WithPlacement and WithFaults configure a simulated fleet (backend is %v)",
 			ErrSimOnly, s.backend)
 	}
 	ex, err := rt.NewExec(s.cfg)
