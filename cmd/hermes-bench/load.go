@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hermes"
-	"hermes/internal/metrics"
 	"hermes/internal/sweep"
 	"hermes/internal/trace"
 	"hermes/internal/units"
@@ -38,10 +37,6 @@ type loadOpts struct {
 	Verbose bool
 }
 
-// observerBuffer is the async observer's event buffer on the Native
-// run, hermes-serve's default.
-const observerBuffer = 1 << 16
-
 // loadSummary is the run's JSON result — the artifact CI's bench and
 // sim-load jobs upload.
 type loadSummary struct {
@@ -65,7 +60,10 @@ type loadSummary struct {
 	MaxSojournMS     float64 `json:"max_sojourn_ms"`
 	PeakInflight     int64   `json:"peak_inflight"`
 	JoulesPerRequest float64 `json:"joules_per_request"`
-	DroppedEvents    uint64  `json:"dropped_events"`
+	// DroppedEvents is always 0, kept so pinned summaries keep their
+	// bytes: both backends fold per-job reports, and neither run
+	// attaches an observer that could drop an event.
+	DroppedEvents uint64 `json:"dropped_events"`
 	// Classes breaks the run down per service class when the trace is
 	// mixed (any arrival carried a non-zero class); nil otherwise, so
 	// single-class summaries keep their pre-class bytes. The flat
@@ -166,13 +164,9 @@ func runLoad(opts loadOpts) (loadSummary, error) {
 	if err != nil {
 		return loadSummary{}, err
 	}
-	// The Native runtime gets the same async-observer/metrics pipeline
-	// hermes-serve deploys.
-	reg := metrics.New()
 	hopts := []hermes.Option{
 		hermes.WithBackend(hermes.Native),
 		hermes.WithMode(mode),
-		hermes.WithAsyncObserver(reg, observerBuffer),
 	}
 	if opts.Workers > 0 {
 		hopts = append(hopts, hermes.WithWorkers(opts.Workers))
@@ -187,7 +181,6 @@ func runLoad(opts loadOpts) (loadSummary, error) {
 	if err != nil {
 		return loadSummary{}, err
 	}
-	reg.SetDropSource(rt.EventsDropped)
 
 	// Pace each arrival against the wall clock and submit it from its
 	// own goroutine, so a job blocked in intake never delays the next
@@ -216,9 +209,7 @@ func runLoad(opts loadOpts) (loadSummary, error) {
 	if err := rt.Close(); err != nil {
 		return loadSummary{}, err
 	}
-	sum := summarize(opts, "in-process/native", dispatch, sweep.Fold(opts.RPS, arrivals, reports, errs))
-	sum.DroppedEvents = rt.EventsDropped()
-	return sum, nil
+	return summarize(opts, "in-process/native", dispatch, sweep.Fold(opts.RPS, arrivals, reports, errs)), nil
 }
 
 // writeSummary prints the summary and optionally writes it as JSON.

@@ -40,24 +40,37 @@ func newTestServer(t *testing.T, maxInflight, buffer int) (*httptest.Server, *se
 	return startTestServer(t, serveConfig{backend: "native", mode: "unified", workers: 4, buffer: buffer, maxInflight: maxInflight, jobTimeout: time.Minute})
 }
 
+// postJob submits spec and returns the job id (0 unless accepted) and
+// the HTTP status; a transport or decode failure stops the test, so
+// call it from the test goroutine only.
 func postJob(t *testing.T, base, spec string) (int64, int) {
 	t.Helper()
-	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(spec))
+	id, code, err := submitJob(base, spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return id, code
+}
+
+// submitJob is postJob for any goroutine: it returns the failure
+// instead of stopping the test.
+func submitJob(base, spec string) (int64, int, error) {
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		return 0, 0, err
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusAccepted {
-		return 0, resp.StatusCode
+		return 0, resp.StatusCode, nil
 	}
 	var out struct {
 		ID int64 `json:"id"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatalf("bad accept body %q: %v", body, err)
+		return 0, resp.StatusCode, fmt.Errorf("bad accept body %q: %v", body, err)
 	}
-	return out.ID, resp.StatusCode
+	return out.ID, resp.StatusCode, nil
 }
 
 func getJSON(t *testing.T, url string, v any) int {
@@ -215,11 +228,13 @@ func TestSustains200InflightWithZeroEventLoss(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			id, code := postJob(t, ts.URL, spec)
-			switch code {
-			case http.StatusAccepted:
+			id, code, err := submitJob(ts.URL, spec)
+			switch {
+			case err != nil:
+				t.Errorf("job %d: %v", i, err)
+			case code == http.StatusAccepted:
 				ids[i] = id
-			case http.StatusTooManyRequests:
+			case code == http.StatusTooManyRequests:
 				rejected.Add(1)
 			default:
 				t.Errorf("job %d: HTTP %d", i, code)
@@ -227,6 +242,9 @@ func TestSustains200InflightWithZeroEventLoss(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if t.Failed() {
+		t.FailNow() // a failed submission has no id to wait on
+	}
 	if got := rejected.Load(); got != 0 {
 		t.Fatalf("%d of %d jobs rejected below the max-inflight limit", got, jobs)
 	}

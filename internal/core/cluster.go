@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"hermes/internal/sim"
 	"hermes/internal/units"
@@ -234,9 +235,11 @@ type Cluster struct {
 	fleetSnap []Ledger
 
 	// Submission side: the bridge from caller goroutines to the engine
-	// goroutine.
-	msgs chan poolMsg
-	dead chan struct{} // closed when the engine goroutine exits
+	// goroutine. queued counts messages sent or being sent and not yet
+	// received, so pump skips the channel poll when it reads zero.
+	msgs   chan poolMsg
+	queued atomic.Int64
+	dead   chan struct{} // closed when the engine goroutine exits
 
 	mu     sync.Mutex
 	closed bool
@@ -342,7 +345,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// before the engine's first event, so whether it overtakes the
 		// start-up events is fixed by construction and not by how fast
 		// the caller was.
-		c.apply(<-c.msgs)
+		c.apply(c.recv())
 		c.eng.Run()
 	}()
 	return c, nil
@@ -484,12 +487,31 @@ func (c *Cluster) Submit(reqs ...JobRequest) error {
 	// racing engine teardown always completes before failRemaining's
 	// drain (which takes c.mu after setting broken). The dead case
 	// covers a full channel with no consumer left.
-	select {
-	case c.msgs <- poolMsg{arrivals: jobs}:
-		return nil
-	case <-c.dead:
+	if !c.send(poolMsg{arrivals: jobs}) {
 		return fmt.Errorf("core: engine stopped: %v", c.runErr)
 	}
+	return nil
+}
+
+// send hands msg to the engine goroutine, counting it in queued first,
+// or reports false once the engine has exited. Callers hold c.mu.
+func (c *Cluster) send(msg poolMsg) bool {
+	c.queued.Add(1)
+	select {
+	case c.msgs <- msg:
+		return true
+	case <-c.dead:
+		c.queued.Add(-1)
+		return false
+	}
+}
+
+// recv takes the next message off the channel, blocking, and uncounts
+// it.
+func (c *Cluster) recv() poolMsg {
+	msg := <-c.msgs
+	c.queued.Add(-1)
+	return msg
 }
 
 // Close rejects further submissions, delivers and completes every
@@ -499,10 +521,7 @@ func (c *Cluster) Close() error {
 	c.mu.Lock()
 	if !c.closed {
 		c.closed = true
-		select {
-		case c.msgs <- poolMsg{close: true}:
-		case <-c.dead:
-		}
+		c.send(poolMsg{close: true})
 	}
 	c.mu.Unlock()
 	c.wg.Wait()
@@ -550,11 +569,13 @@ func (c *Cluster) EngineStats() (events, resumes uint64) {
 }
 
 // pump drains pending submissions without blocking; it is the engine's
-// tick hook and runs on the engine goroutine between events.
+// tick hook and runs on the engine goroutine between events. With
+// nothing queued it returns without polling the channel.
 func (c *Cluster) pump() {
-	for {
+	for c.queued.Load() > 0 {
 		select {
 		case msg := <-c.msgs:
+			c.queued.Add(-1)
 			if msg.close {
 				c.pendingClose = true
 				continue
@@ -581,7 +602,7 @@ func (c *Cluster) pumpBlocking() bool {
 		c.apply(poolMsg{close: true})
 		return true
 	}
-	c.apply(<-c.msgs)
+	c.apply(c.recv())
 	return true
 }
 
@@ -629,6 +650,7 @@ func (c *Cluster) failRemaining() {
 	for drained := false; !drained; {
 		select {
 		case msg := <-c.msgs:
+			c.queued.Add(-1)
 			for _, j := range msg.arrivals {
 				j.finish(Report{}, cause)
 			}

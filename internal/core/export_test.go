@@ -8,4 +8,4 @@ var PendBound = &pendBound
 
 // Preempting reports whether the body running on c started inside a
 // quantum preemption: its worker took it mid-segment of another job.
-func Preempting(c wl.Ctx) bool { return c.(ctx).w.preemptDepth > 0 }
+func Preempting(c wl.Ctx) bool { return c.(*ctx).w.preemptDepth > 0 }

@@ -70,14 +70,14 @@ func goldenQuantum(t *testing.T, mode Mode) string {
 	var preempts int
 	mk := func(i int) wl.Task {
 		return func(c wl.Ctx) {
-			if c.(ctx).w.preemptDepth > 0 {
+			if c.(*ctx).w.preemptDepth > 0 {
 				preempts++
 			}
 			wl.For(c, 0, 16+8*(i%3), 2, func(c wl.Ctx, lo, hi int) {
 				cy := units.Cycles(200_000 * (hi - lo))
 				mem := units.Cycles(float64(cy) * 0.3)
 				c.Work(cy - mem)
-				c.Mem(mem.DurationAt(c.(ctx).w.s.cfg.Spec.MaxFreq()))
+				c.Mem(mem.DurationAt(c.(*ctx).w.s.cfg.Spec.MaxFreq()))
 			})
 		}
 	}

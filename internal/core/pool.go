@@ -113,7 +113,13 @@ type jobRun struct {
 	// snap is the machine's ledger at delivery, from the machine's
 	// spare list; jobDone returns it there.
 	snap *Ledger
+	// ctxs holds the job's Ctx on each worker of the machine it was
+	// last delivered to.
+	ctxs []ctx
 }
+
+// ctx returns the job's Ctx on worker w.
+func (j *jobRun) ctx(w *worker) *ctx { return &j.ctxs[w.id] }
 
 // fail records the job's first task panic; the rest of the job drains
 // like a cancellation.
@@ -184,6 +190,12 @@ func (s *sched) deliver(j *jobRun) {
 	if s.taskCancelled(j) {
 		s.jobDone(j)
 		return
+	}
+	if len(j.ctxs) == 0 || j.ctxs[0].w.s != s {
+		j.ctxs = make([]ctx, len(s.workers))
+		for i, w := range s.workers {
+			j.ctxs[i] = ctx{w: w, j: j}
+		}
 	}
 	s.pool.injectq = append(s.pool.injectq, &task{fn: j.root, job: j, root: true})
 	// Wake only idle-halted workers: busy workers find the root at

@@ -224,7 +224,7 @@ func TestMemWorkInsensitiveToTempo(t *testing.T) {
 func TestRunAheadListBounded(t *testing.T) {
 	peak := 0
 	r := Run(baseCfg(1, Baseline), func(c wl.Ctx) {
-		w := c.(ctx).w
+		w := c.(*ctx).w
 		for i := 0; i < 100_000; i++ {
 			c.Work(2_400)
 			peak = max(peak, len(w.pend)-w.base)

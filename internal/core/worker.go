@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 
 	"hermes/internal/cpu"
-	"hermes/internal/deque"
 	"hermes/internal/obs"
 	"hermes/internal/sim"
 	"hermes/internal/units"
@@ -15,7 +14,9 @@ import (
 
 // task is one deque item: a workload closure, the fork-join block it
 // belongs to, and the job it is accounted against. root marks a job's
-// injected root task, whose completion completes the job.
+// injected root task, whose completion completes the job. Spawned tasks
+// are pooled per worker: the worker that runs one (its own or stolen)
+// recycles it into its own free list.
 type task struct {
 	fn   wl.Task
 	blk  *block
@@ -25,7 +26,8 @@ type task struct {
 
 // block tracks one Ctx.Go fork-join block: how many of its pushed
 // tasks are still outstanding and, if the owning worker had to park
-// waiting for stolen tasks, who to wake.
+// waiting for stolen tasks, who to wake. The forking worker recycles
+// it once its join has drained it.
 type block struct {
 	pending int
 	waiter  *worker
@@ -37,12 +39,18 @@ type worker struct {
 	s    *sched
 	id   int
 	core *cpu.Core
-	// dq is the paper's THE deque: the simulator is the measurement
-	// instrument, deque overheads are modeled (pushPopCost, stealCost)
-	// rather than paid, and the single-threaded engine never contends.
-	dq   *deque.Deque[*task]
+	// dq keeps the paper's THE deque order (ring.go) without its
+	// synchronization: the simulator is the measurement instrument,
+	// deque overheads are modeled (pushPopCost, stealCost) rather than
+	// paid, and the single-threaded engine never contends.
+	dq   ring
 	proc *sim.Proc
 	rng  *rand.Rand
+
+	// freeTasks and freeBlocks recycle spawned tasks and fork-join
+	// blocks, bounded by freeListCap.
+	freeTasks  []*task
+	freeBlocks []*block
 
 	// inWork marks an in-flight CPU work segment so the DVFS daemon
 	// knows to wake us for re-rating when our domain's clock changes.
@@ -88,6 +96,10 @@ type worker struct {
 // maxPreemptDepth caps nested quantum preemptions per worker.
 const maxPreemptDepth = 8
 
+// freeListCap bounds each worker's task and block free lists, as the
+// Native executor's do.
+const freeListCap = 256
+
 // segment is one accounting call not yet simulated: cy CPU cycles or,
 // when cy is 0, a frequency-independent stall of d.
 type segment struct {
@@ -104,8 +116,11 @@ func newWorker(s *sched, id int, c *cpu.Core) *worker {
 		s:    s,
 		id:   id,
 		core: c,
-		dq:   deque.New[*task](64),
+		dq:   newRing(64),
 		rng:  rand.New(rand.NewSource(s.cfg.Seed*1_000_003 + int64(id))),
+
+		freeTasks:  make([]*task, 0, freeListCap),
+		freeBlocks: make([]*block, 0, freeListCap),
 	}
 	w.probeStep, w.settleStep = w.stepProbe, w.stepSettle
 	return w
@@ -237,9 +252,8 @@ func (w *worker) stepProbe() (units.Time, bool) {
 	if s.done {
 		return 0, false
 	}
-	// An empty deque is a failed steal without taking the deque's lock:
-	// nothing contends in the engine, and the probe's cost is modeled.
-	if dq := s.workers[pr.victim].dq; !dq.Empty() {
+	// An empty deque is a failed steal; the probe's cost is modeled.
+	if dq := &s.workers[pr.victim].dq; !dq.Empty() {
 		pr.got, _ = dq.Steal()
 		return 0, false
 	}
@@ -308,8 +322,50 @@ func (w *worker) runTask(t *task) {
 		// power-integration sliver inside jobDone's touch lands on the
 		// finishing job.
 		w.s.jobDone(j)
+	} else {
+		w.putTask(t)
 	}
 	w.setJob(prevJob)
+}
+
+// getTask recycles a task from the worker's free list, or allocates
+// when the list is dry.
+func (w *worker) getTask(fn wl.Task, blk *block, j *jobRun) *task {
+	if n := len(w.freeTasks); n > 0 {
+		t := w.freeTasks[n-1]
+		w.freeTasks = w.freeTasks[:n-1]
+		t.fn, t.blk, t.job = fn, blk, j
+		return t
+	}
+	return &task{fn: fn, blk: blk, job: j}
+}
+
+// putTask clears and recycles a spawned task once runTask is done with
+// it; a full list drops it to the collector.
+func (w *worker) putTask(t *task) {
+	if len(w.freeTasks) < cap(w.freeTasks) {
+		t.fn, t.blk, t.job = nil, nil, nil
+		w.freeTasks = append(w.freeTasks, t)
+	}
+}
+
+// getBlock recycles a fork-join block, or allocates one.
+func (w *worker) getBlock(pending int) *block {
+	if n := len(w.freeBlocks); n > 0 {
+		blk := w.freeBlocks[n-1]
+		w.freeBlocks = w.freeBlocks[:n-1]
+		blk.pending = pending
+		return blk
+	}
+	return &block{pending: pending}
+}
+
+// putBlock recycles a block whose join drained it: no task and no
+// waiter refers to it any more.
+func (w *worker) putBlock(blk *block) {
+	if len(w.freeBlocks) < cap(w.freeBlocks) {
+		w.freeBlocks = append(w.freeBlocks, blk)
+	}
 }
 
 // setJob moves the worker's energy-attribution pointer. The core may
@@ -344,7 +400,7 @@ func (w *worker) runBody(t *task) {
 		}
 		w.base = outer
 	}()
-	t.fn(ctx{w: w, j: t.job})
+	t.fn(t.job.ctx(w))
 	w.settle()
 }
 
@@ -576,18 +632,21 @@ func (w *worker) maybePreempt() {
 
 // --- wl.Ctx implementation ------------------------------------------
 
-// ctx adapts a worker to the workload API; j is the owning job.
+// ctx adapts a worker to the workload API; j is the owning job. Each
+// job keeps one per worker of its machine (jobRun.ctx), so handing a
+// task its Ctx allocates nothing.
 type ctx struct {
 	w *worker
 	j *jobRun
 }
 
-var _ wl.Ctx = ctx{}
+var _ wl.Ctx = (*ctx)(nil)
 
 // Go implements Cilk block semantics: push tasks[n-1]…tasks[1] (so
 // the head of the deque holds the serially-latest work), run tasks[0]
-// inline, then join.
-func (c ctx) Go(tasks ...wl.Task) {
+// inline, then join. A block drained by its join is recycled; one left
+// pending by a shutdown is not.
+func (c *ctx) Go(tasks ...wl.Task) {
 	w := c.w
 	w.settle()
 	if w.s.taskCancelled(c.j) {
@@ -600,25 +659,28 @@ func (c ctx) Go(tasks ...wl.Task) {
 		tasks[0](c)
 		return
 	}
-	blk := &block{pending: len(tasks) - 1}
+	blk := w.getBlock(len(tasks) - 1)
 	for i := len(tasks) - 1; i >= 1; i-- {
-		w.push(&task{fn: tasks[i], blk: blk, job: c.j})
+		w.push(w.getTask(tasks[i], blk, c.j))
 	}
 	tasks[0](c)
 	w.settle()
 	w.join(blk)
+	if blk.pending == 0 {
+		w.putBlock(blk)
+	}
 }
 
 // Work accounts CPU-bound cycles, settled at the next spawn or return.
-func (c ctx) Work(cy units.Cycles) { c.w.account(segment{cy: cy}) }
+func (c *ctx) Work(cy units.Cycles) { c.w.account(segment{cy: cy}) }
 
 // Mem accounts a frequency-independent stall, settled likewise.
-func (c ctx) Mem(d units.Time) { c.w.account(segment{d: d}) }
+func (c *ctx) Mem(d units.Time) { c.w.account(segment{d: d}) }
 
 // WorkMix splits c into a CPU-bound part (scales with DVFS) and a
 // memory-bound part (converted to time at the machine's maximum
 // frequency, insensitive to DVFS).
-func (c ctx) WorkMix(cy units.Cycles, memFrac float64) {
+func (c *ctx) WorkMix(cy units.Cycles, memFrac float64) {
 	memCycles := units.Cycles(float64(cy) * min(max(memFrac, 0), 1))
 	c.Work(cy - memCycles)
 	if memCycles > 0 {
@@ -627,4 +689,4 @@ func (c ctx) WorkMix(cy units.Cycles, memFrac float64) {
 }
 
 // Worker returns the executing worker id.
-func (c ctx) Worker() int { return c.w.id }
+func (c *ctx) Worker() int { return c.w.id }

@@ -68,13 +68,16 @@ func (s *Spec) Voltage(f units.Freq) int {
 }
 
 // Supports reports whether f is one of the spec's operating points.
-func (s *Spec) Supports(f units.Freq) bool {
-	for _, p := range s.Points {
+func (s *Spec) Supports(f units.Freq) bool { return s.Point(f) >= 0 }
+
+// Point returns the index of f in Points, or -1 if f is not supported.
+func (s *Spec) Point(f units.Freq) int {
+	for i, p := range s.Points {
 		if p.F == f {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // SystemA models the paper's System A: two 16-core AMD Opteron 6378
@@ -167,10 +170,16 @@ type Domain struct {
 	target   units.Freq
 	pending  bool
 	commitAt units.Time
+	// pt and targetPt index cur and target in Spec.Points.
+	pt, targetPt int
 }
 
 // Freq returns the frequency the domain currently runs at.
 func (d *Domain) Freq() units.Freq { return d.cur }
+
+// Point returns the index in Spec.Points of the frequency the domain
+// currently runs at.
+func (d *Domain) Point() int { return d.pt }
 
 // Pending reports whether a transition is in flight and when it lands.
 func (d *Domain) Pending() (units.Freq, units.Time, bool) {
@@ -209,7 +218,7 @@ func NewMachine(spec *Spec) *Machine {
 	m.Domains = make([]*Domain, nd)
 	m.Cores = make([]*Core, spec.Cores)
 	for i := range m.Domains {
-		m.Domains[i] = &Domain{ID: i, cur: spec.MaxFreq()}
+		m.Domains[i] = &Domain{ID: i, cur: spec.MaxFreq()} // pt 0: MaxFreq is Points[0]
 	}
 	for i := range m.Cores {
 		d := m.Domains[i/spec.CoresPerDomain]
@@ -257,7 +266,7 @@ func (m *Machine) Request(c *Core, f units.Freq, now units.Time) (changed bool, 
 		return false, 0 // already heading there
 	}
 	d.pending = true
-	d.target = want
+	d.target, d.targetPt = want, m.Spec.Point(want)
 	d.commitAt = now + m.Spec.DVFSLatency
 	return true, d.commitAt
 }
@@ -274,6 +283,6 @@ func (d *Domain) Commit(now units.Time) bool {
 	if d.target == d.cur {
 		return false
 	}
-	d.cur = d.target
+	d.cur, d.pt = d.target, d.targetPt
 	return true
 }

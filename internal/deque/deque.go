@@ -8,11 +8,11 @@ import (
 // Queue is the work-stealing deque contract: owner-only Push/Pop at
 // the tail, thief-side Steal at the head, snapshot Size, and cumulative
 // operation counts. Two implementations satisfy it — the THE-protocol
-// Deque below (the paper-fidelity reference, a mutex on every steal),
-// which every simulated worker holds, and the lock-free ChaseLev in
-// chaselev.go, which every Native worker holds. Each scheduler uses its
-// concrete type; the interface is how this package's tests and the
-// benchmark's rungs drive both through one body.
+// Deque below (the paper-fidelity reference, a mutex on every steal)
+// and the lock-free ChaseLev in chaselev.go, which every Native worker
+// holds. Simulated workers hold internal/core's unsynchronized ring,
+// which keeps THE's order. The interface is how this package's tests
+// and the benchmark's rungs drive both through one body.
 type Queue[E any] interface {
 	// Push appends item at the tail. Owner only.
 	Push(item E)

@@ -76,11 +76,22 @@ func DefaultParams(spec *cpu.Spec) Params {
 type Model struct {
 	Spec *cpu.Spec
 	P    Params
+
+	// watts caches CoreWatts by operating point (index into
+	// Spec.Points) and core state, for MachineWatts.
+	watts [][cpu.Busy + 1]float64
 }
 
 // NewModel builds a model with the default calibration for spec.
 func NewModel(spec *cpu.Spec) *Model {
-	return &Model{Spec: spec, P: DefaultParams(spec)}
+	m := &Model{Spec: spec, P: DefaultParams(spec)}
+	m.watts = make([][cpu.Busy + 1]float64, len(spec.Points))
+	for i, p := range spec.Points {
+		for st := cpu.Unused; st <= cpu.Busy; st++ {
+			m.watts[i][st] = m.CoreWatts(st, p.F)
+		}
+	}
+	return m
 }
 
 // CoreWatts returns the draw of a single core in state st running at
@@ -108,11 +119,13 @@ func (m *Model) dyn(v float64, f units.Freq) float64 {
 }
 
 // MachineWatts returns the instantaneous draw of the whole machine:
-// every core at its domain's current frequency, plus uncore.
+// every core at its domain's current operating point, plus uncore. It
+// reads CoreWatts from the table NewModel built, so the sum is
+// bit-identical to calling CoreWatts per core.
 func (m *Model) MachineWatts(mach *cpu.Machine) float64 {
 	w := m.P.UncoreW * float64(m.Spec.Packages)
 	for _, c := range mach.Cores {
-		w += m.CoreWatts(c.State, c.Dom.Freq())
+		w += m.watts[c.Dom.Point()][c.State]
 	}
 	return w
 }

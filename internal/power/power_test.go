@@ -1,6 +1,8 @@
 package power
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"hermes/internal/cpu"
@@ -99,4 +101,35 @@ func TestDefaultParamsUnknownPanics(t *testing.T) {
 		}
 	}()
 	DefaultParams(&cpu.Spec{Name: "SystemZ"})
+}
+
+// TestMachineWattsMatchesCoreWatts checks the table against CoreWatts
+// per core, summed in core order, bit for bit: through every state and
+// committed DVFS transition, on both systems.
+func TestMachineWattsMatchesCoreWatts(t *testing.T) {
+	for _, spec := range []*cpu.Spec{cpu.SystemA(), cpu.SystemB()} {
+		m := NewModel(spec)
+		mach := cpu.NewMachine(spec)
+		rng := rand.New(rand.NewSource(1))
+		now := units.Time(0)
+		for step := 0; step < 2000; step++ {
+			c := mach.Cores[rng.Intn(len(mach.Cores))]
+			if rng.Intn(2) == 0 {
+				c.State = cpu.CoreState(rng.Intn(int(cpu.Busy) + 1))
+			} else {
+				f := spec.Points[rng.Intn(len(spec.Points))].F
+				if changed, at := mach.Request(c, f, now); changed && rng.Intn(3) > 0 {
+					c.Dom.Commit(at)
+				}
+			}
+			now += units.Microsecond
+			want := m.P.UncoreW * float64(spec.Packages)
+			for _, c := range mach.Cores {
+				want += m.CoreWatts(c.State, c.Dom.Freq())
+			}
+			if got := m.MachineWatts(mach); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s step %d: MachineWatts %v, per-core CoreWatts sum %v", spec.Name, step, got, want)
+			}
+		}
+	}
 }

@@ -18,8 +18,8 @@
 // The task-boundary hot path is lock-free and allocation-free in
 // steady state. The deque is the Chase–Lev implementation (CAS only on
 // steals and the owner's last-item race: real thieves contend, so the
-// steal path must not serialize the pool the way the simulator's
-// paper-fidelity THE protocol would); tasks and fork-join blocks come
+// steal path must not serialize the pool the way the paper's THE
+// protocol would); tasks and fork-join blocks come
 // from per-worker free lists; and accounting
 // never takes a global lock — each worker publishes its (state, freq,
 // since) in a packed atomic word and accumulates an exact per-worker

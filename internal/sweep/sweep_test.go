@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 
@@ -319,6 +320,35 @@ func TestPeakInflightCountsQueuedJobs(t *testing.T) {
 	}
 	if pt.P99QueueMS <= 0 || pt.P99SojournMS <= pt.P50SojournMS {
 		t.Fatalf("queueing not visible in latency percentiles: %+v", pt)
+	}
+}
+
+// allocsPerJobCeiling bounds heap allocations per completed job at
+// BenchmarkSweepPoint's configuration (ROADMAP 13(d)). A change that
+// lowers them lowers it: the simulated scheduler allocated 122.2 per
+// job (435 jobs) before tasks, blocks and Ctxs were pooled, 64.6 after.
+const allocsPerJobCeiling = 68
+
+// TestSweepPointAllocCeiling counts mallocs around one grid point
+// (after a warm-up point) and divides by its completed jobs. Counts
+// vary a little across GC cycles, so this is a ceiling, not a figure.
+func TestSweepPointAllocCeiling(t *testing.T) {
+	g := grid{workload: workload.Spec{Kind: "ticks"}, window: time.Second, seed: 1}
+	fl := fleet{mode: hermes.Unified, machines: 1}
+	if _, err := g.point(fl, 400); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := g.point(fl, 400)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perJob := float64(after.Mallocs-before.Mallocs) / float64(f.completed())
+	t.Logf("%.1f allocs per completed job over %d jobs", perJob, f.completed())
+	if perJob > allocsPerJobCeiling {
+		t.Fatalf("%.1f allocs per completed job, ceiling %d", perJob, allocsPerJobCeiling)
 	}
 }
 
