@@ -53,11 +53,12 @@ type ChaseLev[E any] struct {
 	arr atomic.Pointer[clArray[E]]
 	_   [56]byte
 
-	// Operation counters for Stats. The owner-side pair lives on its
-	// own line so counting pushes/pops never contends with thieves;
-	// the steal-side pair is shared among thieves, which already
-	// serialize on the top CAS.
-	pushes, pops         atomic.Int64
+	// Operation counters for Stats. The owner-side pair is plain:
+	// only the owner writes it, so counting costs no locked
+	// instruction, and it lives on its own line so thieves never
+	// touch it. The steal-side pair is atomic, shared among thieves,
+	// which already serialize on the top CAS.
+	pushes, pops         int64
 	_                    [48]byte
 	steals, failedSteals atomic.Int64
 }
@@ -94,7 +95,7 @@ func (d *ChaseLev[E]) Push(item *E) {
 	}
 	a.slot[b&a.mask].Store(item)
 	d.bot.Store(b + 1)
-	d.pushes.Add(1)
+	d.pushes++
 }
 
 // grow doubles the ring, copying the live range [t, b) by absolute
@@ -129,10 +130,10 @@ func (d *ChaseLev[E]) Pop() (*E, bool) {
 			return nil, false
 		}
 		d.bot.Store(b + 1)
-		d.pops.Add(1)
+		d.pops++
 		return item, true
 	}
-	d.pops.Add(1)
+	d.pops++
 	return item, true
 }
 
@@ -158,7 +159,10 @@ func (d *ChaseLev[E]) Steal() (*E, bool) {
 
 // Stats reports cumulative operation counts: pushes, successful pops,
 // successful steals, and failed steal attempts (including lost CAS
-// races).
+// races). The push and pop counts are the owner's plain fields, so
+// Stats may be called only by the owner, or once the owner is
+// quiescent and its last Push or Pop happens before the call (a join,
+// a channel receive).
 func (d *ChaseLev[E]) Stats() (pushes, pops, steals, failedSteals int64) {
-	return d.pushes.Load(), d.pops.Load(), d.steals.Load(), d.failedSteals.Load()
+	return d.pushes, d.pops, d.steals.Load(), d.failedSteals.Load()
 }

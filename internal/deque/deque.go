@@ -25,7 +25,8 @@ type Queue[E any] interface {
 	// Empty reports whether the deque currently holds no items.
 	Empty() bool
 	// Stats reports cumulative pushes, successful pops, successful
-	// steals and failed steal attempts.
+	// steals and failed steal attempts. Owner only, or once the owner
+	// is quiescent.
 	Stats() (pushes, pops, steals, failedSteals int64)
 }
 

@@ -3,7 +3,8 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"reflect"
+	"hash/fnv"
+	"io"
 	"strings"
 	"testing"
 
@@ -63,14 +64,43 @@ func TestReplayEqualsExecution(t *testing.T) {
 // TestRecordingsOfOneInputAreEqual: two builds of one input record
 // equal scripts, however the host's goroutines shared the bodies. It
 // is what lets a Session record an input once for all its trials.
+// Scripts are compared by their serial replay, every call with its
+// arguments and block structure: a script holds its blocks' replay
+// Tasks, and reflect.DeepEqual never finds two funcs equal.
 func TestRecordingsOfOneInputAreEqual(t *testing.T) {
 	for _, b := range bench.All() {
 		n := replayN(b)
-		if a, c := wl.Record(b.Build(n, 9).Root), wl.Record(b.Build(n, 9).Root); !reflect.DeepEqual(a, c) {
+		a, c := wl.Record(b.Build(n, 9).Root), wl.Record(b.Build(n, 9).Root)
+		if callDigest(a) != callDigest(c) || a.Spawns() != c.Spawns() {
 			t.Errorf("%s: two recordings of one input differ", b.Name)
 		}
 	}
 }
+
+// callDigest hashes a script's serial replay: every call with its
+// arguments, and each task's place in its block.
+func callDigest(s *wl.Script) uint64 {
+	h := fnv.New64a()
+	s.Task()(callLog{h})
+	return h.Sum64()
+}
+
+type callLog struct{ h io.Writer }
+
+func (c callLog) Go(tasks ...wl.Task) {
+	fmt.Fprintf(c.h, "go %d\n", len(tasks))
+	for i, t := range tasks {
+		fmt.Fprintf(c.h, "task %d\n", i)
+		t(c)
+	}
+	fmt.Fprint(c.h, "join\n")
+}
+func (c callLog) Work(cy units.Cycles) { fmt.Fprintf(c.h, "w %d\n", cy) }
+func (c callLog) Mem(d units.Time)     { fmt.Fprintf(c.h, "m %d\n", int64(d)) }
+func (c callLog) WorkMix(cy units.Cycles, f float64) {
+	fmt.Fprintf(c.h, "x %d %v\n", cy, f)
+}
+func (c callLog) Worker() int { return 0 }
 
 // workSpan prices a recorded task at one frequency as the simulator
 // prices its segments, each cycle count rounded by DurationAt on its

@@ -150,9 +150,6 @@ type worker struct {
 	dq  *deque.ChaseLev[task]
 	rng rngState
 
-	// th is this worker's tier state in the executor's tempo policy,
-	// read here only by the lock-free pre-filter of push and pop.
-	th      *tempo.Thresholds
 	backoff time.Duration
 
 	// lastState shadows the published core state so the owner can
@@ -229,6 +226,11 @@ type Exec struct {
 	mode atomic.Int32
 
 	workers []*worker
+	// tempo is the pool's tempo policy; every call but its lock-free
+	// pre-checks runs under tempoMu. It is declared apart from the
+	// lock so that push and pop, which load it on every task, never
+	// share a cache line with the lock's writes.
+	tempo   *tempo.Policy
 	injectq chan *task
 	closeCh chan struct{}
 	start   time.Time
@@ -243,15 +245,18 @@ type Exec struct {
 	baseWatts float64
 
 	// tempoMu serializes every call into the tempo policy and the
-	// frequency votes of its retune callback. The hot path pre-filters
-	// through the thresholds' lock-free published bounds, so this lock
-	// is taken only when a tier crossing is actually possible, on
+	// frequency votes of its retune callback. The hot path pre-checks
+	// through the policy's lock-free MayRaise and MayLower, so this
+	// lock is taken only when a tier crossing is actually possible, on
 	// landed steals and root takes (already slow paths), when a worker
 	// runs out of work or parks, and by the profiler. pend holds the
-	// observer events the callback queued under the lock.
-	tempoMu sync.Mutex
-	tempo   *tempo.Policy
-	pend    []obs.Event
+	// observer events the callback queued under the lock. shrinkLocks
+	// counts afterShrink's acquisitions and shrinkIdle those that moved
+	// no tier; both are counted under the lock.
+	tempoMu     sync.Mutex
+	pend        []obs.Event
+	shrinkLocks int64
+	shrinkIdle  int64
 
 	tempoSwitches atomic.Int64
 	dvfsCommits   atomic.Int64
@@ -322,7 +327,6 @@ func NewExec(cfg core.Config) (*Exec, error) {
 			id:         i,
 			dq:         deque.NewChaseLev[task](64),
 			rng:        rngState(cfg.Seed*7_919 + int64(i) + 1),
-			th:         e.tempo.Thresholds(i),
 			lastState:  cpu.IdleHalt,
 			reqFreq:    cfg.Freqs[0],
 			freeTasks:  make([]*task, 0, freeListCap),
@@ -847,28 +851,31 @@ func (w *worker) putBlock(blk *block) {
 }
 
 // push places a spawned task on the worker's own tail (Figure 5
-// PUSH), then applies the workload-sensitive growth check. The check
-// pre-filters through the thresholds' lock-free published bound:
-// tempoMu is taken only when the new size can actually cross a tier.
+// PUSH), then applies the workload-sensitive growth check. The policy's
+// lock-free MayRaise pre-check comes first: tempoMu is taken only when
+// the new size can actually cross a tier.
 func (w *worker) push(t *task) {
 	w.acct.spawns.Add(1)
 	if t.job != nil {
 		t.job.perW[w.id].spawns++
 	}
 	w.dq.Push(t)
-	if w.e.modeNow().Workload() && w.th.WouldRaiseFast(w.dq.Size()) {
+	if w.e.tempo.MayRaise(w.id, w.dq.Size(), w.e.modeNow()) {
 		w.e.tempoMu.Lock()
 		w.e.tempo.Pushed(w.id, w.dq.Size(), w.e.modeNow())
 		w.e.tempoUnlock()
 	}
 }
 
-// afterShrink applies Figure 5's POP tail check, pre-checking the
-// published bound before locking like push.
+// afterShrink applies Figure 5's POP tail check behind MayLower, which
+// also skips the lock while the worker heads the immediacy list.
 func (w *worker) afterShrink() {
-	if w.e.modeNow().Workload() && w.th.WouldLowerFast(w.dq.Size()) {
+	if w.e.tempo.MayLower(w.id, w.dq.Size(), w.e.modeNow()) {
 		w.e.tempoMu.Lock()
-		w.e.tempo.Shrunk(w.id, w.dq.Size(), w.e.modeNow())
+		w.e.shrinkLocks++
+		if !w.e.tempo.Shrunk(w.id, w.dq.Size(), w.e.modeNow()) {
+			w.e.shrinkIdle++
+		}
 		w.e.tempoUnlock()
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"hermes/internal/obs"
 	"hermes/internal/units"
 	"hermes/internal/wl"
+	"hermes/internal/workload"
 )
 
 // run executes root as a single job on a fresh pool and tears the pool
@@ -679,5 +680,43 @@ func TestNativeParkAndRootTake(t *testing.T) {
 		if len(next) == 0 || next[0] != freqs[1] {
 			t.Fatalf("%s: the next job's tempo switches are %v, want the first at %v from the root-take rule", when, next, freqs[1])
 		}
+	}
+}
+
+// TestHeadWorkerSkipsShrinkLock pins MayLower's head-of-list guard on
+// the Native pop path. One Unified worker never steals, so it heads the
+// immediacy list throughout and Figure 5's POP check can never lower
+// its tempo: afterShrink must take tempoMu zero times, exactly. Two
+// workers steal from each other; the test logs the share of their
+// afterShrink acquisitions that moved no tier.
+func TestHeadWorkerSkipsShrinkLock(t *testing.T) {
+	fib, _, err := workload.Spec{Kind: "fibtree", N: 24, Grain: 8}.Task()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		e, err := NewExec(core.Config{Spec: cpu.SystemB(), Workers: workers, Mode: core.Unified, Seed: 41})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 4 {
+			j, err := e.Submit(context.Background(), fib, core.Class{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Close()
+		locks, idle := e.shrinkLocks, e.shrinkIdle
+		if workers == 1 && locks != 0 {
+			t.Fatalf("one worker: afterShrink took tempoMu %d times, want 0 (the worker heads the list)", locks)
+		}
+		share := 0.0
+		if locks > 0 {
+			share = float64(idle) / float64(locks)
+		}
+		t.Logf("%d workers: afterShrink took tempoMu %d times, %d (%.0f %%) moved no tier", workers, locks, idle, 100*share)
 	}
 }

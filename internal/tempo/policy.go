@@ -1,5 +1,7 @@
 package tempo
 
+import "sync/atomic"
+
 // Mode selects which tempo-control strategies are active.
 type Mode uint8
 
@@ -51,6 +53,8 @@ func (m Mode) Workload() bool { return m == WorkloadOnly || m == Unified }
 // calls and pass the live mode and deque sizes; every level change is
 // reported through the retune callback bound at construction, which
 // maps the level onto a frequency. No event calls it under Baseline.
+// MayRaise and MayLower alone may run concurrently with the rest: they
+// are the lock-free pre-checks of a concurrent caller's PUSH and POP.
 type Policy struct {
 	ws       []slot
 	maxLevel int
@@ -58,11 +62,13 @@ type Policy struct {
 	retune   func(worker, level int)
 }
 
-// slot is one worker's tempo state.
+// slot is one worker's tempo state. head republishes node.AtHead()
+// for MayLower; every list change that can move it writes it.
 type slot struct {
 	node Node
 	th   *Thresholds
 	wp   int
+	head atomic.Bool
 }
 
 // NewPolicy returns the tempo state of workers workers at the top tier
@@ -75,13 +81,28 @@ func NewPolicy(workers, k int, avg float64, maxLevels, window int, retune func(w
 	for i := range p.ws {
 		p.ws[i].node.Val = i
 		p.ws[i].th = NewThresholds(k, avg)
+		p.ws[i].head.Store(true)
 	}
 	return p
 }
 
-// Thresholds returns worker i's tier state, for the lock-free
-// WouldRaiseFast/WouldLowerFast pre-filter of a concurrent caller.
-func (p *Policy) Thresholds(i int) *Thresholds { return p.ws[i].th }
+// MayRaise is Pushed's lock-free pre-check for a concurrent caller:
+// false means Pushed(i, size, m) would change nothing, so the caller
+// may skip its lock. The bound it reads may be stale by a concurrent
+// Profile, as the deque sizes are.
+func (p *Policy) MayRaise(i, size int, m Mode) bool {
+	return m.Workload() && p.ws[i].th.WouldRaiseFast(size)
+}
+
+// MayLower is Shrunk's pre-check, with MayRaise's contract, the
+// head-of-list guard included. Worker i's head bit turns false only in
+// i's own Stole; every other list change can only make a worker head.
+// So when i checks its own bit, true is never stale: the skipped lock
+// would have found i at the head. A stale false costs a needless lock.
+func (p *Policy) MayLower(i, size int, m Mode) bool {
+	s := &p.ws[i]
+	return m.Workload() && !(m.Workpath() && s.head.Load()) && s.th.WouldLowerFast(size)
+}
 
 // Level returns worker i's composed tempo level under m: workpath depth
 // plus workload tier deficit. Level 0 is the fastest tempo.
@@ -115,14 +136,16 @@ func (p *Policy) Pushed(i, size int, m Mode) {
 // Shrunk applies Figure 5's POP and STEAL tail check to worker i,
 // whose deque has just shrunk to size: falling below the current
 // tier's threshold lowers the tempo — unless the worker holds the most
-// immediate work (head of the immediacy list).
-func (p *Policy) Shrunk(i, size int, m Mode) {
+// immediate work (head of the immediacy list). It reports whether the
+// tier moved.
+func (p *Policy) Shrunk(i, size int, m Mode) bool {
 	s := &p.ws[i]
 	if !m.Workload() || (m.Workpath() && s.node.AtHead()) || !s.th.WouldLower(size) {
-		return
+		return false
 	}
 	s.th.Lower()
 	p.retune(i, p.Level(i, m))
+	return true
 }
 
 // OutOfWork runs Algorithm 3.1 lines 6–14 for worker i, whose deque is
@@ -140,7 +163,12 @@ func (p *Policy) OutOfWork(i int, m Mode) {
 		}
 		p.retune(x.Val, p.Level(x.Val, m))
 	}
+	next := n.next
 	n.Unlink()
+	p.ws[i].head.Store(true)
+	if next != nil {
+		p.ws[next.Val].head.Store(next.AtHead())
+	}
 }
 
 // Stole applies the rules of a landed steal, given both deques' sizes
@@ -158,6 +186,7 @@ func (p *Policy) Stole(thief, victim, thiefSize, victimSize int, m Mode) {
 		p.retune(thief, p.Level(thief, m))
 		if !t.node.InList() {
 			InsertThief(&t.node, &p.ws[victim].node)
+			t.head.Store(false) // the victim's earlier thief keeps a predecessor
 		}
 	case m.Workload():
 		t.th.SetTier(t.th.TierFor(thiefSize))
@@ -203,6 +232,7 @@ func (p *Policy) Reset(m Mode) {
 	for i := range p.ws {
 		s := &p.ws[i]
 		s.node.Unlink()
+		s.head.Store(true)
 		s.wp = 0
 		s.th.SetTier(s.th.K())
 		p.retune(i, p.Level(i, m))

@@ -142,3 +142,95 @@ func checkChains(t *testing.T, p *Policy) {
 		}
 	}
 }
+
+// FuzzPolicyPreChecks drives scripts of every Policy event over 1–8
+// workers in all four modes and checks the lock-free pre-checks a
+// concurrent caller skips its lock on:
+//   - when MayRaise (MayLower) reports false, Pushed (Shrunk) changes
+//     no worker's level or tier and never calls retune;
+//   - every head bit equals its node's AtHead after each event, and a
+//     bit turns from true to false only on its own worker's Stole.
+//
+// The first two bytes pick the workers, thresholds, levels, mode,
+// initial average and profiler window; each later pair is one event's
+// worker and kind.
+func FuzzPolicyPreChecks(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 16; i++ {
+		script := make([]byte, 2+2*(50+rng.Intn(250)))
+		rng.Read(script)
+		script[1] = script[1]&^3 | byte(i%4) // every mode
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) < 2 {
+			return
+		}
+		a, b := int(script[0]), int(script[1])
+		n, k, maxLevels := 1+a%8, 1+a/8%3, 2+a/24%4
+		m, avg, window := Mode(b%4), float64(b/4%6), 1+b/24%4
+		var calls int
+		p := NewPolicy(n, k, avg, maxLevels, window, func(int, int) { calls++ })
+		sizes := make([]int, n)
+		levels, tiers, heads := make([]int, n), make([]int, n), make([]bool, n)
+		for at := 2; at+1 < len(script); at += 2 {
+			step, ev := at/2, int(script[at])
+			op, i := script[at+1]%8, ev%n
+			for j := range p.ws {
+				levels[j], tiers[j], heads[j] = p.Level(j, m), p.ws[j].th.Tier(), p.ws[j].head.Load()
+			}
+			calls = 0
+			skip := false // the pre-check let a concurrent caller skip its lock
+			thief := -1
+			switch op {
+			case 0:
+				sizes[i]++
+				skip = !p.MayRaise(i, sizes[i], m)
+				p.Pushed(i, sizes[i], m)
+			case 1:
+				if sizes[i] == 0 {
+					continue
+				}
+				sizes[i]--
+				skip = !p.MayLower(i, sizes[i], m)
+				p.Shrunk(i, sizes[i], m)
+			case 2:
+				v := (i + 1 + ev/8) % n
+				if v == i || sizes[v] == 0 {
+					continue
+				}
+				sizes[v]--
+				thief = i
+				p.Stole(i, v, sizes[i], sizes[v], m)
+			case 3:
+				if sizes[i] == 0 {
+					p.OutOfWork(i, m)
+				}
+			case 4:
+				p.TookRoot(i, sizes[i], m)
+			case 5:
+				if sizes[i] == 0 {
+					p.Parked(i, m)
+				}
+			case 6:
+				p.Profile(sizes, m)
+			case 7:
+				if ev%4 == 0 {
+					p.Reset(m)
+				}
+			}
+			for j := range p.ws {
+				s := &p.ws[j]
+				if skip && (p.Level(j, m) != levels[j] || s.th.Tier() != tiers[j] || calls != 0) {
+					t.Fatalf("step %d, op %d on worker %d: pre-check false, yet worker %d moved level %d→%d, tier %d→%d, %d retunes",
+						step, op, i, j, levels[j], p.Level(j, m), tiers[j], s.th.Tier(), calls)
+				}
+				if h := s.head.Load(); h != s.node.AtHead() {
+					t.Fatalf("step %d, op %d on worker %d: worker %d head bit %v, AtHead %v", step, op, i, j, h, s.node.AtHead())
+				} else if heads[j] && !h && j != thief {
+					t.Fatalf("step %d, op %d on worker %d: worker %d lost its head bit outside its own Stole", step, op, i, j)
+				}
+			}
+		}
+	})
+}

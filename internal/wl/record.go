@@ -21,12 +21,15 @@ type node struct{ ops []op }
 
 // op is one recorded call: kind is 'w' (Work, n cycles), 'm' (Mem, a
 // stall of n), 'x' (WorkMix, n cycles with memory fraction f) or 'g'
-// (Go, the block kids).
+// (Go, the block kids). A 'g' op also holds the replay Task of each
+// kid, built once as it is recorded, so a replay allocates nothing.
+// Replays share them read-only.
 type op struct {
-	kind byte
-	n    int64
-	f    float64
-	kids []node
+	kind  byte
+	n     int64
+	f     float64
+	kids  []node
+	tasks []Task
 }
 
 // Record executes root for real on the host and returns the recording
@@ -71,11 +74,7 @@ func (n *node) replay(c Ctx) {
 		case 'x':
 			c.WorkMix(units.Cycles(o.n), o.f)
 		default:
-			tasks := make([]Task, len(o.kids))
-			for i := range o.kids {
-				tasks[i] = o.kids[i].replay
-			}
-			c.Go(tasks...)
+			c.Go(o.tasks...)
 		}
 	}
 }
@@ -95,8 +94,11 @@ type recCtx struct {
 }
 
 func (c recCtx) Go(tasks ...Task) {
-	r, kids := c.r, make([]node, len(tasks))
-	c.n.ops = append(c.n.ops, op{kind: 'g', kids: kids})
+	r, kids, replays := c.r, make([]node, len(tasks)), make([]Task, len(tasks))
+	for i := range kids {
+		replays[i] = kids[i].replay
+	}
+	c.n.ops = append(c.n.ops, op{kind: 'g', kids: kids, tasks: replays})
 	if len(tasks) >= 2 {
 		r.spawns.Add(int64(len(tasks) - 1))
 	}

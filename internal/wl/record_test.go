@@ -2,7 +2,6 @@ package wl
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -74,11 +73,43 @@ func TestRecordReplaysCallSequence(t *testing.T) {
 }
 
 // TestRecordIsDeterministic: whichever goroutines run which bodies,
-// two recordings of one program are equal.
+// two recordings of one program are equal: the same calls in the same
+// block structure when replayed, and the same counts. (Not
+// reflect.DeepEqual: each recorded block holds its kids' replay Tasks,
+// and func values never compare equal.)
 func TestRecordIsDeterministic(t *testing.T) {
 	a, b := Record(program), Record(program)
-	if !reflect.DeepEqual(a, b) {
+	var la, lb []string
+	a.Task()(logCtx{&la})
+	b.Task()(logCtx{&lb})
+	if strings.Join(la, "\n") != strings.Join(lb, "\n") || a.Spawns() != b.Spawns() {
 		t.Fatal("two recordings of one program differ")
+	}
+}
+
+// nopCtx replays a script serially and does nothing else.
+type nopCtx struct{}
+
+func (c nopCtx) Go(tasks ...Task) {
+	for _, t := range tasks {
+		t(c)
+	}
+}
+func (nopCtx) Work(units.Cycles)             {}
+func (nopCtx) Mem(units.Time)                {}
+func (nopCtx) WorkMix(units.Cycles, float64) {}
+func (nopCtx) Worker() int                   { return 0 }
+
+// TestReplayAllocatesNothing: each block's replay Tasks are built when
+// the script is recorded, so replaying a fork tree allocates nothing.
+func TestReplayAllocatesNothing(t *testing.T) {
+	s := Record(program)
+	if s.Spawns() < 10 {
+		t.Fatalf("the program recorded %d spawns: not a fork tree", s.Spawns())
+	}
+	replay := s.Task()
+	if a := testing.AllocsPerRun(100, func() { replay(nopCtx{}) }); a != 0 {
+		t.Fatalf("a replay allocated %.1f times, want 0", a)
 	}
 }
 
