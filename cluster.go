@@ -41,18 +41,10 @@ func PlacementPowerOfChoices(k int) Placement {
 }
 
 // PlacementGossip keeps placement load-blind (random) and balances via
-// gossip instead: every interval, idle machines pull a batch of
-// unstarted jobs from the most-loaded peer as seen through queue views
-// refreshed at least staleness ago — realistically stale information.
-// interval <= 0 selects the default; staleness 0 defaults to the
-// interval; batch 0 pulls half the victim's visible backlog.
-func PlacementGossip(interval, staleness Time, batch int) Placement {
-	p := Placement{Kind: "gossip", Interval: interval, Staleness: staleness, Batch: batch}
-	if p.Interval <= 0 {
-		p.Interval = cluster.DefaultGossipInterval
-	}
-	return p
-}
+// gossip instead: every 500µs, idle machines pull half the unstarted
+// backlog of the most-loaded peer as seen through queue views refreshed
+// an interval ago — realistically stale information.
+func PlacementGossip() Placement { return Placement{Kind: "gossip"} }
 
 // ClusterStats is the fleet-wide aggregate through the cluster's last
 // job completion: one MachineStats per machine (all snapshotted at the

@@ -81,7 +81,7 @@ func TestClusterDeterministicReports(t *testing.T) {
 	run := func() []string {
 		c, err := hermes.NewCluster(
 			hermes.WithMachines(3),
-			hermes.WithPlacement(hermes.PlacementGossip(0, 0, 0)),
+			hermes.WithPlacement(hermes.PlacementGossip()),
 			hermes.WithSpec(hermes.SystemB()),
 			hermes.WithWorkers(2),
 			hermes.WithMode(hermes.Unified),

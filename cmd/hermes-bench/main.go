@@ -166,8 +166,7 @@ func run(args []string) int {
 		if *scale > 0 {
 			opts.Scale = *scale
 		}
-		opts.Verbose = *verbose
-		err = runFigures(opts, *fig, *csvDir)
+		err = runFigures(opts, *fig, *csvDir, *verbose)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hermes-bench: %v\n", err)
@@ -177,10 +176,12 @@ func run(args []string) int {
 }
 
 // runFigures prints figure fig (0 = every figure) and, with a csvDir,
-// writes each as figureNN.csv there.
-func runFigures(opts harness.Options, fig int, csvDir string) error {
+// writes each as figureNN.csv there; verbose logs each run to stderr.
+func runFigures(opts harness.Options, fig int, csvDir string, verbose bool) error {
 	s := harness.NewSession(opts)
-	s.Log = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
+	if verbose {
+		s.Log = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
+	}
 	ids := harness.Figures()
 	if fig != 0 {
 		ids = []int{fig}

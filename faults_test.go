@@ -69,7 +69,7 @@ func TestClusterFaultRecoveryAllPolicies(t *testing.T) {
 		hermes.PlacementRandom(),
 		hermes.PlacementJSQ(),
 		hermes.PlacementPowerOfChoices(2),
-		hermes.PlacementGossip(0, 0, 0),
+		hermes.PlacementGossip(),
 	} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {

@@ -7,13 +7,7 @@ import (
 	"strings"
 
 	"hermes/internal/core"
-	"hermes/internal/units"
 )
-
-// DefaultGossipInterval is the gossip tick period when the policy does
-// not set one: fine-grained against millisecond-scale service times,
-// coarse against the simulator's microsecond events.
-const DefaultGossipInterval = 500 * units.Microsecond
 
 // Policy describes one placement policy by name and parameters.
 type Policy struct {
@@ -22,11 +16,6 @@ type Policy struct {
 	// Choices is k for the "pkc" family (2 = the classic
 	// power-of-two-choices); ignored otherwise.
 	Choices int `json:"choices,omitempty"`
-	// Interval, Staleness and Batch configure the gossip tier for the
-	// "gossip" family (see core.ClusterConfig); ignored otherwise.
-	Interval  units.Time `json:"interval,omitempty"`
-	Staleness units.Time `json:"staleness,omitempty"`
-	Batch     int        `json:"batch,omitempty"`
 }
 
 // Known lists the canonical policy names a CLI should advertise.
@@ -36,12 +25,8 @@ func Known() []string { return []string{"random", "jsq", "p2c", "gossip"} }
 // any "p<k>c", e.g. "p3c"), and "gossip". The result is validated.
 func Parse(s string) (Policy, error) {
 	switch s {
-	case "random":
-		return Policy{Kind: "random"}, nil
-	case "jsq":
-		return Policy{Kind: "jsq"}, nil
-	case "gossip":
-		return Policy{Kind: "gossip", Interval: DefaultGossipInterval}, nil
+	case "random", "jsq", "gossip":
+		return Policy{Kind: s}, nil
 	}
 	if rest, ok := strings.CutPrefix(s, "p"); ok {
 		if digits, ok := strings.CutSuffix(rest, "c"); ok {
@@ -70,26 +55,13 @@ func (p Policy) String() string {
 // nonsensical parameters.
 func (p Policy) Validate() (Policy, error) {
 	switch p.Kind {
-	case "random", "jsq":
+	case "random", "jsq", "gossip":
 	case "pkc":
 		if p.Choices == 0 {
 			p.Choices = 2
 		}
 		if p.Choices < 1 {
 			return p, fmt.Errorf("cluster: pkc needs at least one choice, got %d", p.Choices)
-		}
-	case "gossip":
-		if p.Interval == 0 {
-			p.Interval = DefaultGossipInterval
-		}
-		if p.Interval < 0 {
-			return p, fmt.Errorf("cluster: gossip interval must be positive, got %v", p.Interval)
-		}
-		if p.Staleness < 0 {
-			return p, fmt.Errorf("cluster: gossip staleness must not be negative, got %v", p.Staleness)
-		}
-		if p.Batch < 0 {
-			return p, fmt.Errorf("cluster: gossip batch must not be negative, got %d", p.Batch)
 		}
 	default:
 		return p, fmt.Errorf("cluster: unknown placement policy kind %q", p.Kind)
@@ -99,7 +71,7 @@ func (p Policy) Validate() (Policy, error) {
 
 // Placer materialises the core.Placement behind the policy. The
 // "gossip" family places load-blind (random) — balancing is the gossip
-// tier's job, configured via GossipParams.
+// tier's job (core.ClusterConfig.Gossip).
 func (p Policy) Placer() core.Placement {
 	switch p.Kind {
 	case "jsq":
@@ -113,19 +85,6 @@ func (p Policy) Placer() core.Placement {
 	default: // "random", "gossip"
 		return randomPlacer{}
 	}
-}
-
-// GossipParams returns the gossip-tier configuration for the "gossip"
-// family and zeros (gossip disabled) for every other policy.
-func (p Policy) GossipParams() (interval, staleness units.Time, batch int) {
-	if p.Kind != "gossip" {
-		return 0, 0, 0
-	}
-	interval = p.Interval
-	if interval == 0 {
-		interval = DefaultGossipInterval
-	}
-	return interval, p.Staleness, p.Batch
 }
 
 // randomPlacer is uniform random, load-blind: the spreading baseline

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hermes/internal/core"
-	"hermes/internal/units"
 )
 
 // fakeView is a canned PlacementView for exercising placers without a
@@ -84,28 +83,11 @@ func TestValidateDefaults(t *testing.T) {
 	if err != nil || p.Choices != 2 {
 		t.Fatalf("pkc defaults: %+v, %v", p, err)
 	}
-	g, err := Policy{Kind: "gossip"}.Validate()
-	if err != nil || g.Interval != DefaultGossipInterval {
-		t.Fatalf("gossip defaults: %+v, %v", g, err)
+	if g, err := (Policy{Kind: "gossip"}).Validate(); err != nil || g != (Policy{Kind: "gossip"}) {
+		t.Fatalf("gossip validates to %+v, %v", g, err)
 	}
 	if _, err := (Policy{Kind: "spray"}).Validate(); err == nil {
 		t.Fatal("unknown kind accepted")
-	}
-	if _, err := (Policy{Kind: "gossip", Batch: -1}).Validate(); err == nil {
-		t.Fatal("negative gossip batch accepted")
-	}
-}
-
-func TestGossipParams(t *testing.T) {
-	i, s, b := Policy{Kind: "gossip", Interval: 100 * units.Microsecond,
-		Staleness: 300 * units.Microsecond, Batch: 2}.GossipParams()
-	if i != 100*units.Microsecond || s != 300*units.Microsecond || b != 2 {
-		t.Fatalf("gossip params: %v %v %d", i, s, b)
-	}
-	for _, kind := range []string{"random", "jsq", "pkc"} {
-		if i, s, b := (Policy{Kind: kind, Interval: 1, Batch: 1}).GossipParams(); i != 0 || s != 0 || b != 0 {
-			t.Fatalf("%s leaked gossip params: %v %v %d", kind, i, s, b)
-		}
 	}
 }
 

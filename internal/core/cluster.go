@@ -56,19 +56,11 @@ type ClusterConfig struct {
 	// Placement chooses a machine for each arriving job.
 	Placement Placement
 
-	// GossipInterval enables the gossip tier when positive: every
-	// interval, idle machines pull a batch of unstarted jobs from the
-	// most-loaded peer according to their last refreshed (stale) view
-	// of queue sizes. Zero disables gossip entirely.
-	GossipInterval units.Time
-	// GossipStaleness is the minimum age a machine's published queue
-	// view reaches before the next refresh; defaults to GossipInterval.
-	// Views refresh after the steal pass, so thieves always act on
-	// information at least one interval old — realistically stale.
-	GossipStaleness units.Time
-	// GossipBatch is how many jobs an idle thief pulls per tick; 0
-	// takes half of the victim's visible unstarted backlog.
-	GossipBatch int
+	// Gossip enables the gossip tier: every gossipInterval, idle
+	// machines pull half of the unstarted backlog of the most-loaded
+	// peer according to their last refreshed (stale) view of queue
+	// sizes.
+	Gossip bool
 
 	// Seed drives the placement RNG; 0 adopts Machine.Seed.
 	Seed int64
@@ -94,18 +86,6 @@ func (c ClusterConfig) Validate() (ClusterConfig, error) {
 	c.Machine = mcfg
 	if c.Placement == nil {
 		return c, fmt.Errorf("core: cluster needs a placement policy")
-	}
-	if c.GossipInterval < 0 {
-		return c, fmt.Errorf("core: gossip interval must not be negative, got %v", c.GossipInterval)
-	}
-	if c.GossipStaleness < 0 {
-		return c, fmt.Errorf("core: gossip staleness must not be negative, got %v", c.GossipStaleness)
-	}
-	if c.GossipBatch < 0 {
-		return c, fmt.Errorf("core: gossip batch must not be negative, got %d", c.GossipBatch)
-	}
-	if c.GossipStaleness == 0 {
-		c.GossipStaleness = c.GossipInterval
 	}
 	if c.Seed == 0 {
 		c.Seed = c.Machine.Seed
@@ -329,7 +309,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.ms = append(c.ms, s)
 		s.start()
 	}
-	if cfg.GossipInterval > 0 {
+	if cfg.Gossip {
 		c.gossipd = c.eng.Go("gossipd", c.gossipLoop)
 	}
 	if len(cfg.Faults) > 0 {
@@ -798,10 +778,16 @@ func (c *Cluster) totalActive() int {
 	return n
 }
 
-// gossipLoop is the cluster's migration daemon: every GossipInterval
+// gossipInterval is the gossip tier's tick: fine-grained against
+// millisecond-scale service times, coarse against the simulator's
+// microsecond events. A published queue view refreshes once it is an
+// interval old.
+const gossipInterval = 500 * units.Microsecond
+
+// gossipLoop is the cluster's migration daemon: every gossipInterval
 // it lets idle machines pull unstarted jobs from the most-loaded peer
 // as seen through the last refreshed queue views, THEN refreshes views
-// that have aged past GossipStaleness — so thieves always act on
+// that have aged a whole interval — so thieves always act on
 // information at least one interval old. It parks while the cluster
 // is empty (an idle cluster generates no events) and exits once the
 // cluster is stopping and drained.
@@ -816,7 +802,7 @@ func (c *Cluster) gossipLoop(p *sim.Proc) {
 			c.gossipParked = false
 			continue
 		}
-		p.Sleep(c.cfg.GossipInterval)
+		p.Sleep(gossipInterval)
 		if c.stop && c.arrivals.Len() == 0 && c.totalActive() == 0 {
 			return
 		}
@@ -846,24 +832,17 @@ func (c *Cluster) gossipTick() {
 			continue
 		}
 		// The pull itself negotiates with the victim, so the batch is
-		// bounded by the victim's actual unstarted backlog right now —
-		// the staleness cost is choosing the wrong victim, not
-		// migrating phantom jobs.
+		// half (rounded up) of the victim's actual unstarted backlog
+		// right now — the staleness cost is choosing the wrong victim,
+		// not migrating phantom jobs.
 		avail := len(c.ms[best].pool.injectq)
 		if avail == 0 {
 			continue
 		}
-		n := c.cfg.GossipBatch
-		if n <= 0 {
-			n = (avail + 1) / 2
-		}
-		if n > avail {
-			n = avail
-		}
-		c.migrate(best, t, n)
+		c.migrate(best, t, (avail+1)/2)
 	}
 	for m := range c.ms {
-		if now-c.views[m].at >= c.cfg.GossipStaleness {
+		if now-c.views[m].at >= gossipInterval {
 			load := len(c.ms[m].pool.active)
 			if c.ms[m].dead {
 				load = 0 // a dead machine has nothing worth pulling

@@ -54,13 +54,6 @@ type Config struct {
 	// paper's default 2-frequency pair for the system: 2.4/1.6 GHz on
 	// System A, 3.6/2.7 GHz on System B.
 	Freqs []units.Freq
-	// K is the number of workload thresholds (default 2).
-	K int
-	// ProfilePeriod is the online-profiling sampling period for deque
-	// sizes (default 500µs); ProfileWindow is how many periods the
-	// rolling average spans (default 16).
-	ProfilePeriod units.Time
-	ProfileWindow int
 	// Scheduling selects static or dynamic worker-core mapping.
 	Scheduling Scheduling
 	// Seed drives every random choice (victim selection). Identical
@@ -101,7 +94,16 @@ const (
 	// initialAvgDeque seeds the thresholds before the first profile
 	// period completes.
 	initialAvgDeque = 2
+	// thresholds is K, the number of workload thresholds (K+1 tiers).
+	thresholds = 2
+	// profileWindow is how many profile periods the rolling average
+	// deque size spans.
+	profileWindow = 16
 )
+
+// ProfilePeriod is the online profiler's sampling period for deque
+// sizes (Section 3.2), on either executor's clock.
+const ProfilePeriod = 500 * units.Microsecond
 
 // NewTempoPolicy returns the HERMES tempo policy of a validated cfg,
 // for either executor; retune receives a worker and its new level.
@@ -110,7 +112,7 @@ const (
 // level i runs at Freqs[min(i, N-1)], per the paper's N-frequency
 // tempo control.
 func NewTempoPolicy(cfg Config, retune func(worker, level int)) *tempo.Policy {
-	return tempo.NewPolicy(cfg.Workers, cfg.K, initialAvgDeque, len(cfg.Freqs)+2, cfg.ProfileWindow, retune)
+	return tempo.NewPolicy(cfg.Workers, thresholds, initialAvgDeque, len(cfg.Freqs)+2, profileWindow, retune)
 }
 
 // withDefaults fills in zero fields and validates the configuration,
@@ -171,25 +173,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.Mode != Baseline && len(c.Freqs) < 2 {
 		return c, fmt.Errorf("core: tempo control needs at least two frequencies, got %d", len(c.Freqs))
-	}
-	if c.K < 0 {
-		return c, fmt.Errorf("core: K must not be negative, got %d (zero selects the default)", c.K)
-	}
-	// A negative ProfilePeriod would panic the native profiler's ticker.
-	if c.ProfilePeriod < 0 {
-		return c, fmt.Errorf("core: ProfilePeriod must not be negative, got %v", c.ProfilePeriod)
-	}
-	if c.ProfileWindow < 0 {
-		return c, fmt.Errorf("core: ProfileWindow must not be negative, got %d", c.ProfileWindow)
-	}
-	if c.K == 0 {
-		c.K = 2
-	}
-	if c.ProfilePeriod == 0 {
-		c.ProfilePeriod = 500 * units.Microsecond
-	}
-	if c.ProfileWindow == 0 {
-		c.ProfileWindow = 16
 	}
 	return c, nil
 }

@@ -367,7 +367,7 @@ func (s *sched) profLoop(p *sim.Proc) {
 			}
 			continue
 		}
-		p.Sleep(s.cfg.ProfilePeriod)
+		p.Sleep(ProfilePeriod)
 		if s.done {
 			return
 		}

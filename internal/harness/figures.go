@@ -69,9 +69,7 @@ func (s *Session) openSystem(fig int, spec workload.Spec) Table {
 		Seed:     s.opts.InputSeed,
 		Trials:   s.opts.Trials,
 		Workers:  4,
-	}
-	if s.opts.Verbose && s.Log != nil {
-		cfg.Log = s.Log
+		Log:      s.Log,
 	}
 	res, err := sweep.Run(cfg)
 	if err != nil {
@@ -130,9 +128,7 @@ func (s *Session) serviceClasses(fig int) Table {
 		Seed:     s.opts.InputSeed,
 		Trials:   s.opts.Trials,
 		Workers:  4,
-	}
-	if s.opts.Verbose && s.Log != nil {
-		cfg.Log = s.Log
+		Log:      s.Log,
 	}
 	res, err := sweep.Run(cfg)
 	if err != nil {
@@ -197,9 +193,7 @@ func (s *Session) runClusterFigure(policies []hermes.Placement, machines []int, 
 		Seed:     s.opts.InputSeed,
 		Trials:   s.opts.Trials,
 		Workers:  2,
-	}
-	if s.opts.Verbose && s.Log != nil {
-		cfg.Log = s.Log
+		Log:      s.Log,
 	}
 	res, err := sweep.RunCluster(cfg)
 	if err != nil {
@@ -231,7 +225,7 @@ func (s *Session) clusterPolicies(fig int) Table {
 		hermes.PlacementRandom(),
 		hermes.PlacementJSQ(),
 		hermes.PlacementPowerOfChoices(2),
-		hermes.PlacementGossip(0, 0, 0),
+		hermes.PlacementGossip(),
 	}, []int{6}, nil)
 	t := Table{
 		Figure: fmt.Sprintf("Figure %d", fig),

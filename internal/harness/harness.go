@@ -39,8 +39,6 @@ type Options struct {
 	Scale float64
 	// InputSeed fixes the benchmark inputs. Default 42.
 	InputSeed int64
-	// Verbose prints each run as it completes.
-	Verbose bool
 }
 
 func (o Options) withDefaults() Options {
@@ -71,7 +69,9 @@ type Session struct {
 	opts    Options
 	cache   map[string]Avg
 	scripts map[input]*wl.Script
-	Log     func(string)
+	// Log, when non-nil, receives a line per completed run and per
+	// failed sweep job.
+	Log func(string)
 }
 
 // input identifies one benchmark input; the seed is the Session's.
@@ -174,7 +174,7 @@ func (s *Session) Run(spec Spec) Avg {
 			a.SlowOcc += float64(r.SlowBusyTime) / float64(r.BusyTime)
 		}
 		a.LastSamples = r.Samples
-		if s.Log != nil && s.opts.Verbose {
+		if s.Log != nil {
 			s.Log(fmt.Sprintf("  %s trial %d: %s", k, trial, r.String()))
 		}
 	}

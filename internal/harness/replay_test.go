@@ -168,7 +168,7 @@ func TestSessionRecordsEachInputOnce(t *testing.T) {
 			Check: func() error { checks++; return fail },
 		}
 	}}
-	s := NewSession(Options{Trials: 3, InputSeed: 5, Verbose: true})
+	s := NewSession(Options{Trials: 3, InputSeed: 5})
 	s.Log = func(string) { runs++ }
 	var specs []Spec
 	for _, sys := range []*cpu.Spec{cpu.SystemA(), cpu.SystemB()} {

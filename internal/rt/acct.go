@@ -58,11 +58,11 @@ type acct struct {
 	// res is the exact residency matrix in nanoseconds, indexed
 	// [state-1][freqIndex] for states IdleHalt/Spin/Busy.
 	res [3][core.MaxFreqs]atomic.Int64
-	// Per-worker scheduler counters, folded into pool totals on read:
-	// the owner (acting as worker or as thief) is the only writer, so
-	// the atomics never contend.
-	tasks, spawns, steals, failedSteals atomic.Int64
-	_                                   [64]byte
+	// Per-worker steal counters, folded into pool totals on read: the
+	// owner (acting as thief) is the only writer, so the atomics never
+	// contend.
+	steals, failedSteals atomic.Int64
+	_                    [64]byte
 }
 
 // lockCell acquires the writer side of the cell's seqlock. The only
@@ -106,13 +106,13 @@ func (e *Exec) acctSet(a *acct, st int, fi int) {
 
 // acctFold is a consistent read of one cell: the residency matrix
 // with the in-flight interval already credited, the current (state,
-// freq), and the scheduler counters.
+// freq), and the steal counters.
 type acctFold struct {
 	res [3][core.MaxFreqs]int64
 	st  cpu.CoreState
 	fi  int
 
-	tasks, spawns, steals, failedSteals int64
+	steals, failedSteals int64
 }
 
 // foldAcct snapshots a cell through the reader side of its seqlock,
@@ -144,8 +144,6 @@ func (e *Exec) foldAcct(a *acct) acctFold {
 	if d := e.nowNS() - since; d > 0 && st >= cpu.IdleHalt {
 		f.res[st-1][fi] += d
 	}
-	f.tasks = a.tasks.Load()
-	f.spawns = a.spawns.Load()
 	f.steals = a.steals.Load()
 	f.failedSteals = a.failedSteals.Load()
 	return f

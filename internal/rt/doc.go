@@ -37,10 +37,10 @@
 // pops to the lock, and 4 435 of them moved a tier; with the head bit
 // about 5 200 lock, and each moves a tier. On amd64, where every atomic store and
 // read-modify-write is a fence, a spawned task its owner pops pays
-// about 8.1 fence-bearing operations (11.1 before: the deque's owner
-// counters and those POP locks): Push's slot and bottom stores, Pop's
-// bottom store, the worker's spawn and task counters, the block's two
-// stores and its pending decrement, and 0.14 of a lock round trip.
+// about 5.1 fence-bearing operations: Push's slot and bottom stores,
+// Pop's bottom store, the block's pending store and decrement, and 0.14
+// of a lock round trip. Task and spawn counts are plain per-job fields
+// that the job's report folds.
 // Rito & Paulino bound synchronization by the steals (about 7 a job
 // here); all of the rest is on the owner's path.
 //

@@ -258,8 +258,9 @@ type Exec struct {
 	shrinkLocks int64
 	shrinkIdle  int64
 
+	// tempoSwitches counts accepted tempo requests, each of which is
+	// also a DVFS commit here (see retuneLocked).
 	tempoSwitches atomic.Int64
-	dvfsCommits   atomic.Int64
 
 	active atomic.Int64 // jobs submitted and not yet completed
 	nextID atomic.Int64
@@ -525,14 +526,17 @@ func (e *Exec) watch(js *jobState) {
 }
 
 // snapshot folds every worker's accounting cell into a ledger: each
-// worker's residency matrix and steals, the pool's counters and the
-// machine's exact integrated energy. No lock is taken — each cell is
-// read through its seqlock — so snapshots never stall the pool.
+// worker's residency matrix and steals, the pool's steal and tempo
+// counters and the machine's exact integrated energy. Tasks and Spawns
+// stay zero: buildReport attributes them per job. No lock is taken —
+// each cell is read through its seqlock — so snapshots never stall the
+// pool.
 func (e *Exec) snapshot() core.Ledger {
+	switches := e.tempoSwitches.Load()
 	l := core.Ledger{
 		Workers:       make([]core.WorkerLedger, len(e.workers)),
-		TempoSwitches: e.tempoSwitches.Load(),
-		DVFSCommits:   e.dvfsCommits.Load(),
+		TempoSwitches: switches,
+		DVFSCommits:   switches,
 	}
 	var coreJ float64
 	for i, w := range e.workers {
@@ -545,8 +549,6 @@ func (e *Exec) snapshot() core.Ledger {
 			}
 		}
 		lw.Steals = f.steals
-		l.Tasks += f.tasks
-		l.Spawns += f.spawns
 		l.Steals += f.steals
 		l.FailedSteals += f.failedSteals
 	}
@@ -671,7 +673,7 @@ func (w *worker) freq() units.Freq {
 // which retunes every worker's thresholds from the rolling average.
 func (e *Exec) profLoop() {
 	defer e.workerWG.Done()
-	tick := time.NewTicker(e.cfg.ProfilePeriod.Duration())
+	tick := time.NewTicker(core.ProfilePeriod.Duration())
 	defer tick.Stop()
 	sizes := make([]int, len(e.workers))
 	for {
@@ -823,7 +825,8 @@ func (w *worker) putTask(t *task) {
 }
 
 // getBlock recycles a fork-join block, draining any stale completion
-// token from the previous generation. Owner-only.
+// token from the previous generation. A pooled block's waiting flag is
+// already false: join clears it before it returns. Owner-only.
 func (w *worker) getBlock(pending int64) *block {
 	var blk *block
 	if n := len(w.freeBlocks); n > 0 {
@@ -836,7 +839,6 @@ func (w *worker) getBlock(pending int64) *block {
 	} else {
 		blk = &block{done: make(chan struct{}, 1)}
 	}
-	blk.waiting.Store(false)
 	blk.pending.Store(pending)
 	return blk
 }
@@ -855,7 +857,6 @@ func (w *worker) putBlock(blk *block) {
 // lock-free MayRaise pre-check comes first: tempoMu is taken only when
 // the new size can actually cross a tier.
 func (w *worker) push(t *task) {
-	w.acct.spawns.Add(1)
 	if t.job != nil {
 		t.job.perW[w.id].spawns++
 	}
@@ -942,7 +943,6 @@ func (e *Exec) retuneLocked(i, level int) {
 	}
 	w.reqFreq = f
 	e.tempoSwitches.Add(1)
-	e.dvfsCommits.Add(1)
 	w.curFreq.Store(int64(f))
 	e.acctSet(&w.acct, -1, fi)
 	if e.cfg.Observer != nil {
@@ -1021,7 +1021,6 @@ func (w *worker) runTask(t *task) {
 	if js != nil && js.cancelled.Load() {
 		js.interrupted.Store(true) // body skipped: cancellation bit
 	} else {
-		w.acct.tasks.Add(1)
 		if js != nil {
 			js.perW[w.id].tasks++
 		}

@@ -611,22 +611,22 @@ func spawnJoinSteadyStateZeroAlloc(t *testing.T, mode core.Mode) {
 }
 
 // TestNativeParkAndRootTake pins the tempo policy's park and root-take
-// rules on the Native executor. One Unified worker with K = 1 and the
-// default initial average 2 has the threshold {2}, so an empty deque
-// is tier 0. A fresh pool halts at the slowest tempo before its first
-// job, and so does a pool a job has drained. Each job's first switch is
-// then the root-take rule's: thief procrastination shed, tier 0 from
-// the empty deque, level K = 1, the middle frequency. A push past the
-// threshold would switch to the fastest instead.
+// rules on the Native executor, at the fixed K = 2 and 500µs profiler.
+// A fresh pool halts at the slowest tempo before its first job, and so
+// does a pool a job has drained. The test then fills the profiler's
+// window with the empty deque an idle pool samples, so both thresholds
+// are 0 however many periods the real profiler has run, and an empty
+// deque is the top tier. Each job's first switch is then the root-take
+// rule's: thief procrastination shed, the top tier from the empty
+// deque, level 0, the fastest frequency. Keeping the park-time
+// procrastination would leave the root at the slowest, with no switch.
 func TestNativeParkAndRootTake(t *testing.T) {
-	freqs := []units.Freq{2_400_000 * units.KHz, 1_900_000 * units.KHz, 1_400_000 * units.KHz}
 	var (
 		mu       sync.Mutex
 		switches []units.Freq
 	)
 	e, err := NewExec(core.Config{
-		Spec: cpu.SystemA(), Workers: 1, Mode: core.Unified, Seed: 31, Freqs: freqs, K: 1,
-		ProfilePeriod: 3600 * units.Second, // no profiler retune mid-test
+		Spec: cpu.SystemA(), Workers: 1, Mode: core.Unified, Seed: 31,
 		Observer: obs.Func(func(ev obs.Event) {
 			if ev.Kind == obs.TempoSwitch {
 				mu.Lock()
@@ -639,6 +639,8 @@ func TestNativeParkAndRootTake(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	freqs := e.Config().Freqs
+	fastest, slowest := freqs[0], freqs[len(freqs)-1]
 	runJob := func() {
 		t.Helper()
 		j, err := e.Submit(context.Background(), func(c wl.Ctx) {
@@ -663,23 +665,48 @@ func TestNativeParkAndRootTake(t *testing.T) {
 				last = switches[n-1]
 			}
 			mu.Unlock()
-			if last == freqs[2] {
+			if last == slowest {
 				return n
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s, the pool's last tempo switch is %v, want the slowest %v", when, last, freqs[2])
+				t.Fatalf("%s, the pool's last tempo switch is %v, want the slowest %v", when, last, slowest)
 			}
 		}
 	}
 	for _, when := range []string{"before the first job", "after a job drained"} {
 		parked := awaitPark(when)
+		// 64 periods outlast the profiler's window.
+		e.tempoMu.Lock()
+		for range 64 {
+			e.tempo.Profile([]int{0}, core.Unified)
+		}
+		e.tempoMu.Unlock()
 		runJob()
 		mu.Lock()
 		next := append([]units.Freq(nil), switches[parked:]...)
 		mu.Unlock()
-		if len(next) == 0 || next[0] != freqs[1] {
-			t.Fatalf("%s: the next job's tempo switches are %v, want the first at %v from the root-take rule", when, next, freqs[1])
+		if len(next) == 0 || next[0] != fastest {
+			t.Fatalf("%s: the next job's tempo switches are %v, want the first at %v from the root-take rule", when, next, fastest)
 		}
+	}
+}
+
+// TestSetModeRejectsShortFreqLadder: a pool booted with one frequency
+// cannot be switched into a mode that needs a ladder.
+func TestSetModeRejectsShortFreqLadder(t *testing.T) {
+	e, err := NewExec(core.Config{
+		Spec: cpu.SystemA(), Workers: 2, Mode: core.Baseline,
+		Freqs: []units.Freq{2_400_000 * units.KHz},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.SetMode(core.Unified); err == nil {
+		t.Fatal("SetMode into Unified with a 1-frequency ladder should error")
+	}
+	if err := e.SetMode(core.Mode(250)); err == nil {
+		t.Fatal("SetMode with an invalid mode should error")
 	}
 }
 

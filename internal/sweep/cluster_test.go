@@ -16,7 +16,7 @@ func TestClusterSweepDeterministicArtifact(t *testing.T) {
 	cfg := ClusterConfig{
 		Workload: tinySpec(),
 		Mode:     hermes.Unified,
-		Policies: []hermes.Placement{hermes.PlacementPowerOfChoices(2), hermes.PlacementGossip(0, 0, 0)},
+		Policies: []hermes.Placement{hermes.PlacementPowerOfChoices(2), hermes.PlacementGossip()},
 		Machines: []int{2, 3},
 		RatesRPS: []float64{400},
 		Window:   30 * time.Millisecond,
@@ -114,14 +114,15 @@ func TestClusterSweepPolicySeparation(t *testing.T) {
 
 // TestClusterSweepGossipMigrates: at a rate with real contention, the
 // gossip tier actually moves jobs between machines, and the artifact
-// records it.
+// records it. The rate puts a job in a machine's backlog at a 500µs
+// gossip tick often enough (8 migrations at seed 5).
 func TestClusterSweepGossipMigrates(t *testing.T) {
 	cfg := ClusterConfig{
 		Workload: tinySpec(),
 		Mode:     hermes.Unified,
-		Policies: []hermes.Placement{hermes.PlacementGossip(100*hermes.Microsecond, 0, 0)},
+		Policies: []hermes.Placement{hermes.PlacementGossip()},
 		Machines: []int{3},
-		RatesRPS: []float64{1500},
+		RatesRPS: []float64{6000},
 		Window:   30 * time.Millisecond,
 		Seed:     5,
 		Workers:  2,

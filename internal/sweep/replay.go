@@ -12,8 +12,6 @@ type ReplayConfig struct {
 	Mode    hermes.Mode
 	Workers int // 0 = backend default
 	Seed    int64
-	// Log, when non-nil, receives a diagnostic line per failed job.
-	Log func(string)
 }
 
 // Replay is the measured outcome of replaying one arrival trace
@@ -61,7 +59,7 @@ func ReplayTrace(cfg ReplayConfig, arrivals []hermes.Arrival) (Replay, error) {
 			return out, fmt.Errorf("sweep: replay: arrivals not ascending at %d", i)
 		}
 	}
-	g := grid{seed: cfg.Seed, workers: cfg.Workers, log: cfg.Log}
+	g := grid{seed: cfg.Seed, workers: cfg.Workers}
 	f := newFold(1)
 	if err := g.trial(f, fleet{mode: cfg.Mode, machines: 1}, cfg.Seed, arrivals); err != nil {
 		return out, err

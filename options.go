@@ -101,36 +101,7 @@ func WithWorkers(n int) Option {
 // WorkpathOnly, WorkloadOnly or Unified). Default: Baseline.
 func WithMode(m Mode) Option {
 	return func(s *settings) error {
-		if m > Unified {
-			return fmt.Errorf("hermes: invalid mode %d", m)
-		}
 		s.cfg.Mode = m
-		return nil
-	}
-}
-
-// WithScheduling selects the worker-core mapping policy (Static or
-// Dynamic). Default: Static.
-func WithScheduling(p Scheduling) Option {
-	return func(s *settings) error {
-		if p > Dynamic {
-			return fmt.Errorf("hermes: invalid scheduling policy %d", p)
-		}
-		s.cfg.Scheduling = p
-		return nil
-	}
-}
-
-// WithFreqs sets the N-frequency tempo set, fastest first. The
-// fastest must be the machine's maximum frequency and every entry
-// must be a supported operating point. Default: the paper's
-// 2-frequency pair for the system.
-func WithFreqs(fastestFirst ...Freq) Option {
-	return func(s *settings) error {
-		if len(fastestFirst) == 0 {
-			return fmt.Errorf("hermes: WithFreqs needs at least one frequency")
-		}
-		s.cfg.Freqs = append([]Freq(nil), fastestFirst...)
 		return nil
 	}
 }
@@ -141,35 +112,6 @@ func WithFreqs(fastestFirst ...Freq) Option {
 func WithSeed(seed int64) Option {
 	return func(s *settings) error {
 		s.cfg.Seed = seed
-		return nil
-	}
-}
-
-// WithThresholds sets K, the number of workload thresholds (and so
-// K+1 workload tiers). Default: 2.
-func WithThresholds(k int) Option {
-	return func(s *settings) error {
-		if k < 1 {
-			return fmt.Errorf("hermes: threshold count must be positive, got %d", k)
-		}
-		s.cfg.K = k
-		return nil
-	}
-}
-
-// WithProfile sets the online-profiling sampling period for deque
-// sizes and how many periods the rolling average spans. Defaults:
-// 500µs, 16.
-func WithProfile(period Time, window int) Option {
-	return func(s *settings) error {
-		if period <= 0 {
-			return fmt.Errorf("hermes: profile period must be positive, got %v", period)
-		}
-		if window < 1 {
-			return fmt.Errorf("hermes: profile window must be positive, got %d", window)
-		}
-		s.cfg.ProfilePeriod = period
-		s.cfg.ProfileWindow = window
 		return nil
 	}
 }
@@ -266,9 +208,6 @@ func WithFaults(events ...FaultEvent) Option {
 // the Native executor's intake is inherently FIFO and rejects them.
 func WithDispatch(d Dispatch) Option {
 	return func(s *settings) error {
-		if d > DispatchEDF {
-			return fmt.Errorf("hermes: invalid dispatch policy %d", d)
-		}
 		s.cfg.Dispatch = d
 		return nil
 	}
@@ -285,9 +224,6 @@ func WithDispatch(d Dispatch) Option {
 // another.
 func WithPreemptQuantum(q Time) Option {
 	return func(s *settings) error {
-		if q < 0 {
-			return fmt.Errorf("hermes: preemption quantum must not be negative, got %v", q)
-		}
 		s.cfg.PreemptQuantum = q
 		return nil
 	}

@@ -129,20 +129,6 @@ var ErrSimOnly = errors.New("hermes: needs the Sim backend")
 // virtual timeline). Test with errors.Is.
 var ErrModeSwitchUnavailable = errors.New("hermes: live mode switching unavailable on this backend")
 
-// Executor is the backend contract behind a Runtime: both the
-// discrete-event simulator and the real-concurrency pool serve
-// submitted jobs through it.
-type Executor interface {
-	// Submit enqueues root as a new job of the given service class and
-	// returns its handle (pass the zero Class for unclassed traffic).
-	// The job observes ctx: cancellation stops task execution at spawn
-	// and steal boundaries and completes the job with ctx's error.
-	Submit(ctx context.Context, root Task, class Class) (*Job, error)
-	// Close rejects further submissions, waits for submitted jobs to
-	// complete, and releases the backend's resources.
-	Close() error
-}
-
 // Runtime is a persistent scheduler serving a stream of jobs over one
 // configuration. Construct with New, submit with Submit (or the Run
 // method for submit-and-wait), and release with Close. All methods
@@ -157,9 +143,8 @@ type Executor interface {
 // which depends on wall-clock submission timing.
 type Runtime struct {
 	backend Backend
-	// exec is the backend: &sim on Sim, native on Native, the other one
-	// zero. policy is the placement a Sim fleet routes by.
-	exec   Executor
+	// sim is the backend on Sim, native (nil on Sim) on Native. policy
+	// is the placement a Sim fleet routes by.
 	sim    simDriver
 	native *rt.Exec
 	policy Placement
@@ -206,21 +191,17 @@ func (r *Runtime) startSim(s settings) error {
 	if s.placement != nil {
 		r.policy = *s.placement
 	}
-	interval, staleness, batch := r.policy.GossipParams()
 	fleet, err := core.NewCluster(core.ClusterConfig{
-		Machines:        max(s.machines, 1),
-		Machine:         s.cfg,
-		Placement:       r.policy.Placer(),
-		GossipInterval:  interval,
-		GossipStaleness: staleness,
-		GossipBatch:     batch,
-		Faults:          s.faults,
+		Machines:  max(s.machines, 1),
+		Machine:   s.cfg,
+		Placement: r.policy.Placer(),
+		Gossip:    r.policy.Kind == "gossip",
+		Faults:    s.faults,
 	})
 	if err != nil {
 		return err
 	}
 	r.sim.eng = fleet
-	r.exec = &r.sim
 	return nil
 }
 
@@ -241,7 +222,6 @@ func (r *Runtime) startNative(s settings) error {
 		return err
 	}
 	r.native = ex
-	r.exec = ex
 	return nil
 }
 
@@ -295,7 +275,10 @@ func (r *Runtime) Submit(ctx context.Context, root Task, opts ...SubmitOption) (
 	if err != nil {
 		return nil, err
 	}
-	j, err := r.exec.Submit(ctx, root, class)
+	if r.native == nil {
+		return r.sim.Submit(ctx, root, class)
+	}
+	j, err := r.native.Submit(ctx, root, class)
 	switch {
 	case errors.Is(err, rt.ErrClosed):
 		err = ErrClosed
@@ -367,7 +350,12 @@ func (r *Runtime) Run(ctx context.Context, root Task) (Report, error) {
 // stops first, so no events race the drain. Safe to call more than
 // once.
 func (r *Runtime) Close() error {
-	err := r.exec.Close()
+	var err error
+	if r.native != nil {
+		err = r.native.Close()
+	} else {
+		err = r.sim.eng.Close()
+	}
 	if r.sink != nil {
 		r.sink.Close()
 	}
@@ -390,8 +378,7 @@ func (r *Runtime) EventsDropped() uint64 {
 // simDriver is the one path from the public API into the simulator: it
 // assigns job ids, turns arrivals into core.JobRequests wired to their
 // Job handles and to ctx, maps core's sentinel errors onto this
-// package's, and rolls the ids back when the engine refuses a batch. It
-// is an Executor as it stands.
+// package's, and rolls the ids back when the engine refuses a batch.
 type simDriver struct {
 	eng *core.Cluster
 
@@ -454,5 +441,3 @@ func (d *simDriver) submit(ctx context.Context, arrivals []Arrival) ([]*Job, err
 	}
 	return jobs, nil
 }
-
-func (d *simDriver) Close() error { return d.eng.Close() }

@@ -358,16 +358,12 @@ func TestCancellationNative(t *testing.T) {
 }
 
 // TestOptionAndConfigErrors checks that every former configuration
-// panic surfaces as an error through the option API.
+// panic surfaces as an error through the option API. The mode, dispatch
+// and quantum options store their value as given; Config.Validate
+// rejects it on either backend. The frequency ladder's checks are
+// core's (TestValidateRejects): no option sets a ladder.
 func TestOptionAndConfigErrors(t *testing.T) {
-	// Nine descending operating points: one more than a residency
-	// ledger's matrix covers.
-	nine := hermes.SystemB()
-	for f, mv := 1_200_000*hermes.KHz, 950; len(nine.Points) < 9; f, mv = f-200_000*hermes.KHz, mv-50 {
-		p := nine.Points[len(nine.Points)-1]
-		p.F, p.MilliVolts = f, mv
-		nine.Points = append(nine.Points, p)
-	}
+	native := hermes.WithBackend(hermes.Native)
 	cases := []struct {
 		name string
 		opts []hermes.Option
@@ -380,33 +376,11 @@ func TestOptionAndConfigErrors(t *testing.T) {
 		{"nil spec", []hermes.Option{hermes.WithSpec(nil)}, "nil machine spec"},
 		{"unknown backend", []hermes.Option{hermes.WithBackend(hermes.Backend(9))}, "unknown backend"},
 		{"invalid mode", []hermes.Option{hermes.WithMode(hermes.Mode(9))}, "invalid mode"},
-		{"invalid scheduling", []hermes.Option{hermes.WithScheduling(hermes.Scheduling(9))}, "invalid scheduling"},
-		{"unsupported frequency", []hermes.Option{
-			hermes.WithSpec(hermes.SystemB()),
-			hermes.WithFreqs(3_600_000*hermes.KHz, 123*hermes.KHz),
-		}, "does not support"},
-		{"ascending frequencies", []hermes.Option{
-			hermes.WithSpec(hermes.SystemB()),
-			hermes.WithFreqs(3_600_000*hermes.KHz, 2_700_000*hermes.KHz, 3_300_000*hermes.KHz),
-		}, "strictly descending"},
-		{"fastest not max", []hermes.Option{
-			hermes.WithSpec(hermes.SystemB()),
-			hermes.WithFreqs(2_700_000 * hermes.KHz),
-		}, "maximum frequency"},
-		{"tempo needs two freqs", []hermes.Option{
-			hermes.WithSpec(hermes.SystemB()),
-			hermes.WithMode(hermes.Unified),
-			hermes.WithFreqs(3_600_000 * hermes.KHz),
-		}, "at least two frequencies"},
-		{"nine frequencies on Sim", []hermes.Option{
-			hermes.WithSpec(nine), hermes.WithFreqs(nine.Freqs()...),
-		}, "at most 8 tempo frequencies"},
-		{"nine frequencies on Native", []hermes.Option{
-			hermes.WithBackend(hermes.Native), hermes.WithSpec(nine), hermes.WithFreqs(nine.Freqs()...),
-		}, "at most 8 tempo frequencies"},
-		{"empty freqs option", []hermes.Option{hermes.WithFreqs()}, "at least one frequency"},
-		{"zero thresholds", []hermes.Option{hermes.WithThresholds(0)}, "must be positive"},
-		{"bad profile", []hermes.Option{hermes.WithProfile(0, 0)}, "must be positive"},
+		{"invalid mode on Native", []hermes.Option{native, hermes.WithMode(hermes.Mode(9))}, "invalid mode"},
+		{"invalid dispatch", []hermes.Option{hermes.WithDispatch(hermes.Dispatch(9))}, "invalid dispatch"},
+		{"invalid dispatch on Native", []hermes.Option{native, hermes.WithDispatch(hermes.Dispatch(9))}, "invalid dispatch"},
+		{"negative quantum", []hermes.Option{hermes.WithPreemptQuantum(-1)}, "must not be negative"},
+		{"negative quantum on Native", []hermes.Option{native, hermes.WithPreemptQuantum(-1)}, "must not be negative"},
 	}
 	for _, tc := range cases {
 		rt, err := hermes.New(tc.opts...)
@@ -799,26 +773,5 @@ func TestSetModeSimRejected(t *testing.T) {
 	err = rt.SetMode(hermes.Unified)
 	if !errors.Is(err, hermes.ErrModeSwitchUnavailable) {
 		t.Fatalf("Sim SetMode err = %v, want ErrModeSwitchUnavailable", err)
-	}
-}
-
-// TestSetModeRejectsShortFreqLadder: a pool booted with one frequency
-// cannot be switched into a mode that needs a ladder.
-func TestSetModeRejectsShortFreqLadder(t *testing.T) {
-	rt, err := hermes.New(
-		hermes.WithBackend(hermes.Native),
-		hermes.WithWorkers(2),
-		hermes.WithMode(hermes.Baseline),
-		hermes.WithFreqs(2_400_000*hermes.KHz),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if err := rt.SetMode(hermes.Unified); err == nil {
-		t.Fatal("SetMode into Unified with a 1-frequency ladder should error")
-	}
-	if err := rt.SetMode(hermes.Mode(250)); err == nil {
-		t.Fatal("SetMode with an invalid mode should error")
 	}
 }
