@@ -125,7 +125,7 @@ func (jsqPlacer) Place(v core.PlacementView, _ *rand.Rand) int {
 }
 
 // pkcPlacer is power-of-k-choices backed by the cluster's idle-machine
-// heap: while any machine is idle, take the lowest-indexed one (this
+// scan: while any machine is idle, take the lowest-indexed one (this
 // is what consolidates — higher-indexed machines stay parked in the
 // lowest DVFS tier); once the fleet is saturated, sample k machines
 // and join the least loaded, ties to the lowest sampled index. The rng

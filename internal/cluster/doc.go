@@ -3,7 +3,7 @@
 // across a fleet of simulated machines (core.Cluster). The policies
 // mirror the classic load-balancing menu — load-blind random,
 // join-shortest-queue, power-of-k-choices backed by the cluster's
-// idle-machine heap, and a gossip variant where placement stays blind
+// idle-machine scan, and a gossip variant where placement stays blind
 // and idle machines periodically pull work from loaded peers over
 // deliberately stale queue views.
 //

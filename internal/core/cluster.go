@@ -18,19 +18,19 @@ const clusterSeedSalt = 0x5bd1e995
 // PlacementView is the read-only load picture a placement policy sees
 // when a job arrives: exact instantaneous queue depths (placement
 // decisions happen inside the engine, at the arrival's virtual time)
-// plus the cluster's idle-machine index. Gossip's deliberately stale
-// views are a property of the migration tier, not of placement.
+// plus the lowest idle machine. Gossip's deliberately stale views are a
+// property of the migration tier, not of placement.
 type PlacementView interface {
 	// Machines is the fleet size.
 	Machines() int
 	// Load is the number of jobs in machine m's system (queued or
 	// executing).
 	Load(m int) int
-	// IdleMachine returns the lowest-indexed machine with no jobs in
-	// its system, via the cluster's idle min-heap, or ok=false when
-	// every machine is loaded. Always preferring the lowest idle index
-	// is what consolidates load: higher-indexed machines stay parked in
-	// the lowest DVFS tier instead of each being woken once.
+	// IdleMachine returns the lowest-indexed live machine with no jobs
+	// in its system, or ok=false when every live machine is loaded.
+	// Always preferring the lowest idle index is what consolidates
+	// load: higher-indexed machines stay parked in the lowest DVFS tier
+	// instead of each being woken once.
 	IdleMachine() (m int, ok bool)
 	// Alive reports whether machine m is accepting work — false while
 	// fault injection holds it crashed. Policies must not route to
@@ -176,7 +176,6 @@ type Cluster struct {
 	arrivals     arrivalHeap
 	stop         bool
 	rng          *rand.Rand
-	idle         idleIndex
 	views        []queueView
 
 	// Fault-injection state: the fault daemon (nil without a plan),
@@ -287,7 +286,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		msgs:      make(chan poolMsg, 64),
 		dead:      make(chan struct{}),
 	}
-	c.idle.init(c, cfg.Machines)
 	c.eng.SetTick(c.pump)
 	c.eng.SetIdle(c.pumpBlocking)
 	// The intake is created before any machine's processes. Engine.Inject
@@ -336,86 +334,17 @@ func (c *Cluster) Config() ClusterConfig { return c.cfg }
 
 // --- PlacementView ----------------------------------------------------
 
-func (c *Cluster) Machines() int            { return len(c.ms) }
-func (c *Cluster) Load(m int) int           { return len(c.ms[m].pool.active) }
-func (c *Cluster) IdleMachine() (int, bool) { return c.idle.min() }
-func (c *Cluster) Alive(m int) bool         { return !c.ms[m].dead }
+func (c *Cluster) Machines() int    { return len(c.ms) }
+func (c *Cluster) Load(m int) int   { return len(c.ms[m].pool.active) }
+func (c *Cluster) Alive(m int) bool { return !c.ms[m].dead }
 
-// idleIndex is a lazy min-heap over machine indices believed idle:
-// pushes are deduplicated, stale entries (machines observed loaded)
-// are dropped at the top on the next query. Everything is engine-side
-// and deterministic.
-type idleIndex struct {
-	c   *Cluster
-	ids []int
-	in  []bool
-}
-
-func (h *idleIndex) init(c *Cluster, n int) {
-	h.c = c
-	h.in = make([]bool, n)
-	// Every machine starts idle.
-	for m := 0; m < n; m++ {
-		h.push(m)
-	}
-}
-
-func (h *idleIndex) push(m int) {
-	if h.in[m] {
-		return
-	}
-	h.in[m] = true
-	h.ids = append(h.ids, m)
-	// Sift up.
-	i := len(h.ids) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.ids[p] <= h.ids[i] {
-			break
-		}
-		h.ids[p], h.ids[i] = h.ids[i], h.ids[p]
-		i = p
-	}
-}
-
-func (h *idleIndex) pop() int {
-	m := h.ids[0]
-	n := len(h.ids) - 1
-	h.ids[0] = h.ids[n]
-	h.ids = h.ids[:n]
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && h.ids[l] < h.ids[least] {
-			least = l
-		}
-		if r < n && h.ids[r] < h.ids[least] {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		h.ids[i], h.ids[least] = h.ids[least], h.ids[i]
-		i = least
-	}
-	h.in[m] = false
-	return m
-}
-
-// min returns the lowest idle machine index, discarding entries that
-// have become loaded — or crashed — since they were pushed. The
-// returned entry stays in the heap — it is evicted lazily once
-// observed busy; a crashed machine is evicted here and re-pushed when
-// it rejoins empty.
-func (h *idleIndex) min() (int, bool) {
-	for len(h.ids) > 0 {
-		m := h.ids[0]
-		if h.c.Load(m) == 0 && h.c.Alive(m) {
+// IdleMachine scans for the lowest-indexed live machine with no jobs
+// in its system.
+func (c *Cluster) IdleMachine() (int, bool) {
+	for m := range c.ms {
+		if c.Load(m) == 0 && c.Alive(m) {
 			return m, true
 		}
-		h.pop()
 	}
 	return 0, false
 }
@@ -730,13 +659,10 @@ func (c *Cluster) place(j *jobRun) {
 	c.ms[m].deliver(j)
 }
 
-// machineJobDone is every machine's completion hook: maintain the
-// idle index and freeze the fleet at this completion's instant.
+// machineJobDone is every machine's completion hook: freeze the fleet
+// at this completion's instant.
 func (c *Cluster) machineJobDone(m int, end *Ledger) {
 	c.completed++
-	if len(c.ms[m].pool.active) == 0 && !c.ms[m].dead {
-		c.idle.push(m)
-	}
 	c.freezeFleet(m, end)
 	if c.stop && c.arrivals.Len() == 0 && c.totalActive() == 0 {
 		c.wakeIntake()
@@ -864,8 +790,5 @@ func (c *Cluster) migrate(victim, thief, n int) {
 		v.pool.dropActive(t.job)
 		c.migrated[thief]++
 		c.ms[thief].deliver(t.job)
-	}
-	if len(v.pool.active) == 0 {
-		c.idle.push(victim)
 	}
 }

@@ -189,10 +189,7 @@ func (c *Cluster) applyFault(ev FaultEvent) {
 		s.downTotal += now - s.downAt
 		c.rejoins++
 		// The machine re-enters cold: its workers parked in the lowest
-		// DVFS tier, and — if it drained empty — back in the idle index.
-		if len(s.pool.active) == 0 {
-			c.idle.push(ev.Machine)
-		}
+		// DVFS tier.
 	case FaultSlow:
 		s.touch()
 		if ev.Factor > 1 {

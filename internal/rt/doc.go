@@ -10,7 +10,17 @@
 // Close drains it. Every job gets its own report; tempo state (the
 // immediacy list, workload tiers, profiled thresholds) persists across
 // jobs, so the deque-size thresholds react to aggregate traffic rather
-// than a single fork-join tree. The executor shares internal/core's
+// than a single fork-join tree. The profiler samples only while a job
+// is active, so an idle pool keeps its last busy window, as on Sim.
+//
+// A job is its root task, as in Cilk: the root carries no fork-join
+// block, and when runTask returns from it the root's joins have drained
+// every task of the job, each of which flushed its accounting before
+// its block decrement. That worker calls finish, the one completion
+// path, which folds the report, emits JobDone and completes the Job;
+// Submit calls it only for a job whose context fired before any worker
+// took the root. No goroutine waits on a job: a context.AfterFunc sets
+// its cancelled flag. The executor shares internal/core's
 // Config and Report types: all four tempo modes run here, and reports
 // carry the same residency and scheduler statistics, measured over
 // wall-clock time.

@@ -42,9 +42,9 @@ const injectCap = 4096
 const freeListCap = 256
 
 // task is one deque item: a workload closure, the fork-join block it
-// belongs to, and the job it is accounted against. Tasks are pooled
-// per worker: a worker that executes a task (its own or stolen)
-// recycles it into its own free list.
+// belongs to (nil for a job's root) and the job it is accounted
+// against. Tasks are pooled per worker: a worker that executes a task
+// (its own or stolen) recycles it into its own free list.
 type task struct {
 	fn  wl.Task
 	blk *block
@@ -94,12 +94,14 @@ type jobWCounts struct {
 
 // jobState is the executor-side record of one submitted job.
 type jobState struct {
-	id      int64
-	ctx     context.Context
-	j       *job.Job
-	rootBlk *block
-	start   time.Time
-	snap    core.Ledger
+	id    int64
+	ctx   context.Context
+	j     *job.Job
+	start time.Time
+	snap  core.Ledger
+	// stop releases the context.AfterFunc that sets cancelled when ctx
+	// fires; nil for a job whose context had fired before Submit.
+	stop func() bool
 	// class is the job's service class: carried into the Report (and
 	// so into per-class metrics), never scheduled on — this executor's
 	// channel intake is inherently FIFO.
@@ -343,9 +345,9 @@ func NewExec(cfg core.Config) (*Exec, error) {
 		e.workerWG.Add(1)
 		go w.loop()
 	}
-	// The profiler always runs (cheap per tick) so a later SetMode into
-	// a workload-sensitive mode finds live deque-size averages instead
-	// of a cold window.
+	// The profiler runs in every mode, so a later SetMode into a
+	// workload-sensitive mode finds the deque-size averages of the last
+	// busy window instead of a cold one.
 	e.workerWG.Add(1)
 	go e.profLoop()
 	if cfg.Observer != nil {
@@ -424,30 +426,13 @@ func (e *Exec) Submit(ctx context.Context, root wl.Task, class core.Class) (*job
 		e.submitMu.Unlock()
 		return nil, ErrClosed
 	}
-	if err := ctx.Err(); err != nil {
-		// Already cancelled: never enters the pool, matching the Sim
-		// backend's refusal to start a cancelled job (including its
-		// job-lifecycle telemetry).
-		id := e.nextID.Add(1)
-		e.submitMu.Unlock()
-		j := job.New(id)
-		e.emit(obs.Event{Kind: obs.JobStart, Job: id, Worker: -1, Victim: -1})
-		e.emit(obs.Event{Kind: obs.JobDone, Job: id, Worker: -1, Victim: -1})
-		j.Finish(core.Report{}, err)
-		return j, nil
-	}
 	js := &jobState{
-		id:      e.nextID.Add(1),
-		ctx:     ctx,
-		rootBlk: &block{done: make(chan struct{}, 1)},
-		perW:    make([]jobWCounts, len(e.workers)),
-		class:   class,
+		id:    e.nextID.Add(1),
+		ctx:   ctx,
+		perW:  make([]jobWCounts, len(e.workers)),
+		class: class,
 	}
 	js.j = job.New(js.id)
-	// watch always waits on the root block, so announce its waiter up
-	// front: the final decrement will signal the token.
-	js.rootBlk.waiting.Store(true)
-	js.rootBlk.pending.Store(1)
 	e.active.Add(1)
 	e.jobWG.Add(1)
 	e.submitMu.Unlock()
@@ -459,20 +444,19 @@ func (e *Exec) Submit(ctx context.Context, root wl.Task, class core.Class) (*job
 	js.snap = e.snapshot()
 	js.start = time.Now()
 	e.emit(obs.Event{Kind: obs.JobStart, Job: js.id, Worker: -1, Victim: -1})
-	go e.watch(js)
-	select {
-	case e.injectq <- &task{fn: root, blk: js.rootBlk, job: js}:
-	case <-ctx.Done():
-		// Cancelled before any worker picked the job up: it never
-		// entered the pool, so drain its root block directly. This is
-		// a genuine interruption even though watch may find the block
-		// already signalled.
-		js.interrupted.Store(true)
-		js.cancelled.Store(true)
-		if js.rootBlk.pending.Add(-1) == 0 {
-			js.rootBlk.signal()
+	if ctx.Err() == nil {
+		js.stop = context.AfterFunc(ctx, func() { js.cancelled.Store(true) })
+		select {
+		case e.injectq <- &task{fn: root, job: js}:
+			return js.j, nil
+		case <-ctx.Done():
 		}
 	}
+	// Cancelled before any worker took the root: the job never entered
+	// the pool, and, as on the Sim backend, it completes here with a
+	// report and ctx's error.
+	js.interrupted.Store(true)
+	e.finish(js)
 	return js.j, nil
 }
 
@@ -495,23 +479,14 @@ func (e *Exec) Close() error {
 	return nil
 }
 
-// watch drives one job's lifecycle: flag cancellation the moment its
-// context fires, wait for the fork-join structure to drain, then
-// assemble the per-job report from pool deltas. A job whose work
-// completed before cancellation took effect reports success — the
-// context error is returned only when the run was actually
-// interrupted (a task panic beats both).
-func (e *Exec) watch(js *jobState) {
-	defer e.jobWG.Done()
-	select {
-	case <-js.ctx.Done():
-		// Flag cancellation and wait for the drain. interrupted is
-		// set only at the sites that actually skip or cut work short,
-		// so a job whose tasks all completed anyway still reports
-		// success even if its context expired at the finish line.
-		js.cancelled.Store(true)
-		<-js.rootBlk.done
-	case <-js.rootBlk.done:
+// finish completes a job once, from the worker whose runTask returned
+// its root or from Submit for a job cancelled before any worker took
+// it. A job whose work completed before cancellation took effect
+// reports success: interrupted is set only where work was skipped or
+// cut short, and a task panic beats both.
+func (e *Exec) finish(js *jobState) {
+	if js.stop != nil {
+		js.stop()
 	}
 	end := e.snapshot()
 	r := e.buildReport(js, &end)
@@ -523,6 +498,7 @@ func (e *Exec) watch(js *jobState) {
 		err = js.ctx.Err()
 	}
 	js.j.Finish(r, err)
+	e.jobWG.Done()
 }
 
 // snapshot folds every worker's accounting cell into a ledger: each
@@ -670,7 +646,9 @@ func (w *worker) freq() units.Freq {
 
 // profLoop is the online profiler of Section 3.2 on wall-clock time:
 // every ProfilePeriod it samples all deque sizes into the tempo policy,
-// which retunes every worker's thresholds from the rolling average.
+// which retunes every worker's thresholds from the rolling average. It
+// skips the sample while no job is active, so an idle pool keeps its
+// last busy window, as Sim's profiler does by parking.
 func (e *Exec) profLoop() {
 	defer e.workerWG.Done()
 	tick := time.NewTicker(core.ProfilePeriod.Duration())
@@ -681,6 +659,9 @@ func (e *Exec) profLoop() {
 		case <-e.closeCh:
 			return
 		case <-tick.C:
+		}
+		if e.active.Load() == 0 {
+			continue
 		}
 		for i, w := range e.workers {
 			sizes[i] = w.dq.Size()
@@ -857,9 +838,7 @@ func (w *worker) putBlock(blk *block) {
 // lock-free MayRaise pre-check comes first: tempoMu is taken only when
 // the new size can actually cross a tier.
 func (w *worker) push(t *task) {
-	if t.job != nil {
-		t.job.perW[w.id].spawns++
-	}
+	t.job.perW[w.id].spawns++
 	w.dq.Push(t)
 	if w.e.tempo.MayRaise(w.id, w.dq.Size(), w.e.modeNow()) {
 		w.e.tempoMu.Lock()
@@ -911,9 +890,7 @@ func (w *worker) stealRound() (*task, bool) {
 			continue
 		}
 		w.acct.steals.Add(1)
-		if t.job != nil {
-			t.job.perW[w.id].steals++
-		}
+		t.job.perW[w.id].steals++
 		w.e.emit(obs.Event{Kind: obs.Steal, Worker: w.id, Victim: v.id})
 		w.parked.Store(false)
 		if w.e.modeNow() != core.Baseline {
@@ -985,8 +962,10 @@ func (w *worker) switchJob(js *jobState) {
 // taking the shared pool down. The task itself is recycled into this
 // worker's free list before the body runs; per-job accounting is
 // written to this worker's plain counter slice, ordered before the
-// block decrement so the job's report fold (which happens after the
-// pending chain reaches zero) observes every write.
+// block decrement so the job's report fold (which follows the root's
+// return, after the pending chain has reached zero) observes every
+// write. A root has no block: the worker that returns from it
+// finishes the job.
 //
 // Busy-time attribution is interval-based: the worker charges the
 // whole contiguous stretch it spends with one accounting context
@@ -1005,31 +984,28 @@ func (w *worker) runTask(t *task) {
 	if js != prev {
 		w.switchJob(js)
 	}
-	if js != nil && js.execStart.Load() == 0 {
+	if js.execStart.Load() == 0 {
 		js.execStart.CompareAndSwap(0, w.e.nowNS())
 	}
 	defer func() {
 		if js != prev {
 			w.switchJob(prev)
 		}
-		// The decrement comes last: every accounting flush above is
-		// ordered before the pending chain that releases the fold.
-		if blk != nil && blk.pending.Add(-1) == 0 && blk.waiting.Load() {
+		// The decrement (or the root's finish) comes last: every
+		// accounting flush above is ordered before it.
+		if blk == nil {
+			w.e.finish(js)
+		} else if blk.pending.Add(-1) == 0 && blk.waiting.Load() {
 			blk.signal()
 		}
 	}()
-	if js != nil && js.cancelled.Load() {
+	if js.cancelled.Load() {
 		js.interrupted.Store(true) // body skipped: cancellation bit
 	} else {
-		if js != nil {
-			js.perW[w.id].tasks++
-		}
+		js.perW[w.id].tasks++
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
-					if js == nil {
-						panic(p)
-					}
 					js.fail(fmt.Errorf("rt: job %d task panicked: %v\n%s", js.id, p, debug.Stack()))
 				}
 			}()
@@ -1089,7 +1065,7 @@ var _ wl.Ctx = (*wctx)(nil)
 
 func (c *wctx) Go(tasks ...wl.Task) {
 	js := c.js
-	if js != nil && js.cancelled.Load() {
+	if js.cancelled.Load() {
 		// Spawn boundary: a cancelled job forks no new work.
 		if len(tasks) > 0 {
 			js.interrupted.Store(true)
@@ -1148,14 +1124,13 @@ func (c *wctx) sleepFor(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	js := c.js
 	end := time.Now().Add(d)
 	for {
 		rem := time.Until(end)
 		if rem <= 0 {
 			return
 		}
-		if js != nil && js.cancelled.Load() {
+		if js := c.js; js.cancelled.Load() {
 			js.interrupted.Store(true) // work cut short
 			return
 		}

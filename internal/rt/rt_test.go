@@ -291,6 +291,47 @@ func TestPreCancelledSubmit(t *testing.T) {
 	}
 }
 
+// TestInFlightJobsHoldNoGoroutine: a job is its root task, finished by
+// the worker that returns from it, so jobs waiting in the intake or
+// running on a worker hold no goroutine of their own — with a
+// cancellable context too, whose AfterFunc registration starts none.
+func TestInFlightJobsHoldNoGoroutine(t *testing.T) {
+	e, err := NewExec(core.Config{Spec: cpu.SystemB(), Workers: 2, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const jobs = 64
+	gate := make(chan struct{})
+	started := make(chan struct{}, jobs)
+	before := runtime.NumGoroutine()
+	var js []*job.Job
+	for range jobs {
+		j, err := e.Submit(ctx, func(wl.Ctx) {
+			started <- struct{}{}
+			<-gate
+		}, core.Class{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js = append(js, j)
+	}
+	<-started // both workers hold a root, the rest wait in the intake
+	<-started
+	grown := runtime.NumGoroutine() - before
+	close(gate)
+	for _, j := range js {
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown > 4 {
+		t.Fatalf("%d in-flight jobs grew the goroutine count by %d, want at most 4", jobs, grown)
+	}
+}
+
 func TestNativeDefaultWorkersClampedToHost(t *testing.T) {
 	e, err := NewExec(core.Config{Spec: cpu.SystemB()})
 	if err != nil {
@@ -601,9 +642,9 @@ func spawnJoinSteadyStateZeroAlloc(t *testing.T, mode core.Mode) {
 	run()
 	runtime.ReadMemStats(&after)
 	allocated := after.TotalAlloc - before.TotalAlloc
-	// Per-job setup (jobState, Job, snapshots, report, watch
-	// goroutine) is fixed and small; 128 KiB of slack over 20k ops
-	// still proves ~0 B/op on the spawn/join path itself.
+	// Per-job setup (jobState, Job, snapshots, report) is fixed and
+	// small; 128 KiB of slack over 20k ops still proves ~0 B/op on the
+	// spawn/join path itself.
 	if allocated > 128<<10 {
 		t.Fatalf("steady-state job allocated %d B over %d spawn/joins (%.1f B/op)",
 			allocated, ops, float64(allocated)/ops)
@@ -614,9 +655,9 @@ func spawnJoinSteadyStateZeroAlloc(t *testing.T, mode core.Mode) {
 // rules on the Native executor, at the fixed K = 2 and 500µs profiler.
 // A fresh pool halts at the slowest tempo before its first job, and so
 // does a pool a job has drained. The test then fills the profiler's
-// window with the empty deque an idle pool samples, so both thresholds
-// are 0 however many periods the real profiler has run, and an empty
-// deque is the top tier. Each job's first switch is then the root-take
+// window with empty deques, so both thresholds are 0 whatever window
+// the last job left (an idle pool does not sample), and an empty deque
+// is the top tier. Each job's first switch is then the root-take
 // rule's: thief procrastination shed, the top tier from the empty
 // deque, level 0, the fastest frequency. Keeping the park-time
 // procrastination would leave the root at the slowest, with no switch.
@@ -688,6 +729,49 @@ func TestNativeParkAndRootTake(t *testing.T) {
 		if len(next) == 0 || next[0] != fastest {
 			t.Fatalf("%s: the next job's tempo switches are %v, want the first at %v from the root-take rule", when, next, fastest)
 		}
+	}
+}
+
+// TestIdleProfilerKeepsBusyWindow: an idle pool does not sample its
+// empty deques, so the thresholds a job's window left stand until the
+// next job, as on Sim. One Unified worker holds seven tasks in its
+// deque behind a gated first task for longer than the profiler's
+// window, which raises the lowest threshold above one task; a parked
+// worker's one-task deque then cannot raise its tier. Twenty idle
+// milliseconds (forty periods) later it still cannot.
+func TestIdleProfilerKeepsBusyWindow(t *testing.T) {
+	e, err := NewExec(core.Config{Spec: cpu.SystemA(), Workers: 1, Mode: core.Unified, Seed: 37})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	gate := make(chan struct{})
+	j, err := e.Submit(context.Background(), func(c wl.Ctx) {
+		tasks := []wl.Task{func(wl.Ctx) { <-gate }}
+		for range 7 {
+			tasks = append(tasks, func(wl.Ctx) {})
+		}
+		c.Go(tasks...)
+	}, core.Class{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(30 * time.Millisecond)
+	close(gate)
+	if _, err := j.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !e.workers[0].parked.Load(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the drained pool's worker never parked")
+		}
+	}
+	if e.tempo.MayRaise(0, 1, core.Unified) {
+		t.Fatal("after the job, a one-task deque may raise the tier: the job left no busy window")
+	}
+	time.Sleep(20 * time.Millisecond)
+	if e.tempo.MayRaise(0, 1, core.Unified) {
+		t.Fatal("after 20 ms idle, a one-task deque may raise the tier: the idle profiler sampled empty deques")
 	}
 }
 

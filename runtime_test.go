@@ -357,6 +357,45 @@ func TestCancellationNative(t *testing.T) {
 	}
 }
 
+// TestPreCancelledReport: a job whose context fired before Submit never
+// runs, and both backends still complete it with a report that names
+// the system, workers, mode and class it was submitted under.
+func TestPreCancelledReport(t *testing.T) {
+	class := hermes.Class{Tenant: "lc", Priority: 1}
+	for _, backend := range []hermes.Backend{hermes.Sim, hermes.Native} {
+		t.Run(backend.String(), func(t *testing.T) {
+			rt, err := hermes.New(
+				hermes.WithBackend(backend),
+				hermes.WithSpec(hermes.SystemB()),
+				hermes.WithWorkers(2),
+				hermes.WithMode(hermes.Unified),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			var ran atomic.Int64
+			j, err := rt.Submit(ctx, func(hermes.Ctx) { ran.Add(1) }, hermes.WithClass(class))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := j.Wait()
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if ran.Load() != 0 || r.Tasks != 0 {
+				t.Fatalf("pre-cancelled job ran (ran=%d tasks=%d)", ran.Load(), r.Tasks)
+			}
+			if r.System != "SystemB" || r.Workers != 2 || r.Mode != hermes.Unified || r.Class != class {
+				t.Fatalf("report header: system %q, workers %d, mode %v, class %+v; want SystemB, 2, unified, %+v",
+					r.System, r.Workers, r.Mode, r.Class, class)
+			}
+		})
+	}
+}
+
 // TestOptionAndConfigErrors checks that every former configuration
 // panic surfaces as an error through the option API. The mode, dispatch
 // and quantum options store their value as given; Config.Validate
