@@ -30,12 +30,12 @@ func PlacementRandom() Placement { return Placement{Kind: "random"} }
 // the fewest jobs in its system, ties to the lowest index.
 func PlacementJSQ() Placement { return Placement{Kind: "jsq"} }
 
-// PlacementPowerOfChoices is power-of-k-choices backed by the
-// cluster's idle-machine heap: while any machine is fully idle the job
-// goes to the lowest-indexed idle one (consolidating load so
-// higher-indexed machines stay parked in the lowest DVFS tier); once
-// the fleet is saturated, k sampled machines compete and the least
-// loaded wins. k = 2 is the classic p2c.
+// PlacementPowerOfChoices is power-of-k-choices with an idle-first
+// rule: while any live machine is fully idle the job goes to the
+// lowest-indexed idle one (consolidating load so higher-indexed
+// machines stay parked in the lowest DVFS tier); once the fleet is
+// saturated, k sampled machines compete and the least loaded wins.
+// k = 2 is the classic p2c.
 func PlacementPowerOfChoices(k int) Placement {
 	return Placement{Kind: "pkc", Choices: k}
 }

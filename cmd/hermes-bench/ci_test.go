@@ -13,7 +13,7 @@ import (
 // class-sweep, cluster-sweep and chaos-sweep jobs make, each with its
 // CI command line: testdata/ci/<dir> holds the files it writes.
 var ciArtifacts = []struct{ dir, cmd string }{
-	{"sim-load", "-load -backend sim -rps 150 -duration 2s -workload ticks -seed 7 -json sim-load-a.json"},
+	{"sim-load", "-sweep -workload ticks -rates 150 -modes unified -duration 2s -seed 7 -json sim-load-a.json"},
 	{"sweep", "-sweep -workload ticks -n 64 -work 100000 -rates 50,100,200,400 -modes baseline,unified " +
 		"-duration 500ms -seed 7 -workers 4 -json SWEEP_sim.json -csv sweep-csv"},
 	{"mmpp", "-sweep -trace mmpp -workload ticks -n 64 -work 100000 -rates 200 -modes unified " +

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,16 +12,15 @@ import (
 	"hermes/internal/workload"
 )
 
-// nativeSummary folds completed jobs with the given sojourns, all
-// arriving at time zero, into the Native run's load summary.
-func nativeSummary(sojourns ...units.Time) loadSummary {
+// nativePoint folds completed jobs with the given sojourns, all
+// arriving at time zero, into the Native run's Point.
+func nativePoint(sojourns ...units.Time) sweep.Point {
 	arrivals := make([]hermes.Arrival, len(sojourns))
 	reports := make([]hermes.Report, len(sojourns))
 	for i, s := range sojourns {
 		reports[i].Sojourn = s
 	}
-	pt := sweep.Fold(100, arrivals, reports, make([]error, len(sojourns)))
-	return summarize(loadOpts{RPS: 100}, "in-process/native", hermes.DispatchFIFO, pt)
+	return sweep.Fold(100, arrivals, reports, make([]error, len(sojourns)))
 }
 
 // TestPercentileMS pins the nearest-rank sojourn percentiles the load
@@ -33,7 +30,7 @@ func TestPercentileMS(t *testing.T) {
 	for i := 100; i >= 1; i-- {
 		sojourns = append(sojourns, units.Time(i)*units.Millisecond)
 	}
-	sum := nativeSummary(sojourns...)
+	sum := nativePoint(sojourns...)
 	for _, c := range []struct {
 		name      string
 		got, want float64
@@ -45,7 +42,7 @@ func TestPercentileMS(t *testing.T) {
 			t.Errorf("%s = %gms, want %gms", c.name, c.got, c.want)
 		}
 	}
-	if empty := nativeSummary(); empty.P50SojournMS != 0 || empty.MaxSojournMS != 0 {
+	if empty := nativePoint(); empty.P50SojournMS != 0 || empty.MaxSojournMS != 0 {
 		t.Errorf("empty percentiles p50=%g max=%g, want 0", empty.P50SojournMS, empty.MaxSojournMS)
 	}
 }
@@ -54,7 +51,7 @@ func TestPercentileMS(t *testing.T) {
 // sub-millisecond sojourns a load summary reports: they keep their
 // full resolution instead of truncating to whole milliseconds.
 func TestPercentileMSSubMillisecond(t *testing.T) {
-	sum := nativeSummary(1500*units.Nanosecond, 2750*units.Nanosecond)
+	sum := nativePoint(1500*units.Nanosecond, 2750*units.Nanosecond)
 	if sum.P50SojournMS != 0.0015 {
 		t.Errorf("p50 of 1500ns = %gms, want 0.0015ms", sum.P50SojournMS)
 	}
@@ -82,34 +79,8 @@ func TestRunLoadValidation(t *testing.T) {
 	}
 }
 
-// TestLoadBackendSelection: the -backend name is parsed, not compared
-// against "sim" — a typo used to run Native and exit 0.
-func TestLoadBackendSelection(t *testing.T) {
-	opts := loadOpts{RPS: 50, Duration: 100 * time.Millisecond,
-		Spec: workload.Spec{Kind: "ticks", N: 16, Work: 50_000}, Seed: 1, Mode: "unified", Workers: 2}
-	for backend, target := range map[string]string{
-		"sim":    "in-process/sim-virtual",
-		"native": "in-process/native",
-	} {
-		opts.Backend = backend
-		sum, err := runLoad(opts)
-		if err != nil {
-			t.Fatalf("-backend %s: %v", backend, err)
-		}
-		if sum.Target != target {
-			t.Errorf("-backend %s ran %q, want %q", backend, sum.Target, target)
-		}
-	}
-	opts.Backend = "bogus"
-	if _, err := runLoad(opts); err == nil {
-		t.Error("unknown backend accepted")
-	} else if !strings.Contains(err.Error(), "sim or native") {
-		t.Errorf("unknown-backend error %q does not name the valid backends", err)
-	}
-}
-
-// TestLoadAndSweepShareOneGenerator is the single-salt pin: both load
-// backends and the sweep draw their arrival schedules through
+// TestLoadAndSweepShareOneGenerator is the single-salt pin: the load
+// run and the sweep draw their arrival schedules through
 // sweep.TraceArrivals, and TraceArrivals must fire exactly the
 // registered internal/trace process's point sequence for one (trace,
 // rps, window, seed) tuple. Before the registry, the load and sweep
@@ -161,14 +132,13 @@ func TestInprocLoadShortRun(t *testing.T) {
 		Duration: 500 * time.Millisecond,
 		Spec:     workload.Spec{Kind: "ticks", N: 16, Work: 50_000},
 		Seed:     42,
-		Backend:  "native",
 		Mode:     "unified",
 		Workers:  4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Submitted == 0 || sum.Completed != sum.Submitted {
+	if sum.Arrivals == 0 || sum.Completed != sum.Arrivals {
 		t.Fatalf("lost requests: %+v", sum)
 	}
 	if sum.Errors != 0 {
@@ -193,7 +163,6 @@ func TestInprocLoadMixedClasses(t *testing.T) {
 		Spec:     workload.Spec{Kind: "ticks", N: 16, Work: 50_000},
 		Trace:    "mix",
 		Seed:     7,
-		Backend:  "native",
 		Mode:     "unified",
 		Workers:  2,
 	})
@@ -203,15 +172,15 @@ func TestInprocLoadMixedClasses(t *testing.T) {
 	if len(sum.Classes) != 2 {
 		t.Fatalf("mixed trace gave %d class rows, want 2: %+v", len(sum.Classes), sum.Classes)
 	}
-	var submitted, completed, errs int64
+	var arrivals, completed, errs int64
 	for _, c := range sum.Classes {
-		submitted += c.Submitted
+		arrivals += c.Arrivals
 		completed += c.Completed
 		errs += c.Errors
 	}
-	if submitted != sum.Submitted || completed != sum.Completed || errs != sum.Errors {
-		t.Fatalf("class rows sum to submitted=%d completed=%d errors=%d, flat totals %d/%d/%d",
-			submitted, completed, errs, sum.Submitted, sum.Completed, sum.Errors)
+	if arrivals != sum.Arrivals || completed != sum.Completed || errs != sum.Errors {
+		t.Fatalf("class rows sum to arrivals=%d completed=%d errors=%d, flat totals %d/%d/%d",
+			arrivals, completed, errs, sum.Arrivals, sum.Completed, sum.Errors)
 	}
 	lc, batch := trace.MixLCClass(), trace.MixBatchClass()
 	if c := sum.Classes[0]; c.Tenant != lc.Tenant || c.Priority != lc.Priority {
@@ -226,64 +195,5 @@ func TestInprocLoadMixedClasses(t *testing.T) {
 	}
 	if a := c.SLOAttainment; a == nil || *a < 0 || *a > 1 {
 		t.Fatalf("lc row SLO attainment %v, want a fraction", a)
-	}
-}
-
-// TestVirtualLoadDeterministic is the load generator's acceptance pin:
-// -load -backend sim replays the seeded Poisson trace in virtual time,
-// two identical runs emit byte-identical JSON summaries, and the jobs
-// overlap in virtual time (peak in-flight above 1).
-func TestVirtualLoadDeterministic(t *testing.T) {
-	opts := loadOpts{
-		RPS:      400,
-		Duration: 300 * time.Millisecond, // virtual window — no wall-clock pacing
-		Spec:     workload.Spec{Kind: "ticks", N: 64, Work: 100_000},
-		Seed:     7,
-		Backend:  "sim",
-		Mode:     "unified",
-		Workers:  4,
-	}
-	spec, err := opts.Spec.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Spec = spec
-	a, err := runLoad(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runLoad(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("identical seeded virtual runs diverged:\n%+v\nvs\n%+v", a, b)
-	}
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if string(ja) != string(jb) {
-		t.Fatalf("JSON summaries differ:\n%s\nvs\n%s", ja, jb)
-	}
-	if a.Target != "in-process/sim-virtual" {
-		t.Fatalf("virtual mode not selected: target %q", a.Target)
-	}
-	if a.Submitted == 0 || a.Completed != a.Submitted || a.Errors != 0 {
-		t.Fatalf("virtual run lost requests: %+v", a)
-	}
-	if a.PeakInflight < 2 {
-		t.Fatalf("no virtual-time overlap: peak in-flight %d", a.PeakInflight)
-	}
-	if a.JoulesPerRequest <= 0 || a.P50SojournMS <= 0 {
-		t.Fatalf("degenerate virtual summary: %+v", a)
-	}
-	if a.ThroughputRPS <= 0 || a.DurationS <= 0 {
-		t.Fatalf("virtual summary missing throughput accounting: %+v", a)
-	}
-	// Summary-field consistency with the wall-clock generator: the
-	// virtual path surfaces dropped-event accounting too. The shared
-	// point-runner reads per-job reports synchronously, so the honest
-	// value is zero — but the field must be populated, not forgotten.
-	if a.DroppedEvents != 0 {
-		t.Fatalf("virtual path dropped %d events through a synchronous pipeline", a.DroppedEvents)
 	}
 }

@@ -8,37 +8,33 @@
 //	hermes-bench -quick          # CI-scale (smaller inputs, 2 trials)
 //	hermes-bench -csv out/       # also write CSV files
 //
-// Load mode (-load) fires a seeded arrival trace at a target RPS into
-// an in-process Runtime and reports throughput, p50/p95/p99 sojourn
-// time and joules/request. On the default Native backend the trace is
-// paced against the wall clock:
+// Load mode (-load) paces a seeded arrival trace at a target RPS
+// against the wall clock into an in-process Native Runtime and reports
+// throughput, p50/p95/p99 sojourn time and joules/request, as the
+// sweep's Point for the run:
 //
 //	hermes-bench -load -rps 100 -duration 10s -workload ticks
 //
-// With -backend sim the seeded trace is replayed in VIRTUAL time
-// inside the deterministic discrete-event engine: jobs genuinely
-// contend for the simulated machine, the sojourn percentiles are
-// virtual-time quantities, there is no wall-clock pacing at all, and
-// two runs with the same seed emit byte-identical JSON summaries:
+// Load against a live hermes-serve is the benchmark module's
+// serve_http workload.
 //
-//	hermes-bench -load -backend sim -rps 150 -duration 2s -seed 7 -json sim-load.json
-//
-// Both backends render their summary from the sweep's one fold. Load
-// against a live hermes-serve is the benchmark module's serve_http
-// workload.
-//
-// Sweep mode (-sweep) generalizes the virtual-time replay into the
-// full open-system evaluation: a (workload × tempo-mode × rate) grid,
-// each point a seeded Poisson trace replayed deterministically on the
-// Sim pool, emitting per-mode curves of sojourn percentiles, queueing
-// delay, joules/request, average power, steals/request and DVFS-tier
+// Sweep mode (-sweep) is the open-system evaluation in VIRTUAL time:
+// a (workload × tempo-mode × rate) grid, each point a seeded Poisson
+// trace replayed deterministically on the Sim pool (jobs contend for
+// the simulated machine, with no wall-clock pacing at all), emitting
+// per-mode curves of sojourn percentiles, queueing delay,
+// joules/request, average power, steals/request and DVFS-tier
 // residency vs offered load, with knee detection (first rate whose p99
-// exceeds five times the unloaded p50). Two runs with the same
-// flags emit byte-identical JSON — the artifact CI diffs and uploads:
+// exceeds five times the unloaded p50). Two runs with the same flags
+// emit byte-identical JSON — the artifact CI diffs and uploads:
 //
 //	hermes-bench -sweep -workload ticks -rates 50,100,200,400 \
 //	    -modes baseline,unified -duration 500ms -seed 7 -workers 4 \
 //	    -json SWEEP_sim.json -csv out/
+//
+// One rate and one mode is the virtual-time run of a single trace:
+//
+//	hermes-bench -sweep -workload ticks -rates 150 -modes unified -duration 2s -seed 7
 package main
 
 import (
@@ -72,7 +68,7 @@ func run(args []string) int {
 		csvDir  = fs.String("csv", "", "directory to write per-figure CSV files")
 		verbose = fs.Bool("v", false, "log each run")
 
-		load      = fs.Bool("load", false, "run the open-loop Poisson load generator instead of figures")
+		load      = fs.Bool("load", false, "run the open-loop wall-clock load generator on Native instead of figures")
 		sweepMode = fs.Bool("sweep", false, "run the open-system (mode × rate) sweep on the Sim backend")
 		rates     = fs.String("rates", "25,50,100,200", "sweep: comma-separated offered-load grid, requests/second")
 		modes     = fs.String("modes", "baseline,unified", "sweep: comma-separated tempo modes")
@@ -94,7 +90,6 @@ func run(args []string) int {
 		grain    = fs.Int("grain", 0, "load/sweep: task granularity (0 = workload default)")
 		work     = fs.Int64("work", 0, "load/sweep: cycles per unit (0 = workload default)")
 		memfrac  = fs.Float64("memfrac", 0, "load/sweep: memory-bound fraction of work")
-		backend  = fs.String("backend", "native", "load: backend (native or sim)")
 		mode     = fs.String("mode", "unified", "load: tempo mode")
 		workers  = fs.Int("workers", 0, "load/sweep: worker count (0 = default)")
 		seed     = fs.Int64("seed", 1, "load/sweep: arrival-process seed")
@@ -145,7 +140,6 @@ func run(args []string) int {
 			Spec:           spec,
 			Trace:          *traceName,
 			Seed:           *seed,
-			Backend:        *backend,
 			Mode:           *mode,
 			Workers:        *workers,
 			Dispatch:       *dispatch,
@@ -214,7 +208,7 @@ const loadSweepFlags = "workload n grain work memfrac trace duration seed worker
 // modeFlags lists, per mode, every flag the mode reads.
 var modeFlags = map[string]string{
 	"figure": "fig quick scale trials csv v",
-	"-load":  "load rps backend mode " + loadSweepFlags,
+	"-load":  "load rps mode " + loadSweepFlags,
 	"-sweep": "sweep rates modes machines placement faults trials csv " + loadSweepFlags,
 }
 

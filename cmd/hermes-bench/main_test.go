@@ -23,17 +23,16 @@ func TestCheckModes(t *testing.T) {
 		{"fig without dash", false, false, nil, []string{"fig", "6"}, false},
 		{"stray argument after load", true, false, nil, []string{"ticks"}, false},
 		{"figure flags", false, false, []string{"fig", "quick", "trials", "scale", "csv", "v"}, nil, true},
-		{"load flags", true, false, []string{"load", "backend", "mode", "rps", "duration", "seed",
+		{"load flags", true, false, []string{"load", "mode", "rps", "duration", "seed",
 			"workers", "json", "dispatch", "quantum", "trace", "workload", "n", "grain", "work", "memfrac", "v"}, nil, true},
 		{"sweep flags", false, true, []string{"sweep", "rates", "modes", "machines", "placement", "faults",
 			"trials", "csv", "duration", "seed", "workers", "json", "dispatch", "quantum", "trace"}, nil, true},
-		{"load with machines", true, false, []string{"load", "backend", "machines"}, nil, false},
+		{"load with machines", true, false, []string{"load", "machines"}, nil, false},
 		{"load with trials", true, false, []string{"load", "trials"}, nil, false},
 		{"load with csv", true, false, []string{"load", "csv"}, nil, false},
 		{"figure with rates", false, false, []string{"fig", "rates"}, nil, false},
 		{"figure with json", false, false, []string{"json"}, nil, false},
 		{"sweep with rps", false, true, []string{"sweep", "rps"}, nil, false},
-		{"sweep with backend", false, true, []string{"sweep", "backend"}, nil, false},
 		{"sweep with quick", false, true, []string{"sweep", "quick"}, nil, false},
 	}
 	for _, c := range cases {
@@ -66,5 +65,14 @@ func TestCheckModes(t *testing.T) {
 			t.Errorf("%s: checkModes(false, %v, %d, %g, ...) = %v, want ok=%v",
 				c.name, c.sweep, c.trials, c.scale, err, c.ok)
 		}
+	}
+}
+
+// TestLoadHasNoBackendFlag: -load is the Native wall-clock run only;
+// the virtual-time run of one trace is -sweep with one rate, so
+// -backend is not a flag and naming it is a usage error.
+func TestLoadHasNoBackendFlag(t *testing.T) {
+	if code := run([]string{"-load", "-backend", "sim"}); code != 2 {
+		t.Fatalf("-load -backend sim exited %d, want 2", code)
 	}
 }

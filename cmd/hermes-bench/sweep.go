@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -48,98 +49,81 @@ func splitCommaList(s string) []string {
 	return out
 }
 
-// parseRates parses and validates the -rates grid: every entry must be
-// a positive number and appear once.
-func parseRates(list string) ([]float64, error) {
-	var rates []float64
-	seen := map[float64]bool{}
+// parseList parses a comma-separated grid flag entry by entry: every
+// entry must parse and appear once, and the list may be empty only
+// when emptyOK. Errors name the flag and the offending entry.
+func parseList[T comparable](flag, list string, emptyOK bool, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	seen := map[T]bool{}
 	for _, s := range splitCommaList(list) {
-		r, err := strconv.ParseFloat(s, 64)
+		v, err := parse(s)
 		if err != nil {
-			return nil, fmt.Errorf("sweep: bad rate %q: %v", s, err)
+			return nil, fmt.Errorf("sweep: -%s entry %q: %v", flag, s, err)
 		}
+		if seen[v] {
+			return nil, fmt.Errorf("sweep: -%s: duplicate entry %q", flag, s)
+		}
+		seen[v] = true
+		out = append(out, v)
+	}
+	if len(out) == 0 && !emptyOK {
+		return nil, fmt.Errorf("sweep: -%s is empty", flag)
+	}
+	return out, nil
+}
+
+// parseRates parses the -rates grid: positive finite numbers.
+func parseRates(list string) ([]float64, error) {
+	return parseList("rates", list, false, func(s string) (float64, error) {
+		r, err := strconv.ParseFloat(s, 64)
 		// NaN parses without error and slips past every comparison;
 		// reject it (and infinities) together with non-positive rates.
-		if !(r > 0) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("sweep: rates must be positive finite numbers, got %q", s)
+		if err == nil && (!(r > 0) || math.IsInf(r, 0)) {
+			err = errors.New("rates must be positive finite numbers")
 		}
-		if seen[r] {
-			return nil, fmt.Errorf("sweep: duplicate rate %q", s)
-		}
-		seen[r] = true
-		rates = append(rates, r)
-	}
-	if len(rates) == 0 {
-		return nil, fmt.Errorf("sweep: -rates is empty")
-	}
-	return rates, nil
+		return r, err
+	})
 }
 
-// parseMachines parses and validates the -machines grid: positive
-// integer fleet sizes, each appearing once.
+// parseMachines parses the -machines grid: positive fleet sizes.
 func parseMachines(list string) ([]int, error) {
-	var machines []int
-	seen := map[int]bool{}
-	for _, s := range splitCommaList(list) {
+	return parseList("machines", list, false, func(s string) (int, error) {
 		n, err := strconv.Atoi(s)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: bad machine count %q: %v", s, err)
+		if err == nil && n <= 0 {
+			err = errors.New("machine counts must be positive")
 		}
-		if n <= 0 {
-			return nil, fmt.Errorf("sweep: machine counts must be positive, got %q", s)
-		}
-		if seen[n] {
-			return nil, fmt.Errorf("sweep: duplicate machine count %q", s)
-		}
-		seen[n] = true
-		machines = append(machines, n)
-	}
-	if len(machines) == 0 {
-		return nil, fmt.Errorf("sweep: -machines is empty")
-	}
-	return machines, nil
+		return n, err
+	})
 }
 
-// parsePlacements parses and validates the -placement list: known
-// policy names only (random, jsq, p2c/p<k>c, gossip), each once.
+// parsePlacements parses the -placement list: known policy names only
+// (random, jsq, p2c/p<k>c, gossip).
 func parsePlacements(list string) ([]hermes.Placement, error) {
-	var policies []hermes.Placement
-	seen := map[string]bool{}
-	for _, s := range splitCommaList(list) {
-		p, err := hermes.ParsePlacement(s)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %v", err)
-		}
-		if seen[p.String()] {
-			return nil, fmt.Errorf("sweep: duplicate placement policy %q", s)
-		}
-		seen[p.String()] = true
-		policies = append(policies, p)
-	}
-	if len(policies) == 0 {
-		return nil, fmt.Errorf("sweep: -placement is empty")
-	}
-	return policies, nil
+	return parseList("placement", list, false, hermes.ParsePlacement)
 }
 
-// parseFaultPlans parses and validates the -faults list against the
-// fault registry, each plan once (after Resolve: "" and "none" are the
-// same plan). An empty flag means one fault-free pass.
+// parseFaultPlans parses the -faults list against the fault registry,
+// each plan once after Resolve ("" and "none" are the same plan). An
+// empty flag means one fault-free pass.
 func parseFaultPlans(list string) ([]string, error) {
-	var plans []string
-	seen := map[string]bool{}
-	for _, s := range splitCommaList(list) {
+	return parseList("faults", list, true, func(s string) (string, error) {
 		p, err := fault.Resolve(s)
+		return p.Name, err
+	})
+}
+
+// parseModes splits a comma-separated tempo-mode list through the one
+// shared parser.
+func parseModes(list string) ([]hermes.Mode, error) {
+	var modes []hermes.Mode
+	for _, s := range splitCommaList(list) {
+		m, err := hermes.ParseMode(s)
 		if err != nil {
-			return nil, fmt.Errorf("sweep: %v", err)
+			return nil, err
 		}
-		if seen[p.Name] {
-			return nil, fmt.Errorf("sweep: duplicate fault plan %q", s)
-		}
-		seen[p.Name] = true
-		plans = append(plans, p.Name)
+		modes = append(modes, m)
 	}
-	return plans, nil
+	return modes, nil
 }
 
 // runSweep drives the open-system sweep from the CLI and writes the
@@ -151,7 +135,7 @@ func runSweep(opts sweepOpts) error {
 	if err != nil {
 		return err
 	}
-	modes, err := parseLoadModes(opts.Modes)
+	modes, err := parseModes(opts.Modes)
 	if err != nil {
 		return err
 	}

@@ -97,7 +97,9 @@ type capacityJSON struct {
 	// ScaledSpanS is the replayed trace's arrival span after scaling.
 	ScaledSpanS float64 `json:"scaled_span_s"`
 
-	Prediction sweep.Replay `json:"prediction"`
+	// Prediction is the replay's single-machine sweep Point; its
+	// offered_rps is the scaled trace's arrivals over its span.
+	Prediction sweep.Point `json:"prediction"`
 }
 
 // handleCapacity answers "what would this machine do if the traffic I

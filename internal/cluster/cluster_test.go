@@ -104,7 +104,7 @@ func TestPKCPlacerPrefersIdleHeap(t *testing.T) {
 	p := Policy{Kind: "pkc", Choices: 2}.Placer()
 	for i := 0; i < 10; i++ {
 		if m := p.Place(v, rng); m != 1 {
-			t.Fatalf("p2c ignored the idle heap: chose %d", m)
+			t.Fatalf("p2c ignored the idle machine: chose %d", m)
 		}
 	}
 	// Saturated fleet: samples k and joins the least loaded of them —

@@ -234,7 +234,7 @@ func (s *Session) clusterPolicies(fig int) Table {
 		Columns: []string{"policy", "machines", "rps", "p50-ms", "p99-ms", "fleetJ/req", "fleet-W", "idle-machines", "migrated", "peak-inflight"},
 		Notes: []string{
 			"extension beyond the paper: N simulated machines in one virtual-time engine behind a placement tier;",
-			"fleet energy charges every machine over the same window, so consolidating policies (p2c's idle heap)",
+			"fleet energy charges every machine over the same window, so consolidating policies (p2c's idle-first rule)",
 			"win by leaving whole machines parked in the lowest DVFS tier while random's collisions queue jobs",
 		},
 	}

@@ -8,12 +8,11 @@
 // be scraped over HTTP via Handler; the job series come only from
 // JobSubmitted and JobDone, so a full sink never costs a job count.
 //
-// Beyond the scrape surface, a Registry is also a programmatic metrics
-// source: Snapshot returns a consistent counter/gauge view, and
-// LatencyHist exposes the cumulative latency histogram as a Hist value
-// whose Sub and Quantile methods let a caller compute windowed
-// percentiles — the signal the serving control loop
-// (internal/control) reads every tick. AddCollector appends external
+// Beyond the scrape surface, LatencyHist exposes the cumulative
+// latency histogram as a Hist value whose Sub and Quantile methods let
+// a caller compute windowed percentiles — the signal the serving
+// control loop (internal/control) reads every tick. Readers of the
+// counters and gauges scrape them and read the text with ParseText. AddCollector appends external
 // series (e.g. hermes_control_*) to each scrape without coupling this
 // package to their owners.
 package metrics

@@ -21,10 +21,8 @@ var LatencyBuckets = []float64{
 	1, 2.5, 5, 10, 30, 60,
 }
 
-// Snapshot is a consistent copy of every scalar series, for
-// programmatic readers (load generators, tests, the serving
-// controller).
-type Snapshot struct {
+// snapshot is a consistent copy of the scalar series a scrape renders.
+type snapshot struct {
 	Steals        int64
 	TempoSwitches int64
 	DVFSCommits   int64
@@ -34,8 +32,6 @@ type Snapshot struct {
 	EnergyJ       float64 // machine cumulative joules (last sample)
 	PowerW        float64 // instantaneous watts (last sample)
 	JobEnergyJ    float64 // sum of per-job joules over completed jobs
-	LatencySum    float64 // seconds, over completed jobs, all kinds
-	LatencyCount  int64
 	DroppedEvents uint64
 }
 
@@ -183,12 +179,12 @@ func (r *Registry) Observe(e obs.Event) {
 // snapshotLocked copies the scalar series; r.mu must be held.
 // DroppedEvents is left for the caller to fill outside the lock (the
 // drop source is an external callback that must not run under r.mu).
-func (r *Registry) snapshotLocked() Snapshot {
+func (r *Registry) snapshotLocked() snapshot {
 	var submitted int64
 	for _, ks := range r.byKind {
 		submitted += ks.submitted
 	}
-	return Snapshot{
+	return snapshot{
 		Steals:        r.steals,
 		TempoSwitches: r.tempoSwitches,
 		DVFSCommits:   r.dvfsCommits,
@@ -198,21 +194,7 @@ func (r *Registry) snapshotLocked() Snapshot {
 		EnergyJ:       r.energyJ,
 		PowerW:        r.powerW,
 		JobEnergyJ:    r.jobEnergyJ,
-		LatencySum:    r.latSum,
-		LatencyCount:  r.latCount,
 	}
-}
-
-// Snapshot returns a consistent copy of the scalar series.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	s := r.snapshotLocked()
-	dropSource := r.dropSource
-	r.mu.Unlock()
-	if dropSource != nil {
-		s.DroppedEvents = dropSource()
-	}
-	return s
 }
 
 // Hist is a point-in-time copy of the all-kinds job-latency histogram.

@@ -30,23 +30,35 @@ func TestRegistryFoldsEvents(t *testing.T) {
 		obs.Event{Kind: obs.EnergySample, Power: 42.5, Energy: 1.25},
 		obs.Event{Kind: obs.JobDone, Job: 1, Time: 50 * units.Millisecond, Sojourn: 50 * units.Millisecond, Energy: 9},
 	)
-	if s := r.Snapshot(); s.JobsCompleted != 0 || s.LatencyCount != 0 || s.JobEnergyJ != 0 {
-		t.Fatalf("job-lifecycle events folded into job series: %+v", s)
+	if s := scrape(t, r); s["hermes_jobs_completed_total"] != 0 ||
+		s["hermes_job_latency_seconds_count"] != 0 || s["hermes_job_energy_joules_total"] != 0 {
+		t.Fatalf("job-lifecycle events folded into job series: %v", s)
 	}
 	r.JobDone(Key{Kind: "fib"}, 50*units.Millisecond, 0.75)
-	s := r.Snapshot()
-	if s.Steals != 2 || s.TempoSwitches != 1 || s.DVFSCommits != 1 {
-		t.Fatalf("scheduler counters wrong: %+v", s)
+	s := scrape(t, r)
+	if s["hermes_steals_total"] != 2 || s["hermes_tempo_switches_total"] != 1 || s["hermes_dvfs_commits_total"] != 1 {
+		t.Fatalf("scheduler counters wrong: %v", s)
 	}
-	if s.JobsSubmitted != 1 || s.JobsCompleted != 1 || s.JobsInflight != 0 {
-		t.Fatalf("job counters wrong: %+v", s)
+	if s["hermes_jobs_started_total"] != 1 || s["hermes_jobs_completed_total"] != 1 || s["hermes_jobs_inflight"] != 0 {
+		t.Fatalf("job counters wrong: %v", s)
 	}
-	if s.PowerW != 42.5 || s.EnergyJ != 1.25 || s.JobEnergyJ != 0.75 {
-		t.Fatalf("energy series wrong: %+v", s)
+	if s["hermes_power_watts"] != 42.5 || s["hermes_energy_joules"] != 1.25 || s["hermes_job_energy_joules_total"] != 0.75 {
+		t.Fatalf("energy series wrong: %v", s)
 	}
-	if s.LatencyCount != 1 || s.LatencySum < 0.049 || s.LatencySum > 0.051 {
-		t.Fatalf("latency fold wrong: count=%d sum=%g", s.LatencyCount, s.LatencySum)
+	if n, sum := s["hermes_job_latency_seconds_count"], s["hermes_job_latency_seconds_sum"]; n != 1 || sum < 0.049 || sum > 0.051 {
+		t.Fatalf("latency fold wrong: count=%g sum=%g", n, sum)
 	}
+}
+
+// scrape renders r and reads the text back as the benchmark's client
+// does, bare names summed over their labels.
+func scrape(t *testing.T, r *Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return ParseText(b.String())
 }
 
 func TestLatencyHistogramBuckets(t *testing.T) {
@@ -212,14 +224,19 @@ func TestLatencyHistAndQuantile(t *testing.T) {
 	}
 }
 
-// TestSnapshotJobsSubmitted pins the submitted-total accessor.
+// TestSnapshotJobsSubmitted pins the scrape's submitted total: the
+// started counter sums the per-kind submissions.
 func TestSnapshotJobsSubmitted(t *testing.T) {
 	r := New()
 	r.JobSubmitted("fib", "", 0)
 	r.JobSubmitted("fib", "", 0)
 	r.JobSubmitted("matmul", "", 0)
-	if got := r.Snapshot().JobsSubmitted; got != 3 {
-		t.Fatalf("JobsSubmitted = %d, want 3", got)
+	s := scrape(t, r)
+	if got := s["hermes_jobs_started_total"]; got != 3 {
+		t.Fatalf("hermes_jobs_started_total = %g, want 3", got)
+	}
+	if got := s["hermes_jobs_inflight"]; got != 3 {
+		t.Fatalf("hermes_jobs_inflight = %g, want 3", got)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestClusterSweepDeterministicArtifact(t *testing.T) {
 
 // TestClusterSweepPolicySeparation is the consolidation acceptance
 // pin at the sweep layer: on the SAME low-rate trace over the same
-// fleet, p2c with the idle-machine heap leaves strictly more machines
+// fleet, p2c with its idle-first rule leaves strictly more machines
 // fully idle than load-blind random placement, and spends strictly
 // fewer fleet joules per request — collisions under random queue jobs
 // behind busy machines while idle ones burn their floor draw.
@@ -85,7 +85,7 @@ func TestClusterSweepPolicySeparation(t *testing.T) {
 		t.Fatalf("want 2 curves, got %d", len(res.Curves))
 	}
 	p2c, random := res.Curves[0], res.Curves[1]
-	// Low rate: the idle-machine heap leaves strictly more machines
+	// Low rate: the idle-first rule leaves strictly more machines
 	// fully parked than load-blind spreading.
 	if a, b := p2c.Points[0], random.Points[0]; a.IdleMachines <= b.IdleMachines {
 		t.Fatalf("p2c did not consolidate: %d idle machines vs random's %d at %g rps",

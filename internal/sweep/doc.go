@@ -11,8 +11,10 @@
 // There is one pipeline (trial.go): a grid is validated once, every
 // trial is one Sim hermes.Runtime serving one trace, and every point is
 // one fold of its trials. The single-machine sweep is the machines = 1
-// cell of the cluster grid; Point, ClusterPoint and Replay differ only
-// in which of the fold's quantities they render.
+// cell of the cluster grid; Point and ClusterPoint differ only in which
+// of the fold's quantities they render, and every single-machine answer
+// (a grid point, ReplayTrace, the wall-clock load run's Fold) is a
+// Point.
 //
 // Every point is deterministic: a fixed config and seed reproduce
 // byte-identical JSON artifacts, so the curves are CI-diffable

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -235,5 +236,41 @@ func TestReplayTraceDeterministic(t *testing.T) {
 	tr[0].At = units.Millisecond
 	if _, err := ReplayTrace(cfg, tr); err == nil {
 		t.Fatal("descending trace should error")
+	}
+}
+
+// TestReplayTraceIsTheSweepPoint: replaying a generated trace is the
+// sweep's point at the same (workload, rate, window, seed, mode), field
+// for field. Only OfferedRPS differs: the replay knows no target rate
+// and reports arrivals over the trace's arrival span.
+func TestReplayTraceIsTheSweepPoint(t *testing.T) {
+	spec := workload.Spec{Kind: "ticks"}
+	const (
+		rps    = 150.0
+		window = 2 * time.Second
+		seed   = int64(7)
+	)
+	arrivals, err := TraceArrivals(spec, "", rps, window, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReplayTrace(ReplayConfig{Mode: hermes.Unified, Seed: seed}, arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunPoint(PointConfig{Workload: spec, Mode: hermes.Unified, RPS: rps, Window: window, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := arrivals[len(arrivals)-1].At - arrivals[0].At
+	if offered := float64(len(arrivals)) / span.Seconds(); got.OfferedRPS != offered {
+		t.Fatalf("replay offered %g rps, want arrivals over span %g", got.OfferedRPS, offered)
+	}
+	if want.OfferedRPS != rps {
+		t.Fatalf("point offered %g rps, want the target %g", want.OfferedRPS, rps)
+	}
+	got.OfferedRPS = want.OfferedRPS
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay and sweep point differ:\n%+v\n%+v", got, want)
 	}
 }

@@ -200,39 +200,22 @@ type ClassPoint struct {
 	JoulesPerRequest float64 `json:"joules_per_request"`
 }
 
-// PointConfig parameterizes one grid point for RunPoint.
+// PointConfig parameterizes one grid point for RunPoint: the default
+// poisson trace, one trial, FIFO dispatch.
 type PointConfig struct {
 	Workload workload.Spec
-	// Trace names the arrival process from the internal/trace registry
-	// ("" = poisson).
-	Trace   string
-	Mode    hermes.Mode
-	RPS     float64
-	Window  time.Duration
-	Seed    int64
-	Trials  int // <1 means 1; trial t shifts the seed by t
-	Workers int // 0 = backend default
-	// Dispatch names the intake dispatch policy ("" or "fifo" = arrival
-	// order, "priority", "edf").
-	Dispatch string
-	// PreemptQuantum caps uninterrupted execution under a ranked
-	// dispatch policy (0 = jobs run to completion once started).
-	PreemptQuantum time.Duration
-	// Log, when non-nil, receives a diagnostic line per failed job.
-	Log func(string)
+	Mode     hermes.Mode
+	RPS      float64
+	Window   time.Duration
+	Seed     int64
+	Workers  int // 0 = backend default
 }
 
-// RunPoint measures one grid point: Trials seeded traces (seed,
-// seed+1, …) each replayed on a fresh simulated machine, percentiles
-// pooled over every completed job, energy and counts summed. The
+// RunPoint measures one grid point: one seeded trace replayed on a
+// fresh simulated machine, percentiles over every completed job. The
 // result is deterministic in the config.
 func RunPoint(cfg PointConfig) (Point, error) {
-	g := grid{
-		workload: cfg.Workload, trace: cfg.Trace, window: cfg.Window,
-		seed: cfg.Seed, trials: cfg.Trials, workers: cfg.Workers,
-		dispatch: cfg.Dispatch, quantum: cfg.PreemptQuantum,
-		log: cfg.Log,
-	}
+	g := grid{workload: cfg.Workload, window: cfg.Window, seed: cfg.Seed, workers: cfg.Workers}
 	return g.machinePoint(cfg.Mode, cfg.RPS)
 }
 

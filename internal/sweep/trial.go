@@ -16,7 +16,7 @@ import (
 // rate grid, window, seeds, dispatch — and the one place it is
 // validated. Run and RunCluster build theirs from their Configs,
 // RunPoint and ReplayTrace use a one-cell grid unvalidated: their own
-// callers (the grids, the load generator, /capacity) validated already,
+// callers (the benchmark's fixed point, /capacity) validated already,
 // and whatever is wrong still fails where it is used.
 type grid struct {
 	workload workload.Spec
@@ -190,9 +190,9 @@ type classAcc struct {
 	sloMet    int64
 }
 
-// fold pools the trials of one grid cell. Point, ClusterPoint and
-// Replay are all rendered from it, so a percentile, a class row or a
-// tier share means the same thing in every artifact.
+// fold pools the trials of one grid cell. Point and ClusterPoint are
+// both rendered from it, so a percentile, a class row or a tier share
+// means the same thing in every artifact.
 type fold struct {
 	trials int
 
@@ -472,7 +472,7 @@ func sortTimes(ts []units.Time) {
 // nearestRank returns the index of the p-quantile (0..1) among n sorted
 // samples by the nearest-rank method, clamped to [0, n-1]; n must be
 // positive. It is the one percentile rule behind every sweep artifact
-// and both of the load generator's backends. (metrics.Hist.Quantile
+// and the load generator's wall-clock run. (metrics.Hist.Quantile
 // interpolates inside histogram buckets: a different algorithm for data
 // that keeps no samples.)
 func nearestRank(n int, p float64) int {

@@ -7,8 +7,8 @@
 // offsets plus a per-arrival service-size multiplier — from a single
 // seeded PCG stream (rand.NewPCG(seed, Salt)). The same (process,
 // seed, rps, window) always yields the same byte-exact sequence, on
-// any platform, which is what lets sweep artifacts and sim-load
-// summaries be byte-diffed in CI. Three processes are built in:
+// any platform, which is what lets sweep artifacts be byte-diffed in
+// CI. Three processes are built in:
 //
 //   - poisson: exponential interarrivals at the target rate, size 1.
 //     The default, stream-compatible with the generator the sweep and
