@@ -28,10 +28,6 @@ type loadOpts struct {
 	// In-process Native runtime shape.
 	Mode    string
 	Workers int
-	// Dispatch names the intake dispatch policy ("" = fifo) and
-	// PreemptQuantum the ranked-dispatch preemption quantum.
-	Dispatch       string
-	PreemptQuantum time.Duration
 
 	Verbose bool
 }
@@ -43,11 +39,9 @@ type loadOpts struct {
 // is null.
 type loadSummary struct {
 	Workload workload.Spec `json:"workload"`
-	// Trace is the arrival process and Dispatch the intake policy, each
-	// normalized so the default (poisson, fifo) stays "" as in the
-	// sweep's artifacts.
-	Trace    string `json:"trace,omitempty"`
-	Dispatch string `json:"dispatch,omitempty"`
+	// Trace is the arrival process, normalized so the default
+	// (poisson) stays "" as in the sweep's artifacts.
+	Trace string `json:"trace,omitempty"`
 	sweep.Point
 }
 
@@ -97,13 +91,6 @@ func runLoad(opts loadOpts) (loadSummary, error) {
 	if err != nil {
 		return loadSummary{}, err
 	}
-	dispatch, err := hermes.ParseDispatch(opts.Dispatch)
-	if err != nil {
-		return loadSummary{}, err
-	}
-	if opts.PreemptQuantum < 0 {
-		return loadSummary{}, fmt.Errorf("load: preempt quantum must be non-negative, got %v", opts.PreemptQuantum)
-	}
 	mode, err := hermes.ParseMode(opts.Mode)
 	if err != nil {
 		return loadSummary{}, err
@@ -114,12 +101,6 @@ func runLoad(opts loadOpts) (loadSummary, error) {
 	}
 	if opts.Workers > 0 {
 		hopts = append(hopts, hermes.WithWorkers(opts.Workers))
-	}
-	if dispatch != hermes.DispatchFIFO {
-		hopts = append(hopts, hermes.WithDispatch(dispatch))
-	}
-	if opts.PreemptQuantum > 0 {
-		hopts = append(hopts, hermes.WithPreemptQuantum(units.Time(opts.PreemptQuantum)*units.Nanosecond))
 	}
 	rt, err := hermes.New(hopts...)
 	if err != nil {
@@ -156,7 +137,6 @@ func runLoad(opts loadOpts) (loadSummary, error) {
 	return loadSummary{
 		Workload: spec,
 		Trace:    trace.Canonical(opts.Trace),
-		Dispatch: sweep.CanonicalDispatch(dispatch),
 		Point:    sweep.Fold(opts.RPS, arrivals, reports, errs),
 	}, nil
 }

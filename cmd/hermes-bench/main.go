@@ -1,7 +1,7 @@
 // hermes-bench regenerates the paper's evaluation figures, and doubles
 // as an open-loop load generator for the serving scenario.
 //
-// Figure mode:
+// Figure mode regenerates the paper's closed-system Figures 6–22:
 //
 //	hermes-bench                 # all figures, paper-scale
 //	hermes-bench -fig 6          # one figure
@@ -35,6 +35,16 @@
 // One rate and one mode is the virtual-time run of a single trace:
 //
 //	hermes-bench -sweep -workload ticks -rates 150 -modes unified -duration 2s -seed 7
+//
+// A -machines grid selects the cluster sweep (placement × fleet size ×
+// rate, one tempo mode), -faults replays fault plans over the same
+// traces, and -trace mix adds per-class rows (a classes CSV with
+// -csv). Every open-system experiment is such a sweep:
+//
+//	hermes-bench -sweep -workload ticks -n 128 -grain 4 -work 200000 \
+//	    -machines 4 -placement p2c -faults none,crash,failslow,blip \
+//	    -rates 100,300,600 -modes unified -duration 250ms -seed 42 \
+//	    -trials 2 -workers 2 -csv out/
 package main
 
 import (
@@ -77,9 +87,9 @@ func run(args []string) int {
 		faults    = fs.String("faults", "",
 			"cluster sweep: comma-separated fault plans ("+strings.Join(fault.Names(), ", ")+"; empty = fault-free)")
 		dispatch = fs.String("dispatch", "",
-			"load/sweep: intake dispatch policy (fifo, priority, edf; empty = fifo)")
+			"sweep: intake dispatch policy (fifo, priority, edf; empty = fifo)")
 		quantum = fs.Duration("quantum", 0,
-			"load/sweep: preemption quantum under ranked dispatch (0 = jobs run to completion)")
+			"sweep: preemption quantum under ranked dispatch (0 = jobs run to completion)")
 		rps      = fs.Float64("rps", 100, "load: target arrival rate, requests/second")
 		duration = fs.Duration("duration", 10*time.Second, "load/sweep: arrival window")
 		kind     = fs.String("workload", "ticks",
@@ -135,16 +145,14 @@ func run(args []string) int {
 	case *load:
 		var sum loadSummary
 		sum, err = runLoad(loadOpts{
-			RPS:            *rps,
-			Duration:       *duration,
-			Spec:           spec,
-			Trace:          *traceName,
-			Seed:           *seed,
-			Mode:           *mode,
-			Workers:        *workers,
-			Dispatch:       *dispatch,
-			PreemptQuantum: *quantum,
-			Verbose:        *verbose,
+			RPS:      *rps,
+			Duration: *duration,
+			Spec:     spec,
+			Trace:    *traceName,
+			Seed:     *seed,
+			Mode:     *mode,
+			Workers:  *workers,
+			Verbose:  *verbose,
 		})
 		if err == nil {
 			err = writeSummary(sum, *jsonPath)
@@ -203,13 +211,13 @@ func runFigures(opts harness.Options, fig int, csvDir string, verbose bool) erro
 
 // loadSweepFlags are the flags -load and -sweep share: the workload,
 // its arrival trace and the runtime's shape.
-const loadSweepFlags = "workload n grain work memfrac trace duration seed workers json dispatch quantum v"
+const loadSweepFlags = "workload n grain work memfrac trace duration seed workers json v"
 
 // modeFlags lists, per mode, every flag the mode reads.
 var modeFlags = map[string]string{
 	"figure": "fig quick scale trials csv v",
 	"-load":  "load rps mode " + loadSweepFlags,
-	"-sweep": "sweep rates modes machines placement faults trials csv " + loadSweepFlags,
+	"-sweep": "sweep rates modes machines placement faults dispatch quantum trials csv " + loadSweepFlags,
 }
 
 // checkModes rejects a command line that names more than one mode

@@ -24,12 +24,14 @@ func TestCheckModes(t *testing.T) {
 		{"stray argument after load", true, false, nil, []string{"ticks"}, false},
 		{"figure flags", false, false, []string{"fig", "quick", "trials", "scale", "csv", "v"}, nil, true},
 		{"load flags", true, false, []string{"load", "mode", "rps", "duration", "seed",
-			"workers", "json", "dispatch", "quantum", "trace", "workload", "n", "grain", "work", "memfrac", "v"}, nil, true},
+			"workers", "json", "trace", "workload", "n", "grain", "work", "memfrac", "v"}, nil, true},
 		{"sweep flags", false, true, []string{"sweep", "rates", "modes", "machines", "placement", "faults",
 			"trials", "csv", "duration", "seed", "workers", "json", "dispatch", "quantum", "trace"}, nil, true},
 		{"load with machines", true, false, []string{"load", "machines"}, nil, false},
 		{"load with trials", true, false, []string{"load", "trials"}, nil, false},
 		{"load with csv", true, false, []string{"load", "csv"}, nil, false},
+		{"load with dispatch", true, false, []string{"load", "dispatch"}, nil, false},
+		{"load with quantum", true, false, []string{"load", "quantum"}, nil, false},
 		{"figure with rates", false, false, []string{"fig", "rates"}, nil, false},
 		{"figure with json", false, false, []string{"json"}, nil, false},
 		{"sweep with rps", false, true, []string{"sweep", "rps"}, nil, false},

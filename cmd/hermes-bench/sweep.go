@@ -112,18 +112,9 @@ func parseFaultPlans(list string) ([]string, error) {
 	})
 }
 
-// parseModes splits a comma-separated tempo-mode list through the one
-// shared parser.
+// parseModes parses the -modes list: known tempo modes, each once.
 func parseModes(list string) ([]hermes.Mode, error) {
-	var modes []hermes.Mode
-	for _, s := range splitCommaList(list) {
-		m, err := hermes.ParseMode(s)
-		if err != nil {
-			return nil, err
-		}
-		modes = append(modes, m)
-	}
-	return modes, nil
+	return parseList("modes", list, false, hermes.ParseMode)
 }
 
 // runSweep drives the open-system sweep from the CLI and writes the
@@ -138,9 +129,6 @@ func runSweep(opts sweepOpts) error {
 	modes, err := parseModes(opts.Modes)
 	if err != nil {
 		return err
-	}
-	if len(modes) == 0 {
-		return fmt.Errorf("sweep: -modes is empty")
 	}
 	if opts.Machines != "" {
 		return runClusterSweep(opts, rates, modes)

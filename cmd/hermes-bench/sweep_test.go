@@ -53,6 +53,24 @@ func TestParsePlacementsValidation(t *testing.T) {
 	}
 }
 
+// TestParseModesValidation: -modes accepts only known tempo modes,
+// each once, so a repeated mode cannot run and write the same curve
+// twice.
+func TestParseModesValidation(t *testing.T) {
+	modes, err := parseModes("baseline, workpath,workload,unified")
+	if err != nil || len(modes) != 4 {
+		t.Fatalf("good list rejected: %v %v", modes, err)
+	}
+	for _, bad := range []string{"", " , ", "turbo", "baseline,fast", "unified,hermes"} {
+		if _, err := parseModes(bad); err == nil {
+			t.Errorf("parseModes(%q) accepted", bad)
+		}
+	}
+	if _, err := parseModes("unified,unified"); err == nil || !strings.Contains(err.Error(), "duplicate entry") {
+		t.Fatalf("duplicate mode error missing: %v", err)
+	}
+}
+
 // TestRunSweepClusterNeedsOneMode: the cluster sweep runs a single
 // tempo mode; a multi-mode -modes list is rejected up front.
 func TestRunSweepClusterNeedsOneMode(t *testing.T) {

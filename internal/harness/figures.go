@@ -2,21 +2,17 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
-	"hermes"
 	"hermes/internal/bench"
 	"hermes/internal/core"
 	"hermes/internal/cpu"
-	"hermes/internal/sweep"
 	"hermes/internal/units"
-	"hermes/internal/workload"
 )
 
-// figureFns maps paper figure numbers to their regenerators. Ids
-// beyond 22 are open-system extensions of the evaluation (the paper's
-// figures are all closed-system); they render through the same Table
-// pipeline so `hermes-bench -fig 23 -csv out/` works like any other.
+// figureFns maps paper figure numbers to their regenerators. The
+// paper's evaluation is closed-system; open-system experiments (load
+// curves, cluster placement, fault injection, service classes) are
+// `hermes-bench -sweep` runs, not figures.
 var figureFns = map[int]func(*Session) Table{
 	6:  func(s *Session) Table { return s.overall(cpu.SystemA(), 6) },
 	7:  func(s *Session) Table { return s.overall(cpu.SystemB(), 7) },
@@ -35,281 +31,6 @@ var figureFns = map[int]func(*Session) Table{
 	20: func(s *Session) Table { return s.timeSeries(20, "knn", 8) },
 	21: func(s *Session) Table { return s.timeSeries(21, "ray", 16) },
 	22: func(s *Session) Table { return s.timeSeries(22, "ray", 8) },
-	23: func(s *Session) Table {
-		return s.openSystem(23, workload.Spec{Kind: "ticks", N: 64, Grain: 16, Work: 100_000})
-	},
-	24: func(s *Session) Table {
-		return s.openSystem(24, workload.Spec{Kind: "fib", N: 14, Grain: 6, Work: 30_000})
-	},
-	25: func(s *Session) Table { return s.clusterPolicies(25) },
-	26: func(s *Session) Table { return s.clusterScaling(26) },
-	27: func(s *Session) Table { return s.clusterFaults(27) },
-	28: func(s *Session) Table { return s.serviceClasses(28) },
-}
-
-// openSystemRates is the offered-load grid of the open-system figures.
-var openSystemRates = []float64{50, 100, 200, 400}
-
-// openSystem renders an open-system figure: baseline-vs-unified curves
-// of latency, queueing delay, energy and steal interference against
-// offered load, measured by the sweep subsystem over the virtual-time
-// Sim pool (seeded Poisson arrivals replayed via SubmitTrace). The
-// arrival window scales with the session's Scale like benchmark input
-// sizes do, so quick sessions stay quick.
-func (s *Session) openSystem(fig int, spec workload.Spec) Table {
-	window := time.Duration(float64(2*time.Second) * s.opts.Scale)
-	if window < 50*time.Millisecond {
-		window = 50 * time.Millisecond
-	}
-	cfg := sweep.Config{
-		Workload: spec,
-		Modes:    []core.Mode{core.Baseline, core.Unified},
-		RatesRPS: openSystemRates,
-		Window:   window,
-		Seed:     s.opts.InputSeed,
-		Trials:   s.opts.Trials,
-		Workers:  4,
-		Log:      s.Log,
-	}
-	res, err := sweep.Run(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("harness: open-system sweep failed: %v", err))
-	}
-	t := Table{
-		Figure: fmt.Sprintf("Figure %d", fig),
-		Title: fmt.Sprintf("Open system (extension): %s under Poisson load, baseline vs unified, 4 workers",
-			spec.Kind),
-		Columns: []string{"mode", "rps", "p50-ms", "p99-ms", "queue99-ms", "J/req", "avg-W", "steals/req", "peak-inflight"},
-		Notes: []string{
-			"extension beyond the paper (its evaluation is closed-system): deterministic",
-			"virtual-time replay; sojourn includes queueing, queue99 = p99 of sojourn-span",
-		},
-	}
-	for _, c := range res.Curves {
-		for _, p := range c.Points {
-			t.Rows = append(t.Rows, []string{
-				c.Mode, fmt.Sprintf("%g", p.OfferedRPS),
-				fmt.Sprintf("%.3f", p.P50SojournMS), fmt.Sprintf("%.3f", p.P99SojournMS),
-				fmt.Sprintf("%.3f", p.P99QueueMS),
-				fmt.Sprintf("%.4f", p.JoulesPerRequest), fmt.Sprintf("%.2f", p.AvgPowerW),
-				fmt.Sprintf("%.2f", p.StealsPerRequest), fmt.Sprint(p.PeakInflight),
-			})
-		}
-		if k, ok := c.Knee(); ok {
-			t.Notes = append(t.Notes, fmt.Sprintf("%s: latency knee at %g rps (p99 > %g× unloaded p50 %.3fms)",
-				c.Mode, k, res.KneeFactor, c.UnloadedP50MS))
-		} else {
-			t.Notes = append(t.Notes, fmt.Sprintf("%s: no latency knee within the grid (unloaded p50 %.3fms)",
-				c.Mode, c.UnloadedP50MS))
-		}
-	}
-	return t
-}
-
-// serviceClasses renders Figure 28 (extension): per-class latency and
-// SLO attainment vs offered load on the canonical mixed trace (80%
-// heavy-tailed batch, 20% small latency-critical with a deadline and
-// SLO target), baseline vs unified tempo. The per-class rows come from
-// the same sweep the flat open-system figures use — the class
-// dimension rides the existing deterministic replay, it does not get
-// its own measurement path.
-func (s *Session) serviceClasses(fig int) Table {
-	window := time.Duration(float64(2*time.Second) * s.opts.Scale)
-	if window < 50*time.Millisecond {
-		window = 50 * time.Millisecond
-	}
-	spec := workload.Spec{Kind: "ticks", N: 64, Grain: 16, Work: 100_000}
-	cfg := sweep.Config{
-		Workload: spec,
-		Trace:    "mix",
-		Modes:    []core.Mode{core.Baseline, core.Unified},
-		RatesRPS: openSystemRates,
-		Window:   window,
-		Seed:     s.opts.InputSeed,
-		Trials:   s.opts.Trials,
-		Workers:  4,
-		Log:      s.Log,
-	}
-	res, err := sweep.Run(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("harness: service-class sweep failed: %v", err))
-	}
-	t := Table{
-		Figure: fmt.Sprintf("Figure %d", fig),
-		Title: fmt.Sprintf("Service classes (extension): per-class latency on the mixed trace, %s, baseline vs unified, 4 workers",
-			spec.Kind),
-		Columns: []string{"mode", "rps", "tenant", "priority", "p50-ms", "p95-ms", "p99-ms", "slo-att", "J/req"},
-		Notes: []string{
-			"extension beyond the paper: the mix trace interleaves 80% heavy-tailed batch arrivals with 20%",
-			"small latency-critical jobs (priority 1, 5ms deadline and SLO); rows split each sweep point by",
-			"service class — the latency-critical tail under FIFO intake is the cost ranked dispatch removes",
-		},
-	}
-	for _, c := range res.Curves {
-		for _, p := range c.Points {
-			for _, cp := range p.Classes {
-				att := "-"
-				if cp.SLOAttainment != nil {
-					att = fmt.Sprintf("%.3f", *cp.SLOAttainment)
-				}
-				t.Rows = append(t.Rows, []string{
-					c.Mode, fmt.Sprintf("%g", p.OfferedRPS),
-					cp.Tenant, fmt.Sprint(cp.Priority),
-					fmt.Sprintf("%.3f", cp.P50SojournMS), fmt.Sprintf("%.3f", cp.P95SojournMS),
-					fmt.Sprintf("%.3f", cp.P99SojournMS),
-					att, fmt.Sprintf("%.4f", cp.JoulesPerRequest),
-				})
-			}
-		}
-	}
-	return t
-}
-
-// clusterSpec is the workload the cluster figures run: service times
-// of a few milliseconds per job on a 2-worker machine, so offered
-// loads in the hundreds of rps genuinely contend for the fleet.
-func clusterSpec() workload.Spec {
-	return workload.Spec{Kind: "ticks", N: 128, Grain: 4, Work: 200_000}
-}
-
-// clusterRates is the offered-load grid of the cluster figures.
-var clusterRates = []float64{100, 300, 600}
-
-// runClusterFigure executes one cluster sweep for a figure, sharing
-// the session's window scaling and seed discipline with openSystem.
-func (s *Session) runClusterFigure(policies []hermes.Placement, machines []int, faults []string) sweep.ClusterResult {
-	window := time.Duration(float64(time.Second) * s.opts.Scale)
-	if window < 40*time.Millisecond {
-		window = 40 * time.Millisecond
-	}
-	cfg := sweep.ClusterConfig{
-		Workload: clusterSpec(),
-		Faults:   faults,
-		Mode:     core.Unified,
-		Policies: policies,
-		Machines: machines,
-		RatesRPS: clusterRates,
-		Window:   window,
-		Seed:     s.opts.InputSeed,
-		Trials:   s.opts.Trials,
-		Workers:  2,
-		Log:      s.Log,
-	}
-	res, err := sweep.RunCluster(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("harness: cluster sweep failed: %v", err))
-	}
-	return res
-}
-
-// clusterRows flattens cluster curves into figure rows.
-func clusterRows(t *Table, res sweep.ClusterResult) {
-	for _, c := range res.Curves {
-		for _, p := range c.Points {
-			t.Rows = append(t.Rows, []string{
-				c.Policy, fmt.Sprint(c.Machines), fmt.Sprintf("%g", p.OfferedRPS),
-				fmt.Sprintf("%.3f", p.P50SojournMS), fmt.Sprintf("%.3f", p.P99SojournMS),
-				fmt.Sprintf("%.4f", p.FleetJoulesPerRequest), fmt.Sprintf("%.2f", p.FleetAvgPowerW),
-				fmt.Sprint(p.IdleMachines), fmt.Sprint(p.Migrated), fmt.Sprint(p.PeakInflight),
-			})
-		}
-	}
-}
-
-// clusterPolicies renders Figure 25 (extension): placement policies
-// compared on one fleet — fleet joules/request, tail latency and
-// idle-machine consolidation vs offered load for random, jsq, p2c and
-// gossip over six 2-worker machines.
-func (s *Session) clusterPolicies(fig int) Table {
-	res := s.runClusterFigure([]hermes.Placement{
-		hermes.PlacementRandom(),
-		hermes.PlacementJSQ(),
-		hermes.PlacementPowerOfChoices(2),
-		hermes.PlacementGossip(),
-	}, []int{6}, nil)
-	t := Table{
-		Figure: fmt.Sprintf("Figure %d", fig),
-		Title: fmt.Sprintf("Cluster (extension): placement policies on 6 machines, %s under Poisson load, unified mode",
-			clusterSpec().Kind),
-		Columns: []string{"policy", "machines", "rps", "p50-ms", "p99-ms", "fleetJ/req", "fleet-W", "idle-machines", "migrated", "peak-inflight"},
-		Notes: []string{
-			"extension beyond the paper: N simulated machines in one virtual-time engine behind a placement tier;",
-			"fleet energy charges every machine over the same window, so consolidating policies (p2c's idle-first rule)",
-			"win by leaving whole machines parked in the lowest DVFS tier while random's collisions queue jobs",
-		},
-	}
-	clusterRows(&t, res)
-	return t
-}
-
-// clusterScaling renders Figure 26 (extension): fleet-size scaling for
-// the consolidating vs spreading pair — how joules/request and the
-// latency tail move as the same offered load runs over 2, 4 and 8
-// machines.
-func (s *Session) clusterScaling(fig int) Table {
-	res := s.runClusterFigure([]hermes.Placement{
-		hermes.PlacementPowerOfChoices(2),
-		hermes.PlacementRandom(),
-	}, []int{2, 4, 8}, nil)
-	t := Table{
-		Figure: fmt.Sprintf("Figure %d", fig),
-		Title: fmt.Sprintf("Cluster (extension): fleet-size scaling, p2c vs random, %s under Poisson load, unified mode",
-			clusterSpec().Kind),
-		Columns: []string{"policy", "machines", "rps", "p50-ms", "p99-ms", "fleetJ/req", "fleet-W", "idle-machines", "migrated", "peak-inflight"},
-		Notes: []string{
-			"extension beyond the paper: growing the fleet at fixed offered load trades fleet joules/request",
-			"(more idle floor draw) against tail latency; p2c keeps the extra machines parked until needed",
-		},
-	}
-	clusterRows(&t, res)
-	return t
-}
-
-// clusterFaults renders Figure 27 (extension): availability vs energy
-// under injected faults — every registered fault plan replayed over
-// the SAME seeded traces on a p2c fleet, so the availability ledger
-// (crashes, retries, lost jobs, downtime) and the fleet energy bill
-// are directly comparable against the fault-free row.
-func (s *Session) clusterFaults(fig int) Table {
-	res := s.runClusterFigure(
-		[]hermes.Placement{hermes.PlacementPowerOfChoices(2)},
-		[]int{4},
-		[]string{"none", "crash", "failslow", "blip"},
-	)
-	t := Table{
-		Figure: fmt.Sprintf("Figure %d", fig),
-		Title: fmt.Sprintf("Cluster (extension): availability vs energy under fault injection, p2c on 4 machines, %s, unified mode",
-			clusterSpec().Kind),
-		Columns: []string{"faults", "rps", "p50-ms", "p99-ms", "fleetJ/req", "availability", "crashes", "retries", "lost", "downtime-ms"},
-		Notes: []string{
-			"extension beyond the paper: deterministic fault plans (crash = fail-stop with rejoin, failslow =",
-			"long stragglers, blip = short 25x stalls) compiled from the run seed and replayed in virtual time;",
-			"crashed machines draw zero power, their jobs are re-placed with seeded backoff (bounded retries)",
-		},
-	}
-	for _, c := range res.Curves {
-		faults := c.Faults
-		if faults == "" {
-			faults = "none"
-		}
-		for _, p := range c.Points {
-			// Fault-free points leave Availability unset to keep the JSON
-			// artifact byte-stable; the figure prints the 1 it trivially is.
-			avail := p.Availability
-			if c.Faults == "" && p.Completed > 0 {
-				avail = 1
-			}
-			t.Rows = append(t.Rows, []string{
-				faults, fmt.Sprintf("%g", p.OfferedRPS),
-				fmt.Sprintf("%.3f", p.P50SojournMS), fmt.Sprintf("%.3f", p.P99SojournMS),
-				fmt.Sprintf("%.4f", p.FleetJoulesPerRequest),
-				fmt.Sprintf("%.4f", avail),
-				fmt.Sprint(p.Crashes), fmt.Sprint(p.Retries), fmt.Sprint(p.Lost),
-				fmt.Sprintf("%.3f", p.DowntimeS*1000),
-			})
-		}
-	}
-	return t
 }
 
 // norm fills in the default tempo pair so cache keys unify the "nil =

@@ -69,8 +69,7 @@ type Session struct {
 	opts    Options
 	cache   map[string]Avg
 	scripts map[input]*wl.Script
-	// Log, when non-nil, receives a line per completed run and per
-	// failed sweep job.
+	// Log, when non-nil, receives a line per completed run.
 	Log func(string)
 }
 

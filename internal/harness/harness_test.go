@@ -59,7 +59,7 @@ func TestCompareDirections(t *testing.T) {
 
 func TestFigureRegistryComplete(t *testing.T) {
 	ids := Figures()
-	want := []int{6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28}
+	want := []int{6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22}
 	if len(ids) != len(want) {
 		t.Fatalf("figures = %v", ids)
 	}
@@ -68,8 +68,11 @@ func TestFigureRegistryComplete(t *testing.T) {
 			t.Fatalf("figures[%d] = %d, want %d", i, ids[i], want[i])
 		}
 	}
-	if _, err := NewSession(Quick()).Figure(99); err == nil {
-		t.Fatal("unknown figure must error")
+	// Open-system experiments are `hermes-bench -sweep` runs, not figures.
+	for _, id := range []int{23, 99} {
+		if _, err := NewSession(Quick()).Figure(id); err == nil {
+			t.Fatalf("figure %d must error", id)
+		}
 	}
 }
 
@@ -136,98 +139,6 @@ func TestFigure19TraceTiny(t *testing.T) {
 	}
 	if len(tab.Columns) != 3 {
 		t.Fatalf("trace columns = %v", tab.Columns)
-	}
-}
-
-// TestFigure23OpenSystemTiny renders the open-system extension figure
-// at tiny scale: baseline and unified curves over the full rate grid,
-// deterministic across two sessions.
-func TestFigure23OpenSystemTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness end-to-end is not short")
-	}
-	render := func() Table {
-		tab, err := tinySession().Figure(23)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab
-	}
-	tab := render()
-	if len(tab.Rows) != 2*len(openSystemRates) { // 2 modes × rate grid
-		t.Fatalf("figure 23 rows = %d, want %d", len(tab.Rows), 2*len(openSystemRates))
-	}
-	modes := map[string]bool{}
-	for _, row := range tab.Rows {
-		modes[row[0]] = true
-	}
-	if !modes["baseline"] || !modes["hermes"] {
-		t.Fatalf("figure 23 missing a mode: %v", modes)
-	}
-	if len(tab.Notes) < 4 { // 2 method notes + one knee line per mode
-		t.Fatalf("figure 23 notes = %v", tab.Notes)
-	}
-	if again := render(); again.CSV() != tab.CSV() {
-		t.Fatal("open-system figure not deterministic across sessions")
-	}
-}
-
-// TestFigure25ClusterTiny renders the cluster placement-policy figure
-// at tiny scale: one row per (policy, rate) on the fixed 6-machine
-// fleet, deterministic across two sessions.
-func TestFigure25ClusterTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness end-to-end is not short")
-	}
-	render := func() Table {
-		tab, err := tinySession().Figure(25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab
-	}
-	tab := render()
-	if len(tab.Rows) != 4*len(clusterRates) { // 4 policies × rate grid
-		t.Fatalf("figure 25 rows = %d, want %d", len(tab.Rows), 4*len(clusterRates))
-	}
-	policies := map[string]bool{}
-	for _, row := range tab.Rows {
-		policies[row[0]] = true
-		if row[1] != "6" {
-			t.Fatalf("figure 25 fleet size = %q, want 6", row[1])
-		}
-	}
-	for _, want := range []string{"random", "jsq", "p2c", "gossip"} {
-		if !policies[want] {
-			t.Fatalf("figure 25 missing policy %q: %v", want, policies)
-		}
-	}
-	if again := render(); again.CSV() != tab.CSV() {
-		t.Fatal("cluster figure not deterministic across sessions")
-	}
-}
-
-// TestFigure26ClusterScalingTiny renders the fleet-size scaling figure
-// at tiny scale: p2c and random over machines {2,4,8}.
-func TestFigure26ClusterScalingTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness end-to-end is not short")
-	}
-	tab, err := tinySession().Figure(26)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2*3*len(clusterRates) { // 2 policies × 3 fleet sizes × rates
-		t.Fatalf("figure 26 rows = %d, want %d", len(tab.Rows), 2*3*len(clusterRates))
-	}
-	fleets := map[string]bool{}
-	for _, row := range tab.Rows {
-		fleets[row[1]] = true
-	}
-	for _, want := range []string{"2", "4", "8"} {
-		if !fleets[want] {
-			t.Fatalf("figure 26 missing fleet size %q: %v", want, fleets)
-		}
 	}
 }
 

@@ -11,12 +11,13 @@ import (
 
 // TestClusterSweepDeterministicArtifact is the cluster acceptance pin:
 // two runs of the same (machines, placement, seed, trace) grid yield
-// byte-identical JSON artifacts.
+// byte-identical JSON artifacts, over every placement policy.
 func TestClusterSweepDeterministicArtifact(t *testing.T) {
 	cfg := ClusterConfig{
 		Workload: tinySpec(),
 		Mode:     hermes.Unified,
-		Policies: []hermes.Placement{hermes.PlacementPowerOfChoices(2), hermes.PlacementGossip()},
+		Policies: []hermes.Placement{hermes.PlacementRandom(), hermes.PlacementJSQ(),
+			hermes.PlacementPowerOfChoices(2), hermes.PlacementGossip()},
 		Machines: []int{2, 3},
 		RatesRPS: []float64{400},
 		Window:   30 * time.Millisecond,
@@ -42,10 +43,12 @@ func TestClusterSweepDeterministicArtifact(t *testing.T) {
 	if string(ja) != string(jb) {
 		t.Fatal("cluster sweep artifact not byte-identical across identical runs")
 	}
-	if len(a.Curves) != 4 {
-		t.Fatalf("grid shape: %d curves, want 2 policies × 2 machine counts", len(a.Curves))
+	if len(a.Curves) != 8 {
+		t.Fatalf("grid shape: %d curves, want 4 policies × 2 machine counts", len(a.Curves))
 	}
+	fleets := map[string]int{}
 	for _, c := range a.Curves {
+		fleets[c.Policy]++
 		for _, p := range c.Points {
 			if p.Completed == 0 || p.Errors != 0 {
 				t.Fatalf("%s ×%d: completed %d, errors %d", c.Policy, c.Machines, p.Completed, p.Errors)
@@ -53,6 +56,11 @@ func TestClusterSweepDeterministicArtifact(t *testing.T) {
 			if len(p.PerMachine) != c.Machines {
 				t.Fatalf("%s ×%d: %d per-machine rows", c.Policy, c.Machines, len(p.PerMachine))
 			}
+		}
+	}
+	for _, want := range []string{"random", "jsq", "p2c", "gossip"} {
+		if fleets[want] != 2 {
+			t.Fatalf("policy %s has %d curves, want one per fleet size: %v", want, fleets[want], fleets)
 		}
 	}
 	if a.CSV() != b.CSV() {

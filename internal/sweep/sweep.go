@@ -352,17 +352,6 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// CanonicalDispatch normalizes a dispatch policy for artifacts: the
-// default FIFO renders as "" (omitted from JSON) so pre-dispatch
-// artifacts keep their byte-exact shape; ranked policies render their
-// canonical names.
-func CanonicalDispatch(d hermes.Dispatch) string {
-	if d == hermes.DispatchFIFO {
-		return ""
-	}
-	return d.String()
-}
-
 // kneeOf unpacks a curve's nullable knee.
 func kneeOf(k *float64) (float64, bool) {
 	if k == nil {

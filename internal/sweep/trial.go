@@ -67,11 +67,16 @@ func (g grid) validate() (grid, error) {
 	return g, nil
 }
 
-// canonicalDispatch is the grid's dispatch policy as artifacts carry it;
-// the grid must have validated.
+// canonicalDispatch is the grid's dispatch policy as artifacts carry
+// it; the grid must have validated. The default FIFO renders as ""
+// (omitted from JSON) so pre-dispatch artifacts keep their byte-exact
+// shape; ranked policies render their canonical names.
 func (g grid) canonicalDispatch() string {
 	d, _ := hermes.ParseDispatch(g.dispatch)
-	return CanonicalDispatch(d)
+	if d == hermes.DispatchFIFO {
+		return ""
+	}
+	return d.String()
 }
 
 // quantumMS is the preemption quantum as artifacts carry it.
