@@ -13,10 +13,11 @@ import (
 )
 
 // task is one deque item: a workload closure, the fork-join block it
-// belongs to, and the job it is accounted against. root marks a job's
-// injected root task, whose completion completes the job. Spawned tasks
-// are pooled per worker: the worker that runs one (its own or stolen)
-// recycles it into its own free list.
+// belongs to, and the job it is accounted against; a Fork2 task has no
+// closure, and runs its block's body. root marks a job's injected root
+// task, whose completion completes the job. Spawned tasks are pooled
+// per worker: the worker that runs one (its own or stolen) recycles it
+// into its own free list.
 type task struct {
 	fn   wl.Task
 	blk  *block
@@ -26,11 +27,15 @@ type task struct {
 
 // block tracks one Ctx.Go fork-join block: how many of its pushed
 // tasks are still outstanding and, if the owning worker had to park
-// waiting for stolen tasks, who to wake. The forking worker recycles
-// it once its join has drained it.
+// waiting for stolen tasks, who to wake. A Fork2 block also carries
+// its pushed call, body(x, y), and its result, 0 until that call
+// returns. The forking worker recycles it once its join has drained
+// it.
 type block struct {
-	pending int
-	waiter  *worker
+	pending   int
+	waiter    *worker
+	body      wl.Body
+	x, y, res int
 }
 
 // worker is one scheduler thread pinned to a core on its own clock
@@ -360,10 +365,11 @@ func (w *worker) getBlock(pending int) *block {
 	return &block{pending: pending}
 }
 
-// putBlock recycles a block whose join drained it: no task and no
-// waiter refers to it any more.
+// putBlock clears and recycles a block whose join drained it: no task
+// and no waiter refers to it any more.
 func (w *worker) putBlock(blk *block) {
 	if len(w.freeBlocks) < cap(w.freeBlocks) {
+		blk.body, blk.res = nil, 0
 		w.freeBlocks = append(w.freeBlocks, blk)
 	}
 }
@@ -400,7 +406,11 @@ func (w *worker) runBody(t *task) {
 		}
 		w.base = outer
 	}()
-	t.fn(t.job.ctx(w))
+	if t.fn != nil {
+		t.fn(t.job.ctx(w))
+	} else {
+		t.blk.res = t.blk.body(t.job.ctx(w), t.blk.x, t.blk.y)
+	}
 	w.settle()
 }
 
@@ -669,6 +679,27 @@ func (c *ctx) Go(tasks ...wl.Task) {
 	if blk.pending == 0 {
 		w.putBlock(blk)
 	}
+}
+
+// Fork2 is Go's two-task block, event for event, with the pushed call
+// and its result in the pooled block.
+func (c *ctx) Fork2(f wl.Body, a0, a1, b0, b1 int) (int, int) {
+	w := c.w
+	w.settle()
+	if w.s.taskCancelled(c.j) {
+		return 0, 0
+	}
+	blk := w.getBlock(1)
+	blk.body, blk.x, blk.y = f, b0, b1
+	w.push(w.getTask(nil, blk, c.j))
+	a := f(c, a0, a1)
+	w.settle()
+	w.join(blk)
+	b := blk.res
+	if blk.pending == 0 {
+		w.putBlock(blk)
+	}
+	return a, b
 }
 
 // Work accounts CPU-bound cycles, settled at the next spawn or return.

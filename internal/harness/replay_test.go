@@ -95,6 +95,10 @@ func (c callLog) Go(tasks ...wl.Task) {
 	}
 	fmt.Fprint(c.h, "join\n")
 }
+func (c callLog) Fork2(f wl.Body, a0, a1, b0, b1 int) (a, b int) {
+	c.Go(func(c wl.Ctx) { a = f(c, a0, a1) }, func(c wl.Ctx) { b = f(c, b0, b1) })
+	return a, b
+}
 func (c callLog) Work(cy units.Cycles) { fmt.Fprintf(c.h, "w %d\n", cy) }
 func (c callLog) Mem(d units.Time)     { fmt.Fprintf(c.h, "m %d\n", int64(d)) }
 func (c callLog) WorkMix(cy units.Cycles, f float64) {
@@ -129,6 +133,10 @@ func (c *workSpan) Go(tasks ...wl.Task) {
 		longest = max(longest, k.span)
 	}
 	c.span += longest
+}
+func (c *workSpan) Fork2(f wl.Body, a0, a1, b0, b1 int) (a, b int) {
+	c.Go(func(c wl.Ctx) { a = f(c, a0, a1) }, func(c wl.Ctx) { b = f(c, b0, b1) })
+	return a, b
 }
 func (c *workSpan) Worker() int { return 0 }
 

@@ -54,6 +54,11 @@
 // Rito & Paulino bound synchronization by the steals (about 7 a job
 // here); all of the rest is on the owner's path.
 //
+// A Fork2 spawn allocates nothing: its Body, the two ints and its
+// result are carried in the pooled block. fibtree and wl.For's splits
+// spawn through it, so native_forkjoin measures the scheduler, not the
+// allocator.
+//
 // Since the host exposes neither per-domain DVFS nor an energy meter,
 // tempo control here is emulated and accounted rather than physically
 // applied: a worker at tempo frequency f executes declared Work cycles

@@ -43,8 +43,9 @@ const freeListCap = 256
 
 // task is one deque item: a workload closure, the fork-join block it
 // belongs to (nil for a job's root) and the job it is accounted
-// against. Tasks are pooled per worker: a worker that executes a task
-// (its own or stolen) recycles it into its own free list.
+// against; a Fork2 task has no closure, and runs its block's body.
+// Tasks are pooled per worker: a worker that executes a task (its own
+// or stolen) recycles it into its own free list.
 type task struct {
 	fn  wl.Task
 	blk *block
@@ -67,10 +68,17 @@ type task struct {
 // handshake lossless: either the decrementer sees the announcement
 // and signals, or the joiner's re-check sees pending==0 and never
 // sleeps.
+//
+// A Fork2 block carries its pushed call, body(x, y); its runner writes
+// res before the decrement, and the joiner reads it at pending zero.
+// putBlock clears body and res, so the pool pins no finished job's
+// Body and a skipped call yields 0.
 type block struct {
-	pending atomic.Int64
-	waiting atomic.Bool
-	done    chan struct{}
+	pending   atomic.Int64
+	waiting   atomic.Bool
+	done      chan struct{}
+	body      wl.Body
+	x, y, res int
 }
 
 // signal delivers the block's completion token, non-blocking.
@@ -824,11 +832,12 @@ func (w *worker) getBlock(pending int64) *block {
 	return blk
 }
 
-// putBlock recycles a drained block. Safe even with a stray late
-// signal in flight: the token lands in the buffered channel and is
-// drained on reuse (or causes one spurious, absorbed wake).
+// putBlock clears and recycles a drained block. Safe even with a
+// stray late signal in flight: the token lands in the buffered channel
+// and is drained on reuse (or causes one spurious, absorbed wake).
 func (w *worker) putBlock(blk *block) {
 	if len(w.freeBlocks) < cap(w.freeBlocks) {
+		blk.body, blk.res = nil, 0
 		w.freeBlocks = append(w.freeBlocks, blk)
 	}
 }
@@ -1009,7 +1018,11 @@ func (w *worker) runTask(t *task) {
 					js.fail(fmt.Errorf("rt: job %d task panicked: %v\n%s", js.id, p, debug.Stack()))
 				}
 			}()
-			fn(w.curIface)
+			if fn != nil {
+				fn(w.curIface)
+			} else {
+				blk.res = blk.body(w.curIface, blk.x, blk.y)
+			}
 		}()
 	}
 }
@@ -1087,6 +1100,25 @@ func (c *wctx) Go(tasks ...wl.Task) {
 	tasks[0](c)
 	w.join(blk)
 	w.putBlock(blk)
+}
+
+// Fork2 is Go's two-task block with the pushed call and its result in
+// the pooled block, so it allocates nothing.
+func (c *wctx) Fork2(f wl.Body, a0, a1, b0, b1 int) (int, int) {
+	js := c.js
+	if js.cancelled.Load() {
+		js.interrupted.Store(true) // spawn boundary, as in Go
+		return 0, 0
+	}
+	w := c.w
+	blk := w.getBlock(1)
+	blk.body, blk.x, blk.y = f, b0, b1
+	w.push(w.getTask(nil, blk, js))
+	a := f(c, a0, a1)
+	w.join(blk)
+	b := blk.res
+	w.putBlock(blk)
+	return a, b
 }
 
 // Work executes declared cycles at the worker's current tempo

@@ -651,6 +651,53 @@ func spawnJoinSteadyStateZeroAlloc(t *testing.T, mode core.Mode) {
 	}
 }
 
+// TestForkJoinSteadyStateZeroAlloc pins Fork2: on a warm pool, the
+// catalog's fibtree allocates under 0.01 times per task and a wl.For
+// loop under 0.01 times per split, the job's fixed setup included.
+func TestForkJoinSteadyStateZeroAlloc(t *testing.T) {
+	fibtree, _, err := workload.Spec{Kind: "fibtree", N: 24, Grain: 4}.Task()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forLoop := func(c wl.Ctx) { wl.For(c, 0, 1<<15, 1, func(wl.Ctx, int, int) {}) }
+	for _, mode := range []core.Mode{core.Baseline, core.Unified} {
+		e, err := NewExec(core.Config{Spec: cpu.SystemB(), Workers: 2, Mode: mode, Seed: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			root wl.Task
+		}{{"fibtree", fibtree}, {"wl.For", forLoop}} {
+			run := func() core.Report {
+				j, err := e.Submit(context.Background(), tc.root, core.Class{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := j.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			run() // warm the free lists and idle timers
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r := run()
+			runtime.ReadMemStats(&after)
+			// Every fibtree task but the root is one Fork2 spawn, and so
+			// is every split of wl.For.
+			per := float64(after.Mallocs-before.Mallocs) / float64(r.Spawns)
+			t.Logf("%v %s: %.4f allocs per spawn over %d spawns", mode, tc.name, per, r.Spawns)
+			if r.Spawns < 10_000 || per >= 0.01 {
+				t.Errorf("%v %s: %.4f allocs per spawn over %d spawns, want < 0.01 over ≥ 10 000",
+					mode, tc.name, per, r.Spawns)
+			}
+		}
+		e.Close()
+	}
+}
+
 // TestNativeParkAndRootTake pins the tempo policy's park and root-take
 // rules on the Native executor, at the fixed K = 2 and 500µs profiler.
 // A fresh pool halts at the slowest tempo before its first job, and so

@@ -326,8 +326,9 @@ func TestPeakInflightCountsQueuedJobs(t *testing.T) {
 // allocsPerJobCeiling bounds heap allocations per completed job at
 // BenchmarkSweepPoint's configuration (ROADMAP 13(d)). A change that
 // lowers them lowers it: the simulated scheduler allocated 122.2 per
-// job (435 jobs) before tasks, blocks and Ctxs were pooled, 64.6 after.
-const allocsPerJobCeiling = 68
+// job (435 jobs) before tasks, blocks and Ctxs were pooled, 64.6 after,
+// and 19.6 since wl.For splits through Fork2.
+const allocsPerJobCeiling = 22
 
 // TestSweepPointAllocCeiling counts mallocs around one grid point
 // (after a warm-up point) and divides by its completed jobs. Counts

@@ -126,6 +126,12 @@ func (c recCtx) Go(tasks ...Task) {
 	}
 }
 
+// Fork2 is Go with its two tasks, so it records the same block.
+func (c recCtx) Fork2(f Body, a0, a1, b0, b1 int) (a, b int) {
+	c.Go(func(c Ctx) { a = f(c, a0, a1) }, func(c Ctx) { b = f(c, b0, b1) })
+	return a, b
+}
+
 func (c recCtx) Work(cy units.Cycles) { c.n.ops = append(c.n.ops, op{kind: 'w', n: int64(cy)}) }
 
 func (c recCtx) Mem(d units.Time) { c.n.ops = append(c.n.ops, op{kind: 'm', n: int64(d)}) }

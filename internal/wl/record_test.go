@@ -22,6 +22,9 @@ func (c logCtx) Go(tasks ...Task) {
 	}
 	*c.log = append(*c.log, "join")
 }
+func (c logCtx) Fork2(f Body, a0, a1, b0, b1 int) (int, int) {
+	return goFork2(c, f, a0, a1, b0, b1)
+}
 func (c logCtx) Work(cy units.Cycles) { *c.log = append(*c.log, fmt.Sprint("work ", cy)) }
 func (c logCtx) Mem(d units.Time)     { *c.log = append(*c.log, fmt.Sprint("mem ", int64(d))) }
 func (c logCtx) WorkMix(cy units.Cycles, f float64) {
@@ -95,6 +98,10 @@ func (c nopCtx) Go(tasks ...Task) {
 		t(c)
 	}
 }
+func (c nopCtx) Fork2(f Body, a0, a1, b0, b1 int) (int, int) {
+	a := f(c, a0, a1)
+	return a, f(c, b0, b1)
+}
 func (nopCtx) Work(units.Cycles)             {}
 func (nopCtx) Mem(units.Time)                {}
 func (nopCtx) WorkMix(units.Cycles, float64) {}
@@ -141,6 +148,74 @@ func TestRecordPanicSurfacesAfterHelpers(t *testing.T) {
 		}
 		if slowStarted.Load() != slowDone.Load() || (at == 2 && !slowDone.Load()) {
 			t.Fatalf("task %d: Record raised before the slow sibling returned", at)
+		}
+	}
+}
+
+// goFork2 is Fork2's two-closure twin: the Go block it must equal.
+func goFork2(c Ctx, f Body, a0, a1, b0, b1 int) (a, b int) {
+	c.Go(func(c Ctx) { a = f(c, a0, a1) }, func(c Ctx) { b = f(c, b0, b1) })
+	return a, b
+}
+
+// forkTree is an uneven tree of two-way blocks made by fork, whose
+// costs depend on the results that come back through the joins; the
+// root stores its own result in *sum.
+func forkTree(fork func(c Ctx, f Body, a0, a1, b0, b1 int) (int, int), sum *int) Task {
+	var f Body
+	f = func(c Ctx, lo, hi int) int {
+		c.Work(units.Cycles(lo*hi + 1))
+		if hi-lo <= 2 {
+			c.Mem(units.Time(hi))
+			return hi - lo
+		}
+		mid := lo + (hi-lo)/3
+		a, b := fork(c, f, lo, mid, mid, hi)
+		c.WorkMix(units.Cycles(100*a+b), 0.25)
+		return a + b
+	}
+	return func(c Ctx) { *sum = f(c, 0, 200) }
+}
+
+// TestRecordFork2MatchesGoTwin: a recording of a Fork2 tree is the
+// recording of its two-closure Go twin: the same tasks, spawns and
+// replayed calls, and the same results through the joins.
+func TestRecordFork2MatchesGoTwin(t *testing.T) {
+	var sumFork2, sumGo int
+	a, b := Record(forkTree(Ctx.Fork2, &sumFork2)), Record(forkTree(goFork2, &sumGo))
+	if sumFork2 != 200 || sumGo != 200 {
+		t.Fatalf("tree sums %d (Fork2) and %d (Go), want 200", sumFork2, sumGo)
+	}
+	if a.Tasks() != b.Tasks() || a.Spawns() != b.Spawns() || a.Spawns() < 50 {
+		t.Fatalf("Fork2 recording %d tasks / %d spawns, Go twin %d / %d",
+			a.Tasks(), a.Spawns(), b.Tasks(), b.Spawns())
+	}
+	var la, lb []string
+	a.Task()(logCtx{&la})
+	b.Task()(logCtx{&lb})
+	if strings.Join(la, "\n") != strings.Join(lb, "\n") {
+		t.Fatal("the Fork2 recording replays other calls than its Go twin's")
+	}
+}
+
+// TestRecordFork2PanicSurfaces: a panic in either call of a Fork2,
+// the pushed one perhaps on a helper, re-raises from Record.
+func TestRecordFork2PanicSurfaces(t *testing.T) {
+	for _, at := range []int{0, 1} {
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			Record(func(c Ctx) {
+				c.Fork2(func(c Ctx, x, _ int) int {
+					if x == at {
+						panic(fmt.Sprintf("fault in call %d", at))
+					}
+					return x
+				}, 0, 0, 1, 0)
+			})
+			return nil
+		}()
+		if got != fmt.Sprintf("fault in call %d", at) {
+			t.Fatalf("call %d: Record raised %v", at, got)
 		}
 	}
 }

@@ -6,12 +6,21 @@
 // calibrated throttling). Record executes a Task on the host's cores
 // and keeps its calls as a Script, whose Task makes the same calls on
 // either executor; Worker is unavailable while recording.
+//
+// Go forks any number of closures. Fork2 forks two calls of one Body
+// on ints, which the executors carry in their pooled fork-join block,
+// so a Fork2 tree (For's splits, a divide and conquer) allocates
+// nothing per spawn. Use Go where the children need more, or differ.
 package wl
 
 import "hermes/internal/units"
 
 // Task is a unit of parallel work.
 type Task func(Ctx)
+
+// Body is a unit of parallel work that takes two ints and returns one:
+// what Fork2 spawns.
+type Body func(c Ctx, x, y int) int
 
 // Ctx is the per-task handle into the runtime.
 type Ctx interface {
@@ -23,12 +32,20 @@ type Ctx interface {
 	// block before returning.
 	Go(tasks ...Task)
 
+	// Fork2 is Go with two tasks that call f: f(c, b0, b1) is pushed,
+	// f(c, a0, a1) runs inline, and the block is joined before both
+	// results return, inline first. It records, schedules and costs
+	// exactly as that Go, but the executors allocate nothing for it. A
+	// task that a cancelled job skips yields 0.
+	Fork2(f Body, a0, a1, b0, b1 int) (int, int)
+
 	// Work accounts c cycles of CPU-bound computation. The cycles
 	// retire at the hosting core's current frequency; a DVFS
 	// transition mid-task re-rates the remainder. The tasks of one
 	// block communicate only through the block's join: on Sim, Work
-	// and Mem return at once and are simulated at the body's next Go
-	// or return, which no body can tell from being simulated in place.
+	// and Mem return at once and are simulated at the body's next
+	// fork or return, which no body can tell from being simulated in
+	// place.
 	Work(c units.Cycles)
 
 	// Mem accounts d of frequency-independent time (memory-bound
@@ -53,17 +70,15 @@ func For(c Ctx, lo, hi, grain int, body func(Ctx, int, int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	var split func(c Ctx, lo, hi int)
-	split = func(c Ctx, lo, hi int) {
+	var split Body
+	split = func(c Ctx, lo, hi int) int {
 		if hi-lo <= grain {
 			body(c, lo, hi)
-			return
+		} else {
+			mid := lo + (hi-lo)/2
+			c.Fork2(split, lo, mid, mid, hi)
 		}
-		mid := lo + (hi-lo)/2
-		c.Go(
-			func(c Ctx) { split(c, lo, mid) },
-			func(c Ctx) { split(c, mid, hi) },
-		)
+		return 0
 	}
 	if lo < hi {
 		split(c, lo, hi)

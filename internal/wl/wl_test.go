@@ -20,6 +20,11 @@ func (f *fakeCtx) Go(tasks ...Task) {
 		t(f)
 	}
 }
+func (f *fakeCtx) Fork2(b Body, a0, a1, b0, b1 int) (int, int) {
+	f.blocks++
+	x := b(f, a0, a1)
+	return x, b(f, b0, b1)
+}
 func (f *fakeCtx) Work(c units.Cycles) { f.cycles += c }
 func (f *fakeCtx) Mem(d units.Time)    { f.mem += d }
 func (f *fakeCtx) WorkMix(c units.Cycles, frac float64) {

@@ -19,7 +19,8 @@ func init() {
 		Defaults: Spec{N: 18, Grain: 10, Work: 20_000},
 		MaxN:     32,
 		Build: func(s Spec) (wl.Task, error) {
-			return func(c wl.Ctx) { fib(c, s.N, s.Grain, s.Work, s.MemFrac) }, nil
+			fib := s.fib()
+			return func(c wl.Ctx) { fib(c, s.N, 0) }, nil
 		},
 	}, {
 		Name:     "matmul",
@@ -45,13 +46,10 @@ func init() {
 		Defaults: Spec{N: 21, Grain: 12},
 		MaxN:     32,
 		Build: func(s Spec) (wl.Task, error) {
-			want := serialFib(s.N)
-			out := new(int)
-			inner := fibTree(s.N, s.Grain, out)
+			want, fib := serialFib(s.N), fibTree(s.Grain)
 			return func(c wl.Ctx) {
-				inner(c)
-				if *out != want {
-					panic(fmt.Sprintf("workload: fibtree(%d) = %d, want %d", s.N, *out, want))
+				if got := fib(c, s.N, 0); got != want {
+					panic(fmt.Sprintf("workload: fibtree(%d) = %d, want %d", s.N, got, want))
 				}
 			}, nil
 		},
@@ -113,26 +111,22 @@ func spawnJoinLoop(ops int) wl.Task {
 	}
 }
 
-// fibTree returns a root task computing fib(n) as a binary spawn tree
-// with a serial cutoff — the paper's fine-grained stress whose
+// fibTree returns a Body computing fib(n) as a binary spawn tree with
+// a serial cutoff — the paper's fine-grained stress whose
 // task-boundary rate exposes any lock or allocation on the scheduler
-// hot path. The result lands in *out for validation against
+// hot path. Its spawns are Fork2s, so the tree allocates nothing and
+// the result comes back through the joins for validation against
 // serialFib.
-func fibTree(n, cutoff int, out *int) wl.Task {
-	var fib func(c wl.Ctx, n int, out *int)
-	fib = func(c wl.Ctx, n int, out *int) {
+func fibTree(cutoff int) wl.Body {
+	var fib wl.Body
+	fib = func(c wl.Ctx, n, _ int) int {
 		if n < cutoff {
-			*out = serialFib(n)
-			return
+			return serialFib(n)
 		}
-		var a, b int
-		c.Go(
-			func(c wl.Ctx) { fib(c, n-1, &a) },
-			func(c wl.Ctx) { fib(c, n-2, &b) },
-		)
-		*out = a + b
+		a, b := c.Fork2(fib, n-1, 0, n-2, 0)
+		return a + b
 	}
-	return func(c wl.Ctx) { fib(c, n, out) }
+	return fib
 }
 
 // serialFib is the sequential reference.
@@ -147,23 +141,26 @@ func serialFib(n int) int {
 	return b
 }
 
-// fib spawns the canonical binary recursion; every node accounts work
-// cycles, and subtrees of height <= cutoff run serially on the owning
-// worker (the usual Cilk granularity control).
-func fib(c wl.Ctx, n, cutoff int, work units.Cycles, memFrac float64) {
-	c.WorkMix(work, memFrac)
-	if n < 2 {
-		return
+// fib returns the canonical binary recursion as a Body of n: every
+// node accounts work cycles, and subtrees of height <= Grain run
+// serially on the owning worker (the usual Cilk granularity control).
+func (s Spec) fib() wl.Body {
+	work, memFrac, cutoff := s.Work, s.MemFrac, s.Grain
+	var fib wl.Body
+	fib = func(c wl.Ctx, n, _ int) int {
+		c.WorkMix(work, memFrac)
+		if n < 2 {
+			return 0
+		}
+		if n <= cutoff {
+			fibSerial(c, n-1, work, memFrac)
+			fibSerial(c, n-2, work, memFrac)
+		} else {
+			c.Fork2(fib, n-1, 0, n-2, 0)
+		}
+		return 0
 	}
-	if n <= cutoff {
-		fibSerial(c, n-1, work, memFrac)
-		fibSerial(c, n-2, work, memFrac)
-		return
-	}
-	c.Go(
-		func(c wl.Ctx) { fib(c, n-1, cutoff, work, memFrac) },
-		func(c wl.Ctx) { fib(c, n-2, cutoff, work, memFrac) },
-	)
+	return fib
 }
 
 func fibSerial(c wl.Ctx, n int, work units.Cycles, memFrac float64) {

@@ -249,6 +249,11 @@ func (c *serialCtx) Go(tasks ...wl.Task) {
 		t(c)
 	}
 }
+func (c *serialCtx) Fork2(f wl.Body, a0, a1, b0, b1 int) (int, int) {
+	c.tasks += 2
+	a := f(c, a0, a1)
+	return a, f(c, b0, b1)
+}
 func (*serialCtx) Work(units.Cycles)             {}
 func (*serialCtx) Mem(units.Time)                {}
 func (*serialCtx) WorkMix(units.Cycles, float64) {}
@@ -271,8 +276,7 @@ func TestFibtreeDefaultsAndSelfCheck(t *testing.T) {
 		t.Fatalf("serialFib(21) = %d, want 10946", got)
 	}
 	for _, n := range []int{0, 1, 11, 12, 13, 21} {
-		var out int
-		fibTree(n, 12, &out)(&serialCtx{})
+		out := fibTree(12)(&serialCtx{}, n, 0)
 		if want := serialFib(n); out != want {
 			t.Errorf("fibTree(%d, 12) = %d, want %d", n, out, want)
 		}
