@@ -18,10 +18,6 @@ type Placement = cluster.Policy
 // for every CLI flag.
 func ParsePlacement(s string) (Placement, error) { return cluster.Parse(s) }
 
-// PlacementNames lists the canonical policy names ParsePlacement
-// accepts, for CLI help text and validation.
-func PlacementNames() []string { return cluster.Known() }
-
 // PlacementRandom places each job on a uniformly random machine —
 // load-blind, the spreading baseline.
 func PlacementRandom() Placement { return Placement{Kind: "random"} }

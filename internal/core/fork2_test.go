@@ -78,7 +78,7 @@ func TestFork2IsGoWithTwoTasks(t *testing.T) {
 
 // fork2Job runs root as the one job of a one-machine pool whose
 // cancellation hook is cancelled, and returns its report and error.
-func fork2Job(t *testing.T, workers int, root wl.Task, cancelled func() bool) (Report, error) {
+func fork2Job(t *testing.T, workers int, root wl.Task, cancelled func() error) (Report, error) {
 	t.Helper()
 	p, err := oneMachine(Config{Spec: cpu.SystemB(), Workers: workers, Seed: 3})
 	if err != nil {
@@ -100,7 +100,7 @@ func fork2Job(t *testing.T, workers int, root wl.Task, cancelled func() bool) (R
 }
 
 // TestFork2PanicFailsJob: a panicking pushed Body fails its job with
-// the panic's stack.
+// the panic's stack, and with nothing else.
 func TestFork2PanicFailsJob(t *testing.T) {
 	f := func(c wl.Ctx, x, _ int) int {
 		c.Work(100_000)
@@ -110,15 +110,14 @@ func TestFork2PanicFailsJob(t *testing.T) {
 		return x
 	}
 	_, err := fork2Job(t, 2, func(c wl.Ctx) { c.Fork2(f, 0, 0, 1, 0) }, nil)
-	if err == nil || !strings.Contains(err.Error(), "pushed body failed") ||
+	if err == nil || !strings.HasPrefix(err.Error(), "core: job 1 task panicked: pushed body failed") ||
 		!strings.Contains(err.Error(), "fork2_test.go") {
 		t.Fatalf("err = %v, want the pushed body's panic with its stack", err)
 	}
 }
 
 // TestFork2CancelMidTree: a job cancelled while its Fork2 tree runs
-// drains and ends interrupted, which the Runtime reports as ctx's
-// error.
+// drains and ends with its cancellation's cause.
 func TestFork2CancelMidTree(t *testing.T) {
 	var leaf wl.Body
 	leaves := 0
@@ -135,9 +134,9 @@ func TestFork2CancelMidTree(t *testing.T) {
 	const total = 4096
 	var sum int
 	_, err := fork2Job(t, 2, func(c wl.Ctx) { sum = leaf(c, 0, total) },
-		func() bool { return leaves >= 3 })
-	if err != ErrInterrupted {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+		func() error { return cancelledAt(leaves >= 3) })
+	if err != errCancelled {
+		t.Fatalf("err = %v, want errCancelled", err)
 	}
 	if leaves >= total || sum >= total {
 		t.Fatalf("cancellation did not stop the tree (%d leaves ran, sum %d)", leaves, sum)
@@ -160,9 +159,9 @@ func TestFork2CancelSkipYieldsZero(t *testing.T) {
 	r, err := fork2Job(t, 1, func(c wl.Ctx) {
 		_, warm = c.Fork2(f, 1, 0, 42, 0) // this generation of the pooled block returns 42
 		a, b = c.Fork2(f, 0, 0, 42, 0)
-	}, func() bool { return cancelled })
-	if err != ErrInterrupted {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}, func() error { return cancelledAt(cancelled) })
+	if err != errCancelled {
+		t.Fatalf("err = %v, want errCancelled", err)
 	}
 	if warm != 42 || a != 0 || b != 0 {
 		t.Fatalf("warm-up %d (want 42), cancelled block (%d, %d) (want 0, 0)", warm, a, b)

@@ -15,12 +15,16 @@ var ErrPoolClosed = errors.New("core: pool closed")
 // ErrNilRoot is returned by Submit for a request with no root task.
 var ErrNilRoot = errors.New("core: nil root task")
 
-// ErrInterrupted is the completion error of a job whose cancellation
-// hook fired while work remained: the scheduler skipped task bodies
-// and drained the fork-join structure instead of running it. Callers
-// that cancelled through a context typically translate it back to the
-// context's error.
-var ErrInterrupted = errors.New("core: job interrupted by cancellation")
+// Interrupted is the completion error, on both executors, of a job
+// whose cancellation cut work short: its cause, joined before a task
+// panic raised in the job, since the skipped work may be what a
+// self-checking task panicked over.
+func Interrupted(cause, panicked error) error {
+	if panicked == nil {
+		return cause
+	}
+	return errors.Join(cause, panicked)
+}
 
 // JobRequest describes one job handed to a Cluster.
 type JobRequest struct {
@@ -38,9 +42,9 @@ type JobRequest struct {
 	// SLO target). The zero Class reproduces pre-class behaviour.
 	Class Class
 	// Cancelled, if non-nil, is polled at spawn and task boundaries;
-	// once true the job's remaining bodies are skipped and the job
-	// completes with ErrInterrupted.
-	Cancelled func() bool
+	// once it returns an error the job's remaining bodies are skipped
+	// and the job completes with Interrupted(that error, any panic).
+	Cancelled func() error
 	// Done receives the job's report exactly once, on the engine
 	// goroutine. It must not block.
 	Done func(Report, error)
@@ -85,13 +89,13 @@ type jobRun struct {
 	at        units.Time // requested arrival; <0 = on receipt
 	root      wl.Task
 	class     Class
-	cancelled func() bool
+	cancelled func() error
 	done      func(Report, error)
 
 	arriveAt    units.Time
 	started     bool
 	startAt     units.Time
-	interrupted bool
+	interrupted error // the cancellation's cause, once it skipped work
 	failErr     error
 	// delivered marks that the job has entered some machine: arrival
 	// framing (arriveAt, JobStart) happens exactly once, while gossip
@@ -248,12 +252,9 @@ func (s *sched) jobDone(j *jobRun) {
 	s.pool.dropActive(j)
 	s.emit(obs.Event{Kind: obs.JobDone, Job: j.id, Time: now, Worker: -1, Victim: -1,
 		Energy: rep.EnergyJ, Sojourn: now - j.arriveAt})
-	var err error
-	switch {
-	case j.failErr != nil:
-		err = j.failErr
-	case j.interrupted:
-		err = ErrInterrupted
+	err := j.failErr
+	if j.interrupted != nil {
+		err = Interrupted(j.interrupted, err)
 	}
 	j.finish(rep, err)
 	s.trimSamples()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -322,8 +323,20 @@ func TestPoolSumOfEnergiesUnderLoad(t *testing.T) {
 	}
 }
 
-// TestPoolCancellation: a job cancelled mid-flight completes with
-// ErrInterrupted while a concurrent neighbour is untouched.
+// errCancelled is the cause the tests' cancellation hooks return.
+var errCancelled = errors.New("test: cancelled")
+
+// cancelledAt is a cancellation hook's answer: errCancelled once
+// cancelled holds.
+func cancelledAt(cancelled bool) error {
+	if cancelled {
+		return errCancelled
+	}
+	return nil
+}
+
+// TestPoolCancellation: a job cancelled mid-flight completes with its
+// hook's error while a concurrent neighbour is untouched.
 func TestPoolCancellation(t *testing.T) {
 	p, err := oneMachine(Config{Spec: cpu.SystemB(), Workers: 2, Seed: 1})
 	if err != nil {
@@ -349,7 +362,7 @@ func TestPoolCancellation(t *testing.T) {
 					c.Work(100_000)
 				})
 			},
-			Cancelled: func() bool { return flip },
+			Cancelled: func() error { return cancelledAt(flip) },
 			Done:      func(r Report, err error) { cancelErr = err; wg.Done() },
 		},
 		JobRequest{
@@ -364,8 +377,8 @@ func TestPoolCancellation(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if cancelErr != ErrInterrupted {
-		t.Fatalf("cancelled job err = %v, want ErrInterrupted", cancelErr)
+	if cancelErr != errCancelled {
+		t.Fatalf("cancelled job err = %v, want errCancelled", cancelErr)
 	}
 	if leaves >= 4096 {
 		t.Fatalf("cancellation did not stop the job (%d leaves)", leaves)
@@ -448,7 +461,7 @@ func TestPoolSubmitAfterClose(t *testing.T) {
 // where the intake itself completes a job: an arrival scheduled in
 // the future whose cancellation hook is already true is delivered and
 // finished on the intake process during the Close drain — the pool
-// must complete it with ErrInterrupted and shut down cleanly, not
+// must complete it with the hook's error and shut down cleanly, not
 // panic or hang.
 func TestPoolCancelledFutureArrivalThenClose(t *testing.T) {
 	p, err := oneMachine(Config{Spec: cpu.SystemB(), Workers: 2, Seed: 1})
@@ -458,7 +471,7 @@ func TestPoolCancelledFutureArrivalThenClose(t *testing.T) {
 	done := make(chan error, 1)
 	if err := p.Submit(JobRequest{
 		ID: 1, At: 5 * units.Millisecond, Root: poolWork(8),
-		Cancelled: func() bool { return true },
+		Cancelled: func() error { return errCancelled },
 		Done:      func(r Report, err error) { done <- err },
 	}); err != nil {
 		t.Fatal(err)
@@ -468,8 +481,8 @@ func TestPoolCancelledFutureArrivalThenClose(t *testing.T) {
 	}
 	select {
 	case err := <-done:
-		if err != ErrInterrupted {
-			t.Fatalf("cancelled-at-arrival job err = %v, want ErrInterrupted", err)
+		if err != errCancelled {
+			t.Fatalf("cancelled-at-arrival job err = %v, want errCancelled", err)
 		}
 	default:
 		t.Fatal("job never completed")

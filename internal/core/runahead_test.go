@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -147,7 +148,12 @@ func runAheadScenario(t *testing.T, seed int64, cov *coverage) (digest string, d
 		}
 		if i == 4 {
 			polls := 0
-			reqs[i].Cancelled = func() bool { polls++; return polls > 5 }
+			reqs[i].Cancelled = func() error {
+				if polls++; polls > 5 {
+					return context.Canceled
+				}
+				return nil
+			}
 		}
 	}
 	if err := c.Submit(reqs...); err != nil {
@@ -165,7 +171,7 @@ func runAheadScenario(t *testing.T, seed int64, cov *coverage) (digest string, d
 		if errs[i] != nil {
 			msg, _, _ = strings.Cut(errs[i].Error(), "\n")
 		}
-		if errors.Is(errs[i], core.ErrInterrupted) {
+		if errors.Is(errs[i], context.Canceled) {
 			cov.interrupted++
 		}
 		if strings.Contains(msg, "drawn panic") {

@@ -227,9 +227,11 @@ func (s *sched) taskCancelled(j *jobRun) bool {
 		// marking the job interrupted — it re-places and runs elsewhere.
 		return true
 	}
-	if j.cancelled != nil && j.cancelled() {
-		j.interrupted = true
-		return true
+	if j.cancelled != nil {
+		if err := j.cancelled(); err != nil {
+			j.interrupted = err
+			return true
+		}
 	}
 	return false
 }

@@ -30,7 +30,10 @@
 // steals and the owner's last-item race: real thieves contend, so the
 // steal path must not serialize the pool the way the paper's THE
 // protocol would); tasks and fork-join blocks come
-// from per-worker free lists; and accounting
+// from per-worker free lists, and no block owns a channel: a joiner
+// with nothing left to run or steal parks on its worker's one wake
+// channel, which the block's last decrement signals only if the
+// joiner announced itself in the block's waiting flag; and accounting
 // never takes a global lock — each worker publishes its (state, freq,
 // since) in a packed atomic word and accumulates an exact per-worker
 // residency matrix (see acct.go). Readers fold the cells on demand:
@@ -49,8 +52,9 @@
 // read-modify-write is a fence, a spawned task its owner pops pays
 // about 5.1 fence-bearing operations: Push's slot and bottom stores,
 // Pop's bottom store, the block's pending store and decrement, and 0.14
-// of a lock round trip. Task and spawn counts are plain per-job fields
-// that the job's report folds.
+// of a lock round trip. A block's reuse is its pending store alone,
+// and no channel is touched unless the joiner parks. Task and spawn
+// counts are plain per-job fields that the job's report folds.
 // Rito & Paulino bound synchronization by the steals (about 7 a job
 // here); all of the rest is on the owner's path.
 //

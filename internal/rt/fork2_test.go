@@ -2,6 +2,7 @@ package rt
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -74,7 +75,7 @@ func TestFork2MatchesGo(t *testing.T) {
 }
 
 // TestFork2PanicFailsJob: a panicking pushed Body fails its job with
-// the panic's stack.
+// the panic's stack, and with nothing else.
 func TestFork2PanicFailsJob(t *testing.T) {
 	f := func(c wl.Ctx, x, _ int) int {
 		if x == 1 {
@@ -85,7 +86,7 @@ func TestFork2PanicFailsJob(t *testing.T) {
 	_, err := run(core.Config{Spec: cpu.SystemB(), Workers: 2, Seed: 32}, func(c wl.Ctx) {
 		c.Fork2(f, 0, 0, 1, 0)
 	})
-	if err == nil || !strings.Contains(err.Error(), "pushed body failed") ||
+	if err == nil || !strings.HasPrefix(err.Error(), "rt: job 1 task panicked: pushed body failed") ||
 		!strings.Contains(err.Error(), "fork2_test.go") {
 		t.Fatalf("err = %v, want the pushed body's panic with its stack", err)
 	}
@@ -206,5 +207,134 @@ func TestFork2StealsWriteResult(t *testing.T) {
 		if r.Steals == 0 {
 			t.Fatalf("%v: no steal recorded", mode)
 		}
+	}
+}
+
+// fork2Calls counts the Fork2 calls of fibFork2(2) at n: the spawns
+// of that tree.
+func fork2Calls(n int) int64 {
+	if n < 2 {
+		return 0
+	}
+	return 1 + fork2Calls(n-1) + fork2Calls(n-2)
+}
+
+// staleWake leaves a token in w's wake channel, as a signal that lands
+// after its join's re-check already saw zero does.
+func staleWake(w *worker) {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// forkStolen is TestFork2StealsWriteResult's forced steal with a stale
+// token on the owner's wake channel: the inline fib(x0) waits until a
+// thief has started the pushed fib(x1), which first sleeps, so the
+// owner's join runs dry and parks while pending is still 1.
+func forkStolen(c wl.Ctx, x0, x1 int) (int, int) {
+	staleWake(c.(*wctx).w)
+	pushed := make(chan struct{})
+	return c.Fork2(func(c wl.Ctx, x, inline int) int {
+		if inline == 1 {
+			<-pushed
+		} else {
+			close(pushed)
+			time.Sleep(time.Millisecond)
+		}
+		return fibFork2(2)(c, x, 0)
+	}, x0, 1, x1, 0)
+}
+
+// TestStaleWakeTokens starts every job, and every forced steal, with a
+// stale token in the workers' wake channels. A join that takes one
+// wakes a turn early and must go on waiting for pending zero: every
+// result is the serial one and the task and spawn counts are exact.
+// After Close every pooled block sits in its owner's free list.
+func TestStaleWakeTokens(t *testing.T) {
+	e, err := NewExec(core.Config{Spec: cpu.SystemB(), Workers: 2, Mode: core.Unified, Seed: 36})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		root   func(c wl.Ctx) error
+		spawns int64
+	}{{
+		name: "forced steal",
+		root: func(c wl.Ctx) error {
+			a, b := forkStolen(c, 14, 16)
+			if fib := fibFork2(2)(c, 18, 0); a != fibRef(14) || b != fibRef(16) || fib != fibRef(18) {
+				return fmt.Errorf("got %d, %d, %d", a, b, fib)
+			}
+			return nil
+		},
+		spawns: 1 + fork2Calls(14) + fork2Calls(16) + fork2Calls(18),
+	}, {
+		name: "three-way Go",
+		root: func(c wl.Ctx) error {
+			var r [3]int
+			stolen := make(chan struct{})
+			staleWake(c.(*wctx).w)
+			c.Go(
+				func(c wl.Ctx) { <-stolen; r[0] = fibFork2(2)(c, 12, 0) },
+				func(c wl.Ctx) { r[1] = fibFork2(2)(c, 13, 0) },
+				func(c wl.Ctx) {
+					close(stolen)
+					time.Sleep(time.Millisecond)
+					r[2] = fibFork2(2)(c, 14, 0)
+				},
+			)
+			if r != [3]int{fibRef(12), fibRef(13), fibRef(14)} {
+				return fmt.Errorf("got %v", r)
+			}
+			return nil
+		},
+		spawns: 2 + fork2Calls(12) + fork2Calls(13) + fork2Calls(14),
+	}, {
+		name: "block reused",
+		root: func(c wl.Ctx) error {
+			w := c.(*wctx).w
+			a1, b1 := forkStolen(c, 10, 11)
+			gen1 := w.freeBlocks[len(w.freeBlocks)-1]
+			a2, b2 := forkStolen(c, 12, 13)
+			if w.freeBlocks[len(w.freeBlocks)-1] != gen1 {
+				return fmt.Errorf("second generation did not reuse the first's block")
+			}
+			if a1 != fibRef(10) || b1 != fibRef(11) || a2 != fibRef(12) || b2 != fibRef(13) {
+				return fmt.Errorf("got (%d, %d), (%d, %d)", a1, b1, a2, b2)
+			}
+			return nil
+		},
+		spawns: 2 + fork2Calls(10) + fork2Calls(11) + fork2Calls(12) + fork2Calls(13),
+	}} {
+		for _, w := range e.workers {
+			staleWake(w)
+		}
+		var rootErr error
+		j, err := e.Submit(context.Background(), func(c wl.Ctx) { rootErr = tc.root(c) }, core.Class{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := j.Wait()
+		if err != nil || rootErr != nil {
+			t.Fatalf("%s: job err %v, root %v", tc.name, err, rootErr)
+		}
+		if r.Spawns != tc.spawns || r.Tasks != tc.spawns+1 {
+			t.Fatalf("%s: %d tasks, %d spawns; want %d and %d", tc.name, r.Tasks, r.Spawns, tc.spawns+1, tc.spawns)
+		}
+	}
+	e.Close()
+	pooled := 0
+	for _, w := range e.workers {
+		for _, blk := range w.freeBlocks {
+			if blk.owner != w {
+				t.Fatalf("worker %d's free list holds a block owned by worker %d", w.id, blk.owner.id)
+			}
+			pooled++
+		}
+	}
+	if pooled == 0 {
+		t.Fatal("no block was pooled")
 	}
 }

@@ -52,15 +52,13 @@ type task struct {
 	job *jobState
 }
 
-// block tracks one fork-join block's outstanding tasks. done is a
-// one-token buffered channel: the decrement that reaches zero sends
-// the token (never blocking), and the joiner waits on it. Token
-// semantics (instead of close) let blocks be pooled: a stale token
-// from a previous generation is drained on reuse, and a late sender
-// racing the recycle at worst produces one spurious wake, which the
-// join loop's pending re-check absorbs.
+// block tracks one fork-join block's outstanding tasks. Its owner is
+// the worker that forked it, set once when the block is made: the
+// block returns only to that worker's free list, and that worker alone
+// joins it, so the decrement that reaches zero wakes owner through the
+// worker's one wake channel and the block itself needs no channel.
 //
-// waiting gates the token: the common case — the owner drains its own
+// waiting gates the wake: the common case — the owner drains its own
 // block without ever sleeping — must not pay a channel operation per
 // task. A joiner announces itself (waiting=true) before re-checking
 // pending and sleeping; a decrementer that reaches zero signals only
@@ -76,15 +74,16 @@ type task struct {
 type block struct {
 	pending   atomic.Int64
 	waiting   atomic.Bool
-	done      chan struct{}
+	owner     *worker
 	body      wl.Body
 	x, y, res int
 }
 
-// signal delivers the block's completion token, non-blocking.
+// signal wakes the block's owner, non-blocking: a token already
+// buffered in its wake channel wakes it just as well.
 func (b *block) signal() {
 	select {
-	case b.done <- struct{}{}:
+	case b.owner.wake <- struct{}{}:
 	default:
 	}
 }
@@ -161,6 +160,10 @@ type worker struct {
 	rng rngState
 
 	backoff time.Duration
+
+	// wake is the one-token channel join parks on, for every block the
+	// worker owns: see join.
+	wake chan struct{}
 
 	// lastState shadows the published core state so the owner can
 	// skip the accounting transition when the state is unchanged (the
@@ -337,6 +340,7 @@ func NewExec(cfg core.Config) (*Exec, error) {
 			e:          e,
 			id:         i,
 			dq:         deque.NewChaseLev[task](64),
+			wake:       make(chan struct{}, 1),
 			rng:        rngState(cfg.Seed*7_919 + int64(i) + 1),
 			lastState:  cpu.IdleHalt,
 			reqFreq:    cfg.Freqs[0],
@@ -491,7 +495,8 @@ func (e *Exec) Close() error {
 // its root or from Submit for a job cancelled before any worker took
 // it. A job whose work completed before cancellation took effect
 // reports success: interrupted is set only where work was skipped or
-// cut short, and a task panic beats both.
+// cut short. A task panic is the error, behind ctx's when ctx had
+// fired and work was cut short (core.Interrupted).
 func (e *Exec) finish(js *jobState) {
 	if js.stop != nil {
 		js.stop()
@@ -502,8 +507,8 @@ func (e *Exec) finish(js *jobState) {
 	e.emit(obs.Event{Kind: obs.JobDone, Job: js.id, Worker: -1, Victim: -1,
 		Energy: r.EnergyJ, Sojourn: r.Sojourn})
 	err := js.taskErr()
-	if err == nil && js.interrupted.Load() {
-		err = js.ctx.Err()
+	if cerr := js.ctx.Err(); cerr != nil && js.interrupted.Load() {
+		err = core.Interrupted(cerr, err)
 	}
 	js.j.Finish(r, err)
 	e.jobWG.Done()
@@ -813,28 +818,24 @@ func (w *worker) putTask(t *task) {
 	}
 }
 
-// getBlock recycles a fork-join block, draining any stale completion
-// token from the previous generation. A pooled block's waiting flag is
-// already false: join clears it before it returns. Owner-only.
+// getBlock recycles a fork-join block owned by w. A pooled block's
+// waiting flag is already false: join clears it before it returns.
+// Owner-only.
 func (w *worker) getBlock(pending int64) *block {
 	var blk *block
 	if n := len(w.freeBlocks); n > 0 {
 		blk = w.freeBlocks[n-1]
 		w.freeBlocks = w.freeBlocks[:n-1]
-		select {
-		case <-blk.done:
-		default:
-		}
 	} else {
-		blk = &block{done: make(chan struct{}, 1)}
+		blk = &block{owner: w}
 	}
 	blk.pending.Store(pending)
 	return blk
 }
 
-// putBlock clears and recycles a drained block. Safe even with a
-// stray late signal in flight: the token lands in the buffered channel
-// and is drained on reuse (or causes one spurious, absorbed wake).
+// putBlock clears and recycles a drained block into its owner's free
+// list. Safe even with a stray late signal in flight: the token lands
+// in the owner's wake channel, not in the block.
 func (w *worker) putBlock(blk *block) {
 	if len(w.freeBlocks) < cap(w.freeBlocks) {
 		blk.body, blk.res = nil, 0
@@ -997,6 +998,9 @@ func (w *worker) runTask(t *task) {
 		js.execStart.CompareAndSwap(0, w.e.nowNS())
 	}
 	defer func() {
+		if p := recover(); p != nil {
+			js.fail(fmt.Errorf("rt: job %d task panicked: %v\n%s", js.id, p, debug.Stack()))
+		}
 		if js != prev {
 			w.switchJob(prev)
 		}
@@ -1010,25 +1014,19 @@ func (w *worker) runTask(t *task) {
 	}()
 	if js.cancelled.Load() {
 		js.interrupted.Store(true) // body skipped: cancellation bit
+		return
+	}
+	js.perW[w.id].tasks++
+	if fn != nil {
+		fn(w.curIface)
 	} else {
-		js.perW[w.id].tasks++
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					js.fail(fmt.Errorf("rt: job %d task panicked: %v\n%s", js.id, p, debug.Stack()))
-				}
-			}()
-			if fn != nil {
-				fn(w.curIface)
-			} else {
-				blk.res = blk.body(w.curIface, blk.x, blk.y)
-			}
-		}()
+		blk.res = blk.body(w.curIface, blk.x, blk.y)
 	}
 }
 
 // join drains a block: run own-block tasks from the local tail, help
-// by stealing, and finally wait for the block's completion token.
+// by stealing, and finally park on the worker's wake channel. Only the
+// block's owner joins it.
 func (w *worker) join(blk *block) {
 	for blk.pending.Load() > 0 {
 		if t, ok := w.dq.Pop(); ok {
@@ -1049,14 +1047,15 @@ func (w *worker) join(blk *block) {
 			continue
 		}
 		// Nothing runnable anywhere: announce ourselves, re-check, and
-		// wait for the completion token. The buffered token cannot be
-		// lost (the last decrement either sees the announcement and
-		// signals, or our re-check sees zero), and a stale token from
-		// a recycled generation at worst wakes the loop into one more
-		// pending check.
+		// park. The wake cannot be lost (the last decrement either sees
+		// the announcement and signals, or our re-check sees zero). A
+		// worker waits on at most one block at a time, since waiting is
+		// set only right here, so one buffered token serves all its
+		// blocks: a stale one, sent after an earlier park's re-check saw
+		// zero, at worst wakes the loop into one more pending check.
 		blk.waiting.Store(true)
 		if blk.pending.Load() > 0 {
-			<-blk.done
+			<-w.wake
 		}
 		blk.waiting.Store(false)
 	}

@@ -419,13 +419,8 @@ func (d *simDriver) submit(ctx context.Context, arrivals []Arrival) ([]*Job, err
 			At:        a.At,
 			Root:      a.Task,
 			Class:     a.Class,
-			Cancelled: func() bool { return ctx.Err() != nil },
-			Done: func(rep core.Report, err error) {
-				if errors.Is(err, core.ErrInterrupted) {
-					err = ctx.Err()
-				}
-				j.Finish(rep, err)
-			},
+			Cancelled: ctx.Err,
+			Done:      j.Finish,
 		}
 	}
 	err := d.eng.Submit(reqs...)

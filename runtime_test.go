@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hermes"
+	"hermes/internal/workload"
 )
 
 // leafWorkload returns a root task touching n elements plus an atomic
@@ -354,6 +355,61 @@ func TestCancellationNative(t *testing.T) {
 	}
 	if n := ran.Load(); n >= 100_000 {
 		t.Fatalf("cancellation did not stop the job (ran %d leaves)", n)
+	}
+}
+
+// TestTimedOutSelfCheckReportsDeadline: a fibtree job whose deadline
+// fires mid-tree skips spawns, so its root's self-check sees a wrong
+// sum and panics. On both backends the job still ends with the
+// deadline, and the panic's text is kept beside it. One worker leaves
+// the deadline's timer a free P on a two-core host: a pool as wide as
+// GOMAXPROCS can finish the tree before Go's scheduler gets round to
+// firing the timer.
+func TestTimedOutSelfCheckReportsDeadline(t *testing.T) {
+	fib, _, err := workload.Spec{Kind: "fibtree", N: 32, Grain: 8}.Task()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []hermes.Backend{hermes.Sim, hermes.Native} {
+		rt, err := hermes.New(hermes.WithBackend(backend), hermes.WithSpec(hermes.SystemB()),
+			hermes.WithWorkers(1), hermes.WithMode(hermes.Unified))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+		_, err = rt.Run(ctx, fib)
+		cancel()
+		rt.Close()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%v: err = %v, want context.DeadlineExceeded", backend, err)
+		}
+		if err != context.DeadlineExceeded && !strings.Contains(err.Error(), "want 2178309") {
+			t.Fatalf("%v: err = %v, want the deadline alone or joined with the self-check's panic", backend, err)
+		}
+	}
+}
+
+// TestInterruptedPanicKeepsBoth: a job that is cancelled, skips a
+// spawn and then panics reports ctx's error joined with the panic, on
+// both backends; the panic is not lost and does not hide the
+// cancellation.
+func TestInterruptedPanicKeepsBoth(t *testing.T) {
+	for _, backend := range []hermes.Backend{hermes.Sim, hermes.Native} {
+		rt, err := hermes.New(hermes.WithBackend(backend), hermes.WithSpec(hermes.SystemB()), hermes.WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err = rt.Run(ctx, func(c hermes.Ctx) {
+			cancel()
+			c.Mem(hermes.Second) // Native: cut short once the cancellation lands
+			c.Go(func(hermes.Ctx) {}, func(hermes.Ctx) {})
+			panic("self-check failed")
+		})
+		rt.Close()
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "self-check failed") {
+			t.Fatalf("%v: err = %v, want context.Canceled joined with the panic", backend, err)
+		}
 	}
 }
 
