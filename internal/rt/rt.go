@@ -158,6 +158,8 @@ type worker struct {
 	id  int
 	dq  *deque.ChaseLev[task]
 	rng rngState
+	// seam is empty unless the interleaving checker drives the worker.
+	seam seam
 
 	backoff time.Duration
 
@@ -294,6 +296,29 @@ func (e *Exec) nowNS() int64 { return time.Since(e.start).Nanoseconds() }
 // one-per-domain default, real goroutine workers should not
 // oversubscribe the host.
 func NewExec(cfg core.Config) (*Exec, error) {
+	e, err := newExec(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range e.workers {
+		e.workerWG.Add(1)
+		go w.loop()
+	}
+	// The profiler runs in every mode, so a later SetMode into a
+	// workload-sensitive mode finds the deque-size averages of the last
+	// busy window instead of a cold one.
+	e.workerWG.Add(1)
+	go e.profLoop()
+	if cfg.Observer != nil {
+		e.workerWG.Add(1)
+		go e.meterLoop()
+	}
+	return e, nil
+}
+
+// newExec validates cfg and builds the pool without starting any
+// goroutine.
+func newExec(cfg core.Config) (*Exec, error) {
 	if cfg.Workers == 0 {
 		spec := cfg.Spec
 		if spec == nil {
@@ -352,19 +377,6 @@ func NewExec(cfg core.Config) (*Exec, error) {
 		w.curFreq.Store(int64(cfg.Freqs[0]))
 		w.acct.word.Store(packAcct(cpu.IdleHalt, 0, 0))
 		e.workers = append(e.workers, w)
-	}
-	for _, w := range e.workers {
-		e.workerWG.Add(1)
-		go w.loop()
-	}
-	// The profiler runs in every mode, so a later SetMode into a
-	// workload-sensitive mode finds the deque-size averages of the last
-	// busy window instead of a cold one.
-	e.workerWG.Add(1)
-	go e.profLoop()
-	if cfg.Observer != nil {
-		e.workerWG.Add(1)
-		go e.meterLoop()
 	}
 	return e, nil
 }
@@ -787,6 +799,7 @@ func (w *worker) runRoot(t *task) {
 }
 
 func (w *worker) popLocal() (*task, bool) {
+	w.yield(sitePop)
 	t, ok := w.dq.Pop()
 	if !ok {
 		return nil, false
@@ -849,6 +862,7 @@ func (w *worker) putBlock(blk *block) {
 // the new size can actually cross a tier.
 func (w *worker) push(t *task) {
 	t.job.perW[w.id].spawns++
+	w.yield(sitePush)
 	w.dq.Push(t)
 	if w.e.tempo.MayRaise(w.id, w.dq.Size(), w.e.modeNow()) {
 		w.e.tempoMu.Lock()
@@ -894,6 +908,7 @@ func (w *worker) stealRound() (*task, bool) {
 		if v == w {
 			continue
 		}
+		w.yield(siteSteal)
 		t, ok := v.dq.Steal()
 		if !ok {
 			w.acct.failedSteals.Add(1)
@@ -1008,8 +1023,15 @@ func (w *worker) runTask(t *task) {
 		// accounting flush above is ordered before it.
 		if blk == nil {
 			w.e.finish(js)
-		} else if blk.pending.Add(-1) == 0 && blk.waiting.Load() {
-			blk.signal()
+			return
+		}
+		w.yield(siteCount)
+		if blk.pending.Add(-1) == 0 {
+			w.yield(siteFlag)
+			if blk.waiting.Load() {
+				w.yield(siteWake)
+				blk.signal()
+			}
 		}
 	}()
 	if js.cancelled.Load() {
@@ -1020,7 +1042,9 @@ func (w *worker) runTask(t *task) {
 	if fn != nil {
 		fn(w.curIface)
 	} else {
-		blk.res = blk.body(w.curIface, blk.x, blk.y)
+		res := blk.body(w.curIface, blk.x, blk.y)
+		w.yield(siteResult)
+		blk.res = res
 	}
 }
 
@@ -1028,9 +1052,11 @@ func (w *worker) runTask(t *task) {
 // by stealing, and finally park on the worker's wake channel. Only the
 // block's owner joins it.
 func (w *worker) join(blk *block) {
-	for blk.pending.Load() > 0 {
+	for w.yield(siteCount); blk.pending.Load() > 0; w.yield(siteCount) {
+		w.yield(sitePop)
 		if t, ok := w.dq.Pop(); ok {
 			if t.blk != blk {
+				w.yield(sitePush)
 				w.dq.Push(t) // enclosing block's task; not runnable yet
 			} else {
 				w.afterShrink()
@@ -1038,7 +1064,7 @@ func (w *worker) join(blk *block) {
 				continue
 			}
 		}
-		if blk.pending.Load() == 0 {
+		if w.yield(siteCount); blk.pending.Load() == 0 {
 			return
 		}
 		w.outOfWork()
@@ -1053,10 +1079,13 @@ func (w *worker) join(blk *block) {
 		// set only right here, so one buffered token serves all its
 		// blocks: a stale one, sent after an earlier park's re-check saw
 		// zero, at worst wakes the loop into one more pending check.
+		w.yield(siteFlag)
 		blk.waiting.Store(true)
-		if blk.pending.Load() > 0 {
+		if w.yield(siteCount); blk.pending.Load() > 0 {
+			w.yield(sitePark)
 			<-w.wake
 		}
+		w.yield(siteFlag)
 		blk.waiting.Store(false)
 	}
 }
