@@ -34,6 +34,7 @@ type task struct {
 type block struct {
 	pending   int
 	waiter    *worker
+	outer     *block // the worker's next open block out: see worker.open
 	body      wl.Body
 	x, y, res int
 }
@@ -56,6 +57,10 @@ type worker struct {
 	// blocks, bounded by freeListCap.
 	freeTasks  []*task
 	freeBlocks []*block
+	// open is the innermost block the worker has forked and not yet
+	// joined, linked outward through block.outer. A body that panics
+	// joins every block it left open: see runBody.
+	open *block
 
 	// inWork marks an in-flight CPU work segment so the DVFS daemon
 	// knows to wake us for re-rating when our domain's clock changes.
@@ -354,21 +359,27 @@ func (w *worker) putTask(t *task) {
 	}
 }
 
-// getBlock recycles a fork-join block, or allocates one.
+// getBlock recycles a fork-join block, or allocates one, and opens it:
+// it becomes w.open.
 func (w *worker) getBlock(pending int) *block {
+	var blk *block
 	if n := len(w.freeBlocks); n > 0 {
-		blk := w.freeBlocks[n-1]
+		blk = w.freeBlocks[n-1]
 		w.freeBlocks = w.freeBlocks[:n-1]
 		blk.pending = pending
-		return blk
+	} else {
+		blk = &block{pending: pending}
 	}
-	return &block{pending: pending}
+	blk.outer, w.open = w.open, blk
+	return blk
 }
 
-// putBlock clears and recycles a block whose join drained it: no task
-// and no waiter refers to it any more.
+// putBlock closes a joined block and recycles it if its join drained
+// it: no task and no waiter refers to it any more. One left pending by
+// a shutdown is not recycled.
 func (w *worker) putBlock(blk *block) {
-	if len(w.freeBlocks) < cap(w.freeBlocks) {
+	w.open = blk.outer
+	if blk.pending == 0 && len(w.freeBlocks) < cap(w.freeBlocks) {
 		blk.body, blk.res = nil, 0
 		w.freeBlocks = append(w.freeBlocks, blk)
 	}
@@ -391,9 +402,11 @@ func (w *worker) setJob(j *jobRun) {
 // panicking body fails only its own job, once what it accounted is
 // settled — the error surfaces from the job's completion, the rest of
 // the job drains like a cancellation, and concurrent jobs on the shared
-// machine are untouched (matching the Native backend).
+// machine are untouched (matching the Native backend). The failed job
+// then joins every block the body left open, innermost first, so its
+// pushed tasks, which the job now skips, drain before the body returns.
 func (w *worker) runBody(t *task) {
-	outer := w.base
+	outer, open := w.base, w.open
 	w.base = len(w.pend)
 	defer func() {
 		if p := recover(); p != nil {
@@ -403,6 +416,11 @@ func (w *worker) runBody(t *task) {
 			w.settle()
 			t.job.fail(fmt.Errorf("core: job %d task panicked: %v\n%s",
 				t.job.id, p, debug.Stack()))
+			for w.open != open {
+				blk := w.open
+				w.join(blk)
+				w.putBlock(blk)
+			}
 		}
 		w.base = outer
 	}()
@@ -676,9 +694,7 @@ func (c *ctx) Go(tasks ...wl.Task) {
 	tasks[0](c)
 	w.settle()
 	w.join(blk)
-	if blk.pending == 0 {
-		w.putBlock(blk)
-	}
+	w.putBlock(blk)
 }
 
 // Fork2 is Go's two-task block, event for event, with the pushed call
@@ -696,9 +712,7 @@ func (c *ctx) Fork2(f wl.Body, a0, a1, b0, b1 int) (int, int) {
 	w.settle()
 	w.join(blk)
 	b := blk.res
-	if blk.pending == 0 {
-		w.putBlock(blk)
-	}
+	w.putBlock(blk)
 	return a, b
 }
 

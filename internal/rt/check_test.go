@@ -421,6 +421,25 @@ func checkedTrees() []tree {
 					return exact(r, err, 5, 4)
 				}
 		},
+	}, {
+		name: "a task whose inline call panics", workers: 2, bound: 3,
+		build: func() (wl.Task, func(core.Report, error) error) {
+			nop := func(wl.Ctx) {}
+			sib := 0
+			return func(c wl.Ctx) {
+					c.Go(nop, func(c wl.Ctx) {
+						c.Go(func(wl.Ctx) { panic("boom") }, func(wl.Ctx) { sib++ })
+					}, nop)
+				}, func(r core.Report, err error) error {
+					if err == nil || !strings.Contains(err.Error(), "boom") {
+						return fmt.Errorf("err = %v, want the panic", err)
+					}
+					if sib > 1 || r.Spawns != 3 {
+						return fmt.Errorf("sibling ran %d times, %d spawns; want at most once and 3", sib, r.Spawns)
+					}
+					return nil
+				}
+		},
 	}}
 }
 

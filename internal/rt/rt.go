@@ -75,6 +75,7 @@ type block struct {
 	pending   atomic.Int64
 	waiting   atomic.Bool
 	owner     *worker
+	outer     *block // the owner's next open block out: see worker.open
 	body      wl.Body
 	x, y, res int
 }
@@ -200,6 +201,11 @@ type worker struct {
 	// preallocated capacity.
 	freeTasks  []*task
 	freeBlocks []*block
+	// open is the innermost block the worker has forked and not yet
+	// joined; each block links to the one around it (block.outer).
+	// Owner-only. A task whose body panics joins every block it left
+	// open, so none of its pushed tasks outlives it: see runTask.
+	open *block
 	// idleTimer is the reusable backoff timer for idleWait — one
 	// timer per worker, Reset per cycle, instead of an allocation on
 	// every idle loop.
@@ -831,9 +837,9 @@ func (w *worker) putTask(t *task) {
 	}
 }
 
-// getBlock recycles a fork-join block owned by w. A pooled block's
-// waiting flag is already false: join clears it before it returns.
-// Owner-only.
+// getBlock recycles a fork-join block owned by w and opens it: it
+// becomes w.open. A pooled block's waiting flag is already false: join
+// clears it before it returns. Owner-only.
 func (w *worker) getBlock(pending int64) *block {
 	var blk *block
 	if n := len(w.freeBlocks); n > 0 {
@@ -843,13 +849,15 @@ func (w *worker) getBlock(pending int64) *block {
 		blk = &block{owner: w}
 	}
 	blk.pending.Store(pending)
+	blk.outer, w.open = w.open, blk
 	return blk
 }
 
-// putBlock clears and recycles a drained block into its owner's free
-// list. Safe even with a stray late signal in flight: the token lands
-// in the owner's wake channel, not in the block.
+// putBlock closes a joined block and recycles it into its owner's
+// free list. Safe even with a stray late signal in flight: the token
+// lands in the owner's wake channel, not in the block.
 func (w *worker) putBlock(blk *block) {
+	w.open = blk.outer
 	if len(w.freeBlocks) < cap(w.freeBlocks) {
 		blk.body, blk.res = nil, 0
 		w.freeBlocks = append(w.freeBlocks, blk)
@@ -990,7 +998,9 @@ func (w *worker) switchJob(js *jobState) {
 // block decrement so the job's report fold (which follows the root's
 // return, after the pending chain has reached zero) observes every
 // write. A root has no block: the worker that returns from it
-// finishes the job.
+// finishes the job. A body that panics fails its job first and then
+// joins every block it left open, innermost first, so its pushed
+// tasks, which the failed job now skips, drain before it returns.
 //
 // Busy-time attribution is interval-based: the worker charges the
 // whole contiguous stretch it spends with one accounting context
@@ -1012,9 +1022,15 @@ func (w *worker) runTask(t *task) {
 	if js.execStart.Load() == 0 {
 		js.execStart.CompareAndSwap(0, w.e.nowNS())
 	}
+	open := w.open
 	defer func() {
 		if p := recover(); p != nil {
 			js.fail(fmt.Errorf("rt: job %d task panicked: %v\n%s", js.id, p, debug.Stack()))
+			for w.open != open {
+				blk := w.open
+				w.join(blk)
+				w.putBlock(blk)
+			}
 		}
 		if js != prev {
 			w.switchJob(prev)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -385,6 +386,69 @@ func TestTimedOutSelfCheckReportsDeadline(t *testing.T) {
 		}
 		if err != context.DeadlineExceeded && !strings.Contains(err.Error(), "want 2178309") {
 			t.Fatalf("%v: err = %v, want the deadline alone or joined with the self-check's panic", backend, err)
+		}
+	}
+}
+
+// TestPanicJoinsItsForks: a task whose own inline call panics joins
+// the block it forked before its job fails, on both backends. On one
+// worker the enclosing join used to pop the orphaned sibling, find it
+// not runnable and park for good. On two, a sibling that a thief runs
+// ends before Wait returns, and one nobody took is skipped.
+func TestPanicJoinsItsForks(t *testing.T) {
+	nop := func(hermes.Ctx) {}
+	for _, backend := range []hermes.Backend{hermes.Sim, hermes.Native} {
+		rt, err := hermes.New(hermes.WithBackend(backend), hermes.WithSpec(hermes.SystemB()), hermes.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := rt.Submit(context.Background(), func(c hermes.Ctx) {
+			c.Go(nop, func(c hermes.Ctx) { c.Go(func(hermes.Ctx) { panic("boom") }, nop) }, nop)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(time.Second):
+			t.Fatalf("%v, one worker: the panicking job did not end within 1 s", backend)
+		}
+		if _, err := j.Wait(); err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("%v, one worker: err = %v, want the panic", backend, err)
+		}
+		rt.Close()
+
+		rt, err = hermes.New(hermes.WithBackend(backend), hermes.WithSpec(hermes.SystemB()), hermes.WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var started, ended atomic.Int32
+		_, err = rt.Run(context.Background(), func(c hermes.Ctx) {
+			c.Go(nop, func(c hermes.Ctx) {
+				c.Go(func(c hermes.Ctx) {
+					if backend == hermes.Native {
+						// Let the other worker steal the sibling first.
+						for t0 := time.Now(); started.Load() == 0 && time.Since(t0) < time.Second; {
+							runtime.Gosched()
+						}
+					} else {
+						c.Mem(hermes.Millisecond)
+					}
+					panic("boom")
+				}, func(c hermes.Ctx) {
+					started.Add(1)
+					c.Mem(2 * hermes.Millisecond)
+					c.Go() // Sim: simulate the Mem before ended moves
+					ended.Add(1)
+				})
+			}, nop)
+		})
+		if s, e := started.Load(), ended.Load(); s != e {
+			t.Fatalf("%v, two workers: Wait returned with %d sibling(s) started and %d ended", backend, s, e)
+		}
+		rt.Close()
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("%v, two workers: err = %v, want the panic", backend, err)
 		}
 	}
 }
