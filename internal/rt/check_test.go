@@ -21,18 +21,21 @@ import (
 // its next yield (sites.go), where the checker picks who takes the
 // next step. Every schedule of the seamed steps is thereby one path
 // through a tree of choices, which the checker walks depth-first,
-// re-executing from a fresh pool each time, up to a bound on the
+// re-executing from a fresh pool each time, up to preemptBound
 // switches away from a worker that could have gone on (iterative
 // context bounding, as in CHESS; Musuvathi & Qadeer, PLDI 2007). Go's
 // atomics are sequentially consistent, so the interleavings of the
 // seamed steps are every ordering the memory model allows among them.
+
+// preemptBound bounds the preemptions per schedule.
+const preemptBound = 3
 
 // maxSteps ends a schedule that makes no progress: a livelock.
 const maxSteps = 5_000
 
 var siteNames = [...]string{
 	sitePush: "push", sitePop: "pop", siteSteal: "steal", siteResult: "res",
-	siteCount: "count", siteFlag: "flag", siteWake: "wake", sitePark: "park",
+	siteCount: "count", siteWake: "wake", sitePark: "park",
 }
 
 // thread is one checked worker goroutine.
@@ -75,6 +78,9 @@ func (c *ctl) fail(format string, args ...any) {
 	c.bad = append(c.bad, fmt.Sprintf(format, args...))
 }
 
+// broken records an invariant that rt asserts (worker.assert).
+func (c *ctl) broken(what string) { c.fail("%s", what) }
+
 // await pauses a task body until cond holds: it forces the interleaving
 // a tree needs (a steal, say) in every schedule.
 func await(c wl.Ctx, cond func() bool) {
@@ -108,7 +114,6 @@ func (n *node) cost(t int) int {
 type tree struct {
 	name    string
 	workers int
-	bound   int // preemptions per schedule
 	build   func() (root wl.Task, check func(r core.Report, err error) error)
 }
 
@@ -235,23 +240,28 @@ func execute(tr tree, tokens bool, stack *[]node) string {
 			if blk.owner != w {
 				c.fail("worker %d's free list holds worker %d's block", w.id, blk.owner.id)
 			}
-			if blk.pending.Load() != 0 || blk.waiting.Load() {
-				c.fail("a pooled block of worker %d is not clean", w.id)
+			if n := blk.done.Load(); n != 0 {
+				c.fail("a pooled block of worker %d has done %d", w.id, n)
 			}
 		}
 	}
 	e.Close()
 	if len(c.bad) > 0 {
-		return report(c, strings.Join(c.bad, "; "))
+		return report(c, "")
 	}
 	return ""
 }
 
+// report renders a violation, with any the run recorded before it,
+// and the schedule that led to it.
 func report(c *ctl, msg string) string {
-	return msg + "\n\tschedule: " + strings.Join(c.trace, " ")
+	if msg != "" {
+		c.bad = append(c.bad, msg)
+	}
+	return strings.Join(c.bad, "; ") + "\n\tschedule: " + strings.Join(c.trace, " ")
 }
 
-// explore walks every schedule of tr within its bound and returns
+// explore walks every schedule of tr within preemptBound and returns
 // how many it ran, or the first violation.
 func explore(tr tree, tokens bool) (int, string) {
 	var stack []node
@@ -261,7 +271,7 @@ func explore(tr tree, tokens bool) (int, string) {
 		}
 		for len(stack) > 0 {
 			n := &stack[len(stack)-1]
-			for n.i++; n.i < len(n.alts) && n.pre+n.cost(n.alts[n.i]) > tr.bound; n.i++ {
+			for n.i++; n.i < len(n.alts) && n.pre+n.cost(n.alts[n.i]) > preemptBound; n.i++ {
 			}
 			if n.i < len(n.alts) {
 				break
@@ -331,7 +341,7 @@ func onceEach(ran map[int]int, want ...int) error {
 
 func checkedTrees() []tree {
 	return []tree{{
-		name: "Fork2 depth 3", workers: 2, bound: 2,
+		name: "Fork2 depth 3", workers: 2,
 		build: func() (wl.Task, func(core.Report, error) error) {
 			ran := map[int]int{}
 			var got int
@@ -347,7 +357,7 @@ func checkedTrees() []tree {
 				}
 		},
 	}, {
-		name: "Fork2 depth 2", workers: 2, bound: 3,
+		name: "Fork2 depth 2", workers: 2,
 		build: func() (wl.Task, func(core.Report, error) error) {
 			ran := map[int]int{}
 			var got int
@@ -363,7 +373,7 @@ func checkedTrees() []tree {
 				}
 		},
 	}, {
-		name: "three-way Go", workers: 3, bound: 2,
+		name: "three-way Go", workers: 3,
 		build: func() (wl.Task, func(core.Report, error) error) {
 			var ran, out [3]int
 			return func(c wl.Ctx) {
@@ -380,7 +390,7 @@ func checkedTrees() []tree {
 				}
 		},
 	}, {
-		name: "forced steal, then a join", workers: 2, bound: 3,
+		name: "forced steal, then a join", workers: 2,
 		build: func() (wl.Task, func(core.Report, error) error) {
 			ran := map[int]int{}
 			var a, b int
@@ -399,7 +409,7 @@ func checkedTrees() []tree {
 				}
 		},
 	}, {
-		name: "block reused across two generations", workers: 2, bound: 3,
+		name: "block reused across two generations", workers: 2,
 		build: func() (wl.Task, func(core.Report, error) error) {
 			ran := map[int]int{}
 			var got [4]int
@@ -422,7 +432,7 @@ func checkedTrees() []tree {
 				}
 		},
 	}, {
-		name: "a task whose inline call panics", workers: 2, bound: 3,
+		name: "a task whose inline call panics", workers: 2,
 		build: func() (wl.Task, func(core.Report, error) error) {
 			nop := func(wl.Ctx) {}
 			sib := 0

@@ -15,25 +15,25 @@
 //
 // A job is its root task, as in Cilk: the root carries no fork-join
 // block, and when runTask returns from it the root's joins have drained
-// every task of the job, each of which flushed its accounting before
-// its block decrement. That worker calls finish, the one completion
-// path, which folds the report, emits JobDone and completes the Job;
-// Submit calls it only for a job whose context fired before any worker
-// took the root. No goroutine waits on a job: a context.AfterFunc sets
-// its cancelled flag. The executor shares internal/core's
-// Config and Report types: all four tempo modes run here, and reports
-// carry the same residency and scheduler statistics, measured over
-// wall-clock time.
+// every task of the job: the owner ran its kids itself, or a thief
+// flushed its accounting before the count its join waited for. That
+// worker calls finish, the one completion path, which folds the
+// report, emits JobDone and completes the Job; Submit calls it only
+// for a job whose context fired before any worker took the root. No
+// goroutine waits on a job: a context.AfterFunc sets its cancelled
+// flag. The executor shares internal/core's Config and Report types:
+// all four tempo modes run here, and reports carry the same residency
+// and scheduler statistics, measured over wall-clock time.
 //
 // The task-boundary hot path is lock-free and allocation-free in
 // steady state. The deque is the Chase–Lev implementation (CAS only on
 // steals and the owner's last-item race: real thieves contend, so the
 // steal path must not serialize the pool the way the paper's THE
 // protocol would); tasks and fork-join blocks come
-// from per-worker free lists, and no block owns a channel: a joiner
-// with nothing left to run or steal parks on its worker's one wake
-// channel, which the block's last decrement signals only if the
-// joiner announced itself in the block's waiting flag; and accounting
+// from per-worker free lists; a join counts the kids its owner pops in
+// a local and pays an atomic only for the kids thieves ran, and a
+// joiner with nothing left to run or steal parks on its worker's one
+// wake channel, which each thief's count signals; and accounting
 // never takes a global lock — each worker publishes its (state, freq,
 // since) in a packed atomic word and accumulates an exact per-worker
 // residency matrix (see acct.go). Readers fold the cells on demand:
@@ -50,13 +50,21 @@
 // pops to the lock, and 4 435 of them moved a tier; with the head bit
 // about 5 200 lock, and each moves a tier. On amd64, where every atomic store and
 // read-modify-write is a fence, a spawned task its owner pops pays
-// about 5.1 fence-bearing operations: Push's slot and bottom stores,
-// Pop's bottom store, the block's pending store and decrement, and 0.14
-// of a lock round trip. A block's reuse is its pending store alone,
-// and no channel is touched unless the joiner parks. Task and spawn
-// counts are plain per-job fields that the job's report folds.
-// Rito & Paulino bound synchronization by the steals (about 7 a job
-// here); all of the rest is on the owner's path.
+// about 3.1 fence-bearing operations: Push's slot and bottom stores,
+// Pop's bottom store, and 0.14 of a lock round trip. A block nothing
+// was stolen from touches no atomic: getBlock stores its kid count,
+// and join counts the popped kids, in plain owner-only fields. Task
+// and spawn counts are plain per-job fields that the job's report
+// folds. Rito & Paulino bound synchronization by the steals (about 7
+// a job here), and so does the join: a stolen kid costs its thief one
+// add to the block's done and one non-blocking send, and the joiner a
+// load per turn of its wait and a store of 0.
+//
+// go test -tags hermescheck runs the interleaving checker
+// (check_test.go): it drives a small pool one worker at a time through
+// every schedule of the protocol's synchronization steps (sites.go) up
+// to a preemption bound, over small trees, and checks that every task
+// runs once, every join returns and results equal the serial ones.
 //
 // A Fork2 spawn allocates nothing: its Body, the two ints and its
 // result are carried in the pooled block. fibtree and wl.For's splits

@@ -219,8 +219,8 @@ func fork2Calls(n int) int64 {
 	return 1 + fork2Calls(n-1) + fork2Calls(n-2)
 }
 
-// staleWake leaves a token in w's wake channel, as a signal that lands
-// after its join's re-check already saw zero does.
+// staleWake leaves a token in w's wake channel, as a thief's signal
+// that lands after the join it counted for has returned does.
 func staleWake(w *worker) {
 	select {
 	case w.wake <- struct{}{}:
@@ -231,7 +231,7 @@ func staleWake(w *worker) {
 // forkStolen is TestFork2StealsWriteResult's forced steal with a stale
 // token on the owner's wake channel: the inline fib(x0) waits until a
 // thief has started the pushed fib(x1), which first sleeps, so the
-// owner's join runs dry and parks while pending is still 1.
+// owner's join finds its kid stolen and parks while done is still 0.
 func forkStolen(c wl.Ctx, x0, x1 int) (int, int) {
 	staleWake(c.(*wctx).w)
 	pushed := make(chan struct{})
@@ -248,9 +248,10 @@ func forkStolen(c wl.Ctx, x0, x1 int) (int, int) {
 
 // TestStaleWakeTokens starts every job, and every forced steal, with a
 // stale token in the workers' wake channels. A join that takes one
-// wakes a turn early and must go on waiting for pending zero: every
-// result is the serial one and the task and spawn counts are exact.
-// After Close every pooled block sits in its owner's free list.
+// wakes a turn early and must go on waiting until done counts every
+// stolen kid: every result is the serial one and the task and spawn
+// counts are exact. After Close every pooled block sits in its owner's
+// free list with done back at 0.
 func TestStaleWakeTokens(t *testing.T) {
 	e, err := NewExec(core.Config{Spec: cpu.SystemB(), Workers: 2, Mode: core.Unified, Seed: 36})
 	if err != nil {
@@ -330,6 +331,9 @@ func TestStaleWakeTokens(t *testing.T) {
 		for _, blk := range w.freeBlocks {
 			if blk.owner != w {
 				t.Fatalf("worker %d's free list holds a block owned by worker %d", w.id, blk.owner.id)
+			}
+			if n := blk.done.Load(); n != 0 {
+				t.Fatalf("a pooled block of worker %d has done %d", w.id, n)
 			}
 			pooled++
 		}

@@ -52,28 +52,26 @@ type task struct {
 	job *jobState
 }
 
-// block tracks one fork-join block's outstanding tasks. Its owner is
-// the worker that forked it, set once when the block is made: the
+// block is one fork-join block: the kids its owner pushed. Its owner
+// is the worker that forked it, set once when the block is made: the
 // block returns only to that worker's free list, and that worker alone
-// joins it, so the decrement that reaches zero wakes owner through the
-// worker's one wake channel and the block itself needs no channel.
+// joins it.
 //
-// waiting gates the wake: the common case — the owner drains its own
-// block without ever sleeping — must not pay a channel operation per
-// task. A joiner announces itself (waiting=true) before re-checking
-// pending and sleeping; a decrementer that reaches zero signals only
-// if a waiter is announced. Sequentially consistent atomics make the
-// handshake lossless: either the decrementer sees the announcement
-// and signals, or the joiner's re-check sees pending==0 and never
-// sleeps.
+// Synchronization is paid only for steals, as in Cilk. kids is the
+// owner's plain count, set by getBlock. The owner's join pops and runs
+// its unstolen kids itself and counts them in a local, so a block
+// nothing was stolen from touches no atomic. A thief that runs a kid
+// adds it to done, the block's only atomic, and then signals the
+// owner; the join waits until done equals the number stolen and
+// stores 0 back.
 //
-// A Fork2 block carries its pushed call, body(x, y); its runner writes
-// res before the decrement, and the joiner reads it at pending zero.
+// A Fork2 block carries its pushed call, body(x, y). Its runner writes
+// res before a thief's count, and the joiner reads it after the join.
 // putBlock clears body and res, so the pool pins no finished job's
 // Body and a skipped call yields 0.
 type block struct {
-	pending   atomic.Int64
-	waiting   atomic.Bool
+	kids      int
+	done      atomic.Int64
 	owner     *worker
 	outer     *block // the owner's next open block out: see worker.open
 	body      wl.Body
@@ -81,7 +79,10 @@ type block struct {
 }
 
 // signal wakes the block's owner, non-blocking: a token already
-// buffered in its wake channel wakes it just as well.
+// buffered in its wake channel wakes it just as well. Every count in
+// done is followed by a signal, and the joiner re-checks done before
+// each park, so no count goes unseen; a stale token costs it one turn
+// of its loop.
 func (b *block) signal() {
 	select {
 	case b.owner.wake <- struct{}{}:
@@ -91,8 +92,9 @@ func (b *block) signal() {
 
 // jobWCounts is one worker's private slice of a job's statistics:
 // plain fields, written only by that worker, folded into the report
-// after the job's fork-join structure has fully drained (the block
-// pending-counter chain orders every write before the fold). Padded
+// after the job's fork-join structure has fully drained (a thief's
+// count in done, which the owner's join waits for, orders its writes
+// before the fold). Padded
 // so two workers serving the same job never share a cache line.
 type jobWCounts struct {
 	tasks, spawns, steals int64
@@ -837,10 +839,10 @@ func (w *worker) putTask(t *task) {
 	}
 }
 
-// getBlock recycles a fork-join block owned by w and opens it: it
-// becomes w.open. A pooled block's waiting flag is already false: join
-// clears it before it returns. Owner-only.
-func (w *worker) getBlock(pending int64) *block {
+// getBlock recycles a fork-join block owned by w for kids pushed
+// tasks and opens it: it becomes w.open. Plain stores only: a pooled
+// block's done is already 0, since join resets it. Owner-only.
+func (w *worker) getBlock(kids int) *block {
 	var blk *block
 	if n := len(w.freeBlocks); n > 0 {
 		blk = w.freeBlocks[n-1]
@@ -848,7 +850,7 @@ func (w *worker) getBlock(pending int64) *block {
 	} else {
 		blk = &block{owner: w}
 	}
-	blk.pending.Store(pending)
+	blk.kids = kids
 	blk.outer, w.open = w.open, blk
 	return blk
 }
@@ -994,10 +996,11 @@ func (w *worker) switchJob(js *jobState) {
 // error surfaces from Job.Wait, matching the Sim backend) without
 // taking the shared pool down. The task itself is recycled into this
 // worker's free list before the body runs; per-job accounting is
-// written to this worker's plain counter slice, ordered before the
-// block decrement so the job's report fold (which follows the root's
-// return, after the pending chain has reached zero) observes every
-// write. A root has no block: the worker that returns from it
+// written to this worker's plain counter slice. A kid its block's
+// owner runs is counted by the owner's join; a thief counts the kid in
+// the block's done after its accounting and the kid's result, so the
+// job's report fold (which follows the root's return, after every join)
+// observes every write. A root has no block: the worker that returns from it
 // finishes the job. A body that panics fails its job first and then
 // joins every block it left open, innermost first, so its pushed
 // tasks, which the failed job now skips, drain before it returns.
@@ -1035,19 +1038,15 @@ func (w *worker) runTask(t *task) {
 		if js != prev {
 			w.switchJob(prev)
 		}
-		// The decrement (or the root's finish) comes last: every
+		// A thief's count (or the root's finish) comes last: every
 		// accounting flush above is ordered before it.
 		if blk == nil {
 			w.e.finish(js)
-			return
-		}
-		w.yield(siteCount)
-		if blk.pending.Add(-1) == 0 {
-			w.yield(siteFlag)
-			if blk.waiting.Load() {
-				w.yield(siteWake)
-				blk.signal()
-			}
+		} else if blk.owner != w {
+			w.yield(siteCount)
+			blk.done.Add(1)
+			w.yield(siteWake)
+			blk.signal()
 		}
 	}()
 	if js.cancelled.Load() {
@@ -1064,46 +1063,41 @@ func (w *worker) runTask(t *task) {
 	}
 }
 
-// join drains a block: run own-block tasks from the local tail, help
-// by stealing, and finally park on the worker's wake channel. Only the
-// block's owner joins it.
+// join drains a block. It pops and runs the block's kids from the
+// local tail, counting them; a kid it cannot pop was stolen, and then
+// so were all before it, since thieves take the head. With none
+// stolen it returns having touched no atomic. Otherwise it helps by
+// stealing and parks on the worker's wake channel until the thieves
+// have counted every stolen kid in done. Only the block's owner joins
+// it, and a popped task is always this block's: the block's kids are
+// the deque's tail, since every block opened above it was joined and
+// a panicking task joins the blocks it left open (runTask).
 func (w *worker) join(blk *block) {
-	for w.yield(siteCount); blk.pending.Load() > 0; w.yield(siteCount) {
+	n := 0
+	for ; n < blk.kids; n++ {
 		w.yield(sitePop)
-		if t, ok := w.dq.Pop(); ok {
-			if t.blk != blk {
-				w.yield(sitePush)
-				w.dq.Push(t) // enclosing block's task; not runnable yet
-			} else {
-				w.afterShrink()
-				w.runTask(t)
-				continue
-			}
+		t, ok := w.dq.Pop()
+		if !ok {
+			break
 		}
-		if w.yield(siteCount); blk.pending.Load() == 0 {
-			return
-		}
+		w.assert(t.blk == blk, "join popped another block's task")
+		w.afterShrink()
+		w.runTask(t)
+	}
+	stolen := int64(blk.kids - n)
+	if stolen == 0 {
+		return
+	}
+	for w.yield(siteCount); blk.done.Load() != stolen; w.yield(siteCount) {
 		w.outOfWork()
 		if t, ok := w.stealRound(); ok {
 			w.runTask(t)
-			continue
-		}
-		// Nothing runnable anywhere: announce ourselves, re-check, and
-		// park. The wake cannot be lost (the last decrement either sees
-		// the announcement and signals, or our re-check sees zero). A
-		// worker waits on at most one block at a time, since waiting is
-		// set only right here, so one buffered token serves all its
-		// blocks: a stale one, sent after an earlier park's re-check saw
-		// zero, at worst wakes the loop into one more pending check.
-		w.yield(siteFlag)
-		blk.waiting.Store(true)
-		if w.yield(siteCount); blk.pending.Load() > 0 {
+		} else {
 			w.yield(sitePark)
 			<-w.wake
 		}
-		w.yield(siteFlag)
-		blk.waiting.Store(false)
 	}
+	blk.done.Store(0)
 }
 
 // wctx implements wl.Ctx over a real worker executing one job's
@@ -1137,7 +1131,7 @@ func (c *wctx) Go(tasks ...wl.Task) {
 		tasks[0](c)
 		return
 	}
-	blk := w.getBlock(int64(len(tasks) - 1))
+	blk := w.getBlock(len(tasks) - 1)
 	for i := len(tasks) - 1; i >= 1; i-- {
 		w.push(w.getTask(tasks[i], blk, js))
 	}

@@ -5,7 +5,10 @@ package rt
 // seam attaches a worker to the interleaving checker that drives it;
 // ctl is nil on a worker that runs free.
 type seam struct {
-	ctl interface{ yield(*worker, site) }
+	ctl interface {
+		yield(*worker, site)
+		broken(what string)
+	}
 }
 
 // yield lets the checker run another worker before this one takes
@@ -13,5 +16,12 @@ type seam struct {
 func (w *worker) yield(s site) {
 	if w.seam.ctl != nil {
 		w.seam.ctl.yield(w, s)
+	}
+}
+
+// assert reports a broken invariant to the checker driving w.
+func (w *worker) assert(ok bool, what string) {
+	if !ok && w.seam.ctl != nil {
+		w.seam.ctl.broken(what)
 	}
 }

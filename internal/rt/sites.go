@@ -12,8 +12,7 @@ const (
 	sitePop                // the owner's deque Pop
 	siteSteal              // a thief's deque Steal
 	siteResult             // a Fork2 runner's res store
-	siteCount              // an atomic on a block's counter
-	siteFlag               // waiting's store or load
+	siteCount              // an atomic on a block's done
 	siteWake               // the send to the owner's wake channel
 	sitePark               // the receive from the joiner's wake channel
 )
