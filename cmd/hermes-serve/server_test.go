@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -463,6 +464,21 @@ func TestServeOnSimBackend(t *testing.T) {
 		if st.Report == nil || st.Report.SojournMS <= 0 {
 			t.Fatalf("sim job %d missing virtual sojourn: %+v", id, st.Report)
 		}
+	}
+}
+
+// TestJobTimeoutReportsDeadline: a job that outlives -job-timeout ends
+// failed, and its status names the deadline. One Native worker leaves
+// the deadline's timer a free P on a two-core host.
+func TestJobTimeoutReportsDeadline(t *testing.T) {
+	ts, _ := startTestServer(t, serveConfig{backend: "native", mode: "unified", workers: 1, buffer: 1 << 12, maxInflight: 4, jobTimeout: 2 * time.Millisecond})
+	id, code := postJob(t, ts.URL, `{"workload":"fibtree","n":32,"grain":8}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	st := waitDone(t, ts.URL, id, 30*time.Second)
+	if st.Status != "failed" || !strings.Contains(st.Error, context.DeadlineExceeded.Error()) {
+		t.Fatalf("job %d ended %q with %q; want failed with the deadline", id, st.Status, st.Error)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hermes"
+	"hermes/internal/wl"
 	"hermes/internal/workload"
 )
 
@@ -449,6 +450,69 @@ func TestPanicJoinsItsForks(t *testing.T) {
 		rt.Close()
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("%v, two workers: err = %v, want the panic", backend, err)
+		}
+	}
+}
+
+// cancelAt wraps a job's Ctx so that the job's k-th spawn cancels it:
+// the cancellation lands mid-run, wherever the workload then is.
+type cancelAt struct {
+	hermes.Ctx
+	left   *atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c cancelAt) spawn() {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+		c.Mem(hermes.Second) // Native: cut short once the cancellation lands
+	}
+}
+
+func (c cancelAt) Go(tasks ...hermes.Task) {
+	c.spawn()
+	wrapped := make([]hermes.Task, len(tasks))
+	for i, t := range tasks {
+		wrapped[i] = func(x hermes.Ctx) { t(cancelAt{x, c.left, c.cancel}) }
+	}
+	c.Ctx.Go(wrapped...)
+}
+
+func (c cancelAt) Fork2(f wl.Body, a0, a1, b0, b1 int) (int, int) {
+	c.spawn()
+	return c.Ctx.Fork2(func(x hermes.Ctx, a, b int) int {
+		return f(cancelAt{x, c.left, c.cancel}, a, b)
+	}, a0, a1, b0, b1)
+}
+
+// TestCancelledSelfCheckEndsWithCause: every catalog workload that
+// checks itself, cancelled at its third spawn, ends with the
+// cancellation's cause on both backends, whatever its self-check then
+// makes of the skipped work. Native runs one worker, so the
+// cancellation's goroutine gets a free P on a two-core host.
+func TestCancelledSelfCheckEndsWithCause(t *testing.T) {
+	for _, kind := range []string{"fibtree", "knn", "ray", "sort", "compare", "hull"} {
+		task, _, err := workload.Spec{Kind: kind}.Task()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range []hermes.Backend{hermes.Sim, hermes.Native} {
+			rt, err := hermes.New(hermes.WithBackend(backend), hermes.WithSpec(hermes.SystemB()), hermes.WithWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			var left atomic.Int64
+			left.Store(3)
+			_, err = rt.Run(ctx, func(c hermes.Ctx) { task(cancelAt{c, &left, cancel}) })
+			cancel()
+			rt.Close()
+			if left.Load() > 0 {
+				t.Fatalf("%s on %v: the job spawned fewer than 3 times", kind, backend)
+			}
+			if !errors.Is(err, ctx.Err()) {
+				t.Fatalf("%s on %v: err = %v, want %v", kind, backend, err, ctx.Err())
+			}
 		}
 	}
 }
