@@ -181,19 +181,22 @@ func execute(tr tree, tokens bool, stack *[]node) string {
 			c.back <- struct{}{}
 		}()
 	}
+	runnable := func(i int) bool {
+		th := c.th[i]
+		return !th.ended && (th.ready == nil || th.ready())
+	}
 	cur, pre := -1, 0
 	for k := 0; ; k++ {
 		var alts []int
-		if cur >= 0 && !c.th[cur].ended && (c.th[cur].ready == nil || c.th[cur].ready()) {
+		if cur >= 0 && runnable(cur) {
 			alts = append(alts, cur)
 		}
 		live := 0
 		for i, th := range c.th {
-			if th.ended {
-				continue
+			if !th.ended {
+				live++
 			}
-			live++
-			if i != cur && (th.ready == nil || th.ready()) {
+			if i != cur && runnable(i) {
 				alts = append(alts, i)
 			}
 		}

@@ -52,19 +52,14 @@
 // read-modify-write is a fence, a spawned task its owner pops pays
 // about 3.1 fence-bearing operations: Push's slot and bottom stores,
 // Pop's bottom store, and 0.14 of a lock round trip. A block nothing
-// was stolen from touches no atomic: getBlock stores its kid count,
-// and join counts the popped kids, in plain owner-only fields. Task
-// and spawn counts are plain per-job fields that the job's report
-// folds. Rito & Paulino bound synchronization by the steals (about 7
-// a job here), and so does the join: a stolen kid costs its thief one
-// add to the block's done and one non-blocking send, and the joiner a
-// load per turn of its wait and a store of 0.
-//
-// go test -tags hermescheck runs the interleaving checker
-// (check_test.go): it drives a small pool one worker at a time through
-// every schedule of the protocol's synchronization steps (sites.go) up
-// to a preemption bound, over small trees, and checks that every task
-// runs once, every join returns and results equal the serial ones.
+// was stolen from touches no atomic: its kid count is a plain field
+// and join counts the kids it pops in a local. Task and spawn counts
+// are plain per-job fields that the job's report folds. Rito & Paulino
+// bound synchronization by the steals (about 7 a job here), and so
+// does the join: a stolen kid costs its thief an add to the block's
+// done and a non-blocking send, and the joiner a load per turn of its
+// wait and a store of 0. go test -tags hermescheck checks this
+// protocol over every bounded interleaving (check_test.go).
 //
 // A Fork2 spawn allocates nothing: its Body, the two ints and its
 // result are carried in the pooled block. fibtree and wl.For's splits

@@ -55,15 +55,9 @@ type task struct {
 // block is one fork-join block: the kids its owner pushed. Its owner
 // is the worker that forked it, set once when the block is made: the
 // block returns only to that worker's free list, and that worker alone
-// joins it.
-//
-// Synchronization is paid only for steals, as in Cilk. kids is the
-// owner's plain count, set by getBlock. The owner's join pops and runs
-// its unstolen kids itself and counts them in a local, so a block
-// nothing was stolen from touches no atomic. A thief that runs a kid
-// adds it to done, the block's only atomic, and then signals the
-// owner; the join waits until done equals the number stolen and
-// stores 0 back.
+// joins it. Synchronization is paid only for steals, as in Cilk: kids
+// is the owner's plain count, and done, the block's only atomic,
+// counts the kids that thieves ran (see join).
 //
 // A Fork2 block carries its pushed call, body(x, y). Its runner writes
 // res before a thief's count, and the joiner reads it after the join.
@@ -79,10 +73,8 @@ type block struct {
 }
 
 // signal wakes the block's owner, non-blocking: a token already
-// buffered in its wake channel wakes it just as well. Every count in
-// done is followed by a signal, and the joiner re-checks done before
-// each park, so no count goes unseen; a stale token costs it one turn
-// of its loop.
+// buffered wakes it just as well, since the joiner re-checks done
+// before each park. A stale token costs the joiner one turn.
 func (b *block) signal() {
 	select {
 	case b.owner.wake <- struct{}{}:
@@ -94,8 +86,8 @@ func (b *block) signal() {
 // plain fields, written only by that worker, folded into the report
 // after the job's fork-join structure has fully drained (a thief's
 // count in done, which the owner's join waits for, orders its writes
-// before the fold). Padded
-// so two workers serving the same job never share a cache line.
+// before the fold). Padded so two workers serving the same job never
+// share a cache line.
 type jobWCounts struct {
 	tasks, spawns, steals int64
 	busyNS                int64
@@ -999,11 +991,12 @@ func (w *worker) switchJob(js *jobState) {
 // written to this worker's plain counter slice. A kid its block's
 // owner runs is counted by the owner's join; a thief counts the kid in
 // the block's done after its accounting and the kid's result, so the
-// job's report fold (which follows the root's return, after every join)
-// observes every write. A root has no block: the worker that returns from it
-// finishes the job. A body that panics fails its job first and then
-// joins every block it left open, innermost first, so its pushed
-// tasks, which the failed job now skips, drain before it returns.
+// job's report fold (which follows the root's return, after every
+// join) observes every write. A root has no block: the worker that
+// returns from it finishes the job. A body that panics fails its job
+// first and then joins every block it left open, innermost first, so
+// its pushed tasks, which the failed job now skips, drain before it
+// returns.
 //
 // Busy-time attribution is interval-based: the worker charges the
 // whole contiguous stretch it spends with one accounting context
@@ -1064,14 +1057,15 @@ func (w *worker) runTask(t *task) {
 }
 
 // join drains a block. It pops and runs the block's kids from the
-// local tail, counting them; a kid it cannot pop was stolen, and then
-// so were all before it, since thieves take the head. With none
-// stolen it returns having touched no atomic. Otherwise it helps by
-// stealing and parks on the worker's wake channel until the thieves
-// have counted every stolen kid in done. Only the block's owner joins
-// it, and a popped task is always this block's: the block's kids are
-// the deque's tail, since every block opened above it was joined and
-// a panicking task joins the blocks it left open (runTask).
+// local tail, counting them in a local; once a pop finds the deque
+// empty, the rest were stolen. With none stolen it returns having
+// touched no atomic. Otherwise it helps by stealing and parks on the
+// worker's wake channel until done, to which a thief adds each kid it
+// ran before it signals, counts every stolen kid; then it stores 0
+// back. Only the block's owner joins it, and a popped task is always
+// this block's: the kids are the deque's tail, since every block
+// opened above them was joined and a panicking task joins the blocks
+// it left open (runTask).
 func (w *worker) join(blk *block) {
 	n := 0
 	for ; n < blk.kids; n++ {
