@@ -3,6 +3,7 @@ package hermes_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"hermes"
@@ -33,11 +34,16 @@ func serveTrace(t *testing.T, rt *hermes.Runtime) error {
 			t.Fatalf("job %d: %+v, %v", j.ID(), rep, err)
 		}
 	}
+	// Before Close the engine answers with the same ledger: the one
+	// through the last completion.
+	live := rt.ClusterStats()
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if st := rt.ClusterStats(); st.Completed != int64(len(arrivals)) || st.EnergyJ <= 0 || len(st.Machines) != rt.Machines() {
 		t.Fatalf("ledger does not show the trace: %+v", st)
+	} else if !reflect.DeepEqual(live, st) {
+		t.Fatalf("ledger read before Close:\n%+v\nafter:\n%+v", live, st)
 	}
 	return nil
 }
@@ -58,8 +64,8 @@ func serve(t *testing.T, rt *hermes.Runtime) error {
 
 // TestCapabilityMatrix is the one table of what each backend can do
 // (ROADMAP 5(d)): every option or method that is not universal, on Sim
-// and on Native. A supported cell is exercised — jobs complete and, on
-// Sim, the ledger is non-zero; an unsupported one must refuse with an
+// and on Native. A supported cell is exercised — jobs complete and the
+// ledger is non-zero; an unsupported one must refuse with an
 // error matching one of the package's three capability sentinels,
 // whether the refusal comes from New or from the method.
 func TestCapabilityMatrix(t *testing.T) {
@@ -103,7 +109,7 @@ func TestCapabilityMatrix(t *testing.T) {
 		{"WithDispatch(edf)", []hermes.Option{hermes.WithDispatch(hermes.DispatchEDF)}, serve, nil, hermes.ErrSimOnly},
 		{"WithPreemptQuantum", []hermes.Option{hermes.WithPreemptQuantum(50 * hermes.Microsecond)}, serve, nil, hermes.ErrSimOnly},
 		{"SubmitTrace", nil, serveTrace, nil, hermes.ErrSimOnly},
-		{"MachineStats-1-machine", nil, machineStats, nil, hermes.ErrStatsUnavailable},
+		{"MachineStats-1-machine", nil, machineStats, nil, nil},
 		// A fleet has one ledger per machine: MachineStats points at
 		// ClusterStats. Native never gets that far.
 		{"MachineStats-3-machines", []hermes.Option{hermes.WithMachines(3)}, machineStats, hermes.ErrStatsUnavailable, hermes.ErrSimOnly},
@@ -112,10 +118,10 @@ func TestCapabilityMatrix(t *testing.T) {
 				return err
 			}
 			rt.Close()
-			// The signature has no error to refuse with: Native's ledger is
-			// simply empty.
-			if st := rt.ClusterStats(); rt.Backend() == hermes.Native && (st.Completed != 0 || st.Machines != nil) {
-				t.Fatalf("native ClusterStats not zero: %+v", st)
+			// Native's ledger is its one machine's, as on a one-machine
+			// Sim fleet.
+			if st := rt.ClusterStats(); rt.Backend() == hermes.Native && (st.Completed != 1 || len(st.Machines) != 1 || st.EnergyJ <= 0) {
+				t.Fatalf("native ClusterStats does not show the job: %+v", st)
 			}
 			// Likewise the engine's counters: an engine that served a job
 			// dispatched events and resumed some of them; Native has none.

@@ -42,10 +42,10 @@ func PlacementPowerOfChoices(k int) Placement {
 // an interval ago — realistically stale information.
 func PlacementGossip() Placement { return Placement{Kind: "gossip"} }
 
-// ClusterStats is the fleet-wide aggregate through the cluster's last
-// job completion: one MachineStats per machine (all snapshotted at the
-// same virtual instant, idle machines' floor draw included), placement
-// and migration counts, and the fleet energy total.
+// ClusterStats is the fleet-wide aggregate (Runtime.ClusterStats): one
+// MachineStats per machine (all snapshotted at the same instant, idle
+// machines' floor draw included), placement and migration counts, and
+// the fleet energy total.
 type ClusterStats = core.ClusterStats
 
 // Cluster is a Runtime: on the Sim backend every Runtime is a fleet of
@@ -82,15 +82,15 @@ func (r *Runtime) Machines() int {
 // on Native.
 func (r *Runtime) Placement() Placement { return r.policy }
 
-// ClusterStats returns the fleet aggregate through the Runtime's last
-// job completion — every machine snapshotted at the same virtual
+// ClusterStats returns the fleet aggregate. On Sim it runs through the
+// last job completion, every machine snapshotted at the same virtual
 // instant, so energy comparisons across policies charge idle machines
-// over equal windows. It blocks until the engine has stopped: call it
-// after Close. Native keeps no virtual-time ledger and returns the zero
-// ClusterStats (MachineStats is the call that says so with an error).
+// over equal windows; a call before Close is answered between engine
+// events. On Native it is the one machine's ledger since New, live up
+// to the call and frozen at Close.
 func (r *Runtime) ClusterStats() ClusterStats {
-	if r.backend != Sim {
-		return ClusterStats{}
+	if r.native != nil {
+		return r.native.Stats()
 	}
 	return r.sim.eng.Stats()
 }

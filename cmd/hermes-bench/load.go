@@ -35,8 +35,7 @@ type loadOpts struct {
 // loadSummary is the run's JSON result — the artifact CI's bench job
 // uploads: what was run, then the sweep's Point for the run, read
 // from the same fold as every sweep point. OfferedRPS is the target
-// rate; the Point has no machine ledger, so AvgPowerW is 0 and Tiers
-// is null.
+// rate.
 type loadSummary struct {
 	Workload workload.Spec `json:"workload"`
 	// Trace is the arrival process, normalized so the default
@@ -137,7 +136,7 @@ func runLoad(opts loadOpts) (loadSummary, error) {
 	return loadSummary{
 		Workload: spec,
 		Trace:    trace.Canonical(opts.Trace),
-		Point:    sweep.Fold(opts.RPS, arrivals, reports, errs),
+		Point:    sweep.Fold(opts.RPS, arrivals, reports, errs, rt.ClusterStats()),
 	}, nil
 }
 

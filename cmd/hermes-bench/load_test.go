@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func nativePoint(sojourns ...units.Time) sweep.Point {
 	for i, s := range sojourns {
 		reports[i].Sojourn = s
 	}
-	return sweep.Fold(100, arrivals, reports, make([]error, len(sojourns)))
+	return sweep.Fold(100, arrivals, reports, make([]error, len(sojourns)), hermes.ClusterStats{})
 }
 
 // TestPercentileMS pins the nearest-rank sojourn percentiles the load
@@ -149,6 +150,33 @@ func TestInprocLoadShortRun(t *testing.T) {
 	}
 	if sum.JoulesPerRequest <= 0 {
 		t.Fatalf("no energy attributed per request: %+v", sum)
+	}
+}
+
+// TestInprocLoadReportsMachineLedger: the Native run's Point carries
+// the machine ledger, average power and a DVFS residency whose tier
+// shares partition the busy time.
+func TestInprocLoadReportsMachineLedger(t *testing.T) {
+	sum, err := runLoad(loadOpts{
+		RPS:      50,
+		Duration: 400 * time.Millisecond,
+		Spec:     workload.Spec{Kind: "ticks"},
+		Seed:     1,
+		Mode:     "unified",
+		Workers:  2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.AvgPowerW <= 0 || len(sum.Tiers) == 0 {
+		t.Fatalf("no machine ledger in the Point: avg_power_w %g, tiers %v", sum.AvgPowerW, sum.Tiers)
+	}
+	var frac float64
+	for _, tier := range sum.Tiers {
+		frac += tier.Frac
+	}
+	if math.Abs(frac-1) > 1e-9 {
+		t.Fatalf("tier shares sum to %.12f, want 1: %+v", frac, sum.Tiers)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // job's status, and label the metrics series; unclassed submissions
 // keep their pre-tenancy response shape.
 func TestClassedSubmitEchoed(t *testing.T) {
-	ts, _ := newTestServer(t, 8, 1<<12)
+	ts, _ := newTestServer(t, 8)
 
 	id, code := postJob(t, ts.URL, `{"workload":"ticks","n":4,"grain":4,"work":100000,"tenant":"acme","priority":2}`)
 	if code != http.StatusAccepted {
@@ -60,7 +60,7 @@ func TestClassedSubmitEchoed(t *testing.T) {
 // tenant (free-form, no registry) yields an empty list rather than a
 // 400.
 func TestJobIndexTenantFilter(t *testing.T) {
-	ts, srv := newTestServer(t, 8, 1<<12)
+	ts, srv := newTestServer(t, 8)
 	srv.retainDone = 16
 	submit := func(body string) {
 		t.Helper()

@@ -61,7 +61,7 @@ func TestControlBootsFromModelFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ts, _ := startTestServer(t, serveConfig{backend: "native", mode: "unified", workers: 4, buffer: 1 << 12,
+	ts, _ := startTestServer(t, serveConfig{backend: "native", mode: "unified", workers: 4,
 		maxInflight: 8, jobTimeout: time.Minute, control: true, sweepModel: path})
 	var st control.Status
 	if code := getJSON(t, ts.URL+"/controlz", &st); code != http.StatusOK {
@@ -75,7 +75,7 @@ func TestControlBootsFromModelFile(t *testing.T) {
 // TestControlzDisabledByDefault pins the contract that /controlz always
 // answers, reporting exactly why the controller is not acting.
 func TestControlzDisabledByDefault(t *testing.T) {
-	ts, _ := newTestServer(t, 8, 1<<12)
+	ts, _ := newTestServer(t, 8)
 	var st control.Status
 	if code := getJSON(t, ts.URL+"/controlz", &st); code != http.StatusOK {
 		t.Fatalf("/controlz: HTTP %d", code)
@@ -96,7 +96,7 @@ func TestControlzDisabledByDefault(t *testing.T) {
 // distinct from the semaphore's max-in-flight message, plus a
 // Retry-After hint.
 func TestControllerShedding429(t *testing.T) {
-	ts, srv := newTestServer(t, 64, 1<<16)
+	ts, srv := newTestServer(t, 64)
 	ctl := control.New(control.Config{
 		Model:  tinyKneeModel(t, 1),
 		Mode:   hermes.Unified,
@@ -146,7 +146,7 @@ func TestControllerShedding429(t *testing.T) {
 // before any trace exists, byte-identical JSON across repeated queries
 // once it does, and 400s for malformed scale or mode.
 func TestCapacityReplayDeterministic(t *testing.T) {
-	ts, _ := newTestServer(t, 8, 1<<12)
+	ts, _ := newTestServer(t, 8)
 
 	resp, err := http.Get(ts.URL + "/capacity")
 	if err != nil {
@@ -225,7 +225,7 @@ func TestCapacityReplayDeterministic(t *testing.T) {
 // /capacity replays the ring as an arrival trace and rejects one that
 // is not ascending.
 func TestTraceRingConcurrentRecordAscending(t *testing.T) {
-	ts, srv := newTestServer(t, 8, 1<<12)
+	ts, srv := newTestServer(t, 8)
 	const writers, each = 8, 100
 	spec := workload.Spec{Kind: "ticks", N: 8}
 	var wg sync.WaitGroup

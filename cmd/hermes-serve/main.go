@@ -1,8 +1,8 @@
 // hermes-serve exposes a hermes.Runtime as an HTTP job-submission
 // service — the open-system serving scenario the ROADMAP's north star
-// names. Scheduler telemetry flows through a bounded asynchronous
-// observer into a Prometheus-text /metrics endpoint, so a slow
-// scraper can never stall the work-stealing hot path.
+// names. /metrics reads the scheduler series from the runtime's
+// machine ledger at scrape time, so they are exact at any load and the
+// work-stealing hot path pays nothing for them.
 //
 // Endpoints:
 //
@@ -15,8 +15,8 @@
 //	                with its description, effective defaults and max n
 //	GET  /metrics   Prometheus text: steals, tempo switches, DVFS commits,
 //	                power/energy, per-workload submissions and job latency
-//	                histogram, dropped events
-//	GET  /healthz   liveness + in-flight / drop counters
+//	                histogram
+//	GET  /healthz   liveness + in-flight counters
 //
 // Both backends serve concurrent jobs over one shared machine: real
 // goroutine workers with -backend native, the deterministic
@@ -30,10 +30,6 @@
 //	curl -s -X POST localhost:8080/jobs -d '{"workload":"fib","n":20}'
 //	curl -s localhost:8080/jobs/1
 //	curl -s localhost:8080/metrics | grep hermes_
-//
-// The async observer drops (and counts) events instead of blocking
-// when its buffer overflows; watch hermes_observer_dropped_events_total
-// and raise -buffer if it moves.
 package main
 
 import (
@@ -60,7 +56,6 @@ func main() {
 		backend     = flag.String("backend", "native", "execution backend: native or sim")
 		mode        = flag.String("mode", "unified", "tempo mode: baseline, workpath, workload or unified")
 		workers     = flag.Int("workers", 0, "worker count (0 = backend default)")
-		buffer      = flag.Int("buffer", 1<<16, "async observer event buffer size")
 		maxInflight = flag.Int("max-inflight", 1024, "max concurrently in-flight jobs before 429")
 		jobTimeout  = flag.Duration("job-timeout", 2*time.Minute, "per-job execution timeout (0 = none)")
 		shutGrace   = flag.Duration("shutdown-grace", 30*time.Second, "drain window for in-flight requests on shutdown")
@@ -75,7 +70,6 @@ func main() {
 		backend:         *backend,
 		mode:            *mode,
 		workers:         *workers,
-		buffer:          *buffer,
 		maxInflight:     *maxInflight,
 		jobTimeout:      *jobTimeout,
 		control:         *ctlEnable,
@@ -99,8 +93,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("hermes-serve: %v", err)
 	}
-	log.Printf("hermes-serve: listening on %s (backend=%s mode=%s workers=%d max-inflight=%d buffer=%d)",
-		ln.Addr(), rt.Backend(), rt.Config().Mode, rt.Config().Workers, *maxInflight, *buffer)
+	log.Printf("hermes-serve: listening on %s (backend=%s mode=%s workers=%d max-inflight=%d)",
+		ln.Addr(), rt.Backend(), rt.Config().Mode, rt.Config().Workers, *maxInflight)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
@@ -116,8 +110,7 @@ func main() {
 
 	// Shutdown order: stop accepting HTTP, drain in-flight requests
 	// within -shutdown-grace, let in-flight jobs finish via
-	// Runtime.Close (which then drains the async observer), report any
-	// telemetry loss.
+	// Runtime.Close.
 	shutCtx, cancel := context.WithTimeout(context.Background(), *shutGrace)
 	defer cancel()
 	close(stop)
@@ -129,9 +122,6 @@ func main() {
 	if err := rt.Close(); err != nil {
 		log.Printf("hermes-serve: runtime close: %v", err)
 	}
-	if n := rt.EventsDropped(); n > 0 {
-		log.Printf("hermes-serve: %d observer events dropped (raise -buffer to capture all)", n)
-	}
 	log.Printf("hermes-serve: bye")
 }
 
@@ -139,7 +129,6 @@ func main() {
 type serveConfig struct {
 	backend, mode string
 	workers       int
-	buffer        int
 	maxInflight   int
 	jobTimeout    time.Duration
 
@@ -155,10 +144,10 @@ type serveConfig struct {
 	traceCap int
 }
 
-// buildServer assembles the observability pipeline, runtime and
-// control plane behind a server: Observer events -> bounded async sink
-// -> metrics registry -> /metrics, with the controller reading the
-// registry back and deciding admission.
+// buildServer assembles the runtime, metrics registry and control
+// plane behind a server: the registry reads the runtime's ledger at
+// each /metrics scrape, and the controller reads the registry's
+// latency histogram back to decide admission.
 func buildServer(cfg serveConfig) (*server, *hermes.Runtime, error) {
 	be, err := hermes.ParseBackend(cfg.backend)
 	if err != nil {
@@ -172,7 +161,6 @@ func buildServer(cfg serveConfig) (*server, *hermes.Runtime, error) {
 	opts := []hermes.Option{
 		hermes.WithBackend(be),
 		hermes.WithMode(m),
-		hermes.WithAsyncObserver(reg, cfg.buffer),
 	}
 	if cfg.workers > 0 {
 		opts = append(opts, hermes.WithWorkers(cfg.workers))
@@ -181,7 +169,7 @@ func buildServer(cfg serveConfig) (*server, *hermes.Runtime, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	reg.SetDropSource(rt.EventsDropped)
+	reg.SetLedger(rt.MachineStats)
 	srv := newServer(rt, reg, cfg.maxInflight, cfg.jobTimeout)
 	srv.trace = newTraceRing(cfg.traceCap, srv.started)
 

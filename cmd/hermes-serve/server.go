@@ -21,9 +21,9 @@ import (
 
 // server exposes one hermes.Runtime as an HTTP job-submission
 // service: POST /jobs runs a parameterized synthetic workload, GET
-// /jobs/{id} reports its status, GET /metrics serves the Prometheus
-// fold of the runtime's observer stream and of every job's report,
-// GET /healthz liveness.
+// /jobs/{id} reports its status, GET /metrics serves the runtime's
+// machine ledger and the fold of every job's report as Prometheus
+// text, GET /healthz liveness.
 type server struct {
 	rt  *hermes.Runtime
 	reg *metrics.Registry
@@ -226,8 +226,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	// Count the submission in its (workload, tenant, priority) series
 	// and capture the arrival for /capacity replays. The job's own
-	// report is the only source of its completion telemetry: the
-	// observer stream may drop events, this goroutine never does.
+	// report is the only source of its completion telemetry.
 	key := metrics.Key{Kind: spec.Kind, Tenant: class.Tenant, Priority: class.Priority}
 	s.reg.JobSubmitted(key.Kind, key.Tenant, key.Priority)
 	if s.trace != nil {
@@ -569,15 +568,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	total := len(s.jobs)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":             true,
-		"uptime_s":       time.Since(s.started).Seconds(),
-		"backend":        s.rt.Backend().String(),
-		"mode":           s.rt.Config().Mode.String(),
-		"workers":        s.rt.Config().Workers,
-		"inflight":       len(s.inflight),
-		"peak_inflight":  s.peak.Load(),
-		"max_inflight":   s.maxInflight,
-		"jobs_total":     total,
-		"dropped_events": s.rt.EventsDropped(),
+		"ok":            true,
+		"uptime_s":      time.Since(s.started).Seconds(),
+		"backend":       s.rt.Backend().String(),
+		"mode":          s.rt.Config().Mode.String(),
+		"workers":       s.rt.Config().Workers,
+		"inflight":      len(s.inflight),
+		"peak_inflight": s.peak.Load(),
+		"max_inflight":  s.maxInflight,
+		"jobs_total":    total,
 	})
 }

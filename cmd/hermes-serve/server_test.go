@@ -18,8 +18,8 @@ import (
 	"hermes/internal/workload"
 )
 
-// startTestServer boots the full pipeline (runtime + async observer +
-// metrics + control plane + HTTP mux) behind an httptest server.
+// startTestServer boots the full pipeline (runtime + metrics + control
+// plane + HTTP mux) behind an httptest server.
 func startTestServer(t *testing.T, cfg serveConfig) (*httptest.Server, *server) {
 	t.Helper()
 	srv, rt, err := buildServer(cfg)
@@ -36,9 +36,9 @@ func startTestServer(t *testing.T, cfg serveConfig) (*httptest.Server, *server) 
 
 // newTestServer is startTestServer on the Native backend with the
 // controller off.
-func newTestServer(t *testing.T, maxInflight, buffer int) (*httptest.Server, *server) {
+func newTestServer(t *testing.T, maxInflight int) (*httptest.Server, *server) {
 	t.Helper()
-	return startTestServer(t, serveConfig{backend: "native", mode: "unified", workers: 4, buffer: buffer, maxInflight: maxInflight, jobTimeout: time.Minute})
+	return startTestServer(t, serveConfig{backend: "native", mode: "unified", workers: 4, maxInflight: maxInflight, jobTimeout: time.Minute})
 }
 
 // postJob submits spec and returns the job id (0 unless accepted) and
@@ -108,7 +108,7 @@ func waitDone(t *testing.T, base string, id int64, timeout time.Duration) jobSta
 }
 
 func TestSubmitPollReport(t *testing.T) {
-	ts, _ := newTestServer(t, 64, 1<<16)
+	ts, _ := newTestServer(t, 64)
 	id, code := postJob(t, ts.URL, `{"workload":"fib","n":16}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
@@ -126,7 +126,7 @@ func TestSubmitPollReport(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	ts, _ := newTestServer(t, 8, 1<<12)
+	ts, _ := newTestServer(t, 8)
 	for _, spec := range []string{
 		`{"workload":"nope"}`,
 		`{"workload":"fib","n":1000}`,
@@ -152,7 +152,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestAdmissionControl(t *testing.T) {
-	ts, _ := newTestServer(t, 2, 1<<12)
+	ts, _ := newTestServer(t, 2)
 	// Two slow jobs fill the in-flight window...
 	long := `{"workload":"ticks","n":64,"grain":1,"work":20000000}`
 	for i := 0; i < 2; i++ {
@@ -167,7 +167,7 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	ts, _ := newTestServer(t, 16, 1<<12)
+	ts, _ := newTestServer(t, 16)
 	var h struct {
 		OK          bool   `json:"ok"`
 		Backend     string `json:"backend"`
@@ -210,13 +210,11 @@ func TestPeakInflightOnlyRises(t *testing.T) {
 	}
 }
 
-// TestSustains200InflightWithZeroEventLoss is the PR's acceptance
-// bar: the server holds >= 200 concurrently in-flight jobs, completes
-// them all, and the async observability pipeline (sized above the
-// event volume) loses nothing.
-func TestSustains200InflightWithZeroEventLoss(t *testing.T) {
+// TestSustains200Inflight: the server holds >= 200 concurrently
+// in-flight jobs, completes them all, and /metrics counts every one.
+func TestSustains200Inflight(t *testing.T) {
 	const jobs = 250
-	ts, srv := newTestServer(t, 512, 1<<18)
+	ts, srv := newTestServer(t, 512)
 	// Each job is ~40ms of accounted work: slow enough that all 250
 	// are in flight together once submitted, fast enough to finish
 	// the run promptly.
@@ -268,80 +266,98 @@ func TestSustains200InflightWithZeroEventLoss(t *testing.T) {
 	if got := vals["hermes_jobs_completed_total"]; got < jobs {
 		t.Fatalf("metrics saw %g completed jobs, want >= %d", got, jobs)
 	}
-	if dropped := vals["hermes_observer_dropped_events_total"]; dropped != 0 {
-		t.Fatalf("%g events dropped below the configured buffer size", dropped)
-	}
 	if vals["hermes_job_latency_seconds_count"] < jobs {
 		t.Fatalf("latency histogram observed %g jobs, want >= %d",
 			vals["hermes_job_latency_seconds_count"], jobs)
 	}
 }
 
-// TestJobTelemetryExactUnderObserverDrops: a one-slot observer buffer
-// makes the async sink drop events, yet every job is counted started
-// and completed and observed in the latency histogram exactly once,
-// because job telemetry comes from each job's own report, not from the
-// event stream.
-func TestJobTelemetryExactUnderObserverDrops(t *testing.T) {
+// TestSchedulerSeriesEqualJobReports: once concurrent jobs quiesce,
+// the scraped steal counter, read from the machine ledger, equals the
+// steals the jobs' own reports attribute, both energy series are live,
+// and every job is counted started and completed and observed in the
+// latency histogram exactly once.
+func TestSchedulerSeriesEqualJobReports(t *testing.T) {
 	const jobs = 60
-	ts, _ := newTestServer(t, 256, 1)
-	// Concurrent submissions overlap the jobs' event bursts, so the
-	// one-slot buffer overflows on every run.
+	ts, _ := newTestServer(t, 256)
+	ids := make([]int64, jobs)
 	var wg sync.WaitGroup
-	for i := 0; i < jobs; i++ {
+	for i := range jobs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"workload":"ticks","n":16}`))
-			if err != nil {
-				t.Error(err)
-				return
+			id, code, err := submitJob(ts.URL, `{"workload":"ticks","n":16}`)
+			if err != nil || code != http.StatusAccepted {
+				t.Errorf("job %d: HTTP %d, %v", i, code, err)
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted {
-				t.Errorf("job %d: HTTP %d", i, resp.StatusCode)
-			}
+			ids[i] = id
 		}()
 	}
 	wg.Wait()
+	if t.Failed() {
+		t.FailNow() // a failed submission has no id to wait on
+	}
+	var steals float64
+	for _, id := range ids {
+		st := waitDone(t, ts.URL, id, 30*time.Second)
+		if st.Status != "done" {
+			t.Fatalf("job %d finished %q: %s", id, st.Status, st.Error)
+		}
+		steals += float64(st.Report.Steals)
+	}
 	want := map[string]float64{
 		"hermes_jobs_completed_total":      jobs,
 		"hermes_job_latency_seconds_count": jobs,
 		"hermes_jobs_started_total":        jobs,
 		"hermes_jobs_inflight":             0,
+		"hermes_steals_total":              steals,
 	}
+	// A job's status turns done before its completion reaches the
+	// registry, so the job series may trail the statuses briefly.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		vals := metrics.ParseText(string(body))
-		exact := vals["hermes_observer_dropped_events_total"] > 0
+		vals := metrics.ParseText(scrapeMetrics(t, ts.URL))
+		exact := true
 		for name, v := range want {
 			exact = exact && vals[name] == v
 		}
 		if exact {
+			if jobJ, machineJ := vals["hermes_job_energy_joules_total"], vals["hermes_energy_joules"]; jobJ <= 0 || machineJ <= 0 {
+				t.Fatalf("jobs' energy %g J, the machine's %g J", jobJ, machineJ)
+			}
 			return
 		}
 		if time.Now().After(deadline) {
-			got := map[string]float64{"hermes_observer_dropped_events_total": vals["hermes_observer_dropped_events_total"]}
+			got := map[string]float64{}
 			for name := range want {
 				got[name] = vals[name]
 			}
-			t.Fatalf("after %d jobs: %v, want %v and dropped events > 0", jobs, got, want)
+			t.Fatalf("after %d jobs: %v, want %v", jobs, got, want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// scrapeMetrics returns one /metrics body.
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: HTTP %d, %v", resp.StatusCode, err)
+	}
+	return string(body)
 }
 
 // TestLongPollStatus pins GET /jobs/{id}?wait: the handler holds the
 // request until the job completes instead of answering "running", so
 // a single request observes completion with no client-side poll loop.
 func TestLongPollStatus(t *testing.T) {
-	ts, _ := newTestServer(t, 8, 1<<12)
+	ts, _ := newTestServer(t, 8)
 	// ~80ms of accounted work: long enough that an immediate status
 	// read says "running".
 	id, code := postJob(t, ts.URL, `{"workload":"ticks","n":32,"grain":4,"work":6000000}`)
@@ -382,7 +398,7 @@ func TestLongPollStatus(t *testing.T) {
 // status "pruned" — distinguishable from both "no such job" (404) and
 // a failure.
 func TestPrunedJobAnswers410(t *testing.T) {
-	ts, srv := newTestServer(t, 8, 1<<12)
+	ts, srv := newTestServer(t, 8)
 	srv.retainDone = 2
 	var ids []int64
 	for i := 0; i < 4; i++ {
@@ -447,7 +463,7 @@ func waitDoneOrPruned(t *testing.T, base string, id int64, timeout time.Duration
 // deterministic simulator too — concurrent HTTP jobs multiplex inside
 // the discrete-event machine instead of serializing.
 func TestServeOnSimBackend(t *testing.T) {
-	ts, _ := startTestServer(t, serveConfig{backend: "sim", mode: "unified", workers: 4, buffer: 1 << 16, maxInflight: 64, jobTimeout: time.Minute})
+	ts, _ := startTestServer(t, serveConfig{backend: "sim", mode: "unified", workers: 4, maxInflight: 64, jobTimeout: time.Minute})
 	var ids []int64
 	for i := 0; i < 6; i++ {
 		id, code := postJob(t, ts.URL, `{"workload":"fib","n":14}`)
@@ -456,6 +472,9 @@ func TestServeOnSimBackend(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	// A scrape while the jobs run is answered by the engine between
+	// events; it returns at once with the ledger so far.
+	scrapeMetrics(t, ts.URL)
 	for _, id := range ids {
 		st := waitDoneOrPruned(t, ts.URL, id, 30*time.Second)
 		if st.Status != "done" {
@@ -465,13 +484,16 @@ func TestServeOnSimBackend(t *testing.T) {
 			t.Fatalf("sim job %d missing virtual sojourn: %+v", id, st.Report)
 		}
 	}
+	if j := metrics.ParseText(scrapeMetrics(t, ts.URL))["hermes_energy_joules"]; j <= 0 {
+		t.Fatalf("hermes_energy_joules = %g on the running Sim server, want > 0", j)
+	}
 }
 
 // TestJobTimeoutReportsDeadline: a job that outlives -job-timeout ends
 // failed, and its status names the deadline. One Native worker leaves
 // the deadline's timer a free P on a two-core host.
 func TestJobTimeoutReportsDeadline(t *testing.T) {
-	ts, _ := startTestServer(t, serveConfig{backend: "native", mode: "unified", workers: 1, buffer: 1 << 12, maxInflight: 4, jobTimeout: 2 * time.Millisecond})
+	ts, _ := startTestServer(t, serveConfig{backend: "native", mode: "unified", workers: 1, maxInflight: 4, jobTimeout: 2 * time.Millisecond})
 	id, code := postJob(t, ts.URL, `{"workload":"fibtree","n":32,"grain":8}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
@@ -485,7 +507,7 @@ func TestJobTimeoutReportsDeadline(t *testing.T) {
 // TestPerWorkloadMetricsLabels: the /metrics fold labels submissions
 // and latency by workload kind.
 func TestPerWorkloadMetricsLabels(t *testing.T) {
-	ts, _ := newTestServer(t, 8, 1<<12)
+	ts, _ := newTestServer(t, 8)
 	for _, spec := range []string{`{"workload":"fib","n":12}`, `{"workload":"ticks","n":16}`} {
 		id, code := postJob(t, ts.URL, spec)
 		if code != http.StatusAccepted {
@@ -534,7 +556,6 @@ var requiredSeries = []string{
 	"hermes_job_latency_seconds_bucket",
 	"hermes_job_latency_seconds_count",
 	"hermes_jobs_completed_total",
-	"hermes_observer_dropped_events_total",
 	`hermes_jobs_submitted_total{workload="fib"}`,
 	`hermes_jobs_submitted_total{workload="matmul"}`,
 	`hermes_jobs_submitted_total{workload="ticks"}`,
@@ -551,7 +572,7 @@ var requiredSeries = []string{
 }
 
 func TestMetricsSeriesPresent(t *testing.T) {
-	ts, _ := newTestServer(t, 8, 1<<12)
+	ts, _ := newTestServer(t, 8)
 	// One job per workload kind plus one per service class:
 	// requiredSeries includes the labeled per-kind families and the
 	// class-labeled (workload, tenant, priority) families.
@@ -585,7 +606,7 @@ func TestMetricsSeriesPresent(t *testing.T) {
 // registry order, and every kind it lists runs from its defaults — the
 // catalog can never drift from what POST /jobs accepts.
 func TestWorkloadsCatalogDrivesSubmit(t *testing.T) {
-	ts, _ := newTestServer(t, 64, 1<<16)
+	ts, _ := newTestServer(t, 64)
 	var cat workloadsJSON
 	if code := getJSON(t, ts.URL+"/workloads", &cat); code != http.StatusOK {
 		t.Fatalf("/workloads: HTTP %d", code)
@@ -621,7 +642,7 @@ func TestWorkloadsCatalogDrivesSubmit(t *testing.T) {
 // response stays bounded by the retention window; status and limit
 // filters apply.
 func TestJobIndex(t *testing.T) {
-	ts, srv := newTestServer(t, 8, 1<<12)
+	ts, srv := newTestServer(t, 8)
 	srv.retainDone = 3
 	var ids []int64
 	for i := 0; i < 5; i++ {
@@ -710,7 +731,7 @@ func TestJobIndex(t *testing.T) {
 // by workload kind, the filter composes with status and limit, and
 // unknown kinds are rejected loudly.
 func TestJobIndexWorkloadFilter(t *testing.T) {
-	ts, srv := newTestServer(t, 8, 1<<12)
+	ts, srv := newTestServer(t, 8)
 	srv.retainDone = 16
 	submit := func(body string) int64 {
 		t.Helper()
@@ -791,7 +812,7 @@ func FuzzSubmit(f *testing.F) {
 	} {
 		f.Add(s)
 	}
-	srv, rt, err := buildServer(serveConfig{backend: "native", mode: "unified", workers: 2, buffer: 1 << 12, maxInflight: 2, jobTimeout: 50 * time.Millisecond})
+	srv, rt, err := buildServer(serveConfig{backend: "native", mode: "unified", workers: 2, maxInflight: 2, jobTimeout: 50 * time.Millisecond})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -233,10 +233,11 @@ type Cluster struct {
 }
 
 // poolMsg is one message from a caller goroutine to the engine: a batch
-// of arrivals or the close request.
+// of arrivals, the close request, or a Stats call waiting on its reply.
 type poolMsg struct {
 	arrivals []*jobRun
 	close    bool
+	stats    chan<- ClusterStats
 }
 
 // arrivalHeap orders pending arrivals by (virtual time, job id).
@@ -319,11 +320,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	go func() {
 		defer c.wg.Done()
 		defer c.failRemaining() // closes c.dead
-		// The first message — a submission or the close — is applied
-		// before the engine's first event, so whether it overtakes the
-		// start-up events is fixed by construction and not by how fast
-		// the caller was.
-		c.apply(c.recv())
+		// The first submission or the close is applied before the
+		// engine's first event, so whether it overtakes the start-up
+		// events is fixed by construction and not by how fast the
+		// caller was. Stats calls before it are answered here.
+		for c.apply(c.recv()) {
+		}
 		c.eng.Run()
 	}()
 	return c, nil
@@ -403,7 +405,8 @@ func (c *Cluster) Submit(reqs ...JobRequest) error {
 }
 
 // send hands msg to the engine goroutine, counting it in queued first,
-// or reports false once the engine has exited. Callers hold c.mu.
+// or reports false once the engine has exited. Submit and Close hold
+// c.mu, so no batch is stranded after failRemaining's drain.
 func (c *Cluster) send(msg poolMsg) bool {
 	c.queued.Add(1)
 	select {
@@ -440,13 +443,26 @@ func (c *Cluster) Close() error {
 }
 
 // Stats returns the fleet aggregate through the cluster's last job
-// completion. It blocks until the engine goroutine has exited, so call
-// it after Close; a cluster that never completed a job reports the
-// zero aggregate. Every machine's snapshot shares the same Elapsed —
-// the fleet's last completion — so summed energies compare policies at
-// equal virtual windows.
+// completion; a cluster that never completed a job reports the zero
+// aggregate. Before Close the engine goroutine answers between events,
+// without scheduling one; after Close it is final. Every machine's
+// snapshot shares the same Elapsed — the fleet's last completion — so
+// summed energies compare policies at equal virtual windows.
 func (c *Cluster) Stats() ClusterStats {
-	<-c.dead
+	reply := make(chan ClusterStats, 1)
+	if c.send(poolMsg{stats: reply}) {
+		select {
+		case st := <-reply:
+			return st
+		case <-c.dead:
+		}
+	}
+	return c.stats()
+}
+
+// stats renders the fleet ledger. It runs on the engine goroutine, or
+// on any goroutine once the engine has exited.
+func (c *Cluster) stats() ClusterStats {
 	st := ClusterStats{
 		Machines:  make([]MachineStats, len(c.ms)),
 		Placed:    append([]int64(nil), c.placed...),
@@ -465,7 +481,7 @@ func (c *Cluster) Stats() ClusterStats {
 		st.Downtime = append([]units.Time(nil), c.fleetDown...)
 	}
 	for m := range c.fleetSnap {
-		st.Machines[m] = c.fleetSnap[m].machineStats(c.fleetAt, c.ms[m].cfg.Freqs)
+		st.Machines[m] = c.fleetSnap[m].MachineStats(c.fleetAt, c.ms[m].cfg.Freqs)
 		st.EnergyJ += c.fleetSnap[m].Joules
 	}
 	return st
@@ -516,13 +532,18 @@ func (c *Cluster) pumpBlocking() bool {
 }
 
 // apply folds one external message into the engine-side state and
-// injects the intake wake that will act on it. Runs with no process
-// current, so Inject is legal.
-func (c *Cluster) apply(msg poolMsg) {
+// injects the intake wake that will act on it, or answers a Stats
+// call and reports so. Runs with no process current, so Inject is
+// legal.
+func (c *Cluster) apply(msg poolMsg) (answered bool) {
+	if msg.stats != nil {
+		msg.stats <- c.stats()
+		return true
+	}
 	if msg.close {
 		c.stop = true
 		c.eng.Inject(c.intake, c.eng.Now())
-		return
+		return false
 	}
 	for _, j := range msg.arrivals {
 		if j.at < c.eng.Now() {
@@ -533,6 +554,7 @@ func (c *Cluster) apply(msg poolMsg) {
 	if c.arrivals.Len() > 0 {
 		c.eng.Inject(c.intake, c.arrivals[0].at)
 	}
+	return false
 }
 
 // failRemaining runs when the engine goroutine exits: on a clean

@@ -93,9 +93,10 @@ func (l *Ledger) Since(base *Ledger, freqs []units.Freq) Report {
 	return r
 }
 
-// machineStats renders the ledger, read at virtual time at, as the
-// machine's whole-life aggregate.
-func (l *Ledger) machineStats(at units.Time, freqs []units.Freq) MachineStats {
+// MachineStats renders the ledger, read at time at since the machine
+// started, as the machine's whole-life aggregate: Sim reads it at its
+// last job completion, Native at the caller's wall-clock instant.
+func (l *Ledger) MachineStats(at units.Time, freqs []units.Freq) MachineStats {
 	r := l.Since(nil, freqs)
 	return MachineStats{
 		Elapsed:       at,

@@ -64,6 +64,7 @@ type JobRequest struct {
 type MachineStats struct {
 	// Elapsed is the virtual time of the last job completion: the
 	// trace's makespan when the cluster started quiescent at time zero.
+	// On Native it is the wall-clock time since start of the read.
 	Elapsed units.Time
 	// EnergyJ is the machine's exact integrated energy through Elapsed
 	// (the meter keeps integrating idle draw until shutdown, so its

@@ -1,12 +1,12 @@
-// Package metrics folds the runtime's Observer event stream and the
-// serving layer's per-job reports into Prometheus-text-format series —
+// Package metrics renders the executor's machine ledger and the
+// serving layer's per-job reports as Prometheus-text-format series —
 // counters for scheduler activity (steals, tempo switches, DVFS
-// commits) and for jobs (submitted, completed), gauges for
-// instantaneous power and cumulative energy, and a histogram for job
-// latency — with no external dependencies. A Registry is an
-// obs.Observer, so it can sit directly behind an obs.Async sink and
-// be scraped over HTTP via Handler; the job series come only from
-// JobSubmitted and JobDone, so a full sink never costs a job count.
+// commits) and for jobs (submitted, completed), gauges for mean power
+// and cumulative energy, and a histogram for job latency — with no
+// external dependencies. The scheduler and energy series are read from
+// the ledger source (SetLedger) at scrape time, so they are exact at
+// any load; the job series come only from JobSubmitted and JobDone.
+// Handler serves a scrape over HTTP.
 //
 // Beyond the scrape surface, LatencyHist exposes the cumulative
 // latency histogram as a Hist value whose Sub and Quantile methods let

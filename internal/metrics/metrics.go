@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"hermes/internal/core"
 	"hermes/internal/obs"
 	"hermes/internal/units"
 )
@@ -19,20 +20,6 @@ import (
 var LatencyBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
 	1, 2.5, 5, 10, 30, 60,
-}
-
-// snapshot is a consistent copy of the scalar series a scrape renders.
-type snapshot struct {
-	Steals        int64
-	TempoSwitches int64
-	DVFSCommits   int64
-	JobsSubmitted int64 // accepted submissions, summed across kinds
-	JobsCompleted int64
-	JobsInflight  int64
-	EnergyJ       float64 // machine cumulative joules (last sample)
-	PowerW        float64 // instantaneous watts (last sample)
-	JobEnergyJ    float64 // sum of per-job joules over completed jobs
-	DroppedEvents uint64
 }
 
 // Key identifies one labeled series slice: the workload kind plus the
@@ -58,27 +45,22 @@ type kindSeries struct {
 	latBuckets []int64 // per-bucket; cumulative is computed at scrape
 }
 
-// Registry folds scheduler events and job completions into scrapeable
-// series. All methods are safe for concurrent use. Scheduler counters
-// and energy samples arrive through Observe, typically behind a bounded
-// obs.Async sink that may drop them; job counts, job energy and
-// latency arrive through JobSubmitted and JobDone, which the caller
-// makes for every job it submits, so no drop can touch them.
+// Registry renders the executor's ledger and the serving layer's job
+// completions as scrapeable series. All methods are safe for
+// concurrent use. Scheduler counters and machine energy are read from
+// the ledger source at scrape time, so they are exact; job counts, job
+// energy and latency arrive through JobSubmitted and JobDone, which the
+// caller makes for every job it submits.
 type Registry struct {
-	mu            sync.Mutex
-	steals        int64
-	tempoSwitches int64
-	dvfsCommits   int64
-	jobsDone      int64
-	energyJ       float64
-	powerW        float64
-	jobEnergyJ    float64
-	byKind        map[Key]*kindSeries
-	latSum        float64 // totals across kinds
-	latCount      int64
-	latBuckets    []int64 // per-bucket totals across kinds, non-cumulative
+	mu         sync.Mutex
+	jobsDone   int64
+	jobEnergyJ float64
+	byKind     map[Key]*kindSeries
+	latSum     float64 // totals across kinds
+	latCount   int64
+	latBuckets []int64 // per-bucket totals across kinds, non-cumulative
 
-	dropSource func() uint64 // optional: async sink's drop counter
+	ledger     func() (core.MachineStats, error) // optional: SetLedger
 	collectors []func(io.Writer) error
 }
 
@@ -148,54 +130,20 @@ func (r *Registry) JobDone(key Key, sojourn units.Time, energyJ float64) {
 	ks.latBuckets[b]++
 }
 
-// SetDropSource wires the registry to an event-drop counter (e.g.
-// (*obs.Async).Dropped) so scrapes expose telemetry loss alongside
-// the series it affects.
-func (r *Registry) SetDropSource(fn func() uint64) {
+// SetLedger wires the registry to the executor's machine ledger (e.g.
+// (*hermes.Runtime).MachineStats). Each scrape calls fn, outside the
+// registry's lock, for the steal, tempo, DVFS and energy series;
+// without it they read zero.
+func (r *Registry) SetLedger(fn func() (core.MachineStats, error)) {
 	r.mu.Lock()
-	r.dropSource = fn
+	r.ledger = fn
 	r.mu.Unlock()
 }
 
-// Observe folds one scheduler event into the registry: steals, tempo
-// switches, DVFS commits and energy samples. Job-lifecycle events are
-// ignored; JobSubmitted and JobDone carry those facts.
-func (r *Registry) Observe(e obs.Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch e.Kind {
-	case obs.Steal:
-		r.steals++
-	case obs.TempoSwitch:
-		r.tempoSwitches++
-	case obs.DVFSCommit:
-		r.dvfsCommits++
-	case obs.EnergySample:
-		r.powerW = e.Power
-		r.energyJ = e.Energy
-	}
-}
-
-// snapshotLocked copies the scalar series; r.mu must be held.
-// DroppedEvents is left for the caller to fill outside the lock (the
-// drop source is an external callback that must not run under r.mu).
-func (r *Registry) snapshotLocked() snapshot {
-	var submitted int64
-	for _, ks := range r.byKind {
-		submitted += ks.submitted
-	}
-	return snapshot{
-		Steals:        r.steals,
-		TempoSwitches: r.tempoSwitches,
-		DVFSCommits:   r.dvfsCommits,
-		JobsSubmitted: submitted,
-		JobsCompleted: r.jobsDone,
-		JobsInflight:  submitted - r.jobsDone,
-		EnergyJ:       r.energyJ,
-		PowerW:        r.powerW,
-		JobEnergyJ:    r.jobEnergyJ,
-	}
-}
+// Observe ignores every event: the scheduler series come from the
+// ledger. It keeps a Registry an obs.Observer for the benchmark's
+// observer-tax rung (ROADMAP 1(e)).
+func (r *Registry) Observe(obs.Event) {}
 
 // Hist is a point-in-time copy of the all-kinds job-latency histogram.
 // Buckets are non-cumulative counts per LatencyBuckets bound, with one
@@ -296,7 +244,6 @@ func (r *Registry) AddCollector(fn func(io.Writer) error) {
 // scrapes are stable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	snap := r.snapshotLocked()
 	kinds := make([]Key, 0, len(r.byKind))
 	for k := range r.byKind {
 		kinds = append(kinds, k)
@@ -318,8 +265,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return a.Priority < b.Priority
 	})
 	series := make([]kindSeries, len(kinds))
+	var submitted int64
 	for i, k := range kinds {
 		ks := r.byKind[k]
+		submitted += ks.submitted
 		series[i] = kindSeries{
 			submitted:  ks.submitted,
 			latSum:     ks.latSum,
@@ -327,14 +276,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			latBuckets: append([]int64(nil), ks.latBuckets...),
 		}
 	}
-	dropSource := r.dropSource
-	collectors := r.collectors
+	done, jobJ := r.jobsDone, r.jobEnergyJ
+	ledger, collectors := r.ledger, r.collectors
 	r.mu.Unlock()
-	if dropSource != nil {
-		snap.DroppedEvents = dropSource()
+	var ms core.MachineStats
+	var err error
+	if ledger != nil {
+		if ms, err = ledger(); err != nil {
+			return fmt.Errorf("metrics: read ledger: %w", err)
+		}
+	}
+	var powerW float64
+	if s := ms.Elapsed.Seconds(); s > 0 {
+		powerW = ms.EnergyJ / s
 	}
 
-	var err error
 	p := func(format string, args ...any) {
 		if err == nil {
 			_, err = fmt.Fprintf(w, format, args...)
@@ -346,16 +302,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	gauge := func(name, help string, v any) {
 		p("# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
 	}
-	counter("hermes_steals_total", "Successful task steals.", snap.Steals)
-	counter("hermes_tempo_switches_total", "Worker tempo-level changes requested.", snap.TempoSwitches)
-	counter("hermes_dvfs_commits_total", "Clock-domain frequency transitions that landed.", snap.DVFSCommits)
-	counter("hermes_jobs_started_total", "Jobs handed to the runtime: accepted submissions.", snap.JobsSubmitted)
-	counter("hermes_jobs_completed_total", "Jobs that completed (success, cancellation or failure).", snap.JobsCompleted)
-	gauge("hermes_jobs_inflight", "Jobs started and not yet completed.", snap.JobsInflight)
-	gauge("hermes_power_watts", "Instantaneous modeled machine power draw.", snap.PowerW)
-	gauge("hermes_energy_joules", "Cumulative modeled machine energy.", snap.EnergyJ)
-	counter("hermes_job_energy_joules_total", "Sum of per-job attributed energy over completed jobs.", snap.JobEnergyJ)
-	counter("hermes_observer_dropped_events_total", "Observer events dropped by the async sink's bounded buffer.", snap.DroppedEvents)
+	counter("hermes_steals_total", "Successful task steals.", ms.Steals)
+	counter("hermes_tempo_switches_total", "Worker tempo-level changes requested.", ms.TempoSwitches)
+	counter("hermes_dvfs_commits_total", "Clock-domain frequency transitions that landed.", ms.DVFSCommits)
+	counter("hermes_jobs_started_total", "Jobs handed to the runtime: accepted submissions.", submitted)
+	counter("hermes_jobs_completed_total", "Jobs that completed (success, cancellation or failure).", done)
+	gauge("hermes_jobs_inflight", "Jobs started and not yet completed.", submitted-done)
+	gauge("hermes_power_watts", "Mean modeled machine power draw since start (energy over elapsed time); rate(hermes_energy_joules[1m]) is the windowed draw.", powerW)
+	gauge("hermes_energy_joules", "Cumulative modeled machine energy since start.", ms.EnergyJ)
+	counter("hermes_job_energy_joules_total", "Sum of per-job attributed energy over completed jobs.", jobJ)
 
 	// Classed series carry tenant and priority labels after the
 	// workload label; unclassed series render the workload label alone,

@@ -1,48 +1,59 @@
 package metrics
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
 
+	"hermes/internal/core"
 	"hermes/internal/obs"
 	"hermes/internal/units"
 )
 
-func feed(r *Registry, events ...obs.Event) {
-	for _, e := range events {
-		r.Observe(e)
+// fakeLedger is a ledger source that answers ms and counts its reads.
+func fakeLedger(ms core.MachineStats, reads *int) func() (core.MachineStats, error) {
+	return func() (core.MachineStats, error) {
+		*reads++
+		return ms, nil
 	}
 }
 
-// TestRegistryFoldsEvents: scheduler counters and energy samples come
-// from Observe, job counts, job energy and latency from JobSubmitted
-// and JobDone; job-lifecycle events on the stream count for nothing.
+// TestRegistryFoldsEvents: scheduler counters and machine energy come
+// from the ledger source, read once per scrape; job counts, job energy
+// and latency from JobSubmitted and JobDone. Observed events count for
+// nothing.
 func TestRegistryFoldsEvents(t *testing.T) {
 	r := New()
+	var reads int
+	r.SetLedger(fakeLedger(core.MachineStats{
+		Elapsed: 2 * units.Second, EnergyJ: 85, Steals: 2, TempoSwitches: 1, DVFSCommits: 1,
+	}, &reads))
 	r.JobSubmitted("fib", "", 0)
-	feed(r,
-		obs.Event{Kind: obs.JobStart, Job: 1, Time: 0},
-		obs.Event{Kind: obs.Steal, Worker: 1, Victim: 0},
-		obs.Event{Kind: obs.Steal, Worker: 2, Victim: 1},
-		obs.Event{Kind: obs.TempoSwitch, Worker: 1, Freq: units.GHz},
-		obs.Event{Kind: obs.DVFSCommit, Worker: 1, Freq: units.GHz},
-		obs.Event{Kind: obs.EnergySample, Power: 42.5, Energy: 1.25},
-		obs.Event{Kind: obs.JobDone, Job: 1, Time: 50 * units.Millisecond, Sojourn: 50 * units.Millisecond, Energy: 9},
-	)
-	if s := scrape(t, r); s["hermes_jobs_completed_total"] != 0 ||
+	for _, e := range []obs.Event{
+		{Kind: obs.Steal, Worker: 1, Victim: 0},
+		{Kind: obs.EnergySample, Power: 42.5, Energy: 1.25},
+		{Kind: obs.JobDone, Job: 1, Time: 50 * units.Millisecond, Sojourn: 50 * units.Millisecond, Energy: 9},
+	} {
+		r.Observe(e)
+	}
+	if s := scrape(t, r); s["hermes_jobs_completed_total"] != 0 || s["hermes_steals_total"] != 2 ||
 		s["hermes_job_latency_seconds_count"] != 0 || s["hermes_job_energy_joules_total"] != 0 {
-		t.Fatalf("job-lifecycle events folded into job series: %v", s)
+		t.Fatalf("observed events folded into the series: %v", s)
 	}
 	r.JobDone(Key{Kind: "fib"}, 50*units.Millisecond, 0.75)
 	s := scrape(t, r)
+	if reads != 2 {
+		t.Fatalf("two scrapes read the ledger %d times, want 2", reads)
+	}
 	if s["hermes_steals_total"] != 2 || s["hermes_tempo_switches_total"] != 1 || s["hermes_dvfs_commits_total"] != 1 {
 		t.Fatalf("scheduler counters wrong: %v", s)
 	}
 	if s["hermes_jobs_started_total"] != 1 || s["hermes_jobs_completed_total"] != 1 || s["hermes_jobs_inflight"] != 0 {
 		t.Fatalf("job counters wrong: %v", s)
 	}
-	if s["hermes_power_watts"] != 42.5 || s["hermes_energy_joules"] != 1.25 || s["hermes_job_energy_joules_total"] != 0.75 {
+	// Power is the mean draw since start: 85 J over 2 s.
+	if s["hermes_power_watts"] != 42.5 || s["hermes_energy_joules"] != 85 || s["hermes_job_energy_joules_total"] != 0.75 {
 		t.Fatalf("energy series wrong: %v", s)
 	}
 	if n, sum := s["hermes_job_latency_seconds_count"], s["hermes_job_latency_seconds_sum"]; n != 1 || sum < 0.049 || sum > 0.051 {
@@ -126,7 +137,6 @@ func TestPerKindLatencyLabels(t *testing.T) {
 
 func TestWritePrometheusSeriesComplete(t *testing.T) {
 	r := New()
-	r.SetDropSource(func() uint64 { return 7 })
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -137,25 +147,23 @@ func TestWritePrometheusSeriesComplete(t *testing.T) {
 		"hermes_dvfs_commits_total", "hermes_jobs_started_total",
 		"hermes_jobs_completed_total", "hermes_jobs_inflight",
 		"hermes_power_watts", "hermes_energy_joules",
-		"hermes_job_energy_joules_total", "hermes_observer_dropped_events_total",
-		"hermes_job_latency_seconds_sum",
+		"hermes_job_energy_joules_total", "hermes_job_latency_seconds_sum",
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("scrape missing series %s", series)
 		}
 	}
-	if !strings.Contains(text, "hermes_observer_dropped_events_total 7") {
-		t.Error("drop source not wired into scrape")
+	// A ledger source that fails fails the scrape instead of reading 0.
+	r.SetLedger(func() (core.MachineStats, error) { return core.MachineStats{}, errors.New("no ledger") })
+	if err := r.WritePrometheus(io.Discard); err == nil {
+		t.Error("a failing ledger source gave a scrape")
 	}
 }
 
 func TestParseTextRoundTrip(t *testing.T) {
 	r := New()
-	feed(r,
-		obs.Event{Kind: obs.Steal},
-		obs.Event{Kind: obs.Steal},
-		obs.Event{Kind: obs.EnergySample, Power: 10.5, Energy: 3.5},
-	)
+	var reads int
+	r.SetLedger(fakeLedger(core.MachineStats{Steals: 2, EnergyJ: 3.5}, &reads))
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

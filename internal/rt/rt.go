@@ -280,10 +280,17 @@ type Exec struct {
 	active atomic.Int64 // jobs submitted and not yet completed
 	nextID atomic.Int64
 
-	submitMu sync.Mutex
-	closed   bool
-	jobWG    sync.WaitGroup
-	workerWG sync.WaitGroup
+	// tasks, spawns and completed sum each completed job's counts into
+	// the machine ledger, once per job. final is the ledger Close froze
+	// once the workers stopped.
+	tasks, spawns, completed atomic.Int64
+	final                    atomic.Pointer[ledgerAt]
+
+	submitMu  sync.Mutex
+	closed    bool
+	closeOnce sync.Once
+	jobWG     sync.WaitGroup
+	workerWG  sync.WaitGroup
 }
 
 // nowNS is the executor's monotonic clock: nanoseconds since start.
@@ -485,22 +492,46 @@ func (e *Exec) Submit(ctx context.Context, root wl.Task, class core.Class) (*job
 }
 
 // Close rejects further submissions, waits for every submitted job to
-// complete, then stops the workers. It is safe to call from multiple
-// goroutines; every call returns only once the pool has fully shut
-// down.
+// complete, stops the workers and freezes the ledger Stats reads. It
+// is safe to call from multiple goroutines; every call returns only
+// once the pool has fully shut down.
 func (e *Exec) Close() error {
-	e.submitMu.Lock()
-	first := !e.closed
-	e.closed = true
-	e.submitMu.Unlock()
-	if first {
+	e.closeOnce.Do(func() {
+		e.submitMu.Lock()
+		e.closed = true
+		e.submitMu.Unlock()
 		e.jobWG.Wait()
 		close(e.closeCh)
-	}
-	// Concurrent or repeated closers block here until the workers
-	// (released by the first closer) have all exited.
-	e.workerWG.Wait()
+		e.workerWG.Wait()
+		e.final.Store(e.readLedger())
+	})
 	return nil
+}
+
+// ledgerAt is a ledger and the time since start it was read at.
+type ledgerAt struct {
+	core.Ledger
+	at units.Time
+}
+
+func (e *Exec) readLedger() *ledgerAt {
+	return &ledgerAt{e.snapshot(), units.Time(e.nowNS()) * units.Nanosecond}
+}
+
+// Stats renders the machine's ledger since start as a one-machine
+// fleet aggregate, through the simulator's own MachineStats: live up
+// to the call, frozen at Close. One machine loses no job, so Goodput
+// is 1 once a job has completed.
+func (e *Exec) Stats() core.ClusterStats {
+	f := e.final.Load()
+	if f == nil {
+		f = e.readLedger()
+	}
+	ms, done := f.MachineStats(f.at, e.cfg.Freqs), e.completed.Load()
+	return core.ClusterStats{
+		Machines: []core.MachineStats{ms}, Placed: []int64{e.nextID.Load()}, Migrated: []int64{0},
+		Completed: done, Elapsed: ms.Elapsed, EnergyJ: ms.EnergyJ, Goodput: min(float64(done), 1),
+	}
 }
 
 // finish completes a job once, from the worker whose runTask returned
@@ -515,6 +546,9 @@ func (e *Exec) finish(js *jobState) {
 	}
 	end := e.snapshot()
 	r := e.buildReport(js, &end)
+	e.tasks.Add(r.Tasks)
+	e.spawns.Add(r.Spawns)
+	e.completed.Add(1)
 	e.active.Add(-1)
 	e.emit(obs.Event{Kind: obs.JobDone, Job: js.id, Worker: -1, Victim: -1,
 		Energy: r.EnergyJ, Sojourn: r.Sojourn})
@@ -529,13 +563,15 @@ func (e *Exec) finish(js *jobState) {
 // snapshot folds every worker's accounting cell into a ledger: each
 // worker's residency matrix and steals, the pool's steal and tempo
 // counters and the machine's exact integrated energy. Tasks and Spawns
-// stay zero: buildReport attributes them per job. No lock is taken —
-// each cell is read through its seqlock — so snapshots never stall the
-// pool.
+// count completed jobs only; buildReport attributes them per job. No
+// lock is taken — each cell is read through its seqlock — so snapshots
+// never stall the pool.
 func (e *Exec) snapshot() core.Ledger {
 	switches := e.tempoSwitches.Load()
 	l := core.Ledger{
 		Workers:       make([]core.WorkerLedger, len(e.workers)),
+		Tasks:         e.tasks.Load(),
+		Spawns:        e.spawns.Load(),
 		TempoSwitches: switches,
 		DVFSCommits:   switches,
 	}

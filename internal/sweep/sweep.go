@@ -230,11 +230,11 @@ func (g grid) machinePoint(mode hermes.Mode, rps float64) (Point, error) {
 
 // Fold renders one trial run outside the simulator — the wall-clock
 // load generator's Native run — as a Point: its arrivals, offsets from
-// the run's start, and each one's report or error, in trace order.
-// There is no machine ledger, so AvgPowerW is 0 and Tiers is nil.
-func Fold(rps float64, arrivals []hermes.Arrival, reports []hermes.Report, errs []error) Point {
-	f := newFold(0)
-	f.add(trialOut{arrivals: arrivals, reports: reports, errs: errs})
+// the run's start, each one's report or error, in trace order, and the
+// run's machine ledger.
+func Fold(rps float64, arrivals []hermes.Arrival, reports []hermes.Report, errs []error, stats hermes.ClusterStats) Point {
+	f := newFold(1)
+	f.add(trialOut{arrivals: arrivals, reports: reports, errs: errs, stats: stats})
 	return f.machinePoint(rps)
 }
 

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -302,15 +303,9 @@ func TestPeakInflightCountsQueuedJobs(t *testing.T) {
 		t.Fatalf("point peak in-flight %d != brute-force arrival→completion depth %d", pt.PeakInflight, want)
 	}
 	// Fold, the wall-clock load path's renderer, gives the same reports
-	// the same latency, energy and steals as the point-runner; only the
-	// machine ledger it never sees is missing.
-	fp := Fold(cfg.RPS, arrivals, reports, errs)
-	if fp.latency != pt.latency || fp.JoulesPerRequest != pt.JoulesPerRequest ||
-		fp.StealsPerRequest != pt.StealsPerRequest || fp.OfferedRPS != pt.OfferedRPS {
-		t.Fatalf("Fold of the point's reports:\n%+v\nwant\n%+v", fp, pt)
-	}
-	if fp.AvgPowerW != 0 || fp.Tiers != nil {
-		t.Fatalf("Fold rendered a machine ledger it was not given: %+v", fp)
+	// and machine ledger the same Point as the point-runner.
+	if fp := Fold(cfg.RPS, arrivals, reports, errs, rt.ClusterStats()); !reflect.DeepEqual(fp, pt) {
+		t.Fatalf("Fold of the point's reports and ledger:\n%+v\nwant\n%+v", fp, pt)
 	}
 	// Under ~100 arrivals in the window against a single worker whose
 	// service time alone exceeds the interarrival gap 5×, the backlog

@@ -110,10 +110,9 @@ var ErrClosed = errors.New("hermes: runtime closed")
 var ErrNilTask = errors.New("hermes: nil root task")
 
 // ErrStatsUnavailable is the sentinel wrapped by MachineStats when
-// there is no single machine ledger to return: the Native backend keeps
-// none (its energy accounting lives in per-job Reports), and a Sim
-// fleet of more than one machine has one per machine (read
-// ClusterStats). Test with errors.Is.
+// there is no single machine ledger to return: a Sim fleet of more
+// than one machine has one per machine (read ClusterStats). Test with
+// errors.Is.
 var ErrStatsUnavailable = errors.New("hermes: machine stats unavailable on this backend")
 
 // ErrSimOnly is the sentinel wrapped by every refusal of a capability
@@ -316,19 +315,18 @@ func (r *Runtime) SubmitTrace(ctx context.Context, arrivals []Arrival) ([]*Job, 
 	return r.sim.submit(ctx, arrivals)
 }
 
-// MachineStats returns the simulated machine's totals through the
-// Runtime's last job completion — integrated energy, residency by DVFS
-// tier, steal and tempo counts — the quantities per-job Reports carry
-// only as deltas over their own (overlapping) sojourn windows.
-// Open-system sweeps read run-level energy, average power and
-// tier-residency curves from here. It is the one-machine view of the
-// ClusterStats ledger: Native, and a fleet of more than one machine,
-// return an error wrapping ErrStatsUnavailable. It blocks until the
-// engine has stopped, so call it after Close.
+// MachineStats returns the machine's totals — integrated energy,
+// residency by DVFS tier, steal and tempo counts — the quantities
+// per-job Reports carry only as deltas over their own (overlapping)
+// sojourn windows. Open-system sweeps and the Native load run read
+// run-level energy, average power and tier residency from here. It is
+// the one-machine view of the ClusterStats ledger, and answers as
+// ClusterStats does; a fleet of more than one machine returns an error
+// wrapping ErrStatsUnavailable.
 func (r *Runtime) MachineStats() (MachineStats, error) {
-	if n := r.Machines(); r.backend != Sim || n > 1 {
-		return MachineStats{}, fmt.Errorf("%w: MachineStats is the ledger of a one-machine Sim runtime (this is %v, %d machines); a fleet reads ClusterStats",
-			ErrStatsUnavailable, r.backend, n)
+	if n := r.Machines(); n > 1 {
+		return MachineStats{}, fmt.Errorf("%w: MachineStats is the ledger of a one-machine runtime (this one has %d machines); a fleet reads ClusterStats",
+			ErrStatsUnavailable, n)
 	}
 	return r.ClusterStats().Machines[0], nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -884,7 +885,7 @@ func TestObserverOptionsMutuallyExclusive(t *testing.T) {
 }
 
 // TestMachineStats: the Sim backend surfaces machine-lifetime totals
-// after Close; Native has no discrete-event ledger and must refuse.
+// after Close; so does Native, and its ledger obeys the laws below.
 func TestMachineStats(t *testing.T) {
 	rt, err := hermes.New(hermes.WithSpec(hermes.SystemB()), hermes.WithWorkers(2), hermes.WithMode(hermes.Unified))
 	if err != nil {
@@ -921,19 +922,83 @@ func TestMachineStats(t *testing.T) {
 		t.Errorf("machine energy %g below per-job attribution sum %g", ms.EnergyJ, jobJ)
 	}
 
-	nrt, err := hermes.New(hermes.WithBackend(hermes.Native), hermes.WithSpec(hermes.SystemB()), hermes.WithWorkers(2))
+	testNativeLedger(t)
+}
+
+// testNativeLedger takes two MachineStats reads around a batch of
+// fibtree jobs on a two-worker Unified Native runtime: the residency
+// between them sums to workers × elapsed up to the time each read took
+// (each worker's cell is folded a moment before Elapsed is read), the
+// jobs' attributed energy fits inside the machine's and their steals
+// are the machine's. The jobs run one at a time, so their windows are
+// disjoint and each takes at most its window's energy. After Close
+// the ledger is frozen. A second reader polls it throughout.
+func testNativeLedger(t *testing.T) {
+	rt, err := hermes.New(hermes.WithBackend(hermes.Native), hermes.WithSpec(hermes.SystemB()),
+		hermes.WithWorkers(2), hermes.WithMode(hermes.Unified))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nrt.Close()
-	_, err = nrt.MachineStats()
-	if err == nil {
-		t.Fatal("MachineStats on Native accepted; want error")
+	defer rt.Close()
+	fib, _, err := workload.Spec{Kind: "fibtree", N: 24, Grain: 10}.Task()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The refusal is the documented sentinel, so callers can branch on
-	// it with errors.Is instead of string-matching.
-	if !errors.Is(err, hermes.ErrStatsUnavailable) {
-		t.Fatalf("MachineStats on Native returned %v; want ErrStatsUnavailable", err)
+	read := func() (hermes.MachineStats, hermes.Time) {
+		start := time.Now()
+		ms, err := rt.MachineStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms, hermes.Time(time.Since(start).Nanoseconds()) * (hermes.Microsecond / 1000)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				rt.ClusterStats()
+			}
+		}
+	}()
+	before, took0 := read()
+	var jobJ float64
+	var steals int64
+	for range 8 {
+		rep, err := rt.Run(context.Background(), fib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobJ += rep.EnergyJ
+		steals += rep.Steals
+	}
+	after, took1 := read()
+	res := (after.Busy + after.Spin + after.Idle) - (before.Busy + before.Spin + before.Idle)
+	if gap := 2*(after.Elapsed-before.Elapsed) - res; gap < -2*took0 || gap > 2*took1 {
+		t.Errorf("residency %v over %v elapsed on 2 workers: off by %v, reads took %v and %v",
+			res, after.Elapsed-before.Elapsed, gap, took0, took1)
+	}
+	if machineJ := after.EnergyJ - before.EnergyJ; jobJ <= 0 || jobJ > machineJ {
+		t.Errorf("jobs' energy %g J against the machine's %g J", jobJ, machineJ)
+	}
+	if d := after.Steals - before.Steals; d != steals {
+		t.Errorf("machine steals rose by %d, the jobs' reports attribute %d", d, steals)
+	}
+	if d := after.Tasks - before.Tasks; d <= 0 {
+		t.Errorf("machine tasks rose by %d over eight jobs", d)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+	if a, b := rt.ClusterStats(), rt.ClusterStats(); !reflect.DeepEqual(a, b) {
+		t.Errorf("ledger moved after Close:\n%+v\n%+v", a, b)
 	}
 }
 
