@@ -39,12 +39,12 @@ func newCLArray[E any](n int) *clArray[E] {
 
 // ChaseLev is a lock-free work-stealing deque of *E.
 //
-// Concurrency contract (same as Deque): Push and Pop may be called
-// only by the owning worker; Steal may be called by any other worker;
-// Size may be called by anyone and is a snapshot. A Steal that loses
-// the CAS race reports failure like an empty deque — callers treat it
-// as a failed probe and move to the next victim, which matches how
-// the scheduler consumes it.
+// Concurrency contract (same as Deque): Push and Pop, and PushN and
+// PopN, which also report the size, may be called only by the owning
+// worker; Steal may be called by any other worker; Size may be called
+// by anyone and is a snapshot. A Steal that loses the CAS race reports
+// failure like an empty deque — callers treat it as a failed probe and
+// move to the next victim, which matches how the scheduler consumes it.
 type ChaseLev[E any] struct {
 	top atomic.Int64
 	_   [56]byte // top on its own cache line: thieves hammer it
@@ -86,7 +86,12 @@ func (d *ChaseLev[E]) Size() int {
 func (d *ChaseLev[E]) Empty() bool { return d.Size() == 0 }
 
 // Push appends item at the tail. Owner only; never blocks.
-func (d *ChaseLev[E]) Push(item *E) {
+func (d *ChaseLev[E]) Push(item *E) { d.PushN(item) }
+
+// PushN is Push reporting the deque's size after it, b+1−t from the
+// indices the push loaded: a snapshot like Size, which a concurrent
+// steal may already have made stale, at no extra shared read.
+func (d *ChaseLev[E]) PushN(item *E) int {
 	b := d.bot.Load()
 	t := d.top.Load()
 	a := d.arr.Load()
@@ -96,6 +101,7 @@ func (d *ChaseLev[E]) Push(item *E) {
 	a.slot[b&a.mask].Store(item)
 	d.bot.Store(b + 1)
 	d.pushes++
+	return int(b + 1 - t)
 }
 
 // grow doubles the ring, copying the live range [t, b) by absolute
@@ -113,6 +119,14 @@ func (d *ChaseLev[E]) grow(a *clArray[E], t, b int64) *clArray[E] {
 // Pop removes and returns the tail item. Owner only. Only when a
 // single item remains does it race thieves, with one CAS on top.
 func (d *ChaseLev[E]) Pop() (*E, bool) {
+	item, _, ok := d.PopN()
+	return item, ok
+}
+
+// PopN is Pop reporting the deque's size after it, b−t from the
+// indices the pop loaded (0 when it took, lost or found no last item):
+// a snapshot like PushN's.
+func (d *ChaseLev[E]) PopN() (*E, int, bool) {
 	b := d.bot.Load() - 1
 	a := d.arr.Load()
 	d.bot.Store(b)
@@ -120,21 +134,21 @@ func (d *ChaseLev[E]) Pop() (*E, bool) {
 	if t > b {
 		// Empty: restore bottom.
 		d.bot.Store(b + 1)
-		return nil, false
+		return nil, 0, false
 	}
 	item := a.slot[b&a.mask].Load()
 	if t == b {
 		// Last item: claim it against concurrent thieves.
 		if !d.top.CompareAndSwap(t, t+1) {
 			d.bot.Store(b + 1)
-			return nil, false
+			return nil, 0, false
 		}
 		d.bot.Store(b + 1)
 		d.pops++
-		return item, true
+		return item, 0, true
 	}
 	d.pops++
-	return item, true
+	return item, int(b - t), true
 }
 
 // Steal removes and returns the head item. Any non-owner may call it;

@@ -140,10 +140,18 @@ func TestQueueModel(t *testing.T) {
 	}
 }
 
+// sizedOwner is ChaseLev's owner side that reports the deque's size.
+type sizedOwner interface {
+	PushN(item *int) int
+	PopN() (*int, int, bool)
+}
+
 // TestQueueConcurrentNoLossNoDup hammers one owner (pushing 1e5 items,
 // popping a random third of them) against several concurrent thieves
 // and checks that every item is consumed exactly once — for both the
-// THE reference and the lock-free Chase–Lev, under -race.
+// THE reference and the lock-free Chase–Lev, under -race. Chase–Lev's
+// owner pushes and pops through PushN and PopN, and every size they
+// report lies in [0, pushes − pops]: thieves only take items away.
 func TestQueueConcurrentNoLossNoDup(t *testing.T) {
 	const (
 		items   = 100_000
@@ -153,6 +161,29 @@ func TestQueueConcurrentNoLossNoDup(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			d := mk(8)
 			vals := make([]int, items)
+			sized, _ := d.(sizedOwner)
+			var pushes, pops, badSize int
+			push := func(v *int) {
+				pushes++
+				if sized == nil {
+					d.Push(v)
+				} else if n := sized.PushN(v); n < 0 || n > pushes-pops {
+					badSize = n
+				}
+			}
+			pop := func() (*int, bool) {
+				if sized == nil {
+					return d.Pop()
+				}
+				v, n, ok := sized.PopN()
+				if ok {
+					pops++
+				}
+				if n < 0 || n > pushes-pops {
+					badSize = n
+				}
+				return v, ok
+			}
 			var mu sync.Mutex
 			seen := make(map[int]int, items)
 			record := func(v *int) {
@@ -191,15 +222,15 @@ func TestQueueConcurrentNoLossNoDup(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			for i := 0; i < items; i++ {
 				vals[i] = i
-				d.Push(&vals[i])
+				push(&vals[i])
 				if rng.Intn(3) == 0 {
-					if v, ok := d.Pop(); ok {
+					if v, ok := pop(); ok {
 						record(v)
 					}
 				}
 			}
 			for {
-				v, ok := d.Pop()
+				v, ok := pop()
 				if !ok {
 					break
 				}
@@ -217,6 +248,9 @@ func TestQueueConcurrentNoLossNoDup(t *testing.T) {
 				record(v)
 			}
 
+			if badSize != 0 {
+				t.Fatalf("an owner operation reported size %d, outside [0, pushes − pops]", badSize)
+			}
 			if len(seen) != items {
 				t.Fatalf("consumed %d distinct items, want %d", len(seen), items)
 			}
@@ -280,4 +314,70 @@ func TestChaseLevStatsBalance(t *testing.T) {
 	if pops+steals != pushes {
 		t.Fatalf("pops(%d) + steals(%d) != pushes(%d)", pops, steals, pushes)
 	}
+}
+
+// FuzzChaseLevModel drives ChaseLev through a byte-coded sequence
+// against a slice model: by the byte's value mod 4, an owner push, an
+// owner pop, a steal, or a burst of 8 + byte/4 pushes, which outgrows
+// the ring. Every item must come out where the model says, and every
+// size an owner operation reports must equal the model's length and
+// Size.
+func FuzzChaseLevModel(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 1, 1, 1})
+	f.Add([]byte{3, 2, 1, 7, 1, 2, 2, 1, 1})
+	f.Add([]byte{0xff, 2, 0x7f, 1, 2, 0x3b, 1, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		d := NewChaseLev[int](1)
+		var model []int
+		next := 0
+		sized := func(op string, n int) {
+			if n != len(model) || d.Size() != n {
+				t.Fatalf("%s reported size %d, Size %d, model %d", op, n, d.Size(), len(model))
+			}
+		}
+		push := func() {
+			v := next
+			next++
+			model = append(model, v)
+			sized("PushN", d.PushN(&v))
+		}
+		for _, op := range ops {
+			switch op % 4 {
+			case 0:
+				push()
+			case 1:
+				v, n, ok := d.PopN()
+				if k := len(model); k == 0 {
+					if ok {
+						t.Fatalf("PopN took %d from an empty deque", *v)
+					}
+				} else {
+					if want := model[k-1]; !ok || *v != want {
+						t.Fatalf("PopN = %v, %v; want %d", v, ok, want)
+					}
+					model = model[:k-1]
+				}
+				sized("PopN", n)
+			case 2:
+				v, ok := d.Steal()
+				if len(model) == 0 {
+					if ok {
+						t.Fatalf("Steal took %d from an empty deque", *v)
+					}
+				} else {
+					if want := model[0]; !ok || *v != want {
+						t.Fatalf("Steal = %v, %v; want %d", v, ok, want)
+					}
+					model = model[1:]
+				}
+				if d.Size() != len(model) {
+					t.Fatalf("Size %d after Steal, model %d", d.Size(), len(model))
+				}
+			case 3:
+				for range 8 + int(op>>2) {
+					push()
+				}
+			}
+		}
+	})
 }

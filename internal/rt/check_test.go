@@ -239,15 +239,9 @@ func execute(tr tree, tokens bool, stack *[]node) string {
 		if n := w.dq.Size(); n != 0 {
 			c.fail("worker %d's deque holds %d task(s) after the job", w.id, n)
 		}
-		for _, blk := range w.freeBlocks {
-			if blk.owner != w {
-				c.fail("worker %d's free list holds worker %d's block", w.id, blk.owner.id)
-			}
-			if n := blk.done.Load(); n != 0 {
-				c.fail("a pooled block of worker %d has done %d", w.id, n)
-			}
-		}
 	}
+	faults, _ := pooledBlockFaults(e)
+	c.bad = append(c.bad, faults...)
 	e.Close()
 	if len(c.bad) > 0 {
 		return report(c, "")

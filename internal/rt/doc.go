@@ -29,7 +29,7 @@
 // steady state. The deque is the Chase–Lev implementation (CAS only on
 // steals and the owner's last-item race: real thieves contend, so the
 // steal path must not serialize the pool the way the paper's THE
-// protocol would); tasks and fork-join blocks come
+// protocol would); Go's tasks and fork-join blocks come
 // from per-worker free lists; a join counts the kids its owner pops in
 // a local and pays an atomic only for the kids thieves ran, and a
 // joiner with nothing left to run or steal parks on its worker's one
@@ -41,7 +41,13 @@
 // Ledger.Since as the simulator's reports, and into machine energy at
 // the paper's 100 Hz DAQ cadence in meterLoop.
 //
-// Native hot-path contract. PUSH and POP take tempoMu only when
+// Native hot-path contract. The owner asks its deque nothing it has
+// not just read: PushN and PopN report the size from the bottom and
+// top the operation loaded, and the tempo pre-checks take that size,
+// so only the locked Pushed or Shrunk confirmation reads Size again.
+// A steal or a root take passes 0 for the caller's own size, since
+// each follows a pop that found that deque empty (the hermescheck
+// build asserts it). PUSH and POP take tempoMu only when
 // tempo.Policy's lock-free MayRaise and MayLower say Pushed or Shrunk
 // could change something, Figure 5's head-of-list guard included: a
 // worker at the head of the immediacy list never locks to pop. On
@@ -61,10 +67,11 @@
 // wait and a store of 0. go test -tags hermescheck checks this
 // protocol over every bounded interleaving (check_test.go).
 //
-// A Fork2 spawn allocates nothing: its Body, the two ints and its
-// result are carried in the pooled block. fibtree and wl.For's splits
-// spawn through it, so native_forkjoin measures the scheduler, not the
-// allocator.
+// A Fork2 spawn allocates nothing and makes no free-list trip: its
+// Body, the two ints, its result and the task it pushes are carried in
+// the pooled block, and putBlock clears the task's job with the body.
+// fibtree and wl.For's splits spawn through it, so native_forkjoin
+// measures the scheduler, not the allocator.
 //
 // Since the host exposes neither per-domain DVFS nor an energy meter,
 // tempo control here is emulated and accounted rather than physically

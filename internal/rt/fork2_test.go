@@ -246,12 +246,46 @@ func forkStolen(c wl.Ctx, x0, x1 int) (int, int) {
 	}, x0, 1, x1, 0)
 }
 
+// pooledBlockFaults lists what e's pooled blocks get wrong once its
+// jobs are done: a block in another worker's free list, a done not
+// back at 0, a body or job still pinned, or an embedded task that is
+// no longer its block's or sits in a free task list.
+func pooledBlockFaults(e *Exec) (faults []string, pooled int) {
+	own := map[*task]bool{}
+	for _, w := range e.workers {
+		for _, blk := range w.freeBlocks {
+			pooled++
+			own[&blk.t] = true
+			if blk.owner != w {
+				faults = append(faults, fmt.Sprintf("worker %d's free list holds worker %d's block", w.id, blk.owner.id))
+			}
+			if n := blk.done.Load(); n != 0 {
+				faults = append(faults, fmt.Sprintf("a pooled block of worker %d has done %d", w.id, n))
+			}
+			if blk.body != nil || blk.t.job != nil {
+				faults = append(faults, fmt.Sprintf("a pooled block of worker %d pins a body or a job", w.id))
+			}
+			if blk.t.blk != blk {
+				faults = append(faults, fmt.Sprintf("a pooled block of worker %d has lost its task", w.id))
+			}
+		}
+	}
+	for _, w := range e.workers {
+		for _, t := range w.freeTasks {
+			if own[t] {
+				faults = append(faults, fmt.Sprintf("worker %d's free task list holds a block's task", w.id))
+			}
+		}
+	}
+	return faults, pooled
+}
+
 // TestStaleWakeTokens starts every job, and every forced steal, with a
 // stale token in the workers' wake channels. A join that takes one
 // wakes a turn early and must go on waiting until done counts every
 // stolen kid: every result is the serial one and the task and spawn
-// counts are exact. After Close every pooled block sits in its owner's
-// free list with done back at 0.
+// counts are exact. After Close every pooled block is clean and sits
+// in its owner's free list (pooledBlockFaults).
 func TestStaleWakeTokens(t *testing.T) {
 	e, err := NewExec(core.Config{Spec: cpu.SystemB(), Workers: 2, Mode: core.Unified, Seed: 36})
 	if err != nil {
@@ -326,17 +360,9 @@ func TestStaleWakeTokens(t *testing.T) {
 		}
 	}
 	e.Close()
-	pooled := 0
-	for _, w := range e.workers {
-		for _, blk := range w.freeBlocks {
-			if blk.owner != w {
-				t.Fatalf("worker %d's free list holds a block owned by worker %d", w.id, blk.owner.id)
-			}
-			if n := blk.done.Load(); n != 0 {
-				t.Fatalf("a pooled block of worker %d has done %d", w.id, n)
-			}
-			pooled++
-		}
+	faults, pooled := pooledBlockFaults(e)
+	if len(faults) > 0 {
+		t.Fatal(strings.Join(faults, "; "))
 	}
 	if pooled == 0 {
 		t.Fatal("no block was pooled")

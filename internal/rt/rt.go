@@ -43,9 +43,10 @@ const freeListCap = 256
 
 // task is one deque item: a workload closure, the fork-join block it
 // belongs to (nil for a job's root) and the job it is accounted
-// against; a Fork2 task has no closure, and runs its block's body.
-// Tasks are pooled per worker: a worker that executes a task (its own
-// or stolen) recycles it into its own free list.
+// against. A Fork2 task has no closure: it is embedded in its block,
+// runs the block's body and is pooled with the block. Other tasks are
+// pooled per worker: a worker that executes one (its own or stolen)
+// recycles it into its own free list.
 type task struct {
 	fn  wl.Task
 	blk *block
@@ -59,10 +60,11 @@ type task struct {
 // is the owner's plain count, and done, the block's only atomic,
 // counts the kids that thieves ran (see join).
 //
-// A Fork2 block carries its pushed call, body(x, y). Its runner writes
-// res before a thief's count, and the joiner reads it after the join.
-// putBlock clears body and res, so the pool pins no finished job's
-// Body and a skipped call yields 0.
+// A Fork2 block carries its pushed task t, whose blk is the block
+// itself, and the call it runs, body(x, y). Its runner writes res
+// before a thief's count, and the joiner reads it after the join.
+// putBlock clears body, res and t's job, so the pool pins no finished
+// job or its Body and a skipped call yields 0.
 type block struct {
 	kids      int
 	done      atomic.Int64
@@ -70,6 +72,7 @@ type block struct {
 	outer     *block // the owner's next open block out: see worker.open
 	body      wl.Body
 	x, y, res int
+	t         task
 }
 
 // signal wakes the block's owner, non-blocking: a token already
@@ -823,12 +826,14 @@ func (w *worker) idleWait() {
 }
 
 // runRoot runs a root taken from the intake, applying the tempo
-// policy's root-take rule (Figure 4(b)) first.
+// policy's root-take rule (Figure 4(b)) first. A worker takes a root
+// only after a pop found its deque empty, so the tier comes from size 0.
 func (w *worker) runRoot(t *task) {
 	w.parked.Store(false)
+	w.assertEmpty("root taken with tasks on the taker's deque")
 	if w.e.modeNow() != core.Baseline {
 		w.e.tempoMu.Lock()
-		w.e.tempo.TookRoot(w.id, w.dq.Size(), w.e.modeNow())
+		w.e.tempo.TookRoot(w.id, 0, w.e.modeNow())
 		w.e.tempoUnlock()
 	}
 	w.runTask(t)
@@ -836,11 +841,11 @@ func (w *worker) runRoot(t *task) {
 
 func (w *worker) popLocal() (*task, bool) {
 	w.yield(sitePop)
-	t, ok := w.dq.Pop()
+	t, n, ok := w.dq.PopN()
 	if !ok {
 		return nil, false
 	}
-	w.afterShrink()
+	w.afterShrink(n)
 	return t, true
 }
 
@@ -877,6 +882,7 @@ func (w *worker) getBlock(kids int) *block {
 		w.freeBlocks = w.freeBlocks[:n-1]
 	} else {
 		blk = &block{owner: w}
+		blk.t.blk = blk
 	}
 	blk.kids = kids
 	blk.outer, w.open = w.open, blk
@@ -889,30 +895,31 @@ func (w *worker) getBlock(kids int) *block {
 func (w *worker) putBlock(blk *block) {
 	w.open = blk.outer
 	if len(w.freeBlocks) < cap(w.freeBlocks) {
-		blk.body, blk.res = nil, 0
+		blk.body, blk.res, blk.t.job = nil, 0, nil
 		w.freeBlocks = append(w.freeBlocks, blk)
 	}
 }
 
 // push places a spawned task on the worker's own tail (Figure 5
 // PUSH), then applies the workload-sensitive growth check. The policy's
-// lock-free MayRaise pre-check comes first: tempoMu is taken only when
-// the new size can actually cross a tier.
+// lock-free MayRaise pre-check comes first, on the size the push
+// computed: tempoMu is taken only when the new size can actually cross
+// a tier, and Pushed confirms on a fresh Size.
 func (w *worker) push(t *task) {
 	t.job.perW[w.id].spawns++
 	w.yield(sitePush)
-	w.dq.Push(t)
-	if w.e.tempo.MayRaise(w.id, w.dq.Size(), w.e.modeNow()) {
+	if n := w.dq.PushN(t); w.e.tempo.MayRaise(w.id, n, w.e.modeNow()) {
 		w.e.tempoMu.Lock()
 		w.e.tempo.Pushed(w.id, w.dq.Size(), w.e.modeNow())
 		w.e.tempoUnlock()
 	}
 }
 
-// afterShrink applies Figure 5's POP tail check behind MayLower, which
-// also skips the lock while the worker heads the immediacy list.
-func (w *worker) afterShrink() {
-	if w.e.tempo.MayLower(w.id, w.dq.Size(), w.e.modeNow()) {
+// afterShrink applies Figure 5's POP tail check to the size n a pop
+// left, behind MayLower, which also skips the lock while the worker
+// heads the immediacy list; Shrunk confirms on a fresh Size.
+func (w *worker) afterShrink(n int) {
+	if w.e.tempo.MayLower(w.id, n, w.e.modeNow()) {
 		w.e.tempoMu.Lock()
 		w.e.shrinkLocks++
 		if !w.e.tempo.Shrunk(w.id, w.dq.Size(), w.e.modeNow()) {
@@ -934,12 +941,14 @@ func (w *worker) outOfWork() {
 
 // stealRound probes every other worker once from a random start until
 // a steal lands, applying the tempo policy's steal rules to thief and
-// victim.
+// victim. A worker steals only after a pop found its own deque empty
+// (its loop's, or its join's), so the thief's size is 0.
 func (w *worker) stealRound() (*task, bool) {
 	n := len(w.e.workers)
 	if n == 1 {
 		return nil, false
 	}
+	w.assertEmpty("steal with tasks on the thief's deque")
 	start := w.rng.intn(n)
 	for i := 0; i < n; i++ {
 		v := w.e.workers[(start+i)%n]
@@ -958,7 +967,7 @@ func (w *worker) stealRound() (*task, bool) {
 		w.parked.Store(false)
 		if w.e.modeNow() != core.Baseline {
 			w.e.tempoMu.Lock()
-			w.e.tempo.Stole(w.id, v.id, w.dq.Size(), v.dq.Size(), w.e.modeNow())
+			w.e.tempo.Stole(w.id, v.id, 0, v.dq.Size(), w.e.modeNow())
 			w.e.tempoUnlock()
 		}
 		return t, true
@@ -1022,8 +1031,9 @@ func (w *worker) switchJob(js *jobState) {
 // bookkeeping) when its job has been cancelled, so cancelled jobs
 // drain instead of running. A panicking task body fails its job (the
 // error surfaces from Job.Wait, matching the Sim backend) without
-// taking the shared pool down. The task itself is recycled into this
-// worker's free list before the body runs; per-job accounting is
+// taking the shared pool down. A Go or root task is recycled into this
+// worker's free list before the body runs; a Fork2 task is its block's
+// and is pooled with it. Per-job accounting is
 // written to this worker's plain counter slice. A kid its block's
 // owner runs is counted by the owner's join; a thief counts the kid in
 // the block's done after its accounting and the kid's result, so the
@@ -1044,7 +1054,9 @@ func (w *worker) switchJob(js *jobState) {
 // time exactly.
 func (w *worker) runTask(t *task) {
 	fn, blk, js := t.fn, t.blk, t.job
-	w.putTask(t)
+	if fn != nil {
+		w.putTask(t)
+	}
 	w.backoff = 0
 	w.setState(cpu.Busy)
 	prev := w.cur.js
@@ -1106,12 +1118,12 @@ func (w *worker) join(blk *block) {
 	n := 0
 	for ; n < blk.kids; n++ {
 		w.yield(sitePop)
-		t, ok := w.dq.Pop()
+		t, size, ok := w.dq.PopN()
 		if !ok {
 			break
 		}
 		w.assert(t.blk == blk, "join popped another block's task")
-		w.afterShrink()
+		w.afterShrink(size)
 		w.runTask(t)
 	}
 	stolen := int64(blk.kids - n)
@@ -1170,8 +1182,9 @@ func (c *wctx) Go(tasks ...wl.Task) {
 	w.putBlock(blk)
 }
 
-// Fork2 is Go's two-task block with the pushed call and its result in
-// the pooled block, so it allocates nothing.
+// Fork2 is Go's two-task block with the pushed task, its call and its
+// result in the pooled block, so it allocates nothing and makes no
+// free-list trip.
 func (c *wctx) Fork2(f wl.Body, a0, a1, b0, b1 int) (int, int) {
 	js := c.js
 	if js.cancelled.Load() {
@@ -1180,8 +1193,8 @@ func (c *wctx) Fork2(f wl.Body, a0, a1, b0, b1 int) (int, int) {
 	}
 	w := c.w
 	blk := w.getBlock(1)
-	blk.body, blk.x, blk.y = f, b0, b1
-	w.push(w.getTask(nil, blk, js))
+	blk.body, blk.x, blk.y, blk.t.job = f, b0, b1, js
+	w.push(&blk.t)
 	a := f(c, a0, a1)
 	w.join(blk)
 	b := blk.res

@@ -13,3 +13,7 @@ func (w *worker) yield(site) {}
 // assert states an invariant of the protocol, which the hermescheck
 // build reports; this build inlines it away.
 func (w *worker) assert(bool, string) {}
+
+// assertEmpty states that w's own deque is empty, which the hermescheck
+// build reports; this build inlines it away without reading the deque.
+func (w *worker) assertEmpty(string) {}

@@ -25,3 +25,7 @@ func (w *worker) assert(ok bool, what string) {
 		w.seam.ctl.broken(what)
 	}
 }
+
+// assertEmpty reports to the checker driving w a task on w's own
+// deque where the caller passes that deque's size as 0.
+func (w *worker) assertEmpty(what string) { w.assert(w.dq.Size() == 0, what) }

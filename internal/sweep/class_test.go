@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +69,7 @@ func TestSweepFIFOByteCompat(t *testing.T) {
 	if unset.ClassCSV() != "" {
 		t.Fatal("unclassed sweep rendered a class CSV")
 	}
+	checkClassTable(t, unset.String(), nil)
 }
 
 // TestSweepMixedTraceClassAccounting: a mixed trace must yield
@@ -120,6 +122,60 @@ func TestSweepMixedTraceClassAccounting(t *testing.T) {
 	}
 	if !strings.Contains(csv, ",lc,1,") || !strings.Contains(csv, ",batch,0,") {
 		t.Fatalf("class CSV missing rows:\n%s", csv)
+	}
+	checkClassTable(t, res.String(), p.Classes)
+}
+
+// checkClassTable checks that a sweep's table holds one indented row
+// per class, in order, each with its tenant, priority, SLO attainment
+// ("-" without a target) and J/request.
+func checkClassTable(t *testing.T, table string, classes []ClassPoint) {
+	t.Helper()
+	var rows []string
+	for _, line := range strings.Split(table, "\n") {
+		if strings.HasPrefix(line, "    class ") {
+			rows = append(rows, strings.Join(strings.Fields(line), " "))
+		}
+	}
+	if len(rows) != len(classes) {
+		t.Fatalf("%d class rows in the table, want %d:\n%s", len(rows), len(classes), table)
+	}
+	for i, c := range classes {
+		slo := "-"
+		if c.SLOAttainment != nil {
+			slo = fmt.Sprintf("%.4f", *c.SLOAttainment)
+		}
+		want := fmt.Sprintf("class %s prio %d p50ms %.3f p99ms %.3f slo %s J/req %.4f",
+			c.Tenant, c.Priority, c.P50SojournMS, c.P99SojournMS, slo, c.JoulesPerRequest)
+		if rows[i] != want {
+			t.Fatalf("class row %d is %q, want %q", i, rows[i], want)
+		}
+	}
+}
+
+// TestClusterSweepPrintsClassRows: a cluster sweep's table carries a
+// mixed trace's class rows under each point, and an unclassed one none.
+func TestClusterSweepPrintsClassRows(t *testing.T) {
+	for _, trace := range []string{"mix", ""} {
+		res, err := RunCluster(ClusterConfig{
+			Workload: tinySpec(),
+			Trace:    trace,
+			Mode:     hermes.Unified,
+			Policies: []hermes.Placement{hermes.PlacementJSQ()},
+			Machines: []int{2},
+			RatesRPS: []float64{400},
+			Window:   30 * time.Millisecond,
+			Seed:     7,
+			Workers:  2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Curves[0].Points[0]
+		if (trace == "mix") != (len(p.Classes) > 0) {
+			t.Fatalf("trace %q: %d class rows", trace, len(p.Classes))
+		}
+		checkClassTable(t, res.String(), p.Classes)
 	}
 }
 

@@ -344,7 +344,8 @@ func (r ClusterResult) ClassCSV() string {
 	return "policy,machines,offered_rps," + classCSVHeader + b.String()
 }
 
-// String renders the cluster sweep as one compact table per curve.
+// String renders the cluster sweep as one compact table per curve,
+// with a mixed trace's per-class rows under each point.
 func (r ClusterResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster sweep: %s, mode=%s, window=%.3gs, seed=%d, trials=%d, workers/machine=%d\n",
@@ -360,6 +361,7 @@ func (r ClusterResult) String() string {
 			fmt.Fprintf(&b, "  %-8g %-8.3f %-8.3f %-8.3f %-10.4f %-8.2f %-5d %-5d %d\n",
 				p.OfferedRPS, p.P50SojournMS, p.P99SojournMS, p.P99QueueMS,
 				p.FleetJoulesPerRequest, p.FleetAvgPowerW, p.IdleMachines, p.Migrated, p.PeakInflight)
+			classTable(&b, p.Classes)
 		}
 	}
 	return b.String()

@@ -415,6 +415,20 @@ func classRows(b *strings.Builder, key string, classes []ClassPoint) {
 	}
 }
 
+// classTable renders one point's per-class rows for String, indented
+// under the point's row, from the fields classRows writes to the CSV.
+// A class without an SLO target shows "-" for its attainment.
+func classTable(b *strings.Builder, classes []ClassPoint) {
+	for _, cp := range classes {
+		attain := "-"
+		if cp.SLOAttainment != nil {
+			attain = fmt.Sprintf("%.4f", *cp.SLOAttainment)
+		}
+		fmt.Fprintf(b, "    class %-10s prio %-3d p50ms %-8.3f p99ms %-8.3f slo %-6s J/req %.4f\n",
+			cp.Tenant, cp.Priority, cp.P50SojournMS, cp.P99SojournMS, attain, cp.JoulesPerRequest)
+	}
+}
+
 // CSV renders the sweep flat, one row per (mode, rate) point, with the
 // tier residency packed as freqkHz:frac pairs.
 func (r Result) CSV() string {
@@ -452,7 +466,8 @@ func (r Result) ClassCSV() string {
 	return "mode,offered_rps," + classCSVHeader + b.String()
 }
 
-// String renders the sweep as one compact table per mode.
+// String renders the sweep as one compact table per mode, with a mixed
+// trace's per-class rows under each point.
 func (r Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "open-system sweep: %s, window=%.3gs, seed=%d, trials=%d, workers=%d\n",
@@ -464,6 +479,7 @@ func (r Result) String() string {
 			fmt.Fprintf(&b, "  %-8g %-8.3f %-8.3f %-8.3f %-8.4f %-8.2f %-11.3f %d\n",
 				p.OfferedRPS, p.P50SojournMS, p.P99SojournMS, p.P99QueueMS,
 				p.JoulesPerRequest, p.AvgPowerW, p.StealsPerRequest, p.PeakInflight)
+			classTable(&b, p.Classes)
 		}
 	}
 	return b.String()
