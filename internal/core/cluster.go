@@ -170,13 +170,13 @@ type Cluster struct {
 	ms  []*sched
 
 	// Engine-side state (touched only by engine processes and hooks).
-	intake       *sim.Proc
-	gossipd      *sim.Proc
-	gossipParked bool
-	arrivals     arrivalHeap
-	stop         bool
-	rng          *rand.Rand
-	views        []queueView
+	intake     *sim.Proc
+	gossipd    *sim.Proc
+	gossipWait daemonWait
+	arrivals   arrivalHeap
+	stop       bool
+	rng        *rand.Rand
+	views      []queueView
 
 	// Fault-injection state: the fault daemon (nil without a plan),
 	// its cursor into cfg.Faults, the dedicated retry-jitter RNG, and
@@ -309,7 +309,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		s.start()
 	}
 	if cfg.Gossip {
-		c.gossipd = c.eng.Go("gossipd", c.gossipLoop)
+		c.gossipd = c.eng.GoStep("gossipd", c.gossipStep)
 	}
 	if len(cfg.Faults) > 0 {
 		c.frng = rand.New(rand.NewSource(cfg.Seed*1_000_003 + faultSeedSalt))
@@ -672,7 +672,7 @@ func (c *Cluster) place(j *jobRun) {
 		}
 	}
 	c.placed[m]++
-	if c.gossipParked {
+	if c.gossipWait == waitIdle {
 		c.gossipd.Wake()
 	}
 	if c.faultParked {
@@ -732,30 +732,27 @@ func (c *Cluster) totalActive() int {
 // interval old.
 const gossipInterval = 500 * units.Microsecond
 
-// gossipLoop is the cluster's migration daemon: every gossipInterval
-// it lets idle machines pull unstarted jobs from the most-loaded peer
-// as seen through the last refreshed queue views, THEN refreshes views
-// that have aged a whole interval — so thieves always act on
-// information at least one interval old. It parks while the cluster
-// is empty (an idle cluster generates no events) and exits once the
-// cluster is stopping and drained.
-func (c *Cluster) gossipLoop(p *sim.Proc) {
-	for {
-		if c.stop && c.arrivals.Len() == 0 && c.totalActive() == 0 {
-			return
-		}
-		if c.totalActive() == 0 && c.arrivals.Len() == 0 {
-			c.gossipParked = true
-			p.ParkUntilWake()
-			c.gossipParked = false
-			continue
-		}
-		p.Sleep(gossipInterval)
-		if c.stop && c.arrivals.Len() == 0 && c.totalActive() == 0 {
-			return
-		}
+// gossipStep is the cluster's migration daemon, a GoStep process: every
+// gossipInterval it lets idle machines pull unstarted jobs from the
+// most-loaded peer as seen through the last refreshed queue views, THEN
+// refreshes views that have aged a whole interval — so thieves always
+// act on information at least one interval old. It parks while the
+// cluster is empty (an idle cluster generates no events) and exits once
+// the cluster is stopping and drained.
+func (c *Cluster) gossipStep() (units.Time, bool) {
+	empty := func() bool { return c.arrivals.Len() == 0 && c.totalActive() == 0 }
+	if c.gossipWait == waitPeriod && !(c.stop && empty()) {
 		c.gossipTick()
 	}
+	switch {
+	case c.stop && empty():
+		return 0, false
+	case empty():
+		c.gossipWait = waitIdle
+		return sim.UntilWake, true
+	}
+	c.gossipWait = waitPeriod
+	return c.eng.Now() + gossipInterval, true
 }
 
 // gossipTick runs one round: steals first (against stale views), view

@@ -49,6 +49,13 @@ func (randomPlace) Place(v PlacementView, rng *rand.Rand) int {
 // stream and the fleet stats.
 func traceCluster(t *testing.T, ccfg ClusterConfig, ats []units.Time, mk func(i int) wl.Task) ([]Report, []error, []obs.Event, ClusterStats) {
 	t.Helper()
+	reports, errs, events, c := runClusterTrace(t, ccfg, ats, mk)
+	return reports, errs, events, c.Stats()
+}
+
+// runClusterTrace is traceCluster returning the closed Cluster itself.
+func runClusterTrace(t *testing.T, ccfg ClusterConfig, ats []units.Time, mk func(i int) wl.Task) ([]Report, []error, []obs.Event, *Cluster) {
+	t.Helper()
 	rec := &recorder{}
 	ccfg.Machine.Observer = rec
 	c, err := NewCluster(ccfg)
@@ -79,7 +86,7 @@ func traceCluster(t *testing.T, ccfg ClusterConfig, ats []units.Time, mk func(i 
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return reports, errs, rec.events, c.Stats()
+	return reports, errs, rec.events, c
 }
 
 // TestClusterTraceDeterminism is the cluster's reproducibility

@@ -18,8 +18,13 @@
 // open-system, fleet and fault-injection evaluations run the same
 // machine through the same code.
 //
-// Task bodies run ahead of virtual time: Work and Mem record a segment
-// and return, and the worker settles the body's segments — simulating
-// them in order, as blocking calls would have — only where the body
-// meets the scheduler: entering Go, before its join, at return or panic.
+// A worker's coroutine resumes only to run a task: finding work — the
+// local pop, the delivered roots, steal rounds, back-offs and idle halts
+// — and waiting in a join are one stepped wait each (internal/sim),
+// whose step hands the worker the task it found, and the DVFS commit,
+// profiler and gossip daemons are steps that never resume. Task bodies
+// run ahead of virtual time: Work and Mem record a segment and return,
+// and the worker settles the body's segments — simulating them in order,
+// as blocking calls would have — only where the body meets the
+// scheduler: entering Go, before its join, at return or panic.
 package core

@@ -96,6 +96,24 @@ func goldenQuantum(t *testing.T, mode Mode) string {
 	return goldenDump(reports, errs, events, nil)
 }
 
+// goldenCluster is the fault-injected cluster scenario's config: three
+// two-worker SystemB machines behind random placement, one crashing
+// and rejoining and one slowed, with the gossip tier if asked for.
+func goldenCluster(mode Mode, gossip bool) ClusterConfig {
+	return ClusterConfig{
+		Machines:  3,
+		Machine:   Config{Spec: cpu.SystemB(), Workers: 2, Mode: mode, Seed: 7},
+		Placement: randomPlace{},
+		Gossip:    gossip,
+		Seed:      3,
+		Faults: []FaultEvent{
+			{At: 1400 * units.Microsecond, Machine: 1, Kind: FaultCrash},
+			{At: 1500 * units.Microsecond, Machine: 2, Kind: FaultSlow, Factor: 2},
+			{At: 2500 * units.Microsecond, Machine: 1, Kind: FaultRejoin},
+		},
+	}
+}
+
 // goldenScenarios maps scenario name → dump. Seeds, traces and the
 // fault plan are fixed; nothing here reads a clock.
 func goldenScenarios(t *testing.T) map[string]string {
@@ -110,18 +128,7 @@ func goldenScenarios(t *testing.T) map[string]string {
 		out["pool/"+mode.String()] = goldenDump(reports, errs, events, nil)
 		out["quantum/"+mode.String()] = goldenQuantum(t, mode)
 
-		ccfg := ClusterConfig{
-			Machines:  3,
-			Machine:   Config{Spec: cpu.SystemB(), Workers: 2, Mode: mode, Seed: 7},
-			Placement: randomPlace{},
-			Seed:      3,
-			Faults: []FaultEvent{
-				{At: 1400 * units.Microsecond, Machine: 1, Kind: FaultCrash},
-				{At: 1500 * units.Microsecond, Machine: 2, Kind: FaultSlow, Factor: 2},
-				{At: 2500 * units.Microsecond, Machine: 1, Kind: FaultRejoin},
-			},
-		}
-		creports, cerrs, cevents, st := traceCluster(t, ccfg, goldenArrivals(12, 60*units.Microsecond), mk)
+		creports, cerrs, cevents, st := traceCluster(t, goldenCluster(mode, false), goldenArrivals(12, 60*units.Microsecond), mk)
 		out["cluster/"+mode.String()] = goldenDump(creports, cerrs, cevents, st)
 	}
 	return out
@@ -164,29 +171,44 @@ func TestGoldenReports(t *testing.T) {
 	}
 }
 
-// TestGoldenEventCounts pins the engine's work under the pool scenario,
-// event for event — stronger than the digest, which cannot see an event
-// that changes nothing. The events column was recorded on the scheduler
-// as it was when every wait resumed its coroutine (485 and 652 resumes
-// then); stepped waits and run-ahead bodies must keep it — same events,
-// so same seq at every tie. The resumes column is the ceiling they
-// reached: one resume per settled frame rather than one per accounting
-// call. A change that resumes workers more often fails here.
+// TestGoldenEventCounts pins the engine's work, event for event —
+// stronger than the digest, which cannot see an event that changes
+// nothing — under the pool scenario and the fault-injected cluster
+// scenario, the latter with and without the gossip tier, so the
+// profiler, DVFS, gossip and fault daemons are pinned beside the
+// workers. The events column was recorded on the scheduler as it was
+// when every wait resumed its coroutine (pool: 485 and 652 resumes
+// then; 318 and 451 with stepped probes and settles); stepped waits,
+// run-ahead bodies, the stepped hunt for work and the GoStep daemons
+// must keep it — same events, so same seq at every tie. The resumes
+// column is the ceiling they reached: a worker resumes only to run a
+// task or at the end of a settled frame, and the daemons never. A
+// change that resumes processes more often fails here.
 func TestGoldenEventCounts(t *testing.T) {
+	mk := func(i int) wl.Task { return poolWork(16 + 8*(i%3)) }
 	for _, tc := range []struct {
+		scenario        string
 		mode            Mode
 		events, resumes uint64
 	}{
-		{Baseline, 743, 318},
-		{Unified, 1068, 451},
+		{"pool", Baseline, 743, 286},
+		{"pool", Unified, 1068, 250},
+		{"cluster", Unified, 858, 242},
+		{"cluster+gossip", Unified, 881, 288},
 	} {
-		_, _, _, c := goldenPool(t, tc.mode)
+		var c *Cluster
+		if tc.scenario == "pool" {
+			_, _, _, c = goldenPool(t, tc.mode)
+		} else {
+			ccfg := goldenCluster(tc.mode, tc.scenario == "cluster+gossip")
+			_, _, _, c = runClusterTrace(t, ccfg, goldenArrivals(12, 60*units.Microsecond), mk)
+		}
 		events, resumes := c.EngineStats()
 		if events != tc.events {
-			t.Errorf("pool/%v: %d events dispatched, recorded %d", tc.mode, events, tc.events)
+			t.Errorf("%s/%v: %d events dispatched, recorded %d", tc.scenario, tc.mode, events, tc.events)
 		}
 		if resumes > tc.resumes {
-			t.Errorf("pool/%v: %d coroutine resumes, above the recorded %d", tc.mode, resumes, tc.resumes)
+			t.Errorf("%s/%v: %d coroutine resumes, above the recorded %d", tc.scenario, tc.mode, resumes, tc.resumes)
 		}
 	}
 }

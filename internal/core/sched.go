@@ -56,10 +56,13 @@ type sched struct {
 	slowPinned bool
 
 	// DVFS commit daemon state: per-domain pending commit time
-	// (0 = none), and the daemon process to wake on new requests.
+	// (0 = none), and the daemon process to wake on new requests. The
+	// profiler's state: its wait in flight and its sample buffer.
 	dvfsCommits []units.Time
 	dvfsProc    *sim.Proc
 	profProc    *sim.Proc
+	profWait    daemonWait
+	profSizes   []int
 
 	// led is the machine's ledger, credited up to lastTouch; domFi
 	// caches each clock domain's index into cfg.Freqs. end is jobDone's
@@ -129,6 +132,7 @@ func newSched(eng *sim.Engine, cfg Config) *sched {
 		byCore:      map[*cpu.Core]*worker{},
 		dvfsCommits: make([]units.Time, cfg.Spec.Domains()),
 		domFi:       make([]int, cfg.Spec.Domains()),
+		profSizes:   make([]int, cfg.Workers), // Profile copies what it keeps
 	}
 	s.model = power.NewModel(cfg.Spec)
 	s.met = meter.New(s.model, s.mach)
@@ -148,10 +152,10 @@ func newSched(eng *sim.Engine, cfg Config) *sched {
 // start registers the service daemons and workers with the engine.
 // Service daemons first, then workers, so the workers' initial events
 // land after theirs at t=0 — irrelevant for correctness, fixed for
-// determinism.
+// determinism. The daemons are steps, never resumed: no coroutine.
 func (s *sched) start() {
-	s.dvfsProc = s.eng.Go(s.tag+"dvfsd", s.dvfsLoop)
-	s.profProc = s.eng.Go(s.tag+"profiler", s.profLoop)
+	s.dvfsProc = s.eng.GoStep(s.tag+"dvfsd", s.dvfsStep)
+	s.profProc = s.eng.GoStep(s.tag+"profiler", s.profStep)
 	for _, w := range s.workers {
 		w := w
 		w.proc = s.eng.Go(w.name(), w.schedule)
@@ -160,7 +164,7 @@ func (s *sched) start() {
 
 // touch brings the machine up to the current virtual time: it credits
 // the interval to each worker's (state, frequency index) cell of the
-// machine's ledger — the domain's index cached by dvfsLoop at each
+// machine's ledger — the domain's index cached by dvfsStep at each
 // commit — and integrates the meter's joules. It must be called before
 // any mutation of machine state (core states, domain frequencies). A
 // crashed machine's interval is downtime: no residency, zero draw.
@@ -288,47 +292,41 @@ func (s *sched) pendingDiffers(w *worker, f units.Freq) bool {
 	return pending && target != f
 }
 
-// dvfsLoop is the commit daemon: it sleeps until the earliest pending
-// domain transition, applies it, and re-rates any in-flight work on
-// that domain. New requests wake it early.
-func (s *sched) dvfsLoop(p *sim.Proc) {
-	for {
-		if s.done {
-			return
+// dvfsStep is the commit daemon, a GoStep process: at each wake it
+// applies the domain transitions due, re-rates any in-flight work on
+// their domains, and waits until the earliest pending one — or, with
+// none, until a new request wakes it.
+func (s *sched) dvfsStep() (units.Time, bool) {
+	if s.done {
+		return 0, false
+	}
+	now := s.eng.Now()
+	for id, at := range s.dvfsCommits {
+		if at == 0 || at > now {
+			continue
 		}
-		t := s.earliestCommit()
-		var now units.Time
-		if t == 0 {
-			now = p.ParkUntilWake()
-		} else {
-			now = p.WaitUntil(t)
-		}
-		if s.done {
-			return
-		}
-		for id, at := range s.dvfsCommits {
-			if at == 0 || at > now {
-				continue
-			}
-			d := s.mach.Domains[id]
-			s.touch()
-			if d.Commit(now) {
-				s.led.DVFSCommits++
-				for fi, f := range s.cfg.Freqs {
-					if f == d.Freq() {
-						s.domFi[id] = fi
-					}
+		d := s.mach.Domains[id]
+		s.touch()
+		if d.Commit(now) {
+			s.led.DVFSCommits++
+			for fi, f := range s.cfg.Freqs {
+				if f == d.Freq() {
+					s.domFi[id] = fi
 				}
-				s.emit(obs.Event{Kind: obs.DVFSCommit, Time: s.eng.Now(), Worker: -1, Victim: -1, Freq: d.Freq()})
-				s.onFreqChange(d)
 			}
-			if _, cAt, pending := d.Pending(); pending {
-				s.dvfsCommits[id] = cAt
-			} else {
-				s.dvfsCommits[id] = 0
-			}
+			s.emit(obs.Event{Kind: obs.DVFSCommit, Time: now, Worker: -1, Victim: -1, Freq: d.Freq()})
+			s.onFreqChange(d)
+		}
+		if _, cAt, pending := d.Pending(); pending {
+			s.dvfsCommits[id] = cAt
+		} else {
+			s.dvfsCommits[id] = 0
 		}
 	}
+	if t := s.earliestCommit(); t != 0 {
+		return t, true
+	}
+	return sim.UntilWake, true
 }
 
 func (s *sched) earliestCommit() units.Time {
@@ -351,31 +349,38 @@ func (s *sched) onFreqChange(d *cpu.Domain) {
 	}
 }
 
-// profLoop is the online profiler of Section 3.2: every ProfilePeriod
-// it samples all deque sizes into the tempo policy, which retunes every
-// worker's thresholds from the rolling average. It parks while no jobs
-// are active (deliver wakes it on arrival) so an idle machine generates
-// no events and the engine can quiesce.
-func (s *sched) profLoop(p *sim.Proc) {
+// daemonWait is the wait in flight of a periodic GoStep daemon (the
+// profiler, the gossip tier).
+type daemonWait uint8
+
+const (
+	waitNone   daemonWait = iota // not started
+	waitIdle                     // parked until an arrival wakes it
+	waitPeriod                   // its period's timer
+)
+
+// profStep is the online profiler of Section 3.2, a GoStep process:
+// every ProfilePeriod it samples all deque sizes into the tempo policy,
+// which retunes every worker's thresholds from the rolling average. It
+// parks while no jobs are active (deliver wakes it on arrival) so an
+// idle machine generates no events and the engine can quiesce.
+func (s *sched) profStep() (units.Time, bool) {
 	if !s.cfg.Mode.Workload() {
-		return
+		return 0, false
 	}
-	sizes := make([]int, len(s.workers)) // Profile copies what it keeps
-	for {
-		if len(s.pool.active) == 0 {
-			p.ParkUntilWake()
-			if s.done {
-				return
-			}
-			continue
-		}
-		p.Sleep(ProfilePeriod)
-		if s.done {
-			return
-		}
+	if s.profWait != waitNone && s.done {
+		return 0, false
+	}
+	if s.profWait == waitPeriod {
 		for i, w := range s.workers {
-			sizes[i] = w.dq.Size()
+			s.profSizes[i] = w.dq.Size()
 		}
-		s.tempo.Profile(sizes, s.cfg.Mode)
+		s.tempo.Profile(s.profSizes, s.cfg.Mode)
 	}
+	if len(s.pool.active) == 0 {
+		s.profWait = waitIdle
+		return sim.UntilWake, true
+	}
+	s.profWait = waitPeriod
+	return s.eng.Now() + ProfilePeriod, true
 }

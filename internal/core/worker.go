@@ -35,6 +35,7 @@ type block struct {
 	pending   int
 	waiter    *worker
 	outer     *block // the worker's next open block out: see worker.open
+	exhausted bool   // the join in progress found the local tail past its tasks
 	body      wl.Body
 	x, y, res int
 }
@@ -81,11 +82,13 @@ type worker struct {
 	base, cur int
 	stallEnd  units.Time // of the stall in flight
 
-	// What stealRound's and settle's stepped waits carry from wake to
-	// wake; the step funcs are bound once, so a wait allocates nothing.
-	probe struct {
-		victim, left int   // index being probed; probes left, this one included
-		got          *task // the steal that landed
+	// What seek's and settle's stepped waits carry from wake to wake;
+	// the step funcs are bound once, so a wait allocates nothing.
+	hunt struct {
+		at           huntAt
+		blk          *block // the block a join waits on, nil in schedule
+		got          *task  // the task to hand the coroutine
+		victim, left int    // index being probed; probes left, this one included
 	}
 	slice struct {
 		rem         units.Cycles // not yet retired
@@ -93,7 +96,7 @@ type worker struct {
 		slow        float64      // and this straggler factor
 		start, full units.Time   // from start; rem retires at full
 	}
-	probeStep, settleStep func() (units.Time, bool)
+	huntStep, settleStep func() (units.Time, bool)
 
 	helpDepth int
 	backoff   units.Time
@@ -132,48 +135,165 @@ func newWorker(s *sched, id int, c *cpu.Core) *worker {
 		freeTasks:  make([]*task, 0, freeListCap),
 		freeBlocks: make([]*block, 0, freeListCap),
 	}
-	w.probeStep, w.settleStep = w.stepProbe, w.stepSettle
+	w.huntStep, w.settleStep = w.stepHunt, w.stepSettle
 	return w
 }
 
 func (w *worker) name() string { return fmt.Sprintf("%sworker%d", w.s.tag, w.id) }
 
+// huntAt names the wait in flight in a worker's hunt for work.
+type huntAt uint8
+
+const (
+	huntPopped  huntAt = iota // a local pop's deque cost
+	huntProbe                 // a steal probe's cost
+	huntBackoff               // yield's back-off spin
+	huntIdle                  // halted in poolIdle, no timer
+	huntBlock                 // halted on the joined block, no timer
+)
+
 // schedule is the process body, Algorithm 3.1: pop local work; failing
 // that, relay immediacy and unlink (out of work), take a delivered
 // root, then steal; failing that, yield — or, with no job in the
 // system, halt the core until deliver hands the machine an arrival.
+// All of that is seek's one stepped wait: the coroutine resumes only to
+// run a task.
 func (w *worker) schedule(*sim.Proc) {
-	for {
-		if w.s.done {
-			return
-		}
-		if t, ok := w.popLocal(); ok {
-			w.runTask(t)
-			continue
-		}
-		w.s.tempo.OutOfWork(w.id, w.s.cfg.Mode)
-		if t := w.s.poolTake(); t != nil {
-			w.backoff = 0
-			w.s.tempo.TookRoot(w.id, w.dq.Size(), w.s.cfg.Mode)
-			w.runTask(t)
-			continue
-		}
-		if w.poolIdle() {
-			continue
-		}
-		if t, ok := w.stealRound(); ok {
-			w.backoff = 0
-			w.runTask(t)
-			continue
-		}
-		if w.poolIdle() {
-			continue
-		}
-		w.yield()
+	for t := w.seek(nil); t != nil; t = w.seek(nil) {
+		w.runTask(t)
 	}
 }
 
-// poolIdle parks the worker (core halted, no modeled draw) while the
+// seek runs a no-work loop — schedule's, or with blk that of join(blk)
+// — as one stepped wait ("Stepped waits" in internal/sim's doc): stepHunt
+// spends its deque costs, probes, back-offs and halts without resuming
+// the worker, which gets back the task to run, or nil once blk drains
+// or the machine shuts down.
+func (w *worker) seek(blk *block) *task {
+	h := &w.hunt
+	h.blk = blk
+	if t, wait := w.huntTop(); wait {
+		w.proc.WaitUntilStep(t, w.huntStep)
+	}
+	t := h.got
+	h.got = nil
+	return t
+}
+
+// huntTop is the top of the no-work loop: it returns the loop's next
+// wait, or false when the hunt is over. A join runs the block's own
+// pushed tasks from the local tail; once they are gone (run or stolen)
+// it helps by stealing elsewhere, through the same out-of-work tempo
+// path as schedule, and past the help-depth cap halts until the block
+// drains. Re-halting after a spurious wake (job arrivals, DVFS
+// re-rating) continues the same logical park and is not recounted.
+func (w *worker) huntTop() (units.Time, bool) {
+	s, blk := w.s, w.hunt.blk
+	if blk == nil {
+		if s.done {
+			return 0, false
+		}
+		if t, ok := w.dq.Pop(); ok {
+			return w.popped(t)
+		}
+		s.tempo.OutOfWork(w.id, s.cfg.Mode)
+		if t := s.poolTake(); t != nil {
+			w.backoff = 0
+			s.tempo.TookRoot(w.id, w.dq.Size(), s.cfg.Mode)
+			w.hunt.got = t
+			return 0, false
+		}
+		if w.poolIdle() {
+			return sim.UntilWake, true
+		}
+		return w.stealRound()
+	}
+	if blk.pending == 0 {
+		w.setState(cpu.Busy)
+		return 0, false
+	}
+	if s.done {
+		return 0, false
+	}
+	if !blk.exhausted {
+		if t, ok := w.dq.Pop(); !ok {
+			blk.exhausted = true
+		} else if t.blk != blk {
+			// Tail belongs to an enclosing block: not legal to run
+			// before this join completes. Put it back (same position)
+			// and stop popping — our remaining block tasks were stolen.
+			w.dq.Push(t)
+			blk.exhausted = true
+		} else {
+			return w.popped(t)
+		}
+	}
+	if w.helpDepth >= maxHelpDepth {
+		if blk.waiter != w {
+			blk.waiter = w
+			s.led.Parks++
+		}
+		w.setState(cpu.IdleHalt)
+		w.hunt.at = huntBlock
+		return sim.UntilWake, true
+	}
+	s.tempo.OutOfWork(w.id, s.cfg.Mode)
+	return w.stealRound()
+}
+
+// stepHunt is seek's step, run when the wait in flight ends or a wake
+// cuts it short: finish what the wait was for, then carry on with the
+// loop.
+func (w *worker) stepHunt() (units.Time, bool) {
+	s, h := w.s, &w.hunt
+	switch h.at {
+	case huntPopped:
+		// Figure 5 POP: the workload-sensitive shrink check.
+		s.tempo.Shrunk(w.id, w.dq.Size(), s.cfg.Mode)
+		return 0, false
+	case huntProbe:
+		if s.done {
+			return w.failedRound()
+		}
+		// An empty deque is a failed steal; the probe's cost is modeled.
+		// A landed one applies the tempo policy's steal rules to thief
+		// and victim.
+		if v := s.workers[h.victim]; !v.dq.Empty() {
+			t, _ := v.dq.Steal()
+			s.led.Steals++
+			s.led.Workers[w.id].Steals++
+			t.job.steals++
+			s.emit(obs.Event{Kind: obs.Steal, Time: s.eng.Now(), Worker: w.id, Victim: v.id})
+			s.tempo.Stole(w.id, v.id, w.dq.Size(), v.dq.Size(), s.cfg.Mode)
+			w.backoff = 0
+			h.got = t
+			return 0, false
+		}
+		s.led.FailedSteals++
+		if h.left--; h.left == 0 {
+			return w.failedRound()
+		}
+		if h.victim = (h.victim + 1) % len(s.workers); h.victim == w.id {
+			h.victim = (h.victim + 1) % len(s.workers)
+		}
+		w.setState(cpu.Spin)
+		return s.eng.Now() + stealCost, true
+	case huntIdle:
+		w.idlePark = false
+	case huntBlock:
+		w.setState(cpu.Busy)
+	}
+	return w.huntTop()
+}
+
+// popped starts the deque cost of a local pop (Figure 5 POP).
+func (w *worker) popped(t *task) (units.Time, bool) {
+	w.setState(cpu.Busy)
+	w.hunt.at, w.hunt.got = huntPopped, t
+	return w.s.eng.Now() + pushPopCost, true
+}
+
+// poolIdle halts the worker (core halted, no modeled draw) while the
 // machine has no active jobs, instead of burning virtual time probing
 // an empty machine: the tempo policy files the slowest tempo first.
 // deliver wakes every idle worker when a job arrives.
@@ -185,8 +305,7 @@ func (w *worker) poolIdle() bool {
 	w.s.tempo.Parked(w.id, w.s.cfg.Mode)
 	w.setState(cpu.IdleHalt)
 	w.idlePark = true
-	w.proc.ParkUntilWake()
-	w.idlePark = false
+	w.hunt.at = huntIdle
 	return true
 }
 
@@ -200,19 +319,6 @@ func (w *worker) setState(st cpu.CoreState) {
 	w.core.State = st
 }
 
-// popLocal pops the worker's own tail (Figure 5 POP), charging the
-// local-deque cost and applying the workload-sensitive shrink check.
-func (w *worker) popLocal() (*task, bool) {
-	t, ok := w.dq.Pop()
-	if !ok {
-		return nil, false
-	}
-	w.setState(cpu.Busy)
-	w.proc.Sleep(pushPopCost)
-	w.s.tempo.Shrunk(w.id, w.dq.Size(), w.s.cfg.Mode)
-	return t, true
-}
-
 // push places a spawned task on the worker's own tail (Figure 5
 // PUSH): deque op cost, then the workload-sensitive growth check.
 func (w *worker) push(t *task) {
@@ -223,66 +329,40 @@ func (w *worker) push(t *task) {
 	w.s.tempo.Pushed(w.id, w.dq.Size(), w.s.cfg.Mode)
 }
 
-// stealRound probes every other worker once, starting from a random
-// victim and sweeping cyclically (the usual randomized SELECT loop),
-// until a steal lands or the round is exhausted. The round is one
-// stepped wait: stepProbe spends each probe's steal cost and moves on
-// from an empty deque without resuming this worker. A landed steal
-// applies the tempo policy's steal rules to thief and victim.
-func (w *worker) stealRound() (*task, bool) {
+// stealRound starts a round that probes every other worker once,
+// starting from a random victim and sweeping cyclically (the usual
+// randomized SELECT loop), until a steal lands or the round is
+// exhausted; stepHunt spends each probe's steal cost.
+func (w *worker) stealRound() (units.Time, bool) {
 	n := len(w.s.workers)
 	if n == 1 || w.s.done {
-		return nil, false
+		return w.failedRound()
 	}
-	w.probe.victim, w.probe.left = w.rng.Intn(n), n-1
-	if w.probe.victim == w.id {
-		w.probe.victim = (w.id + 1) % n
-	}
-	w.setState(cpu.Spin)
-	w.proc.WaitUntilStep(w.s.eng.Now()+stealCost, w.probeStep)
-	t := w.probe.got
-	if t == nil {
-		return nil, false
-	}
-	w.probe.got = nil
-	v := w.s.workers[w.probe.victim]
-	w.s.led.Steals++
-	w.s.led.Workers[w.id].Steals++
-	t.job.steals++
-	w.s.emit(obs.Event{Kind: obs.Steal, Time: w.s.eng.Now(), Worker: w.id, Victim: v.id})
-	w.s.tempo.Stole(w.id, v.id, w.dq.Size(), v.dq.Size(), w.s.cfg.Mode)
-	return t, true
-}
-
-// stepProbe is stealRound's step, run by the engine when a probe's steal
-// cost is spent (or a wake cut it short): try the victim's head and, on
-// an empty deque, spin on the next; resume the worker on a landed task.
-func (w *worker) stepProbe() (units.Time, bool) {
-	s, pr := w.s, &w.probe
-	if s.done {
-		return 0, false
-	}
-	// An empty deque is a failed steal; the probe's cost is modeled.
-	if dq := &s.workers[pr.victim].dq; !dq.Empty() {
-		pr.got, _ = dq.Steal()
-		return 0, false
-	}
-	s.led.FailedSteals++
-	if pr.left--; pr.left == 0 {
-		return 0, false
-	}
-	if pr.victim = (pr.victim + 1) % len(s.workers); pr.victim == w.id {
-		pr.victim = (pr.victim + 1) % len(s.workers)
+	h := &w.hunt
+	h.victim, h.left = w.rng.Intn(n), n-1
+	if h.victim == w.id {
+		h.victim = (w.id + 1) % n
 	}
 	w.setState(cpu.Spin)
-	return s.eng.Now() + stealCost, true
+	h.at = huntProbe
+	return w.s.eng.Now() + stealCost, true
 }
 
-// yield backs off after a failed steal round, spinning at the core's
-// current tempo (the paper does not adjust frequency for idle
-// workers). Backoff grows exponentially to a cap and resets on the
-// next successful pop or steal.
-func (w *worker) yield() {
+// failedRound ends a steal round that landed nothing: a join whose
+// block drained meanwhile is done, an empty machine halts the worker,
+// and otherwise it yields — backs off, spinning at the core's current
+// tempo (the paper does not adjust frequency for idle workers). Backoff
+// grows exponentially to a cap and resets on the next successful pop or
+// steal.
+func (w *worker) failedRound() (units.Time, bool) {
+	if blk := w.hunt.blk; blk != nil {
+		if blk.pending == 0 {
+			w.setState(cpu.Busy)
+			return 0, false
+		}
+	} else if w.poolIdle() {
+		return sim.UntilWake, true
+	}
 	if w.backoff == 0 {
 		w.backoff = yieldSpin
 	} else {
@@ -292,7 +372,8 @@ func (w *worker) yield() {
 		}
 	}
 	w.setState(cpu.Spin)
-	w.proc.Sleep(w.backoff)
+	w.hunt.at = huntBackoff
+	return w.s.eng.Now() + w.backoff, true
 }
 
 // runTask executes one task: under dynamic scheduling the worker pays
@@ -432,76 +513,22 @@ func (w *worker) runBody(t *task) {
 	w.settle()
 }
 
-// join completes a fork-join block: run the block's own pushed tasks
-// from the local tail; once they are gone (run or stolen), help by
-// stealing elsewhere — going through the same out-of-work tempo path
-// as the main loop — and, past the help-depth cap, park until the
-// block drains.
+// join completes a fork-join block: seek runs its no-work loop, and the
+// worker resumes only to run one of the block's tasks or, one help-steal
+// deeper, a stolen one — never the block's, which only this worker's
+// deque holds.
 func (w *worker) join(blk *block) {
-	localExhausted := false
-	for blk.pending > 0 {
-		if w.s.done {
-			return
-		}
-		if !localExhausted {
-			if t, ok := w.dq.Pop(); ok {
-				if t.blk != blk {
-					// Tail belongs to an enclosing block: not legal to
-					// run before this join completes. Put it back (same
-					// position) and stop popping — our remaining block
-					// tasks were stolen.
-					w.dq.Push(t)
-					localExhausted = true
-				} else {
-					w.setState(cpu.Busy)
-					w.proc.Sleep(pushPopCost)
-					w.s.tempo.Shrunk(w.id, w.dq.Size(), w.s.cfg.Mode)
-					w.runTask(t)
-					w.setState(cpu.Busy)
-					continue
-				}
-			} else {
-				localExhausted = true
-			}
-		}
-		if blk.pending == 0 {
-			break
-		}
-		if w.helpDepth >= maxHelpDepth {
-			w.parkOnBlock(blk)
-			continue
-		}
-		w.s.tempo.OutOfWork(w.id, w.s.cfg.Mode)
-		if t, ok := w.stealRound(); ok {
-			w.backoff = 0
+	blk.exhausted = false
+	for t := w.seek(blk); t != nil; t = w.seek(blk) {
+		if t.blk != blk {
 			w.helpDepth++
 			w.runTask(t)
 			w.helpDepth--
-			w.setState(cpu.Busy)
-			continue
+		} else {
+			w.runTask(t)
 		}
-		if blk.pending == 0 {
-			break
-		}
-		w.yield()
+		w.setState(cpu.Busy)
 	}
-	w.setState(cpu.Busy)
-}
-
-// parkOnBlock halts the core until the block's last task completes.
-// Re-parking after a spurious wake (job arrivals, DVFS re-rating)
-// continues the same logical park and is not recounted.
-func (w *worker) parkOnBlock(blk *block) {
-	if blk.pending == 0 {
-		return
-	}
-	if blk.waiter != w {
-		blk.waiter = w
-		w.s.led.Parks++
-	}
-	w.setState(cpu.IdleHalt)
-	w.proc.ParkUntilWake()
-	w.setState(cpu.Busy)
 }
 
 // account adds a non-empty segment to the running frame, settling the

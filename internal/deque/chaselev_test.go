@@ -2,6 +2,7 @@ package deque
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -214,6 +215,9 @@ func TestQueueConcurrentNoLossNoDup(t *testing.T) {
 								record(v)
 							}
 						default:
+							// A failed steal yields, so four spinning thieves
+							// do not starve the owner of a small host's cores.
+							runtime.Gosched()
 						}
 					}
 				}()

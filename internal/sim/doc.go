@@ -7,8 +7,9 @@
 // so a run is fully reproducible.
 //
 // A process parks either until a scheduled virtual time (Sleep /
-// WaitUntil) or indefinitely (ParkUntilWake), and any running process
-// may wake a parked one (Wake), superseding its pending timer. This
+// WaitUntil) or indefinitely (ParkUntilWake, or WaitUntil(UntilWake)),
+// and any running process may wake a parked one (Wake), superseding its
+// pending timer. This
 // early-wake primitive is what lets the scheduler re-rate in-flight
 // task work when a DVFS transition commits mid-task.
 //
@@ -42,14 +43,21 @@
 // WaitUntilStep hands a wait's continuation to the dispatcher: at each
 // wake, Run — or the parking process, for its own event — calls the step
 // with the process current, and a step that answers "again" is parked
-// anew without the process ever having been resumed. A loop that only
-// looks at the world and waits again (a thief probing empty deques, a
-// work segment re-planned at a quantum boundary) then costs no switch.
-// The one rule: a step schedules exactly what the process would have,
-// when it would have — so seq, the same-instant tie-break, never moves.
-// internal/core goes further: a task body's Work and Mem calls return at
-// once, and its segments are simulated as one stepped wait at its next
-// spawn or return, so a worker is resumed per frame, not per call.
+// anew without the process ever having been resumed: until the time it
+// names, or, for UntilWake, with no timer at all, until a Wake or an
+// Inject. A loop that only looks at the world and waits again (a thief
+// probing empty deques, backing off, halting until work arrives; a work
+// segment re-planned at a quantum boundary) then costs no switch, and
+// GoStep makes a process that is nothing but such a loop — a daemon with
+// no coroutine, resumed never. The one rule: a step schedules exactly
+// what the process would have, when it would have — so seq, the
+// same-instant tie-break, never moves. internal/core builds on it: a
+// worker with no task to run hunts for one in a single stepped wait and
+// is resumed only to run the task it found, its DVFS, profiler and
+// gossip daemons are GoStep processes, and a task body's Work and Mem
+// calls return at once, its segments simulated as one stepped wait at
+// its next spawn or return, so a worker is resumed per task and frame,
+// not per call or probe.
 //
 // # Where failures surface
 //
@@ -67,6 +75,8 @@
 // it never leaves a goroutine behind.
 //
 // Wakes are queued by value in two tiers — the 64 earliest in a sorted
-// front, the rest in a 4-ary heap — and a superseded wake stays queued
-// until it is popped and dropped. A steady-state event allocates nothing.
+// front, the rest in a 4-ary heap — each naming its process by index, so
+// the queue holds no pointers and moving a wake costs no write barrier.
+// A superseded wake stays queued until it is popped and dropped. A
+// steady-state event allocates nothing.
 package sim

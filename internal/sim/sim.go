@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"runtime/debug"
 	"strings"
 
@@ -13,12 +14,18 @@ import (
 // the tie-break priority above the schedule order, so the dispatch order
 // — virtual time, then priority, then schedule order — is two integer
 // compares. An entry whose key is not its owner's wakeKey was superseded
-// and is dropped when popped.
+// and is dropped when popped. own names the owner by index, so the queue
+// holds no pointers and moving entries costs no write barrier; the zero
+// entry is no entry.
 type entry struct {
 	t   units.Time
 	key uint64
-	p   *Proc
+	own int32 // the owner's index in Engine.procs, plus one
 }
+
+// UntilWake, as the time a stepped wait's step waits until, parks the
+// process with no timer: only Wake or Inject ends that wait.
+const UntilWake units.Time = math.MaxInt64
 
 func (a entry) before(b entry) bool { return a.t < b.t || a.t == b.t && a.key < b.key }
 
@@ -45,7 +52,7 @@ type Proc struct {
 	wakeKey uint64     // key of the one live wake, 0 for none
 	wakeAt  units.Time // its time
 	state   procState
-	fn      func(*Proc)
+	fn      func(*Proc)                          // nil for a GoStep process
 	step    func() (next units.Time, again bool) // of the stepped wait it is in, or nil
 
 	// The two halves of iter.Pull over run, created at first dispatch,
@@ -179,6 +186,17 @@ func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
+// GoStep registers a process that is nothing but a step ("Stepped
+// waits" in the package doc): Go's process whose body is one stepped wait
+// that starts at once, except that it never has a coroutine. step runs
+// at the process's start event and at every wake after it; the process
+// ends the first time step answers false.
+func (e *Engine) GoStep(name string, step func() (next units.Time, again bool)) *Proc {
+	p := e.Go(name, nil)
+	p.step = step
+	return p
+}
+
 // run is the coroutine body. Whatever way fn leaves — return, panic,
 // abortSignal, runtime.Goexit — the process ends up done; the first
 // real panic is trapped for Run to re-raise.
@@ -203,8 +221,9 @@ func (e *Engine) trapPanic(r any) {
 
 // stepped runs the step of the stepped wait p is in, in p's place: p has
 // just fired and is current. It reports whether p stays parked: the step
-// asked to wait again — scheduled here as p's own WaitUntil would have —
-// or panicked, which traps like a panic in p's body.
+// asked to wait again — scheduled here as p's own WaitUntil would have,
+// or with no timer for UntilWake — or panicked, which traps like a panic
+// in p's body.
 func (e *Engine) stepped(p *Proc) (parked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -217,7 +236,9 @@ func (e *Engine) stepped(p *Proc) (parked bool) {
 		p.step = nil
 		return false
 	}
-	e.scheduleAt(next, 0, p)
+	if next != UntilWake {
+		e.scheduleAt(next, 0, p)
+	}
 	p.state, e.current = stateParked, nil
 	return true
 }
@@ -229,7 +250,7 @@ func (e *Engine) scheduleAt(t units.Time, prio int8, p *Proc) {
 		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
 	}
 	e.seq++
-	x := entry{t: t, key: uint64(prio+1)<<56 | e.seq, p: p}
+	x := entry{t: t, key: uint64(prio+1)<<56 | e.seq, own: int32(p.ID) + 1}
 	p.wakeKey, p.wakeAt = x.key, t
 	if len(e.heap) > 0 && e.heap[0].before(x) {
 		e.heapPush(x)
@@ -295,7 +316,7 @@ func (e *Engine) heapPop() entry {
 
 // pop removes and returns the earliest live entry — the front's last, or
 // the heap's top when the front is empty — dropping superseded ones on
-// the way. Its owner is nil when the queue is empty.
+// the way; no entry when the queue is empty.
 func (e *Engine) pop() entry {
 	for {
 		var x entry
@@ -306,7 +327,7 @@ func (e *Engine) pop() entry {
 		} else {
 			return x
 		}
-		if x.key == x.p.wakeKey {
+		if x.key == e.procs[x.own-1].wakeKey {
 			return x
 		}
 	}
@@ -314,14 +335,14 @@ func (e *Engine) pop() entry {
 
 // pick is the step before every dispatch: run tick, pop the next live
 // event, and on an empty queue let idle feed the engine and start over.
-// It returns an entry with a nil owner when the queue is empty and idle
-// declines — deadlock. The caller must have cleared current.
+// It returns no entry when the queue is empty and idle declines —
+// deadlock. The caller must have cleared current.
 func (e *Engine) pick() entry {
 	for {
 		if e.tick != nil {
 			e.tick()
 		}
-		if ev := e.pop(); ev.p != nil {
+		if ev := e.pop(); ev.own != 0 {
 			return ev
 		}
 		if e.idle == nil || !e.idle() {
@@ -346,7 +367,7 @@ func (e *Engine) pickParking() entry {
 // fire moves the clock to ev and makes its owner the current, running
 // process, with no live wake.
 func (e *Engine) fire(ev entry) *Proc {
-	p := ev.p
+	p := e.procs[ev.own-1]
 	e.Dispatched++
 	e.now = ev.t
 	p.wakeKey = 0
@@ -369,10 +390,10 @@ func (e *Engine) Run() {
 		}
 		ev := e.handoff
 		e.handoff = entry{}
-		if ev.p == nil {
+		if ev.own == 0 {
 			ev = e.pick()
 		}
-		if ev.p == nil {
+		if ev.own == 0 {
 			panic("sim: deadlock — " + e.describeStall())
 		}
 		if ev.t < e.now {
@@ -380,6 +401,11 @@ func (e *Engine) Run() {
 		}
 		p := e.fire(ev)
 		if p.step != nil && e.stepped(p) {
+			continue
+		}
+		if p.fn == nil { // a GoStep process whose step ended it
+			p.state, e.current = stateDone, nil
+			e.alive--
 			continue
 		}
 		if p.next == nil {
@@ -442,7 +468,7 @@ func (p *Proc) park() {
 	e.current = nil
 	for !e.trapped {
 		ev := e.pickParking()
-		if ev.p != p || ev.t < e.now {
+		if int(ev.own) != p.ID+1 || ev.t < e.now {
 			e.handoff = ev
 			break
 		}
@@ -457,21 +483,26 @@ func (p *Proc) park() {
 	}
 }
 
-// WaitUntil parks until virtual time t (or an early Wake). It returns
-// the time at which the process resumed.
+// WaitUntil parks until virtual time t (or an early Wake); t UntilWake
+// sets no timer. It returns the time at which the process resumed.
 func (p *Proc) WaitUntil(t units.Time) units.Time { return p.WaitUntilStep(t, nil) }
 
 // WaitUntilStep is WaitUntil with a continuation the dispatcher runs in
 // the parked process's place ("Stepped waits" in the package doc): at
 // every wake, timer or early Wake, step runs with the process current;
-// again parks it until next, unresumed. A step must not park.
+// again parks it until next (UntilWake: no timer), unresumed. A step
+// must not park.
 func (p *Proc) WaitUntilStep(t units.Time, step func() (next units.Time, again bool)) units.Time {
 	p.mustBeCurrent("WaitUntil")
 	if t < p.eng.now {
 		panic("sim: WaitUntil into the past")
 	}
 	p.step = step
-	p.eng.scheduleAt(t, 0, p)
+	if t != UntilWake {
+		p.eng.scheduleAt(t, 0, p)
+	} else {
+		p.wakeKey = 0
+	}
 	p.park()
 	return p.eng.now
 }
@@ -486,12 +517,7 @@ func (p *Proc) Sleep(d units.Time) units.Time {
 }
 
 // ParkUntilWake parks with no timer; only Wake resumes the process.
-func (p *Proc) ParkUntilWake() units.Time {
-	p.mustBeCurrent("ParkUntilWake")
-	p.wakeKey = 0
-	p.park()
-	return p.eng.now
-}
+func (p *Proc) ParkUntilWake() units.Time { return p.WaitUntil(UntilWake) }
 
 // Wake makes a parked process runnable at the current virtual time,
 // superseding any pending timer. The caller must be the currently

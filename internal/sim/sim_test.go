@@ -308,11 +308,12 @@ func TestIsUnwind(t *testing.T) {
 // scriptOp is one step of a scripted process; the same scripts drive
 // the engine and the reference below.
 type scriptOp struct {
-	kind   byte // 's' Sleep, 'u' WaitUntil, 'k' WaitUntilStep, 'p' ParkUntilWake, 'w' Wake, 'g' Go
+	kind   byte // 's' Sleep, 'u' WaitUntil, 'k' WaitUntilStep, 'p' ParkUntilWake, 'w' Wake, 'g' Go, 'G' GoStep
 	d      units.Time
 	steps  int        // 'k': wakes the wait spans, each d after the last
+	park   bool       // 'k': the step's waits set no timer (UntilWake)
 	target int        // 'w': index into the processes that exist at that moment
-	child  []scriptOp // 'g'
+	child  []scriptOp // 'g'; 'G': only 's', 'p' and 'w', which the step interprets
 }
 
 func genScript(rng *rand.Rand, depth int) []scriptOp {
@@ -320,13 +321,15 @@ func genScript(rng *rand.Rand, depth int) []scriptOp {
 	ops := make([]scriptOp, 0, n)
 	for i := 0; i < n; i++ {
 		d := units.Time(rng.Intn(5)) * units.Microsecond // 0 included: same-instant ties
-		switch r := rng.Intn(12); {
+		switch r := rng.Intn(13); {
 		case r < 4:
 			ops = append(ops, scriptOp{kind: 's', d: d})
 		case r < 6:
 			ops = append(ops, scriptOp{kind: 'u', d: d})
-		case r >= 10:
-			ops = append(ops, scriptOp{kind: 'k', d: d, steps: 1 + rng.Intn(5)})
+		case r >= 10 && r < 12:
+			ops = append(ops, scriptOp{kind: 'k', d: d, steps: 1 + rng.Intn(5), park: r == 11})
+		case r == 12:
+			ops = append(ops, scriptOp{kind: 'G', child: genStepScript(rng)})
 		case r < 7:
 			ops = append(ops, scriptOp{kind: 'p'})
 		case r < 9:
@@ -335,6 +338,23 @@ func genScript(rng *rand.Rand, depth int) []scriptOp {
 			if depth < 2 {
 				ops = append(ops, scriptOp{kind: 'g', child: genScript(rng, depth+1)})
 			}
+		}
+	}
+	return ops
+}
+
+// genStepScript is the life of a GoStep process: waits with and
+// without a timer, and wakes of others in between.
+func genStepScript(rng *rand.Rand) []scriptOp {
+	ops := make([]scriptOp, 1+rng.Intn(6))
+	for i := range ops {
+		switch rng.Intn(3) {
+		case 0:
+			ops[i] = scriptOp{kind: 's', d: units.Time(rng.Intn(5)) * units.Microsecond}
+		case 1:
+			ops[i] = scriptOp{kind: 'p'}
+		default:
+			ops[i] = scriptOp{kind: 'w', target: rng.Intn(64)}
 		}
 	}
 	return ops
@@ -356,6 +376,7 @@ func runScripted(roots [][]scriptOp, probe func(*Engine)) []string {
 	e := NewEngine()
 	var log []string
 	var body func(script []scriptOp) func(*Proc)
+	var stepBody func(script []scriptOp) func() (units.Time, bool)
 	body = func(script []scriptOp) func(*Proc) {
 		return func(p *Proc) {
 			log = append(log, fmt.Sprintf("%d@%d", p.ID, e.Now()))
@@ -377,6 +398,9 @@ func runScripted(roots [][]scriptOp, probe func(*Engine)) []string {
 							return 0, false
 						}
 						log = append(log, fmt.Sprintf("%d@%d", p.ID, e.Now()))
+						if op.park {
+							return UntilWake, true
+						}
 						return e.Now() + op.d, true
 					})
 				case 'p':
@@ -389,9 +413,33 @@ func runScripted(roots [][]scriptOp, probe func(*Engine)) []string {
 				case 'g':
 					e.Go("child", body(op.child))
 					continue
+				case 'G':
+					e.GoStep("stepper", stepBody(op.child))
+					continue
 				}
 				log = append(log, fmt.Sprintf("%d@%d", p.ID, e.Now()))
 			}
+		}
+	}
+	stepBody = func(script []scriptOp) func() (units.Time, bool) {
+		pc, id := 0, len(e.procs) // the process GoStep is about to make
+		return func() (units.Time, bool) {
+			log = append(log, fmt.Sprintf("%d@%d", id, e.Now()))
+			for ; pc < len(script); pc++ {
+				switch op := script[pc]; op.kind {
+				case 's':
+					pc++
+					return e.Now() + op.d, true
+				case 'p':
+					pc++
+					return UntilWake, true
+				case 'w':
+					if t := e.procs[op.target%len(e.procs)]; t.ID != id {
+						t.Wake()
+					}
+				}
+			}
+			return 0, false
 		}
 	}
 	for _, script := range roots {
@@ -537,14 +585,17 @@ func (r *refEngine) run(roots [][]scriptOp) []string {
 				parked = true
 			case 'k':
 				// The reference knows no stepped wait: it is op.steps
-				// plain WaitUntils in a row.
-				if p.left == 0 {
+				// plain WaitUntils in a row, or one and then ParkUntilWakes.
+				first := p.left == 0
+				if first {
 					p.left = op.steps
 				}
 				if p.left--; p.left > 0 {
 					p.pc--
 				}
-				p.pending = r.schedule(r.now+op.d, 0, pid)
+				if first || !op.park {
+					p.pending = r.schedule(r.now+op.d, 0, pid)
+				}
 				parked = true
 			case 'p':
 				parked = true
@@ -561,7 +612,8 @@ func (r *refEngine) run(roots [][]scriptOp) []string {
 					t.pending.canceled = true
 				}
 				t.pending = r.schedule(r.now, 0, tid)
-			case 'g':
+			case 'g', 'G':
+				// Nor a GoStep process: it is a script of its waits.
 				r.spawn(op.child)
 			}
 		}
@@ -576,8 +628,9 @@ func (r *refEngine) run(roots [][]scriptOp) []string {
 // WaitUntil, ParkUntilWake, Wake, Go from a process, Inject from the
 // tick hook and rescue from the idle hook dispatch in exactly the order
 // the reference gives, time for time — and so do stepped waits of up to
-// five wakes, early Wakes and Injects landing mid-chain, against the
-// same number of plain WaitUntils in the reference.
+// five wakes, timed or UntilWake, with early Wakes and Injects landing
+// mid-chain, against the same number of plain waits in the reference,
+// and GoStep processes against the script of their waits.
 func TestRandomSchedulesMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -708,6 +761,7 @@ func TestQueueTiersPopInOrder(t *testing.T) {
 		for i := range procs {
 			procs[i] = &Proc{ID: i}
 		}
+		e.procs = procs
 		for k := 0; k < 3000; k++ {
 			if rng.Intn(3) > 0 {
 				p := procs[rng.Intn(len(procs))]
@@ -716,15 +770,15 @@ func TestQueueTiersPopInOrder(t *testing.T) {
 					latest = e.front[0]
 				}
 				e.scheduleAt(e.now+units.Time(rng.Intn(1000))*units.Microsecond, int8(rng.Intn(2)-1), p)
-				live[p] = entry{t: p.wakeAt, key: p.wakeKey, p: p}
-				if latest.p != nil && e.front[0] != latest {
+				live[p] = entry{t: p.wakeAt, key: p.wakeKey, own: int32(p.ID) + 1}
+				if latest.own != 0 && e.front[0] != latest {
 					frontSpills++
 				}
 				continue
 			}
 			var want entry
 			for _, x := range live {
-				if want.p == nil || x.before(want) {
+				if want.own == 0 || x.before(want) {
 					want = x
 				}
 			}
@@ -732,9 +786,10 @@ func TestQueueTiersPopInOrder(t *testing.T) {
 			if got != want {
 				t.Fatalf("seed %d, op %d: popped %+v, want %+v", seed, k, got, want)
 			}
-			if got.p != nil {
-				e.now, got.p.wakeKey = got.t, 0
-				delete(live, got.p)
+			if got.own != 0 {
+				p := procs[got.own-1]
+				e.now, p.wakeKey = got.t, 0
+				delete(live, p)
 			}
 		}
 	}

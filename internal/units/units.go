@@ -9,6 +9,7 @@ package units
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -72,14 +73,20 @@ func (c Cycles) DurationAt(f Freq) Time {
 	if f <= 0 {
 		panic("units: non-positive frequency")
 	}
-	// cycles / (kHz) = milliseconds of work; time[ps] = cycles * 1e9 / f[kHz].
-	// Split the multiply to avoid overflowing int64 for large cycle counts:
-	// c * 1e9 overflows beyond ~9.2e9 cycles, so compute quotient and
-	// remainder separately.
+	// time[ps] = cycles * 1e9 / f[kHz], rounded half-up: the product and
+	// half the divisor in 128 bits, then one divide, exact for every
+	// non-negative c whose quotient fits in 64 bits.
+	hi, lo := bits.Mul64(uint64(c), 1_000_000_000)
+	lo, carry := bits.Add64(lo, uint64(f)/2, 0)
+	if hi += carry; c >= 0 && hi < uint64(f) {
+		q, _ := bits.Div64(hi, lo, uint64(f))
+		return Time(q)
+	}
+	// Negative c, or a quotient past 64 bits: quotient and remainder
+	// apart, in int64.
 	q := int64(c) / int64(f)
 	r := int64(c) % int64(f)
-	ps := q*1_000_000_000 + (r*1_000_000_000+int64(f)/2)/int64(f)
-	return Time(ps)
+	return Time(q*1_000_000_000 + (r*1_000_000_000+int64(f)/2)/int64(f))
 }
 
 // CyclesIn returns how many whole cycles retire in span t at frequency f.

@@ -1,6 +1,8 @@
 package units
 
 import (
+	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 	"time"
@@ -113,4 +115,32 @@ func TestSeconds(t *testing.T) {
 	if got := (250 * Millisecond).Seconds(); got != 0.25 {
 		t.Fatalf("Seconds = %v", got)
 	}
+}
+
+// FuzzDurationAt checks the one-divide rating against math/big's
+// round-half-up of c·10⁹/f, for every non-negative c and positive f
+// whose exact result fits in a Time — c·10⁹ past 64 bits included.
+func FuzzDurationAt(f *testing.F) {
+	f.Add(int64(2_400_000), int64(2_400_000))
+	f.Add(int64(1), int64(2_400_000))
+	f.Add(int64(10_000_000_000_000), int64(1_400_000)) // c·10⁹ ≈ 10²²
+	f.Add(int64(math.MaxInt64), int64(math.MaxInt64))
+	f.Add(int64(math.MaxInt64), int64(1_000_000_000)) // quotient just fits
+	f.Add(int64(7), int64(3))
+	f.Fuzz(func(t *testing.T, c, freq int64) {
+		if c < 0 || freq <= 0 {
+			t.Skip()
+		}
+		num := new(big.Int).Mul(big.NewInt(c), big.NewInt(1_000_000_000))
+		q, r := new(big.Int).QuoRem(num, big.NewInt(freq), new(big.Int))
+		if r.Lsh(r, 1).Cmp(big.NewInt(freq)) >= 0 {
+			q.Add(q, big.NewInt(1))
+		}
+		if !q.IsInt64() {
+			t.Skip()
+		}
+		if got := Cycles(c).DurationAt(Freq(freq)); int64(got) != q.Int64() {
+			t.Fatalf("%d cycles at %d kHz = %d ps, want %v", c, freq, int64(got), q)
+		}
+	})
 }
