@@ -125,7 +125,7 @@ func TestCapabilityMatrix(t *testing.T) {
 			}
 			// Likewise the engine's counters: an engine that served a job
 			// dispatched events and resumed some of them; Native has none.
-			if events, resumes := rt.EngineStats(); (rt.Backend() == hermes.Sim) != (events > 0 && resumes > 0 && resumes < events) {
+			if events, resumes, _ := rt.EngineStats(); (rt.Backend() == hermes.Sim) != (events > 0 && resumes > 0 && resumes < events) {
 				t.Fatalf("%v EngineStats: %d events, %d resumes", rt.Backend(), events, resumes)
 			}
 			return nil

@@ -95,11 +95,12 @@ func (r *Runtime) ClusterStats() ClusterStats {
 	return r.sim.eng.Stats()
 }
 
-// EngineStats returns how many events a Sim Runtime's engine dispatched
-// and how many of them resumed a coroutine. After Close; zeros on Native.
-func (r *Runtime) EngineStats() (events, resumes uint64) {
+// EngineStats returns how many events a Sim Runtime's engine dispatched,
+// how many of them resumed a coroutine and how many were a worker's
+// steal probes. After Close; zeros on Native.
+func (r *Runtime) EngineStats() (events, resumes, probes uint64) {
 	if r.backend != Sim {
-		return 0, 0
+		return 0, 0, 0
 	}
 	return r.sim.eng.EngineStats()
 }

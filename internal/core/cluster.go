@@ -51,7 +51,8 @@ type ClusterConfig struct {
 	Machines int
 	// Machine is the per-machine configuration; machine m runs with
 	// Seed+m so victim-selection streams differ across the fleet while
-	// staying deterministic.
+	// staying deterministic. The placement and retry RNGs derive from
+	// Seed too.
 	Machine Config
 	// Placement chooses a machine for each arriving job.
 	Placement Placement
@@ -61,9 +62,6 @@ type ClusterConfig struct {
 	// peer according to their last refreshed (stale) view of queue
 	// sizes.
 	Gossip bool
-
-	// Seed drives the placement RNG; 0 adopts Machine.Seed.
-	Seed int64
 
 	// Faults is the injected failure schedule, replayed by an
 	// engine-side daemon on the shared virtual timeline; empty runs a
@@ -86,9 +84,6 @@ func (c ClusterConfig) Validate() (ClusterConfig, error) {
 	c.Machine = mcfg
 	if c.Placement == nil {
 		return c, fmt.Errorf("core: cluster needs a placement policy")
-	}
-	if c.Seed == 0 {
-		c.Seed = c.Machine.Seed
 	}
 	if len(c.Faults) > 0 {
 		evs, err := validateFaults(c.Faults, c.Machines)
@@ -279,7 +274,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		cfg:       cfg,
 		eng:       sim.NewEngine(),
-		rng:       rand.New(rand.NewSource(cfg.Seed*1_000_003 + clusterSeedSalt)),
+		rng:       rand.New(rand.NewSource(cfg.Machine.Seed*1_000_003 + clusterSeedSalt)),
 		views:     make([]queueView, cfg.Machines),
 		placed:    make([]int64, cfg.Machines),
 		migrated:  make([]int64, cfg.Machines),
@@ -312,7 +307,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.gossipd = c.eng.GoStep("gossipd", c.gossipStep)
 	}
 	if len(cfg.Faults) > 0 {
-		c.frng = rand.New(rand.NewSource(cfg.Seed*1_000_003 + faultSeedSalt))
+		c.frng = rand.New(rand.NewSource(cfg.Machine.Seed*1_000_003 + faultSeedSalt))
 		c.fleetDown = make([]units.Time, cfg.Machines)
 		c.faultd = c.eng.Go("faultd", c.faultLoop)
 	}
@@ -487,10 +482,12 @@ func (c *Cluster) stats() ClusterStats {
 	return st
 }
 
-// EngineStats waits for the engine to exit and returns its counters.
-func (c *Cluster) EngineStats() (events, resumes uint64) {
+// EngineStats waits for the engine to exit and returns its counters:
+// events dispatched, those that resumed a coroutine, and those that were
+// steal probes (the engine's late wakes).
+func (c *Cluster) EngineStats() (events, resumes, probes uint64) {
 	<-c.dead
-	return c.eng.Dispatched, c.eng.Resumes
+	return c.eng.Dispatched, c.eng.Resumes, c.eng.Late
 }
 
 // pump drains pending submissions without blocking; it is the engine's

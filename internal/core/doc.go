@@ -22,7 +22,13 @@
 // local pop, the delivered roots, steal rounds, back-offs and idle halts
 // — and waiting in a join are one stepped wait each (internal/sim),
 // whose step hands the worker the task it found, and the DVFS commit,
-// profiler and gossip daemons are steps that never resume. Task bodies
+// profiler and gossip daemons are steps that never resume. A steal
+// probe is a late wait: it falls due after everything else at its
+// instant, probes among themselves in worker order, so what it sees does
+// not depend on when it was scheduled. A thief therefore folds its
+// probes of empty deques into one wait; a push that refills a
+// folded-over deque gives that probe back its event, and the ledger
+// counts the folded probes as failed steals whenever it is read. Task bodies
 // run ahead of virtual time: Work and Mem record a segment and return,
 // and the worker settles the body's segments — simulating them in order,
 // as blocking calls would have — only where the body meets the

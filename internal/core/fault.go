@@ -156,6 +156,9 @@ func (c *Cluster) applyFault(ev FaultEvent) {
 			return
 		}
 		s.touch()
+		for _, w := range s.workers {
+			w.credit() // residency through the crash; none after it
+		}
 		s.dead = true
 		s.downAt = now
 		s.met.Gate(true)
@@ -184,6 +187,9 @@ func (c *Cluster) applyFault(ev FaultEvent) {
 			return
 		}
 		s.touch() // integrates the downtime at the gated zero draw
+		for _, w := range s.workers {
+			w.credit() // skips the downtime
+		}
 		s.met.Gate(false)
 		s.dead = false
 		s.downTotal += now - s.downAt

@@ -105,7 +105,6 @@ func goldenCluster(mode Mode, gossip bool) ClusterConfig {
 		Machine:   Config{Spec: cpu.SystemB(), Workers: 2, Mode: mode, Seed: 7},
 		Placement: randomPlace{},
 		Gossip:    gossip,
-		Seed:      3,
 		Faults: []FaultEvent{
 			{At: 1400 * units.Microsecond, Machine: 1, Kind: FaultCrash},
 			{At: 1500 * units.Microsecond, Machine: 2, Kind: FaultSlow, Factor: 2},
@@ -176,36 +175,47 @@ func TestGoldenReports(t *testing.T) {
 // nothing — under the pool scenario and the fault-injected cluster
 // scenario, the latter with and without the gossip tier, so the
 // profiler, DVFS, gossip and fault daemons are pinned beside the
-// workers. The events column was recorded on the scheduler as it was
-// when every wait resumed its coroutine (pool: 485 and 652 resumes
-// then; 318 and 451 with stepped probes and settles); stepped waits,
-// run-ahead bodies, the stepped hunt for work and the GoStep daemons
-// must keep it — same events, so same seq at every tie. The resumes
-// column is the ceiling they reached: a worker resumes only to run a
-// task or at the end of a settled frame, and the daemons never. A
-// change that resumes processes more often fails here.
+// workers. Each scenario runs twice: as the scheduler runs it, with a
+// thief's probes of empty deques folded into one wait, and with the
+// fold off, every probe an event of its own (foldProbes); the
+// difference is the probes the fold removes, and TestProbeFoldIsInvisible
+// holds that it removes nothing else. The resumes column is a ceiling:
+// a worker resumes only to run a task or at the end of a settled frame,
+// the daemons never, and folding resumes nobody. A change that resumes
+// processes more often, or adds, drops or folds an event, fails here.
 func TestGoldenEventCounts(t *testing.T) {
+	defer func(on bool) { foldProbes = on }(foldProbes)
 	mk := func(i int) wl.Task { return poolWork(16 + 8*(i%3)) }
-	for _, tc := range []struct {
-		scenario        string
-		mode            Mode
-		events, resumes uint64
-	}{
-		{"pool", Baseline, 743, 286},
-		{"pool", Unified, 1068, 250},
-		{"cluster", Unified, 858, 242},
-		{"cluster+gossip", Unified, 881, 288},
-	} {
+	run := func(scenario string, mode Mode) (events, resumes uint64) {
 		var c *Cluster
-		if tc.scenario == "pool" {
-			_, _, _, c = goldenPool(t, tc.mode)
+		if scenario == "pool" {
+			_, _, _, c = goldenPool(t, mode)
 		} else {
-			ccfg := goldenCluster(tc.mode, tc.scenario == "cluster+gossip")
+			ccfg := goldenCluster(mode, scenario == "cluster+gossip")
 			_, _, _, c = runClusterTrace(t, ccfg, goldenArrivals(12, 60*units.Microsecond), mk)
 		}
-		events, resumes := c.EngineStats()
-		if events != tc.events {
-			t.Errorf("%s/%v: %d events dispatched, recorded %d", tc.scenario, tc.mode, events, tc.events)
+		events, resumes, _ = c.EngineStats()
+		return events, resumes
+	}
+	for _, tc := range []struct {
+		scenario                  string
+		mode                      Mode
+		events, unfolded, resumes uint64
+	}{
+		{"pool", Baseline, 687, 743, 262},
+		{"pool", Unified, 845, 927, 222},
+		// Two workers a machine: a round is one probe, its last, so
+		// there is nothing to fold.
+		{"cluster", Unified, 825, 825, 230},
+		{"cluster+gossip", Unified, 890, 890, 255},
+	} {
+		foldProbes = true
+		events, resumes := run(tc.scenario, tc.mode)
+		foldProbes = false
+		unfolded, _ := run(tc.scenario, tc.mode)
+		if events != tc.events || unfolded != tc.unfolded {
+			t.Errorf("%s/%v: %d events dispatched, %d with every probe an event; recorded %d and %d",
+				tc.scenario, tc.mode, events, unfolded, tc.events, tc.unfolded)
 		}
 		if resumes > tc.resumes {
 			t.Errorf("%s/%v: %d coroutine resumes, above the recorded %d", tc.scenario, tc.mode, resumes, tc.resumes)

@@ -211,7 +211,9 @@ func (s *sched) deliver(j *jobRun) {
 			w.proc.Wake()
 		}
 	}
-	s.profProc.Wake()
+	if s.profWait == waitIdle {
+		s.profProc.Wake()
+	}
 }
 
 // poolTake hands out the delivered root the dispatch policy ranks
@@ -315,9 +317,14 @@ func (s *sched) buildJobReport(j *jobRun, now units.Time, end *Ledger) Report {
 	return r
 }
 
-// snapInto copies the machine's ledger into dst, reusing dst's buffer;
-// callers touch() first.
+// snapInto copies the machine's ledger into dst, reusing dst's buffer,
+// folded probes that have passed and residency through now credited
+// first; callers touch() first.
 func (s *sched) snapInto(dst *Ledger) {
+	for _, w := range s.workers {
+		w.creditProbes()
+		w.credit()
+	}
 	dst.CopyFrom(&s.led)
 	dst.Joules = s.met.Energy()
 }

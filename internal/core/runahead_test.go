@@ -106,7 +106,7 @@ func runAheadScenario(t *testing.T, seed int64, cov *coverage) (digest string, d
 	if ranked {
 		mcfg.Dispatch, mcfg.PreemptQuantum = core.DispatchEDF, 30*units.Microsecond
 	}
-	ccfg := core.ClusterConfig{Machines: 1, Machine: mcfg, Placement: cluster.Policy{Kind: "pkc", Choices: 2}.Placer(), Seed: seed}
+	ccfg := core.ClusterConfig{Machines: 1, Machine: mcfg, Placement: cluster.Policy{Kind: "pkc", Choices: 2}.Placer()}
 	if seed%2 == 1 {
 		evs, err := fault.Compile("crash", seed, 3, 3*units.Millisecond)
 		if err != nil {
@@ -183,7 +183,7 @@ func runAheadScenario(t *testing.T, seed int64, cov *coverage) (digest string, d
 	for i, e := range rec.events {
 		fmt.Fprintf(&b, "event %d %#v\n", i, e)
 	}
-	dispatched, _ = c.EngineStats()
+	dispatched, _, _ = c.EngineStats()
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))), dispatched
 }
 

@@ -22,6 +22,8 @@ type sched struct {
 	met   *meter.Meter
 
 	workers []*worker
+	// stocked has bit i set while worker i's deque holds a task.
+	stocked []uint64
 	byCore  map[*cpu.Core]*worker
 	tempo   *tempo.Policy
 	// done is set by poolShutdown: every process observes it and exits.
@@ -64,8 +66,9 @@ type sched struct {
 	profWait    daemonWait
 	profSizes   []int
 
-	// led is the machine's ledger, credited up to lastTouch; domFi
-	// caches each clock domain's index into cfg.Freqs. end is jobDone's
+	// led is the machine's ledger, its joules credited up to lastTouch
+	// and each worker's residency up to its resAt; domFi caches each
+	// clock domain's index into cfg.Freqs. end is jobDone's
 	// reused end-of-job copy, and spare holds delivery copies that
 	// completed jobs handed back.
 	led            Ledger
@@ -73,6 +76,7 @@ type sched struct {
 	end            Ledger
 	spare          []*Ledger
 	lastTouch      units.Time
+	serving        int   // workers Busy inside a job's task (worker.serving)
 	rerates        int64 // CPU slices cut short by a clock change
 	emittedSamples int
 }
@@ -130,6 +134,7 @@ func newSched(eng *sim.Engine, cfg Config) *sched {
 		eng:         eng,
 		mach:        cpu.NewMachine(cfg.Spec),
 		byCore:      map[*cpu.Core]*worker{},
+		stocked:     make([]uint64, (cfg.Workers+63)/64),
 		dvfsCommits: make([]units.Time, cfg.Spec.Domains()),
 		domFi:       make([]int, cfg.Spec.Domains()),
 		profSizes:   make([]int, cfg.Workers), // Profile copies what it keeps
@@ -162,12 +167,13 @@ func (s *sched) start() {
 	}
 }
 
-// touch brings the machine up to the current virtual time: it credits
-// the interval to each worker's (state, frequency index) cell of the
-// machine's ledger — the domain's index cached by dvfsStep at each
-// commit — and integrates the meter's joules. It must be called before
-// any mutation of machine state (core states, domain frequencies). A
-// crashed machine's interval is downtime: no residency, zero draw.
+// touch brings the machine up to the current virtual time: it
+// integrates the meter's joules. It must be called before any mutation
+// of machine state (core states, domain frequencies). A worker's
+// residency is credited to its (state, frequency index) cell of the
+// machine's ledger lazily, when either changes and when the ledger is
+// read (worker.credit). A crashed machine's interval is downtime: no
+// residency, zero draw.
 // touch also partitions the interval's machine energy exactly among
 // the jobs whose tasks held busy workers through it (equal worker-time
 // weights, the Native backend's attribution rule applied per
@@ -185,15 +191,7 @@ func (s *sched) touch() {
 		s.lastTouch = now
 	}
 	if now > s.lastTouch {
-		dt := now - s.lastTouch
-		for i, w := range s.workers {
-			st := w.core.State
-			s.led.Workers[i].Res[st-1][s.domFi[w.core.Dom.ID]] += dt
-			if st == cpu.Busy && w.curJob != nil {
-				served++
-			}
-		}
-		s.lastTouch = now
+		served, s.lastTouch = s.serving, now
 	}
 	e0 := s.met.Energy()
 	s.met.Advance(now)
@@ -201,7 +199,7 @@ func (s *sched) touch() {
 		if dJ := s.met.Energy() - e0; dJ > 0 {
 			share := dJ / float64(served)
 			for _, w := range s.workers {
-				if w.core.State == cpu.Busy && w.curJob != nil {
+				if w.serving() == 1 {
 					w.curJob.energyJ += share
 				}
 			}
@@ -307,6 +305,11 @@ func (s *sched) dvfsStep() (units.Time, bool) {
 		}
 		d := s.mach.Domains[id]
 		s.touch()
+		for _, c := range d.Cores {
+			if w := s.byCore[c]; w != nil {
+				w.credit()
+			}
+		}
 		if d.Commit(now) {
 			s.led.DVFSCommits++
 			for fi, f := range s.cfg.Freqs {
@@ -327,6 +330,20 @@ func (s *sched) dvfsStep() (units.Time, bool) {
 		return t, true
 	}
 	return sim.UntilWake, true
+}
+
+// firstStocked is the first worker from v on, cyclically, whose deque
+// holds a task, skip aside; -1 if there is none.
+func (s *sched) firstStocked(v, skip int) int {
+	for k, n := 0, len(s.workers); k < n; k++ {
+		if v != skip && s.stocked[v>>6]>>(v&63)&1 != 0 {
+			return v
+		}
+		if v++; v == n {
+			v = 0
+		}
+	}
+	return -1
 }
 
 func (s *sched) earliestCommit() units.Time {

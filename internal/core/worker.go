@@ -75,6 +75,8 @@ type worker struct {
 	// should wake.
 	curJob   *jobRun
 	idlePark bool
+	// resAt is when the worker's residency was last credited (credit).
+	resAt units.Time
 
 	// Run-ahead: Work and Mem append to pend and return; settle simulates
 	// the frame's segments pend[base:] (cur is the one in flight).
@@ -85,10 +87,16 @@ type worker struct {
 	// What seek's and settle's stepped waits carry from wake to wake;
 	// the step funcs are bound once, so a wait allocates nothing.
 	hunt struct {
-		at           huntAt
-		blk          *block // the block a join waits on, nil in schedule
-		got          *task  // the task to hand the coroutine
-		victim, left int    // index being probed; probes left, this one included
+		at  huntAt
+		blk *block // the block a join waits on, nil in schedule
+		got *task  // the task to hand the coroutine
+		// A steal round's probe i looks at probeVictim(i) and falls due
+		// at base + (i-from)·stealCost, from being the last probe taken
+		// as an event (-1 at the round's start, at base). The wait in
+		// flight ends at probe next; probes [done, next) are folded into
+		// it: failed steals the ledger has not counted yet (creditProbes).
+		first, from, done, next int
+		base                    units.Time
 	}
 	slice struct {
 		rem         units.Cycles // not yet retired
@@ -114,10 +122,12 @@ const maxPreemptDepth = 8
 const freeListCap = 256
 
 // segment is one accounting call not yet simulated: cy CPU cycles or,
-// when cy is 0, a frequency-independent stall of d.
+// when cy is 0, a frequency-independent stall of d — a push's deque cost
+// if pushed, after which the growth check runs.
 type segment struct {
-	cy units.Cycles
-	d  units.Time
+	cy     units.Cycles
+	d      units.Time
+	pushed bool
 }
 
 // pendBound caps a frame's unsettled segments (a full list settles
@@ -146,7 +156,7 @@ type huntAt uint8
 
 const (
 	huntPopped  huntAt = iota // a local pop's deque cost
-	huntProbe                 // a steal probe's cost
+	huntProbe                 // steal probes' cost, a late wait
 	huntBackoff               // yield's back-off spin
 	huntIdle                  // halted in poolIdle, no timer
 	huntBlock                 // halted on the joined block, no timer
@@ -194,6 +204,7 @@ func (w *worker) huntTop() (units.Time, bool) {
 			return 0, false
 		}
 		if t, ok := w.dq.Pop(); ok {
+			w.restock()
 			return w.popped(t)
 		}
 		s.tempo.OutOfWork(w.id, s.cfg.Mode)
@@ -225,6 +236,7 @@ func (w *worker) huntTop() (units.Time, bool) {
 			w.dq.Push(t)
 			blk.exhausted = true
 		} else {
+			w.restock()
 			return w.popped(t)
 		}
 	}
@@ -252,14 +264,20 @@ func (w *worker) stepHunt() (units.Time, bool) {
 		s.tempo.Shrunk(w.id, w.dq.Size(), s.cfg.Mode)
 		return 0, false
 	case huntProbe:
+		// The probe due now or, woken early, the first not yet due;
+		// the folded ones before it failed.
+		w.creditProbes()
+		i := h.done
+		h.next = i
 		if s.done {
 			return w.failedRound()
 		}
 		// An empty deque is a failed steal; the probe's cost is modeled.
 		// A landed one applies the tempo policy's steal rules to thief
 		// and victim.
-		if v := s.workers[h.victim]; !v.dq.Empty() {
+		if v := s.workers[w.probeVictim(i)]; !v.dq.Empty() {
 			t, _ := v.dq.Steal()
+			v.restock()
 			s.led.Steals++
 			s.led.Workers[w.id].Steals++
 			t.job.steals++
@@ -270,14 +288,10 @@ func (w *worker) stepHunt() (units.Time, bool) {
 			return 0, false
 		}
 		s.led.FailedSteals++
-		if h.left--; h.left == 0 {
+		if i == len(s.workers)-2 {
 			return w.failedRound()
 		}
-		if h.victim = (h.victim + 1) % len(s.workers); h.victim == w.id {
-			h.victim = (h.victim + 1) % len(s.workers)
-		}
-		w.setState(cpu.Spin)
-		return s.eng.Now() + stealCost, true
+		return w.probeFrom(i)
 	case huntIdle:
 		w.idlePark = false
 	case huntBlock:
@@ -316,17 +330,43 @@ func (w *worker) setState(st cpu.CoreState) {
 		return
 	}
 	w.s.touch()
+	w.credit()
+	was := w.serving()
 	w.core.State = st
+	w.s.serving += w.serving() - was
+}
+
+// serving is 1 while w's core is Busy inside a job's task — touch
+// splits the machine's energy among those workers — and 0 otherwise.
+func (w *worker) serving() int {
+	if w.core.State == cpu.Busy && w.curJob != nil {
+		return 1
+	}
+	return 0
+}
+
+// credit moves w's residency since resAt into its (state, frequency)
+// cell of the machine's ledger; a dead machine's time is no one's.
+func (w *worker) credit() {
+	s, now := w.s, w.s.eng.Now()
+	if !s.dead {
+		s.led.Workers[w.id].Res[w.core.State-1][s.domFi[w.core.Dom.ID]] += now - w.resAt
+	}
+	w.resAt = now
 }
 
 // push places a spawned task on the worker's own tail (Figure 5
-// PUSH): deque op cost, then the workload-sensitive growth check.
+// PUSH), once what the frame ran before it is settled: the deque op's
+// cost is a stall segment of the frame, settled with the body's next
+// segments, and the workload-sensitive growth check runs where it ends
+// (stepSettle).
 func (w *worker) push(t *task) {
+	w.settle()
 	w.s.led.Spawns++
 	t.job.spawns++
 	w.dq.Push(t)
-	w.proc.Sleep(pushPopCost)
-	w.s.tempo.Pushed(w.id, w.dq.Size(), w.s.cfg.Mode)
+	w.restock()
+	w.pend = append(w.pend, segment{d: pushPopCost, pushed: true})
 }
 
 // stealRound starts a round that probes every other worker once,
@@ -339,13 +379,113 @@ func (w *worker) stealRound() (units.Time, bool) {
 		return w.failedRound()
 	}
 	h := &w.hunt
-	h.victim, h.left = w.rng.Intn(n), n-1
-	if h.victim == w.id {
-		h.victim = (w.id + 1) % n
+	h.first = w.rng.Intn(n)
+	if h.first == w.id {
+		h.first = (w.id + 1) % n
 	}
+	return w.probeFrom(-1)
+}
+
+// foldProbes folds a thief's probes of empty deques into one wait; off,
+// each probe is an event of its own (TestProbeFoldIsInvisible's oracle).
+var foldProbes = true
+
+// probeFrom waits for the round's probes after probe from (-1: the
+// round's start), taken now. Probes are late waits ("Late wakes" in
+// internal/sim's doc), so a probe due at an instant sees everything else
+// that happens at it. Each probe of a deque that is empty now is folded
+// into a wait for the first probe of a non-empty one or the round's
+// last: the deque stays empty unless a push refills it, and restock
+// then gives the probe its event back.
+func (w *worker) probeFrom(from int) (units.Time, bool) {
+	h, s := &w.hunt, w.s
+	h.at, h.base, h.from, h.done = huntProbe, s.eng.Now(), from, from+1
+	i, last := from+1, len(s.workers)-2
+	if foldProbes && i < last {
+		i = last
+		if v := s.firstStocked(w.probeVictim(from+1), w.id); v >= 0 {
+			if j := w.probeIndex(v); j > from {
+				i = min(j, last)
+			}
+		}
+	}
+	h.next = i
 	w.setState(cpu.Spin)
-	h.at = huntProbe
-	return w.s.eng.Now() + stealCost, true
+	w.proc.Late()
+	return w.probeDue(i), true
+}
+
+// probeVictim is the worker a round's probe i looks at: the others in
+// cyclic order from hunt.first.
+func (w *worker) probeVictim(i int) int {
+	n, first := len(w.s.workers), w.hunt.first
+	if i >= (w.id-first+n)%n {
+		i++ // past w itself
+	}
+	return (first + i) % n
+}
+
+// probeIndex is the index of the round's probe of worker v.
+func (w *worker) probeIndex(v int) int {
+	n, first := len(w.s.workers), w.hunt.first
+	i := (v - first + n) % n
+	if i > (w.id-first+n)%n {
+		i-- // past w itself
+	}
+	return i
+}
+
+// probeDue is when the round's probe i falls due.
+func (w *worker) probeDue(i int) units.Time {
+	return w.hunt.base + units.Time(i-w.hunt.from)*stealCost
+}
+
+// creditProbes counts the folded probes whose wakes have passed as the
+// failed steals they were. Whoever reads the ledger calls it first
+// (snapInto), so no read can tell a fold from a probe per event.
+func (w *worker) creditProbes() {
+	h, e := &w.hunt, w.s.eng
+	if h.done >= h.next {
+		return
+	}
+	k := min(h.from+int((e.Now()-h.base)/stealCost), h.next-1) // due by now
+	if !e.LatePassed(w.probeDue(k), w.proc) {
+		k--
+	}
+	if k >= h.done {
+		w.s.led.FailedSteals += int64(k + 1 - h.done)
+		h.done = k + 1
+	}
+}
+
+// restock keeps w's bit in sched.stocked in step with its deque after a
+// push, pop or steal. A push that refills an empty deque unfolds the
+// thieves' probes of it: every thief whose wait folds a probe of w not
+// yet due gets that probe back as its event. A push onto a non-empty
+// deque needs none, since no fold planned after the deque last emptied
+// can include it.
+func (w *worker) restock() {
+	word, bit := &w.s.stocked[w.id>>6], uint64(1)<<(w.id&63)
+	if w.dq.Empty() {
+		*word &^= bit
+		return
+	}
+	if *word&bit != 0 {
+		return
+	}
+	*word |= bit
+	e := w.s.eng
+	for _, t := range w.s.workers {
+		h := &t.hunt
+		if h.done >= h.next {
+			continue
+		}
+		i := t.probeIndex(w.id)
+		if at := t.probeDue(i); i >= h.done && i < h.next && !e.LatePassed(at, t.proc) {
+			h.next = i
+			t.proc.WakeLate(at)
+		}
+	}
 }
 
 // failedRound ends a steal round that landed nothing: a join whose
@@ -473,10 +613,13 @@ func (w *worker) putBlock(blk *block) {
 // whole stretch since the last touch lands on whichever job is
 // current at the next one.
 func (w *worker) setJob(j *jobRun) {
-	if w.curJob != j {
-		w.s.touch()
+	if w.curJob == j {
+		return
 	}
+	w.s.touch()
+	was := w.serving()
 	w.curJob = j
+	w.s.serving += w.serving() - was
 }
 
 // runBody invokes the task closure as a frame of its own in pend. A
@@ -618,9 +761,12 @@ func (w *worker) planSlice() units.Time {
 // checks if there is an eviction, a shutdown or a ready root to see.
 func (w *worker) stepSettle() (units.Time, bool) {
 	s, now := w.s, w.s.eng.Now()
-	if w.pend[w.cur].cy == 0 {
+	if sg := w.pend[w.cur]; sg.cy == 0 {
 		if now < w.stallEnd && !s.done && !w.curJob.evicted {
 			return w.stallEnd, true
+		}
+		if sg.pushed {
+			s.tempo.Pushed(w.id, w.dq.Size(), s.cfg.Mode)
 		}
 		return w.advance(w.cur+1, true)
 	}

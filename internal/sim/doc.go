@@ -3,8 +3,9 @@
 // process is a runtime coroutine: Engine.Run, the one dispatch loop,
 // pops the next event and resumes its owner with the next half of
 // iter.Pull; the process runs until it parks, which yields back. The
-// event order depends only on (virtual time, priority, schedule order),
-// so a run is fully reproducible.
+// event order depends only on (virtual time, priority, schedule order)
+// — for a late wake, (virtual time, process id) — so a run is fully
+// reproducible.
 //
 // A process parks either until a scheduled virtual time (Sleep /
 // WaitUntil) or indefinitely (ParkUntilWake, or WaitUntil(UntilWake)),
@@ -51,13 +52,29 @@
 // GoStep makes a process that is nothing but such a loop — a daemon with
 // no coroutine, resumed never. The one rule: a step schedules exactly
 // what the process would have, when it would have — so seq, the
-// same-instant tie-break, never moves. internal/core builds on it: a
+// same-instant tie-break of ordinary wakes, never moves; late wakes take
+// no seq. internal/core builds on it: a
 // worker with no task to run hunts for one in a single stepped wait and
 // is resumed only to run the task it found, its DVFS, profiler and
 // gossip daemons are GoStep processes, and a task body's Work and Mem
 // calls return at once, its segments simulated as one stepped wait at
 // its next spawn or return, so a worker is resumed per task and frame,
 // not per call or probe.
+//
+// # Late wakes
+//
+// A late wait (Late, then the wait) wakes after every ordinary and
+// injected event at its instant, and late wakes at one instant fire in
+// process-id order. Its place in the order therefore does not depend on
+// when it was scheduled, so a process may skip waits whose outcome is
+// already known and take a real event only when one could differ: a
+// fold is invisible. WakeLate moves a parked process's wake to a late
+// wake at a given time, and LatePassed tells whether a late wake at
+// some instant would already have fired, so the skipped waits can be
+// accounted for when someone looks. A Wake supersedes a late wake even
+// at its own instant. internal/core's steal probes are late waits: a
+// thief folds its probes of empty deques into one wait, and a push onto
+// a folded-over deque gives the thief its real event back.
 //
 // # Where failures surface
 //

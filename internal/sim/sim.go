@@ -13,10 +13,11 @@ import (
 // entry is one scheduled wake, held by value in the queue. key packs
 // the tie-break priority above the schedule order, so the dispatch order
 // — virtual time, then priority, then schedule order — is two integer
-// compares. An entry whose key is not its owner's wakeKey was superseded
-// and is dropped when popped. own names the owner by index, so the queue
-// holds no pointers and moving entries costs no write barrier; the zero
-// entry is no entry.
+// compares; a late wake's key packs its owner's index where the others
+// have seq (see lateKey). An entry whose key is not its owner's wakeKey
+// was superseded and is dropped when popped. own names the owner by
+// index, so the queue holds no pointers and moving entries costs no
+// write barrier; the zero entry is no entry.
 type entry struct {
 	t   units.Time
 	key uint64
@@ -28,6 +29,16 @@ type entry struct {
 const UntilWake units.Time = math.MaxInt64
 
 func (a entry) before(b entry) bool { return a.t < b.t || a.t == b.t && a.key < b.key }
+
+// lateKey is the priority byte of a late wake ("Late wakes" in the
+// package doc), above the injected (0) and ordinary (1) ones: below it
+// the key holds the owner's index, then a count of the owner's late
+// schedulings, so late wakes at one instant sort by process id and a
+// superseded one never matches its owner's live key.
+const (
+	lateKey  uint64 = 2 << 56
+	maxProcs        = 1 << 24 // process indices that fit below lateKey's byte
+)
 
 // frontCap bounds the queue's sorted front tier. A pool or cluster point
 // holds one wake per process, 15–18 of them, and a new one lands a few
@@ -54,6 +65,8 @@ type Proc struct {
 	state   procState
 	fn      func(*Proc)                          // nil for a GoStep process
 	step    func() (next units.Time, again bool) // of the stepped wait it is in, or nil
+	late    bool                                 // the next timed wait is late (Late)
+	lateGen uint32                               // late wakes scheduled, for their keys
 
 	// The two halves of iter.Pull over run, created at first dispatch,
 	// and the yield it hands to run. Only Run calls next; only park
@@ -75,9 +88,13 @@ type Engine struct {
 	alive   int
 	current *Proc
 
-	// Events fired, and those of them that resumed a coroutine (the rest
-	// a parking process took itself, or were steps). Read after Run.
-	Dispatched, Resumes uint64
+	// Events fired, those of them that resumed a coroutine (the rest a
+	// parking process took itself, or were steps), and those that were
+	// late wakes. Read after Run.
+	Dispatched, Resumes, Late uint64
+	// lateMark is the owner (index plus one) of the last late wake fired
+	// at now, 0 if none has fired at now yet: LatePassed's position.
+	lateMark int32
 
 	// A parking process that popped an entry it does not own leaves it
 	// here for Run to dispatch, so no entry is popped twice. A panic out
@@ -179,6 +196,9 @@ func (e *Engine) Current() *Proc { return e.current }
 // before Run or from a running process. The coroutine behind it is
 // created when Run first dispatches it.
 func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
+	if len(e.procs) >= maxProcs {
+		panic("sim: too many processes")
+	}
 	p := &Proc{eng: e, ID: len(e.procs), Name: name, fn: fn}
 	e.procs = append(e.procs, p)
 	e.alive++
@@ -233,25 +253,50 @@ func (e *Engine) stepped(p *Proc) (parked bool) {
 	}()
 	next, again := p.step()
 	if !again {
-		p.step = nil
+		p.step, p.late = nil, false
 		return false
 	}
-	if next != UntilWake {
-		e.scheduleAt(next, 0, p)
-	}
+	e.timer(next, p)
 	p.state, e.current = stateParked, nil
 	return true
+}
+
+// timer sets the timer of the wait p enters: late if p asked for that,
+// none for UntilWake.
+func (e *Engine) timer(t units.Time, p *Proc) {
+	switch {
+	case t == UntilWake:
+		p.wakeKey = 0
+	case p.late:
+		e.scheduleLate(t, p)
+	default:
+		e.scheduleAt(t, 0, p)
+	}
+	p.late = false
 }
 
 // scheduleAt queues a wake for p at t with tie-break priority prio and
 // makes it p's one live wake, superseding any wake p had before.
 func (e *Engine) scheduleAt(t units.Time, prio int8, p *Proc) {
+	e.seq++
+	e.insert(t, uint64(prio+1)<<56|e.seq, p)
+}
+
+// scheduleLate queues a late wake for p at t and makes it p's one live
+// wake. It takes no seq: its place at t is p's index, whenever it was
+// scheduled.
+func (e *Engine) scheduleLate(t units.Time, p *Proc) {
+	p.lateGen++
+	e.insert(t, lateKey|uint64(p.ID)<<32|uint64(p.lateGen), p)
+}
+
+// insert queues p's new live wake, at t with key.
+func (e *Engine) insert(t units.Time, key uint64, p *Proc) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
 	}
-	e.seq++
-	x := entry{t: t, key: uint64(prio+1)<<56 | e.seq, own: int32(p.ID) + 1}
-	p.wakeKey, p.wakeAt = x.key, t
+	x := entry{t: t, key: key, own: int32(p.ID) + 1}
+	p.wakeKey, p.wakeAt = key, t
 	if len(e.heap) > 0 && e.heap[0].before(x) {
 		e.heapPush(x)
 		return
@@ -369,6 +414,13 @@ func (e *Engine) pickParking() entry {
 func (e *Engine) fire(ev entry) *Proc {
 	p := e.procs[ev.own-1]
 	e.Dispatched++
+	if ev.t != e.now {
+		e.lateMark = 0
+	}
+	if ev.key >= lateKey {
+		e.Late++
+		e.lateMark = ev.own
+	}
 	e.now = ev.t
 	p.wakeKey = 0
 	p.state = stateRunning
@@ -498,11 +550,7 @@ func (p *Proc) WaitUntilStep(t units.Time, step func() (next units.Time, again b
 		panic("sim: WaitUntil into the past")
 	}
 	p.step = step
-	if t != UntilWake {
-		p.eng.scheduleAt(t, 0, p)
-	} else {
-		p.wakeKey = 0
-	}
+	p.eng.timer(t, p)
 	p.park()
 	return p.eng.now
 }
@@ -520,10 +568,11 @@ func (p *Proc) Sleep(d units.Time) units.Time {
 func (p *Proc) ParkUntilWake() units.Time { return p.WaitUntil(UntilWake) }
 
 // Wake makes a parked process runnable at the current virtual time,
-// superseding any pending timer. The caller must be the currently
-// running process (or the engine owner between runs); a process cannot
-// wake itself. Waking an already-runnable or finished process is a
-// no-op, so completion broadcasts are safe.
+// superseding any pending timer — a late one due now too, since an
+// ordinary wake at now sorts before it. The caller must be the
+// currently running process (or the engine owner between runs); a
+// process cannot wake itself. Waking an already-runnable or finished
+// process is a no-op, so completion broadcasts are safe.
 func (p *Proc) Wake() {
 	if p.eng.current == p {
 		panic("sim: process woke itself")
@@ -531,10 +580,40 @@ func (p *Proc) Wake() {
 	if p.state == stateDone {
 		return
 	}
-	if p.wakeKey != 0 && p.wakeAt == p.eng.now {
+	if p.wakeKey != 0 && p.wakeKey < lateKey && p.wakeAt == p.eng.now {
 		return // already scheduled to run now
 	}
 	p.eng.scheduleAt(p.eng.now, 0, p)
+}
+
+// Late makes the next timed wait the running process enters — its
+// WaitUntil, or the one its step answers again with — a late wait ("Late
+// wakes" in the package doc). A wait with no timer ignores it.
+func (p *Proc) Late() {
+	if p.eng.current != p {
+		panic("sim: Late called by non-current process " + p.Name)
+	}
+	p.late = true
+}
+
+// WakeLate supersedes a parked process's pending wake with a late wake
+// at t, never before now: its step, if it is in a stepped wait, runs
+// then. Like Wake, another process or the engine owner calls it; a
+// finished process ignores it.
+func (p *Proc) WakeLate(t units.Time) {
+	if p.eng.current == p {
+		panic("sim: process woke itself")
+	}
+	if p.state != stateDone {
+		p.eng.scheduleLate(t, p)
+	}
+}
+
+// LatePassed reports whether a late wake of p at t sorts before the
+// dispatch position — before now, or at now below the last late wake
+// fired at now — so that, had one been queued, it would have fired.
+func (e *Engine) LatePassed(t units.Time, p *Proc) bool {
+	return t < e.now || t == e.now && int32(p.ID)+1 < e.lateMark
 }
 
 func (p *Proc) mustBeCurrent(op string) {

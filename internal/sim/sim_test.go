@@ -77,6 +77,63 @@ func TestTieBreakBySequence(t *testing.T) {
 
 func time1() units.Time { return 1 * units.Microsecond }
 
+// TestLateWakes: late wakes fire after every ordinary event at their
+// instant, among themselves by process id whatever order they were
+// scheduled in; a Wake at that instant supersedes one; and LatePassed
+// tells which late wakes at the current instant would already have
+// fired.
+func TestLateWakes(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	var procs []*Proc
+	lateAt := func(name string) func(*Proc) {
+		return func(p *Proc) {
+			p.Late()
+			p.WaitUntil(time1())
+			order = append(order, name)
+			for _, q := range procs {
+				if got := e.LatePassed(time1(), q); got != (q.ID < p.ID) {
+					t.Errorf("in %s's late wake: LatePassed(1µs, %s) = %v", name, q.Name, got)
+				}
+				if !e.LatePassed(0, q) {
+					t.Errorf("in %s's late wake: LatePassed(0, %s) = false", name, q.Name)
+				}
+			}
+		}
+	}
+	// Three late waits at 1µs, scheduled in the order d, c, a against
+	// their ids c < a < d, and two ordinary sleeps: b wakes a at 1µs,
+	// after e, whose wake was scheduled first.
+	procs = append(procs, e.Go("c", func(p *Proc) {
+		p.Sleep(0)
+		lateAt("c")(p)
+	}))
+	procs = append(procs, e.Go("a", func(p *Proc) {
+		p.Sleep(0)
+		p.Sleep(0)
+		p.Late()
+		p.WaitUntil(time1())
+		order = append(order, "a")
+	}))
+	procs = append(procs, e.Go("d", lateAt("d")))
+	procs = append(procs, e.Go("e", func(p *Proc) {
+		p.Sleep(time1())
+		order = append(order, "e")
+	}))
+	procs = append(procs, e.Go("b", func(p *Proc) {
+		p.Sleep(time1())
+		order = append(order, "b")
+		procs[1].Wake() // a's late wake is due now: the Wake supersedes it
+	}))
+	e.Run()
+	if got := strings.Join(order, " "); got != "e b a c d" {
+		t.Fatalf("dispatch order %q, want \"e b a c d\"", got)
+	}
+	if e.Late != 2 {
+		t.Fatalf("%d late wakes fired, want 2", e.Late)
+	}
+}
+
 func TestParkAndWake(t *testing.T) {
 	e := NewEngine()
 	var parked *Proc
@@ -308,11 +365,12 @@ func TestIsUnwind(t *testing.T) {
 // scriptOp is one step of a scripted process; the same scripts drive
 // the engine and the reference below.
 type scriptOp struct {
-	kind   byte // 's' Sleep, 'u' WaitUntil, 'k' WaitUntilStep, 'p' ParkUntilWake, 'w' Wake, 'g' Go, 'G' GoStep
+	kind   byte // 's' Sleep, 'u' WaitUntil, 'k' WaitUntilStep, 'p' ParkUntilWake, 'w' Wake, 'W' WakeLate, 'g' Go, 'G' GoStep
 	d      units.Time
+	late   bool       // 's', 'u', 'k': the wait (each of the step's too) is late
 	steps  int        // 'k': wakes the wait spans, each d after the last
 	park   bool       // 'k': the step's waits set no timer (UntilWake)
-	target int        // 'w': index into the processes that exist at that moment
+	target int        // 'w', 'W': index into the processes that exist at that moment
 	child  []scriptOp // 'g'; 'G': only 's', 'p' and 'w', which the step interprets
 }
 
@@ -321,15 +379,18 @@ func genScript(rng *rand.Rand, depth int) []scriptOp {
 	ops := make([]scriptOp, 0, n)
 	for i := 0; i < n; i++ {
 		d := units.Time(rng.Intn(5)) * units.Microsecond // 0 included: same-instant ties
-		switch r := rng.Intn(13); {
+		late := rng.Intn(3) == 0
+		switch r := rng.Intn(14); {
 		case r < 4:
-			ops = append(ops, scriptOp{kind: 's', d: d})
+			ops = append(ops, scriptOp{kind: 's', d: d, late: late})
 		case r < 6:
-			ops = append(ops, scriptOp{kind: 'u', d: d})
+			ops = append(ops, scriptOp{kind: 'u', d: d, late: late})
 		case r >= 10 && r < 12:
-			ops = append(ops, scriptOp{kind: 'k', d: d, steps: 1 + rng.Intn(5), park: r == 11})
+			ops = append(ops, scriptOp{kind: 'k', d: d, late: late, steps: 1 + rng.Intn(5), park: r == 11})
 		case r == 12:
 			ops = append(ops, scriptOp{kind: 'G', child: genStepScript(rng)})
+		case r == 13:
+			ops = append(ops, scriptOp{kind: 'W', d: d, target: rng.Intn(64)})
 		case r < 7:
 			ops = append(ops, scriptOp{kind: 'p'})
 		case r < 9:
@@ -344,13 +405,13 @@ func genScript(rng *rand.Rand, depth int) []scriptOp {
 }
 
 // genStepScript is the life of a GoStep process: waits with and
-// without a timer, and wakes of others in between.
+// without a timer, late or not, and wakes of others in between.
 func genStepScript(rng *rand.Rand) []scriptOp {
 	ops := make([]scriptOp, 1+rng.Intn(6))
 	for i := range ops {
 		switch rng.Intn(3) {
 		case 0:
-			ops[i] = scriptOp{kind: 's', d: units.Time(rng.Intn(5)) * units.Microsecond}
+			ops[i] = scriptOp{kind: 's', d: units.Time(rng.Intn(5)) * units.Microsecond, late: rng.Intn(3) == 0}
 		case 1:
 			ops[i] = scriptOp{kind: 'p'}
 		default:
@@ -381,6 +442,9 @@ func runScripted(roots [][]scriptOp, probe func(*Engine)) []string {
 		return func(p *Proc) {
 			log = append(log, fmt.Sprintf("%d@%d", p.ID, e.Now()))
 			for _, op := range script {
+				if op.late {
+					p.Late()
+				}
 				switch op.kind {
 				case 's':
 					p.Sleep(op.d)
@@ -401,6 +465,9 @@ func runScripted(roots [][]scriptOp, probe func(*Engine)) []string {
 						if op.park {
 							return UntilWake, true
 						}
+						if op.late {
+							p.Late()
+						}
 						return e.Now() + op.d, true
 					})
 				case 'p':
@@ -408,6 +475,11 @@ func runScripted(roots [][]scriptOp, probe func(*Engine)) []string {
 				case 'w':
 					if t := e.procs[op.target%len(e.procs)]; t != p {
 						t.Wake()
+					}
+					continue
+				case 'W':
+					if t := e.procs[op.target%len(e.procs)]; t != p {
+						t.WakeLate(e.Now() + op.d)
 					}
 					continue
 				case 'g':
@@ -429,6 +501,9 @@ func runScripted(roots [][]scriptOp, probe func(*Engine)) []string {
 				switch op := script[pc]; op.kind {
 				case 's':
 					pc++
+					if op.late {
+						e.procs[id].Late()
+					}
 					return e.Now() + op.d, true
 				case 'p':
 					pc++
@@ -470,15 +545,18 @@ func runScripted(roots [][]scriptOp, probe func(*Engine)) []string {
 
 // refEngine is the trivial reference: the pending wakes in a slice that
 // is sorted before every pick, processes as interpreted scripts. It
-// restates the documented semantics of Wake and Inject and nothing of
-// how the engine is built.
+// restates the documented semantics of Wake, WakeLate, Inject and late
+// waits and nothing of how the engine is built.
 type refEvent struct {
 	t        units.Time
-	prio     int
+	prio     int // -1 injected, 0 ordinary, 1 late
 	seq      int
 	pid      int
 	canceled bool
 }
+
+// refLate is a late wake's prio.
+const refLate = 1
 
 type refProc struct {
 	script  []scriptOp
@@ -566,6 +644,9 @@ func (r *refEngine) run(roots [][]scriptOp) []string {
 			if a.prio != b.prio {
 				return a.prio < b.prio
 			}
+			if a.prio == refLate {
+				return a.pid < b.pid // late wakes: last at their instant, by process id
+			}
 			return a.seq < b.seq
 		})
 		ev := r.events[0]
@@ -579,9 +660,13 @@ func (r *refEngine) run(roots [][]scriptOp) []string {
 		for !parked && p.pc < len(p.script) {
 			op := p.script[p.pc]
 			p.pc++
+			prio := 0
+			if op.late {
+				prio = refLate
+			}
 			switch op.kind {
 			case 's', 'u':
-				p.pending = r.schedule(r.now+op.d, 0, pid)
+				p.pending = r.schedule(r.now+op.d, prio, pid)
 				parked = true
 			case 'k':
 				// The reference knows no stepped wait: it is op.steps
@@ -594,7 +679,7 @@ func (r *refEngine) run(roots [][]scriptOp) []string {
 					p.pc--
 				}
 				if first || !op.park {
-					p.pending = r.schedule(r.now+op.d, 0, pid)
+					p.pending = r.schedule(r.now+op.d, prio, pid)
 				}
 				parked = true
 			case 'p':
@@ -606,12 +691,22 @@ func (r *refEngine) run(roots [][]scriptOp) []string {
 					break
 				}
 				if t.pending != nil {
-					if t.pending.t == r.now {
+					if t.pending.t == r.now && t.pending.prio != refLate {
 						break
 					}
 					t.pending.canceled = true
 				}
 				t.pending = r.schedule(r.now, 0, tid)
+			case 'W':
+				tid := op.target % len(r.procs)
+				t := r.procs[tid]
+				if t == p || t.done {
+					break
+				}
+				if t.pending != nil {
+					t.pending.canceled = true
+				}
+				t.pending = r.schedule(r.now+op.d, refLate, tid)
 			case 'g', 'G':
 				// Nor a GoStep process: it is a script of its waits.
 				r.spawn(op.child)

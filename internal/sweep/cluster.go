@@ -131,16 +131,18 @@ type ClusterResult struct {
 	Workload workload.Spec `json:"workload"`
 	// Trace is the arrival process, normalized so the default poisson
 	// process stays "" (byte-stable poisson-era artifacts).
-	Trace      string    `json:"trace,omitempty"`
-	Mode       string    `json:"mode"`
-	Policies   []string  `json:"policies"`
-	Machines   []int     `json:"machines"`
-	RatesRPS   []float64 `json:"rates_rps"`
-	WindowS    float64   `json:"window_s"`
-	Seed       int64     `json:"seed"`
-	Trials     int       `json:"trials"`
-	Workers    int       `json:"workers"`
-	KneeFactor float64   `json:"knee_factor"`
+	Trace    string    `json:"trace,omitempty"`
+	Mode     string    `json:"mode"`
+	Policies []string  `json:"policies"`
+	Machines []int     `json:"machines"`
+	RatesRPS []float64 `json:"rates_rps"`
+	WindowS  float64   `json:"window_s"`
+	Seed     int64     `json:"seed"`
+	Trials   int       `json:"trials"`
+	// Workers is the pool width each machine simulated: the backend's
+	// default when ClusterConfig.Workers is 0.
+	Workers    int     `json:"workers"`
+	KneeFactor float64 `json:"knee_factor"`
 	// FaultPlans lists the swept fault plans by registered name; nil
 	// when the sweep was entirely fault-free (pre-chaos artifact shape).
 	FaultPlans []string `json:"fault_plans,omitempty"`
@@ -153,12 +155,9 @@ type ClusterResult struct {
 	Curves           []ClusterCurve `json:"curves"`
 }
 
-// clusterPoint measures one (plan, policy, machines, rate) grid point.
-func (g grid) clusterPoint(fl fleet, rps float64) (ClusterPoint, error) {
-	f, err := g.point(fl, rps)
-	if err != nil {
-		return ClusterPoint{}, err
-	}
+// clusterPoint renders one (plan, policy, machines, rate) grid point
+// from its fold.
+func (f *fold) clusterPoint(fl fleet, rps float64) ClusterPoint {
 	pt := ClusterPoint{
 		OfferedRPS: rps,
 		latency:    f.latency(),
@@ -191,7 +190,7 @@ func (g grid) clusterPoint(fl fleet, rps float64) (ClusterPoint, error) {
 			pt.Availability = float64(pt.Completed) / float64(pt.Completed+f.lost)
 		}
 	}
-	return pt, nil
+	return pt
 }
 
 // RunCluster executes the whole (policy × machines × rate) grid and
@@ -242,7 +241,6 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		WindowS:          g.window.Seconds(),
 		Seed:             g.seed,
 		Trials:           g.trials,
-		Workers:          g.workers,
 		KneeFactor:       DefaultKneeFactor,
 		Dispatch:         g.canonicalDispatch(),
 		PreemptQuantumMS: g.quantumMS(),
@@ -267,10 +265,12 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 				curve := ClusterCurve{Policy: v.String(), Machines: machines, Faults: fault.Canonical(plan)}
 				var p99s []float64
 				for _, rate := range g.rates {
-					pt, err := g.clusterPoint(fl, rate)
+					f, err := g.point(fl, rate)
 					if err != nil {
 						return ClusterResult{}, fmt.Errorf("sweep: %s ×%d @ %g rps (faults %q): %w", v, machines, rate, plan, err)
 					}
+					pt := f.clusterPoint(fl, rate)
+					res.Workers = f.workers
 					curve.Points = append(curve.Points, pt)
 					p99s = append(p99s, pt.P99SojournMS)
 					if g.log != nil {

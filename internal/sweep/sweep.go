@@ -163,9 +163,6 @@ type Point struct {
 	JoulesPerRequest float64 `json:"joules_per_request"`
 	AvgPowerW        float64 `json:"avg_power_w"`
 	StealsPerRequest float64 `json:"steals_per_request"`
-	// DroppedEvents is always 0: the point runner observes through
-	// per-job reports, synchronously, so nothing can drop.
-	DroppedEvents uint64 `json:"dropped_events"`
 
 	// Tiers is the machine's DVFS residency (share of busy core-time
 	// per frequency), fastest tier first.
@@ -216,16 +213,11 @@ type PointConfig struct {
 // result is deterministic in the config.
 func RunPoint(cfg PointConfig) (Point, error) {
 	g := grid{workload: cfg.Workload, window: cfg.Window, seed: cfg.Seed, workers: cfg.Workers}
-	return g.machinePoint(cfg.Mode, cfg.RPS)
-}
-
-// machinePoint measures one rate on a single machine in one tempo mode.
-func (g grid) machinePoint(mode hermes.Mode, rps float64) (Point, error) {
-	f, err := g.point(fleet{mode: mode, machines: 1}, rps)
+	f, err := g.point(fleet{mode: cfg.Mode, machines: 1}, cfg.RPS)
 	if err != nil {
 		return Point{}, err
 	}
-	return f.machinePoint(rps), nil
+	return f.machinePoint(cfg.RPS), nil
 }
 
 // Fold renders one trial run outside the simulator — the wall-clock
@@ -288,13 +280,15 @@ type Result struct {
 	// Trace is the arrival process the grid ran under, normalized so
 	// the default poisson process stays "" — poisson-era artifacts
 	// keep their byte-exact shape.
-	Trace      string    `json:"trace,omitempty"`
-	RatesRPS   []float64 `json:"rates_rps"`
-	WindowS    float64   `json:"window_s"`
-	Seed       int64     `json:"seed"`
-	Trials     int       `json:"trials"`
-	Workers    int       `json:"workers"`
-	KneeFactor float64   `json:"knee_factor"`
+	Trace    string    `json:"trace,omitempty"`
+	RatesRPS []float64 `json:"rates_rps"`
+	WindowS  float64   `json:"window_s"`
+	Seed     int64     `json:"seed"`
+	Trials   int       `json:"trials"`
+	// Workers is the pool width the trials simulated: the backend's
+	// default when Config.Workers is 0.
+	Workers    int     `json:"workers"`
+	KneeFactor float64 `json:"knee_factor"`
 	// Dispatch is the intake policy the grid ran under, normalized so
 	// the default FIFO stays "" — pre-dispatch artifacts keep their
 	// byte-exact shape. PreemptQuantumMS is the ranked-dispatch
@@ -325,7 +319,6 @@ func Run(cfg Config) (Result, error) {
 		WindowS:          g.window.Seconds(),
 		Seed:             g.seed,
 		Trials:           g.trials,
-		Workers:          g.workers,
 		KneeFactor:       DefaultKneeFactor,
 		Dispatch:         g.canonicalDispatch(),
 		PreemptQuantumMS: g.quantumMS(),
@@ -334,10 +327,12 @@ func Run(cfg Config) (Result, error) {
 		curve := Curve{Mode: mode.String()}
 		var p99s []float64
 		for _, rate := range g.rates {
-			pt, err := g.machinePoint(mode, rate)
+			f, err := g.point(fleet{mode: mode, machines: 1}, rate)
 			if err != nil {
 				return Result{}, fmt.Errorf("sweep: %s @ %g rps: %w", mode, rate, err)
 			}
+			pt := f.machinePoint(rate)
+			res.Workers = f.workers
 			curve.Points = append(curve.Points, pt)
 			p99s = append(p99s, pt.P99SojournMS)
 			if g.log != nil {

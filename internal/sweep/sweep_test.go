@@ -352,7 +352,9 @@ func TestSweepPointAllocCeiling(t *testing.T) {
 // `ticks` defaults, 400 rps over a one-second window — with the engine's
 // own counts beside the time: events per simulated job is what the
 // scheduler model asks of the engine, resumes per event how many of
-// those paid a coroutine switch. CI runs it once so it cannot rot.
+// those paid a coroutine switch, probes per job how many were steal
+// probes (a thief's probes of empty deques fold into one event). CI
+// runs it once so it cannot rot.
 func BenchmarkSweepPoint(b *testing.B) {
 	g := grid{workload: workload.Spec{Kind: "ticks"}, window: time.Second, seed: 1}
 	var f *fold
@@ -364,4 +366,5 @@ func BenchmarkSweepPoint(b *testing.B) {
 	}
 	b.ReportMetric(float64(f.events)/float64(f.completed()), "events/job") // the same every iteration
 	b.ReportMetric(float64(f.resumes)/float64(f.events), "resumes/event")
+	b.ReportMetric(float64(f.probes)/float64(f.completed()), "probes/job")
 }

@@ -170,8 +170,8 @@ func (g grid) trial(f *fold, fl fleet, seed int64, arrivals []hermes.Arrival) er
 	}
 	t.stats = c.ClusterStats()
 	t.workers = c.Config().Workers
-	events, resumes := c.EngineStats()
-	f.events, f.resumes = f.events+events, f.resumes+resumes
+	events, resumes, probes := c.EngineStats()
+	f.events, f.resumes, f.probes = f.events+events, f.resumes+resumes, f.probes+probes
 	f.add(t)
 	return nil
 }
@@ -199,7 +199,8 @@ type classAcc struct {
 // both rendered from it, so a percentile, a class row or a tier share
 // means the same thing in every artifact.
 type fold struct {
-	trials int
+	trials  int
+	workers int // per machine, as the last trial simulated
 
 	arrivals, errors int64
 	peak             int64
@@ -226,8 +227,9 @@ type fold struct {
 	// traces.
 	classes map[hermes.Class]*classAcc
 
-	// Engine events and coroutine resumes over the trials; in no artifact.
-	events, resumes uint64
+	// Engine events, coroutine resumes and steal-probe events over the
+	// trials; in no artifact.
+	events, resumes, probes uint64
 }
 
 func newFold(machines int) *fold {
@@ -248,6 +250,7 @@ func newFold(machines int) *fold {
 // latency percentiles, steals and energy stay success-only.
 func (f *fold) add(t trialOut) {
 	f.trials++
+	f.workers = t.workers
 	f.arrivals += int64(len(t.arrivals))
 	mixed := false
 	for _, a := range t.arrivals {
