@@ -32,13 +32,10 @@ func (a entry) before(b entry) bool { return a.t < b.t || a.t == b.t && a.key < 
 
 // lateKey is the priority byte of a late wake ("Late wakes" in the
 // package doc), above the injected (0) and ordinary (1) ones: below it
-// the key holds the owner's index, then a count of the owner's late
-// schedulings, so late wakes at one instant sort by process id and a
-// superseded one never matches its owner's live key.
-const (
-	lateKey  uint64 = 2 << 56
-	maxProcs        = 1 << 24 // process indices that fit below lateKey's byte
-)
+// the key holds the owner's index (24 bits), then a count of the
+// owner's late schedulings, so late wakes at one instant sort by
+// process id and a superseded one never matches its owner's live key.
+const lateKey uint64 = 2 << 56
 
 // frontCap bounds the queue's sorted front tier. A pool or cluster point
 // holds one wake per process, 15–18 of them, and a new one lands a few
@@ -196,9 +193,6 @@ func (e *Engine) Current() *Proc { return e.current }
 // before Run or from a running process. The coroutine behind it is
 // created when Run first dispatches it.
 func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
-	if len(e.procs) >= maxProcs {
-		panic("sim: too many processes")
-	}
 	p := &Proc{eng: e, ID: len(e.procs), Name: name, fn: fn}
 	e.procs = append(e.procs, p)
 	e.alive++
