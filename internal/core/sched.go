@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"hermes/internal/cpu"
 	"hermes/internal/meter"
 	"hermes/internal/obs"
@@ -335,13 +337,29 @@ func (s *sched) dvfsStep() (units.Time, bool) {
 // firstStocked is the first worker from v on, cyclically, whose deque
 // holds a task, skip aside; -1 if there is none.
 func (s *sched) firstStocked(v, skip int) int {
-	for k, n := 0, len(s.workers); k < n; k++ {
-		if v != skip && s.stocked[v>>6]>>(v&63)&1 != 0 {
-			return v
+	if u := s.nextStocked(v, len(s.workers), skip); u >= 0 {
+		return u
+	}
+	return s.nextStocked(0, v, skip)
+}
+
+// nextStocked is the first worker in [lo, hi) whose deque holds a task,
+// skip aside; -1 if there is none.
+func (s *sched) nextStocked(lo, hi, skip int) int {
+	for lo < hi {
+		b := s.stocked[lo>>6] >> (lo & 63)
+		if b == 0 {
+			lo = (lo | 63) + 1
+			continue
 		}
-		if v++; v == n {
-			v = 0
+		u := lo + bits.TrailingZeros64(b)
+		if u >= hi {
+			return -1
 		}
+		if u != skip {
+			return u
+		}
+		lo = u + 1
 	}
 	return -1
 }
